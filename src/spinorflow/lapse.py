@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -10,13 +11,14 @@ import numpy as np
 from .errors import OutOfDomain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LapseProfile:
     """Strictly positive lapse, either constant or tabulated on a time grid.
 
     Tabulated profiles interpolate linearly between nodes; the integral B_t
     is then the exact (trapezoid) integral of the interpolant.  Times outside
-    the table raise OutOfDomain.
+    the table raise OutOfDomain.  Profiles compare and hash by value, the
+    tables included.
     """
 
     kind: str  # "constant" | "tabulated"
@@ -55,6 +57,19 @@ class LapseProfile:
             return cls.tabulated(data["times"], data["values"])
         raise ValueError(f"unknown lapse kind: {kind!r}")
 
+    def _key(self) -> tuple:
+        if self.kind == "constant":
+            return (self.kind, self.value)
+        return (self.kind, tuple(self.times.tolist()), tuple(self.values.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, LapseProfile):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def domain(self) -> tuple[float, float]:
         if self.kind == "constant":
             return (-math.inf, math.inf)
@@ -67,6 +82,22 @@ class LapseProfile:
         if not lo <= t <= hi:
             raise OutOfDomain(f"t = {t} outside tabulated domain [{lo}, {hi}]")
         return float(np.interp(t, self.times, self.values))
+
+    def stages(self, t0: float, dt: float, n_steps: int):
+        """Lapse triples (beta(t), beta(t + dt/2), beta(t + dt)) at
+        t = t0 + k dt for k = 0 .. n_steps - 1: the stage lapses of the RK4
+        kernel.  Tabulated triples are evaluated lazily, one step at a time,
+        so a march leaving the table raises OutOfDomain at the step that
+        leaves it."""
+        if self.kind == "constant":
+            return itertools.repeat((self.value,) * 3, n_steps)
+        return self._tabulated_stages(t0, dt, n_steps)
+
+    def _tabulated_stages(self, t0, dt, n_steps):
+        t = t0
+        for step in range(n_steps):
+            yield self.beta(t), self.beta(t + 0.5 * dt), self.beta(t + dt)
+            t = t0 + (step + 1) * dt
 
     def b_integral(self, t: float) -> float:
         """Signed integral of the lapse from 0 to t."""

@@ -1,34 +1,25 @@
 """Numerical integration of the flow ODEs: the independent oracle for the
 closed-form solutions, plus residual monitors for the full flow system.
 
-The fixed-step RK4 loop with constant lapse runs in a compiled kernel when
-the extension built; a pure-Python kernel with the same contract is used
-otherwise.  ``KERNEL_BACKEND`` reports which one is active.
+Every RK4 step, fixed or adaptive, constant or tabulated lapse, runs in the
+one kernel ``_kern.rk4_path`` (the unrolled pure-Python loop of
+``_kernel_py``), fed the stage lapses of ``LapseProfile.stages``.
+``KERNEL_BACKEND`` names that kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepFailure
+from . import _kernel_py as _kern
+from .errors import SingularTime, StepFailure
 from .frames import Sym3, ricci3, structure_constants_from_theta
 from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, require_valid
 
-try:
-    from . import _kernel as _kern
-
-    KERNEL_BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernel_py as _kern
-
-    KERNEL_BACKEND = "python"
-
-from . import _kernel_py
-
-_OVERFLOW_GUARD = 1e12
+KERNEL_BACKEND = "python"
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,7 @@ def hamiltonian_of(theta: Sym3) -> float:
 def ode_rhs(theta: Sym3, U: np.ndarray, beta: float) -> tuple[Sym3, np.ndarray]:
     """Time derivatives of the shape components and the coframe transform."""
     y = list(theta.as_array()) + list(np.asarray(U, dtype=float).ravel())
-    dy = _kernel_py._rhs(y, beta)
+    dy = _kern._rhs(y, beta)
     return Sym3.from_array(dy[:6]), np.array(dy[6:]).reshape(3, 3)
 
 
@@ -100,40 +91,10 @@ def _pack(pair: CauchyPair) -> np.ndarray:
     return np.concatenate([pair.theta.as_array(), np.eye(3).ravel()])
 
 
-def _integrate_fixed_var(y0, profile: LapseProfile, t0, dt, n_steps, record_every):
-    """Fixed-step RK4 with time-dependent lapse (pure Python path)."""
-    y = [float(v) for v in y0]
-    recs = [(t0, list(y))]
-    truncated = False
-    t = t0
-    for step in range(n_steps):
-        b0 = profile.beta(t)
-        bh = profile.beta(t + 0.5 * dt)
-        b1 = profile.beta(t + dt)
-        k1 = _kernel_py._rhs(y, b0)
-        k2 = _kernel_py._rhs([y[i] + 0.5 * dt * k1[i] for i in range(15)], bh)
-        k3 = _kernel_py._rhs([y[i] + 0.5 * dt * k2[i] for i in range(15)], bh)
-        k4 = _kernel_py._rhs([y[i] + dt * k3[i] for i in range(15)], b1)
-        y = [y[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(15)]
-        t = t0 + (step + 1) * dt
-        if max(abs(y[0]), abs(y[3]), abs(y[4]), abs(y[5])) > _OVERFLOW_GUARD:
-            truncated = True
-            recs.append((t, list(y)))
-            break
-        if (step + 1) % record_every == 0 or step == n_steps - 1:
-            recs.append((t, list(y)))
-    return recs, truncated
-
-
-def _rk4_step_var(y, profile, t, dt):
-    b0 = profile.beta(t)
-    bh = profile.beta(t + 0.5 * dt)
-    b1 = profile.beta(t + dt)
-    k1 = _kernel_py._rhs(y, b0)
-    k2 = _kernel_py._rhs([y[i] + 0.5 * dt * k1[i] for i in range(15)], bh)
-    k3 = _kernel_py._rhs([y[i] + 0.5 * dt * k2[i] for i in range(15)], bh)
-    k4 = _kernel_py._rhs([y[i] + dt * k3[i] for i in range(15)], b1)
-    return [y[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(15)]
+def _rk4_step(y, profile: LapseProfile, t, dt, out_t, out_y):
+    """One RK4 step from (t, y), as a list of floats."""
+    _kern.rk4_path(y, profile.stages(t, dt, 1), t, dt, 1, 1, out_t, out_y)
+    return out_y[1].tolist()
 
 
 def _integrate_adaptive(y0, profile: LapseProfile, t_end, tol):
@@ -145,21 +106,22 @@ def _integrate_adaptive(y0, profile: LapseProfile, t_end, tol):
     recs = [(0.0, list(y))]
     accepted = rejected = 0
     truncated = False
+    out_t, out_y = np.empty(2), np.empty((2, 15))
     while sign * (t_end - t) > 1e-15 * max(1.0, abs(t_end)):
         if sign * (t + dt) > sign * t_end:
             dt = t_end - t
         if abs(dt) < 1e-15 * max(1.0, abs(t)):
             raise StepFailure(f"adaptive step underflow at t = {t:.12g}")
-        full = _rk4_step_var(y, profile, t, dt)
-        half = _rk4_step_var(y, profile, t, 0.5 * dt)
-        half = _rk4_step_var(half, profile, t + 0.5 * dt, 0.5 * dt)
+        full = _rk4_step(y, profile, t, dt, out_t, out_y)
+        half = _rk4_step(y, profile, t, 0.5 * dt, out_t, out_y)
+        half = _rk4_step(half, profile, t + 0.5 * dt, 0.5 * dt, out_t, out_y)
         err = max(abs(full[i] - half[i]) for i in range(15))
         scale = tol * max(1.0, max(abs(v) for v in half))
         if err <= scale:
             t += dt
             y = half
             accepted += 1
-            if max(abs(y[0]), abs(y[3]), abs(y[4]), abs(y[5])) > _OVERFLOW_GUARD:
+            if max(abs(y[0]), abs(y[3]), abs(y[4]), abs(y[5])) > _kern._GUARD:
                 truncated = True
                 recs.append((t, list(y)))
                 break
@@ -189,19 +151,14 @@ def integrate(pair: CauchyPair, profile: LapseProfile, t_end: float,
     dt = t_end / n_steps
     record_every = max(1, n_steps // max(1, opts.record_points))
 
-    if profile.kind == "constant":
-        max_rec = n_steps // record_every + 4
-        out_t = np.empty(max_rec)
-        out_y = np.empty((max_rec, 15))
-        nrec, done, truncated = _kern.rk4_path(
-            np.ascontiguousarray(y0), profile.value, 0.0, dt, n_steps,
-            record_every, out_t, out_y)
-        recs = [(out_t[i], out_y[i]) for i in range(nrec)]
-    else:
-        recs, truncated = _integrate_fixed_var(y0, profile, 0.0, dt, n_steps, record_every)
-        done = n_steps
+    max_rec = n_steps // record_every + 4
+    out_t = np.empty(max_rec)
+    out_y = np.empty((max_rec, 15))
+    nrec, done, truncated = _kern.rk4_path(
+        y0, profile.stages(0.0, dt, n_steps), 0.0, dt, n_steps, record_every,
+        out_t, out_y)
 
-    states = [_state_from_vector(t, np.asarray(y)) for t, y in recs]
+    states = [_state_from_vector(out_t[i], out_y[i]) for i in range(nrec)]
     states.sort(key=lambda s: s.t)
     return Trajectory(states=states, accepted=int(done), truncated=bool(truncated))
 
@@ -215,6 +172,9 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     a segment takes round(n_steps_total * |segment| / |farthest time in its
     direction|) steps, at least one.  A window on both sides of t = 0 thus
     takes about twice ``n_steps_total`` steps.
+
+    Raises SingularTime when the march blows up (see ``_kernel_py._GUARD``)
+    before it reaches a requested time.
     """
     require_valid(pair, tol)
     times = sorted(float(t) for t in times)
@@ -222,8 +182,9 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
 
     def march(ts):
         # ts strictly moving away from zero in one direction
-        y = list(_pack(pair))
+        y = _pack(pair)
         prev = 0.0
+        out_t, out_y = np.empty(2), np.empty((2, 15))
         span = max(abs(ts[-1] - 0.0), 1e-300)
         for target in ts:
             seg = target - prev
@@ -232,18 +193,15 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
                 continue
             n = max(1, int(round(n_steps_total * abs(seg) / span)))
             dt = seg / n
-            if profile.kind == "constant":
-                out_t = np.empty(n + 2)
-                out_y = np.empty((n + 2, 15))
-                nrec, _, trunc = _kern.rk4_path(
-                    np.ascontiguousarray(np.array(y)), profile.value, prev, dt,
-                    n, n, out_t, out_y)
-                y = list(out_y[nrec - 1])
-            else:
-                recs, trunc = _integrate_fixed_var(y, profile, prev, dt, n, n)
-                y = list(recs[-1][1])
+            _, _, truncated = _kern.rk4_path(
+                y, profile.stages(prev, dt, n), prev, dt, n, n, out_t, out_y)
+            if truncated:
+                raise SingularTime(
+                    f"integration blew up at t = {out_t[1]:.12g} before reaching "
+                    f"t = {target:.12g}")
+            y = out_y[1].copy()
             prev = target
-            out[target] = _state_from_vector(target, np.array(y))
+            out[target] = _state_from_vector(target, y)
 
     fwd = [t for t in times if t > 0]
     bwd = [t for t in times if t < 0]

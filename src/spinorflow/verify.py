@@ -20,8 +20,7 @@ from .frames import levi_civita, ricci3, structure_constants_from_theta
 from .lapse import LapseProfile
 from .lorentz import closedness_residual, dirac_current_frame, ricci4, \
     coframe4_at, verify_ricci_identity
-from .numeric import FlowState, StepOptions, flow_residuals, hamiltonian_of, \
-    integrate_to
+from .numeric import FlowState, flow_residuals, hamiltonian_of, integrate_to
 from .pairs import CauchyPair, DEFAULT_TOL, algebraic_residuals, constraints, \
     invariants, is_constrained_ricci_flat, require_valid
 

@@ -63,6 +63,32 @@ class TestLapse:
         with pytest.raises(ValueError):
             LapseProfile.from_json_dict({"kind": "weird"})
 
+    def test_value_equality_and_hash(self):
+        tab = LapseProfile.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0])
+        same = LapseProfile.tabulated([-1, 0, 1], [1, 2, 1])
+        assert tab == same and hash(tab) == hash(same)
+        assert tab != LapseProfile.tabulated([-1.0, 0.0, 1.0], [1.0, 2.5, 1.0])
+        assert tab != LapseProfile.tabulated([-1.0, 0.5, 1.0], [1.0, 2.0, 1.0])
+        assert tab != LapseProfile.tabulated([-1.0, 1.0], [1.0, 1.0])
+        assert UNIT == LapseProfile.constant(1) and hash(UNIT) == hash(LapseProfile.constant(1))
+        assert UNIT != LapseProfile.constant(2.0)
+        assert UNIT != LapseProfile.tabulated([-1.0, 1.0], [1.0, 1.0])
+        assert len({tab, same, UNIT, LapseProfile.constant(1.0)}) == 2
+
+    def test_stages(self):
+        assert list(UNIT.stages(0.3, 0.1, 2)) == [(1.0, 1.0, 1.0)] * 2
+        prof = LapseProfile.tabulated([-1.0, 1.0], [1.0, 3.0])  # beta(t) = 2 + t
+        got = list(prof.stages(0.5, -0.25, 2))
+        assert got == [(prof.beta(0.5), prof.beta(0.375), prof.beta(0.25)),
+                       (prof.beta(0.25), prof.beta(0.125), prof.beta(0.0))]
+
+    def test_tabulated_stages_are_lazy(self):
+        prof = LapseProfile.tabulated([0.0, 1.0], [1.0, 1.0])
+        stages = prof.stages(0.0, 0.4, 5)  # steps 0 and 1 stay inside [0, 1]
+        next(stages), next(stages)
+        with pytest.raises(OutOfDomain):
+            next(stages)
+
 
 class TestBranchDispatch:
     def test_branches(self):

@@ -1,20 +1,24 @@
 """Numerical integrator: oracle agreement, convergence order, conserved
-quantities, residual monitors, and kernel backend parity."""
+quantities, residual monitors, and bit-for-bit parity of the RK4 kernel with
+a list-form reference."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spinorflow import CauchyPair, LapseProfile, Sym3, flow_residuals, \
-    frame_exact, integrate, integrate_to, ode_rhs, theta_exact
-from spinorflow.numeric import KERNEL_BACKEND, FlowState, StepOptions, \
-    _integrate_fixed_var
-from spinorflow import _kernel_py
+from spinorflow import CauchyPair, LapseProfile, SingularTime, Sym3, \
+    flow_residuals, frame_exact, integrate, integrate_to, ode_rhs, theta_exact
+from spinorflow.numeric import KERNEL_BACKEND, FlowState, StepOptions
+from spinorflow import _kernel_py, numeric
 
 from conftest import ROW_PAIRS
 
 UNIT = LapseProfile.constant(1.0)
+# beta = 1 on [-2, 2]: the unit lapse, through the tabulated code path
+UNIT_TABLE = LapseProfile.tabulated([-2.0, 2.0], [1.0, 1.0])
+# a lapse whose stage values differ, so a kernel that mixes them up is seen
+RAMP = LapseProfile.tabulated([-1.0, -0.2, 0.5, 1.0], [0.6, 1.4, 0.9, 2.0])
 
 
 class TestOdeRhs:
@@ -93,6 +97,15 @@ class TestIntegrate:
         assert traj.truncated
         # adaptive steps track the pole much more closely than fixed ones
         assert traj.states[-1].t == pytest.approx(1.0, abs=1e-6)
+
+    def test_tabulated_truncation_counts_steps_done(self):
+        pair = CauchyPair.from_components(uu=1.0)
+        opts = StepOptions(n_steps=3000)
+        tab = integrate(pair, UNIT_TABLE, 1.05, opts)
+        const = integrate(pair, UNIT, 1.05, opts)
+        assert tab.truncated and const.truncated
+        assert tab.accepted == const.accepted < opts.n_steps
+        assert tab.states[-1].t == const.states[-1].t
 
     def test_tabulated_lapse(self):
         prof = LapseProfile.tabulated([-1.0, 1.0], [1.0, 3.0])
@@ -183,23 +196,52 @@ class TestIntegrateTo:
         for t, st in zip(times, states):
             assert np.max(np.abs(st.U - frame_exact(row_pair, UNIT, t).U)) <= 1e-8
 
+    @pytest.mark.parametrize("profile", [UNIT, UNIT_TABLE], ids=["constant", "tabulated"])
+    def test_raises_past_blowup(self, profile):
+        # the lifespan of uu = 1 ends at t = 1
+        pair = CauchyPair.from_components(uu=1.0)
+        with pytest.raises(SingularTime, match=r"blew up at t = 1\.0.* before reaching t = 1\.5"):
+            integrate_to(pair, profile, [0.5, 1.5])
 
-def _run_kernel(kernel, y0, t0, dt, n, record_every):
+
+def _run_kernel(kernel, y0, t0, dt, n, record_every, profile=UNIT):
     out_t = np.empty(n + 3)
     out_y = np.empty((n + 3, 15))
     nrec, done, trunc = kernel.rk4_path(
-        np.ascontiguousarray(y0), 1.0, t0, dt, n, record_every, out_t, out_y)
+        y0, profile.stages(t0, dt, n), t0, dt, n, record_every, out_t, out_y)
     return out_t[:nrec].copy(), out_y[:nrec].copy(), int(done), bool(trunc)
 
 
-def _run_list_form(y0, t0, dt, n, record_every):
-    """The list-form RK4 of the variable-lapse path, run at unit lapse."""
-    recs, trunc = _integrate_fixed_var(y0, UNIT, t0, dt, n, record_every)
-    ts = np.array([t for t, _ in recs])
-    ys = np.array([y for _, y in recs])
-    # a truncated march records its last step at t0 + done * dt
-    done = round((ts[-1] - t0) / dt) if trunc else n
-    return ts, ys, done, bool(trunc)
+def _list_form_step(y, profile, t, dt):
+    """One RK4 step in list form, with the lapse read at t, t + dt/2, t + dt:
+    the reference the kernel must match bit for bit."""
+    b0 = profile.beta(t)
+    bh = profile.beta(t + 0.5 * dt)
+    b1 = profile.beta(t + dt)
+    k1 = _kernel_py._rhs(y, b0)
+    k2 = _kernel_py._rhs([y[i] + 0.5 * dt * k1[i] for i in range(15)], bh)
+    k3 = _kernel_py._rhs([y[i] + 0.5 * dt * k2[i] for i in range(15)], bh)
+    k4 = _kernel_py._rhs([y[i] + dt * k3[i] for i in range(15)], b1)
+    return [y[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(15)]
+
+
+def _run_list_form(y0, t0, dt, n, record_every, profile=UNIT):
+    """The list-form march with the kernel's recording and truncation rule."""
+    y = [float(v) for v in y0]
+    ts, ys = [t0], [list(y)]
+    t = t0
+    done, trunc = n, False
+    for step in range(n):
+        y = _list_form_step(y, profile, t, dt)
+        t = t0 + (step + 1) * dt
+        trunc = max(abs(y[0]), abs(y[3]), abs(y[4]), abs(y[5])) > _kernel_py._GUARD
+        if trunc or (step + 1) % record_every == 0 or step == n - 1:
+            ts.append(t)
+            ys.append(list(y))
+        if trunc:
+            done = step + 1
+            break
+    return np.array(ts), np.array(ys), done, trunc
 
 
 def _same_bits(a, b):
@@ -216,43 +258,43 @@ def _assert_same_path(got, ref):
 
 class TestKernelParity:
     def test_python_kernel_matches_active_backend(self):
+        # the kernel numeric runs is the one checked against the list form
+        assert numeric._kern is _kernel_py
         pair = ROW_PAIRS["tau2R-general"]
         y0 = np.concatenate([pair.theta.as_array(), np.eye(3).ravel()])
         n = 500
         dt = 0.4 / n
-
-        from spinorflow.numeric import _kern
-        t1, y1, d1, tr1 = _run_kernel(_kern, y0, 0.0, dt, n, 50)
-        t2, y2, d2, tr2 = _run_kernel(_kernel_py, y0, 0.0, dt, n, 50)
-        assert d1 == d2 and tr1 == tr2
-        assert np.array_equal(t1, t2)
-        assert np.max(np.abs(y1 - y2)) == 0.0
-        _assert_same_path((t2, y2, d2, tr2), _run_list_form(y0, 0.0, dt, n, 50))
+        for profile in (UNIT, RAMP):
+            _assert_same_path(_run_kernel(numeric._kern, y0, 0.0, dt, n, 50, profile),
+                              _run_list_form(y0, 0.0, dt, n, 50, profile))
 
     def test_backend_reported(self):
-        assert KERNEL_BACKEND in ("cython", "python")
+        assert KERNEL_BACKEND == "python"
 
     def test_truncation_contract_matches(self):
         y0 = np.concatenate([[1.0, 0, 0, 0, 0, 0], np.eye(3).ravel()])
         n = 10_000
         dt = 1.05 / n
+        for profile in (UNIT, UNIT_TABLE):
+            got = _run_kernel(_kernel_py, y0, 0.0, dt, n, n, profile)
+            t, _, done, trunc = got
+            assert trunc and done < n and len(t) == 2
+            _assert_same_path(got, _run_list_form(y0, 0.0, dt, n, n, profile))
 
-        from spinorflow.numeric import _kern
-        t1, _, d1, trunc1 = _run_kernel(_kern, y0, 0.0, dt, n, n)
-        got = _run_kernel(_kernel_py, y0, 0.0, dt, n, n)
-        t2, _, d2, trunc2 = got
-        assert trunc1 and trunc2
-        assert (len(t1), d1) == (len(t2), d2)
-        _assert_same_path(got, _run_list_form(y0, 0.0, dt, n, n))
-
-    @pytest.mark.parametrize("theta, t0, dt, n, record_every", [
+    @pytest.mark.parametrize("theta, t0, dt, n, record_every, profile", [
         # backward march from a nonzero start, as integrate_to runs it
-        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), -0.1, -0.3 / 400, 400, 7),
+        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), -0.1, -0.3 / 400, 400, 7, UNIT),
         # signed zeros in the conserved Theta_ul, Theta_un and in Theta_ln
-        ((1.0, -0.0, 0.0, 0.5, -0.0, 2.0), 0.0, 0.01, 30, 1),
-        ((1.0, -0.0, -0.0, 0.5, -0.0, 2.0), 0.0, -0.01, 30, 4),
-    ], ids=["backward", "signed-zero-fwd", "signed-zero-bwd"])
-    def test_python_kernel_matches_list_form(self, theta, t0, dt, n, record_every):
+        ((1.0, -0.0, 0.0, 0.5, -0.0, 2.0), 0.0, 0.01, 30, 1, UNIT),
+        ((1.0, -0.0, -0.0, 0.5, -0.0, 2.0), 0.0, -0.01, 30, 4, UNIT),
+        # a varying lapse: each stage must read its own value
+        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.2, -0.9 / 300, 300, 11, RAMP),
+        # one step from a nonzero time, as the adaptive doubler takes it
+        ((1.0, 0.6, 0.8, 0.5, -0.3, 2.0), 0.35, 0.0625, 1, 1, RAMP),
+    ], ids=["backward", "signed-zero-fwd", "signed-zero-bwd", "tabulated",
+            "adaptive-step"])
+    def test_python_kernel_matches_list_form(self, theta, t0, dt, n, record_every,
+                                             profile):
         y0 = np.concatenate([theta, np.eye(3).ravel()])
-        _assert_same_path(_run_kernel(_kernel_py, y0, t0, dt, n, record_every),
-                          _run_list_form(y0, t0, dt, n, record_every))
+        _assert_same_path(_run_kernel(_kernel_py, y0, t0, dt, n, record_every, profile),
+                          _run_list_form(y0, t0, dt, n, record_every, profile))
