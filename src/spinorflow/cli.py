@@ -33,6 +33,9 @@ EXIT_INVALID = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
 
+# errors reported as "numeric failure" with EXIT_NUMERIC, per pair in a sweep
+_NUMERIC_FAILURES = (SingularTime, StepFailure, OutOfDomain, NotApplicable)
+
 
 def _fmt(x: float) -> str:
     return "%.12e" % float(x)
@@ -296,6 +299,9 @@ def main(argv=None) -> int:
                 except InvalidPair as exc:
                     print(f"invalid pair: {'; '.join(exc.violations)}")
                     code = EXIT_INVALID
+                except _NUMERIC_FAILURES as exc:
+                    print(f"numeric failure: {exc}", file=sys.stderr)
+                    code = EXIT_NUMERIC
                 worst = max(worst, code)
             return worst
         return _run_single(args, data)
@@ -304,7 +310,7 @@ def main(argv=None) -> int:
         for v in exc.violations:
             print(f"  {v}", file=sys.stderr)
         return EXIT_INVALID
-    except (SingularTime, StepFailure, OutOfDomain, NotApplicable) as exc:
+    except _NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

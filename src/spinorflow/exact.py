@@ -48,8 +48,12 @@ class FrameTransform:
 
 @dataclass(frozen=True)
 class Lifespan:
-    """Maximal interval (t_minus, t_plus); None marks an unknown boundary
-    (tabulated lapse exhausted before reaching it)."""
+    """Maximal interval (t_minus, t_plus).
+
+    An end is -inf or +inf only for a constant lapse that never reaches a
+    singularity on that side.  With a tabulated lapse, an end the table does
+    not reach is None (unknown boundary: the lapse is exhausted first), on
+    every branch."""
 
     t_minus: float | None
     t_plus: float | None
@@ -220,17 +224,12 @@ def lifespan(pair: CauchyPair, profile: LapseProfile, tol: float = DEFAULT_TOL) 
         t0 = profile.solve_b(1.0 / th.uu)
         note = ("boundary taken on the side matching sign(Theta_uu); the backward "
                 "lapse integral is the relevant one for Theta_uu < 0")
+        # the other side never becomes singular: it is unbounded for a
+        # constant lapse and unknown past the end of a table
+        lo, hi = (-math.inf, math.inf) if profile.kind == "constant" else (None, None)
         if th.uu > 0:
-            if t0 is None:
-                if profile.kind == "constant":
-                    return Lifespan(-math.inf, math.inf, immortal=True)
-                return Lifespan(-math.inf, None, immortal=False, note=note)
-            return Lifespan(-math.inf, t0, immortal=False, note=note)
-        if t0 is None:
-            if profile.kind == "constant":
-                return Lifespan(-math.inf, math.inf, immortal=True)
-            return Lifespan(None, math.inf, immortal=False, note=note)
-        return Lifespan(t0, math.inf, immortal=False, note=note)
+            return Lifespan(lo, t0, immortal=False, note=note)
+        return Lifespan(t0, hi, immortal=False, note=note)
 
     lam = invariants(pair).lam
     y0 = math.atan2(th.uu, lam)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import eta_oneform, frame_exact, theta_exact
-from .frames import frame_ricci
+from .frames import Sym3, frame_ricci
 from .lapse import LapseProfile
 from .numeric import hamiltonian_of, ode_rhs
 from .pairs import CauchyPair, DEFAULT_TOL, invariants
@@ -74,7 +74,11 @@ def _structure4(theta: np.ndarray) -> np.ndarray:
 def coframe4_at(pair: CauchyPair, profile: LapseProfile, t: float,
                 tol: float = DEFAULT_TOL) -> Coframe4:
     """Structure functions of the moving coframe at flow time t."""
-    th_t = theta_exact(pair, profile, t, tol)
+    return _coframe4(theta_exact(pair, profile, t, tol), profile, t)
+
+
+def _coframe4(th_t: Sym3, profile: LapseProfile, t: float) -> Coframe4:
+    """The coframe at flow time t, given the shape components Theta_t there."""
     # derivative along the unit direction X_0 = (1/beta) d/dt; the rhs
     # scales linearly with the lapse, so unit lapse gives exactly that
     dth, _ = ode_rhs(th_t, np.eye(3), 1.0)
@@ -91,13 +95,17 @@ def ricci4(frame: Coframe4) -> Ricci4:
     return Ricci4(components=0.5 * (ric + ric.T), scalar=scal)
 
 
+def _identity_residual(ric: Ricci4, ham: float) -> float:
+    """Max-norm residual of Ric4 against (H/2) (e_0+e_1) tensor itself."""
+    target = 0.5 * ham * np.outer(NULL_DIRECTION, NULL_DIRECTION)
+    return float(np.max(np.abs(ric.components - target)))
+
+
 def verify_ricci_identity(pair: CauchyPair, profile: LapseProfile, t: float,
                           tol: float = DEFAULT_TOL) -> float:
     """Max-norm residual of Ric4 against (H_t/2) (e_0+e_1) tensor itself."""
-    ric = ricci4(coframe4_at(pair, profile, t, tol))
-    ham = hamiltonian_of(theta_exact(pair, profile, t, tol))
-    target = 0.5 * ham * np.outer(NULL_DIRECTION, NULL_DIRECTION)
-    return float(np.max(np.abs(ric.components - target)))
+    th_t = theta_exact(pair, profile, t, tol)
+    return _identity_residual(ricci4(_coframe4(th_t, profile, t)), hamiltonian_of(th_t))
 
 
 def dirac_current_frame(pair: CauchyPair, profile: LapseProfile, t: float,
@@ -124,15 +132,18 @@ def closedness_residual(pair: CauchyPair, alpha: np.ndarray) -> float:
 
 def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
                      tol: float = DEFAULT_TOL) -> dict:
-    """JSON-ready curvature summary at one time."""
-    frame = coframe4_at(pair, profile, t, tol)
-    ric = ricci4(frame)
+    """JSON-ready curvature summary at one time.  Theta_t, the coframe, Ric4
+    and H_t are evaluated once, and the identity residual is taken from
+    them."""
     th_t = theta_exact(pair, profile, t, tol)
+    frame = _coframe4(th_t, profile, t)
+    ric = ricci4(frame)
+    ham = hamiltonian_of(th_t)
     return {
         "t": float(t),
         "beta": frame.beta,
         "ricci4": [[float(x) for x in row] for row in ric.components],
         "scalar4": ric.scalar,
-        "hamiltonian": hamiltonian_of(th_t),
-        "identity_residual": verify_ricci_identity(pair, profile, t, tol),
+        "hamiltonian": ham,
+        "identity_residual": _identity_residual(ric, ham),
     }

@@ -215,3 +215,17 @@ class TestSweep:
         assert main(["validate", str(path), "--sweep"]) == EXIT_INVALID
         out = capsys.readouterr().out
         assert "# pair 0" in out and "# pair 1" in out
+
+    def test_sweep_continues_past_a_numeric_failure(self, tmp_path, capsys):
+        # the window lies past the lifespan of uu = 1 (ends at t = 1), but
+        # inside that of uu = -1
+        pairs = [{"theta": theta_dict(uu=1.0)}, {"theta": theta_dict(uu=-1.0)}]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(pairs))
+        code = main(["flow", str(path), "--sweep", "--t0", "1.5", "--t1", "2",
+                     "--samples", "3"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "numeric failure: requested window lies outside the lifespan" in captured.err
+        second = captured.out.split("# pair 1\n")[1].splitlines()
+        assert second[0].startswith("t,B,") and len(second) == 4

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from spinorflow import CauchyPair, LapseProfile, NotApplicable, OutOfDomain, \
     SingularTime, eta_oneform, frame_exact, hamiltonian_exact, lifespan, \
     metric_exact, nonqd_coefficients, theta_exact
+from spinorflow import lapse as lapse_module
 from spinorflow.exact import GENERAL, OFF_L, OFF_N, QD, branch
 from spinorflow.numeric import hamiltonian_of
 
@@ -88,6 +89,66 @@ class TestLapse:
         next(stages), next(stages)
         with pytest.raises(OutOfDomain):
             next(stages)
+
+
+def _stages_reference(prof, t0, dt, n_steps):
+    """Per-step stage lapses, three scalar ``beta`` calls a step: the
+    reference the bulk ``LapseProfile.stages`` must match bit for bit."""
+    t = t0
+    for step in range(n_steps):
+        yield prof.beta(t), prof.beta(t + 0.5 * dt), prof.beta(t + dt)
+        t = t0 + (step + 1) * dt
+
+
+def _stage_record(stages):
+    """Each triple as exact bits, then the OutOfDomain message if raised."""
+    out = []
+    try:
+        for triple in stages:
+            assert all(type(b) is float for b in triple)
+            out.append(tuple(b.hex() for b in triple))
+    except OutOfDomain as exc:
+        out.append(str(exc))
+    return out
+
+
+_BLOCK = lapse_module._STAGE_BLOCK
+
+
+class TestBulkStages:
+    # (t0, dt as a fraction of the table width, n_steps); the table has a
+    # node at 0.0, so a signed-zero t0 lands on a node
+    @pytest.mark.parametrize("t0, frac, n", [
+        (0.1, 0.3, 0), (0.1, 0.3, 1), (0.1, 0.5 / (2 * _BLOCK + 7), 2 * _BLOCK + 7),
+        (0.1, -0.5 / (2 * _BLOCK + 7), 2 * _BLOCK + 7),
+        (-0.0, 0.4 / 50, 50), (-0.0, -0.4 / 50, 50), (0.0, -0.4 / 50, 50),
+        # leaves the table inside the first block, then in a later one
+        (0.2, 1.0 / 40, 60), (0.2, 1.0 / 1000, 3 * _BLOCK),
+        (-0.2, -1.0 / 1000, 3 * _BLOCK),
+        # the second stage of the first step is already outside
+        ("hi", 0.01, 5),
+    ], ids=["n0", "n1", "blocks-fwd", "blocks-bwd", "signed-zero-fwd",
+            "signed-zero-bwd", "zero-bwd", "leaves-fwd", "leaves-later-block",
+            "leaves-bwd", "starts-at-end"])
+    def test_matches_per_step_reference(self, t0, frac, n):
+        rng = np.random.default_rng(20211)
+        for nodes in (2, 7, 1001):
+            lo, hi = -rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            times = np.unique(np.concatenate(
+                ([lo, 0.0, hi], rng.uniform(lo, hi, nodes - 2))))
+            prof = LapseProfile.tabulated(times, rng.uniform(0.2, 3.0, len(times)))
+            start = hi if t0 == "hi" else t0
+            dt = frac * (hi - lo)
+            assert (_stage_record(prof.stages(start, dt, n))
+                    == _stage_record(_stages_reference(prof, start, dt, n)))
+
+    def test_raises_at_the_step_that_leaves(self):
+        prof = LapseProfile.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0])
+        got = _stage_record(prof.stages(0.5, 0.01, 2 * _BLOCK))
+        # step 50 starts on the end of [-1, 1]; its half step is the first
+        # stage time outside
+        assert len(got) == 51
+        assert got[-1] == "t = 1.005 outside tabulated domain [-1.0, 1.0]"
 
 
 class TestBranchDispatch:
@@ -279,6 +340,24 @@ class TestLifespan:
         prof = LapseProfile.tabulated([-0.5, 0.5], [1.0, 1.0])
         span = lifespan(CauchyPair.from_components(uu=1.0), prof)
         assert span.t_plus is None and not span.immortal
+
+    @pytest.mark.parametrize("uu, times, t_minus, t_plus", [
+        (1.0, [-0.5, 0.5], None, None),
+        (-1.0, [-0.5, 0.5], None, None),
+        (1.0, [-0.5, 2.0], None, 1.0),
+        (-1.0, [-2.0, 0.5], -1.0, None),
+    ])
+    def test_tabulated_ends_past_the_table_are_none(self, uu, times, t_minus, t_plus):
+        # the quasi-diagonal branch follows the lambda != 0 rule: an end the
+        # table does not reach is None, never +-inf
+        prof = LapseProfile.tabulated(times, [1.0, 1.0])
+        span = lifespan(CauchyPair.from_components(uu=uu), prof)
+        for got, want in ((span.t_minus, t_minus), (span.t_plus, t_plus)):
+            if want is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(want, abs=1e-10)
+        assert not span.immortal
 
 
 class TestEta:

@@ -8,11 +8,14 @@ import pytest
 from spinorflow import CauchyPair, LapseProfile, closedness_residual, \
     coframe4_at, curvature_report, dirac_current_frame, frame_exact, ricci4, \
     verify_ricci_identity
+from spinorflow import lorentz
 from spinorflow.lorentz import ETA4, NULL_DIRECTION
+from spinorflow.verify import sample_times
 
 from conftest import ROW_PAIRS
 
 UNIT = LapseProfile.constant(1.0)
+RAMP = LapseProfile.tabulated([-2.0, -0.2, 0.5, 2.0], [0.6, 1.4, 0.9, 2.0])
 
 
 class TestCoframe4:
@@ -146,3 +149,17 @@ class TestMetricAndReport:
         ric = np.array(rep["ricci4"])
         assert ric.shape == (4, 4)
         assert np.allclose(ric, ric.T)
+
+    def test_report_evaluates_theta_once(self, monkeypatch):
+        calls = []
+        theta_exact = lorentz.theta_exact
+        monkeypatch.setattr(lorentz, "theta_exact",
+                            lambda *a: calls.append(a) or theta_exact(*a))
+        curvature_report(ROW_PAIRS["tau2R-general"], RAMP, 0.2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("profile", [UNIT, RAMP], ids=["constant", "tabulated"])
+    def test_report_residual_is_the_identity_residual(self, row_pair, profile):
+        for t in sample_times(row_pair, profile, 5):
+            rep = curvature_report(row_pair, profile, t)
+            assert rep["identity_residual"] == verify_ricci_identity(row_pair, profile, t)

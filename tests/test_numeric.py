@@ -196,6 +196,17 @@ class TestIntegrateTo:
         for t, st in zip(times, states):
             assert np.max(np.abs(st.U - frame_exact(row_pair, UNIT, t).U)) <= 1e-8
 
+    def test_tabulated_march_interpolates_in_bulk(self, monkeypatch):
+        # the stage lapses come from LapseProfile.stages, never from one
+        # beta call per stage
+        calls = []
+        beta = LapseProfile.beta
+        monkeypatch.setattr(LapseProfile, "beta",
+                            lambda self, t: calls.append(t) or beta(self, t))
+        pair = ROW_PAIRS["tau2R-general"]
+        states = integrate_to(pair, RAMP, [-0.2, 0.1, 0.3], n_steps_total=2000)
+        assert [s.t for s in states] == [-0.2, 0.1, 0.3] and calls == []
+
     @pytest.mark.parametrize("profile", [UNIT, UNIT_TABLE], ids=["constant", "tabulated"])
     def test_raises_past_blowup(self, profile):
         # the lifespan of uu = 1 ends at t = 1
