@@ -94,13 +94,11 @@ def _exact_state(pair, profile, t, tol) -> FlowState:
                      hamiltonian=hamiltonian_of(th))
 
 
-def _clip_window(pair, profile, t0, t1, tol) -> tuple[float, float]:
-    span = lifespan(pair, profile, tol)
+def _clip_window(span, profile, t0, t1) -> tuple[float, float]:
     lo = -math.inf if span.t_minus is None else span.t_minus
     hi = math.inf if span.t_plus is None else span.t_plus
-    if profile.kind == "tabulated":
-        dlo, dhi = profile.domain()
-        lo, hi = max(lo, dlo), min(hi, dhi)
+    dlo, dhi = profile.domain()
+    lo, hi = max(lo, dlo), min(hi, dhi)
     margin = 1e-6 * max(1.0, abs(t0), abs(t1))
     c0 = max(t0, lo + margin) if math.isfinite(lo) else t0
     c1 = min(t1, hi - margin) if math.isfinite(hi) else t1
@@ -178,7 +176,7 @@ def cmd_lifespan(args, data) -> int:
 
 def cmd_flow(args, data) -> int:
     pair, profile = _parse_pair(data)
-    t0, t1 = _clip_window(pair, profile, args.t0, args.t1, args.tol)
+    t0, t1 = _clip_window(lifespan(pair, profile, args.tol), profile, args.t0, args.t1)
     times = np.linspace(t0, t1, args.samples)
     if args.method == "exact":
         states = [_exact_state(pair, profile, t, args.tol) for t in times]
@@ -191,9 +189,9 @@ def cmd_flow(args, data) -> int:
 
 def cmd_curvature(args, data) -> int:
     pair, profile = _parse_pair(data)
-    t0, t1 = _clip_window(pair, profile, args.t0, args.t1, args.tol)
-    times = np.linspace(t0, t1, args.samples)
     span = lifespan(pair, profile, args.tol)
+    t0, t1 = _clip_window(span, profile, args.t0, args.t1)
+    times = np.linspace(t0, t1, args.samples)
     reports = [curvature_report(pair, profile, t, args.tol) for t in times]
     payload = {
         "lifespan": {

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NotApplicable, SingularTime
 from .frames import L, N, U, Sym3, eigen2x2
@@ -73,16 +72,10 @@ def branch(pair: CauchyPair, tol: float = DEFAULT_TOL) -> str:
     return GENERAL
 
 
-def _mirror_sym3(t: Sym3) -> Sym3:
-    """Exchange the l and n labels."""
-    return Sym3(uu=t.uu, ul=t.un, un=t.ul, ll=t.nn, ln=t.ln, nn=t.ll)
-
-
-def _mirror_pair(pair: CauchyPair) -> CauchyPair:
-    return CauchyPair(_mirror_sym3(pair.theta))
-
-
-_SWAP = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+def expm(a: np.ndarray) -> np.ndarray:
+    """Exponential of a symmetric 2x2 matrix: Q diag(e^rho+, e^rho-) Q^T."""
+    eig = eigen2x2(a)
+    return eig.Q @ np.diag(np.exp([eig.rho_plus, eig.rho_minus])) @ eig.Q.T
 
 
 def nonqd_coefficients(pair: CauchyPair, tol: float = DEFAULT_TOL) -> NonQDCoefficients:
@@ -142,9 +135,8 @@ def frame_exact(pair: CauchyPair, profile: LapseProfile, t: float,
     """Coframe transform U(t) with e^t = U e, U(0) = Id."""
     th = pair.theta
     bt = profile.b_integral(t)
-    br = branch(pair, tol)
 
-    if br == QD:
+    if branch(pair, tol) == QD:
         scale = max(1.0, th.max_abs())
         u = np.eye(3)
         if abs(th.uu) <= tol * scale:
@@ -158,25 +150,11 @@ def frame_exact(pair: CauchyPair, profile: LapseProfile, t: float,
         u[1:, 1:] = eig.Q @ np.diag([s**eig.rho_plus, s**eig.rho_minus]) @ eig.Q.T
         return FrameTransform(u)
 
-    if br == OFF_L:
-        inner = frame_exact(_mirror_pair(pair), profile, t, tol)
-        return FrameTransform(_SWAP @ inner.U @ _SWAP)
-
+    # every lambda != 0 branch, the single-off ones included
     lam = invariants(pair).lam
     y = _y_at(pair, bt)
     tan = math.tan(y)
-    u = np.zeros((3, 3))
-
-    if br == OFF_N:
-        u[U, U] = 1.0 - th.uu * bt
-        u[U, N] = -th.un * bt
-        u[L, L] = 1.0
-        u[N, U] = th.uu / th.un - (lam / th.un) * (1.0 - th.uu * bt) * tan
-        u[N, N] = 1.0 + lam * bt * tan
-        return FrameTransform(u)
-
-    # both off-diagonal components nonzero
-    T = th.ll + th.nn
+    u = np.empty((3, 3))
     u[U, U] = 1.0 - th.uu * bt
     u[U, L] = -th.ul * bt
     u[U, N] = -th.un * bt
@@ -187,7 +165,8 @@ def frame_exact(pair: CauchyPair, profile: LapseProfile, t: float,
     u[L, N] = th.ul * th.un * bt * tan / lam
     u[N, L] = u[L, N]
     u[N, N] = 1.0 + th.un**2 * bt * tan / lam
-    return FrameTransform(u)
+    # -x * 0.0 is -0.0 (a zero Theta_ul or Theta_un, or B_t = 0); store +0.0
+    return FrameTransform(u + 0.0)
 
 
 def metric_exact(pair: CauchyPair, profile: LapseProfile, t: float,
@@ -235,14 +214,8 @@ def lifespan(pair: CauchyPair, profile: LapseProfile, tol: float = DEFAULT_TOL) 
     y0 = math.atan2(th.uu, lam)
     t_plus = profile.solve_b((math.pi / 2 - y0) / lam)
     t_minus = profile.solve_b((-math.pi / 2 - y0) / lam)
-    immortal = t_plus is None and t_minus is None and profile.kind == "constant"
-    if profile.kind == "tabulated":
-        return Lifespan(t_minus, t_plus, immortal=False)
-    return Lifespan(
-        -math.inf if t_minus is None else t_minus,
-        math.inf if t_plus is None else t_plus,
-        immortal=immortal,
-    )
+    # y_t reaches +-pi/2 in finite B, so only a table can leave an end None
+    return Lifespan(t_minus, t_plus, immortal=False)
 
 
 def eta_oneform(pair: CauchyPair, profile: LapseProfile, t: float,

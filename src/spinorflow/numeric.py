@@ -225,7 +225,7 @@ def flow_residuals(state: FlowState, pair: CauchyPair) -> ResidualReport:
     u = state.U
 
     # r1: frame evolution, with dU re-derived from the right-hand side
-    _, du = ode_rhs(state.theta, u, 1.0)
+    dth, du = ode_rhs(state.theta, u, 1.0)
     r1 = float(np.max(np.abs(du + th_t @ u)))
 
     # r2: exterior derivative of the evolved coframe computed two ways
@@ -238,7 +238,6 @@ def flow_residuals(state: FlowState, pair: CauchyPair) -> ResidualReport:
     r2 = float(np.max(np.abs(f - g)))
 
     # r3: constancy of Theta_t(e_u^t) in the reference coframe
-    dth, du = ode_rhs(state.theta, u, 1.0)
     v_dot = (dth.as_matrix() @ u + th_t @ du)[0, :]
     r3 = float(np.max(np.abs(v_dot)))
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spinorflow
+from spinorflow import cli
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 from conftest import ROW_PAIRS
@@ -147,6 +152,18 @@ class TestFlow:
         t_idx = lines[0].split(",").index("t")
         assert float(lines[-1].split(",")[t_idx]) < 1.0
 
+    def test_clipping_to_the_table(self, tmp_path, capsys):
+        # E(1,1) never blows up, so only the table of the lapse bounds the window
+        beta = {"kind": "tabulated", "times": [-0.5, 0.5], "values": [1.0, 1.0]}
+        path = write_pair(tmp_path, "short", theta_dict(ll=1.0, nn=-1.0),
+                          extra={"beta": beta})
+        assert main(["flow", path, "--t0", "-1", "--t1", "1",
+                     "--samples", "3"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "clipped" in captured.err
+        times = [float(line.split(",")[0]) for line in captured.out.splitlines()[1:]]
+        assert times == pytest.approx([-0.5, 0.0, 0.5], abs=1e-5)
+
     def test_json_format(self, e11_file, capsys):
         assert main(["flow", e11_file, "--t0", "0", "--t1", "0.5",
                      "--samples", "3", "--format", "json"]) == EXIT_OK
@@ -177,12 +194,29 @@ class TestCurvatureAndVerify:
             assert rep["identity_residual"] <= 1e-8
             assert rep["hamiltonian"] == pytest.approx(-4.0)
 
+    def test_curvature_computes_the_lifespan_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        lifespan = cli.lifespan
+        monkeypatch.setattr(cli, "lifespan", lambda *a: calls.append(a) or lifespan(*a))
+        path = write_pair(tmp_path, "ramp", theta_dict(uu=1.0), extra={"beta": {
+            "kind": "tabulated", "times": [-1.0, 2.0], "values": [1.0, 3.0]}})
+        assert main(["curvature", path, "--t0", "-0.5", "--t1", "2",
+                     "--samples", "3"]) == EXIT_OK
+        assert len(calls) == 1
+        assert "clipped" in capsys.readouterr().err
+
     def test_verify_all_suites_pass(self, tmp_path, capsys, row_pair):
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(row_pair.to_json_dict()))
         assert main(["verify", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[pass]" in out and "FAIL" not in out
+
+    def test_verify_samples_inside_the_table(self, tmp_path, capsys):
+        beta = {"kind": "tabulated", "times": [-0.5, 0.5], "values": [1.0, 1.0]}
+        path = write_pair(tmp_path, "short", theta_dict(ll=1.0, nn=-1.0),
+                          extra={"beta": beta})
+        assert main(["verify", path, "--suite", "constraints"]) == EXIT_OK
 
     def test_verify_single_suite(self, e11_file, capsys):
         assert main(["verify", e11_file, "--suite", "oracle"]) == EXIT_OK
@@ -229,3 +263,11 @@ class TestSweep:
         assert "numeric failure: requested window lies outside the lifespan" in captured.err
         second = captured.out.split("# pair 1\n")[1].splitlines()
         assert second[0].startswith("t,B,") and len(second) == 4
+
+
+def test_cli_import_leaves_scipy_out():
+    # a fresh interpreter: this one may hold scipy for the test oracles
+    src = os.path.dirname(os.path.dirname(spinorflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, spinorflow.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

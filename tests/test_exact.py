@@ -21,6 +21,7 @@ from spinorflow.numeric import hamiltonian_of
 from conftest import ROW_PAIRS
 
 UNIT = LapseProfile.constant(1.0)
+MIXING_RAMP = LapseProfile.tabulated([-2.0, -0.3, 0.8, 2.0], [0.7, 1.3, 1.0, 1.6])
 
 
 class TestLapse:
@@ -217,14 +218,18 @@ class TestFrameExact:
         u = frame_exact(pair, UNIT, t).U
         assert np.allclose(u, np.diag([1.0, math.exp(-1), math.exp(1)]), atol=1e-12)
 
-    def test_qd_with_mixing_against_expm(self):
+    @pytest.mark.parametrize("lapse, t", [
+        (lapse, t) for lapse in ("constant", "tabulated") for t in (-1.6, -0.4, 0.7, 1.9)
+    ])
+    def test_qd_with_mixing_against_expm(self, lapse, t):
         # lower block with ln coupling; constant Theta^t / s integrates to
         # an expm expression through substitution only when Theta_uu = 0
         pair = CauchyPair.from_components(ll=1.0, ln=-1.0, nn=-1.0)
         assert branch(pair) == QD
-        t = 0.7
-        u = frame_exact(pair, UNIT, t).U
-        assert np.allclose(u, expm(-t * pair.theta.as_matrix()), atol=1e-10)
+        profile = UNIT if lapse == "constant" else MIXING_RAMP
+        u = frame_exact(pair, profile, t).U
+        bt = profile.b_integral(t)
+        assert np.allclose(u, expm(-bt * pair.theta.as_matrix()), atol=1e-10)
 
     def test_off_n_entries(self):
         pair = CauchyPair.from_components(un=1.0)
@@ -245,6 +250,12 @@ class TestFrameExact:
         ul_mat = frame_exact(pl, UNIT, t).U
         swap = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
         assert np.allclose(ul_mat, swap @ un_mat @ swap, atol=1e-12)
+
+    def test_zero_entries_are_positive_zero(self, row_pair):
+        # the CLI prints U and h, so a -0.0 would print as -0.000000000000e+00
+        for t in (0.0, 0.3, -0.3):
+            u = frame_exact(row_pair, UNIT, t).U
+            assert not np.signbit(u[u == 0.0]).any()
 
     def test_identity_at_zero_and_positive_det(self, row_pair):
         assert np.allclose(frame_exact(row_pair, UNIT, 0.0).U, np.eye(3))

@@ -8,9 +8,9 @@ import pytest
 from spinorflow import CauchyPair, LapseProfile, closedness_residual, \
     coframe4_at, curvature_report, dirac_current_frame, frame_exact, ricci4, \
     verify_ricci_identity
-from spinorflow import lorentz
+from spinorflow import lorentz, verify
 from spinorflow.lorentz import ETA4, NULL_DIRECTION
-from spinorflow.verify import sample_times
+from spinorflow.verify import sample_times, suite_ricci4
 
 from conftest import ROW_PAIRS
 
@@ -163,3 +163,26 @@ class TestMetricAndReport:
         for t in sample_times(row_pair, profile, 5):
             rep = curvature_report(row_pair, profile, t)
             assert rep["identity_residual"] == verify_ricci_identity(row_pair, profile, t)
+
+
+class TestRicci4Suite:
+    def test_evaluates_theta_once_per_sample(self, monkeypatch):
+        # a constrained pair also gets the flatness row from the same Ric4
+        calls = []
+        for module in (lorentz, verify):
+            theta_exact = module.theta_exact
+            monkeypatch.setattr(module, "theta_exact",
+                                lambda *a, f=theta_exact: calls.append(a) or f(*a))
+        rows = suite_ricci4(ROW_PAIRS["tau2R-qd"], RAMP, samples=6)
+        assert len(rows) == 2 and len(calls) == 6
+
+    @pytest.mark.parametrize("profile", [UNIT, RAMP], ids=["constant", "tabulated"])
+    def test_rows_are_the_per_sample_maxima(self, row_pair, profile):
+        rows = suite_ricci4(row_pair, profile, samples=5)
+        times = sample_times(row_pair, profile, 5)
+        assert rows[0].residual == max(
+            verify_ricci_identity(row_pair, profile, t) for t in times)
+        if len(rows) == 2:
+            assert rows[1].residual == max(
+                float(np.max(np.abs(ricci4(coframe4_at(row_pair, profile, t)).components)))
+                for t in times)

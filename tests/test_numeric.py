@@ -172,6 +172,14 @@ class TestResiduals:
         for st in traj.states:
             assert flow_residuals(st, row_pair).max() <= 1e-8
 
+    def test_one_rhs_evaluation(self, monkeypatch):
+        st = integrate(ROW_PAIRS["tau2R-general"], UNIT, 0.3).states[-1]
+        calls = []
+        rhs = numeric.ode_rhs
+        monkeypatch.setattr(numeric, "ode_rhs", lambda *a: calls.append(a) or rhs(*a))
+        flow_residuals(st, ROW_PAIRS["tau2R-general"])
+        assert len(calls) == 1
+
     def test_corrupted_state_detected(self):
         pair = CauchyPair.from_components(ll=1.0, nn=-1.0)
         traj = integrate(pair, UNIT, 0.5)
