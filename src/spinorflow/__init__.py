@@ -7,7 +7,7 @@ curvature and constraint identities the construction satisfies.
 """
 
 from .errors import (InvalidPair, NotApplicable, OutOfDomain, SingularTime,
-                     SpinorFlowError, StepFailure)
+                     SpinorFlowError)
 from .exact import (FrameTransform, Lifespan, branch, eta_oneform, frame_exact,
                     hamiltonian_exact, lifespan, metric_exact,
                     nonqd_coefficients, theta_exact)
@@ -17,9 +17,8 @@ from .lapse import LapseProfile
 from .lorentz import (Coframe4, DiracCurrentFrame, Ricci4,
                       closedness_residual, coframe4_at, curvature_report,
                       dirac_current_frame, ricci4, verify_ricci_identity)
-from .numeric import (KERNEL_BACKEND, FlowState, ResidualReport, StepOptions,
-                      Trajectory, flow_residuals, hamiltonian_of, integrate,
-                      integrate_to, ode_rhs)
+from .numeric import (KERNEL_BACKEND, FlowState, ResidualReport,
+                      flow_residuals, hamiltonian_of, integrate_to, ode_rhs)
 from .pairs import (CauchyPair, ConstraintReport, GroupTag, GroupType,
                     ThetaInvariants, ValidationReport, classify, constraints,
                     invariants, is_constrained_ricci_flat, require_valid,
@@ -33,12 +32,12 @@ __all__ = [
     "DiracCurrentFrame", "FlowState", "FrameTransform", "GroupTag",
     "GroupType", "InvalidPair", "KERNEL_BACKEND", "LapseProfile", "Lifespan",
     "NotApplicable", "OutOfDomain", "ResidualReport", "Ricci4", "SUITES",
-    "SingularTime", "SpinorFlowError", "StepFailure", "StepOptions", "Sym3",
-    "ThetaInvariants", "Trajectory", "ValidationReport", "branch", "classify",
+    "SingularTime", "SpinorFlowError", "Sym3", "ThetaInvariants",
+    "ValidationReport", "branch", "classify",
     "closedness_residual", "coframe4_at", "constraints", "curvature_report",
     "dirac_current_frame", "eigen2x2",
     "eta_oneform", "flow_residuals", "frame_exact", "frame_ricci",
-    "hamiltonian_exact", "hamiltonian_of", "integrate", "integrate_to",
+    "hamiltonian_exact", "hamiltonian_of", "integrate_to",
     "invariants", "is_constrained_ricci_flat", "levi_civita", "lifespan",
     "metric_exact", "nonqd_coefficients", "ode_rhs", "require_valid",
     "ricci3", "ricci4", "run_suite", "sample_times",

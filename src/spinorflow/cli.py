@@ -18,15 +18,14 @@ import sys
 
 import numpy as np
 
-from .errors import (InvalidPair, NotApplicable, OutOfDomain, SingularTime,
-                     SpinorFlowError, StepFailure)
-from .exact import frame_exact, hamiltonian_exact, lifespan, theta_exact
+from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
+from .exact import frame_exact, lifespan, theta_exact
 from .lapse import LapseProfile
 from .lorentz import curvature_report
-from .numeric import FlowState, flow_residuals, hamiltonian_of, integrate_to
+from .numeric import FlowState, _state_from_vector, flow_residuals, integrate_to
 from .pairs import CauchyPair, DEFAULT_TOL, classify, constraints, invariants, \
-    is_constrained_ricci_flat, validate
-from .verify import SUITES, run_suite, sample_window
+    validate
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -34,7 +33,7 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 # errors reported as "numeric failure" with EXIT_NUMERIC, per pair in a sweep
-_NUMERIC_FAILURES = (SingularTime, StepFailure, OutOfDomain, NotApplicable)
+_NUMERIC_FAILURES = (SingularTime, OutOfDomain, NotApplicable)
 
 
 def _fmt(x: float) -> str:
@@ -87,11 +86,7 @@ def _flow_row(pair, profile, state: FlowState) -> list[float]:
 def _exact_state(pair, profile, t, tol) -> FlowState:
     th = theta_exact(pair, profile, t, tol)
     u = frame_exact(pair, profile, t, tol).U
-    from .frames import Sym3
-
-    return FlowState(t=float(t), theta=th, U=u,
-                     metric=Sym3.from_matrix(u.T @ u),
-                     hamiltonian=hamiltonian_of(th))
+    return _state_from_vector(t, np.concatenate([th.as_array(), u.ravel()]))
 
 
 def _clip_window(span, profile, t0, t1) -> tuple[float, float]:
@@ -266,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_single(args, data) -> int:
-    if args.command in ("flow", "curvature") and args.samples < 2:
+    samples = getattr(args, "samples", None)  # None: a suite's own default
+    if samples is not None and samples < 2:
         raise ValueError("--samples must be at least 2")
     if args.command in ("flow", "curvature") and not args.t0 < args.t1:
         raise ValueError("--t0 must be below --t1")

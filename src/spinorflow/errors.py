@@ -25,7 +25,3 @@ class OutOfDomain(SpinorFlowError):
 
 class NotApplicable(SpinorFlowError):
     """Operation undefined on this branch of the flow."""
-
-
-class StepFailure(SpinorFlowError):
-    """Adaptive step size underflowed near a singular time."""

@@ -32,8 +32,8 @@ class LapseProfile:
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "LapseProfile":
-        if not value > 0:
-            raise ValueError("lapse must be strictly positive")
+        if not 0 < value < math.inf:
+            raise ValueError("lapse must be strictly positive and finite")
         return cls(kind="constant", value=float(value))
 
     @classmethod
@@ -42,24 +42,38 @@ class LapseProfile:
         v = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
             raise ValueError("need matching 1D times/values with at least two nodes")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.all(v > 0):
-            raise ValueError("lapse values must be strictly positive")
+        if not (np.all(np.diff(t) > 0) and np.all(np.isfinite(t))):
+            raise ValueError("times must be finite and strictly increasing")
+        if not np.all((v > 0) & (v < math.inf)):
+            raise ValueError("lapse values must be strictly positive and finite")
         if not (t[0] <= 0.0 <= t[-1]):
             raise ValueError("tabulated domain must contain t = 0")
         return cls(kind="tabulated", times=t, values=v)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LapseProfile":
-        if "beta" in data:
+        """Parse the `{"kind": ...}` wire format, given as is or as the
+        ``"beta"`` field of a pair.  Every malformed input raises ValueError."""
+        if isinstance(data, dict) and "beta" in data:
             data = data["beta"]
+        if not isinstance(data, dict):
+            raise ValueError("lapse JSON must be an object")
         kind = data.get("kind")
+        fields = {"constant": ("value",), "tabulated": ("times", "values")}.get(kind)
+        if fields is None:
+            raise ValueError(f"unknown lapse kind: {kind!r}")
+        missing = [k for k in fields if k not in data]
+        if missing:
+            raise ValueError(f"{kind} lapse is missing {', '.join(missing)}")
+        try:
+            args = [np.asarray(data[k], dtype=float) for k in fields]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{kind} lapse {', '.join(fields)} must be finite numbers") from None
         if kind == "constant":
-            return cls.constant(float(data["value"]))
-        if kind == "tabulated":
-            return cls.tabulated(data["times"], data["values"])
-        raise ValueError(f"unknown lapse kind: {kind!r}")
+            if args[0].ndim:
+                raise ValueError("constant lapse value must be a number")
+            return cls.constant(float(args[0]))
+        return cls.tabulated(*args)
 
     def _key(self) -> tuple:
         if self.kind == "constant":

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import eta_oneform, frame_exact, theta_exact
+from .exact import frame_exact, theta_exact
 from .frames import Sym3, frame_ricci
 from .lapse import LapseProfile
 from .numeric import hamiltonian_of, ode_rhs
-from .pairs import CauchyPair, DEFAULT_TOL, invariants
+from .pairs import CauchyPair, DEFAULT_TOL
 
 ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
 

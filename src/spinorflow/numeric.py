@@ -1,10 +1,11 @@
 """Numerical integration of the flow ODEs: the independent oracle for the
 closed-form solutions, plus residual monitors for the full flow system.
 
-Every RK4 step, fixed or adaptive, constant or tabulated lapse, runs in the
-one kernel ``_kern.rk4_path`` (the unrolled pure-Python loop of
-``_kernel_py``), fed the stage lapses of ``LapseProfile.stages``.
-``KERNEL_BACKEND`` names that kernel.
+``integrate_to`` is the one RK4 march: a fixed-step march to the requested
+times, for a constant or a tabulated lapse, run in the one kernel
+``_kern.rk4_path`` (the unrolled pure-Python loop of ``_kernel_py``) fed the
+stage lapses of ``LapseProfile.stages``.  ``KERNEL_BACKEND`` names that
+kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel_py as _kern
-from .errors import SingularTime, StepFailure
+from .errors import SingularTime
 from .frames import Sym3, ricci3, structure_constants_from_theta
 from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, require_valid
@@ -29,22 +30,6 @@ class FlowState:
     U: np.ndarray
     metric: Sym3
     hamiltonian: float
-
-
-@dataclass
-class Trajectory:
-    states: list[FlowState]
-    accepted: int = 0
-    rejected: int = 0
-    truncated: bool = False
-
-
-@dataclass(frozen=True)
-class StepOptions:
-    method: str = "fixed"  # "fixed" | "adaptive"
-    n_steps: int = 10_000
-    record_points: int = 200
-    tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -91,78 +76,6 @@ def _pack(pair: CauchyPair) -> np.ndarray:
     return np.concatenate([pair.theta.as_array(), np.eye(3).ravel()])
 
 
-def _rk4_step(y, profile: LapseProfile, t, dt, out_t, out_y):
-    """One RK4 step from (t, y), as a list of floats."""
-    _kern.rk4_path(y, profile.stages(t, dt, 1), t, dt, 1, 1, out_t, out_y)
-    return out_y[1].tolist()
-
-
-def _integrate_adaptive(y0, profile: LapseProfile, t_end, tol):
-    """Step-doubling error control; records every accepted step."""
-    y = [float(v) for v in y0]
-    t = 0.0
-    sign = 1.0 if t_end > 0 else -1.0
-    dt = sign * abs(t_end) / 100.0
-    recs = [(0.0, list(y))]
-    accepted = rejected = 0
-    truncated = False
-    out_t, out_y = np.empty(2), np.empty((2, 15))
-    while sign * (t_end - t) > 1e-15 * max(1.0, abs(t_end)):
-        if sign * (t + dt) > sign * t_end:
-            dt = t_end - t
-        if abs(dt) < 1e-15 * max(1.0, abs(t)):
-            raise StepFailure(f"adaptive step underflow at t = {t:.12g}")
-        full = _rk4_step(y, profile, t, dt, out_t, out_y)
-        half = _rk4_step(y, profile, t, 0.5 * dt, out_t, out_y)
-        half = _rk4_step(half, profile, t + 0.5 * dt, 0.5 * dt, out_t, out_y)
-        err = max(abs(full[i] - half[i]) for i in range(15))
-        scale = tol * max(1.0, max(abs(v) for v in half))
-        if err <= scale:
-            t += dt
-            y = half
-            accepted += 1
-            if max(abs(y[0]), abs(y[3]), abs(y[4]), abs(y[5])) > _kern._GUARD:
-                truncated = True
-                recs.append((t, list(y)))
-                break
-            recs.append((t, list(y)))
-        else:
-            rejected += 1
-        ratio = (scale / err) ** 0.2 if err > 0 else 2.0
-        dt *= min(2.0, max(0.2, 0.9 * ratio))
-    return recs, accepted, rejected, truncated
-
-
-def integrate(pair: CauchyPair, profile: LapseProfile, t_end: float,
-              opts: StepOptions = StepOptions(), tol: float = DEFAULT_TOL) -> Trajectory:
-    """Integrate the flow ODEs from t = 0 to t_end with U(0) = Id."""
-    require_valid(pair, tol)
-    if t_end == 0.0:
-        return Trajectory(states=[_state_from_vector(0.0, _pack(pair))], accepted=0)
-    y0 = _pack(pair)
-
-    if opts.method == "adaptive":
-        recs, acc, rej, truncated = _integrate_adaptive(y0, profile, t_end, opts.tol)
-        states = [_state_from_vector(t, np.array(y)) for t, y in recs]
-        states.sort(key=lambda s: s.t)
-        return Trajectory(states=states, accepted=acc, rejected=rej, truncated=truncated)
-
-    n_steps = int(opts.n_steps)
-    dt = t_end / n_steps
-    record_every = max(1, n_steps // max(1, opts.record_points))
-
-    max_rec = n_steps // record_every + 4
-    out_t = np.empty(max_rec)
-    out_y = np.empty((max_rec, 15))
-    nrec, done, truncated = _kern.rk4_path(
-        y0, profile.stages(0.0, dt, n_steps), 0.0, dt, n_steps, record_every,
-        out_t, out_y)
-
-    states = [_state_from_vector(out_t[i], out_y[i]) for i in range(nrec)]
-    states.sort(key=lambda s: s.t)
-    return Trajectory(states=states, accepted=int(done), truncated=bool(truncated))
-
-
 def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
                  n_steps_total: int = 10_000, tol: float = DEFAULT_TOL) -> list[FlowState]:
     """States at the exact requested times, marching segment by segment.
@@ -171,17 +84,19 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     backward, and each direction gets ``n_steps_total`` steps of its own:
     a segment takes round(n_steps_total * |segment| / |farthest time in its
     direction|) steps, at least one.  A window on both sides of t = 0 thus
-    takes about twice ``n_steps_total`` steps.
+    takes about twice ``n_steps_total`` steps.  The states come back in the
+    order of ``times``, duplicates included.
 
     Raises SingularTime when the march blows up (see ``_kernel_py._GUARD``)
     before it reaches a requested time.
     """
     require_valid(pair, tol)
-    times = sorted(float(t) for t in times)
+    requested = [float(t) for t in times]
+    times = sorted(requested)
     out: dict[float, FlowState] = {}
 
     def march(ts):
-        # ts strictly moving away from zero in one direction
+        # ts moving away from zero in one direction
         y = _pack(pair)
         prev = 0.0
         out_t, out_y = np.empty(2), np.empty((2, 15))
@@ -211,7 +126,7 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
         march(fwd)
     if bwd:
         march(sorted(bwd, reverse=True))
-    return [out[t] for t in times]
+    return [out[t] for t in requested]
 
 
 def flow_residuals(state: FlowState, pair: CauchyPair) -> ResidualReport:

@@ -1,7 +1,6 @@
 """CLI surface: exit codes, deterministic output, clipping, sweeps."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -11,8 +10,6 @@ import pytest
 import spinorflow
 from spinorflow import cli
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-
-from conftest import ROW_PAIRS
 
 
 def write_pair(tmp_path, name, theta, extra=None):
@@ -65,6 +62,34 @@ class TestExitCodes:
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"theta": [1, 2, 3]}))
         assert main(["validate", str(path)]) == EXIT_IO
+
+    @pytest.mark.parametrize("beta", [
+        {"kind": "constant"},
+        {"kind": "tabulated", "times": [-1.0, 1.0]},
+        5,
+        {"kind": "constant", "value": 1e400},
+        {"kind": "constant", "value": 10 ** 400},
+        {"kind": "constant", "value": None},
+        {"kind": "tabulated", "times": [-1.0, 1.0], "values": [1.0, 1e400]},
+        {"kind": "tabulated", "times": [-1.0, 1.0], "values": {"a": 1.0}},
+    ], ids=["no-value", "no-values", "not-an-object", "inf-value", "huge-int-value",
+            "null-value", "inf-node", "values-not-an-array"])
+    def test_malformed_lapse(self, tmp_path, capsys, beta):
+        # a huge literal parses to inf or to an int no float holds: refused,
+        # not run as an infinite lapse
+        path = write_pair(tmp_path, "lapse", theta_dict(uu=1.0), extra={"beta": beta})
+        assert main(["lifespan", path]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_verify_needs_two_samples(self, e11_file, capsys, samples):
+        # an empty sample set would pass every identity vacuously
+        assert main(["verify", e11_file, "--samples", samples]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "[pass]" not in captured.out
+        assert captured.err == "error: --samples must be at least 2\n"
 
     def test_window_outside_lifespan(self, uu_file, capsys):
         # the flow blows up at t = 1; a window beyond it cannot be clipped

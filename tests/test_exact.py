@@ -58,6 +58,14 @@ class TestLapse:
             LapseProfile.tabulated([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             LapseProfile.constant(0.0)
+        with pytest.raises(ValueError):
+            LapseProfile.constant(math.inf)
+        with pytest.raises(ValueError):
+            LapseProfile.tabulated([-1.0, 1.0], [1.0, math.inf])
+        with pytest.raises(ValueError):
+            LapseProfile.tabulated([-1.0, math.inf], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            LapseProfile.tabulated([-math.inf, 1.0], [1.0, 1.0])
 
     def test_json_parsing(self):
         prof = LapseProfile.from_json_dict({"beta": {"kind": "constant", "value": 2.0}})

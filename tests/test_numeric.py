@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile, SingularTime, Sym3, \
-    flow_residuals, frame_exact, integrate, integrate_to, ode_rhs, theta_exact
-from spinorflow.numeric import KERNEL_BACKEND, FlowState, StepOptions
+    flow_residuals, frame_exact, integrate_to, ode_rhs, theta_exact
+from spinorflow.numeric import KERNEL_BACKEND, FlowState
 from spinorflow import _kernel_py, numeric
 
 from conftest import ROW_PAIRS
@@ -49,82 +49,53 @@ class TestOdeRhs:
         assert np.allclose(2 * u1, u2)
 
 
+def _path(pair, t_end, profile=UNIT):
+    """States at 201 evenly spaced times from 0 to t_end: 50 RK4 steps apart."""
+    return integrate_to(pair, profile, np.linspace(0.0, t_end, 201))
+
+
 class TestIntegrate:
     def test_scalar_oracle(self):
-        traj = integrate(CauchyPair.from_components(uu=1.0), UNIT, 0.5)
-        assert abs(traj.states[-1].theta.uu - 2.0) <= 1e-8
+        state = integrate_to(CauchyPair.from_components(uu=1.0), UNIT, [0.5])[-1]
+        assert abs(state.theta.uu - 2.0) <= 1e-8
 
     def test_matrix_exponential_oracle(self):
         pair = CauchyPair.from_components(ll=1.0, nn=-1.0)
-        traj = integrate(pair, UNIT, 1.0)
+        state = integrate_to(pair, UNIT, [1.0])[-1]
         expected = np.diag([1.0, math.exp(-1.0), math.exp(1.0)])
-        assert np.max(np.abs(traj.states[-1].U - expected)) <= 1e-8
+        assert np.max(np.abs(state.U - expected)) <= 1e-8
 
     def test_constant_trajectory(self):
-        traj = integrate(CauchyPair.from_components(), UNIT, 2.0)
-        for state in traj.states:
+        for state in _path(CauchyPair.from_components(), 2.0):
             assert np.count_nonzero(state.theta.as_array()) == 0
             assert np.allclose(state.U, np.eye(3))
 
     def test_times_strictly_increasing(self, row_pair):
-        traj = integrate(row_pair, UNIT, 0.3)
-        ts = [s.t for s in traj.states]
+        ts = [s.t for s in _path(row_pair, 0.3)]
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_backward_integration(self):
-        traj = integrate(CauchyPair.from_components(uu=1.0), UNIT, -1.0)
-        assert traj.states[0].t == pytest.approx(-1.0)
-        assert abs(traj.states[0].theta.uu - 0.5) <= 1e-8
-
-    def test_truncation_near_blowup(self):
-        # requesting a window that straddles the pole at t = 1 stops early
-        traj = integrate(CauchyPair.from_components(uu=1.0), UNIT, 1.05)
-        assert traj.truncated
-        assert traj.states[-1].t < 1.05
-        assert traj.states[-1].theta.uu > 1e12
-
-    def test_adaptive_matches_exact(self):
-        pair = ROW_PAIRS["tau2R-general"]
-        traj = integrate(pair, UNIT, 0.5, StepOptions(method="adaptive"))
-        final = traj.states[-1]
-        ref = theta_exact(pair, UNIT, final.t)
-        assert np.max(np.abs(final.theta.as_matrix() - ref.as_matrix())) <= 1e-8
-        assert traj.accepted > 0
-
-    def test_adaptive_truncates_at_blowup(self):
-        traj = integrate(CauchyPair.from_components(uu=1.0), UNIT, 1.05,
-                         StepOptions(method="adaptive"))
-        assert traj.truncated
-        # adaptive steps track the pole much more closely than fixed ones
-        assert traj.states[-1].t == pytest.approx(1.0, abs=1e-6)
-
-    def test_tabulated_truncation_counts_steps_done(self):
-        pair = CauchyPair.from_components(uu=1.0)
-        opts = StepOptions(n_steps=3000)
-        tab = integrate(pair, UNIT_TABLE, 1.05, opts)
-        const = integrate(pair, UNIT, 1.05, opts)
-        assert tab.truncated and const.truncated
-        assert tab.accepted == const.accepted < opts.n_steps
-        assert tab.states[-1].t == const.states[-1].t
+        state = integrate_to(CauchyPair.from_components(uu=1.0), UNIT, [-1.0])[0]
+        assert state.t == pytest.approx(-1.0)
+        assert abs(state.theta.uu - 0.5) <= 1e-8
 
     def test_tabulated_lapse(self):
         prof = LapseProfile.tabulated([-1.0, 1.0], [1.0, 3.0])
         pair = CauchyPair.from_components(uu=-1.0)
-        traj = integrate(pair, prof, 0.5)
+        state = integrate_to(pair, prof, [0.5])[-1]
         ref = theta_exact(pair, prof, 0.5)
-        assert np.max(np.abs(traj.states[-1].theta.as_matrix()
-                             - ref.as_matrix())) <= 1e-8
+        assert np.max(np.abs(state.theta.as_matrix() - ref.as_matrix())) <= 1e-8
 
 
 class TestConvergence:
     def test_empirical_order_at_least_3_8(self):
         pair = CauchyPair.from_components(uu=1.0, ll=1.0)
-        t_end = 0.8
+        times = np.linspace(0.0, 0.8, 201)[1:]
 
         def max_error(n):
-            traj = integrate(pair, UNIT, t_end, StepOptions(n_steps=n))
+            states = integrate_to(pair, UNIT, times, n_steps_total=n)
             worst = 0.0
-            for st in traj.states[1:]:
+            for st in states:
                 ref = theta_exact(pair, UNIT, st.t)
                 worst = max(worst, float(np.max(np.abs(
                     st.theta.as_matrix() - ref.as_matrix()))))
@@ -140,23 +111,18 @@ class TestConservation:
         from spinorflow.verify import sample_window
         lo, hi = sample_window(row_pair, UNIT)
         for t_end in (lo, hi):
-            if t_end == 0.0:
-                continue
-            traj = integrate(row_pair, UNIT, t_end)
-            for st in traj.states:
+            for st in _path(row_pair, t_end):
                 assert abs(st.theta.ul - row_pair.theta.ul) <= 1e-12
                 assert abs(st.theta.un - row_pair.theta.un) <= 1e-12
 
     def test_algebraic_relations_propagate(self, row_pair):
         from spinorflow.pairs import algebraic_residuals
-        traj = integrate(row_pair, UNIT, 0.3)
-        for st in traj.states:
+        for st in _path(row_pair, 0.3):
             for _, val in algebraic_residuals(CauchyPair(st.theta)):
                 assert abs(val) <= 1e-8
 
     def test_det_u_positive(self, row_pair):
-        traj = integrate(row_pair, UNIT, 0.3)
-        assert all(np.linalg.det(st.U) > 0 for st in traj.states)
+        assert all(np.linalg.det(st.U) > 0 for st in _path(row_pair, 0.3))
 
 
 class TestResiduals:
@@ -168,12 +134,11 @@ class TestResiduals:
         assert rep.max() == 0.0
 
     def test_integrator_output_is_small(self, row_pair):
-        traj = integrate(row_pair, UNIT, 0.3)
-        for st in traj.states:
+        for st in _path(row_pair, 0.3):
             assert flow_residuals(st, row_pair).max() <= 1e-8
 
     def test_one_rhs_evaluation(self, monkeypatch):
-        st = integrate(ROW_PAIRS["tau2R-general"], UNIT, 0.3).states[-1]
+        st = integrate_to(ROW_PAIRS["tau2R-general"], UNIT, [0.3])[-1]
         calls = []
         rhs = numeric.ode_rhs
         monkeypatch.setattr(numeric, "ode_rhs", lambda *a: calls.append(a) or rhs(*a))
@@ -182,8 +147,7 @@ class TestResiduals:
 
     def test_corrupted_state_detected(self):
         pair = CauchyPair.from_components(ll=1.0, nn=-1.0)
-        traj = integrate(pair, UNIT, 0.5)
-        st = traj.states[-1]
+        st = integrate_to(pair, UNIT, [0.5])[-1]
         bad_theta = Sym3.from_array(st.theta.as_array() + [0, 0, 0, 0.1, 0, 0])
         bad = FlowState(t=st.t, theta=bad_theta, U=st.U, metric=st.metric,
                         hamiltonian=st.hamiltonian)
@@ -197,6 +161,17 @@ class TestIntegrateTo:
         assert [s.t for s in states] == [-0.5, 0.0, 0.25, 0.5]
         assert abs(states[0].theta.uu - 1 / 1.5) <= 1e-8
         assert abs(states[-1].theta.uu - 2.0) <= 1e-8
+
+    def test_keeps_the_requested_order(self):
+        pair = CauchyPair.from_components(uu=1.0)
+        times = [0.5, -0.5, 0.25, 0.5, 0.0, -0.5]
+        states = integrate_to(pair, UNIT, times)
+        assert [s.t for s in states] == times
+        for i, j in ((0, 3), (1, 5)):
+            assert states[i].theta == states[j].theta
+            assert np.array_equal(states[i].U, states[j].U)
+        assert abs(states[0].theta.uu - 2.0) <= 1e-8
+        assert abs(states[1].theta.uu - 1 / 1.5) <= 1e-8
 
     def test_matches_frame_exact(self, row_pair):
         times = [-0.1, 0.15, 0.3]
@@ -308,7 +283,7 @@ class TestKernelParity:
         ((1.0, -0.0, -0.0, 0.5, -0.0, 2.0), 0.0, -0.01, 30, 4, UNIT),
         # a varying lapse: each stage must read its own value
         ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.2, -0.9 / 300, 300, 11, RAMP),
-        # one step from a nonzero time, as the adaptive doubler takes it
+        # one step from a nonzero time, as a step-size controller takes it
         ((1.0, 0.6, 0.8, 0.5, -0.3, 2.0), 0.35, 0.0625, 1, 1, RAMP),
     ], ids=["backward", "signed-zero-fwd", "signed-zero-bwd", "tabulated",
             "adaptive-step"])

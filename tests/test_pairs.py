@@ -5,8 +5,6 @@ that inspects the structure constants directly (derived-subalgebra
 dimension, unimodularity, eigenvalues of the adjoint action).
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -12,8 +12,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorflow import CauchyPair, Sym3, eigen2x2, frame_ricci, levi_civita, \
-    ricci3, structure_constants_from_theta
+from spinorflow import Sym3, eigen2x2, frame_ricci, ricci3, \
+    structure_constants_from_theta
 from spinorflow.frames import antisymmetry_residual, divergence_sym, \
     first_structure_residual, jacobi_residual
 
