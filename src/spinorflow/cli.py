@@ -22,7 +22,8 @@ from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
 from .exact import frame_exact, lifespan, theta_exact
 from .lapse import LapseProfile
 from .lorentz import curvature_report
-from .numeric import FlowState, _state_from_vector, flow_residuals, integrate_to
+from .numeric import CERTIFY_LIMIT, FlowState, _state_from_vector, \
+    flow_residuals, integrate_to, uncertified
 from .pairs import CauchyPair, DEFAULT_TOL, classify, constraints, invariants, \
     validate
 from .verify import SUITES, run_suite
@@ -108,6 +109,14 @@ def _clip_window(span, profile, t0, t1) -> tuple[float, float]:
     return c0, c1
 
 
+def _warn_uncertified(states) -> None:
+    """One stderr line per RK4 state whose error the march cannot certify."""
+    for st in uncertified(states):
+        print(f"warning: rk4 state at t = {_fmt(st.t)} is not certified: "
+              f"estimated error {st.error:.2e} against {CERTIFY_LIMIT:.0e}",
+              file=sys.stderr)
+
+
 def _render_table(columns, rows, fmt) -> str:
     if fmt == "json":
         payload = [dict(zip(columns, [_fmt(v) for v in row])) for row in rows]
@@ -177,6 +186,7 @@ def cmd_flow(args, data) -> int:
         states = [_exact_state(pair, profile, t, args.tol) for t in times]
     else:
         states = integrate_to(pair, profile, times, tol=args.tol)
+        _warn_uncertified(states)
     rows = [_flow_row(pair, profile, st) for st in states]
     _emit(_render_table(FLOW_COLUMNS, rows, args.format), args.out)
     return EXIT_OK
@@ -203,6 +213,8 @@ def cmd_curvature(args, data) -> int:
 def cmd_verify(args, data) -> int:
     pair, profile = _parse_pair(data)
     rows = run_suite(pair, profile, args.suite, samples=args.samples, tol=args.tol)
+    # the oracle's rows share their states: one line per state
+    _warn_uncertified({st.t: st for row in rows for st in row.uncertified}.values())
     failed = False
     for row in rows:
         mark = "pass" if row.passed else "FAIL"
@@ -227,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinorflow",
         description="Left-invariant parallel spinor flows on 3D Lie groups",
     )
-    default_tol = float(os.environ.get("SPINORFLOW_TOL", DEFAULT_TOL))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, window=False, method=False, suite=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="JSON file with the pair (and optional lapse)")
-        p.add_argument("--tol", type=float, default=default_tol,
-                       help="tolerance for validation and branch selection")
+        p.add_argument("--tol", type=float, default=None,
+                       help="tolerance for validation and branch selection "
+                            f"(default: $SPINORFLOW_TOL, else {DEFAULT_TOL:g})")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--sweep", action="store_true",
                        help="treat the input as a JSON array of pairs")
@@ -269,11 +281,27 @@ def _run_single(args, data) -> int:
     return _COMMANDS[args.command](args, data)
 
 
+def _tolerance(tol: float | None) -> float:
+    """``--tol``, else $SPINORFLOW_TOL, else DEFAULT_TOL; finite and positive."""
+    if tol is None:
+        raw = os.environ.get("SPINORFLOW_TOL")
+        if raw is None:
+            return DEFAULT_TOL
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValueError(f"SPINORFLOW_TOL must be a number, not {raw!r}") from None
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"the tolerance must be finite and positive, not {tol}")
+    return tol
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.tol = _tolerance(args.tol)
         data = _load_input(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -296,6 +324,9 @@ def main(argv=None) -> int:
                 except _NUMERIC_FAILURES as exc:
                     print(f"numeric failure: {exc}", file=sys.stderr)
                     code = EXIT_NUMERIC
+                except ValueError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    code = EXIT_IO
                 worst = max(worst, code)
             return worst
         return _run_single(args, data)

@@ -44,7 +44,13 @@ class CauchyPair:
         vals = {}
         for k in ("uu", "ul", "un", "ll", "ln", "nn"):
             v = th[k]
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            try:
+                # float() overflows on an integer literal no float holds
+                ok = not isinstance(v, bool) and isinstance(v, (int, float)) \
+                    and math.isfinite(float(v))
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ValueError(f"theta component '{k}' must be a finite number")
             vals[k] = float(v)
         return cls(Sym3(**vals))

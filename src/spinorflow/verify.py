@@ -9,7 +9,7 @@ clipped to +-2 flow-time units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .frames import levi_civita, ricci3, structure_constants_from_theta
 from .lapse import LapseProfile
 from .lorentz import _coframe4, _identity_residual, closedness_residual, \
     dirac_current_frame, ricci4
-from .numeric import flow_residuals, hamiltonian_of, integrate_to
+from .numeric import FlowState, flow_residuals, hamiltonian_of, integrate_to, \
+    uncertified
 from .pairs import CauchyPair, DEFAULT_TOL, constraints, invariants, \
     is_constrained_ricci_flat, require_valid
 
@@ -33,6 +34,8 @@ class CheckResult:
     name: str
     residual: float
     tol: float
+    # RK4 states the row rests on whose error the march cannot certify
+    uncertified: tuple[FlowState, ...] = field(default=(), compare=False)
 
     @property
     def passed(self) -> bool:
@@ -196,7 +199,10 @@ def suite_oracle(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
     """Closed forms against the numerical integrator."""
     require_valid(pair, tol)
     times = sample_times(pair, profile, samples, tol)
-    states = integrate_to(pair, profile, times, n_steps_total=20_000, tol=tol)
+    # a constant lapse gets the error-controlled march, a table 20,000 fixed
+    # steps per direction
+    steps = None if profile.kind == "constant" else 20_000
+    states = integrate_to(pair, profile, times, n_steps_total=steps, tol=tol)
     th_dev = u_dev = resid = 0.0
     for t, st in zip(times, states):
         th_dev = max(th_dev, float(np.max(np.abs(
@@ -204,10 +210,12 @@ def suite_oracle(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
         u_dev = max(u_dev, float(np.max(np.abs(
             st.U - frame_exact(pair, profile, t, tol).U))))
         resid = max(resid, flow_residuals(st, pair).max())
+    flagged = tuple(uncertified(states))
     return [
-        CheckResult("shape components match the closed form", th_dev, 1e-8),
-        CheckResult("coframe transform matches the closed form", u_dev, 1e-8),
-        CheckResult("flow-equation residuals along the trajectory", resid, 1e-8),
+        CheckResult("shape components match the closed form", th_dev, 1e-8, flagged),
+        CheckResult("coframe transform matches the closed form", u_dev, 1e-8, flagged),
+        CheckResult("flow-equation residuals along the trajectory", resid, 1e-8,
+                    flagged),
     ]
 
 

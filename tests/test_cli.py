@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import spinorflow
-from spinorflow import cli
+from spinorflow import cli, numeric
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -83,6 +84,35 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_huge_integer_component(self, tmp_path, capsys):
+        # json writes 10 ** 400 as an integer literal, which no float holds
+        path = write_pair(tmp_path, "huge", theta_dict(uu=10 ** 400))
+        assert main(["lifespan", path]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: theta component 'uu' must be a finite number\n"
+
+    @pytest.mark.parametrize("env, argv", [
+        ("abc", []), ("nan", []), ("-1e-9", []),
+        (None, ["--tol", "nan"]), (None, ["--tol", "inf"]),
+        (None, ["--tol", "0"]), (None, ["--tol=-1e-9"]),
+    ], ids=["env-abc", "env-nan", "env-negative", "nan", "inf", "zero", "negative"])
+    def test_bad_tolerance(self, e11_file, monkeypatch, capsys, env, argv):
+        if env is not None:
+            monkeypatch.setenv("SPINORFLOW_TOL", env)
+        assert main(["validate", e11_file] + argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_tolerance_from_the_environment(self, e11_file, monkeypatch, capsys):
+        # a tolerance above |Theta| puts E(1,1) on the zero pair's row
+        monkeypatch.setenv("SPINORFLOW_TOL", "10")
+        assert main(["validate", e11_file]) == EXIT_OK
+        assert "row: E11" not in capsys.readouterr().out
+        assert main(["validate", e11_file, "--tol", "1e-9"]) == EXIT_OK
+        assert "row: E11" in capsys.readouterr().out
+
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_verify_needs_two_samples(self, e11_file, capsys, samples):
         # an empty sample set would pass every identity vacuously
@@ -134,8 +164,8 @@ class TestFlow:
         args = ["flow", e11_file, "--t0", "-1", "--t1", "1", "--samples", "20"]
         assert main(args + ["--out", out1]) == EXIT_OK
         assert main(args + ["--out", out2]) == EXIT_OK
-        b1 = open(out1, "rb").read()
-        assert b1 == open(out2, "rb").read()
+        b1 = Path(out1).read_bytes()
+        assert b1 == Path(out2).read_bytes()
         assert len(b1) > 0
 
     def test_exact_rk4_agree(self, e11_file, tmp_path):
@@ -145,7 +175,7 @@ class TestFlow:
             assert main(["flow", e11_file, "--t0", "-0.5", "--t1", "0.5",
                          "--samples", "5", "--method", method,
                          "--out", out]) == EXIT_OK
-            outs[method] = open(out).read().splitlines()
+            outs[method] = Path(out).read_text().splitlines()
         header = outs["exact"][0].split(",")
         for le, lr in zip(outs["exact"][1:], outs["rk4"][1:]):
             for name, a, b in zip(header, le.split(","), lr.split(",")):
@@ -188,6 +218,24 @@ class TestFlow:
         assert "clipped" in captured.err
         times = [float(line.split(",")[0]) for line in captured.out.splitlines()[1:]]
         assert times == pytest.approx([-0.5, 0.0, 0.5], abs=1e-5)
+
+    def test_rk4_flags_uncertified_rows(self, uu_file, capsys):
+        # the window is clipped to 5e-6 before the pole at t = 1, where the
+        # march cannot certify 1e-8; the rows before it are certified
+        args = ["flow", uu_file, "--t0", "0", "--t1", "5", "--samples", "5"]
+        assert main(args + ["--method", "exact"]) == EXIT_OK
+        exact = capsys.readouterr().out.splitlines()
+        assert main(args + ["--method", "rk4"]) == EXIT_OK
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == ",".join(cli.FLOW_COLUMNS)
+        assert [len(line.split(",")) for line in lines] == \
+            [len(line.split(",")) for line in exact]
+        clipped, *flags = captured.err.splitlines()
+        assert "clipped" in clipped
+        last_t = lines[-1].split(",")[0]
+        assert len(flags) == 1
+        assert flags[0].startswith(f"warning: rk4 state at t = {last_t} is not certified")
 
     def test_json_format(self, e11_file, capsys):
         assert main(["flow", e11_file, "--t0", "0", "--t1", "0.5",
@@ -243,6 +291,21 @@ class TestCurvatureAndVerify:
                           extra={"beta": beta})
         assert main(["verify", path, "--suite", "constraints"]) == EXIT_OK
 
+    def test_oracle_flags_each_state_once(self, e11_file, monkeypatch, capsys):
+        # under a limit no march meets, every state but t = 0 is flagged:
+        # once, although three rows rest on it, and the report is unchanged
+        args = ["verify", e11_file, "--suite", "oracle", "--samples", "5"]
+        assert main(args) == EXIT_OK
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        monkeypatch.setattr(numeric, "CERTIFY_LIMIT", 1e-300)
+        assert main(args) == EXIT_OK
+        flagged = capsys.readouterr()
+        assert flagged.out == plain.out
+        times = [line.split(" t = ")[1].split(" ")[0]
+                 for line in flagged.err.splitlines()]
+        assert len(times) == len(set(times)) == 4
+
     def test_verify_single_suite(self, e11_file, capsys):
         assert main(["verify", e11_file, "--suite", "oracle"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -288,6 +351,18 @@ class TestSweep:
         assert "numeric failure: requested window lies outside the lifespan" in captured.err
         second = captured.out.split("# pair 1\n")[1].splitlines()
         assert second[0].startswith("t,B,") and len(second) == 4
+
+    def test_sweep_continues_past_a_schema_error(self, tmp_path, capsys):
+        good = {"theta": theta_dict(uu=1.0)}
+        pairs = [good, {"theta": theta_dict(uu=1.0), "beta": 5}, good]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(pairs))
+        assert main(["lifespan", str(path), "--sweep"]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == "error: lapse JSON must be an object\n"
+        first, second, third = captured.out.split("# pair ")[1:]
+        assert second == "1\n"
+        assert third.startswith("2\n") and third[2:] == first[2:]
 
 
 def test_cli_import_leaves_scipy_out():

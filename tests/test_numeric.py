@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile, SingularTime, Sym3, \
-    flow_residuals, frame_exact, integrate_to, ode_rhs, theta_exact
-from spinorflow.numeric import KERNEL_BACKEND, FlowState
+    flow_residuals, frame_exact, integrate_to, lifespan, ode_rhs, theta_exact
+from spinorflow.numeric import CERTIFY_LIMIT, KERNEL_BACKEND, FlowState, \
+    uncertified
+from spinorflow.verify import sample_times
 from spinorflow import _kernel_py, numeric
 
 from conftest import ROW_PAIRS
@@ -196,6 +198,63 @@ class TestIntegrateTo:
         pair = CauchyPair.from_components(uu=1.0)
         with pytest.raises(SingularTime, match=r"blew up at t = 1\.0.* before reaching t = 1\.5"):
             integrate_to(pair, profile, [0.5, 1.5])
+
+
+def _deviation(pair, state):
+    """Largest deviation of theta and U from the closed form, relative to
+    max(1, |closed form|) per component."""
+    exact = np.concatenate([theta_exact(pair, UNIT, state.t).as_array(),
+                            frame_exact(pair, UNIT, state.t).U.ravel()])
+    got = np.concatenate([state.theta.as_array(), state.U.ravel()])
+    return float(np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))))
+
+
+class TestControlledMarch:
+    def test_flags_every_state_it_gets_wrong(self, row_pair):
+        # at 1e-2, 1e-4 and 1e-6 (relative) before each finite lifespan end
+        span = lifespan(row_pair, UNIT)
+        ends = [e for e in (span.t_minus, span.t_plus)
+                if e is not None and math.isfinite(e)]
+        times = [e * (1.0 - gap) for e in ends for gap in (1e-2, 1e-4, 1e-6)]
+        states = integrate_to(row_pair, UNIT, times)
+        wrong = [st.t for st in states if _deviation(row_pair, st) > CERTIFY_LIMIT]
+        assert set(wrong) <= {st.t for st in uncertified(states)}
+        # the march cannot hold 1e-8 at 1e-6 from a pole: the check bites
+        assert len(wrong) >= len(ends)
+
+    def test_certifies_the_middle_window(self, row_pair):
+        states = integrate_to(row_pair, UNIT, sample_times(row_pair, UNIT, 20))
+        assert uncertified(states) == []
+        assert max(_deviation(row_pair, st) for st in states) <= CERTIFY_LIMIT
+
+    def test_middle_window_takes_few_steps(self, row_pair, monkeypatch):
+        steps = []
+        rk4_path = numeric._kern.rk4_path
+
+        def counting(y0, stages, t0, dt, n_steps, *rest):
+            steps.append(n_steps)
+            return rk4_path(y0, stages, t0, dt, n_steps, *rest)
+
+        monkeypatch.setattr(numeric._kern, "rk4_path", counting)
+        integrate_to(row_pair, UNIT, sample_times(row_pair, UNIT, 20))
+        assert 0 < sum(steps) < 10_000
+
+    def test_tabulated_lapse_keeps_the_fixed_march(self):
+        pair = ROW_PAIRS["tau2R-general"]
+        times = [-0.2, 0.1, 0.4, 0.1]
+        got = integrate_to(pair, RAMP, times)
+        ref = integrate_to(pair, RAMP, times, n_steps_total=10_000)
+        for a, b in zip(got, ref):
+            assert _same_bits(a.theta.as_array(), b.theta.as_array())
+            assert _same_bits(a.U, b.U)
+            assert a.error is None and b.error is None
+
+    def test_only_the_controlled_march_estimates(self):
+        pair = ROW_PAIRS["tau2R-general"]
+        assert [st.error for st in integrate_to(pair, UNIT, [0.0, 0.3],
+                                                n_steps_total=1000)] == [None, None]
+        exact0, st = integrate_to(pair, UNIT, [0.0, 0.3])
+        assert exact0.error == 0.0 and 0.0 < st.error <= CERTIFY_LIMIT
 
 
 def _run_kernel(kernel, y0, t0, dt, n, record_every, profile=UNIT):
