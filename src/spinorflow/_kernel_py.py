@@ -1,14 +1,15 @@
 """The fixed-step RK4 kernel: the one RK4 loop of the package.
 
-``rk4_path`` marches the 15 flow components y = (Theta_uu, Theta_ul,
-Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major) through ``n_steps``
-steps of size ``dt`` from ``t0``.  ``stages`` yields one lapse triple
-(beta(t), beta(t + dt/2), beta(t + dt)) per step, as
-``LapseProfile.stages`` builds it: k1 uses the first value, k2 and k3 the
-second, k4 the third.  The state at ``t0`` and every ``record_every``-th
-step (and the last one) go to ``out_t``/``out_y``; a step that leaves one of
-|Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above ``_GUARD`` is recorded
-and ends the march.  It returns ``(records written, steps done, truncated)``.
+``rk4_path(y0, stages, dt, n_steps)`` marches the 15 flow components
+y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
+through ``n_steps`` steps of size ``dt``.  ``stages`` yields one lapse triple
+(beta(t), beta(t + dt/2), beta(t + dt)) per step, as ``LapseProfile.stages``
+builds it: k1 uses the first value, k2 and k3 the second, k4 the third.  A
+step that leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
+``_GUARD`` ends the march.  It returns ``(y, steps done, truncated)``: y is
+the state the march ends on, as a tuple of 15 floats, which on truncation is
+the state that tripped the guard.  The guard reads Theta only, so the caller
+checks y for an overflowed U.
 
 The loop is fully unrolled over scalars: the 13 evolving components
 (Theta_uu, Theta_ll, Theta_ln, Theta_nn and the nine entries of U) live in
@@ -40,21 +41,15 @@ def _rhs(y, beta):
     return out
 
 
-def rk4_path(y0, stages, t0, dt, n_steps, record_every, out_t, out_y):
+def rk4_path(y0, stages, dt, n_steps):
     """March y0 by ``n_steps`` RK4 steps; see the module docstring."""
     # U is row-major: a*, b*, c* are its rows 0, 1, 2
     uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2 = (
         float(v) for v in y0)
-    t0 = float(t0)
     dt = float(dt)
     h2 = 0.5 * dt
     h6 = dt / 6.0
     guard, mguard = _GUARD, -_GUARD
-    last = n_steps - 1
-
-    out_t[0] = t0
-    out_y[0] = (uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2)
-    nrec = 1
     truncated = False
     step = -1
 
@@ -191,12 +186,8 @@ def rk4_path(y0, stages, t0, dt, n_steps, record_every, out_t, out_y):
         if (uu > guard or uu < mguard or ll > guard or ll < mguard
                 or ln > guard or ln < mguard or nn > guard or nn < mguard):
             truncated = True
+            break
 
-        if truncated or (step + 1) % record_every == 0 or step == last:
-            out_t[nrec] = t0 + (step + 1) * dt
-            out_y[nrec] = (uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2)
-            nrec += 1
-            if truncated:
-                break
-
-    return nrec, step + 1, truncated
+    # ul_s, un_s are the input values until a step is done, ul, un after it
+    return ((uu, ul_s, un_s, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2),
+            step + 1, truncated)

@@ -2,8 +2,8 @@
 lifespans and curvature, and execute the verification suites.
 
 Exit codes: 0 success, 1 invalid pair, 2 numeric or assertion failure,
-3 I/O or schema failure.  All floats print as %.12e so identical inputs
-produce byte-identical output.
+3 I/O, schema or usage failure.  All floats print as %.12e so identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -234,8 +234,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_IO, not argparse's 2 (EXIT_NUMERIC here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinorflow",
         description="Left-invariant parallel spinor flows on 3D Lie groups",
     )
@@ -276,8 +284,9 @@ def _run_single(args, data) -> int:
     samples = getattr(args, "samples", None)  # None: a suite's own default
     if samples is not None and samples < 2:
         raise ValueError("--samples must be at least 2")
-    if args.command in ("flow", "curvature") and not args.t0 < args.t1:
-        raise ValueError("--t0 must be below --t1")
+    window = args.command in ("flow", "curvature")
+    if window and not -math.inf < args.t0 < args.t1 < math.inf:
+        raise ValueError("--t0 and --t1 must be finite, with --t0 below --t1")
     return _COMMANDS[args.command](args, data)
 
 

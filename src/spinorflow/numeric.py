@@ -5,15 +5,17 @@ closed-form solutions, plus residual monitors for the full flow system.
 is marched under step-doubling error control, landing on every requested
 time and estimating the global error of each state; ``uncertified`` lists
 the states that estimate cannot vouch for.  A tabulated lapse, or a caller
-that names ``n_steps_total``, gets a fixed-step march.  Both run the one
-kernel ``_kern.rk4_path`` (the unrolled pure-Python loop of ``_kernel_py``)
-fed the stage lapses of ``LapseProfile.stages``.  ``KERNEL_BACKEND`` names
-that kernel.
+that names ``n_steps_total``, gets a fixed-step march.  Both marches carry
+the state as a tuple of 15 floats and advance it through ``_advance``, the
+one call of the kernel ``_kern.rk4_path`` (the unrolled pure-Python loop of
+``_kernel_py``), fed the stage lapses of ``LapseProfile.stages``.
+``KERNEL_BACKEND`` names that kernel.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +90,6 @@ def _state_from_vector(t: float, y, error: float | None = None) -> FlowState:
     )
 
 
-def _pack(pair: CauchyPair) -> np.ndarray:
-    return np.concatenate([pair.theta.as_array(), np.eye(3).ravel()])
-
-
 def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
                  n_steps_total: int | None = None,
                  tol: float = DEFAULT_TOL) -> list[FlowState]:
@@ -112,13 +110,16 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     at least one.  A window on both sides of t = 0 thus takes about twice
     ``n_steps_total`` steps.  Its states carry no error estimate.
 
-    Raises SingularTime when a step blows up (see ``_kernel_py._GUARD``)
-    before the march reaches a requested time.
+    Raises ValueError on a time that is not finite, and SingularTime when
+    the march blows up or overflows (see ``_advance``) before it reaches a
+    requested time.
     """
     require_valid(pair, tol)
     requested = [float(t) for t in times]
+    if not all(map(math.isfinite, requested)):
+        raise ValueError("integration times must be finite")
     times = sorted(requested)
-    y0 = _pack(pair)
+    y0 = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
     out: dict[float, FlowState] = {}
     controlled = n_steps_total is None and profile.kind == "constant"
     if controlled:
@@ -146,9 +147,17 @@ def uncertified(states) -> list[FlowState]:
             if st.error is not None and 2.0 * st.error > CERTIFY_LIMIT]
 
 
-def _blew_up(t_blow: float, target: float) -> SingularTime:
-    return SingularTime(f"integration blew up at t = {t_blow:.12g} before "
-                        f"reaching t = {target:.12g}")
+def _advance(y, profile, t, dt, n, target) -> tuple:
+    """y after ``n`` RK4 steps of size ``dt`` from time ``t``, as a tuple.
+    Raises SingularTime, naming ``target``, when a step trips the kernel's
+    guard on Theta or the state it ends on is not finite (U can overflow
+    while Theta stays bounded)."""
+    y, done, truncated = _kern.rk4_path(y, profile.stages(t, dt, n), dt, n)
+    if truncated or not all(map(math.isfinite, y)):
+        how = "blew up at" if truncated else "overflowed by"
+        raise SingularTime(f"integration {how} t = {t + done * dt:.12g} "
+                           f"before reaching t = {target:.12g}")
+    return y
 
 
 def _fixed_march(y0, profile, ts, n_steps_total):
@@ -156,18 +165,12 @@ def _fixed_march(y0, profile, ts, n_steps_total):
     direction), ``n_steps_total`` steps spread over the farthest of them."""
     y = y0
     prev = 0.0
-    out_t, out_y = np.empty(2), np.empty((2, 15))
     span = max(abs(ts[-1] - 0.0), 1e-300)
     for target in ts:
         seg = target - prev
         if seg != 0.0:
             n = max(1, int(round(n_steps_total * abs(seg) / span)))
-            dt = seg / n
-            _, _, truncated = _kern.rk4_path(
-                y, profile.stages(prev, dt, n), prev, dt, n, n, out_t, out_y)
-            if truncated:
-                raise _blew_up(out_t[1], target)
-            y = out_y[1].copy()
+            y = _advance(y, profile, prev, seg / n, n, target)
             prev = target
         yield target, y, None
 
@@ -199,16 +202,7 @@ def _controlled_march(y0, profile, ts):
     than the estimate says.  Errors are measured relative to max(1, |y|)
     per component and maximized over the 15.
     """
-    out_t, out_y = np.empty(3), np.empty((3, 15))
-
-    def rk4(y, t, dt, n, target):
-        _, _, truncated = _kern.rk4_path(
-            y, profile.stages(t, dt, n), t, dt, n, n, out_t, out_y)
-        if truncated:
-            raise _blew_up(out_t[1], target)
-        return out_y[1].tolist()
-
-    y = z = y0.tolist()
+    y = z = y0
     t = 0.0
     sign = 1.0 if ts[0] > 0 else -1.0
     # a first step over which the initial slope moves y by 1 percent
@@ -222,16 +216,15 @@ def _controlled_march(y0, profile, ts):
             if t + step == t:
                 raise SingularTime(f"integration stalled at t = {t:.12g} "
                                    f"before reaching t = {target:.12g}")
-            whole = rk4(y, t, step, 1, target)
-            halves = rk4(y, t, 0.5 * step, 2, target)
+            whole = _advance(y, profile, t, step, 1, target)
+            halves = _advance(y, profile, t, 0.5 * step, 2, target)
             error = _relative_gap(halves, whole) / 15.0
             if error <= LOCAL_TOL:
-                z = rk4(z, t, step, 1, target)
+                z = _advance(z, profile, t, step, 1, target)
                 y = halves
                 t = target if land else t + step
                 if land:
                     continue
-            # a NaN error shrinks the step: max(0.2, nan) is 0.2
             h = abs(step) * (5.0 if error == 0.0 else
                              min(5.0, max(0.2, 0.9 * (LOCAL_TOL / error) ** 0.2)))
         extrapolated = [a + (a - b) / 15.0 for a, b in zip(y, z)]

@@ -127,6 +127,41 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--t0=-inf"], ["curvature", "--t0=-inf"],
+        ["flow", "--t1", "inf", "--method", "rk4"], ["flow", "--t0", "nan"],
+    ], ids=["flow-minus-inf", "curvature-minus-inf", "rk4-inf", "flow-nan"])
+    def test_window_must_be_finite(self, e11_file, capsys, argv):
+        assert main([argv[0], e11_file] + argv[1:]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --t0 and --t1 must be finite, with --t0 below --t1\n"
+
+    def test_rk4_overflow_is_a_numeric_failure(self, e11_file, capsys):
+        # U overflows near t = 710 on E(1,1): no NaN row and no exit 0
+        code = main(["flow", e11_file, "--method", "rk4", "--t0", "0", "--t1", "800",
+                     "--samples", "2"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: integration overflowed")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "PAIR", "--tol", "-1e-9"], EXIT_IO),
+        (["nosuch", "PAIR"], EXIT_IO),
+        (["verify", "PAIR", "--samples", "x"], EXIT_IO),
+        ([], EXIT_IO),
+        (["validate", "--help"], EXIT_OK),
+    ], ids=["tol-read-as-option", "unknown-command", "samples-not-an-int",
+            "no-command", "help"])
+    def test_usage_error_exit_code(self, e11_file, capsys, argv, code):
+        # argparse's own usage-error code 2 would read as a numeric failure
+        with pytest.raises(SystemExit) as exc:
+            main([e11_file if a == "PAIR" else a for a in argv])
+        assert exc.value.code == code
+        if code != EXIT_OK:
+            assert "error: " in capsys.readouterr().err
+
     def test_failed_suite_exit_code(self, uu_file, monkeypatch, capsys):
         monkeypatch.setenv("SPINORFLOW_TOL", "1e-9")
         assert main(["verify", uu_file, "--suite", "constraints"]) == EXIT_OK
