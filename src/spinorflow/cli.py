@@ -86,8 +86,18 @@ def _flow_row(pair, profile, state: FlowState) -> list[float]:
 
 def _exact_state(pair, profile, t, tol) -> FlowState:
     th = theta_exact(pair, profile, t, tol)
-    u = frame_exact(pair, profile, t, tol).U
+    # a frame that overflows is refused by _state_from_vector
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = frame_exact(pair, profile, t, tol).U
     return _state_from_vector(t, np.concatenate([th.as_array(), u.ravel()]))
+
+
+def _span_end(x: float | None, fmt):
+    """A lifespan end as JSON: null when unknown, the string "-inf" or "inf"
+    when unbounded (JSON has no infinite numbers), else ``fmt(x)``."""
+    if x is None:
+        return None
+    return str(x) if math.isinf(x) else fmt(x)
 
 
 def _clip_window(span, profile, t0, t1) -> tuple[float, float]:
@@ -166,10 +176,8 @@ def cmd_lifespan(args, data) -> int:
     pair, profile = _parse_pair(data)
     span = lifespan(pair, profile, args.tol)
     payload = {
-        "t_minus": None if span.t_minus is None else (
-            "-inf" if math.isinf(span.t_minus) else _fmt(span.t_minus)),
-        "t_plus": None if span.t_plus is None else (
-            "inf" if math.isinf(span.t_plus) else _fmt(span.t_plus)),
+        "t_minus": _span_end(span.t_minus, _fmt),
+        "t_plus": _span_end(span.t_plus, _fmt),
         "immortal": span.immortal,
     }
     if span.note:
@@ -200,8 +208,8 @@ def cmd_curvature(args, data) -> int:
     reports = [curvature_report(pair, profile, t, args.tol) for t in times]
     payload = {
         "lifespan": {
-            "t_minus": None if span.t_minus is None else float(span.t_minus),
-            "t_plus": None if span.t_plus is None else float(span.t_plus),
+            "t_minus": _span_end(span.t_minus, float),
+            "t_plus": _span_end(span.t_plus, float),
             "immortal": span.immortal,
         },
         "samples": reports,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,9 +21,13 @@ class LapseProfile:
     """Strictly positive lapse, either constant or tabulated on a time grid.
 
     Tabulated profiles interpolate linearly between nodes; the integral B_t
-    is then the exact (trapezoid) integral of the interpolant.  Times outside
-    the table raise OutOfDomain.  Profiles compare and hash by value, the
-    tables included.
+    is then the exact (trapezoid) integral of the interpolant.  The first
+    ``b_integral`` or ``solve_b`` call builds the cumulative table, B at
+    every node, anchored at t = 0 (``_cumulative_trapezoid``); from it B_t
+    takes one binary search and a partial trapezoid, and its inverse one
+    binary search and a closed-form root.  Times outside the table raise
+    OutOfDomain.  Profiles compare and hash by value, the tables included;
+    the cumulative table is derived from them and takes no part.
     """
 
     kind: str  # "constant" | "tabulated"
@@ -93,12 +98,15 @@ class LapseProfile:
             return (-math.inf, math.inf)
         return (float(self.times[0]), float(self.times[-1]))
 
-    def beta(self, t: float) -> float:
-        if self.kind == "constant":
-            return self.value
+    def _check(self, t: float) -> None:
         lo, hi = self.domain()
         if not lo <= t <= hi:
             raise OutOfDomain(f"t = {t} outside tabulated domain [{lo}, {hi}]")
+
+    def beta(self, t: float) -> float:
+        if self.kind == "constant":
+            return self.value
+        self._check(t)
         return float(np.interp(t, self.times, self.values))
 
     def stages(self, t0: float, dt: float, n_steps: int):
@@ -133,21 +141,50 @@ class LapseProfile:
                 raise OutOfDomain(
                     f"t = {ts[bad]} outside tabulated domain [{lo}, {hi}]")
 
+    @functools.cached_property
+    def _cumulative(self) -> np.ndarray:
+        """B at every node of a tabulated profile, built on first use."""
+        return _cumulative_trapezoid(self.times, self.values)
+
+    def _segment(self, i: int) -> tuple[float, float, float, float, float]:
+        """(t_i, t_i+1, beta_i, beta_i+1, slope) of table segment i, as
+        Python floats."""
+        ta, tb = self.times.item(i), self.times.item(i + 1)
+        va, vb = self.values.item(i), self.values.item(i + 1)
+        return ta, tb, va, vb, (vb - va) / (tb - ta)
+
     def b_integral(self, t: float) -> float:
-        """Signed integral of the lapse from 0 to t."""
+        """Signed integral of the lapse from 0 to t.
+
+        A tabulated profile reads the node at or next to t, on the side of
+        t = 0, from the cumulative table and adds the trapezoid from that
+        node to t; inside the segment holding t = 0 it integrates from 0
+        itself, so small |t| keeps full relative accuracy."""
         if self.kind == "constant":
             return self.value * t
-        lo, hi = self.domain()
-        if not lo <= t <= hi:
-            raise OutOfDomain(f"t = {t} outside tabulated domain [{lo}, {hi}]")
-        a, b, sign = (0.0, t, 1.0) if t >= 0 else (t, 0.0, -1.0)
-        inside = (self.times > a) & (self.times < b)
-        knots = np.concatenate(([a], self.times[inside], [b]))
-        vals = np.interp(knots, self.times, self.values)
-        return sign * float(np.trapezoid(vals, knots))
+        self._check(t)
+        table = self._cumulative
+        i = int(self.times.searchsorted(t, "right")) - 1
+        if self.times.item(i) == t:
+            return table.item(i)
+        ta, tb, va, vb, slope = self._segment(i)
+        beta_t = slope * (t - ta) + va
+        if ta < 0.0 < tb:
+            return t * (slope * (0.0 - ta) + va + beta_t) / 2.0
+        if t > 0.0:
+            return table.item(i) + (t - ta) * (va + beta_t) / 2.0
+        return table.item(i + 1) - (tb - t) * (beta_t + vb) / 2.0
 
     def solve_b(self, target: float) -> float | None:
-        """Invert the monotone map t -> B_t by bisection.
+        """The time t with B_t = target.
+
+        A tabulated profile finds the segment holding the target in the
+        cumulative table.  B is quadratic on it: from a start point p with
+        lapse beta_p and B_p, B_t = B_p + beta_p s + m s^2 / 2 with
+        s = t - p and m the segment's slope, so s is the cancellation-free
+        root 2 r / (beta_p + sqrt(beta_p^2 + 2 m r)) of r = target - B_p,
+        which is r / beta_p on a flat segment.  p is the segment's end
+        nearer t = 0, or 0 itself in the segment that holds it.
 
         Returns None when the target is unreachable within the profile's
         domain (unknown boundary for tabulated profiles, genuinely
@@ -155,16 +192,44 @@ class LapseProfile:
         """
         if self.kind == "constant":
             return target / self.value
-        lo, hi = self.domain()
-        b_lo, b_hi = self.b_integral(lo), self.b_integral(hi)
-        if not b_lo <= target <= b_hi:
+        table = self._cumulative
+        if not table.item(0) <= target <= table.item(-1):
             return None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.b_integral(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, abs(lo), abs(hi)):
-                break
-        return 0.5 * (lo + hi)
+        i = int(table.searchsorted(target, "right")) - 1
+        if table.item(i) == target:
+            return self.times.item(i)
+        ta, tb, va, vb, slope = self._segment(i)
+        if ta < 0.0 < tb:
+            start, beta, rest = 0.0, slope * (0.0 - ta) + va, target
+        elif target > 0.0:
+            start, beta, rest = ta, va, target - table.item(i)
+        else:
+            start, beta, rest = tb, vb, target - table.item(i + 1)
+        root = math.sqrt(max(0.0, beta * beta + 2.0 * slope * rest))
+        return min(max(start + 2.0 * rest / (beta + root), ta), tb)
+
+
+def _prefix_sums(parts: np.ndarray) -> np.ndarray:
+    """Running sums of ``parts``, each correctly rounded up to a term of
+    order n eps^2: np.cumsum, corrected by the cumulated rounding error of
+    its additions, each recovered exactly by Knuth's TwoSum."""
+    sums = np.cumsum(parts)
+    prev = np.concatenate(([0.0], sums[:-1]))
+    added = sums - prev
+    return sums + np.cumsum((prev - (sums - added)) + (parts - added))
+
+
+def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """C[i] = integral from 0 to times[i] of the piecewise-linear lapse: the
+    trapezoid sums of its segments, accumulated outward from t = 0 in both
+    directions.  When 0 is no node, the segment holding it is split there at
+    the interpolated lapse."""
+    z = int(np.searchsorted(times, 0.0))
+    split = times[z] != 0.0
+    if split:
+        values = np.insert(values, z, np.interp(0.0, times, values))
+        times = np.insert(times, z, 0.0)
+    parts = np.diff(times) * (values[1:] + values[:-1]) / 2.0
+    table = np.concatenate((-_prefix_sums(parts[:z][::-1])[::-1], [0.0],
+                            _prefix_sums(parts[z:])))
+    return np.delete(table, z) if split else table

@@ -9,10 +9,12 @@ enters through them, handled analytically via the ODE right-hand sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SingularTime
 from .exact import frame_exact, theta_exact
 from .frames import Sym3, frame_ricci
 from .lapse import LapseProfile
@@ -134,16 +136,21 @@ def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
                      tol: float = DEFAULT_TOL) -> dict:
     """JSON-ready curvature summary at one time.  Theta_t, the coframe, Ric4
     and H_t are evaluated once, and the identity residual is taken from
-    them."""
+    them.  Raises SingularTime when a number of the summary is not finite."""
     th_t = theta_exact(pair, profile, t, tol)
     frame = _coframe4(th_t, profile, t)
-    ric = ricci4(frame)
-    ham = hamiltonian_of(th_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ric = ricci4(frame)
+        ham = hamiltonian_of(th_t)
+        residual = _identity_residual(ric, ham)
+    numbers = [ric.scalar, ham, residual, *ric.components.ravel().tolist()]
+    if not all(map(math.isfinite, numbers)):
+        raise SingularTime(f"the curvature at t = {t:.12g} is not finite")
     return {
         "t": float(t),
         "beta": frame.beta,
-        "ricci4": [[float(x) for x in row] for row in ric.components],
+        "ricci4": ric.components.tolist(),
         "scalar4": ric.scalar,
         "hamiltonian": ham,
-        "identity_residual": _identity_residual(ric, ham),
+        "identity_residual": residual,
     }

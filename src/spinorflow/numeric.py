@@ -78,14 +78,23 @@ def ode_rhs(theta: Sym3, U: np.ndarray, beta: float) -> tuple[Sym3, np.ndarray]:
 
 
 def _state_from_vector(t: float, y, error: float | None = None) -> FlowState:
+    """The state with components y = (Theta_t, U_t row by row).  Raises
+    SingularTime when a number of the state, h_t and H_t included, is not
+    finite: U can overflow, and h_t = U^T U overflows before it does."""
     theta = Sym3.from_array(y[:6])
     u = np.array(y[6:]).reshape(3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric = u.T @ u
+        hamiltonian = hamiltonian_of(theta)
+    if not (np.isfinite(metric).all() and np.isfinite(y).all()
+            and math.isfinite(hamiltonian)):
+        raise SingularTime(f"the flow state at t = {t:.12g} is not finite")
     return FlowState(
         t=float(t),
         theta=theta,
         U=u,
-        metric=Sym3.from_matrix(u.T @ u),
-        hamiltonian=hamiltonian_of(theta),
+        metric=Sym3.from_matrix(metric),
+        hamiltonian=hamiltonian,
         error=error,
     )
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import spinorflow
-from spinorflow import cli, numeric
+from spinorflow import cli, lapse, numeric
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -26,6 +26,10 @@ def theta_dict(**kw):
     base = dict(uu=0.0, ul=0.0, un=0.0, ll=0.0, ln=0.0, nn=0.0)
     base.update(kw)
     return base
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.fixture
@@ -145,6 +149,38 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numeric failure: integration overflowed")
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "exact", "--t0", "0", "--t1", "800"],
+        ["--method", "rk4", "--t1", "700"],
+    ], ids=["exact-frame-overflows", "rk4-metric-overflows"])
+    def test_non_finite_flow_is_a_numeric_failure(self, e11_file, capsys, argv):
+        # U grows like e^t on E(1,1): the closed-form frame is inf and NaN
+        # at t = 800, and h = U^T U overflows past t = 355 while U is finite
+        assert main(["flow", e11_file] + argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: the flow state at t = ")
+        assert captured.err.count("\n") == 1
+
+    def test_curvature_is_strict_json(self, e11_file, capsys):
+        # unbounded lifespan ends are written as the lifespan command writes
+        # them, not as the bare Infinity that JSON does not have
+        assert main(["curvature", e11_file, "--t1", "800", "--samples", "3"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out, parse_constant=_refuse_constant)
+        assert payload["lifespan"] == {"t_minus": "-inf", "t_plus": "inf", "immortal": True}
+        assert len(payload["samples"]) == 3
+
+    def test_non_finite_curvature_is_a_numeric_failure(self, tmp_path, capsys):
+        # E(1,1) scaled to |Theta| = 7e153 is still admissible, but Ric4,
+        # quadratic in Theta, overflows
+        path = write_pair(tmp_path, "huge", theta_dict(ll=7e153, nn=-7e153))
+        assert main(["curvature", path, "--samples", "3"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: the curvature at t = 0 is not finite\n"
 
     @pytest.mark.parametrize("argv, code", [
         (["validate", "PAIR", "--tol", "-1e-9"], EXIT_IO),
@@ -289,6 +325,36 @@ class TestFlow:
         b_idx = lines[0].split(",").index("B")
         # B(0.5) for beta = 2 + t is 1.125
         assert float(lines[-1].split(",")[b_idx]) == pytest.approx(1.125)
+
+
+class TestLapseTable:
+    """The cumulative table of a tabulated lapse is built on first use,
+    once per profile."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = lapse._cumulative_trapezoid
+        monkeypatch.setattr(lapse, "_cumulative_trapezoid",
+                            lambda *a: calls.append(a) or build(*a))
+        return calls
+
+    @pytest.fixture
+    def ramp_file(self, tmp_path):
+        beta = {"kind": "tabulated", "times": [-1.0, -0.2, 0.4, 2.0],
+                "values": [1.0, 1.5, 0.8, 3.0]}
+        return write_pair(tmp_path, "ramp", theta_dict(uu=1.0), extra={"beta": beta})
+
+    def test_validate_never_builds_it(self, ramp_file, builds, capsys):
+        assert main(["validate", ramp_file]) == EXIT_OK
+        assert builds == []
+
+    @pytest.mark.parametrize("argv", [
+        ["lifespan"], ["flow", "--method", "exact"], ["curvature"],
+    ], ids=["lifespan", "exact-flow", "curvature"])
+    def test_a_command_builds_it_once(self, ramp_file, builds, capsys, argv):
+        assert main([argv[0], ramp_file] + argv[1:]) == EXIT_OK
+        assert len(builds) == 1
 
 
 class TestCurvatureAndVerify:

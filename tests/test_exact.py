@@ -160,6 +160,174 @@ class TestBulkStages:
         assert got[-1] == "t = 1.005 outside tabulated domain [-1.0, 1.0]"
 
 
+def _b_integral_reference(prof, t):
+    """B_t by np.trapezoid over every node between 0 and t: the form the
+    cumulative table replaced, kept as its reference."""
+    lo, hi = prof.domain()
+    if not lo <= t <= hi:
+        raise OutOfDomain(f"t = {t} outside tabulated domain [{lo}, {hi}]")
+    a, b, sign = (0.0, t, 1.0) if t >= 0 else (t, 0.0, -1.0)
+    inside = (prof.times > a) & (prof.times < b)
+    knots = np.concatenate(([a], prof.times[inside], [b]))
+    vals = np.interp(knots, prof.times, prof.values)
+    return sign * float(np.trapezoid(vals, knots))
+
+
+def _solve_b_reference(prof, target):
+    """The inverse of B by bisection over ``_b_integral_reference``: the
+    form the closed-form root replaced, kept as its reference."""
+    lo, hi = prof.domain()
+    b_lo, b_hi = _b_integral_reference(prof, lo), _b_integral_reference(prof, hi)
+    if not b_lo <= target <= b_hi:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _b_integral_reference(prof, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14 * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _random_tables(seed, sizes=(2, 3, 17, 200, 2_000, 20_000)):
+    """Tabulated profiles of each size, on uniform and on random grids;
+    half of the random grids have a node at t = 0."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        for uniform in (True, False):
+            lo, hi = -rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)
+            if uniform:
+                times = np.linspace(lo, hi, n)
+            else:
+                inner = rng.uniform(lo, hi, max(n - 2, 0))
+                if n > 2 and rng.uniform() < 0.5:
+                    inner[0] = 0.0
+                times = np.unique(np.concatenate(([lo, hi], inner)))
+            yield LapseProfile.tabulated(times, rng.uniform(0.1, 3.0, len(times)))
+
+
+def _ulps(got, want, scale):
+    return abs(got - want) / np.spacing(scale)
+
+
+class TestCumulativeTable:
+    """The cumulative table against the forms it replaced: ``b_integral``
+    within 4 ulps of max(|B_t|, |B| at both table ends), ``solve_b`` within
+    1e-14 of the bisection relative to max(1, |t|), its stopping rule."""
+
+    @staticmethod
+    def _scale(prof):
+        lo, hi = prof.domain()
+        return max(abs(_b_integral_reference(prof, lo)), abs(_b_integral_reference(prof, hi)))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_b_integral_matches_the_trapezoid(self, seed):
+        rng = np.random.default_rng(seed)
+        for prof in _random_tables(seed):
+            lo, hi = prof.domain()
+            scale = self._scale(prof)
+            ts = np.concatenate((rng.uniform(lo, hi, 20), rng.choice(prof.times, 5),
+                                 [lo, hi, 0.0, 1e-9, -1e-9]))
+            for t in ts.tolist():
+                want = _b_integral_reference(prof, t)
+                got = prof.b_integral(t)
+                assert type(got) is float
+                assert _ulps(got, want, max(abs(want), scale)) <= 4, (len(prof.times), t)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_solve_b_matches_the_bisection(self, seed):
+        rng = np.random.default_rng(seed)
+        for prof in _random_tables(seed):
+            lo, hi = prof.domain()
+            b_lo, b_hi = prof.b_integral(lo), prof.b_integral(hi)
+            scale = max(abs(b_lo), abs(b_hi))
+            for target in rng.uniform(b_lo, b_hi, 4).tolist() + [0.0]:
+                want = _solve_b_reference(prof, target)
+                got = prof.solve_b(target)
+                assert type(got) is float
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (len(prof.times), target)
+                assert lo <= got <= hi
+                assert _ulps(prof.b_integral(got), target, max(abs(target), scale)) <= 4
+
+    def test_small_times_keep_relative_accuracy(self):
+        # the table is anchored at t = 0, with or without a node there
+        for times in ([-1.0, 0.0, 2.0], [-1.0, 0.5, 2.0], [-3.0, -1.0, 1.0, 2.0]):
+            prof = LapseProfile.tabulated(times, [0.5, 1.5, 1.0, 2.0][:len(times)])
+            for t in (1e-300, -1e-300, 1e-12, -1e-12):
+                want = t * (prof.beta(0.0) + prof.beta(t)) / 2.0
+                assert prof.b_integral(t) == pytest.approx(want, rel=1e-15, abs=0)
+                assert prof.solve_b(want) == pytest.approx(t, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("times", [
+        [-1.0, 0.0, 2.0], [-1.0, 0.5, 2.0], [0.0, 0.5, 2.0], [-2.0, -0.5, 0.0],
+        [-1.0, 2.0], [0.0, 2.0], [-2.0, 0.0],
+    ], ids=["zero-node", "zero-between", "starts-at-zero", "ends-at-zero",
+            "two-nodes", "two-nodes-from-zero", "two-nodes-to-zero"])
+    def test_edges(self, times):
+        prof = LapseProfile.tabulated(times, np.linspace(0.7, 1.9, len(times)))
+        lo, hi = prof.domain()
+        scale = self._scale(prof)
+        assert prof.b_integral(0.0) == 0.0 and prof.solve_b(0.0) == 0.0
+        for k, t in enumerate(times):  # every node, both ends among them
+            b = prof.b_integral(t)
+            assert b == prof._cumulative[k]
+            assert _ulps(b, _b_integral_reference(prof, t), scale) <= 4
+            assert prof.solve_b(b) == t
+        b_lo, b_hi = prof.b_integral(lo), prof.b_integral(hi)
+        assert prof.solve_b(np.nextafter(b_lo, -math.inf)) is None
+        assert prof.solve_b(np.nextafter(b_hi, math.inf)) is None
+
+    def test_flat_segment_takes_the_linear_root(self):
+        prof = LapseProfile.tabulated([-2.0, -1.0, 1.0, 3.0], [0.5, 1.25, 1.25, 3.0])
+        for target in (-1.2, -0.3, 0.4, 1.25):
+            assert prof.solve_b(target) == target / 1.25
+            assert prof.b_integral(target / 1.25) == pytest.approx(target, rel=1e-15)
+
+    def test_out_of_domain_and_none_are_unchanged(self):
+        prof = LapseProfile.tabulated([-1.0, 0.3, 2.0], [1.0, 2.0, 0.5])
+        for t in (-1.5, 2.0000001, math.inf, -math.inf, math.nan):
+            with pytest.raises(OutOfDomain) as want:
+                _b_integral_reference(prof, t)
+            with pytest.raises(OutOfDomain) as got:
+                prof.b_integral(t)
+            assert str(got.value) == str(want.value)
+        for target in (-10.0, 10.0, math.inf, -math.inf, math.nan):
+            assert prof.solve_b(target) is None
+            assert _solve_b_reference(prof, target) is None
+
+    @pytest.mark.parametrize("lapse", [
+        LapseProfile.tabulated([-3.0, -1.0, 0.5, 1.5, 3.0], [0.8, 1.2, 1.0, 1.7, 0.6]),
+        MIXING_RAMP,
+    ], ids=["five-nodes", "mixing-ramp"])
+    def test_lifespan_ends_match_the_bisection(self, row_pair, lapse, monkeypatch):
+        got = lifespan(row_pair, lapse)
+        monkeypatch.setattr(LapseProfile, "solve_b", _solve_b_reference)
+        want = lifespan(row_pair, lapse)
+        assert (got.immortal, got.note) == (want.immortal, want.note)
+        for g, w in ((got.t_minus, want.t_minus), (got.t_plus, want.t_plus)):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
+
+    def test_table_is_built_lazily_and_left_out_of_equality(self, monkeypatch):
+        builds = []
+        build = lapse_module._cumulative_trapezoid
+        monkeypatch.setattr(lapse_module, "_cumulative_trapezoid",
+                            lambda *a: builds.append(a) or build(*a))
+        built = LapseProfile.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0])
+        fresh = LapseProfile.tabulated([-1, 0, 1], [1, 2, 1])
+        before = hash(built)
+        built.beta(0.5), list(built.stages(0.0, 0.1, 3)), built.domain()
+        assert built == fresh and builds == []
+        built.b_integral(0.5), built.solve_b(0.5), built.b_integral(-0.5)
+        assert len(builds) == 1
+        # equality and hashing read the tables only, never the built one
+        assert built == fresh and hash(built) == hash(fresh) == before
+        assert len({built, fresh}) == 1 and len(builds) == 1
+
+
 class TestBranchDispatch:
     def test_branches(self):
         assert branch(ROW_PAIRS["R3"]) == QD
