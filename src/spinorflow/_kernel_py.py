@@ -1,15 +1,15 @@
 """The fixed-step RK4 kernel: the one RK4 loop of the package.
 
-``rk4_path(y0, stages, dt, n_steps)`` marches the 15 flow components
+``rk4_path(y0, beta, dt, n_steps)`` marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
-through ``n_steps`` steps of size ``dt``.  ``stages`` yields one lapse triple
-(beta(t), beta(t + dt/2), beta(t + dt)) per step, as ``LapseProfile.stages``
-builds it: k1 uses the first value, k2 and k3 the second, k4 the third.  A
-step that leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
-``_GUARD`` ends the march.  It returns ``(y, steps done, truncated)``: y is
-the state the march ends on, as a tuple of 15 floats, which on truncation is
-the state that tripped the guard.  The guard reads Theta only, so the caller
-checks y for an overflowed U.
+through ``n_steps`` steps of size ``dt`` at the one lapse value ``beta``.
+Every right-hand side is beta times a function of y, so a variable lapse
+needs no stage lapses: ``numeric`` marches it in B_t, the integral of the
+lapse, at unit lapse.  A step that leaves one of |Theta_uu|, |Theta_ll|,
+|Theta_ln|, |Theta_nn| above ``_GUARD`` ends the march.  It returns
+``(y, steps done, truncated)``: y is the state the march ends on, as a tuple
+of 15 floats, which on truncation is the state that tripped the guard.  The
+guard reads Theta only, so the caller checks y for an overflowed U.
 
 The loop is fully unrolled over scalars: the 13 evolving components
 (Theta_uu, Theta_ll, Theta_ln, Theta_nn and the nine entries of U) live in
@@ -41,11 +41,13 @@ def _rhs(y, beta):
     return out
 
 
-def rk4_path(y0, stages, dt, n_steps):
+def rk4_path(y0, beta, dt, n_steps):
     """March y0 by ``n_steps`` RK4 steps; see the module docstring."""
     # U is row-major: a*, b*, c* are its rows 0, 1, 2
     uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2 = (
         float(v) for v in y0)
+    beta = float(beta)
+    nb = -beta
     dt = float(dt)
     h2 = 0.5 * dt
     h6 = dt / 6.0
@@ -65,14 +67,12 @@ def rk4_path(y0, stages, dt, n_steps):
     un2 = un * un
     ulun = ul * un
 
-    # zip asks range first, so a lazy ``stages`` is never read past n_steps
-    for step, (lap0, laph, lap1) in zip(range(n_steps), stages):
-        nb = -lap0
+    for step in range(n_steps):
         # k1 at y
-        k1uu = lap0 * (uu * uu + ul2 + un2)
-        k1ll = lap0 * (ll * uu - ul2)
-        k1ln = lap0 * (ln * uu - ulun_s)
-        k1nn = lap0 * (nn * uu - un2)
+        k1uu = beta * (uu * uu + ul2 + un2)
+        k1ll = beta * (ll * uu - ul2)
+        k1ln = beta * (ln * uu - ulun_s)
+        k1nn = beta * (nn * uu - un2)
         k1a0 = nb * (uu * a0 + ul_s * b0 + un_s * c0)
         k1b0 = nb * (ul_s * a0 + ll * b0 + ln * c0)
         k1c0 = nb * (un_s * a0 + ln * b0 + nn * c0)
@@ -83,7 +83,6 @@ def rk4_path(y0, stages, dt, n_steps):
         k1b2 = nb * (ul_s * a2 + ll * b2 + ln * c2)
         k1c2 = nb * (un_s * a2 + ln * b2 + nn * c2)
         # k2 at y + dt/2 k1
-        nb = -laph
         xuu = uu + h2 * k1uu
         xll = ll + h2 * k1ll
         xln = ln + h2 * k1ln
@@ -97,10 +96,10 @@ def rk4_path(y0, stages, dt, n_steps):
         xc0 = c0 + h2 * k1c0
         xc1 = c1 + h2 * k1c1
         xc2 = c2 + h2 * k1c2
-        k2uu = laph * (xuu * xuu + ul2 + un2)
-        k2ll = laph * (xll * xuu - ul2)
-        k2ln = laph * (xln * xuu - ulun)
-        k2nn = laph * (xnn * xuu - un2)
+        k2uu = beta * (xuu * xuu + ul2 + un2)
+        k2ll = beta * (xll * xuu - ul2)
+        k2ln = beta * (xln * xuu - ulun)
+        k2nn = beta * (xnn * xuu - un2)
         k2a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
         k2b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
         k2c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
@@ -124,10 +123,10 @@ def rk4_path(y0, stages, dt, n_steps):
         xc0 = c0 + h2 * k2c0
         xc1 = c1 + h2 * k2c1
         xc2 = c2 + h2 * k2c2
-        k3uu = laph * (xuu * xuu + ul2 + un2)
-        k3ll = laph * (xll * xuu - ul2)
-        k3ln = laph * (xln * xuu - ulun)
-        k3nn = laph * (xnn * xuu - un2)
+        k3uu = beta * (xuu * xuu + ul2 + un2)
+        k3ll = beta * (xll * xuu - ul2)
+        k3ln = beta * (xln * xuu - ulun)
+        k3nn = beta * (xnn * xuu - un2)
         k3a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
         k3b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
         k3c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
@@ -138,7 +137,6 @@ def rk4_path(y0, stages, dt, n_steps):
         k3b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
         k3c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
         # k4 at y + dt k3
-        nb = -lap1
         xuu = uu + dt * k3uu
         xll = ll + dt * k3ll
         xln = ln + dt * k3ln
@@ -152,10 +150,10 @@ def rk4_path(y0, stages, dt, n_steps):
         xc0 = c0 + dt * k3c0
         xc1 = c1 + dt * k3c1
         xc2 = c2 + dt * k3c2
-        k4uu = lap1 * (xuu * xuu + ul2 + un2)
-        k4ll = lap1 * (xll * xuu - ul2)
-        k4ln = lap1 * (xln * xuu - ulun)
-        k4nn = lap1 * (xnn * xuu - un2)
+        k4uu = beta * (xuu * xuu + ul2 + un2)
+        k4ll = beta * (xll * xuu - ul2)
+        k4ln = beta * (xln * xuu - ulun)
+        k4nn = beta * (xnn * xuu - un2)
         k4a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
         k4b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
         k4c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)

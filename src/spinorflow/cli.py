@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -33,8 +34,10 @@ EXIT_INVALID = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
 
-# errors reported as "numeric failure" with EXIT_NUMERIC, per pair in a sweep
-_NUMERIC_FAILURES = (SingularTime, OutOfDomain, NotApplicable)
+# errors reported as "numeric failure: <last argument>" with EXIT_NUMERIC, per
+# pair in a sweep; Python raises OverflowError(errno, text) where a float
+# operation overflows, as squares of components near 1e160 do
+_NUMERIC_FAILURES = (SingularTime, OutOfDomain, NotApplicable, OverflowError)
 
 
 def _fmt(x: float) -> str:
@@ -149,7 +152,13 @@ def cmd_validate(args, data) -> int:
         return EXIT_INVALID
     inv = invariants(pair)
     group = classify(pair, args.tol)
-    con = constraints(pair, args.tol)
+    # squares of components past about 1e154 overflow: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        con = constraints(pair, args.tol)
+        momentum = float(np.max(np.abs(con.momentum_residual)))
+    numbers = (inv.lam, inv.T, inv.Delta, con.hamiltonian, momentum)
+    if not all(map(math.isfinite, numbers + (group.mu or 0.0,))):
+        raise OverflowError("the invariants of the pair are not finite")
     print(f"row: {report.row}")
     print(f"lambda: {_fmt(inv.lam)}  T: {_fmt(inv.T)}  Delta: {_fmt(inv.Delta)}")
     label = group.tag.value
@@ -157,7 +166,7 @@ def cmd_validate(args, data) -> int:
         label += f" (mu = {_fmt(group.mu)})"
     print(f"group: {label}")
     print(f"H0: {_fmt(con.hamiltonian)}")
-    print(f"momentum_residual: {_fmt(float(np.max(np.abs(con.momentum_residual))))}")
+    print(f"momentum_residual: {_fmt(momentum)}")
     print(f"constrained_ricci_flat: {str(con.is_vacuum_admissible).lower()}")
     return EXIT_OK
 
@@ -220,7 +229,9 @@ def cmd_curvature(args, data) -> int:
 
 def cmd_verify(args, data) -> int:
     pair, profile = _parse_pair(data)
-    rows = run_suite(pair, profile, args.suite, samples=args.samples, tol=args.tol)
+    # a residual that overflows fails its row: no warning is needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = run_suite(pair, profile, args.suite, samples=args.samples, tol=args.tol)
     # the oracle's rows share their states: one line per state
     _warn_uncertified({st.t: st for row in rows for st in row.uncertified}.values())
     failed = False
@@ -288,6 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building costs milliseconds, and parsing leaves the
+# parser as it was, each call on a namespace of its own
+_parser = functools.cache(build_parser)
+
+
 def _run_single(args, data) -> int:
     samples = getattr(args, "samples", None)  # None: a suite's own default
     if samples is not None and samples < 2:
@@ -314,7 +330,7 @@ def _tolerance(tol: float | None) -> float:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.tol = _tolerance(args.tol)
         data = _load_input(args.input)
@@ -339,7 +355,7 @@ def main(argv=None) -> int:
                     print(f"invalid pair: {'; '.join(exc.violations)}")
                     code = EXIT_INVALID
                 except _NUMERIC_FAILURES as exc:
-                    print(f"numeric failure: {exc}", file=sys.stderr)
+                    print(f"numeric failure: {exc.args[-1]}", file=sys.stderr)
                     code = EXIT_NUMERIC
                 except ValueError as exc:
                     print(f"error: {exc}", file=sys.stderr)
@@ -353,7 +369,7 @@ def main(argv=None) -> int:
             print(f"  {v}", file=sys.stderr)
         return EXIT_INVALID
     except _NUMERIC_FAILURES as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"numeric failure: {exc.args[-1]}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomain
-
-# Steps whose stage lapses one np.interp call evaluates: bounds the memory a
-# tabulated march holds and the work spent past a step that truncates it.
-_STAGE_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,38 +103,6 @@ class LapseProfile:
             return self.value
         self._check(t)
         return float(np.interp(t, self.times, self.values))
-
-    def stages(self, t0: float, dt: float, n_steps: int):
-        """Lapse triples (beta(t), beta(t + dt/2), beta(t + dt)) at
-        t = t0 + k dt for k = 0 .. n_steps - 1: the stage lapses of the RK4
-        kernel, as Python floats.
-
-        A tabulated profile evaluates them lazily, ``_STAGE_BLOCK`` steps at
-        a time: the stage times of a block are built with the same float
-        expressions as ``beta`` would be called with, checked against the
-        table once and interpolated by one ``np.interp`` call, which gives
-        every element exactly what the scalar call gives.  A march leaving
-        the table gets the steps before the one that leaves it, and
-        OutOfDomain, naming the first stage time outside the table, only
-        when it asks for that step."""
-        if self.kind == "constant":
-            return itertools.repeat((self.value,) * 3, n_steps)
-        return self._tabulated_stages(t0, dt, n_steps)
-
-    def _tabulated_stages(self, t0, dt, n_steps):
-        lo, hi = self.domain()
-        half = 0.5 * dt
-        for start in range(0, n_steps, _STAGE_BLOCK):
-            ts = []
-            for step in range(start, min(start + _STAGE_BLOCK, n_steps)):
-                t = t0 + step * dt if step else t0
-                ts += (t, t + half, t + dt)
-            bad = next((i for i, t in enumerate(ts) if not lo <= t <= hi), None)
-            vals = np.interp(ts[:bad], self.times, self.values).tolist()
-            yield from zip(vals[0::3], vals[1::3], vals[2::3])
-            if bad is not None:
-                raise OutOfDomain(
-                    f"t = {ts[bad]} outside tabulated domain [{lo}, {hi}]")
 
     @functools.cached_property
     def _cumulative(self) -> np.ndarray:

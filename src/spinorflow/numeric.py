@@ -1,15 +1,16 @@
 """Numerical integration of the flow ODEs: the independent oracle for the
 closed-form solutions, plus residual monitors for the full flow system.
 
-``integrate_to`` is the one RK4 march to requested times.  A constant lapse
-is marched under step-doubling error control, landing on every requested
-time and estimating the global error of each state; ``uncertified`` lists
-the states that estimate cannot vouch for.  A tabulated lapse, or a caller
-that names ``n_steps_total``, gets a fixed-step march.  Both marches carry
-the state as a tuple of 15 floats and advance it through ``_advance``, the
-one call of the kernel ``_kern.rk4_path`` (the unrolled pure-Python loop of
-``_kernel_py``), fed the stage lapses of ``LapseProfile.stages``.
-``KERNEL_BACKEND`` names that kernel.
+``integrate_to`` is the one RK4 march to requested times.  Every lapse is
+marched under step-doubling error control, landing on every requested time
+and estimating the global error of each state; ``uncertified`` lists the
+states that estimate cannot vouch for.  A constant lapse is marched in t at
+its own value, any other in B_t, the integral of the lapse, at unit lapse.
+A caller that names ``n_steps_total`` gets a fixed-step march in the same
+clock instead.  Both marches carry the state as a tuple of 15 floats and
+advance it through ``_advance``, the one call of the kernel
+``_kern.rk4_path`` (the unrolled pure-Python loop of ``_kernel_py``), at
+one lapse value.  ``KERNEL_BACKEND`` names that kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ LOCAL_TOL = 1e-12
 # deviation from the true flow, relative to max(1, |y|), that a state of the
 # controlled march must be certified within; ``uncertified`` lists the others
 CERTIFY_LIMIT = 1e-8
-# steps per direction of the fixed march when the caller names none
-_FIXED_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,9 @@ class ResidualReport:
     closedness: float        # r4
 
     def max(self) -> float:
-        return max(self.frame_evolution, self.structure,
-                   self.theta_u_constancy, self.closedness)
+        """The largest residual, NaN when one is."""
+        return float(np.max([self.frame_evolution, self.structure,
+                             self.theta_u_constancy, self.closedness]))
 
 
 def hamiltonian_of(theta: Sym3) -> float:
@@ -106,46 +106,62 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     duplicates included.  Positive times are marched forward from t = 0 and
     negative times backward, each direction in one pass.
 
-    A constant lapse with no ``n_steps_total`` is marched under step
-    doubling (``_controlled_march``): every step keeps its local error
-    within ``LOCAL_TOL`` relative to max(1, |y|), the step is clamped to
-    land on each requested time, and each state carries a global error
-    estimate (``FlowState.error``) that ``uncertified`` reads.
+    Every right-hand side of the flow is beta(t) F(y), so y(t) = Y(B_t)
+    where Y solves dY/ds = F(Y).  A constant lapse is marched in t at its
+    own value, any other in s = ``profile.b_integral(t)`` at unit lapse,
+    where the kinks of a table vanish.  ``FlowState.t`` is the requested t,
+    and SingularTime messages name times t (s through ``profile.solve_b``).
 
-    A tabulated lapse, or any lapse with ``n_steps_total`` given, takes
-    the fixed march (``_fixed_march``): each direction gets
-    ``n_steps_total`` (default 10,000) steps of its own, a segment
-    round(n_steps_total * |segment| / |farthest time in its direction|),
-    at least one.  A window on both sides of t = 0 thus takes about twice
-    ``n_steps_total`` steps.  Its states carry no error estimate.
+    With no ``n_steps_total`` the march is under step doubling
+    (``_controlled_march``): every step keeps its local error within
+    ``LOCAL_TOL`` relative to max(1, |y|), lands on each requested time,
+    and each state carries a global error estimate (``FlowState.error``)
+    that ``uncertified`` reads.  With ``n_steps_total`` given, each
+    direction takes that many fixed steps in the same clock
+    (``_fixed_march``), spread over its stops in proportion to their
+    lengths, at least one a stop; its states carry no error estimate.
 
-    Raises ValueError on a time that is not finite, and SingularTime when
-    the march blows up or overflows (see ``_advance``) before it reaches a
-    requested time.
+    Raises ValueError on a time that is not finite, OutOfDomain on one
+    outside a table, and SingularTime when the march blows up or overflows
+    (see ``_advance``) before it reaches a requested time.
     """
     require_valid(pair, tol)
     requested = [float(t) for t in times]
     if not all(map(math.isfinite, requested)):
         raise ValueError("integration times must be finite")
-    times = sorted(requested)
-    y0 = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
-    out: dict[float, FlowState] = {}
-    controlled = n_steps_total is None and profile.kind == "constant"
-    if controlled:
-        march = _controlled_march
+    if profile.kind == "constant":  # the clock is t itself
+        beta, clock, to_t = profile.value, float, float
     else:
-        march = functools.partial(_fixed_march, n_steps_total=(
-            _FIXED_STEPS if n_steps_total is None else n_steps_total))
-    if 0.0 in times:
+        beta, clock = 1.0, profile.b_integral
+        to_t = functools.partial(_time_at, profile)
+    y0 = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
+    at: dict[float, list[float]] = {}  # clock value -> the times it stands for
+    for t in dict.fromkeys(requested):
+        at.setdefault(clock(t), []).append(t)
+    march = _controlled_march if n_steps_total is None else functools.partial(
+        _fixed_march, n_steps_total=n_steps_total)
+    out: dict[float, FlowState] = {}
+
+    def keep(s, y, error):
+        for t in at[s]:
+            out[t] = _state_from_vector(t, y, error)
+
+    if 0.0 in at:
         # the initial datum, exact
-        out[0.0] = _state_from_vector(0.0, y0, 0.0 if controlled else None)
-    fwd = [t for t in times if t > 0]
-    bwd = sorted((t for t in times if t < 0), reverse=True)
-    for ts in (fwd, bwd):
-        if ts:
-            for t, y, error in march(y0, profile, ts):
-                out[t] = _state_from_vector(t, y, error)
+        keep(0.0, y0, 0.0 if n_steps_total is None else None)
+    for stops in (sorted(s for s in at if s > 0),
+                  sorted((s for s in at if s < 0), reverse=True)):
+        if stops:
+            for s, y, error in march(y0, beta, stops, to_t):
+                keep(s, y, error)
     return [out[t] for t in requested]
+
+
+def _time_at(profile: LapseProfile, s: float) -> float:
+    """The t with B_t = s, or the end of the table an s rounded past it lies
+    beyond."""
+    t = profile.solve_b(s)
+    return profile.domain()[1 if s > 0 else 0] if t is None else t
 
 
 def uncertified(states) -> list[FlowState]:
@@ -156,30 +172,31 @@ def uncertified(states) -> list[FlowState]:
             if st.error is not None and 2.0 * st.error > CERTIFY_LIMIT]
 
 
-def _advance(y, profile, t, dt, n, target) -> tuple:
-    """y after ``n`` RK4 steps of size ``dt`` from time ``t``, as a tuple.
-    Raises SingularTime, naming ``target``, when a step trips the kernel's
-    guard on Theta or the state it ends on is not finite (U can overflow
-    while Theta stays bounded)."""
-    y, done, truncated = _kern.rk4_path(y, profile.stages(t, dt, n), dt, n)
+def _advance(y, beta, s, ds, n, target, to_t) -> tuple:
+    """y after ``n`` RK4 steps of size ``ds`` at lapse ``beta`` from clock
+    value ``s``, as a tuple.  Raises SingularTime, naming ``target`` as a
+    time through ``to_t``, when a step trips the kernel's guard on Theta or
+    the state it ends on is not finite (U can overflow while Theta stays
+    bounded)."""
+    y, done, truncated = _kern.rk4_path(y, beta, ds, n)
     if truncated or not all(map(math.isfinite, y)):
         how = "blew up at" if truncated else "overflowed by"
-        raise SingularTime(f"integration {how} t = {t + done * dt:.12g} "
-                           f"before reaching t = {target:.12g}")
+        raise SingularTime(f"integration {how} t = {to_t(s + done * ds):.12g} "
+                           f"before reaching t = {to_t(target):.12g}")
     return y
 
 
-def _fixed_march(y0, profile, ts, n_steps_total):
-    """(t, y, None) at each of ``ts`` (moving away from zero in one
-    direction), ``n_steps_total`` steps spread over the farthest of them."""
+def _fixed_march(y0, beta, stops, to_t, n_steps_total):
+    """(s, y, None) at each of ``stops`` (clock values moving away from zero
+    in one direction), ``n_steps_total`` steps spread over the farthest."""
     y = y0
     prev = 0.0
-    span = max(abs(ts[-1] - 0.0), 1e-300)
-    for target in ts:
+    span = max(abs(stops[-1] - 0.0), 1e-300)
+    for target in stops:
         seg = target - prev
         if seg != 0.0:
             n = max(1, int(round(n_steps_total * abs(seg) / span)))
-            y = _advance(y, profile, prev, seg / n, n, target)
+            y = _advance(y, beta, prev, seg / n, n, target, to_t)
             prev = target
         yield target, y, None
 
@@ -189,17 +206,17 @@ def _relative_gap(a, b) -> float:
     return max(abs(x - z) / max(1.0, abs(x)) for x, z in zip(a, b))
 
 
-def _controlled_march(y0, profile, ts):
-    """(t, y, global error estimate) at each of ``ts`` (moving away from
-    zero in one direction), for a constant lapse.
+def _controlled_march(y0, beta, stops, to_t):
+    """(s, y, global error estimate) at each of ``stops`` (clock values
+    moving away from zero in one direction), at lapse ``beta``.
 
     Step doubling (Hairer, Norsett and Wanner, Solving ODEs I, II.4): a
     trial step of size h is taken once as one RK4 step and once as two of
     size h/2.  The two results differ by about 15 times the local error of
     the second, which is kept when that error is within ``LOCAL_TOL``.
     Either way the next h is 0.9 (LOCAL_TOL / error)^(1/5) times this one,
-    clamped to [h/5, 5 h].  A step that would pass the next requested time
-    is shortened to land on it, and the h proposed before it is kept.
+    clamped to [h/5, 5 h].  A step that would pass the next stop is
+    shortened to land on it, and the h proposed before it is kept.
 
     A coarse companion z takes one RK4 step of size h over every accepted
     step, so the march y is the half-step solution on the mesh that z
@@ -212,26 +229,26 @@ def _controlled_march(y0, profile, ts):
     per component and maximized over the 15.
     """
     y = z = y0
-    t = 0.0
-    sign = 1.0 if ts[0] > 0 else -1.0
+    s = 0.0
+    sign = 1.0 if stops[0] > 0 else -1.0
     # a first step over which the initial slope moves y by 1 percent
-    slope = _kern._rhs(y, profile.value)
+    slope = _kern._rhs(y, beta)
     rate = max(abs(d) / max(1.0, abs(v)) for v, d in zip(y, slope))
-    h = min(abs(ts[-1]), 0.01 / rate) if rate > 0 else abs(ts[-1])
-    for target in ts:
-        while t != target:
-            land = h >= abs(target - t)
-            step = target - t if land else sign * h
-            if t + step == t:
-                raise SingularTime(f"integration stalled at t = {t:.12g} "
-                                   f"before reaching t = {target:.12g}")
-            whole = _advance(y, profile, t, step, 1, target)
-            halves = _advance(y, profile, t, 0.5 * step, 2, target)
+    h = min(abs(stops[-1]), 0.01 / rate) if rate > 0 else abs(stops[-1])
+    for target in stops:
+        while s != target:
+            land = h >= abs(target - s)
+            step = target - s if land else sign * h
+            if s + step == s:
+                raise SingularTime(f"integration stalled at t = {to_t(s):.12g} "
+                                   f"before reaching t = {to_t(target):.12g}")
+            whole = _advance(y, beta, s, step, 1, target, to_t)
+            halves = _advance(y, beta, s, 0.5 * step, 2, target, to_t)
             error = _relative_gap(halves, whole) / 15.0
             if error <= LOCAL_TOL:
-                z = _advance(z, profile, t, step, 1, target)
+                z = _advance(z, beta, s, step, 1, target, to_t)
                 y = halves
-                t = target if land else t + step
+                s = target if land else s + step
                 if land:
                     continue
             h = abs(step) * (5.0 if error == 0.0 else

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,48 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numeric failure: the curvature at t = 0 is not finite\n"
+
+    def test_overflowing_invariants_are_a_numeric_failure(self, tmp_path, capsys):
+        # E(1,1) scaled to |Theta| = 7e153 is admissible, but its Hamiltonian
+        # constraint, quadratic in Theta, is -inf
+        path = write_pair(tmp_path, "huge", theta_dict(ll=7e153, nn=-7e153))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", path]) == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: the invariants of the pair are not finite\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["flow"], ["flow", "--method", "rk4"],
+        ["curvature", "--samples", "3"], ["verify"], ["verify", "--suite", "constraints"],
+    ], ids=["validate", "flow-exact", "flow-rk4", "curvature", "verify", "verify-constraints"])
+    def test_python_overflow_is_a_numeric_failure(self, tmp_path, capsys, argv):
+        # at |Theta| = 1e160 a Python float square raises OverflowError
+        path = write_pair(tmp_path, "huger", theta_dict(ll=1e160, nn=-1e160))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([argv[0], path] + argv[1:]) == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: Numerical result out of range\n"
+
+    def test_a_residual_that_is_not_finite_fails_its_row(self, tmp_path, capsys):
+        # at 7e153 the Hamiltonian is -inf at every sample, so the deviation
+        # from its closed form is NaN, which max() would drop
+        path = write_pair(tmp_path, "huge", theta_dict(ll=7e153, nn=-7e153))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", path, "--suite", "constraints"]) == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = captured.out.splitlines()
+        assert len(rows) == 2
+        assert all(row.startswith("[FAIL] ") and " max residual nan " in row
+                   for row in rows)
 
     @pytest.mark.parametrize("argv, code", [
         (["validate", "PAIR", "--tol", "-1e-9"], EXIT_IO),
@@ -464,6 +507,32 @@ class TestSweep:
         first, second, third = captured.out.split("# pair ")[1:]
         assert second == "1\n"
         assert third.startswith("2\n") and third[2:] == first[2:]
+
+
+class TestParserReuse:
+    def test_calls_in_a_row_do_not_leak_arguments(self, tmp_path, e11_file, capsys):
+        single = ["flow", e11_file, "--samples", "3"]
+        assert main(single) == EXIT_OK
+        alone = capsys.readouterr()
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps([{"theta": theta_dict(uu=1.0)},
+                                    {"theta": theta_dict(ll=1.0, nn=-1.0)}]))
+        sweep = ["flow", str(path), "--sweep", "--t0", "-0.5", "--t1", "0.5",
+                 "--samples", "4", "--method", "rk4", "--out", str(tmp_path / "run.csv")]
+        outputs = []
+        for argv in (sweep, single, sweep, single):
+            assert main(argv) == EXIT_OK
+            captured = capsys.readouterr()
+            if argv is sweep:
+                files = sorted(tmp_path.glob("run.*.csv"))
+                assert [f.name for f in files] == ["run.000.csv", "run.001.csv"]
+                captured = (captured, [f.read_text() for f in files])
+            outputs.append(captured)
+        # the single flow keeps its defaults and stdout after a sweep with --out
+        assert outputs[1] == outputs[3] == alone
+        assert outputs[0] == outputs[2]
+        assert all(len(text.splitlines()) == 5 for text in outputs[0][1])
+        assert cli._parser() is cli._parser()
 
 
 def test_cli_import_leaves_scipy_out():

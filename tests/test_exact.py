@@ -85,80 +85,6 @@ class TestLapse:
         assert UNIT != LapseProfile.tabulated([-1.0, 1.0], [1.0, 1.0])
         assert len({tab, same, UNIT, LapseProfile.constant(1.0)}) == 2
 
-    def test_stages(self):
-        assert list(UNIT.stages(0.3, 0.1, 2)) == [(1.0, 1.0, 1.0)] * 2
-        prof = LapseProfile.tabulated([-1.0, 1.0], [1.0, 3.0])  # beta(t) = 2 + t
-        got = list(prof.stages(0.5, -0.25, 2))
-        assert got == [(prof.beta(0.5), prof.beta(0.375), prof.beta(0.25)),
-                       (prof.beta(0.25), prof.beta(0.125), prof.beta(0.0))]
-
-    def test_tabulated_stages_are_lazy(self):
-        prof = LapseProfile.tabulated([0.0, 1.0], [1.0, 1.0])
-        stages = prof.stages(0.0, 0.4, 5)  # steps 0 and 1 stay inside [0, 1]
-        next(stages), next(stages)
-        with pytest.raises(OutOfDomain):
-            next(stages)
-
-
-def _stages_reference(prof, t0, dt, n_steps):
-    """Per-step stage lapses, three scalar ``beta`` calls a step: the
-    reference the bulk ``LapseProfile.stages`` must match bit for bit."""
-    t = t0
-    for step in range(n_steps):
-        yield prof.beta(t), prof.beta(t + 0.5 * dt), prof.beta(t + dt)
-        t = t0 + (step + 1) * dt
-
-
-def _stage_record(stages):
-    """Each triple as exact bits, then the OutOfDomain message if raised."""
-    out = []
-    try:
-        for triple in stages:
-            assert all(type(b) is float for b in triple)
-            out.append(tuple(b.hex() for b in triple))
-    except OutOfDomain as exc:
-        out.append(str(exc))
-    return out
-
-
-_BLOCK = lapse_module._STAGE_BLOCK
-
-
-class TestBulkStages:
-    # (t0, dt as a fraction of the table width, n_steps); the table has a
-    # node at 0.0, so a signed-zero t0 lands on a node
-    @pytest.mark.parametrize("t0, frac, n", [
-        (0.1, 0.3, 0), (0.1, 0.3, 1), (0.1, 0.5 / (2 * _BLOCK + 7), 2 * _BLOCK + 7),
-        (0.1, -0.5 / (2 * _BLOCK + 7), 2 * _BLOCK + 7),
-        (-0.0, 0.4 / 50, 50), (-0.0, -0.4 / 50, 50), (0.0, -0.4 / 50, 50),
-        # leaves the table inside the first block, then in a later one
-        (0.2, 1.0 / 40, 60), (0.2, 1.0 / 1000, 3 * _BLOCK),
-        (-0.2, -1.0 / 1000, 3 * _BLOCK),
-        # the second stage of the first step is already outside
-        ("hi", 0.01, 5),
-    ], ids=["n0", "n1", "blocks-fwd", "blocks-bwd", "signed-zero-fwd",
-            "signed-zero-bwd", "zero-bwd", "leaves-fwd", "leaves-later-block",
-            "leaves-bwd", "starts-at-end"])
-    def test_matches_per_step_reference(self, t0, frac, n):
-        rng = np.random.default_rng(20211)
-        for nodes in (2, 7, 1001):
-            lo, hi = -rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-            times = np.unique(np.concatenate(
-                ([lo, 0.0, hi], rng.uniform(lo, hi, nodes - 2))))
-            prof = LapseProfile.tabulated(times, rng.uniform(0.2, 3.0, len(times)))
-            start = hi if t0 == "hi" else t0
-            dt = frac * (hi - lo)
-            assert (_stage_record(prof.stages(start, dt, n))
-                    == _stage_record(_stages_reference(prof, start, dt, n)))
-
-    def test_raises_at_the_step_that_leaves(self):
-        prof = LapseProfile.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0])
-        got = _stage_record(prof.stages(0.5, 0.01, 2 * _BLOCK))
-        # step 50 starts on the end of [-1, 1]; its half step is the first
-        # stage time outside
-        assert len(got) == 51
-        assert got[-1] == "t = 1.005 outside tabulated domain [-1.0, 1.0]"
-
 
 def _b_integral_reference(prof, t):
     """B_t by np.trapezoid over every node between 0 and t: the form the
@@ -319,7 +245,7 @@ class TestCumulativeTable:
         built = LapseProfile.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0])
         fresh = LapseProfile.tabulated([-1, 0, 1], [1, 2, 1])
         before = hash(built)
-        built.beta(0.5), list(built.stages(0.0, 0.1, 3)), built.domain()
+        built.beta(0.5), built.domain()
         assert built == fresh and builds == []
         built.b_integral(0.5), built.solve_b(0.5), built.b_integral(-0.5)
         assert len(builds) == 1

@@ -1,6 +1,7 @@
 """Numerical integrator: oracle agreement, convergence order, conserved
-quantities, residual monitors, and bit-for-bit parity of the RK4 kernel with
-a list-form reference."""
+quantities, residual monitors, bit-for-bit parity of the RK4 kernel with a
+list-form reference, and agreement of the march in B with that list form
+marched in t on smooth tables."""
 
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from spinorflow import CauchyPair, LapseProfile, SingularTime, Sym3, \
     flow_residuals, frame_exact, integrate_to, lifespan, ode_rhs, theta_exact
 from spinorflow.numeric import CERTIFY_LIMIT, KERNEL_BACKEND, FlowState, \
-    uncertified
+    ResidualReport, uncertified
 from spinorflow.verify import sample_times
 from spinorflow import _kernel_py, numeric
 
@@ -19,8 +20,16 @@ from conftest import ROW_PAIRS
 UNIT = LapseProfile.constant(1.0)
 # beta = 1 on [-2, 2]: the unit lapse, through the tabulated code path
 UNIT_TABLE = LapseProfile.tabulated([-2.0, 2.0], [1.0, 1.0])
-# a lapse whose stage values differ, so a kernel that mixes them up is seen
+# a lapse with kinks between the requested times
 RAMP = LapseProfile.tabulated([-1.0, -0.2, 0.5, 1.0], [0.6, 1.4, 0.9, 2.0])
+# a constant lapse other than 1, so a kernel that drops or misplaces it is seen
+LAPSE_13 = LapseProfile.constant(1.3)
+# smooth lapses sampled on many nodes, wide enough to hold every lifespan end
+# of the conftest rows: a march in t converges on them at RK4's order
+_GRID = np.linspace(-4.0, 4.0, 401)
+SMOOTH = LapseProfile.tabulated(_GRID, 1.0 + 0.3 * np.sin(1.3 * _GRID + 0.4))
+_FINE = np.linspace(-3.0, 3.0, 2000)
+SMOOTH_FINE = LapseProfile.tabulated(_FINE, 0.8 + 0.5 * np.cos(0.7 * _FINE) ** 2)
 
 
 class TestOdeRhs:
@@ -135,6 +144,12 @@ class TestResiduals:
         rep = flow_residuals(state, pair)
         assert rep.max() == 0.0
 
+    def test_max_keeps_a_nan(self):
+        for k in range(4):
+            values = [1e-3] * 4
+            values[k] = math.nan
+            assert math.isnan(ResidualReport(*values).max())
+
     def test_integrator_output_is_small(self, row_pair):
         for st in _path(row_pair, 0.3):
             assert flow_residuals(st, row_pair).max() <= 1e-8
@@ -182,8 +197,8 @@ class TestIntegrateTo:
             assert np.max(np.abs(st.U - frame_exact(row_pair, UNIT, t).U)) <= 1e-8
 
     def test_tabulated_march_interpolates_in_bulk(self, monkeypatch):
-        # the stage lapses come from LapseProfile.stages, never from one
-        # beta call per stage
+        # a table is marched in B at unit lapse: the march never reads the
+        # lapse at a stage time
         calls = []
         beta = LapseProfile.beta
         monkeypatch.setattr(LapseProfile, "beta",
@@ -213,32 +228,41 @@ class TestIntegrateTo:
             integrate_to(ROW_PAIRS["E11"], UNIT, [0.5, t])
 
 
-def _deviation(pair, state):
+def _deviation(pair, state, profile=UNIT):
     """Largest deviation of theta and U from the closed form, relative to
     max(1, |closed form|) per component."""
-    exact = np.concatenate([theta_exact(pair, UNIT, state.t).as_array(),
-                            frame_exact(pair, UNIT, state.t).U.ravel()])
-    got = np.concatenate([state.theta.as_array(), state.U.ravel()])
-    return float(np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))))
+    exact = np.concatenate([theta_exact(pair, profile, state.t).as_array(),
+                            frame_exact(pair, profile, state.t).U.ravel()])
+    return _gap(np.concatenate([state.theta.as_array(), state.U.ravel()]), exact)
+
+
+def _gap(got, ref):
+    """max_i |got_i - ref_i| / max(1, |ref_i|)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
 
 
 class TestControlledMarch:
     def test_flags_every_state_it_gets_wrong(self, row_pair):
         # at 1e-2, 1e-4 and 1e-6 (relative) before each finite lifespan end
-        span = lifespan(row_pair, UNIT)
-        ends = [e for e in (span.t_minus, span.t_plus)
-                if e is not None and math.isfinite(e)]
-        times = [e * (1.0 - gap) for e in ends for gap in (1e-2, 1e-4, 1e-6)]
-        states = integrate_to(row_pair, UNIT, times)
-        wrong = [st.t for st in states if _deviation(row_pair, st) > CERTIFY_LIMIT]
-        assert set(wrong) <= {st.t for st in uncertified(states)}
-        # the march cannot hold 1e-8 at 1e-6 from a pole: the check bites
-        assert len(wrong) >= len(ends)
+        for profile in (UNIT, SMOOTH):
+            span = lifespan(row_pair, profile)
+            ends = [e for e in (span.t_minus, span.t_plus)
+                    if e is not None and math.isfinite(e)]
+            times = [e * (1.0 - gap) for e in ends for gap in (1e-2, 1e-4, 1e-6)]
+            states = integrate_to(row_pair, profile, times)
+            wrong = [st.t for st in states
+                     if _deviation(row_pair, st, profile) > CERTIFY_LIMIT]
+            assert set(wrong) <= {st.t for st in uncertified(states)}, profile.kind
+            # the march cannot hold 1e-8 at 1e-6 from a pole: the check bites
+            assert len(wrong) >= len(ends), profile.kind
 
     def test_certifies_the_middle_window(self, row_pair):
-        states = integrate_to(row_pair, UNIT, sample_times(row_pair, UNIT, 20))
-        assert uncertified(states) == []
-        assert max(_deviation(row_pair, st) for st in states) <= CERTIFY_LIMIT
+        for profile in (UNIT, SMOOTH):
+            states = integrate_to(row_pair, profile, sample_times(row_pair, profile, 20))
+            assert uncertified(states) == [], profile.kind
+            assert max(_deviation(row_pair, st, profile)
+                       for st in states) <= CERTIFY_LIMIT, profile.kind
 
     def test_middle_window_takes_few_steps(self, row_pair, monkeypatch):
         steps = []
@@ -250,39 +274,54 @@ class TestControlledMarch:
             return result
 
         monkeypatch.setattr(numeric._kern, "rk4_path", counting)
-        integrate_to(row_pair, UNIT, sample_times(row_pair, UNIT, 20))
-        assert 0 < sum(steps) < 10_000
+        for profile in (UNIT, SMOOTH):
+            steps.clear()
+            integrate_to(row_pair, profile, sample_times(row_pair, profile, 20))
+            assert 0 < sum(steps) < 10_000, profile.kind
 
-    def test_tabulated_lapse_keeps_the_fixed_march(self):
-        pair = ROW_PAIRS["tau2R-general"]
-        times = [-0.2, 0.1, 0.4, 0.1]
-        got = integrate_to(pair, RAMP, times)
-        ref = integrate_to(pair, RAMP, times, n_steps_total=10_000)
-        for a, b in zip(got, ref):
-            assert _same_bits(a.theta.as_array(), b.theta.as_array())
-            assert _same_bits(a.U, b.U)
-            assert a.error is None and b.error is None
+    def test_tabulated_b_march_matches_a_fine_t_march(self, row_pair):
+        # the list form marched in t reads the lapse at every stage, as the
+        # march did before it moved to B; 4,000 steps a direction hold it
+        # within 1e-9 of the closed forms on these tables
+        for profile in (SMOOTH, SMOOTH_FINE):
+            times = sample_times(row_pair, profile, 10)
+            got = integrate_to(row_pair, profile, times)
+            ref = _t_march(row_pair, profile, times, 4000)
+            for st, (t, y) in zip(got, ref):
+                assert st.t == t
+                state = np.concatenate([st.theta.as_array(), st.U.ravel()])
+                assert _gap(state, y) <= CERTIFY_LIMIT, (len(profile.times), t)
 
     def test_only_the_controlled_march_estimates(self):
         pair = ROW_PAIRS["tau2R-general"]
-        assert [st.error for st in integrate_to(pair, UNIT, [0.0, 0.3],
-                                                n_steps_total=1000)] == [None, None]
-        exact0, st = integrate_to(pair, UNIT, [0.0, 0.3])
-        assert exact0.error == 0.0 and 0.0 < st.error <= CERTIFY_LIMIT
+        for profile in (UNIT, SMOOTH):
+            assert [st.error for st in integrate_to(
+                pair, profile, [0.0, 0.3], n_steps_total=1000)] == [None, None]
+            exact0, st = integrate_to(pair, profile, [0.0, 0.3])
+            assert exact0.error == 0.0 and 0.0 < st.error <= CERTIFY_LIMIT
 
 
-def _run_kernel(kernel, y0, t0, dt, n, profile=UNIT):
-    y, done, trunc = kernel.rk4_path(y0, profile.stages(t0, dt, n), dt, n)
+def _run_kernel(kernel, y0, dt, n, profile=UNIT):
+    y, done, trunc = kernel.rk4_path(y0, profile.value, dt, n)
     assert type(y) is tuple and all(type(v) is float for v in y)
     return np.array(y), done, trunc
 
 
-def _list_form_step(y, profile, t, dt):
-    """One RK4 step in list form, with the lapse read at t, t + dt/2, t + dt:
-    the reference the kernel must match bit for bit."""
-    b0 = profile.beta(t)
-    bh = profile.beta(t + 0.5 * dt)
-    b1 = profile.beta(t + dt)
+def _stages_reference(prof, t0, dt, n_steps):
+    """Per-step stage lapses (beta(t), beta(t + dt/2), beta(t + dt)) at
+    t = t0 + k dt, three scalar ``beta`` calls a step: what a march in t
+    reads of a variable lapse."""
+    t = t0
+    for step in range(n_steps):
+        yield prof.beta(t), prof.beta(t + 0.5 * dt), prof.beta(t + dt)
+        t = t0 + (step + 1) * dt
+
+
+def _list_form_step(y, lapses, dt):
+    """One RK4 step in list form, k1 at the first of the stage lapses, k2
+    and k3 at the second, k4 at the third: at a constant lapse, the
+    reference the kernel must match bit for bit."""
+    b0, bh, b1 = lapses
     k1 = _kernel_py._rhs(y, b0)
     k2 = _kernel_py._rhs([y[i] + 0.5 * dt * k1[i] for i in range(15)], bh)
     k3 = _kernel_py._rhs([y[i] + 0.5 * dt * k2[i] for i in range(15)], bh)
@@ -291,19 +330,33 @@ def _list_form_step(y, profile, t, dt):
 
 
 def _run_list_form(y0, t0, dt, n, profile=UNIT):
-    """The list-form march with the kernel's truncation rule: the state it
-    ends on, the steps done and the truncated flag."""
+    """The list-form march in t with the kernel's truncation rule: the state
+    it ends on, the steps done and the truncated flag."""
     y = [float(v) for v in y0]
-    t = t0
     done, trunc = n, False
-    for step in range(n):
-        y = _list_form_step(y, profile, t, dt)
-        t = t0 + (step + 1) * dt
+    for step, lapses in enumerate(_stages_reference(profile, t0, dt, n)):
+        y = _list_form_step(y, lapses, dt)
         trunc = max(abs(y[0]), abs(y[3]), abs(y[4]), abs(y[5])) > _kernel_py._GUARD
         if trunc:
             done = step + 1
             break
     return np.array(y), done, trunc
+
+
+def _t_march(pair, profile, times, n):
+    """(t, y) at each of ``times`` by the list form marched in t from 0,
+    each direction in one pass of about ``n`` steps to its farthest time."""
+    y0 = np.concatenate([pair.theta.as_array(), np.eye(3).ravel()])
+    out = {0.0: y0}
+    for side in (1.0, -1.0):
+        ts = sorted((t for t in times if side * t > 0), key=abs)
+        y, prev = y0, 0.0
+        for t in ts:
+            k = max(1, round(n * abs(t - prev) / abs(ts[-1])))
+            y, _, trunc = _run_list_form(y, prev, (t - prev) / k, k, profile)
+            assert not trunc
+            out[t], prev = y, t
+    return [(t, out[t]) for t in times]
 
 
 def _same_bits(a, b):
@@ -325,8 +378,8 @@ class TestKernelParity:
         y0 = np.concatenate([pair.theta.as_array(), np.eye(3).ravel()])
         n = 500
         dt = 0.4 / n
-        for profile in (UNIT, RAMP):
-            _assert_same_path(_run_kernel(numeric._kern, y0, 0.0, dt, n, profile),
+        for profile in (UNIT, LAPSE_13):
+            _assert_same_path(_run_kernel(numeric._kern, y0, dt, n, profile),
                               _run_list_form(y0, 0.0, dt, n, profile))
 
     def test_backend_reported(self):
@@ -336,26 +389,25 @@ class TestKernelParity:
         y0 = np.concatenate([[1.0, 0, 0, 0, 0, 0], np.eye(3).ravel()])
         n = 10_000
         dt = 1.05 / n
-        for profile in (UNIT, UNIT_TABLE):
-            got = _run_kernel(_kernel_py, y0, 0.0, dt, n, profile)
-            y, done, trunc = got
-            # the end state is the one that tripped the guard
-            assert trunc and done < n and y[0] > _kernel_py._GUARD
-            _assert_same_path(got, _run_list_form(y0, 0.0, dt, n, profile))
+        got = _run_kernel(_kernel_py, y0, dt, n)
+        y, done, trunc = got
+        # the end state is the one that tripped the guard
+        assert trunc and done < n and y[0] > _kernel_py._GUARD
+        _assert_same_path(got, _run_list_form(y0, 0.0, dt, n))
 
-    @pytest.mark.parametrize("theta, t0, dt, n, profile", [
-        # backward march from a nonzero start, as integrate_to runs it
-        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), -0.1, -0.3 / 400, 400, UNIT),
+    @pytest.mark.parametrize("theta, dt, n, profile", [
+        # backward march, as integrate_to runs it
+        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), -0.3 / 400, 400, UNIT),
         # signed zeros in the conserved Theta_ul, Theta_un and in Theta_ln
-        ((1.0, -0.0, 0.0, 0.5, -0.0, 2.0), 0.0, 0.01, 30, UNIT),
-        ((1.0, -0.0, -0.0, 0.5, -0.0, 2.0), 0.0, -0.01, 30, UNIT),
-        # a varying lapse: each stage must read its own value
-        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.2, -0.9 / 300, 300, RAMP),
-        # one step from a nonzero time, as a step-size controller takes it
-        ((1.0, 0.6, 0.8, 0.5, -0.3, 2.0), 0.35, 0.0625, 1, RAMP),
-    ], ids=["backward", "signed-zero-fwd", "signed-zero-bwd", "tabulated",
+        ((1.0, -0.0, 0.0, 0.5, -0.0, 2.0), 0.01, 30, UNIT),
+        ((1.0, -0.0, -0.0, 0.5, -0.0, 2.0), -0.01, 30, UNIT),
+        # a lapse other than 1: every stage must read it
+        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), -0.9 / 300, 300, LAPSE_13),
+        # one step, as a step-size controller takes it
+        ((1.0, 0.6, 0.8, 0.5, -0.3, 2.0), 0.0625, 1, LAPSE_13),
+    ], ids=["backward", "signed-zero-fwd", "signed-zero-bwd", "lapse-1.3",
             "adaptive-step"])
-    def test_python_kernel_matches_list_form(self, theta, t0, dt, n, profile):
+    def test_python_kernel_matches_list_form(self, theta, dt, n, profile):
         y0 = np.concatenate([theta, np.eye(3).ravel()])
-        _assert_same_path(_run_kernel(_kernel_py, y0, t0, dt, n, profile),
-                          _run_list_form(y0, t0, dt, n, profile))
+        _assert_same_path(_run_kernel(_kernel_py, y0, dt, n, profile),
+                          _run_list_form(y0, 0.0, dt, n, profile))
