@@ -8,9 +8,10 @@ states that estimate cannot vouch for.  A constant lapse is marched in t at
 its own value, any other in B_t, the integral of the lapse, at unit lapse.
 A caller that names ``n_steps_total`` gets a fixed-step march in the same
 clock instead.  Both marches carry the state as a tuple of 15 floats and
-advance it through ``_advance``, the one call of the kernel
-``_kern.rk4_path`` (the unrolled pure-Python loop of ``_kernel_py``), at
-one lapse value.  ``KERNEL_BACKEND`` names that kernel.
+make one kernel call per advance, at one lapse value: the controlled march
+one ``_kern.doubling_step`` per trial step, the fixed march one
+``_kern.rk4_path`` per segment through ``_advance``.  The kernel is the
+unrolled pure-Python module ``_kernel_py``; ``KERNEL_BACKEND`` names it.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
 
     Raises ValueError on a time that is not finite, OutOfDomain on one
     outside a table, and SingularTime when the march blows up or overflows
-    (see ``_advance``) before it reaches a requested time.
+    (see ``_singular``) before it reaches a requested time.
     """
     require_valid(pair, tol)
     requested = [float(t) for t in times]
@@ -174,16 +175,21 @@ def uncertified(states) -> list[FlowState]:
 
 def _advance(y, beta, s, ds, n, target, to_t) -> tuple:
     """y after ``n`` RK4 steps of size ``ds`` at lapse ``beta`` from clock
-    value ``s``, as a tuple.  Raises SingularTime, naming ``target`` as a
-    time through ``to_t``, when a step trips the kernel's guard on Theta or
-    the state it ends on is not finite (U can overflow while Theta stays
-    bounded)."""
+    value ``s``, as a tuple.  Raises SingularTime (``_singular``) when a
+    step trips the kernel's guard on Theta or the state it ends on is not
+    finite (U can overflow while Theta stays bounded)."""
     y, done, truncated = _kern.rk4_path(y, beta, ds, n)
     if truncated or not all(map(math.isfinite, y)):
-        how = "blew up at" if truncated else "overflowed by"
-        raise SingularTime(f"integration {how} t = {to_t(s + done * ds):.12g} "
-                           f"before reaching t = {to_t(target):.12g}")
+        raise _singular(truncated, s + done * ds, target, to_t)
     return y
+
+
+def _singular(tripped, s, target, to_t) -> SingularTime:
+    """The error for a march that stopped at clock value ``s``, short of
+    ``target``: on a guard trip, or on a state that is not finite."""
+    how = "blew up at" if tripped else "overflowed by"
+    return SingularTime(f"integration {how} t = {to_t(s):.12g} "
+                        f"before reaching t = {to_t(target):.12g}")
 
 
 def _fixed_march(y0, beta, stops, to_t, n_steps_total):
@@ -204,6 +210,12 @@ def _fixed_march(y0, beta, stops, to_t, n_steps_total):
 def _relative_gap(a, b) -> float:
     """max_i |a_i - b_i| / max(1, |a_i|)."""
     return max(abs(x - z) / max(1.0, abs(x)) for x, z in zip(a, b))
+
+
+# where each leg of a ``_kern.doubling_step`` trial of size h stops, as
+# ``_advance`` counted it: (steps done, step size over h)
+_LEG_ENDS = {"whole": (1, 1.0), "half 1": (1, 0.5), "half 2": (2, 0.5),
+             "companion": (1, 1.0)}
 
 
 def _controlled_march(y0, beta, stops, to_t):
@@ -227,6 +239,11 @@ def _controlled_march(y0, beta, stops, to_t):
     the extrapolated states lie 50 to 3,500 times closer to the closed form
     than the estimate says.  Errors are measured relative to max(1, |y|)
     per component and maximized over the 15.
+
+    Each trial is one ``_kern.doubling_step`` call: the whole step, both
+    half steps, the local error and, on an accepted trial, the companion
+    step.  A leg that trips the guard or ends on a state that is not
+    finite raises the SingularTime ``_advance`` would raise for it.
     """
     y = z = y0
     s = 0.0
@@ -242,12 +259,14 @@ def _controlled_march(y0, beta, stops, to_t):
             if s + step == s:
                 raise SingularTime(f"integration stalled at t = {to_t(s):.12g} "
                                    f"before reaching t = {to_t(target):.12g}")
-            whole = _advance(y, beta, s, step, 1, target, to_t)
-            halves = _advance(y, beta, s, 0.5 * step, 2, target, to_t)
-            error = _relative_gap(halves, whole) / 15.0
-            if error <= LOCAL_TOL:
-                z = _advance(z, beta, s, step, 1, target, to_t)
-                y = halves
+            halves, companion, error, failed = _kern.doubling_step(
+                y, z, beta, step, LOCAL_TOL)
+            if failed:
+                leg, tripped = failed
+                done, fraction = _LEG_ENDS[leg]
+                raise _singular(tripped, s + done * (fraction * step), target, to_t)
+            if companion is not None:  # error <= LOCAL_TOL
+                y, z = halves, companion
                 s = target if land else s + step
                 if land:
                     continue

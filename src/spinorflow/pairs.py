@@ -196,8 +196,18 @@ def require_valid(pair: CauchyPair, tol: float = DEFAULT_TOL) -> ValidationRepor
 
 
 def classify(pair: CauchyPair, tol: float = DEFAULT_TOL) -> GroupType:
-    """Isomorphism type of the underlying group from (T, Delta, lambda)."""
+    """Isomorphism type of the underlying group from (T, Delta, lambda).
+
+    Past max |Theta| = 1 every threshold scales with Theta, so the pair is
+    classified scaled by a power of two into [1, 2), where Delta cannot
+    overflow; wherever it did not overflow unscaled, the tag and mu are
+    the same, bit for bit."""
     th = pair.theta
+    big = th.max_abs()
+    if big > 1.0:
+        k = 1 - math.frexp(big)[1]
+        th = Sym3(*(math.ldexp(v, k) for v in th.as_array().tolist()))
+        pair = CauchyPair(th)
     inv = invariants(pair)
     scale = max(1.0, th.max_abs())
     lam_zero = inv.lam <= tol * scale

@@ -251,6 +251,12 @@ class TestClassifyAndLifespan:
         assert main(["classify", e11_file]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "E11"
 
+    def test_classify_at_a_large_magnitude(self, tmp_path, capsys):
+        # unscaled, Delta and its threshold overflow to inf and read as zero
+        path = write_pair(tmp_path, "huger", theta_dict(ll=1e160, nn=-1e160))
+        assert main(["classify", path]) == EXIT_OK
+        assert capsys.readouterr().out == "E11\n"
+
     def test_classify_mu(self, tmp_path, capsys):
         path = write_pair(tmp_path, "tau3", theta_dict(uu=3.0, ll=2.0, nn=1.0))
         assert main(["classify", path]) == EXIT_OK

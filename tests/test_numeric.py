@@ -222,6 +222,30 @@ class TestIntegrateTo:
         with pytest.raises(SingularTime, match=r"overflowed by t = .* before reaching t = 800"):
             integrate_to(ROW_PAIRS["E11"], profile, [0.5, 800.0])
 
+    @pytest.mark.parametrize("leg, tripped, stop", [
+        ("whole", True, "0.5"), ("half 1", True, "0.25"), ("half 2", False, "0.5"),
+        ("companion", False, "0.5")], ids=["whole", "half-1", "half-2", "companion"])
+    def test_names_where_the_failing_leg_stopped(self, monkeypatch, leg, tripped, stop):
+        # Theta = 0 has no slope, so the first trial is the whole window
+        monkeypatch.setattr(numeric._kern, "doubling_step",
+                            lambda y, z, beta, h, tol: (y, None, None, (leg, tripped)))
+        how = "blew up at" if tripped else "overflowed by"
+        with pytest.raises(SingularTime, match=rf"^integration {how} t = {stop} "
+                                               r"before reaching t = 0\.5$"):
+            integrate_to(CauchyPair.from_components(), UNIT, [0.5])
+
+    @pytest.mark.parametrize("pair, profile, times", [
+        (CauchyPair.from_components(uu=1.0), LAPSE_13, [-3.0, 0.5, 0.9]),
+        (CauchyPair.from_components(uu=-1.0), UNIT_TABLE, [-1.5]),
+        (ROW_PAIRS["E11"], UNIT, [-800.0]),
+    ], ids=["blowup-fwd", "blowup-bwd-table", "overflow-bwd"])
+    def test_raises_like_the_three_call_march(self, monkeypatch, pair, profile, times):
+        with pytest.raises(SingularTime) as ref:
+            _three_call_states(pair, profile, times, monkeypatch)
+        with pytest.raises(SingularTime) as got:
+            integrate_to(pair, profile, times)
+        assert str(got.value) == str(ref.value)
+
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_refuses_a_time_that_is_not_finite(self, t):
         with pytest.raises(ValueError, match="times must be finite"):
@@ -265,19 +289,46 @@ class TestControlledMarch:
                        for st in states) <= CERTIFY_LIMIT, profile.kind
 
     def test_middle_window_takes_few_steps(self, row_pair, monkeypatch):
+        # RK4 steps counted through the march's one kernel entry: the whole
+        # step, two half steps and, on an accepted trial, the companion step
         steps = []
-        rk4_path = numeric._kern.rk4_path
+        doubling_step = numeric._kern.doubling_step
 
         def counting(*args):
-            result = rk4_path(*args)
-            steps.append(result[1])  # steps done, as perfbench counts them
+            result = doubling_step(*args)
+            steps.append(3 + (result[1] is not None))
             return result
 
-        monkeypatch.setattr(numeric._kern, "rk4_path", counting)
+        monkeypatch.setattr(numeric._kern, "doubling_step", counting)
+        monkeypatch.setattr(numeric._kern, "rk4_path", None)  # never called
         for profile in (UNIT, SMOOTH):
             steps.clear()
             integrate_to(row_pair, profile, sample_times(row_pair, profile, 20))
             assert 0 < sum(steps) < 10_000, profile.kind
+
+    def test_matches_the_three_call_march(self, row_pair, monkeypatch):
+        # one doubling_step call per trial gives the bits of the march that
+        # made three rk4_path calls per trial, up to 1e-4 from a pole
+        for profile in (LAPSE_13, SMOOTH):
+            span = lifespan(row_pair, profile)
+            times = list(sample_times(row_pair, profile, 20)) + [
+                e * (1.0 - gap) for e in (span.t_minus, span.t_plus)
+                if e is not None and math.isfinite(e) for gap in (1e-2, 1e-4)]
+            _assert_same_states(integrate_to(row_pair, profile, times),
+                                _three_call_states(row_pair, profile, times, monkeypatch))
+
+    def test_matches_the_three_call_march_when_trials_are_rejected(self, monkeypatch):
+        # at a local tolerance near rounding, trials are rejected: no test at
+        # LOCAL_TOL reaches that branch, not even 1e-6 from a pole
+        monkeypatch.setattr(numeric, "LOCAL_TOL", 1e-15)
+        rejected = []
+        for pair, profile in ((ROW_PAIRS["tau2R-general"], LAPSE_13),
+                              (ROW_PAIRS["tau3mu"], SMOOTH)):
+            times = sample_times(pair, profile, 5)
+            _assert_same_states(integrate_to(pair, profile, times),
+                                _three_call_states(pair, profile, times, monkeypatch,
+                                                   rejected))
+        assert len(rejected) > 0
 
     def test_tabulated_b_march_matches_a_fine_t_march(self, row_pair):
         # the list form marched in t reads the lapse at every stage, as the
@@ -299,6 +350,60 @@ class TestControlledMarch:
                 pair, profile, [0.0, 0.3], n_steps_total=1000)] == [None, None]
             exact0, st = integrate_to(pair, profile, [0.0, 0.3])
             assert exact0.error == 0.0 and 0.0 < st.error <= CERTIFY_LIMIT
+
+
+def _three_call_march(y0, beta, stops, to_t, rejected=None):
+    """The controlled march as it ran before ``doubling_step``: each trial
+    makes three ``rk4_path`` calls through ``numeric._advance`` (the whole
+    step, the two half steps, the companion step) and its own
+    ``_relative_gap``.  The reference ``_controlled_march`` must match bit
+    for bit; ``rejected`` collects the clock values of rejected trials."""
+    advance, gap = numeric._advance, numeric._relative_gap
+    y = z = y0
+    s = 0.0
+    sign = 1.0 if stops[0] > 0 else -1.0
+    slope = _kernel_py._rhs(y, beta)
+    rate = max(abs(d) / max(1.0, abs(v)) for v, d in zip(y, slope))
+    h = min(abs(stops[-1]), 0.01 / rate) if rate > 0 else abs(stops[-1])
+    for target in stops:
+        while s != target:
+            land = h >= abs(target - s)
+            step = target - s if land else sign * h
+            if s + step == s:
+                raise SingularTime(f"integration stalled at t = {to_t(s):.12g} "
+                                   f"before reaching t = {to_t(target):.12g}")
+            whole = advance(y, beta, s, step, 1, target, to_t)
+            halves = advance(y, beta, s, 0.5 * step, 2, target, to_t)
+            error = gap(halves, whole) / 15.0
+            if error <= numeric.LOCAL_TOL:
+                z = advance(z, beta, s, step, 1, target, to_t)
+                y = halves
+                s = target if land else s + step
+                if land:
+                    continue
+            elif rejected is not None:
+                rejected.append(s)
+            h = abs(step) * (5.0 if error == 0.0 else
+                             min(5.0, max(0.2, 0.9 * (numeric.LOCAL_TOL / error) ** 0.2)))
+        extrapolated = [a + (a - b) / 15.0 for a, b in zip(y, z)]
+        yield target, extrapolated, gap(y, z) / 15.0
+
+
+def _three_call_states(pair, profile, times, monkeypatch, rejected=None):
+    """``integrate_to`` run on ``_three_call_march``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(numeric, "_controlled_march", lambda *args: _three_call_march(
+            *args, rejected=rejected))
+        return integrate_to(pair, profile, times)
+
+
+def _assert_same_states(got, ref):
+    assert [st.t for st in got] == [st.t for st in ref]
+    for a, b in zip(got, ref):
+        assert _same_bits(a.theta.as_array(), b.theta.as_array())
+        assert _same_bits(a.U, b.U) and _same_bits(a.metric.as_array(), b.metric.as_array())
+        assert _same_bits(np.array([a.hamiltonian, a.error]),
+                          np.array([b.hamiltonian, b.error]))
 
 
 def _run_kernel(kernel, y0, dt, n, profile=UNIT):
@@ -411,3 +516,112 @@ class TestKernelParity:
         y0 = np.concatenate([theta, np.eye(3).ravel()])
         _assert_same_path(_run_kernel(_kernel_py, y0, dt, n, profile),
                           _run_list_form(y0, 0.0, dt, n, profile))
+
+    @pytest.mark.parametrize("beta", [1.0, 1.3], ids=["beta-1", "beta-1.3"])
+    @pytest.mark.parametrize("h", [0.05, -0.05], ids=["fwd", "bwd"])
+    def test_doubling_step_matches_list_form(self, row_pair, beta, h):
+        # from a state with a U that is not the identity, and a companion
+        # apart from it; tol = inf takes every trial
+        y0 = np.concatenate([row_pair.theta.as_array(), np.eye(3).ravel()]).tolist()
+        y = tuple(_list_form_step(y0, (beta,) * 3, 0.1))
+        z = tuple(v * (1.0 + 1e-7) for v in y)
+        for tol in (math.inf, numeric.LOCAL_TOL):
+            _assert_same_trial(_kernel_py.doubling_step(y, z, beta, h, tol),
+                               _list_form_trial(y, z, beta, h, tol))
+
+    @pytest.mark.parametrize("ul, un", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
+                             ids=["ul-neg", "un-neg", "both-neg"])
+    @pytest.mark.parametrize("h", [0.05, -0.05], ids=["fwd", "bwd"])
+    def test_doubling_step_keeps_signed_zeros(self, ul, un, h):
+        # the companion carries the zeros of the other sign
+        y = (1.0, ul, un, 0.5, -0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+        z = y[:1] + (-ul, -un) + y[3:]
+        got = _kernel_py.doubling_step(y, z, 1.3, h, math.inf)
+        _assert_same_trial(got, _list_form_trial(y, z, 1.3, h, math.inf))
+        assert got[1] is not None
+
+    @pytest.mark.parametrize("uu, zuu, h, leg", [
+        # RK4 from Theta_uu = 10 over h = 1 lands past the guard
+        (10.0, 1.0, 1.0, "whole"),
+        # the whole step climbs back inside the guard, the first half not
+        (-1.0000001e12, 1.0, 1.5e-19, "half 1"),
+        # the whole step falls short of the guard that two halves pass
+        (1e11, 1.0, 0.94e-11, "half 2"),
+        (1.0, 10.0, 1.0, "companion"),
+    ], ids=["whole", "half-1", "half-2", "companion"])
+    def test_doubling_step_truncation_contract(self, uu, zuu, h, leg):
+        # Theta_uu over the identity frame, the rest of Theta zero
+        y, z = ((v,) + (0.0,) * 5 + tuple(np.eye(3).ravel().tolist()) for v in (uu, zuu))
+        got = _kernel_py.doubling_step(y, z, 1.0, h, math.inf)
+        assert got[1:] == (None, None, (leg, True))
+        _assert_same_trial(got, _list_form_trial(y, z, 1.0, h, math.inf))
+
+    @pytest.mark.parametrize("leg", ["whole", "companion"])
+    def test_doubling_step_reports_an_overflowed_frame(self, leg):
+        # Theta = -2 I stays bounded while each entry of U in turn, at
+        # 1e308, grows past the largest float: the guard reads Theta only
+        fine = (1.0,) + (0.0,) * 5 + tuple(np.eye(3).ravel().tolist())
+        for i in range(6, 15):
+            big = [-2.0, 0.0, 0.0, -2.0, 0.0, -2.0] + np.eye(3).ravel().tolist()
+            big[i] = 1e308
+            y, z = (tuple(big), fine) if leg == "whole" else (fine, tuple(big))
+            got = _kernel_py.doubling_step(y, z, 1.0, 1.0, math.inf)
+            assert got[1:] == (None, None, (leg, False)), i
+            _assert_same_trial(got, _list_form_trial(y, z, 1.0, 1.0, math.inf))
+
+    def test_doubling_step_rejects_without_a_companion(self):
+        pair = ROW_PAIRS["tau2R-general"]
+        y = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
+        taken = _kernel_py.doubling_step(y, y, 1.3, 0.05, math.inf)
+        error = taken[2]
+        assert error > 0.0
+        # an error equal to tol is taken, one ulp above it is not
+        assert _kernel_py.doubling_step(y, y, 1.3, 0.05, error)[1] is not None
+        tol = math.nextafter(error, 0.0)
+        rejected = _kernel_py.doubling_step(y, y, 1.3, 0.05, tol)
+        assert rejected[1] is None and rejected[3] is None
+        assert rejected[2] == error
+        assert _same_bits(np.array(rejected[0]), np.array(taken[0]))
+        _assert_same_trial(rejected, _list_form_trial(y, y, 1.3, 0.05, tol))
+
+
+def _tripped(y):
+    """The kernel's guard: |Theta_uu|, |Theta_ll|, |Theta_ln| or |Theta_nn|
+    past ``_GUARD``; a NaN does not trip it."""
+    return any(abs(y[i]) > _kernel_py._GUARD for i in (0, 3, 4, 5))
+
+
+def _list_form_trial(y, z, beta, h, tol):
+    """``doubling_step`` from the list form: the whole step, the two half
+    steps, the local error and, within ``tol``, the companion step, each
+    leg checked as ``rk4_path`` and ``numeric._advance`` check it."""
+    lapses = (beta, beta, beta)
+    whole = _list_form_step(y, lapses, h)
+    if _tripped(whole) or not all(map(math.isfinite, whole)):
+        return whole, None, None, ("whole", _tripped(whole))
+    half = _list_form_step(y, lapses, 0.5 * h)
+    if _tripped(half):
+        return half, None, None, ("half 1", True)
+    halves = _list_form_step(half, lapses, 0.5 * h)
+    if _tripped(halves) or not all(map(math.isfinite, halves)):
+        return halves, None, None, ("half 2", _tripped(halves))
+    error = max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(halves, whole)) / 15.0
+    if error > tol:
+        return halves, None, error, None
+    companion = _list_form_step(z, lapses, h)
+    if _tripped(companion) or not all(map(math.isfinite, companion)):
+        return companion, None, None, ("companion", _tripped(companion))
+    return halves, companion, error, None
+
+
+def _assert_same_trial(got, ref):
+    assert type(got[0]) is tuple and all(type(v) is float for v in got[0])
+    assert got[3] == ref[3]
+    assert _same_bits(np.array(got[0]), np.array(ref[0]))
+    assert (got[1] is None) == (ref[1] is None)
+    if ref[1] is not None:
+        assert type(got[1]) is tuple and all(type(v) is float for v in got[1])
+        assert _same_bits(np.array(got[1]), np.array(ref[1]))
+    assert (got[2] is None) == (ref[2] is None)
+    if ref[2] is not None:
+        assert _same_bits(np.array([got[2]]), np.array([ref[2]]))

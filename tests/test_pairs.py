@@ -5,6 +5,8 @@ that inspects the structure constants directly (derived-subalgebra
 dimension, unimodularity, eigenvalues of the adjoint action).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,15 @@ class TestClassify:
         g = classify(CauchyPair.from_components(ll=1.0, nn=-0.5, uu=2.0))
         assert g.tag is GroupTag.TAU3_MU
         assert 0.0 < abs(g.mu) <= 1.0
+
+    def test_scaling_by_powers_of_two_keeps_tag_and_mu(self, row_pair):
+        # past |Theta| = 1 every threshold of classify scales with Theta
+        want = classify(row_pair)
+        for j in range(501):
+            got = classify(CauchyPair(Sym3(*(math.ldexp(v, j) for v in
+                                             row_pair.theta.as_array().tolist()))))
+            assert got.tag is want.tag, j
+            assert got.mu == want.mu, j  # mu is never zero: equal means the same bits
 
 
 class TestConstraints:
