@@ -2,21 +2,21 @@
 
 Both march the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
-at the one lapse value ``beta``.  Every right-hand side is beta times a
-function of y, so a variable lapse needs no stage lapses: ``numeric``
-marches it in B_t, the integral of the lapse, at unit lapse.  A step that
+at unit lapse.  Every right-hand side of the flow is the lapse times a
+function of y, so the kernel takes no lapse: ``numeric`` marches every
+lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
-``rk4_path(y0, beta, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
+``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march.  It returns ``(y, steps done, truncated)``: y is
 the state the march ends on, as a tuple of 15 floats, which on truncation
 is the state that tripped the guard.  The guard reads Theta only, so the
 caller checks y for an overflowed U.
 
-``doubling_step(y, z, beta, h, tol)`` is one trial of the controlled
-march in one call, from the march state y and its companion z (sequences
-of 15 floats; beta, h and tol floats).  It takes the whole step of size h
+``doubling_step(y, z, h, tol)`` is one trial of the controlled march in
+one call, from the march state y and its companion z (sequences of 15
+floats; h and tol floats).  It takes the whole step of size h
 from y, the two half steps from y, whose first k1 is the whole step's,
 and the local error max_i |halves_i - whole_i| / max(1, |halves_i|) / 15.
 Only when that error is within ``tol`` does it take the companion step of
@@ -25,7 +25,7 @@ companion None on a rejected trial.  A leg that trips the guard or ends on
 a state that is not finite stops the trial and returns ``(the state it
 ended on, None, None, (leg, tripped))``: leg is "whole", "half 1",
 "half 2" or "companion", in the order they run, and tripped is False for a
-state that is not finite.  As in ``rk4_path(y, beta, h/2, 2)``, the first
+state that is not finite.  As in ``rk4_path(y, h/2, 2)``, the first
 half step ends the trial only on a guard trip.
 
 Both are fully unrolled over scalars: the 13 evolving components
@@ -36,6 +36,8 @@ operation is the one the list form performs, in the same order: ``_rhs``
 evaluated at y, y + dt/2 k1, y + dt/2 k2 and y + dt k3, then
 y + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The output is therefore bit-identical to
 that list form, which ``tests/test_numeric.py`` keeps as its reference.
+A sign flip is written -(e), never folded into a subtraction such as
+y - dt/2 (e): where the terms cancel, the sum's zero would change sign.
 """
 
 from __future__ import annotations
@@ -43,28 +45,26 @@ from __future__ import annotations
 _GUARD = 1e12
 
 
-def _rhs(y, beta):
+def _rhs(y):
     uu, ul, un, ll, ln, nn = y[0], y[1], y[2], y[3], y[4], y[5]
     out = [0.0] * 15
-    out[0] = beta * (uu * uu + ul * ul + un * un)
-    out[3] = beta * (ll * uu - ul * ul)
-    out[4] = beta * (ln * uu - ul * un)
-    out[5] = beta * (nn * uu - un * un)
+    out[0] = uu * uu + ul * ul + un * un
+    out[3] = ll * uu - ul * ul
+    out[4] = ln * uu - ul * un
+    out[5] = nn * uu - un * un
     for j in range(3):
         a, b, c = y[6 + j], y[9 + j], y[12 + j]
-        out[6 + j] = -beta * (uu * a + ul * b + un * c)
-        out[9 + j] = -beta * (ul * a + ll * b + ln * c)
-        out[12 + j] = -beta * (un * a + ln * b + nn * c)
+        out[6 + j] = -(uu * a + ul * b + un * c)
+        out[9 + j] = -(ul * a + ll * b + ln * c)
+        out[12 + j] = -(un * a + ln * b + nn * c)
     return out
 
 
-def rk4_path(y0, beta, dt, n_steps):
+def rk4_path(y0, dt, n_steps):
     """March y0 by ``n_steps`` RK4 steps; see the module docstring."""
     # U is row-major: a*, b*, c* are its rows 0, 1, 2
     uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2 = (
         float(v) for v in y0)
-    beta = float(beta)
-    nb = -beta
     dt = float(dt)
     h2 = 0.5 * dt
     h6 = dt / 6.0
@@ -86,19 +86,19 @@ def rk4_path(y0, beta, dt, n_steps):
 
     for step in range(n_steps):
         # k1 at y
-        k1uu = beta * (uu * uu + ul2 + un2)
-        k1ll = beta * (ll * uu - ul2)
-        k1ln = beta * (ln * uu - ulun_s)
-        k1nn = beta * (nn * uu - un2)
-        k1a0 = nb * (uu * a0 + ul_s * b0 + un_s * c0)
-        k1b0 = nb * (ul_s * a0 + ll * b0 + ln * c0)
-        k1c0 = nb * (un_s * a0 + ln * b0 + nn * c0)
-        k1a1 = nb * (uu * a1 + ul_s * b1 + un_s * c1)
-        k1b1 = nb * (ul_s * a1 + ll * b1 + ln * c1)
-        k1c1 = nb * (un_s * a1 + ln * b1 + nn * c1)
-        k1a2 = nb * (uu * a2 + ul_s * b2 + un_s * c2)
-        k1b2 = nb * (ul_s * a2 + ll * b2 + ln * c2)
-        k1c2 = nb * (un_s * a2 + ln * b2 + nn * c2)
+        k1uu = uu * uu + ul2 + un2
+        k1ll = ll * uu - ul2
+        k1ln = ln * uu - ulun_s
+        k1nn = nn * uu - un2
+        k1a0 = -(uu * a0 + ul_s * b0 + un_s * c0)
+        k1b0 = -(ul_s * a0 + ll * b0 + ln * c0)
+        k1c0 = -(un_s * a0 + ln * b0 + nn * c0)
+        k1a1 = -(uu * a1 + ul_s * b1 + un_s * c1)
+        k1b1 = -(ul_s * a1 + ll * b1 + ln * c1)
+        k1c1 = -(un_s * a1 + ln * b1 + nn * c1)
+        k1a2 = -(uu * a2 + ul_s * b2 + un_s * c2)
+        k1b2 = -(ul_s * a2 + ll * b2 + ln * c2)
+        k1c2 = -(un_s * a2 + ln * b2 + nn * c2)
         # k2 at y + dt/2 k1
         xuu = uu + h2 * k1uu
         xll = ll + h2 * k1ll
@@ -113,19 +113,19 @@ def rk4_path(y0, beta, dt, n_steps):
         xc0 = c0 + h2 * k1c0
         xc1 = c1 + h2 * k1c1
         xc2 = c2 + h2 * k1c2
-        k2uu = beta * (xuu * xuu + ul2 + un2)
-        k2ll = beta * (xll * xuu - ul2)
-        k2ln = beta * (xln * xuu - ulun)
-        k2nn = beta * (xnn * xuu - un2)
-        k2a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-        k2b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-        k2c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-        k2a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-        k2b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-        k2c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-        k2a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-        k2b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-        k2c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+        k2uu = xuu * xuu + ul2 + un2
+        k2ll = xll * xuu - ul2
+        k2ln = xln * xuu - ulun
+        k2nn = xnn * xuu - un2
+        k2a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+        k2b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+        k2c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+        k2a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+        k2b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+        k2c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+        k2a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+        k2b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+        k2c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
         # k3 at y + dt/2 k2
         xuu = uu + h2 * k2uu
         xll = ll + h2 * k2ll
@@ -140,19 +140,19 @@ def rk4_path(y0, beta, dt, n_steps):
         xc0 = c0 + h2 * k2c0
         xc1 = c1 + h2 * k2c1
         xc2 = c2 + h2 * k2c2
-        k3uu = beta * (xuu * xuu + ul2 + un2)
-        k3ll = beta * (xll * xuu - ul2)
-        k3ln = beta * (xln * xuu - ulun)
-        k3nn = beta * (xnn * xuu - un2)
-        k3a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-        k3b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-        k3c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-        k3a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-        k3b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-        k3c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-        k3a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-        k3b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-        k3c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+        k3uu = xuu * xuu + ul2 + un2
+        k3ll = xll * xuu - ul2
+        k3ln = xln * xuu - ulun
+        k3nn = xnn * xuu - un2
+        k3a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+        k3b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+        k3c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+        k3a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+        k3b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+        k3c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+        k3a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+        k3b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+        k3c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
         # k4 at y + dt k3
         xuu = uu + dt * k3uu
         xll = ll + dt * k3ll
@@ -167,19 +167,19 @@ def rk4_path(y0, beta, dt, n_steps):
         xc0 = c0 + dt * k3c0
         xc1 = c1 + dt * k3c1
         xc2 = c2 + dt * k3c2
-        k4uu = beta * (xuu * xuu + ul2 + un2)
-        k4ll = beta * (xll * xuu - ul2)
-        k4ln = beta * (xln * xuu - ulun)
-        k4nn = beta * (xnn * xuu - un2)
-        k4a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-        k4b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-        k4c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-        k4a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-        k4b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-        k4c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-        k4a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-        k4b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-        k4c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+        k4uu = xuu * xuu + ul2 + un2
+        k4ll = xll * xuu - ul2
+        k4ln = xln * xuu - ulun
+        k4nn = xnn * xuu - un2
+        k4a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+        k4b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+        k4c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+        k4a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+        k4b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+        k4c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+        k4a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+        k4b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+        k4c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
         # y += dt/6 (k1 + 2 k2 + 2 k3 + k4)
         uu = uu + h6 * (k1uu + 2.0 * k2uu + 2.0 * k3uu + k4uu)
         ll = ll + h6 * (k1ll + 2.0 * k2ll + 2.0 * k3ll + k4ll)
@@ -208,11 +208,10 @@ def rk4_path(y0, beta, dt, n_steps):
             step + 1, truncated)
 
 
-def doubling_step(y, z, beta, h, tol):
+def doubling_step(y, z, h, tol):
     """One trial of the controlled march; see the module docstring."""
     # U is row-major: a*, b*, c* are its rows 0, 1, 2
     uu, ul_s, un_s, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2 = y
-    nb = -beta
     h2 = 0.5 * h  # the whole step's dt/2 and the half steps' dt
     h6 = h / 6.0
     q2 = 0.5 * h2  # the half steps' dt/2
@@ -230,19 +229,19 @@ def doubling_step(y, z, beta, h, tol):
     ulun = ul * un
 
     # k1 at y: the first stage of the whole step and of the first half step
-    k1uu = beta * (uu * uu + ul2 + un2)
-    k1ll = beta * (ll * uu - ul2)
-    k1ln = beta * (ln * uu - ulun_s)
-    k1nn = beta * (nn * uu - un2)
-    k1a0 = nb * (uu * a0 + ul_s * b0 + un_s * c0)
-    k1b0 = nb * (ul_s * a0 + ll * b0 + ln * c0)
-    k1c0 = nb * (un_s * a0 + ln * b0 + nn * c0)
-    k1a1 = nb * (uu * a1 + ul_s * b1 + un_s * c1)
-    k1b1 = nb * (ul_s * a1 + ll * b1 + ln * c1)
-    k1c1 = nb * (un_s * a1 + ln * b1 + nn * c1)
-    k1a2 = nb * (uu * a2 + ul_s * b2 + un_s * c2)
-    k1b2 = nb * (ul_s * a2 + ll * b2 + ln * c2)
-    k1c2 = nb * (un_s * a2 + ln * b2 + nn * c2)
+    k1uu = uu * uu + ul2 + un2
+    k1ll = ll * uu - ul2
+    k1ln = ln * uu - ulun_s
+    k1nn = nn * uu - un2
+    k1a0 = -(uu * a0 + ul_s * b0 + un_s * c0)
+    k1b0 = -(ul_s * a0 + ll * b0 + ln * c0)
+    k1c0 = -(un_s * a0 + ln * b0 + nn * c0)
+    k1a1 = -(uu * a1 + ul_s * b1 + un_s * c1)
+    k1b1 = -(ul_s * a1 + ll * b1 + ln * c1)
+    k1c1 = -(un_s * a1 + ln * b1 + nn * c1)
+    k1a2 = -(uu * a2 + ul_s * b2 + un_s * c2)
+    k1b2 = -(ul_s * a2 + ll * b2 + ln * c2)
+    k1c2 = -(un_s * a2 + ln * b2 + nn * c2)
 
     # the whole step w* = y + h/6 (k1 + 2 k2 + 2 k3 + k4)
     # k2 at y + h/2 k1
@@ -259,19 +258,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + h2 * k1c0
     xc1 = c1 + h2 * k1c1
     xc2 = c2 + h2 * k1c2
-    k2uu = beta * (xuu * xuu + ul2 + un2)
-    k2ll = beta * (xll * xuu - ul2)
-    k2ln = beta * (xln * xuu - ulun)
-    k2nn = beta * (xnn * xuu - un2)
-    k2a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k2b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k2c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k2a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k2b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k2c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k2a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k2b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k2c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k2uu = xuu * xuu + ul2 + un2
+    k2ll = xll * xuu - ul2
+    k2ln = xln * xuu - ulun
+    k2nn = xnn * xuu - un2
+    k2a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k2b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k2c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k2a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k2b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k2c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k2a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k2b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k2c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     # k3 at y + h/2 k2
     xuu = uu + h2 * k2uu
     xll = ll + h2 * k2ll
@@ -286,19 +285,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + h2 * k2c0
     xc1 = c1 + h2 * k2c1
     xc2 = c2 + h2 * k2c2
-    k3uu = beta * (xuu * xuu + ul2 + un2)
-    k3ll = beta * (xll * xuu - ul2)
-    k3ln = beta * (xln * xuu - ulun)
-    k3nn = beta * (xnn * xuu - un2)
-    k3a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k3b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k3c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k3a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k3b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k3c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k3a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k3b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k3c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k3uu = xuu * xuu + ul2 + un2
+    k3ll = xll * xuu - ul2
+    k3ln = xln * xuu - ulun
+    k3nn = xnn * xuu - un2
+    k3a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k3b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k3c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k3a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k3b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k3c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k3a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k3b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k3c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     # k4 at y + h k3
     xuu = uu + h * k3uu
     xll = ll + h * k3ll
@@ -313,19 +312,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + h * k3c0
     xc1 = c1 + h * k3c1
     xc2 = c2 + h * k3c2
-    k4uu = beta * (xuu * xuu + ul2 + un2)
-    k4ll = beta * (xll * xuu - ul2)
-    k4ln = beta * (xln * xuu - ulun)
-    k4nn = beta * (xnn * xuu - un2)
-    k4a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k4b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k4c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k4a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k4b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k4c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k4a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k4b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k4c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k4uu = xuu * xuu + ul2 + un2
+    k4ll = xll * xuu - ul2
+    k4ln = xln * xuu - ulun
+    k4nn = xnn * xuu - un2
+    k4a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k4b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k4c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k4a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k4b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k4c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k4a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k4b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k4c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     wuu = uu + h6 * (k1uu + 2.0 * k2uu + 2.0 * k3uu + k4uu)
     wll = ll + h6 * (k1ll + 2.0 * k2ll + 2.0 * k3ll + k4ll)
     wln = ln + h6 * (k1ln + 2.0 * k2ln + 2.0 * k3ln + k4ln)
@@ -366,19 +365,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + q2 * k1c0
     xc1 = c1 + q2 * k1c1
     xc2 = c2 + q2 * k1c2
-    k2uu = beta * (xuu * xuu + ul2 + un2)
-    k2ll = beta * (xll * xuu - ul2)
-    k2ln = beta * (xln * xuu - ulun)
-    k2nn = beta * (xnn * xuu - un2)
-    k2a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k2b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k2c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k2a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k2b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k2c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k2a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k2b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k2c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k2uu = xuu * xuu + ul2 + un2
+    k2ll = xll * xuu - ul2
+    k2ln = xln * xuu - ulun
+    k2nn = xnn * xuu - un2
+    k2a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k2b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k2c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k2a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k2b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k2c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k2a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k2b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k2c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     # k3 at y + h/4 k2
     xuu = uu + q2 * k2uu
     xll = ll + q2 * k2ll
@@ -393,19 +392,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + q2 * k2c0
     xc1 = c1 + q2 * k2c1
     xc2 = c2 + q2 * k2c2
-    k3uu = beta * (xuu * xuu + ul2 + un2)
-    k3ll = beta * (xll * xuu - ul2)
-    k3ln = beta * (xln * xuu - ulun)
-    k3nn = beta * (xnn * xuu - un2)
-    k3a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k3b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k3c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k3a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k3b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k3c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k3a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k3b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k3c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k3uu = xuu * xuu + ul2 + un2
+    k3ll = xll * xuu - ul2
+    k3ln = xln * xuu - ulun
+    k3nn = xnn * xuu - un2
+    k3a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k3b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k3c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k3a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k3b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k3c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k3a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k3b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k3c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     # k4 at y + h/2 k3
     xuu = uu + h2 * k3uu
     xll = ll + h2 * k3ll
@@ -420,19 +419,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + h2 * k3c0
     xc1 = c1 + h2 * k3c1
     xc2 = c2 + h2 * k3c2
-    k4uu = beta * (xuu * xuu + ul2 + un2)
-    k4ll = beta * (xll * xuu - ul2)
-    k4ln = beta * (xln * xuu - ulun)
-    k4nn = beta * (xnn * xuu - un2)
-    k4a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k4b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k4c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k4a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k4b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k4c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k4a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k4b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k4c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k4uu = xuu * xuu + ul2 + un2
+    k4ll = xll * xuu - ul2
+    k4ln = xln * xuu - ulun
+    k4nn = xnn * xuu - un2
+    k4a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k4b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k4c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k4a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k4b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k4c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k4a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k4b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k4c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     uu = uu + q6 * (k1uu + 2.0 * k2uu + 2.0 * k3uu + k4uu)
     ll = ll + q6 * (k1ll + 2.0 * k2ll + 2.0 * k3ll + k4ll)
     ln = ln + q6 * (k1ln + 2.0 * k2ln + 2.0 * k3ln + k4ln)
@@ -446,7 +445,7 @@ def doubling_step(y, z, beta, h, tol):
     c0 = c0 + q6 * (k1c0 + 2.0 * k2c0 + 2.0 * k3c0 + k4c0)
     c1 = c1 + q6 * (k1c1 + 2.0 * k2c1 + 2.0 * k3c1 + k4c1)
     c2 = c2 + q6 * (k1c2 + 2.0 * k2c2 + 2.0 * k3c2 + k4c2)
-    # only the guard ends the trial here, as in rk4_path(y, beta, h/2, 2)
+    # only the guard ends the trial here, as in rk4_path(y, h/2, 2)
     if (uu > guard or uu < mguard or ll > guard or ll < mguard
             or ln > guard or ln < mguard or nn > guard or nn < mguard):
         return ((uu, ul, un, ll, ln, nn, a0,
@@ -455,19 +454,19 @@ def doubling_step(y, z, beta, h, tol):
 
     # the second half step, from the first
     # k1 at y
-    k1uu = beta * (uu * uu + ul2 + un2)
-    k1ll = beta * (ll * uu - ul2)
-    k1ln = beta * (ln * uu - ulun)
-    k1nn = beta * (nn * uu - un2)
-    k1a0 = nb * (uu * a0 + ul * b0 + un * c0)
-    k1b0 = nb * (ul * a0 + ll * b0 + ln * c0)
-    k1c0 = nb * (un * a0 + ln * b0 + nn * c0)
-    k1a1 = nb * (uu * a1 + ul * b1 + un * c1)
-    k1b1 = nb * (ul * a1 + ll * b1 + ln * c1)
-    k1c1 = nb * (un * a1 + ln * b1 + nn * c1)
-    k1a2 = nb * (uu * a2 + ul * b2 + un * c2)
-    k1b2 = nb * (ul * a2 + ll * b2 + ln * c2)
-    k1c2 = nb * (un * a2 + ln * b2 + nn * c2)
+    k1uu = uu * uu + ul2 + un2
+    k1ll = ll * uu - ul2
+    k1ln = ln * uu - ulun
+    k1nn = nn * uu - un2
+    k1a0 = -(uu * a0 + ul * b0 + un * c0)
+    k1b0 = -(ul * a0 + ll * b0 + ln * c0)
+    k1c0 = -(un * a0 + ln * b0 + nn * c0)
+    k1a1 = -(uu * a1 + ul * b1 + un * c1)
+    k1b1 = -(ul * a1 + ll * b1 + ln * c1)
+    k1c1 = -(un * a1 + ln * b1 + nn * c1)
+    k1a2 = -(uu * a2 + ul * b2 + un * c2)
+    k1b2 = -(ul * a2 + ll * b2 + ln * c2)
+    k1c2 = -(un * a2 + ln * b2 + nn * c2)
     # k2 at y + h/4 k1
     xuu = uu + q2 * k1uu
     xll = ll + q2 * k1ll
@@ -482,19 +481,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + q2 * k1c0
     xc1 = c1 + q2 * k1c1
     xc2 = c2 + q2 * k1c2
-    k2uu = beta * (xuu * xuu + ul2 + un2)
-    k2ll = beta * (xll * xuu - ul2)
-    k2ln = beta * (xln * xuu - ulun)
-    k2nn = beta * (xnn * xuu - un2)
-    k2a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k2b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k2c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k2a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k2b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k2c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k2a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k2b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k2c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k2uu = xuu * xuu + ul2 + un2
+    k2ll = xll * xuu - ul2
+    k2ln = xln * xuu - ulun
+    k2nn = xnn * xuu - un2
+    k2a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k2b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k2c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k2a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k2b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k2c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k2a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k2b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k2c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     # k3 at y + h/4 k2
     xuu = uu + q2 * k2uu
     xll = ll + q2 * k2ll
@@ -509,19 +508,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + q2 * k2c0
     xc1 = c1 + q2 * k2c1
     xc2 = c2 + q2 * k2c2
-    k3uu = beta * (xuu * xuu + ul2 + un2)
-    k3ll = beta * (xll * xuu - ul2)
-    k3ln = beta * (xln * xuu - ulun)
-    k3nn = beta * (xnn * xuu - un2)
-    k3a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k3b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k3c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k3a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k3b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k3c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k3a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k3b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k3c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k3uu = xuu * xuu + ul2 + un2
+    k3ll = xll * xuu - ul2
+    k3ln = xln * xuu - ulun
+    k3nn = xnn * xuu - un2
+    k3a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k3b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k3c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k3a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k3b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k3c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k3a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k3b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k3c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     # k4 at y + h/2 k3
     xuu = uu + h2 * k3uu
     xll = ll + h2 * k3ll
@@ -536,19 +535,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = c0 + h2 * k3c0
     xc1 = c1 + h2 * k3c1
     xc2 = c2 + h2 * k3c2
-    k4uu = beta * (xuu * xuu + ul2 + un2)
-    k4ll = beta * (xll * xuu - ul2)
-    k4ln = beta * (xln * xuu - ulun)
-    k4nn = beta * (xnn * xuu - un2)
-    k4a0 = nb * (xuu * xa0 + ul * xb0 + un * xc0)
-    k4b0 = nb * (ul * xa0 + xll * xb0 + xln * xc0)
-    k4c0 = nb * (un * xa0 + xln * xb0 + xnn * xc0)
-    k4a1 = nb * (xuu * xa1 + ul * xb1 + un * xc1)
-    k4b1 = nb * (ul * xa1 + xll * xb1 + xln * xc1)
-    k4c1 = nb * (un * xa1 + xln * xb1 + xnn * xc1)
-    k4a2 = nb * (xuu * xa2 + ul * xb2 + un * xc2)
-    k4b2 = nb * (ul * xa2 + xll * xb2 + xln * xc2)
-    k4c2 = nb * (un * xa2 + xln * xb2 + xnn * xc2)
+    k4uu = xuu * xuu + ul2 + un2
+    k4ll = xll * xuu - ul2
+    k4ln = xln * xuu - ulun
+    k4nn = xnn * xuu - un2
+    k4a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
+    k4b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
+    k4c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
+    k4a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
+    k4b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
+    k4c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
+    k4a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
+    k4b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
+    k4c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
     uu = uu + q6 * (k1uu + 2.0 * k2uu + 2.0 * k3uu + k4uu)
     ll = ll + q6 * (k1ll + 2.0 * k2ll + 2.0 * k3ll + k4ll)
     ln = ln + q6 * (k1ln + 2.0 * k2ln + 2.0 * k3ln + k4ln)
@@ -601,19 +600,19 @@ def doubling_step(y, z, beta, h, tol):
     zun2 = zun * zun
     zulun = zul * zun
     # k1 at z
-    k1uu = beta * (zuu * zuu + zul2 + zun2)
-    k1ll = beta * (zll * zuu - zul2)
-    k1ln = beta * (zln * zuu - zulun_s)
-    k1nn = beta * (znn * zuu - zun2)
-    k1a0 = nb * (zuu * za0 + zul_s * zb0 + zun_s * zc0)
-    k1b0 = nb * (zul_s * za0 + zll * zb0 + zln * zc0)
-    k1c0 = nb * (zun_s * za0 + zln * zb0 + znn * zc0)
-    k1a1 = nb * (zuu * za1 + zul_s * zb1 + zun_s * zc1)
-    k1b1 = nb * (zul_s * za1 + zll * zb1 + zln * zc1)
-    k1c1 = nb * (zun_s * za1 + zln * zb1 + znn * zc1)
-    k1a2 = nb * (zuu * za2 + zul_s * zb2 + zun_s * zc2)
-    k1b2 = nb * (zul_s * za2 + zll * zb2 + zln * zc2)
-    k1c2 = nb * (zun_s * za2 + zln * zb2 + znn * zc2)
+    k1uu = zuu * zuu + zul2 + zun2
+    k1ll = zll * zuu - zul2
+    k1ln = zln * zuu - zulun_s
+    k1nn = znn * zuu - zun2
+    k1a0 = -(zuu * za0 + zul_s * zb0 + zun_s * zc0)
+    k1b0 = -(zul_s * za0 + zll * zb0 + zln * zc0)
+    k1c0 = -(zun_s * za0 + zln * zb0 + znn * zc0)
+    k1a1 = -(zuu * za1 + zul_s * zb1 + zun_s * zc1)
+    k1b1 = -(zul_s * za1 + zll * zb1 + zln * zc1)
+    k1c1 = -(zun_s * za1 + zln * zb1 + znn * zc1)
+    k1a2 = -(zuu * za2 + zul_s * zb2 + zun_s * zc2)
+    k1b2 = -(zul_s * za2 + zll * zb2 + zln * zc2)
+    k1c2 = -(zun_s * za2 + zln * zb2 + znn * zc2)
     # k2 at z + h/2 k1
     xuu = zuu + h2 * k1uu
     xll = zll + h2 * k1ll
@@ -628,19 +627,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = zc0 + h2 * k1c0
     xc1 = zc1 + h2 * k1c1
     xc2 = zc2 + h2 * k1c2
-    k2uu = beta * (xuu * xuu + zul2 + zun2)
-    k2ll = beta * (xll * xuu - zul2)
-    k2ln = beta * (xln * xuu - zulun)
-    k2nn = beta * (xnn * xuu - zun2)
-    k2a0 = nb * (xuu * xa0 + zul * xb0 + zun * xc0)
-    k2b0 = nb * (zul * xa0 + xll * xb0 + xln * xc0)
-    k2c0 = nb * (zun * xa0 + xln * xb0 + xnn * xc0)
-    k2a1 = nb * (xuu * xa1 + zul * xb1 + zun * xc1)
-    k2b1 = nb * (zul * xa1 + xll * xb1 + xln * xc1)
-    k2c1 = nb * (zun * xa1 + xln * xb1 + xnn * xc1)
-    k2a2 = nb * (xuu * xa2 + zul * xb2 + zun * xc2)
-    k2b2 = nb * (zul * xa2 + xll * xb2 + xln * xc2)
-    k2c2 = nb * (zun * xa2 + xln * xb2 + xnn * xc2)
+    k2uu = xuu * xuu + zul2 + zun2
+    k2ll = xll * xuu - zul2
+    k2ln = xln * xuu - zulun
+    k2nn = xnn * xuu - zun2
+    k2a0 = -(xuu * xa0 + zul * xb0 + zun * xc0)
+    k2b0 = -(zul * xa0 + xll * xb0 + xln * xc0)
+    k2c0 = -(zun * xa0 + xln * xb0 + xnn * xc0)
+    k2a1 = -(xuu * xa1 + zul * xb1 + zun * xc1)
+    k2b1 = -(zul * xa1 + xll * xb1 + xln * xc1)
+    k2c1 = -(zun * xa1 + xln * xb1 + xnn * xc1)
+    k2a2 = -(xuu * xa2 + zul * xb2 + zun * xc2)
+    k2b2 = -(zul * xa2 + xll * xb2 + xln * xc2)
+    k2c2 = -(zun * xa2 + xln * xb2 + xnn * xc2)
     # k3 at z + h/2 k2
     xuu = zuu + h2 * k2uu
     xll = zll + h2 * k2ll
@@ -655,19 +654,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = zc0 + h2 * k2c0
     xc1 = zc1 + h2 * k2c1
     xc2 = zc2 + h2 * k2c2
-    k3uu = beta * (xuu * xuu + zul2 + zun2)
-    k3ll = beta * (xll * xuu - zul2)
-    k3ln = beta * (xln * xuu - zulun)
-    k3nn = beta * (xnn * xuu - zun2)
-    k3a0 = nb * (xuu * xa0 + zul * xb0 + zun * xc0)
-    k3b0 = nb * (zul * xa0 + xll * xb0 + xln * xc0)
-    k3c0 = nb * (zun * xa0 + xln * xb0 + xnn * xc0)
-    k3a1 = nb * (xuu * xa1 + zul * xb1 + zun * xc1)
-    k3b1 = nb * (zul * xa1 + xll * xb1 + xln * xc1)
-    k3c1 = nb * (zun * xa1 + xln * xb1 + xnn * xc1)
-    k3a2 = nb * (xuu * xa2 + zul * xb2 + zun * xc2)
-    k3b2 = nb * (zul * xa2 + xll * xb2 + xln * xc2)
-    k3c2 = nb * (zun * xa2 + xln * xb2 + xnn * xc2)
+    k3uu = xuu * xuu + zul2 + zun2
+    k3ll = xll * xuu - zul2
+    k3ln = xln * xuu - zulun
+    k3nn = xnn * xuu - zun2
+    k3a0 = -(xuu * xa0 + zul * xb0 + zun * xc0)
+    k3b0 = -(zul * xa0 + xll * xb0 + xln * xc0)
+    k3c0 = -(zun * xa0 + xln * xb0 + xnn * xc0)
+    k3a1 = -(xuu * xa1 + zul * xb1 + zun * xc1)
+    k3b1 = -(zul * xa1 + xll * xb1 + xln * xc1)
+    k3c1 = -(zun * xa1 + xln * xb1 + xnn * xc1)
+    k3a2 = -(xuu * xa2 + zul * xb2 + zun * xc2)
+    k3b2 = -(zul * xa2 + xll * xb2 + xln * xc2)
+    k3c2 = -(zun * xa2 + xln * xb2 + xnn * xc2)
     # k4 at z + h k3
     xuu = zuu + h * k3uu
     xll = zll + h * k3ll
@@ -682,19 +681,19 @@ def doubling_step(y, z, beta, h, tol):
     xc0 = zc0 + h * k3c0
     xc1 = zc1 + h * k3c1
     xc2 = zc2 + h * k3c2
-    k4uu = beta * (xuu * xuu + zul2 + zun2)
-    k4ll = beta * (xll * xuu - zul2)
-    k4ln = beta * (xln * xuu - zulun)
-    k4nn = beta * (xnn * xuu - zun2)
-    k4a0 = nb * (xuu * xa0 + zul * xb0 + zun * xc0)
-    k4b0 = nb * (zul * xa0 + xll * xb0 + xln * xc0)
-    k4c0 = nb * (zun * xa0 + xln * xb0 + xnn * xc0)
-    k4a1 = nb * (xuu * xa1 + zul * xb1 + zun * xc1)
-    k4b1 = nb * (zul * xa1 + xll * xb1 + xln * xc1)
-    k4c1 = nb * (zun * xa1 + xln * xb1 + xnn * xc1)
-    k4a2 = nb * (xuu * xa2 + zul * xb2 + zun * xc2)
-    k4b2 = nb * (zul * xa2 + xll * xb2 + xln * xc2)
-    k4c2 = nb * (zun * xa2 + xln * xb2 + xnn * xc2)
+    k4uu = xuu * xuu + zul2 + zun2
+    k4ll = xll * xuu - zul2
+    k4ln = xln * xuu - zulun
+    k4nn = xnn * xuu - zun2
+    k4a0 = -(xuu * xa0 + zul * xb0 + zun * xc0)
+    k4b0 = -(zul * xa0 + xll * xb0 + xln * xc0)
+    k4c0 = -(zun * xa0 + xln * xb0 + xnn * xc0)
+    k4a1 = -(xuu * xa1 + zul * xb1 + zun * xc1)
+    k4b1 = -(zul * xa1 + xll * xb1 + xln * xc1)
+    k4c1 = -(zun * xa1 + xln * xb1 + xnn * xc1)
+    k4a2 = -(xuu * xa2 + zul * xb2 + zun * xc2)
+    k4b2 = -(zul * xa2 + xll * xb2 + xln * xc2)
+    k4c2 = -(zun * xa2 + xln * xb2 + xnn * xc2)
     zuu = zuu + h6 * (k1uu + 2.0 * k2uu + 2.0 * k3uu + k4uu)
     zll = zll + h6 * (k1ll + 2.0 * k2ll + 2.0 * k3ll + k4ll)
     zln = zln + h6 * (k1ln + 2.0 * k2ln + 2.0 * k3ln + k4ln)

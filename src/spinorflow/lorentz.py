@@ -81,9 +81,9 @@ def coframe4_at(pair: CauchyPair, profile: LapseProfile, t: float,
 
 def _coframe4(th_t: Sym3, profile: LapseProfile, t: float) -> Coframe4:
     """The coframe at flow time t, given the shape components Theta_t there."""
-    # derivative along the unit direction X_0 = (1/beta) d/dt; the rhs
-    # scales linearly with the lapse, so unit lapse gives exactly that
-    dth, _ = ode_rhs(th_t, np.eye(3), 1.0)
+    # derivative along the unit direction X_0 = (1/beta) d/dt, which is
+    # d/ds in s = B_t: what ode_rhs gives
+    dth, _ = ode_rhs(th_t, np.eye(3))
     return Coframe4(
         t=float(t),
         beta=profile.beta(t),

@@ -1,15 +1,14 @@
 """Numerical integration of the flow ODEs: the independent oracle for the
 closed-form solutions, plus residual monitors for the full flow system.
 
-``integrate_to`` is the one RK4 march to requested times.  Every lapse is
-marched under step-doubling error control, landing on every requested time
-and estimating the global error of each state; ``uncertified`` lists the
-states that estimate cannot vouch for.  A constant lapse is marched in t at
-its own value, any other in B_t, the integral of the lapse, at unit lapse.
-A caller that names ``n_steps_total`` gets a fixed-step march in the same
-clock instead.  Both marches carry the state as a tuple of 15 floats and
-make one kernel call per advance, at one lapse value: the controlled march
-one ``_kern.doubling_step`` per trial step, the fixed march one
+``integrate_to`` is the one RK4 march to requested times.  The flow sees
+the lapse only through its integral B_t, so every lapse is marched in one
+clock, s = B_t, at unit lapse, under step-doubling error control that
+lands on every requested time and estimates the global error of each
+state; ``uncertified`` lists the states that estimate cannot vouch for.  A
+caller that names ``n_steps_total`` gets a fixed-step march in s instead.
+Both carry the state as a tuple of 15 floats and make one kernel call per
+advance: one ``_kern.doubling_step`` per trial step, or one
 ``_kern.rk4_path`` per segment through ``_advance``.  The kernel is the
 unrolled pure-Python module ``_kernel_py``; ``KERNEL_BACKEND`` names it.
 """
@@ -71,10 +70,10 @@ def hamiltonian_of(theta: Sym3) -> float:
     return scal - theta.norm2() + theta.trace() ** 2
 
 
-def ode_rhs(theta: Sym3, U: np.ndarray, beta: float) -> tuple[Sym3, np.ndarray]:
-    """Time derivatives of the shape components and the coframe transform."""
+def ode_rhs(theta: Sym3, U: np.ndarray) -> tuple[Sym3, np.ndarray]:
+    """d/ds of the shape components and the coframe transform, s = B_t."""
     y = list(theta.as_array()) + list(np.asarray(U, dtype=float).ravel())
-    dy = _kern._rhs(y, beta)
+    dy = _kern._rhs(y)
     return Sym3.from_array(dy[:6]), np.array(dy[6:]).reshape(3, 3)
 
 
@@ -108,19 +107,21 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     negative times backward, each direction in one pass.
 
     Every right-hand side of the flow is beta(t) F(y), so y(t) = Y(B_t)
-    where Y solves dY/ds = F(Y).  A constant lapse is marched in t at its
-    own value, any other in s = ``profile.b_integral(t)`` at unit lapse,
-    where the kinks of a table vanish.  ``FlowState.t`` is the requested t,
-    and SingularTime messages name times t (s through ``profile.solve_b``).
+    where Y solves dY/ds = F(Y).  Every lapse is marched in
+    s = ``profile.b_integral(t)`` at unit lapse, where the kinks of a table
+    vanish; a constant lapse c gives s = c t.  ``FlowState.t`` is the
+    requested t, and SingularTime messages name times t (s through
+    ``profile.solve_b``).
 
     With no ``n_steps_total`` the march is under step doubling
     (``_controlled_march``): every step keeps its local error within
     ``LOCAL_TOL`` relative to max(1, |y|), lands on each requested time,
     and each state carries a global error estimate (``FlowState.error``)
-    that ``uncertified`` reads.  With ``n_steps_total`` given, each
-    direction takes that many fixed steps in the same clock
-    (``_fixed_march``), spread over its stops in proportion to their
-    lengths, at least one a stop; its states carry no error estimate.
+    that ``uncertified`` reads.  With ``n_steps_total`` given, the march
+    takes fixed steps in the same clock (``_fixed_march``): both
+    directions share the ``n_steps_total`` in proportion to their spans,
+    and every stop is reached in the fewest equal steps no longer than the
+    total span over ``n_steps_total``; its states carry no error estimate.
 
     Raises ValueError on a time that is not finite, OutOfDomain on one
     outside a table, and SingularTime when the march blows up or overflows
@@ -130,17 +131,19 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     requested = [float(t) for t in times]
     if not all(map(math.isfinite, requested)):
         raise ValueError("integration times must be finite")
-    if profile.kind == "constant":  # the clock is t itself
-        beta, clock, to_t = profile.value, float, float
-    else:
-        beta, clock = 1.0, profile.b_integral
-        to_t = functools.partial(_time_at, profile)
+    to_t = functools.partial(_time_at, profile)
     y0 = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
-    at: dict[float, list[float]] = {}  # clock value -> the times it stands for
+    at: dict[float, list[float]] = {}  # s = B_t -> the times t it stands for
     for t in dict.fromkeys(requested):
-        at.setdefault(clock(t), []).append(t)
-    march = _controlled_march if n_steps_total is None else functools.partial(
-        _fixed_march, n_steps_total=n_steps_total)
+        at.setdefault(profile.b_integral(t), []).append(t)
+    forward = sorted(s for s in at if s > 0)
+    backward = sorted((s for s in at if s < 0), reverse=True)
+    sides = [stops for stops in (forward, backward) if stops]
+    if n_steps_total is None:
+        march = _controlled_march
+    else:
+        span = sum(abs(stops[-1]) for stops in sides)
+        march = functools.partial(_fixed_march, step=span / n_steps_total)
     out: dict[float, FlowState] = {}
 
     def keep(s, y, error):
@@ -150,11 +153,9 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     if 0.0 in at:
         # the initial datum, exact
         keep(0.0, y0, 0.0 if n_steps_total is None else None)
-    for stops in (sorted(s for s in at if s > 0),
-                  sorted((s for s in at if s < 0), reverse=True)):
-        if stops:
-            for s, y, error in march(y0, beta, stops, to_t):
-                keep(s, y, error)
+    for stops in sides:
+        for s, y, error in march(y0, stops, to_t):
+            keep(s, y, error)
     return [out[t] for t in requested]
 
 
@@ -173,37 +174,36 @@ def uncertified(states) -> list[FlowState]:
             if st.error is not None and 2.0 * st.error > CERTIFY_LIMIT]
 
 
-def _advance(y, beta, s, ds, n, target, to_t) -> tuple:
-    """y after ``n`` RK4 steps of size ``ds`` at lapse ``beta`` from clock
-    value ``s``, as a tuple.  Raises SingularTime (``_singular``) when a
-    step trips the kernel's guard on Theta or the state it ends on is not
-    finite (U can overflow while Theta stays bounded)."""
-    y, done, truncated = _kern.rk4_path(y, beta, ds, n)
+def _advance(y, s, ds, n, target, to_t) -> tuple:
+    """y after ``n`` RK4 steps of size ``ds`` from s = ``s``, as a tuple.
+    Raises SingularTime (``_singular``) when a step trips the kernel's guard
+    on Theta or the state it ends on is not finite (U can overflow while
+    Theta stays bounded)."""
+    y, done, truncated = _kern.rk4_path(y, ds, n)
     if truncated or not all(map(math.isfinite, y)):
         raise _singular(truncated, s + done * ds, target, to_t)
     return y
 
 
 def _singular(tripped, s, target, to_t) -> SingularTime:
-    """The error for a march that stopped at clock value ``s``, short of
+    """The error for a march that stopped at s = ``s``, short of
     ``target``: on a guard trip, or on a state that is not finite."""
     how = "blew up at" if tripped else "overflowed by"
     return SingularTime(f"integration {how} t = {to_t(s):.12g} "
                         f"before reaching t = {to_t(target):.12g}")
 
 
-def _fixed_march(y0, beta, stops, to_t, n_steps_total):
-    """(s, y, None) at each of ``stops`` (clock values moving away from zero
-    in one direction), ``n_steps_total`` steps spread over the farthest."""
+def _fixed_march(y0, stops, to_t, step):
+    """(s, y, None) at each of ``stops`` (values of s moving away from zero
+    in one direction), each reached in the fewest equal steps no longer
+    than ``step`` up to a relative 1e-12, the rounding of their difference."""
     y = y0
     prev = 0.0
-    span = max(abs(stops[-1] - 0.0), 1e-300)
     for target in stops:
         seg = target - prev
-        if seg != 0.0:
-            n = max(1, int(round(n_steps_total * abs(seg) / span)))
-            y = _advance(y, beta, prev, seg / n, n, target, to_t)
-            prev = target
+        n = max(1, math.ceil(abs(seg) / step * (1.0 - 1e-12)))
+        y = _advance(y, prev, seg / n, n, target, to_t)
+        prev = target
         yield target, y, None
 
 
@@ -218,9 +218,9 @@ _LEG_ENDS = {"whole": (1, 1.0), "half 1": (1, 0.5), "half 2": (2, 0.5),
              "companion": (1, 1.0)}
 
 
-def _controlled_march(y0, beta, stops, to_t):
-    """(s, y, global error estimate) at each of ``stops`` (clock values
-    moving away from zero in one direction), at lapse ``beta``.
+def _controlled_march(y0, stops, to_t):
+    """(s, y, global error estimate) at each of ``stops`` (values of s
+    moving away from zero in one direction).
 
     Step doubling (Hairer, Norsett and Wanner, Solving ODEs I, II.4): a
     trial step of size h is taken once as one RK4 step and once as two of
@@ -249,7 +249,7 @@ def _controlled_march(y0, beta, stops, to_t):
     s = 0.0
     sign = 1.0 if stops[0] > 0 else -1.0
     # a first step over which the initial slope moves y by 1 percent
-    slope = _kern._rhs(y, beta)
+    slope = _kern._rhs(y)
     rate = max(abs(d) / max(1.0, abs(v)) for v, d in zip(y, slope))
     h = min(abs(stops[-1]), 0.01 / rate) if rate > 0 else abs(stops[-1])
     for target in stops:
@@ -260,7 +260,7 @@ def _controlled_march(y0, beta, stops, to_t):
                 raise SingularTime(f"integration stalled at t = {to_t(s):.12g} "
                                    f"before reaching t = {to_t(target):.12g}")
             halves, companion, error, failed = _kern.doubling_step(
-                y, z, beta, step, LOCAL_TOL)
+                y, z, step, LOCAL_TOL)
             if failed:
                 leg, tripped = failed
                 done, fraction = _LEG_ENDS[leg]
@@ -287,7 +287,7 @@ def flow_residuals(state: FlowState, pair: CauchyPair) -> ResidualReport:
     u = state.U
 
     # r1: frame evolution, with dU re-derived from the right-hand side
-    dth, du = ode_rhs(state.theta, u, 1.0)
+    dth, du = ode_rhs(state.theta, u)
     r1 = float(np.max(np.abs(du + th_t @ u)))
 
     # r2: exterior derivative of the evolved coframe computed two ways

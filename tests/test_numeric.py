@@ -3,6 +3,7 @@ quantities, residual monitors, bit-for-bit parity of the RK4 kernel with a
 list-form reference, and agreement of the march in B with that list form
 marched in t on smooth tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ UNIT = LapseProfile.constant(1.0)
 UNIT_TABLE = LapseProfile.tabulated([-2.0, 2.0], [1.0, 1.0])
 # a lapse with kinks between the requested times
 RAMP = LapseProfile.tabulated([-1.0, -0.2, 0.5, 1.0], [0.6, 1.4, 0.9, 2.0])
-# a constant lapse other than 1, so a kernel that drops or misplaces it is seen
+# a constant lapse other than 1, so a march that misreads it is seen
 LAPSE_13 = LapseProfile.constant(1.3)
 # smooth lapses sampled on many nodes, wide enough to hold every lifespan end
 # of the conftest rows: a march in t converges on them at RK4's order
@@ -34,30 +35,24 @@ SMOOTH_FINE = LapseProfile.tabulated(_FINE, 0.8 + 0.5 * np.cos(0.7 * _FINE) ** 2
 
 class TestOdeRhs:
     def test_zero(self):
-        dth, du = ode_rhs(Sym3(), np.eye(3), 1.0)
+        dth, du = ode_rhs(Sym3(), np.eye(3))
         assert np.count_nonzero(dth.as_array()) == 0
         assert np.count_nonzero(du) == 0
 
     def test_uu_only(self):
-        dth, du = ode_rhs(Sym3(uu=1.0), np.eye(3), 1.0)
+        dth, du = ode_rhs(Sym3(uu=1.0), np.eye(3))
         assert dth.uu == 1.0
         assert du[0, 0] == -1.0
         assert np.count_nonzero(du[1:, :]) == 0
 
     def test_un_coupling(self):
-        dth, _ = ode_rhs(Sym3(un=1.0), np.eye(3), 1.0)
+        dth, _ = ode_rhs(Sym3(un=1.0), np.eye(3))
         assert dth.uu == 1.0 and dth.nn == -1.0
         assert dth.ll == dth.ln == 0.0
 
     def test_off_diagonals_frozen(self):
-        dth, _ = ode_rhs(Sym3(uu=2.0, ul=1.0, un=3.0), np.eye(3), 1.5)
+        dth, _ = ode_rhs(Sym3(uu=2.0, ul=1.0, un=3.0), np.eye(3))
         assert dth.ul == 0.0 and dth.un == 0.0
-
-    def test_beta_scaling(self):
-        d1, u1 = ode_rhs(Sym3(uu=1.0, ll=0.5), np.eye(3), 1.0)
-        d2, u2 = ode_rhs(Sym3(uu=1.0, ll=0.5), np.eye(3), 2.0)
-        assert np.allclose(2 * d1.as_array(), d2.as_array())
-        assert np.allclose(2 * u1, u2)
 
 
 def _path(pair, t_end, profile=UNIT):
@@ -196,6 +191,18 @@ class TestIntegrateTo:
         for t, st in zip(times, states):
             assert np.max(np.abs(st.U - frame_exact(row_pair, UNIT, t).U)) <= 1e-8
 
+    def test_fixed_march_shares_its_steps_between_directions(self, monkeypatch):
+        # 300 steps over a span of 0.5 + 1.0, none longer than 0.005: 100
+        # backward, and forward 50 to 0.25 (which must not gain a step from
+        # the rounding of 0.25 / 0.005), 71 to 0.6012 and 80 to 1.0
+        runs = []
+        rk4_path = numeric._kern.rk4_path
+        monkeypatch.setattr(numeric._kern, "rk4_path", lambda y, dt, n: (
+            runs.append((dt, n)) or rk4_path(y, dt, n)))
+        integrate_to(ROW_PAIRS["E11"], UNIT, [-0.5, 0.25, 0.6012, 1.0], n_steps_total=300)
+        assert [n for _, n in runs] == [50, 71, 80, 100]
+        assert max(abs(dt) for dt, _ in runs) <= 0.005 * (1.0 + 1e-12)
+
     def test_tabulated_march_interpolates_in_bulk(self, monkeypatch):
         # a table is marched in B at unit lapse: the march never reads the
         # lapse at a stage time
@@ -228,7 +235,7 @@ class TestIntegrateTo:
     def test_names_where_the_failing_leg_stopped(self, monkeypatch, leg, tripped, stop):
         # Theta = 0 has no slope, so the first trial is the whole window
         monkeypatch.setattr(numeric._kern, "doubling_step",
-                            lambda y, z, beta, h, tol: (y, None, None, (leg, tripped)))
+                            lambda y, z, h, tol: (y, None, None, (leg, tripped)))
         how = "blew up at" if tripped else "overflowed by"
         with pytest.raises(SingularTime, match=rf"^integration {how} t = {stop} "
                                                r"before reaching t = 0\.5$"):
@@ -245,6 +252,17 @@ class TestIntegrateTo:
         with pytest.raises(SingularTime) as got:
             integrate_to(pair, profile, times)
         assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.3, 2.0])
+    def test_lapse_enters_only_through_b(self, row_pair, beta):
+        # every right-hand side is beta F(y), so a constant lapse beta at t
+        # is the unit lapse at beta t, bit for bit, error estimates included;
+        # the states keep the requested times t
+        profile = LapseProfile.constant(beta)
+        times = [float(t) for t in sample_times(row_pair, profile, 20)]
+        got = integrate_to(row_pair, profile, times)
+        ref = integrate_to(row_pair, UNIT, [beta * t for t in times])
+        _assert_same_states(got, [dataclasses.replace(st, t=t) for st, t in zip(ref, times)])
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_refuses_a_time_that_is_not_finite(self, t):
@@ -352,17 +370,17 @@ class TestControlledMarch:
             assert exact0.error == 0.0 and 0.0 < st.error <= CERTIFY_LIMIT
 
 
-def _three_call_march(y0, beta, stops, to_t, rejected=None):
+def _three_call_march(y0, stops, to_t, rejected=None):
     """The controlled march as it ran before ``doubling_step``: each trial
     makes three ``rk4_path`` calls through ``numeric._advance`` (the whole
     step, the two half steps, the companion step) and its own
     ``_relative_gap``.  The reference ``_controlled_march`` must match bit
-    for bit; ``rejected`` collects the clock values of rejected trials."""
+    for bit; ``rejected`` collects the values of s of rejected trials."""
     advance, gap = numeric._advance, numeric._relative_gap
     y = z = y0
     s = 0.0
     sign = 1.0 if stops[0] > 0 else -1.0
-    slope = _kernel_py._rhs(y, beta)
+    slope = _kernel_py._rhs(y)
     rate = max(abs(d) / max(1.0, abs(v)) for v, d in zip(y, slope))
     h = min(abs(stops[-1]), 0.01 / rate) if rate > 0 else abs(stops[-1])
     for target in stops:
@@ -372,11 +390,11 @@ def _three_call_march(y0, beta, stops, to_t, rejected=None):
             if s + step == s:
                 raise SingularTime(f"integration stalled at t = {to_t(s):.12g} "
                                    f"before reaching t = {to_t(target):.12g}")
-            whole = advance(y, beta, s, step, 1, target, to_t)
-            halves = advance(y, beta, s, 0.5 * step, 2, target, to_t)
+            whole = advance(y, s, step, 1, target, to_t)
+            halves = advance(y, s, 0.5 * step, 2, target, to_t)
             error = gap(halves, whole) / 15.0
             if error <= numeric.LOCAL_TOL:
-                z = advance(z, beta, s, step, 1, target, to_t)
+                z = advance(z, s, step, 1, target, to_t)
                 y = halves
                 s = target if land else s + step
                 if land:
@@ -406,8 +424,8 @@ def _assert_same_states(got, ref):
                           np.array([b.hamiltonian, b.error]))
 
 
-def _run_kernel(kernel, y0, dt, n, profile=UNIT):
-    y, done, trunc = kernel.rk4_path(y0, profile.value, dt, n)
+def _run_kernel(kernel, y0, dt, n):
+    y, done, trunc = kernel.rk4_path(y0, dt, n)
     assert type(y) is tuple and all(type(v) is float for v in y)
     return np.array(y), done, trunc
 
@@ -423,14 +441,19 @@ def _stages_reference(prof, t0, dt, n_steps):
 
 
 def _list_form_step(y, lapses, dt):
-    """One RK4 step in list form, k1 at the first of the stage lapses, k2
-    and k3 at the second, k4 at the third: at a constant lapse, the
-    reference the kernel must match bit for bit."""
+    """One RK4 step in list form in t, the unit-lapse right-hand side scaled
+    by the first of the stage lapses for k1, the second for k2 and k3, the
+    third for k4: at unit lapse, the reference the kernel must match bit
+    for bit."""
     b0, bh, b1 = lapses
-    k1 = _kernel_py._rhs(y, b0)
-    k2 = _kernel_py._rhs([y[i] + 0.5 * dt * k1[i] for i in range(15)], bh)
-    k3 = _kernel_py._rhs([y[i] + 0.5 * dt * k2[i] for i in range(15)], bh)
-    k4 = _kernel_py._rhs([y[i] + dt * k3[i] for i in range(15)], b1)
+
+    def rhs(x, b):
+        return [b * v for v in _kernel_py._rhs(x)]
+
+    k1 = rhs(y, b0)
+    k2 = rhs([y[i] + 0.5 * dt * k1[i] for i in range(15)], bh)
+    k3 = rhs([y[i] + 0.5 * dt * k2[i] for i in range(15)], bh)
+    k4 = rhs([y[i] + dt * k3[i] for i in range(15)], b1)
     return [y[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(15)]
 
 
@@ -482,10 +505,10 @@ class TestKernelParity:
         pair = ROW_PAIRS["tau2R-general"]
         y0 = np.concatenate([pair.theta.as_array(), np.eye(3).ravel()])
         n = 500
-        dt = 0.4 / n
-        for profile in (UNIT, LAPSE_13):
-            _assert_same_path(_run_kernel(numeric._kern, y0, dt, n, profile),
-                              _run_list_form(y0, 0.0, dt, n, profile))
+        # a constant lapse of 1.3 reaches the kernel as 1.3 times the step
+        for dt in (0.4 / n, 1.3 * (0.4 / n)):
+            _assert_same_path(_run_kernel(numeric._kern, y0, dt, n),
+                              _run_list_form(y0, 0.0, dt, n))
 
     def test_backend_reported(self):
         assert KERNEL_BACKEND == "python"
@@ -500,34 +523,35 @@ class TestKernelParity:
         assert trunc and done < n and y[0] > _kernel_py._GUARD
         _assert_same_path(got, _run_list_form(y0, 0.0, dt, n))
 
-    @pytest.mark.parametrize("theta, dt, n, profile", [
+    @pytest.mark.parametrize("theta, dt, n", [
         # backward march, as integrate_to runs it
-        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), -0.3 / 400, 400, UNIT),
+        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), -0.3 / 400, 400),
         # signed zeros in the conserved Theta_ul, Theta_un and in Theta_ln
-        ((1.0, -0.0, 0.0, 0.5, -0.0, 2.0), 0.01, 30, UNIT),
-        ((1.0, -0.0, -0.0, 0.5, -0.0, 2.0), -0.01, 30, UNIT),
-        # a lapse other than 1: every stage must read it
-        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), -0.9 / 300, 300, LAPSE_13),
+        ((1.0, -0.0, 0.0, 0.5, -0.0, 2.0), 0.01, 30),
+        ((1.0, -0.0, -0.0, 0.5, -0.0, 2.0), -0.01, 30),
+        # the steps in s of a constant lapse of 1.3 over -0.9 / 300 in t
+        ((-2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 1.3 * (-0.9 / 300), 300),
         # one step, as a step-size controller takes it
-        ((1.0, 0.6, 0.8, 0.5, -0.3, 2.0), 0.0625, 1, LAPSE_13),
+        ((1.0, 0.6, 0.8, 0.5, -0.3, 2.0), 0.0625, 1),
     ], ids=["backward", "signed-zero-fwd", "signed-zero-bwd", "lapse-1.3",
             "adaptive-step"])
-    def test_python_kernel_matches_list_form(self, theta, dt, n, profile):
+    def test_python_kernel_matches_list_form(self, theta, dt, n):
         y0 = np.concatenate([theta, np.eye(3).ravel()])
-        _assert_same_path(_run_kernel(_kernel_py, y0, dt, n, profile),
-                          _run_list_form(y0, 0.0, dt, n, profile))
+        _assert_same_path(_run_kernel(_kernel_py, y0, dt, n),
+                          _run_list_form(y0, 0.0, dt, n))
 
     @pytest.mark.parametrize("beta", [1.0, 1.3], ids=["beta-1", "beta-1.3"])
     @pytest.mark.parametrize("h", [0.05, -0.05], ids=["fwd", "bwd"])
     def test_doubling_step_matches_list_form(self, row_pair, beta, h):
         # from a state with a U that is not the identity, and a companion
-        # apart from it; tol = inf takes every trial
+        # apart from it; tol = inf takes every trial.  A constant lapse
+        # beta reaches the kernel as the trial of size beta h in s.
         y0 = np.concatenate([row_pair.theta.as_array(), np.eye(3).ravel()]).tolist()
-        y = tuple(_list_form_step(y0, (beta,) * 3, 0.1))
+        y = tuple(_list_form_step(y0, (1.0,) * 3, 0.1))
         z = tuple(v * (1.0 + 1e-7) for v in y)
         for tol in (math.inf, numeric.LOCAL_TOL):
-            _assert_same_trial(_kernel_py.doubling_step(y, z, beta, h, tol),
-                               _list_form_trial(y, z, beta, h, tol))
+            _assert_same_trial(_kernel_py.doubling_step(y, z, beta * h, tol),
+                               _list_form_trial(y, z, beta * h, tol))
 
     @pytest.mark.parametrize("ul, un", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
                              ids=["ul-neg", "un-neg", "both-neg"])
@@ -536,8 +560,8 @@ class TestKernelParity:
         # the companion carries the zeros of the other sign
         y = (1.0, ul, un, 0.5, -0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
         z = y[:1] + (-ul, -un) + y[3:]
-        got = _kernel_py.doubling_step(y, z, 1.3, h, math.inf)
-        _assert_same_trial(got, _list_form_trial(y, z, 1.3, h, math.inf))
+        got = _kernel_py.doubling_step(y, z, h, math.inf)
+        _assert_same_trial(got, _list_form_trial(y, z, h, math.inf))
         assert got[1] is not None
 
     @pytest.mark.parametrize("uu, zuu, h, leg", [
@@ -552,9 +576,9 @@ class TestKernelParity:
     def test_doubling_step_truncation_contract(self, uu, zuu, h, leg):
         # Theta_uu over the identity frame, the rest of Theta zero
         y, z = ((v,) + (0.0,) * 5 + tuple(np.eye(3).ravel().tolist()) for v in (uu, zuu))
-        got = _kernel_py.doubling_step(y, z, 1.0, h, math.inf)
+        got = _kernel_py.doubling_step(y, z, h, math.inf)
         assert got[1:] == (None, None, (leg, True))
-        _assert_same_trial(got, _list_form_trial(y, z, 1.0, h, math.inf))
+        _assert_same_trial(got, _list_form_trial(y, z, h, math.inf))
 
     @pytest.mark.parametrize("leg", ["whole", "companion"])
     def test_doubling_step_reports_an_overflowed_frame(self, leg):
@@ -565,24 +589,24 @@ class TestKernelParity:
             big = [-2.0, 0.0, 0.0, -2.0, 0.0, -2.0] + np.eye(3).ravel().tolist()
             big[i] = 1e308
             y, z = (tuple(big), fine) if leg == "whole" else (fine, tuple(big))
-            got = _kernel_py.doubling_step(y, z, 1.0, 1.0, math.inf)
+            got = _kernel_py.doubling_step(y, z, 1.0, math.inf)
             assert got[1:] == (None, None, (leg, False)), i
-            _assert_same_trial(got, _list_form_trial(y, z, 1.0, 1.0, math.inf))
+            _assert_same_trial(got, _list_form_trial(y, z, 1.0, math.inf))
 
     def test_doubling_step_rejects_without_a_companion(self):
         pair = ROW_PAIRS["tau2R-general"]
         y = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
-        taken = _kernel_py.doubling_step(y, y, 1.3, 0.05, math.inf)
+        taken = _kernel_py.doubling_step(y, y, 0.05, math.inf)
         error = taken[2]
         assert error > 0.0
         # an error equal to tol is taken, one ulp above it is not
-        assert _kernel_py.doubling_step(y, y, 1.3, 0.05, error)[1] is not None
+        assert _kernel_py.doubling_step(y, y, 0.05, error)[1] is not None
         tol = math.nextafter(error, 0.0)
-        rejected = _kernel_py.doubling_step(y, y, 1.3, 0.05, tol)
+        rejected = _kernel_py.doubling_step(y, y, 0.05, tol)
         assert rejected[1] is None and rejected[3] is None
         assert rejected[2] == error
         assert _same_bits(np.array(rejected[0]), np.array(taken[0]))
-        _assert_same_trial(rejected, _list_form_trial(y, y, 1.3, 0.05, tol))
+        _assert_same_trial(rejected, _list_form_trial(y, y, 0.05, tol))
 
 
 def _tripped(y):
@@ -591,11 +615,11 @@ def _tripped(y):
     return any(abs(y[i]) > _kernel_py._GUARD for i in (0, 3, 4, 5))
 
 
-def _list_form_trial(y, z, beta, h, tol):
+def _list_form_trial(y, z, h, tol):
     """``doubling_step`` from the list form: the whole step, the two half
     steps, the local error and, within ``tol``, the companion step, each
     leg checked as ``rk4_path`` and ``numeric._advance`` check it."""
-    lapses = (beta, beta, beta)
+    lapses = (1.0, 1.0, 1.0)
     whole = _list_form_step(y, lapses, h)
     if _tripped(whole) or not all(map(math.isfinite, whole)):
         return whole, None, None, ("whole", _tripped(whole))
