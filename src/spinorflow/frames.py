@@ -15,7 +15,6 @@ import numpy as np
 
 # Frame label order used by every 3x3 array in the package.
 U, L, N = 0, 1, 2
-FRAME_LABELS = ("u", "l", "n")
 
 _SYM_KEYS = ("uu", "ul", "un", "ll", "ln", "nn")
 
@@ -70,10 +69,6 @@ class Sym3:
 
     def to_dict(self) -> dict:
         return {k: float(getattr(self, k)) for k in _SYM_KEYS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Sym3":
-        return cls(**{k: float(d[k]) for k in _SYM_KEYS})
 
 
 @dataclass(frozen=True)

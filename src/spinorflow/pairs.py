@@ -64,7 +64,6 @@ class ThetaInvariants:
     """Scalar invariants driving branch selection and classification."""
 
     lam: float
-    theta2: np.ndarray  # lower 2x2 block [[ll, ln], [ln, nn]]
     T: float
     Delta: float
 
@@ -99,13 +98,29 @@ class ConstraintReport:
 
 def invariants(pair: CauchyPair) -> ThetaInvariants:
     th = pair.theta
-    theta2 = np.array([[th.ll, th.ln], [th.ln, th.nn]])
     return ThetaInvariants(
         lam=math.hypot(th.ul, th.un),
-        theta2=theta2,
         T=th.ll + th.nn,
         Delta=th.ll * th.nn - th.ln**2,
     )
+
+
+def _scaled(pair: CauchyPair) -> tuple[CauchyPair, float]:
+    """The pair scaled by a power of two so that max |Theta| lies in [1, 2),
+    or the pair itself when max |Theta| <= 1; and max(1, max |Theta|) of the
+    pair returned.
+
+    Past max |Theta| = 1 every threshold scales with Theta as the quantity
+    it bounds does, so a decision taken on the scaled pair is the one taken
+    on the pair wherever nothing overflows there, bit for bit, and on the
+    scaled pair no quadratic quantity such as Delta overflows."""
+    th = pair.theta
+    big = th.max_abs()
+    if big <= 1.0:
+        return pair, 1.0
+    k = 1 - math.frexp(big)[1]
+    th = Sym3(*(math.ldexp(v, k) for v in th.as_array().tolist()))
+    return CauchyPair(th), math.ldexp(big, k)
 
 
 # The four algebraic relations every admissible shape tensor satisfies.
@@ -127,11 +142,10 @@ def algebraic_residuals(pair: CauchyPair) -> list[tuple[str, float]]:
     return [(name, f(pair.theta)) for name, f in _ALGEBRAIC]
 
 
-def _match_row(pair: CauchyPair, tol: float) -> str | None:
-    """Structural match against the admissible-family table, first match wins."""
-    th = pair.theta
-    inv = invariants(pair)
-    scale = max(1.0, th.max_abs())
+def _match_row(th: Sym3, inv: ThetaInvariants, scale: float, tol: float) -> str | None:
+    """Structural match against the admissible-family table, first match
+    wins: ``th`` and ``scale`` are what ``_scaled`` returns, ``inv`` the
+    invariants of ``th``."""
 
     def zero(x):
         return abs(x) <= tol * scale
@@ -140,7 +154,8 @@ def _match_row(pair: CauchyPair, tol: float) -> str | None:
         # quantities quadratic in the components
         return abs(x) <= tol * scale * scale
 
-    if zero(th.ul) and zero(th.un):
+    # lambda = 0 by the rule exact.branch and classify follow
+    if zero(inv.lam):
         if zero(th.ll) and zero(th.ln) and zero(th.nn):
             return "R3"
         if zero(inv.T):
@@ -173,16 +188,18 @@ def validate(pair: CauchyPair, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the algebraic system and table membership; name the matched row."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    scale = max(1.0, pair.theta.max_abs())
+    # decide on the scaled pair; the messages print the pair's own residuals
+    scaled, scale = _scaled(pair)
+    th = scaled.theta
     violations = [
-        f"{name} = {val:.3e} != 0"
-        for name, val in algebraic_residuals(pair)
-        if abs(val) > tol * scale * scale
+        f"{name} = {f(pair.theta):.3e} != 0"
+        for name, f in _ALGEBRAIC
+        if abs(f(th)) > tol * scale * scale
     ]
-    inv = invariants(pair)
+    inv = invariants(scaled)
     if inv.lam > tol * scale and abs(inv.Delta) > tol * scale * scale:
         violations.append("lambda != 0 together with Delta != 0 is not admissible")
-    row = _match_row(pair, tol) if not violations else None
+    row = _match_row(th, inv, scale, tol) if not violations else None
     if row is None and not violations:
         violations.append("component pattern matches no admissible family")
     return ValidationReport(valid=not violations, violations=violations, row=row)
@@ -198,18 +215,11 @@ def require_valid(pair: CauchyPair, tol: float = DEFAULT_TOL) -> ValidationRepor
 def classify(pair: CauchyPair, tol: float = DEFAULT_TOL) -> GroupType:
     """Isomorphism type of the underlying group from (T, Delta, lambda).
 
-    Past max |Theta| = 1 every threshold scales with Theta, so the pair is
-    classified scaled by a power of two into [1, 2), where Delta cannot
-    overflow; wherever it did not overflow unscaled, the tag and mu are
-    the same, bit for bit."""
+    The pair is classified as ``_scaled`` returns it: wherever nothing
+    overflowed unscaled, the tag and mu are the same, bit for bit."""
+    pair, scale = _scaled(pair)
     th = pair.theta
-    big = th.max_abs()
-    if big > 1.0:
-        k = 1 - math.frexp(big)[1]
-        th = Sym3(*(math.ldexp(v, k) for v in th.as_array().tolist()))
-        pair = CauchyPair(th)
     inv = invariants(pair)
-    scale = max(1.0, th.max_abs())
     lam_zero = inv.lam <= tol * scale
     t_zero = abs(inv.T) <= tol * scale
     d_zero = abs(inv.Delta) <= tol * scale * scale

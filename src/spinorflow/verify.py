@@ -114,14 +114,6 @@ def suite_ricci4(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
     return rows
 
 
-def _ricci3_reference_frame(pair, profile, t, tol):
-    """3D Ricci of h_t pulled back to the reference coframe components."""
-    th_t = theta_exact(pair, profile, t, tol)
-    u = frame_exact(pair, profile, t, tol).U
-    ric_t, _ = ricci3(structure_constants_from_theta(th_t))
-    return u.T @ ric_t.as_matrix() @ u
-
-
 def suite_ricciflow(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
                     tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Remark identities tying Ric(h_t) to the shape tensor and, on
@@ -161,11 +153,14 @@ def suite_ricciflow(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
         step = 1e-5
         res = 0.0
         for t in times:
-            ric_ref = _ricci3_reference_frame(pair, profile, t, tol)
+            th_t = theta_exact(pair, profile, t, tol)
+            u = frame_exact(pair, profile, t, tol).U
+            ric_t, _ = ricci3(structure_constants_from_theta(th_t))
+            # Ric(h_t) pulled back to the reference coframe components
+            ric_ref = u.T @ ric_t.as_matrix() @ u
             h_plus = metric_exact(pair, profile, t + step, tol).as_matrix()
             h_minus = metric_exact(pair, profile, t - step, tol).as_matrix()
             dh = (h_plus - h_minus) / (2.0 * step)
-            th_t = theta_exact(pair, profile, t, tol)
             factor = (th_t.ll + th_t.nn) / (2.0 * profile.beta(t))
             res = _worst(res, float(np.max(np.abs(ric_ref - factor * dh))))
         rows.append(CheckResult(

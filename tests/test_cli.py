@@ -56,6 +56,15 @@ class TestExitCodes:
         assert main(["validate", path]) == EXIT_INVALID
         assert "invalid pair" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["validate"], ["flow", "--method", "rk4"], ["verify"]],
+                             ids=["validate", "flow-rk4", "verify"])
+    def test_lambda_past_tol_matches_no_family(self, tmp_path, capsys, argv):
+        # Theta_ul, Theta_un each within tol, lambda = hypot of them past it
+        path = write_pair(tmp_path, "lam", theta_dict(uu=1.0, ul=8e-10, un=8e-10))
+        assert main([argv[0], path] + argv[1:]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "component pattern matches no admissible family" in captured.out + captured.err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

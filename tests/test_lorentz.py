@@ -10,7 +10,7 @@ from spinorflow import CauchyPair, LapseProfile, closedness_residual, \
     verify_ricci_identity
 from spinorflow import lorentz, verify
 from spinorflow.lorentz import ETA4, NULL_DIRECTION
-from spinorflow.verify import sample_times, suite_ricci4
+from spinorflow.verify import sample_times, suite_ricci4, suite_ricciflow
 
 from conftest import ROW_PAIRS
 
@@ -186,3 +186,14 @@ class TestRicci4Suite:
             assert rows[1].residual == max(
                 float(np.max(np.abs(ricci4(coframe4_at(row_pair, profile, t)).components)))
                 for t in times)
+
+
+class TestRicciflowSuite:
+    def test_evaluates_theta_once_per_sample_and_row(self, monkeypatch):
+        # the constrained quasi-diagonal pair gets the dh/dt row too
+        calls = []
+        theta_exact = verify.theta_exact
+        monkeypatch.setattr(verify, "theta_exact",
+                            lambda *a: calls.append(a) or theta_exact(*a))
+        rows = suite_ricciflow(ROW_PAIRS["tau2R-qd"], RAMP, samples=6)
+        assert len(rows) == 2 and len(calls) == 12

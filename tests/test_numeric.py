@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorflow import CauchyPair, LapseProfile, SingularTime, Sym3, \
     flow_residuals, frame_exact, integrate_to, lifespan, ode_rhs, theta_exact
@@ -498,6 +500,24 @@ def _assert_same_path(got, ref):
     assert _same_bits(y1, y2)
 
 
+# a value near the guard, or one whose products overflow
+_EXTREME = st.one_of(
+    st.floats(0.9 * _kernel_py._GUARD, 1.1 * _kernel_py._GUARD),
+    st.floats(-1.1 * _kernel_py._GUARD, -0.9 * _kernel_py._GUARD),
+    st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _drawn_states(draw):
+    """15 signed zeros and moderate values, up to three of them then
+    replaced by extreme ones: most trials run every leg, some overflow."""
+    y = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+                      min_size=15, max_size=15))
+    for i in draw(st.lists(st.integers(0, 14), max_size=3)):
+        y[i] = draw(_EXTREME)
+    return tuple(y)
+
+
 class TestKernelParity:
     def test_python_kernel_matches_active_backend(self):
         # the kernel numeric runs is the one checked against the list form
@@ -608,6 +628,23 @@ class TestKernelParity:
         assert _same_bits(np.array(rejected[0]), np.array(taken[0]))
         _assert_same_trial(rejected, _list_form_trial(y, y, 0.05, tol))
 
+    # Only finite states are drawn: the march stops at the first leg that
+    # ends on a state that is not finite, so it never starts a trial from
+    # one.  A finite state can still end a failed trial on NaN entries, and
+    # the sign bit of a NaN is no part of the result: which operand of a
+    # NaN + NaN survives depends on the machine code the interpreter runs
+    # for the addition, and the kernel and the list form differed there in
+    # 2 of 100,000 random trials.  So a NaN entry compares as NaN; every
+    # other bit must match.
+    @given(_drawn_states(), _drawn_states(),
+           st.floats(1e-6, 1.0), st.sampled_from([1.0, -1.0]),
+           st.sampled_from([0.0, 1e-12, 1e-8, math.inf]))
+    @settings(max_examples=300, deadline=None)
+    def test_doubling_step_matches_list_form_on_drawn_states(self, y, z, size, sign, tol):
+        h = sign * size
+        _assert_same_trial(_nan_as_nan(_kernel_py.doubling_step(y, z, h, tol)),
+                           _nan_as_nan(_list_form_trial(y, z, h, tol)))
+
 
 def _tripped(y):
     """The kernel's guard: |Theta_uu|, |Theta_ll|, |Theta_ln| or |Theta_nn|
@@ -636,6 +673,13 @@ def _list_form_trial(y, z, h, tol):
     if _tripped(companion) or not all(map(math.isfinite, companion)):
         return companion, None, None, ("companion", _tripped(companion))
     return halves, companion, error, None
+
+
+def _nan_as_nan(trial):
+    """``trial`` with every NaN entry of its states replaced by ``math.nan``."""
+    def canon(state):
+        return None if state is None else tuple(math.nan if v != v else v for v in state)
+    return (canon(trial[0]), canon(trial[1])) + tuple(trial[2:])
 
 
 def _assert_same_trial(got, ref):

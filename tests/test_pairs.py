@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorflow import CauchyPair, GroupTag, InvalidPair, Sym3, classify, \
-    constraints, invariants, is_constrained_ricci_flat, ricci3, \
-    structure_constants_from_theta, validate
+from spinorflow import CauchyPair, GroupTag, InvalidPair, LapseProfile, Sym3, \
+    classify, constraints, invariants, is_constrained_ricci_flat, lifespan, \
+    ricci3, structure_constants_from_theta, validate
+from spinorflow.exact import QD, branch
 from spinorflow.pairs import require_valid
 
 from conftest import ROW_PAIRS
@@ -95,6 +96,36 @@ class TestValidate:
     def test_lambda_delta_conflict(self):
         pair = CauchyPair.from_components(ul=1.0, ll=1.0, nn=1.0, ln=1.0)
         assert not validate(pair).valid
+
+    @pytest.mark.parametrize("j", [0, 1, 100, 512, 600, 1000])
+    def test_scaling_by_powers_of_two_keeps_the_row(self, row_pair, j):
+        # validate decides on the pair scaled into [1, 2), where no quadratic
+        # residual overflows: unscaled, tau3mu at 2^600 took the quasi-diagonal
+        # row and the general row at 2^512 raised OverflowError
+        scaled = CauchyPair(Sym3(*(math.ldexp(v, j) for v in
+                                   row_pair.theta.as_array().tolist())))
+        report = validate(scaled)
+        assert report.valid and report.row == validate(row_pair).row
+
+    def test_violations_print_the_unscaled_residuals(self):
+        report = validate(CauchyPair.from_components(ul=2.0 ** 40, ll=2.0 ** 40))
+        assert "Theta_ln*Theta_un + Theta_ul*(Theta_ll + Theta_uu) = 1.209e+24 != 0" \
+            in report.violations
+
+    def test_lambda_zero_is_decided_on_lambda(self):
+        # Theta_ul and Theta_un each within tol, lambda = 1.13e-9 past it:
+        # lambda != 0, where no family has this pattern
+        report = validate(CauchyPair.from_components(uu=1.0, ul=8e-10, un=8e-10))
+        assert not report.valid
+        assert report.violations == ["component pattern matches no admissible family"]
+
+    def test_lambda_within_tol_is_quasi_diagonal(self):
+        # lambda = 7.1e-10: every rule reads lambda = 0
+        pair = CauchyPair.from_components(uu=1.0, ul=5e-10, un=5e-10)
+        assert validate(pair).row == "R3"
+        assert branch(pair) == QD
+        span = lifespan(pair, LapseProfile.constant(1.0))
+        assert (span.t_minus, span.t_plus) == (-math.inf, 1.0)
 
 
 class TestClassify:
