@@ -1,6 +1,6 @@
-"""The RK4 kernel: the one RK4 step of the package, in two unrolled entries.
+"""The RK4 kernel: the one RK4 step of the package, written out once.
 
-Both march the 15 flow components
+It marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
 at unit lapse.  Every right-hand side of the flow is the lapse times a
 function of y, so the kernel takes no lapse: ``numeric`` marches every
@@ -26,22 +26,28 @@ a state that is not finite stops the trial and returns ``(the state it
 ended on, None, None, (leg, tripped))``: leg is "whole", "half 1",
 "half 2" or "companion", in the order they run, and tripped is False for a
 state that is not finite.  As in ``rk4_path(y, h/2, 2)``, the first
-half step ends the trial only on a guard trip.
+half step ends the trial only on a guard trip.  The halves are therefore
+bit-identical to ``rk4_path(y, h/2, 2)[0]`` and the companion to
+``rk4_path(z, h, 1)[0]``.
 
-Each writes the RK4 step out once, unrolled over scalars: ``rk4_path``
-runs it once per step, ``doubling_step`` once per leg, and neither calls a
-function or builds a list inside a step.  The 13 evolving components
-(Theta_uu, Theta_ll, Theta_ln, Theta_nn and the nine entries of U) live in
-locals, and dt/2, dt/6 and the products of the conserved Theta_ul, Theta_un
-are computed outside the step.  Every floating-point operation is the one
-the list form performs, in the same order: ``_rhs`` evaluated at y,
-y + dt/2 k1, y + dt/2 k2 and y + dt k3, then y + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The output is therefore bit-identical to
-that list form, which ``tests/test_numeric.py`` keeps as its reference.
+Both entries are one call of ``_march``, which writes the RK4 step out
+once, unrolled over scalars, in a loop over legs: ``n_steps`` plain steps
+for ``rk4_path``, the four legs of the trial for ``doubling_step``.  It
+calls no function and builds no list inside a leg.  The 13 evolving
+components (Theta_uu, Theta_ll, Theta_ln, Theta_nn and the nine entries of
+U) live in locals, and dt/2, dt/6 and the products of the conserved
+Theta_ul, Theta_un are computed outside the step.  Every floating-point
+operation is the one the list form performs, in the same order: ``_rhs``
+evaluated at y, y + dt/2 k1, y + dt/2 k2 and y + dt k3, then
+y + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The output is therefore bit-identical
+to that list form, which ``tests/test_numeric.py`` keeps as its reference.
 A sign flip is written -(e), never folded into a subtraction such as
 y - dt/2 (e): where the terms cancel, the sum's zero would change sign.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 _GUARD = 1e12
 
@@ -63,164 +69,32 @@ def _rhs(y):
 
 def rk4_path(y0, dt, n_steps):
     """March y0 by ``n_steps`` RK4 steps; see the module docstring."""
+    return _march(tuple(map(float, y0)), None, float(dt), None, n_steps)
+
+
+def doubling_step(y, z, h, tol):
+    """One trial of the controlled march; see the module docstring."""
+    return _march(y, z, h, tol, None)
+
+
+def _march(y, z, h, tol, n_steps):
+    """``n_steps`` plain RK4 steps of size h from y, as ``rk4_path``
+    returns them, or with ``n_steps`` None the trial of size h from y and
+    its companion z, as ``doubling_step`` returns it."""
     # U is row-major: a*, b*, c* are its rows 0, 1, 2
-    uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2 = (
-        float(v) for v in y0)
-    dt = float(dt)
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
+    uu, ul_s, un_s, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2 = y
+    h2 = 0.5 * h  # dt/2 of a step of size h, and the half steps' dt
+    h6 = h / 6.0
+    d, d2, d6 = h, h2, h6  # the leg's dt, dt/2 and dt/6
     guard, mguard = _GUARD, -_GUARD
-    truncated = False
-    step = -1
+    done = 0
 
     # Theta_ul and Theta_un have zero slope, so every stage point and every
     # step adds a signed zero (dt * 0.0) to them.  That is a no-op except on
     # a zero of the other sign, so the first k1 sees the input values (the
     # *_s names) and everything after sees ul + dt * 0.0, un + dt * 0.0.
-    ul_s, un_s = ul, un
-    ulun_s = ul_s * un_s
-    ul = ul + dt * 0.0
-    un = un + dt * 0.0
-    ul2 = ul * ul
-    un2 = un * un
-    ulun = ul * un
-
-    for step in range(n_steps):
-        # k1 at y
-        k1uu = uu * uu + ul2 + un2
-        k1ll = ll * uu - ul2
-        k1ln = ln * uu - ulun_s
-        k1nn = nn * uu - un2
-        k1a0 = -(uu * a0 + ul_s * b0 + un_s * c0)
-        k1b0 = -(ul_s * a0 + ll * b0 + ln * c0)
-        k1c0 = -(un_s * a0 + ln * b0 + nn * c0)
-        k1a1 = -(uu * a1 + ul_s * b1 + un_s * c1)
-        k1b1 = -(ul_s * a1 + ll * b1 + ln * c1)
-        k1c1 = -(un_s * a1 + ln * b1 + nn * c1)
-        k1a2 = -(uu * a2 + ul_s * b2 + un_s * c2)
-        k1b2 = -(ul_s * a2 + ll * b2 + ln * c2)
-        k1c2 = -(un_s * a2 + ln * b2 + nn * c2)
-        # k2 at y + dt/2 k1
-        xuu = uu + h2 * k1uu
-        xll = ll + h2 * k1ll
-        xln = ln + h2 * k1ln
-        xnn = nn + h2 * k1nn
-        xa0 = a0 + h2 * k1a0
-        xa1 = a1 + h2 * k1a1
-        xa2 = a2 + h2 * k1a2
-        xb0 = b0 + h2 * k1b0
-        xb1 = b1 + h2 * k1b1
-        xb2 = b2 + h2 * k1b2
-        xc0 = c0 + h2 * k1c0
-        xc1 = c1 + h2 * k1c1
-        xc2 = c2 + h2 * k1c2
-        k2uu = xuu * xuu + ul2 + un2
-        k2ll = xll * xuu - ul2
-        k2ln = xln * xuu - ulun
-        k2nn = xnn * xuu - un2
-        k2a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
-        k2b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
-        k2c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
-        k2a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
-        k2b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
-        k2c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
-        k2a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
-        k2b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
-        k2c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
-        # k3 at y + dt/2 k2
-        xuu = uu + h2 * k2uu
-        xll = ll + h2 * k2ll
-        xln = ln + h2 * k2ln
-        xnn = nn + h2 * k2nn
-        xa0 = a0 + h2 * k2a0
-        xa1 = a1 + h2 * k2a1
-        xa2 = a2 + h2 * k2a2
-        xb0 = b0 + h2 * k2b0
-        xb1 = b1 + h2 * k2b1
-        xb2 = b2 + h2 * k2b2
-        xc0 = c0 + h2 * k2c0
-        xc1 = c1 + h2 * k2c1
-        xc2 = c2 + h2 * k2c2
-        k3uu = xuu * xuu + ul2 + un2
-        k3ll = xll * xuu - ul2
-        k3ln = xln * xuu - ulun
-        k3nn = xnn * xuu - un2
-        k3a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
-        k3b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
-        k3c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
-        k3a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
-        k3b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
-        k3c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
-        k3a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
-        k3b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
-        k3c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
-        # k4 at y + dt k3
-        xuu = uu + dt * k3uu
-        xll = ll + dt * k3ll
-        xln = ln + dt * k3ln
-        xnn = nn + dt * k3nn
-        xa0 = a0 + dt * k3a0
-        xa1 = a1 + dt * k3a1
-        xa2 = a2 + dt * k3a2
-        xb0 = b0 + dt * k3b0
-        xb1 = b1 + dt * k3b1
-        xb2 = b2 + dt * k3b2
-        xc0 = c0 + dt * k3c0
-        xc1 = c1 + dt * k3c1
-        xc2 = c2 + dt * k3c2
-        k4uu = xuu * xuu + ul2 + un2
-        k4ll = xll * xuu - ul2
-        k4ln = xln * xuu - ulun
-        k4nn = xnn * xuu - un2
-        k4a0 = -(xuu * xa0 + ul * xb0 + un * xc0)
-        k4b0 = -(ul * xa0 + xll * xb0 + xln * xc0)
-        k4c0 = -(un * xa0 + xln * xb0 + xnn * xc0)
-        k4a1 = -(xuu * xa1 + ul * xb1 + un * xc1)
-        k4b1 = -(ul * xa1 + xll * xb1 + xln * xc1)
-        k4c1 = -(un * xa1 + xln * xb1 + xnn * xc1)
-        k4a2 = -(xuu * xa2 + ul * xb2 + un * xc2)
-        k4b2 = -(ul * xa2 + xll * xb2 + xln * xc2)
-        k4c2 = -(un * xa2 + xln * xb2 + xnn * xc2)
-        # y += dt/6 (k1 + 2 k2 + 2 k3 + k4)
-        uu = uu + h6 * (k1uu + 2.0 * k2uu + 2.0 * k3uu + k4uu)
-        ll = ll + h6 * (k1ll + 2.0 * k2ll + 2.0 * k3ll + k4ll)
-        ln = ln + h6 * (k1ln + 2.0 * k2ln + 2.0 * k3ln + k4ln)
-        nn = nn + h6 * (k1nn + 2.0 * k2nn + 2.0 * k3nn + k4nn)
-        a0 = a0 + h6 * (k1a0 + 2.0 * k2a0 + 2.0 * k3a0 + k4a0)
-        a1 = a1 + h6 * (k1a1 + 2.0 * k2a1 + 2.0 * k3a1 + k4a1)
-        a2 = a2 + h6 * (k1a2 + 2.0 * k2a2 + 2.0 * k3a2 + k4a2)
-        b0 = b0 + h6 * (k1b0 + 2.0 * k2b0 + 2.0 * k3b0 + k4b0)
-        b1 = b1 + h6 * (k1b1 + 2.0 * k2b1 + 2.0 * k3b1 + k4b1)
-        b2 = b2 + h6 * (k1b2 + 2.0 * k2b2 + 2.0 * k3b2 + k4b2)
-        c0 = c0 + h6 * (k1c0 + 2.0 * k2c0 + 2.0 * k3c0 + k4c0)
-        c1 = c1 + h6 * (k1c1 + 2.0 * k2c1 + 2.0 * k3c1 + k4c1)
-        c2 = c2 + h6 * (k1c2 + 2.0 * k2c2 + 2.0 * k3c2 + k4c2)
-        ul_s, un_s, ulun_s = ul, un, ulun
-
-        # max(|uu|, |ll|, |ln|, |nn|) > guard; max() would also hide the rest
-        # behind a NaN uu, but a step that leaves uu NaN leaves them NaN too
-        if (uu > guard or uu < mguard or ll > guard or ll < mguard
-                or ln > guard or ln < mguard or nn > guard or nn < mguard):
-            truncated = True
-            break
-
-    # ul_s, un_s are the input values until a step is done, ul, un after it
-    return ((uu, ul_s, un_s, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2),
-            step + 1, truncated)
-
-
-def doubling_step(y, z, h, tol):
-    """One trial of the controlled march; see the module docstring."""
-    # U is row-major: a*, b*, c* are its rows 0, 1, 2
-    uu, ul_s, un_s, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2 = y
-    h2 = 0.5 * h  # the whole step's dt/2 and the half steps' dt
-    h6 = h / 6.0
-    d, d2, d6 = h, h2, h6  # the leg's dt, dt/2 and dt/6
-    guard, mguard = _GUARD, -_GUARD
-
-    # as in rk4_path, the first k1 sees the input Theta_ul, Theta_un and
-    # every later stage ul + dt * 0.0, un + dt * 0.0.  dt = h and dt = h/2
-    # give that zero the same sign, so all three steps of y share ul, un.
+    # dt = h and dt = h/2 give that zero the same sign, so all three steps
+    # of y in a trial share ul, un.
     ulun_s = ul_s * un_s
     ul = ul_s + h * 0.0
     un = un_s + h * 0.0
@@ -230,7 +104,11 @@ def doubling_step(y, z, h, tol):
 
     # Each leg is one RK4 step from the state in the locals, which it
     # overwrites; between legs the locals are set up for the next one.
-    for leg in ("whole", "half 1", "half 2", "companion"):
+    if n_steps is None:
+        legs = ("whole", "half 1", "half 2", "companion")
+    else:
+        legs = repeat("step", n_steps)
+    for leg in legs:
         if leg != "half 1":  # the first half step shares the whole step's k1
             # k1 at the leg's start
             k1uu = uu * uu + ul2 + un2
@@ -340,27 +218,26 @@ def doubling_step(y, z, h, tol):
         b2 = b2 + d6 * (k1b2 + 2.0 * k2b2 + 2.0 * k3b2 + k4b2)
         c0 = c0 + d6 * (k1c0 + 2.0 * k2c0 + 2.0 * k3c0 + k4c0)
         c1 = c1 + d6 * (k1c1 + 2.0 * k2c1 + 2.0 * k3c1 + k4c1)
-        c2 = c2 + d6 * (k1c2 + 2.0 * k2c2 + 2.0 * k3c2 + k4c2)
-        tripped = (uu > guard or uu < mguard or ll > guard or ll < mguard
-                   or ln > guard or ln < mguard or nn > guard or nn < mguard)
-        if leg == "half 1":
-            # only the guard ends the trial here, as in rk4_path(y, h/2, 2)
-            if tripped:
-                return ((uu, ul, un, ll, ln, nn, a0,
-                         a1, a2, b0, b1, b2, c0, c1, c2),
-                        None, None, (leg, True))
-            # the second half step starts here, and its k1 sees ul, un
+        c2 = c2 + d6 * (k1c2 + 2.0 * k2c2 + 2.0 * k3c2 + k4c2)        # max(|uu|, |ll|, |ln|, |nn|) > guard; max() would also hide the rest
+        # behind a NaN uu, but a step that leaves uu NaN leaves them NaN too
+        if (uu > guard or uu < mguard or ll > guard or ll < mguard
+                or ln > guard or ln < mguard or nn > guard or nn < mguard):
+            tripped = True
+            break
+        if leg == "step" or leg == "half 1":
+            # a plain step, and the first half step as in rk4_path(y, h/2, 2),
+            # ends only on a guard trip; the next step's k1 sees ul, un
+            done += 1
             ul_s, un_s, ulun_s = ul, un, ulun
             continue
         # x - x is 0.0 for a finite x and NaN otherwise, so the sum is 0.0
         # exactly when the state is finite
-        if tripped or ((uu - uu) + (ul - ul) + (un - un) + (ll - ll)
-                       + (ln - ln) + (nn - nn) + (a0 - a0) + (a1 - a1)
-                       + (a2 - a2) + (b0 - b0) + (b1 - b1) + (b2 - b2)
-                       + (c0 - c0) + (c1 - c1) + (c2 - c2)) != 0.0:
-            return ((uu, ul, un, ll, ln, nn, a0,
-                     a1, a2, b0, b1, b2, c0, c1, c2),
-                    None, None, (leg, tripped))
+        if ((uu - uu) + (ul - ul) + (un - un) + (ll - ll) + (ln - ln)
+                + (nn - nn) + (a0 - a0) + (a1 - a1) + (a2 - a2) + (b0 - b0)
+                + (b1 - b1) + (b2 - b2) + (c0 - c0) + (c1 - c1)
+                + (c2 - c2)) != 0.0:
+            tripped = False
+            break
         if leg == "whole":
             # keep the whole step; the two half steps of h/2 start from y
             wuu, wll, wln, wnn, wa0, wa1, wa2, wb0, wb1, wb2, wc0, wc1, wc2 = (
@@ -397,6 +274,16 @@ def doubling_step(y, z, h, tol):
             un2 = un * un
             ulun = ul * un
             d, d2, d6 = h, h2, h6
-    return (halves,
-            (uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2),
-            error, None)
+        else:  # the companion, the trial's last leg
+            return (halves,
+                    (uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2),
+                    error, None)
+    else:
+        # the n_steps plain steps are done; ul_s, un_s are the input values
+        # until a step is done, ul, un after it
+        return ((uu, ul_s, un_s, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2),
+                done, False)
+    end = (uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2)
+    if leg == "step":
+        return end, done + 1, True
+    return end, None, None, (leg, tripped)

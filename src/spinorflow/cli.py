@@ -26,7 +26,7 @@ from .lorentz import curvature_report
 from .numeric import CERTIFY_LIMIT, FlowState, _state_from_vector, \
     flow_residuals, integrate_to, uncertified
 from .pairs import CauchyPair, DEFAULT_TOL, classify, constraints, invariants, \
-    validate
+    require_valid, validate
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -183,6 +183,7 @@ def cmd_classify(args, data) -> int:
 
 def cmd_lifespan(args, data) -> int:
     pair, profile = _parse_pair(data)
+    require_valid(pair, args.tol)
     span = lifespan(pair, profile, args.tol)
     payload = {
         "t_minus": _span_end(span.t_minus, _fmt),
@@ -197,6 +198,7 @@ def cmd_lifespan(args, data) -> int:
 
 def cmd_flow(args, data) -> int:
     pair, profile = _parse_pair(data)
+    require_valid(pair, args.tol)
     t0, t1 = _clip_window(lifespan(pair, profile, args.tol), profile, args.t0, args.t1)
     times = np.linspace(t0, t1, args.samples)
     if args.method == "exact":
@@ -211,6 +213,7 @@ def cmd_flow(args, data) -> int:
 
 def cmd_curvature(args, data) -> int:
     pair, profile = _parse_pair(data)
+    require_valid(pair, args.tol)
     span = lifespan(pair, profile, args.tol)
     t0, t1 = _clip_window(span, profile, args.t0, args.t1)
     times = np.linspace(t0, t1, args.samples)

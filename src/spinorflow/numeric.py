@@ -10,7 +10,8 @@ caller that names ``n_steps_total`` gets a fixed-step march in s instead.
 Both carry the state as a tuple of 15 floats and make one kernel call per
 advance: one ``_kern.doubling_step`` per trial step, or one
 ``_kern.rk4_path`` per segment through ``_advance``.  The kernel is the
-unrolled pure-Python module ``_kernel_py``; ``KERNEL_BACKEND`` names it.
+pure-Python module ``_kernel_py``, whose two entries run one unrolled RK4
+step in one leg loop; ``KERNEL_BACKEND`` names it.
 """
 
 from __future__ import annotations

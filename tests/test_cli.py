@@ -56,6 +56,20 @@ class TestExitCodes:
         assert main(["validate", path]) == EXIT_INVALID
         assert "invalid pair" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["lifespan"], ["flow", "--method", "exact"], ["flow", "--method", "rk4"],
+        ["curvature"],
+    ], ids=["lifespan", "flow-exact", "flow-rk4", "curvature"])
+    def test_invalid_pair_is_refused_before_any_output(self, tmp_path, capsys, argv):
+        # Theta_ul (Theta_ll + Theta_uu) = 1 breaks a relation by 1.0; the
+        # lifespan (-2.356, 0.785) would clip the default window
+        path = write_pair(tmp_path, "bad", theta_dict(uu=1.0, ul=1.0))
+        assert main(["verify", path]) == EXIT_INVALID
+        refused = capsys.readouterr()
+        assert refused.out == "" and refused.err.startswith("invalid pair:\n  ")
+        assert main([argv[0], path] + argv[1:]) == EXIT_INVALID
+        assert capsys.readouterr() == refused
+
     @pytest.mark.parametrize("argv", [["validate"], ["flow", "--method", "rk4"], ["verify"]],
                              ids=["validate", "flow-rk4", "verify"])
     def test_lambda_past_tol_matches_no_family(self, tmp_path, capsys, argv):
@@ -496,6 +510,21 @@ class TestSweep:
         assert main(["validate", str(path), "--sweep"]) == EXIT_INVALID
         out = capsys.readouterr().out
         assert "# pair 0" in out and "# pair 1" in out
+
+    @pytest.mark.parametrize("command", ["lifespan", "flow", "curvature"])
+    def test_sweep_refuses_an_invalid_pair_and_goes_on(self, tmp_path, capsys, command):
+        good = {"theta": theta_dict(uu=-1.0)}
+        pairs = [good, {"theta": theta_dict(uu=1.0, ul=1.0)}, good]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(pairs))
+        window = [] if command == "lifespan" else ["--samples", "3"]
+        assert main([command, str(path), "--sweep"] + window) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, second, third = captured.out.split("# pair ")[1:]
+        assert second == ("1\ninvalid pair: Theta_ln*Theta_un + Theta_ul*(Theta_ll"
+                          " + Theta_uu) = 1.000e+00 != 0\n")
+        assert third.startswith("2\n") and third[2:] == first[2:]
 
     def test_sweep_continues_past_a_numeric_failure(self, tmp_path, capsys):
         # the window lies past the lifespan of uu = 1 (ends at t = 1), but

@@ -645,6 +645,26 @@ class TestKernelParity:
         _assert_same_trial(_nan_as_nan(_kernel_py.doubling_step(y, z, h, tol)),
                            _nan_as_nan(_list_form_trial(y, z, h, tol)))
 
+    # the states and the NaN rule of the doubling_step test above
+    @given(_drawn_states(), _drawn_states(), st.integers(0, 20),
+           st.floats(1e-6, 1.0), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_rk4_path_matches_list_form_on_drawn_states(self, y, z, n, size, sign):
+        dt = sign * size
+        got = _run_kernel(_kernel_py, y, dt, n)
+        ref = _run_list_form(y, 0.0, dt, n)
+        assert got[1:] == ref[1:]
+        assert _same_bits(np.array(_nan_state(got[0])), np.array(_nan_state(ref[0])))
+        if n == 0:
+            assert got[1:] == (0, False) and _same_bits(got[0], np.array(y))
+        # a trial that takes every leg is two steps of h/2 and one of h
+        trial = _kernel_py.doubling_step(y, z, dt, math.inf)
+        if trial[3] is None:
+            assert _same_bits(np.array(trial[0]),
+                              np.array(_kernel_py.rk4_path(y, dt / 2, 2)[0]))
+            assert _same_bits(np.array(trial[1]),
+                              np.array(_kernel_py.rk4_path(z, dt, 1)[0]))
+
 
 def _tripped(y):
     """The kernel's guard: |Theta_uu|, |Theta_ll|, |Theta_ln| or |Theta_nn|
@@ -675,11 +695,14 @@ def _list_form_trial(y, z, h, tol):
     return halves, companion, error, None
 
 
+def _nan_state(state):
+    """``state`` with every NaN entry replaced by ``math.nan``."""
+    return None if state is None else tuple(math.nan if v != v else v for v in state)
+
+
 def _nan_as_nan(trial):
     """``trial`` with every NaN entry of its states replaced by ``math.nan``."""
-    def canon(state):
-        return None if state is None else tuple(math.nan if v != v else v for v in state)
-    return (canon(trial[0]), canon(trial[1])) + tuple(trial[2:])
+    return (_nan_state(trial[0]), _nan_state(trial[1])) + tuple(trial[2:])
 
 
 def _assert_same_trial(got, ref):
