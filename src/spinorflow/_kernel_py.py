@@ -218,7 +218,8 @@ def _march(y, z, h, tol, n_steps):
         b2 = b2 + d6 * (k1b2 + 2.0 * k2b2 + 2.0 * k3b2 + k4b2)
         c0 = c0 + d6 * (k1c0 + 2.0 * k2c0 + 2.0 * k3c0 + k4c0)
         c1 = c1 + d6 * (k1c1 + 2.0 * k2c1 + 2.0 * k3c1 + k4c1)
-        c2 = c2 + d6 * (k1c2 + 2.0 * k2c2 + 2.0 * k3c2 + k4c2)        # max(|uu|, |ll|, |ln|, |nn|) > guard; max() would also hide the rest
+        c2 = c2 + d6 * (k1c2 + 2.0 * k2c2 + 2.0 * k3c2 + k4c2)
+        # max(|uu|, |ll|, |ln|, |nn|) > guard; max() would also hide the rest
         # behind a NaN uu, but a step that leaves uu NaN leaves them NaN too
         if (uu > guard or uu < mguard or ll > guard or ll < mguard
                 or ln > guard or ln < mguard or nn > guard or nn < mguard):

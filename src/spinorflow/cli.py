@@ -25,7 +25,7 @@ from .lapse import LapseProfile
 from .lorentz import curvature_report
 from .numeric import CERTIFY_LIMIT, FlowState, _state_from_vector, \
     flow_residuals, integrate_to, uncertified
-from .pairs import CauchyPair, DEFAULT_TOL, classify, constraints, invariants, \
+from .pairs import CauchyPair, DEFAULT_TOL, _constraints, classify, invariants, \
     require_valid, validate
 from .verify import SUITES, run_suite
 
@@ -154,7 +154,7 @@ def cmd_validate(args, data) -> int:
     group = classify(pair, args.tol)
     # squares of components past about 1e154 overflow: refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        con = constraints(pair, args.tol)
+        con = _constraints(pair.theta, args.tol)
         momentum = float(np.max(np.abs(con.momentum_residual)))
     numbers = (inv.lam, inv.T, inv.Delta, con.hamiltonian, momentum)
     if not all(map(math.isfinite, numbers + (group.mu or 0.0,))):

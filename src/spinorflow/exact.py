@@ -22,10 +22,8 @@ from .pairs import CauchyPair, DEFAULT_TOL, invariants
 _SINGULAR_GUARD = 1e-12
 
 # Branch names used for dispatch.
-QD = "quasi-diagonal"        # lambda = 0
-OFF_N = "single-off-n"       # Theta_ul = 0, Theta_un != 0
-OFF_L = "single-off-l"       # Theta_un = 0, Theta_ul != 0
-GENERAL = "both-off"         # Theta_ul * Theta_un != 0
+QD = "quasi-diagonal"         # lambda = 0
+NONQD = "non-quasi-diagonal"  # lambda != 0
 
 
 @dataclass(frozen=True)
@@ -61,15 +59,9 @@ class Lifespan:
 
 
 def branch(pair: CauchyPair, tol: float = DEFAULT_TOL) -> str:
+    """QD where lambda is zero within tol, relative to max(1, max |Theta|)."""
     th = pair.theta
-    scale = max(1.0, th.max_abs())
-    if math.hypot(th.ul, th.un) <= tol * scale:
-        return QD
-    if abs(th.ul) <= tol * scale:
-        return OFF_N
-    if abs(th.un) <= tol * scale:
-        return OFF_L
-    return GENERAL
+    return QD if math.hypot(th.ul, th.un) <= tol * max(1.0, th.max_abs()) else NONQD
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -79,11 +71,10 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def nonqd_coefficients(pair: CauchyPair, tol: float = DEFAULT_TOL) -> NonQDCoefficients:
-    th = pair.theta
-    inv = invariants(pair)
-    lam = inv.lam
-    if lam <= tol * max(1.0, th.max_abs()):
+    if branch(pair, tol) == QD:
         raise NotApplicable("coefficients only defined for lambda != 0")
+    th = pair.theta
+    lam = invariants(pair).lam
     denom = lam * math.hypot(lam, th.uu)
     return NonQDCoefficients(
         y0=math.atan2(th.uu, lam),
@@ -150,7 +141,7 @@ def frame_exact(pair: CauchyPair, profile: LapseProfile, t: float,
         u[1:, 1:] = eig.Q @ np.diag([s**eig.rho_plus, s**eig.rho_minus]) @ eig.Q.T
         return FrameTransform(u)
 
-    # every lambda != 0 branch, the single-off ones included
+    # lambda != 0, a single nonzero off-diagonal component included
     lam = invariants(pair).lam
     y = _y_at(pair, bt)
     tan = math.tan(y)
@@ -222,9 +213,8 @@ def eta_oneform(pair: CauchyPair, profile: LapseProfile, t: float,
                 tol: float = DEFAULT_TOL) -> np.ndarray:
     """Components in the reference coframe of the parallel unit one-form
     (Theta_un e^t_l - Theta_ul e^t_n) / lambda; only defined for lambda != 0."""
-    th = pair.theta
-    lam = invariants(pair).lam
-    if lam <= tol * max(1.0, th.max_abs()):
+    if branch(pair, tol) == QD:
         raise NotApplicable("eta is only defined on the lambda != 0 branches")
+    th = pair.theta
     u = frame_exact(pair, profile, t, tol).U
-    return (th.un * u[L, :] - th.ul * u[N, :]) / lam
+    return (th.un * u[L, :] - th.ul * u[N, :]) / invariants(pair).lam

@@ -154,7 +154,7 @@ def _match_row(th: Sym3, inv: ThetaInvariants, scale: float, tol: float) -> str 
         # quantities quadratic in the components
         return abs(x) <= tol * scale * scale
 
-    # lambda = 0 by the rule exact.branch and classify follow
+    # lambda = 0 by the rule exact.branch follows
     if zero(inv.lam):
         if zero(th.ll) and zero(th.ln) and zero(th.nn):
             return "R3"
@@ -212,28 +212,27 @@ def require_valid(pair: CauchyPair, tol: float = DEFAULT_TOL) -> ValidationRepor
     return report
 
 
-def classify(pair: CauchyPair, tol: float = DEFAULT_TOL) -> GroupType:
-    """Isomorphism type of the underlying group from (T, Delta, lambda).
+# the group each row of the admissible-family table is realized on
+_ROW_GROUPS = {
+    "R3": GroupTag.R3, "E11": GroupTag.E11, "tau3mu": GroupTag.TAU3_MU,
+    **dict.fromkeys(("tau2+R (quasi-diagonal)", "tau2+R (lambda)", "tau2+R (u-l)",
+                     "tau2+R (u-n)", "tau2+R (general)"), GroupTag.TAU2_PLUS_R),
+}
 
-    The pair is classified as ``_scaled`` returns it: wherever nothing
-    overflowed unscaled, the tag and mu are the same, bit for bit."""
+
+def classify(pair: CauchyPair, tol: float = DEFAULT_TOL) -> GroupType:
+    """Isomorphism type of the underlying group: the group of the row that
+    ``validate`` matches, so an invalid pair raises ``InvalidPair``.
+
+    On a tau3mu row, mu is the eigenvalue ratio of the lower 2x2 block,
+    computed on the pair as ``_scaled`` returns it: wherever nothing
+    overflowed unscaled, mu is the same, bit for bit."""
+    tag = _ROW_GROUPS[require_valid(pair, tol).row]
+    if tag is not GroupTag.TAU3_MU:
+        return GroupType(tag)
     pair, scale = _scaled(pair)
     th = pair.theta
     inv = invariants(pair)
-    lam_zero = inv.lam <= tol * scale
-    t_zero = abs(inv.T) <= tol * scale
-    d_zero = abs(inv.Delta) <= tol * scale * scale
-
-    if not lam_zero and not d_zero:
-        raise InvalidPair(["lambda != 0 together with Delta != 0 is not admissible"])
-    if lam_zero and t_zero and d_zero:
-        return GroupType(GroupTag.R3)
-    if lam_zero and t_zero:
-        return GroupType(GroupTag.E11)
-    if d_zero:
-        return GroupType(GroupTag.TAU2_PLUS_R)
-
-    # tau_{3,mu}: T, Delta != 0 and lambda = 0
     if abs(th.ln) > tol * scale:
         s = math.copysign(1.0, inv.T)
         root = math.sqrt(max(inv.T**2 - 4.0 * inv.Delta, 0.0))
@@ -244,13 +243,18 @@ def classify(pair: CauchyPair, tol: float = DEFAULT_TOL) -> GroupType:
         mu = th.ll / th.nn
     if not 0.0 < abs(mu) <= 1.0 + tol:
         raise InvalidPair([f"tau3 ratio mu = {mu:.6g} outside the admissible range"])
-    return GroupType(GroupTag.TAU3_MU, mu=mu)
+    return GroupType(tag, mu=mu)
 
 
 def constraints(pair: CauchyPair, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Vacuum Hamiltonian and momentum residuals of (h, Theta)."""
     require_valid(pair, tol)
-    th = pair.theta
+    return _constraints(pair.theta, tol)
+
+
+def _constraints(th: Sym3, tol: float) -> ConstraintReport:
+    """``constraints`` of the pair with shape components ``th``, which the
+    caller has validated, or evolved from a validated pair."""
     c = structure_constants_from_theta(th)
     _, scal = ricci3(c)
     ham = scal - th.norm2() + th.trace() ** 2

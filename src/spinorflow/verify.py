@@ -2,8 +2,9 @@
 
 Each suite evaluates a family of identities along the flow and returns one
 row per assertion with the worst residual over the sampled times.  Sampling
-covers the middle 90 percent of the lifespan, with infinite boundaries
-clipped to +-2 flow-time units.
+covers the middle 90 percent of the lifespan: its infinite ends, and the ends
+a tabulated lapse leaves unknown (None), are clipped to +-2 flow-time units,
+and then every end is cut to the table's domain.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .lorentz import _coframe4, _identity_residual, closedness_residual, \
     dirac_current_frame, ricci4
 from .numeric import FlowState, flow_residuals, hamiltonian_of, integrate_to, \
     uncertified
-from .pairs import CauchyPair, DEFAULT_TOL, constraints, invariants, \
-    is_constrained_ricci_flat, require_valid
+from .pairs import CauchyPair, DEFAULT_TOL, _constraints, constraints, \
+    invariants, require_valid
 
 SUITES = ("constraints", "ricci4", "ricciflow", "cosymplectic", "oracle")
 
@@ -50,7 +51,8 @@ def _worst(a: float, b: float) -> float:
 
 def sample_window(pair: CauchyPair, profile: LapseProfile,
                   tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Middle 90 percent of the lifespan, infinite ends clipped to +-2."""
+    """Middle 90 percent of the lifespan, infinite or unknown ends clipped
+    to +-2, every end cut to the table's domain."""
     span = lifespan(pair, profile, tol)
     lo = -_CLIP if span.t_minus is None or math.isinf(span.t_minus) else span.t_minus
     hi = _CLIP if span.t_plus is None or math.isinf(span.t_plus) else span.t_plus
@@ -69,13 +71,13 @@ def sample_times(pair: CauchyPair, profile: LapseProfile, n: int,
 def suite_constraints(pair: CauchyPair, profile: LapseProfile, samples: int = 50,
                       tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Propagation of the vacuum constraints along the flow."""
-    require_valid(pair, tol)
-    h0 = constraints(pair, tol).hamiltonian
-    constrained = is_constrained_ricci_flat(pair, tol)
+    con = constraints(pair, tol)
+    h0 = con.hamiltonian
     ham_dev = mom_dev = ham_abs = mom_abs = 0.0
     for t in sample_times(pair, profile, samples, tol):
         th_t = theta_exact(pair, profile, t, tol)
-        rep = constraints(CauchyPair(th_t), tol)
+        # evolved from a validated pair: validating it again decides nothing
+        rep = _constraints(th_t, tol)
         ham_dev = _worst(ham_dev, abs(rep.hamiltonian
                                       - hamiltonian_exact(pair, h0, profile, t, tol)))
         # the momentum residual is tied to the Hamiltonian: -(H/2) e_u
@@ -88,7 +90,7 @@ def suite_constraints(pair: CauchyPair, profile: LapseProfile, samples: int = 50
         CheckResult("momentum residual equals -(H/2) e_u along the flow",
                     mom_dev, 1e-9),
     ]
-    if constrained:
+    if con.is_vacuum_admissible:
         rows.append(CheckResult(
             "hamiltonian stays zero (constrained pair)", ham_abs, 1e-9))
         rows.append(CheckResult(
@@ -99,9 +101,8 @@ def suite_constraints(pair: CauchyPair, profile: LapseProfile, samples: int = 50
 def suite_ricci4(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
                  tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """The 4D Ricci identity, plus exact flatness on constrained pairs."""
-    require_valid(pair, tol)
+    constrained = constraints(pair, tol).is_vacuum_admissible
     ident = flat = 0.0
-    constrained = is_constrained_ricci_flat(pair, tol)
     for t in sample_times(pair, profile, samples, tol):
         th_t = theta_exact(pair, profile, t, tol)
         ric = ricci4(_coframe4(th_t, profile, t))
@@ -149,7 +150,7 @@ def suite_ricciflow(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
         rows.append(CheckResult(
             "Ric(h) = (H/4)(h - eta x eta) (off-diagonal branches)", res, 1e-8))
 
-    if qd and is_constrained_ricci_flat(pair, tol):
+    if qd and _constraints(pair.theta, tol).is_vacuum_admissible:
         step = 1e-5
         res = 0.0
         for t in times:
@@ -173,13 +174,12 @@ def suite_cosymplectic(pair: CauchyPair, profile: LapseProfile, samples: int = 2
                        tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Parallelism and closedness of the distinguished one-forms."""
     require_valid(pair, tol)
-    inv = invariants(pair)
     rows = []
     times = sample_times(pair, profile, samples, tol)
 
-    if inv.lam > tol * max(1.0, pair.theta.max_abs()):
+    if branch(pair, tol) != QD:
         # evolved-frame components of eta_t are constant in t
-        eta_t = np.array([0.0, pair.theta.un, -pair.theta.ul]) / inv.lam
+        eta_t = np.array([0.0, pair.theta.un, -pair.theta.ul]) / invariants(pair).lam
         res = 0.0
         for t in times:
             th_t = theta_exact(pair, profile, t, tol)

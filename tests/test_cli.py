@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spinorflow
-from spinorflow import cli, lapse, numeric
+from spinorflow import cli, lapse, numeric, pairs
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -287,6 +287,26 @@ class TestClassifyAndLifespan:
         assert out.startswith("Tau3Mu")
         assert "mu=5.000000000000e-01" in out
 
+    @pytest.mark.parametrize("theta", [dict(ll=1e-5, nn=-1e-5), dict(ln=2e-5)],
+                             ids=["ll-nn", "ln"])
+    def test_validate_prints_the_group_of_its_row(self, tmp_path, capsys, theta):
+        # Delta within tol of zero, components past it: the E11 row, whose
+        # group is E11, not R3
+        path = write_pair(tmp_path, "small", theta_dict(**theta))
+        assert main(["validate", path]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "row: E11" and lines[2] == "group: E11"
+        assert main(["classify", path]) == EXIT_OK
+        assert capsys.readouterr().out == "E11\n"
+
+    def test_classify_refuses_an_invalid_pair(self, tmp_path, capsys):
+        path = write_pair(tmp_path, "bad", theta_dict(ul=1.0, ll=1.0))
+        assert main(["classify", path]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid pair:\n  Theta_ln*Theta_un + Theta_ul*(Theta_ll"
+                                " + Theta_uu) = 1.000e+00 != 0\n")
+
     def test_lifespan_finite_end(self, uu_file, capsys):
         assert main(["lifespan", uu_file]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -479,6 +499,19 @@ class TestCurvatureAndVerify:
                  for line in flagged.err.splitlines()]
         assert len(times) == len(set(times)) == 4
 
+    @pytest.mark.parametrize("suite,most", [("constraints", 1), ("all", 6)])
+    def test_verify_validates_the_pair_once_per_entry(self, tmp_path, monkeypatch,
+                                                      capsys, suite, most):
+        # the evolved pairs of the constraints suite are not validated again
+        calls = []
+        validate = pairs.validate
+        monkeypatch.setattr(pairs, "validate", lambda *a: calls.append(a) or validate(*a))
+        path = write_pair(tmp_path, "general", theta_dict(
+            uu=-2.0, ul=1.0, un=1.0, ll=1.0, ln=1.0, nn=1.0))
+        assert main(["verify", path, "--suite", suite]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+        assert 1 <= len(calls) <= most
+
     def test_verify_single_suite(self, e11_file, capsys):
         assert main(["verify", e11_file, "--suite", "oracle"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -525,6 +558,19 @@ class TestSweep:
         assert second == ("1\ninvalid pair: Theta_ln*Theta_un + Theta_ul*(Theta_ll"
                           " + Theta_uu) = 1.000e+00 != 0\n")
         assert third.startswith("2\n") and third[2:] == first[2:]
+
+    def test_sweep_classify_refuses_an_invalid_pair_and_goes_on(self, tmp_path, capsys):
+        pairs = [{"theta": theta_dict(uu=1.0)}, {"theta": theta_dict(ul=1.0, ll=1.0)},
+                 {"theta": theta_dict(ll=2.0, nn=1.0, uu=3.0)}]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(pairs))
+        assert main(["classify", str(path), "--sweep"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "# pair 0\nR3\n# pair 1\ninvalid pair: Theta_ln*Theta_un + Theta_ul*"
+            "(Theta_ll + Theta_uu) = 1.000e+00 != 0\n"
+            "# pair 2\nTau3Mu mu=5.000000000000e-01\n")
 
     def test_sweep_continues_past_a_numeric_failure(self, tmp_path, capsys):
         # the window lies past the lifespan of uu = 1 (ends at t = 1), but

@@ -15,7 +15,7 @@ from spinorflow import CauchyPair, LapseProfile, NotApplicable, OutOfDomain, \
     SingularTime, eta_oneform, frame_exact, hamiltonian_exact, lifespan, \
     metric_exact, nonqd_coefficients, theta_exact
 from spinorflow import lapse as lapse_module
-from spinorflow.exact import GENERAL, OFF_L, OFF_N, QD, branch
+from spinorflow.exact import NONQD, QD, branch
 from spinorflow.numeric import hamiltonian_of
 
 from conftest import ROW_PAIRS
@@ -258,9 +258,9 @@ class TestBranchDispatch:
     def test_branches(self):
         assert branch(ROW_PAIRS["R3"]) == QD
         assert branch(ROW_PAIRS["tau2R-qd"]) == QD
-        assert branch(ROW_PAIRS["tau2R-un"]) == OFF_N
-        assert branch(ROW_PAIRS["tau2R-ul"]) == OFF_L
-        assert branch(ROW_PAIRS["tau2R-general"]) == GENERAL
+        assert branch(ROW_PAIRS["tau2R-un"]) == NONQD
+        assert branch(ROW_PAIRS["tau2R-ul"]) == NONQD
+        assert branch(ROW_PAIRS["tau2R-general"]) == NONQD
 
 
 class TestThetaExact:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorflow import CauchyPair, GroupTag, InvalidPair, LapseProfile, Sym3, \
@@ -171,6 +171,60 @@ class TestClassify:
                                              row_pair.theta.as_array().tolist()))))
             assert got.tag is want.tag, j
             assert got.mu == want.mu, j  # mu is never zero: equal means the same bits
+
+
+def _family(row, a, b, c):
+    """A pair of ``row`` of the admissible-family table (the rows
+    ``validate`` matches), with free parameters a, b, c."""
+    pairs = {
+        "R3": dict(uu=a),
+        "E11": dict(uu=c, ll=a, ln=b, nn=-a),
+        "tau2+R (quasi-diagonal)": dict(uu=c, ll=a * a, ln=a * b, nn=b * b),
+        "tau3mu": dict(uu=c, ll=a, ln=b, nn=a + c),
+        "tau2+R (lambda)": dict(ul=a, un=b),
+        "tau2+R (u-l)": dict(uu=-c, ul=a, ll=c),
+        "tau2+R (u-n)": dict(uu=-c, un=a, nn=c),
+        # ll un = ul ln, nn ul = un ln and uu = -T
+        "tau2+R (general)": dict(uu=-c * (a * a + b * b), ul=a, un=b, ll=c * a * a,
+                                 ln=c * a * b, nn=c * b * b),
+    }
+    return CauchyPair.from_components(**pairs[row])
+
+
+ROWS = ("R3", "E11", "tau2+R (quasi-diagonal)", "tau3mu", "tau2+R (lambda)",
+        "tau2+R (u-l)", "tau2+R (u-n)", "tau2+R (general)")
+GROUP_OF_ROW = {"R3": GroupTag.R3, "E11": GroupTag.E11, "tau3mu": GroupTag.TAU3_MU,
+                **{row: GroupTag.TAU2_PLUS_R for row in ROWS if row.startswith("tau2+R")}}
+# free parameters from 1e-5 up, of either sign, or zero
+PARAMETER = st.one_of(st.just(0.0), st.floats(1e-5, 4.0), st.floats(-4.0, -1e-5))
+
+
+class TestClassifyReadsTheRow:
+    def test_every_row_of_the_table_is_drawn(self):
+        for row in ROWS:
+            assert validate(_family(row, 1.0, 0.5, 2.0)).row == row
+
+    @given(st.sampled_from(ROWS), PARAMETER, PARAMETER, PARAMETER, st.integers(-20, 40))
+    @settings(max_examples=400, deadline=None)
+    # components within sqrt(tol) of zero: validate matched E11, where
+    # classify compared Delta against tol and read R3
+    @example("E11", 1e-5, 0.0, 0.0, 0)
+    @example("E11", 0.0, 2e-5, 0.0, 0)
+    @example("E11", 1e-5, 0.0, 0.0, -10)
+    def test_classify_is_the_group_of_the_row(self, row, a, b, c, j):
+        pair = _family(row, a, b, c)
+        pair = CauchyPair(Sym3(*(math.ldexp(v, j) for v in
+                                 pair.theta.as_array().tolist())))
+        report = validate(pair)
+        if not report.valid:
+            return  # parameters that leave the table: nothing to classify
+        assert classify(pair).tag is GROUP_OF_ROW[report.row]
+
+    def test_an_invalid_pair_is_not_classified(self):
+        with pytest.raises(InvalidPair) as caught:
+            classify(CauchyPair.from_components(ul=1.0, ll=1.0))
+        assert caught.value.violations == validate(
+            CauchyPair.from_components(ul=1.0, ll=1.0)).violations
 
 
 class TestConstraints:
