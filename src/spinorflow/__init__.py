@@ -8,9 +8,9 @@ curvature and constraint identities the construction satisfies.
 
 from .errors import (InvalidPair, NotApplicable, OutOfDomain, SingularTime,
                      SpinorFlowError)
-from .exact import (FrameTransform, Lifespan, branch, eta_oneform, frame_exact,
-                    hamiltonian_exact, lifespan, metric_exact,
-                    nonqd_coefficients, theta_exact)
+from .exact import (FlowSolution, FrameTransform, Lifespan, branch, eta_oneform,
+                    frame_exact, hamiltonian_exact, lifespan, metric_exact,
+                    nonqd_coefficients, solve, theta_exact)
 from .frames import Sym3, eigen2x2, frame_ricci, levi_civita, ricci3, \
     structure_constants_from_theta
 from .lapse import LapseProfile
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CauchyPair", "CheckResult", "Coframe4", "ConstraintReport",
-    "DiracCurrentFrame", "FlowState", "FrameTransform", "GroupTag",
+    "DiracCurrentFrame", "FlowSolution", "FlowState", "FrameTransform", "GroupTag",
     "GroupType", "InvalidPair", "KERNEL_BACKEND", "LapseProfile", "Lifespan",
     "NotApplicable", "OutOfDomain", "ResidualReport", "Ricci4", "SUITES",
     "SingularTime", "SpinorFlowError", "Sym3", "ThetaInvariants",
@@ -40,7 +40,7 @@ __all__ = [
     "hamiltonian_exact", "hamiltonian_of", "integrate_to",
     "invariants", "is_constrained_ricci_flat", "levi_civita", "lifespan",
     "metric_exact", "nonqd_coefficients", "ode_rhs", "require_valid",
-    "ricci3", "ricci4", "run_suite", "sample_times",
+    "ricci3", "ricci4", "run_suite", "sample_times", "solve",
     "structure_constants_from_theta", "theta_exact", "validate",
     "verify_ricci_identity",
 ]

@@ -20,13 +20,13 @@ import sys
 import numpy as np
 
 from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
-from .exact import frame_exact, lifespan, theta_exact
+from .exact import solve
 from .lapse import LapseProfile
-from .lorentz import curvature_report
+from .lorentz import _curvature
 from .numeric import CERTIFY_LIMIT, FlowState, _state_from_vector, \
     flow_residuals, integrate_to, uncertified
-from .pairs import CauchyPair, DEFAULT_TOL, _constraints, classify, invariants, \
-    require_valid, validate
+from .pairs import CauchyPair, DEFAULT_TOL, _constraints, _row_group, classify, \
+    invariants, require_valid, validate
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -87,11 +87,12 @@ def _flow_row(pair, profile, state: FlowState) -> list[float]:
     )
 
 
-def _exact_state(pair, profile, t, tol) -> FlowState:
-    th = theta_exact(pair, profile, t, tol)
+def _exact_state(sol, profile, t) -> FlowState:
+    bt = profile.b_integral(t)
+    th = sol.theta_at(bt)
     # a frame that overflows is refused by _state_from_vector
     with np.errstate(over="ignore", invalid="ignore"):
-        u = frame_exact(pair, profile, t, tol).U
+        u = sol.frame_at(bt).U
     return _state_from_vector(t, np.concatenate([th.as_array(), u.ravel()]))
 
 
@@ -151,7 +152,7 @@ def cmd_validate(args, data) -> int:
             print(f"  {v}")
         return EXIT_INVALID
     inv = invariants(pair)
-    group = classify(pair, args.tol)
+    group = _row_group(pair, report.row, args.tol)
     # squares of components past about 1e154 overflow: refused below
     with np.errstate(over="ignore", invalid="ignore"):
         con = _constraints(pair.theta, args.tol)
@@ -184,7 +185,7 @@ def cmd_classify(args, data) -> int:
 def cmd_lifespan(args, data) -> int:
     pair, profile = _parse_pair(data)
     require_valid(pair, args.tol)
-    span = lifespan(pair, profile, args.tol)
+    span = solve(pair, args.tol).lifespan(profile)
     payload = {
         "t_minus": _span_end(span.t_minus, _fmt),
         "t_plus": _span_end(span.t_plus, _fmt),
@@ -199,10 +200,11 @@ def cmd_lifespan(args, data) -> int:
 def cmd_flow(args, data) -> int:
     pair, profile = _parse_pair(data)
     require_valid(pair, args.tol)
-    t0, t1 = _clip_window(lifespan(pair, profile, args.tol), profile, args.t0, args.t1)
+    sol = solve(pair, args.tol)
+    t0, t1 = _clip_window(sol.lifespan(profile), profile, args.t0, args.t1)
     times = np.linspace(t0, t1, args.samples)
     if args.method == "exact":
-        states = [_exact_state(pair, profile, t, args.tol) for t in times]
+        states = [_exact_state(sol, profile, t) for t in times]
     else:
         states = integrate_to(pair, profile, times, tol=args.tol)
         _warn_uncertified(states)
@@ -214,10 +216,11 @@ def cmd_flow(args, data) -> int:
 def cmd_curvature(args, data) -> int:
     pair, profile = _parse_pair(data)
     require_valid(pair, args.tol)
-    span = lifespan(pair, profile, args.tol)
+    sol = solve(pair, args.tol)
+    span = sol.lifespan(profile)
     t0, t1 = _clip_window(span, profile, args.t0, args.t1)
     times = np.linspace(t0, t1, args.samples)
-    reports = [curvature_report(pair, profile, t, args.tol) for t in times]
+    reports = [_curvature(sol.theta_at(profile.b_integral(t)), profile, t) for t in times]
     payload = {
         "lifespan": {
             "t_minus": _span_end(span.t_minus, float),

@@ -180,14 +180,10 @@ def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):
     Returns (ricci, scalar) with all indices down.
     """
     eta = np.asarray(eta, dtype=float)
-    dim = len(eta)
 
-    def koszul(cc):
-        # omega_{a b d} = <nabla_a X_b, X_d>, indices all down
-        low = np.einsum("dab,de->abe", cc, np.diag(eta))
-        return 0.5 * (low - np.transpose(low, (2, 0, 1)) + np.transpose(low, (1, 2, 0)))
-
-    om_low = koszul(c)
+    # omega_{a b d} = <nabla_a X_b, X_d>, indices all down: the Koszul
+    # formula on the structure functions with their upper index lowered
+    om_low = levi_civita(eta[:, None, None] * c)
     inv = np.diag(1.0 / eta)
     om = np.einsum("abd,de->abe", om_low, inv)  # om[a][b][e]: nabla_a X_b = om X_e
 
@@ -197,7 +193,7 @@ def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):
     riem -= np.einsum("eab,ecf->abcf", c, om)
 
     if dc0 is not None:
-        dom0 = np.einsum("abd,de->abe", koszul(dc0), inv)
+        dom0 = np.einsum("abd,de->abe", levi_civita(eta[:, None, None] * dc0), inv)
         deriv = np.zeros_like(riem)
         deriv[0, :, :, :] += dom0
         deriv[:, 0, :, :] -= dom0

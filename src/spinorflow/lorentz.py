@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularTime
-from .exact import frame_exact, theta_exact
+from .exact import FlowSolution, solve, theta_exact
 from .frames import Sym3, frame_ricci
 from .lapse import LapseProfile
 from .numeric import hamiltonian_of, ode_rhs
@@ -112,8 +112,13 @@ def verify_ricci_identity(pair: CauchyPair, profile: LapseProfile, t: float,
 
 def dirac_current_frame(pair: CauchyPair, profile: LapseProfile, t: float,
                         tol: float = DEFAULT_TOL) -> DiracCurrentFrame:
-    th_t = theta_exact(pair, profile, t, tol).as_matrix()
-    u = frame_exact(pair, profile, t, tol).U
+    return _dirac_current(solve(pair, tol), profile.b_integral(t))
+
+
+def _dirac_current(sol: FlowSolution, bt: float) -> DiracCurrentFrame:
+    """The current frame where the lapse integral is B_t = bt."""
+    th_t = sol.theta_at(bt).as_matrix()
+    u = sol.frame_at(bt).U
     # -Theta_t(e_u^t) expanded on the reference coframe
     log_scale = -(th_t @ u)[0, :]
     l_rep = np.concatenate([[0.0], u[1, :]])
@@ -137,7 +142,11 @@ def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
     """JSON-ready curvature summary at one time.  Theta_t, the coframe, Ric4
     and H_t are evaluated once, and the identity residual is taken from
     them.  Raises SingularTime when a number of the summary is not finite."""
-    th_t = theta_exact(pair, profile, t, tol)
+    return _curvature(theta_exact(pair, profile, t, tol), profile, t)
+
+
+def _curvature(th_t: Sym3, profile: LapseProfile, t: float) -> dict:
+    """The curvature summary at flow time t, given Theta_t there."""
     frame = _coframe4(th_t, profile, t)
     with np.errstate(over="ignore", invalid="ignore"):
         ric = ricci4(frame)

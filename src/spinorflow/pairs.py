@@ -227,7 +227,12 @@ def classify(pair: CauchyPair, tol: float = DEFAULT_TOL) -> GroupType:
     On a tau3mu row, mu is the eigenvalue ratio of the lower 2x2 block,
     computed on the pair as ``_scaled`` returns it: wherever nothing
     overflowed unscaled, mu is the same, bit for bit."""
-    tag = _ROW_GROUPS[require_valid(pair, tol).row]
+    return _row_group(pair, require_valid(pair, tol).row, tol)
+
+
+def _row_group(pair: CauchyPair, row: str, tol: float) -> GroupType:
+    """``classify`` of ``pair``, given the row that ``validate`` matched."""
+    tag = _ROW_GROUPS[row]
     if tag is not GroupTag.TAU3_MU:
         return GroupType(tag)
     pair, scale = _scaled(pair)

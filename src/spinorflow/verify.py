@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import (QD, branch, frame_exact, hamiltonian_exact, lifespan,
-                    metric_exact, theta_exact)
+from .exact import QD, solve
 from .frames import levi_civita, ricci3, structure_constants_from_theta
 from .lapse import LapseProfile
-from .lorentz import _coframe4, _identity_residual, closedness_residual, \
-    dirac_current_frame, ricci4
+from .lorentz import _coframe4, _dirac_current, _identity_residual, \
+    closedness_residual, ricci4
 from .numeric import FlowState, flow_residuals, hamiltonian_of, integrate_to, \
     uncertified
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints, constraints, \
-    invariants, require_valid
+    require_valid
 
 SUITES = ("constraints", "ricci4", "ricciflow", "cosymplectic", "oracle")
 
@@ -53,7 +52,7 @@ def sample_window(pair: CauchyPair, profile: LapseProfile,
                   tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Middle 90 percent of the lifespan, infinite or unknown ends clipped
     to +-2, every end cut to the table's domain."""
-    span = lifespan(pair, profile, tol)
+    span = solve(pair, tol).lifespan(profile)
     lo = -_CLIP if span.t_minus is None or math.isinf(span.t_minus) else span.t_minus
     hi = _CLIP if span.t_plus is None or math.isinf(span.t_plus) else span.t_plus
     dlo, dhi = profile.domain()
@@ -73,13 +72,14 @@ def suite_constraints(pair: CauchyPair, profile: LapseProfile, samples: int = 50
     """Propagation of the vacuum constraints along the flow."""
     con = constraints(pair, tol)
     h0 = con.hamiltonian
+    sol = solve(pair, tol)
     ham_dev = mom_dev = ham_abs = mom_abs = 0.0
     for t in sample_times(pair, profile, samples, tol):
-        th_t = theta_exact(pair, profile, t, tol)
+        bt = profile.b_integral(t)
+        th_t = sol.theta_at(bt)
         # evolved from a validated pair: validating it again decides nothing
         rep = _constraints(th_t, tol)
-        ham_dev = _worst(ham_dev, abs(rep.hamiltonian
-                                      - hamiltonian_exact(pair, h0, profile, t, tol)))
+        ham_dev = _worst(ham_dev, abs(rep.hamiltonian - sol.hamiltonian_at(h0, bt)))
         # the momentum residual is tied to the Hamiltonian: -(H/2) e_u
         target = -0.5 * rep.hamiltonian * np.array([1.0, 0.0, 0.0])
         mom_dev = _worst(mom_dev, float(np.max(np.abs(rep.momentum_residual - target))))
@@ -102,9 +102,10 @@ def suite_ricci4(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
                  tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """The 4D Ricci identity, plus exact flatness on constrained pairs."""
     constrained = constraints(pair, tol).is_vacuum_admissible
+    sol = solve(pair, tol)
     ident = flat = 0.0
     for t in sample_times(pair, profile, samples, tol):
-        th_t = theta_exact(pair, profile, t, tol)
+        th_t = sol.theta_at(profile.b_integral(t))
         ric = ricci4(_coframe4(th_t, profile, t))
         ident = _worst(ident, _identity_residual(ric, hamiltonian_of(th_t)))
         if constrained:
@@ -120,47 +121,37 @@ def suite_ricciflow(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
     """Remark identities tying Ric(h_t) to the shape tensor and, on
     constrained quasi-diagonal pairs, to the time derivative of h_t."""
     require_valid(pair, tol)
-    qd = branch(pair, tol) == QD
-    rows = []
+    sol = solve(pair, tol)
+    qd = sol.branch == QD
     times = sample_times(pair, profile, samples, tol)
-
-    if qd:
-        res = 0.0
-        for t in times:
-            th_t = theta_exact(pair, profile, t, tol)
-            ric_t, _ = ricci3(structure_constants_from_theta(th_t))
-            ham = hamiltonian_of(th_t)
+    res = 0.0
+    for t in times:
+        th_t = sol.theta_at(profile.b_integral(t))
+        ric_t, _ = ricci3(structure_constants_from_theta(th_t))
+        ham = hamiltonian_of(th_t)
+        if qd:
             # T is the trace of the lower 2x2 block, not the full trace
             target = -(th_t.ll + th_t.nn) * th_t.as_matrix()
             target[0, 0] += 0.5 * ham
-            res = _worst(res, float(np.max(np.abs(ric_t.as_matrix() - target))))
-        rows.append(CheckResult(
-            "Ric(h) = -Tr(Theta) Theta + (H/2) e_u x e_u (quasi-diagonal)",
-            res, 1e-8))
-    else:
-        res = 0.0
-        inv = invariants(pair)
-        eta_t = np.array([0.0, pair.theta.un, -pair.theta.ul]) / inv.lam
-        for t in times:
-            th_t = theta_exact(pair, profile, t, tol)
-            ric_t, _ = ricci3(structure_constants_from_theta(th_t))
-            ham = hamiltonian_of(th_t)
-            target = 0.25 * ham * (np.eye(3) - np.outer(eta_t, eta_t))
-            res = _worst(res, float(np.max(np.abs(ric_t.as_matrix() - target))))
-        rows.append(CheckResult(
-            "Ric(h) = (H/4)(h - eta x eta) (off-diagonal branches)", res, 1e-8))
+        else:
+            target = 0.25 * ham * (np.eye(3) - np.outer(sol.eta, sol.eta))
+        res = _worst(res, float(np.max(np.abs(ric_t.as_matrix() - target))))
+    rows = [CheckResult(
+        "Ric(h) = -Tr(Theta) Theta + (H/2) e_u x e_u (quasi-diagonal)" if qd
+        else "Ric(h) = (H/4)(h - eta x eta) (off-diagonal branches)", res, 1e-8)]
 
     if qd and _constraints(pair.theta, tol).is_vacuum_admissible:
         step = 1e-5
         res = 0.0
         for t in times:
-            th_t = theta_exact(pair, profile, t, tol)
-            u = frame_exact(pair, profile, t, tol).U
+            bt = profile.b_integral(t)
+            th_t = sol.theta_at(bt)
+            u = sol.frame_at(bt).U
             ric_t, _ = ricci3(structure_constants_from_theta(th_t))
             # Ric(h_t) pulled back to the reference coframe components
             ric_ref = u.T @ ric_t.as_matrix() @ u
-            h_plus = metric_exact(pair, profile, t + step, tol).as_matrix()
-            h_minus = metric_exact(pair, profile, t - step, tol).as_matrix()
+            h_plus = sol.metric_at(profile.b_integral(t + step)).as_matrix()
+            h_minus = sol.metric_at(profile.b_integral(t - step)).as_matrix()
             dh = (h_plus - h_minus) / (2.0 * step)
             factor = (th_t.ll + th_t.nn) / (2.0 * profile.beta(t))
             res = _worst(res, float(np.max(np.abs(ric_ref - factor * dh))))
@@ -174,22 +165,21 @@ def suite_cosymplectic(pair: CauchyPair, profile: LapseProfile, samples: int = 2
                        tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Parallelism and closedness of the distinguished one-forms."""
     require_valid(pair, tol)
+    sol = solve(pair, tol)
     rows = []
     times = sample_times(pair, profile, samples, tol)
 
-    if branch(pair, tol) != QD:
-        # evolved-frame components of eta_t are constant in t
-        eta_t = np.array([0.0, pair.theta.un, -pair.theta.ul]) / invariants(pair).lam
+    if sol.branch != QD:
         res = 0.0
         for t in times:
-            th_t = theta_exact(pair, profile, t, tol)
+            th_t = sol.theta_at(profile.b_integral(t))
             om = levi_civita(structure_constants_from_theta(th_t))
-            res = _worst(res, float(np.max(np.abs(np.einsum("abd,d->ab", om, eta_t)))))
+            res = _worst(res, float(np.max(np.abs(np.einsum("abd,d->ab", om, sol.eta)))))
         rows.append(CheckResult("parallel one-form: nabla eta = 0", res, 1e-10))
 
     res = 0.0
     for t in times:
-        current = dirac_current_frame(pair, profile, t, tol)
+        current = _dirac_current(sol, profile.b_integral(t))
         res = _worst(res, closedness_residual(pair, current.log_scale_differential))
     rows.append(CheckResult("log-scale differential is closed", res, 1e-12))
     return rows
@@ -199,14 +189,15 @@ def suite_oracle(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
                  tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Closed forms against the numerical integrator."""
     require_valid(pair, tol)
+    sol = solve(pair, tol)
     times = sample_times(pair, profile, samples, tol)
     states = integrate_to(pair, profile, times, tol=tol)
     th_dev = u_dev = resid = 0.0
     for t, st in zip(times, states):
+        bt = profile.b_integral(t)
         th_dev = _worst(th_dev, float(np.max(np.abs(
-            st.theta.as_matrix() - theta_exact(pair, profile, t, tol).as_matrix()))))
-        u_dev = _worst(u_dev, float(np.max(np.abs(
-            st.U - frame_exact(pair, profile, t, tol).U))))
+            st.theta.as_matrix() - sol.theta_at(bt).as_matrix()))))
+        u_dev = _worst(u_dev, float(np.max(np.abs(st.U - sol.frame_at(bt).U))))
         resid = _worst(resid, flow_residuals(st, pair).max())
     flagged = tuple(uncertified(states))
     return [

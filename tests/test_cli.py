@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spinorflow
-from spinorflow import cli, lapse, numeric, pairs
+from spinorflow import cli, exact, lapse, numeric, pairs
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -307,6 +307,22 @@ class TestClassifyAndLifespan:
         assert captured.err == ("invalid pair:\n  Theta_ln*Theta_un + Theta_ul*(Theta_ll"
                                 " + Theta_uu) = 1.000e+00 != 0\n")
 
+    def test_validate_validates_the_pair_once(self, tmp_path, monkeypatch, capsys):
+        # the group is that of the row validation matched: no second validation
+        calls = []
+        validate = pairs.validate
+
+        def wrapped(*a):
+            calls.append(a)
+            return validate(*a)
+
+        monkeypatch.setattr(pairs, "validate", wrapped)
+        monkeypatch.setattr(cli, "validate", wrapped)
+        path = write_pair(tmp_path, "tau3", theta_dict(uu=5.0 / 3.0, ll=2.0, nn=1.0))
+        assert main(["validate", path]) == EXIT_OK
+        assert "group: Tau3Mu (mu = 5.000000000000e-01)" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_lifespan_finite_end(self, uu_file, capsys):
         assert main(["lifespan", uu_file]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -462,8 +478,9 @@ class TestCurvatureAndVerify:
 
     def test_curvature_computes_the_lifespan_once(self, tmp_path, monkeypatch, capsys):
         calls = []
-        lifespan = cli.lifespan
-        monkeypatch.setattr(cli, "lifespan", lambda *a: calls.append(a) or lifespan(*a))
+        lifespan = exact.FlowSolution.lifespan
+        monkeypatch.setattr(exact.FlowSolution, "lifespan",
+                            lambda *a: calls.append(a) or lifespan(*a))
         path = write_pair(tmp_path, "ramp", theta_dict(uu=1.0), extra={"beta": {
             "kind": "tabulated", "times": [-1.0, 2.0], "values": [1.0, 3.0]}})
         assert main(["curvature", path, "--t0", "-0.5", "--t1", "2",
@@ -516,6 +533,36 @@ class TestCurvatureAndVerify:
         assert main(["verify", e11_file, "--suite", "oracle"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("[pass]") >= 1
+
+
+class TestEachPairIsSolvedOnce:
+    """A command decides the closed form of its pair a bounded number of
+    times, however many samples it takes."""
+
+    PAIRS = {"tau2R-general": dict(uu=-2.0, ul=1.0, un=1.0, ll=1.0, ln=1.0, nn=1.0),
+             "tau3mu": dict(uu=5.0 / 3.0, ll=2.0, nn=1.0)}
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    @pytest.mark.parametrize("argv,most", [
+        (["flow", "--method", "exact"], 2), (["lifespan"], 2), (["curvature"], 2),
+        (["verify"], 10),
+    ], ids=["exact-flow", "lifespan", "curvature", "verify"])
+    def test_branch_calls(self, tmp_path, monkeypatch, capsys, name, argv, most):
+        calls = []
+        branch = exact.branch
+        monkeypatch.setattr(exact, "branch", lambda *a: calls.append(a) or branch(*a))
+        path = write_pair(tmp_path, name, theta_dict(**self.PAIRS[name]))
+        assert main([argv[0], path] + argv[1:]) == EXIT_OK
+        assert 1 <= len(calls) <= most
+
+    def test_exact_flow_diagonalizes_once(self, tmp_path, monkeypatch, capsys):
+        # the eigen data of the quasi-diagonal lower block is fixed by the pair
+        calls = []
+        eigen2x2 = exact.eigen2x2
+        monkeypatch.setattr(exact, "eigen2x2", lambda *a: calls.append(a) or eigen2x2(*a))
+        path = write_pair(tmp_path, "tau3mu", theta_dict(**self.PAIRS["tau3mu"]))
+        assert main(["flow", path, "--method", "exact"]) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestSweep:

@@ -8,7 +8,7 @@ import pytest
 from spinorflow import CauchyPair, LapseProfile, closedness_residual, \
     coframe4_at, curvature_report, dirac_current_frame, frame_exact, ricci4, \
     verify_ricci_identity
-from spinorflow import lorentz, verify
+from spinorflow import exact, lorentz
 from spinorflow.lorentz import ETA4, NULL_DIRECTION
 from spinorflow.verify import sample_times, suite_ricci4, suite_ricciflow
 
@@ -169,10 +169,9 @@ class TestRicci4Suite:
     def test_evaluates_theta_once_per_sample(self, monkeypatch):
         # a constrained pair also gets the flatness row from the same Ric4
         calls = []
-        for module in (lorentz, verify):
-            theta_exact = module.theta_exact
-            monkeypatch.setattr(module, "theta_exact",
-                                lambda *a, f=theta_exact: calls.append(a) or f(*a))
+        theta_at = exact.FlowSolution.theta_at
+        monkeypatch.setattr(exact.FlowSolution, "theta_at",
+                            lambda *a: calls.append(a) or theta_at(*a))
         rows = suite_ricci4(ROW_PAIRS["tau2R-qd"], RAMP, samples=6)
         assert len(rows) == 2 and len(calls) == 6
 
@@ -192,8 +191,8 @@ class TestRicciflowSuite:
     def test_evaluates_theta_once_per_sample_and_row(self, monkeypatch):
         # the constrained quasi-diagonal pair gets the dh/dt row too
         calls = []
-        theta_exact = verify.theta_exact
-        monkeypatch.setattr(verify, "theta_exact",
-                            lambda *a: calls.append(a) or theta_exact(*a))
+        theta_at = exact.FlowSolution.theta_at
+        monkeypatch.setattr(exact.FlowSolution, "theta_at",
+                            lambda *a: calls.append(a) or theta_at(*a))
         rows = suite_ricciflow(ROW_PAIRS["tau2R-qd"], RAMP, samples=6)
         assert len(rows) == 2 and len(calls) == 12
