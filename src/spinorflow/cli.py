@@ -75,10 +75,10 @@ FLOW_COLUMNS = (
 )
 
 
-def _flow_row(pair, profile, state: FlowState) -> list[float]:
-    res = flow_residuals(state, pair)
+def _flow_row(state: FlowState, bt: float, res) -> list[float]:
+    """The table row of ``state``, where B_t = ``bt``, with its residuals."""
     return (
-        [state.t, profile.b_integral(state.t)]
+        [state.t, bt]
         + list(state.theta.as_array())
         + list(state.U.ravel())
         + list(state.metric.as_array())
@@ -87,13 +87,13 @@ def _flow_row(pair, profile, state: FlowState) -> list[float]:
     )
 
 
-def _exact_state(sol, profile, t) -> FlowState:
-    bt = profile.b_integral(t)
+def _exact_vector(sol, bt) -> np.ndarray:
+    """The components (Theta_t, U_t row by row) where B_t = ``bt``."""
     th = sol.theta_at(bt)
     # a frame that overflows is refused by _state_from_vector
     with np.errstate(over="ignore", invalid="ignore"):
         u = sol.frame_at(bt).U
-    return _state_from_vector(t, np.concatenate([th.as_array(), u.ravel()]))
+    return np.concatenate([th.as_array(), u.ravel()])
 
 
 def _span_end(x: float | None, fmt):
@@ -204,11 +204,15 @@ def cmd_flow(args, data) -> int:
     t0, t1 = _clip_window(sol.lifespan(profile), profile, args.t0, args.t1)
     times = np.linspace(t0, t1, args.samples)
     if args.method == "exact":
-        states = [_exact_state(sol, profile, t) for t in times]
+        bts = [profile.b_integral(t) for t in times]
+        states = _state_from_vector(
+            (t, _exact_vector(sol, bt), None) for t, bt in zip(times, bts))
     else:
         states = integrate_to(pair, profile, times, tol=args.tol)
         _warn_uncertified(states)
-    rows = [_flow_row(pair, profile, st) for st in states]
+        bts = [profile.b_integral(st.t) for st in states]
+    rows = [_flow_row(st, bt, res)
+            for st, bt, res in zip(states, bts, flow_residuals(states, pair))]
     _emit(_render_table(FLOW_COLUMNS, rows, args.format), args.out)
     return EXIT_OK
 
@@ -220,7 +224,8 @@ def cmd_curvature(args, data) -> int:
     span = sol.lifespan(profile)
     t0, t1 = _clip_window(span, profile, args.t0, args.t1)
     times = np.linspace(t0, t1, args.samples)
-    reports = [_curvature(sol.theta_at(profile.b_integral(t)), profile, t) for t in times]
+    reports = _curvature((sol.theta_at(profile.b_integral(t)) for t in times),
+                         profile, times)
     payload = {
         "lifespan": {
             "t_minus": _span_end(span.t_minus, float),

@@ -5,6 +5,13 @@ Everything here works with frame components only: the 3D frame labels are
 (3D Riemannian) or diag(-1, 1, 1, 1) (4D Lorentzian).  Curvature of a
 left-invariant metric then reduces to finite-dimensional algebra on the
 structure constants of the orthonormal (co)frame.
+
+``structure_constants_from_theta``, ``levi_civita`` and ``frame_ricci``
+take optional leading axes, one sample per index, and evaluate a stack in
+one pass; scalar calls are unchanged.  Their einsum subscripts and
+transposes name every axis (no ``...``, no ``np.moveaxis``), which keeps
+the overhead of a single sample small, and every sample of a stack gets
+the same floating-point operations in the same order as a call of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +24,12 @@ import numpy as np
 U, L, N = 0, 1, 2
 
 _SYM_KEYS = ("uu", "ul", "un", "ll", "ln", "nn")
+
+# entry (a, b) of a symmetric 3x3 matrix in the components (uu, ul, un, ll, ln, nn)
+_SYM_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+# einsum labels of the leading (sample) axes of a stack
+_LEAD = "zyxwv"
 
 
 @dataclass(frozen=True)
@@ -120,19 +133,28 @@ def eigen2x2(theta2) -> EigenData2:
     return EigenData2(rho_plus=rho_p, rho_minus=rho_m, Q=Q)
 
 
-def structure_constants_from_theta(theta: Sym3) -> np.ndarray:
+def sym_matrices(theta) -> np.ndarray:
+    """The matrix of a Sym3, or the stack of matrices of an array of
+    components (uu, ul, un, ll, ln, nn) on its last axis, C-contiguous as
+    ``as_matrix`` makes each: matmul rounds a strided stack differently."""
+    if isinstance(theta, Sym3):
+        return theta.as_matrix()
+    return np.ascontiguousarray(np.asarray(theta, dtype=float)[..., _SYM_INDEX])
+
+
+def structure_constants_from_theta(theta) -> np.ndarray:
     """Structure constants c[a][b][c] of the coframe induced by a shape tensor.
 
     The coframe differential system d e_a = Theta_ab e_b ^ e_u translates into
     brackets [x_u, x_b] = Theta_ab x_a for spatial b, i.e. the only nonzero
-    constants are c^a_{ub} = -c^a_{bu} = Theta_ab with b in (l, n).
+    constants are c^a_{ub} = -c^a_{bu} = Theta_ab with b in (l, n).  ``theta``
+    is a Sym3, or an array of components with leading axes (``sym_matrices``);
+    the constants then carry the same leading axes.
     """
-    th = theta.as_matrix()
-    c = np.zeros((3, 3, 3))
-    for a in range(3):
-        for b in (L, N):
-            c[a, U, b] = th[a, b]
-            c[a, b, U] = -th[a, b]
+    th = sym_matrices(theta)
+    c = np.zeros(th.shape[:-2] + (3, 3, 3))
+    c[..., :, U, L:] = th[..., :, L:]
+    c[..., :, L:, U] = -th[..., :, L:]
     return c
 
 
@@ -153,11 +175,15 @@ def levi_civita(c: np.ndarray) -> np.ndarray:
 
     Koszul formula for left-invariant fields on an orthonormal frame:
     om[a][b][d] = (c_{ab,d} - c_{bd,a} + c_{da,b}) / 2 with c_{ab,d} = c^d_{ab}.
-    Antisymmetric in (b, d) and torsion-free by construction.
+    Antisymmetric in (b, d) and torsion-free by construction.  Optional
+    leading axes of ``c`` carry over to the result.
     """
-    low = np.transpose(c, (1, 2, 0))  # low[a][b][d] = c^d_{ab}
+    k = c.ndim - 3
+    lead = tuple(range(k))
+    low = c.transpose(lead + (k + 1, k + 2, k))  # low[a][b][d] = c^d_{ab}
     # transpose (2,0,1) reads c_{bd,a}, transpose (1,2,0) reads c_{da,b}
-    return 0.5 * (low - np.transpose(low, (2, 0, 1)) + np.transpose(low, (1, 2, 0)))
+    return 0.5 * (low - low.transpose(lead + (k + 2, k, k + 1))
+                  + low.transpose(lead + (k + 1, k + 2, k)))
 
 
 def first_structure_residual(c: np.ndarray) -> float:
@@ -177,32 +203,41 @@ def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):
     corresponding derivative terms of the connection.  Components of tensors
     are otherwise constant along the frame.
 
+    Optional leading axes; scalar calls unchanged.  ``c`` and ``dc0`` may
+    carry leading axes, one sample per index: the Ricci tensors then carry
+    them too, and the scalar is an array of that shape instead of a float.
+    Each sample gets the operations, in the order, of a call of its own.
+
     Returns (ricci, scalar) with all indices down.
     """
     eta = np.asarray(eta, dtype=float)
+    k = c.ndim - 3
+    p = _LEAD[:k]
+    lead = tuple(range(k))
 
     # omega_{a b d} = <nabla_a X_b, X_d>, indices all down: the Koszul
     # formula on the structure functions with their upper index lowered
     om_low = levi_civita(eta[:, None, None] * c)
     inv = np.diag(1.0 / eta)
-    om = np.einsum("abd,de->abe", om_low, inv)  # om[a][b][e]: nabla_a X_b = om X_e
+    # om[a][b][e]: nabla_a X_b = om X_e
+    om = np.einsum(f"{p}abd,de->{p}abe", om_low, inv)
 
     # R(X_a, X_b) X_c = nabla_a nabla_b X_c - nabla_b nabla_a X_c - nabla_[a,b] X_c
-    quad = np.einsum("bce,aef->abcf", om, om)
-    riem = quad - np.transpose(quad, (1, 0, 2, 3))
-    riem -= np.einsum("eab,ecf->abcf", c, om)
+    quad = np.einsum(f"{p}bce,{p}aef->{p}abcf", om, om)
+    riem = quad - quad.transpose(lead + (k + 1, k, k + 2, k + 3))
+    riem -= np.einsum(f"{p}eab,{p}ecf->{p}abcf", c, om)
 
     if dc0 is not None:
-        dom0 = np.einsum("abd,de->abe", levi_civita(eta[:, None, None] * dc0), inv)
+        dom0 = np.einsum(f"{p}abd,de->{p}abe", levi_civita(eta[:, None, None] * dc0), inv)
         deriv = np.zeros_like(riem)
-        deriv[0, :, :, :] += dom0
-        deriv[:, 0, :, :] -= dom0
+        deriv[..., 0, :, :, :] += dom0
+        deriv[..., :, 0, :, :] -= dom0
         riem += deriv
 
     # Ric_{bc} = R^a_{a b c}: component on X_a of R(X_a, X_b) X_c
-    ric = np.einsum("abca->bc", riem)
-    scalar = float(np.einsum("bc,bc->", ric, np.diag(1.0 / eta)))
-    return ric, scalar
+    ric = np.einsum(f"{p}abca->{p}bc", riem)
+    scalar = np.einsum(f"{p}bc,bc->{p}", ric, np.diag(1.0 / eta))
+    return ric, (float(scalar) if k == 0 else scalar)
 
 
 def ricci3(c: np.ndarray) -> tuple[Sym3, float]:

@@ -5,6 +5,10 @@ e_n^t), its frame curvature, and the null current data attached to the flow.
 Everything is finite-dimensional algebra: the coframe differentials are
 prescribed by the evolved shape components, and the only time dependence
 enters through them, handled analytically via the ODE right-hand sides.
+
+The coframe, Ric4 and the identity residual take optional leading axes, one
+sample per index, so ``_curvature`` evaluates every sample of a command in
+one pass; scalar calls are unchanged.
 """
 
 from __future__ import annotations
@@ -16,22 +20,24 @@ import numpy as np
 
 from .errors import SingularTime
 from .exact import FlowSolution, solve, theta_exact
-from .frames import Sym3, frame_ricci
+from .frames import Sym3, frame_ricci, sym_matrices
 from .lapse import LapseProfile
-from .numeric import hamiltonian_of, ode_rhs
+from .numeric import _hamiltonians, _until_raised, hamiltonian_of, ode_rhs
 from .pairs import CauchyPair, DEFAULT_TOL
 
 ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
 
 # Frame components of e_0 + e_1, the recurring null direction.
 NULL_DIRECTION = np.array([1.0, 1.0, 0.0, 0.0])
+_NULL_SQUARE = np.outer(NULL_DIRECTION, NULL_DIRECTION)
 
 
 @dataclass(frozen=True)
 class Coframe4:
     """Structure functions C[a][b][c] of the moving coframe at one time,
     antisymmetric in (b, c), plus their derivative along the unit timelike
-    direction X_0 = (1/beta) d/dt."""
+    direction X_0 = (1/beta) d/dt.  A stack holds arrays of t and beta, and
+    C and dC0 with a leading sample axis."""
 
     t: float
     beta: float
@@ -41,7 +47,8 @@ class Coframe4:
 
 @dataclass(frozen=True)
 class Ricci4:
-    """Symmetric frame components of the 4D Ricci tensor, signature -+++."""
+    """Symmetric frame components of the 4D Ricci tensor, signature -+++;
+    for a stack of coframes, an array of components and one of scalars."""
 
     components: np.ndarray  # (4, 4)
     scalar: float
@@ -61,15 +68,15 @@ class DiracCurrentFrame:
 
 
 def _structure4(theta: np.ndarray) -> np.ndarray:
-    """Structure functions from d e_a = Theta_ab e_b ^ (e_0 + e_1)."""
-    c = np.zeros((4, 4, 4))
-    for a in range(3):
-        for b in range(3):
-            # spatial labels shift by one; e_0 is the lapse direction
-            c[a + 1, 0, b + 1] = theta[a, b]
-            c[a + 1, b + 1, 0] = -theta[a, b]
-            c[a + 1, 1, b + 1] += theta[a, b]
-            c[a + 1, b + 1, 1] -= theta[a, b]
+    """Structure functions from d e_a = Theta_ab e_b ^ (e_0 + e_1), for a
+    matrix Theta or a stack of them."""
+    c = np.zeros(theta.shape[:-2] + (4, 4, 4))
+    # spatial labels shift by one; e_0 is the lapse direction.  The two
+    # updates meet at c[a+1, 1, 1], which holds (0 + Theta_a0) - Theta_a0
+    c[..., 1:, 0, 1:] = theta
+    c[..., 1:, 1:, 0] = -theta
+    c[..., 1:, 1, 1:] += theta
+    c[..., 1:, 1:, 1] -= theta
     return c
 
 
@@ -79,35 +86,46 @@ def coframe4_at(pair: CauchyPair, profile: LapseProfile, t: float,
     return _coframe4(theta_exact(pair, profile, t, tol), profile, t)
 
 
-def _coframe4(th_t: Sym3, profile: LapseProfile, t: float) -> Coframe4:
-    """The coframe at flow time t, given the shape components Theta_t there."""
+def _coframe4(th_t, profile: LapseProfile, t) -> Coframe4:
+    """The coframe at flow time t, given the shape components Theta_t there
+    as a Sym3; or the stack of coframes at the times t, given an array of
+    components with one row per time."""
     # derivative along the unit direction X_0 = (1/beta) d/dt, which is
     # d/ds in s = B_t: what ode_rhs gives
     dth, _ = ode_rhs(th_t, np.eye(3))
+    if isinstance(th_t, Sym3):
+        t, beta = float(t), profile.beta(t)
+    else:
+        t = np.asarray(t, dtype=float)
+        beta = np.array([profile.beta(x) for x in t])
     return Coframe4(
-        t=float(t),
-        beta=profile.beta(t),
-        C=_structure4(th_t.as_matrix()),
-        dC0=_structure4(dth.as_matrix()),
+        t=t,
+        beta=beta,
+        C=_structure4(sym_matrices(th_t)),
+        dC0=_structure4(sym_matrices(dth)),
     )
 
 
 def ricci4(frame: Coframe4) -> Ricci4:
+    """Ric4 of a coframe, or of each coframe of a stack."""
     ric, scal = frame_ricci(ETA4, frame.C, frame.dC0)
-    return Ricci4(components=0.5 * (ric + ric.T), scalar=scal)
+    return Ricci4(components=0.5 * (ric + ric.swapaxes(-1, -2)), scalar=scal)
 
 
-def _identity_residual(ric: Ricci4, ham: float) -> float:
-    """Max-norm residual of Ric4 against (H/2) (e_0+e_1) tensor itself."""
-    target = 0.5 * ham * np.outer(NULL_DIRECTION, NULL_DIRECTION)
-    return float(np.max(np.abs(ric.components - target)))
+def _identity_residual(components: np.ndarray, ham):
+    """Max-norm residual of Ric4 against (H/2) (e_0+e_1) tensor itself, or
+    the residual of each sample of a stack of Ric4 and of H."""
+    target = np.multiply.outer(0.5 * np.asarray(ham), _NULL_SQUARE)
+    residual = np.abs(components - target).max(axis=(-2, -1))
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def verify_ricci_identity(pair: CauchyPair, profile: LapseProfile, t: float,
                           tol: float = DEFAULT_TOL) -> float:
     """Max-norm residual of Ric4 against (H_t/2) (e_0+e_1) tensor itself."""
     th_t = theta_exact(pair, profile, t, tol)
-    return _identity_residual(ricci4(_coframe4(th_t, profile, t)), hamiltonian_of(th_t))
+    return _identity_residual(ricci4(_coframe4(th_t, profile, t)).components,
+                              hamiltonian_of(th_t))
 
 
 def dirac_current_frame(pair: CauchyPair, profile: LapseProfile, t: float,
@@ -142,24 +160,37 @@ def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
     """JSON-ready curvature summary at one time.  Theta_t, the coframe, Ric4
     and H_t are evaluated once, and the identity residual is taken from
     them.  Raises SingularTime when a number of the summary is not finite."""
-    return _curvature(theta_exact(pair, profile, t, tol), profile, t)
+    return _curvature([theta_exact(pair, profile, t, tol)], profile, [t])[0]
 
 
-def _curvature(th_t: Sym3, profile: LapseProfile, t: float) -> dict:
-    """The curvature summary at flow time t, given Theta_t there."""
-    frame = _coframe4(th_t, profile, t)
+def _curvature(th_t, profile: LapseProfile, t) -> list[dict]:
+    """The curvature summaries at the flow times t, given Theta_t at each as
+    an iterable of Sym3, evaluated as one stack.
+
+    Raises SingularTime at the first time where a number of the summary is
+    not finite.  The iterable may raise, and H_t raises OverflowError where a
+    component squares past the largest float: either exception is raised
+    once the samples before it have been checked, as a sample at a time
+    would."""
+    thetas, pending = _until_raised(th_t)
+    comp = np.array([th.as_array() for th in thetas]).reshape(-1, 6)
+    frame = _coframe4(comp, profile, t[:len(thetas)])
     with np.errstate(over="ignore", invalid="ignore"):
         ric = ricci4(frame)
-        ham = hamiltonian_of(th_t)
-        residual = _identity_residual(ric, ham)
-    numbers = [ric.scalar, ham, residual, *ric.components.ravel().tolist()]
-    if not all(map(math.isfinite, numbers)):
-        raise SingularTime(f"the curvature at t = {t:.12g} is not finite")
-    return {
-        "t": float(t),
-        "beta": frame.beta,
-        "ricci4": ric.components.tolist(),
-        "scalar4": ric.scalar,
-        "hamiltonian": ham,
-        "identity_residual": residual,
-    }
+        hams, raised = _until_raised(_hamiltonians(comp, thetas))
+        n = len(hams)
+        components = ric.components[:n]
+        residual = _identity_residual(components, np.array(hams))
+    finite = (np.isfinite(ric.scalar[:n]) & np.isfinite(residual)
+              & np.isfinite(components).all(axis=(1, 2))).tolist()
+    times = frame.t.tolist()
+    for x, ok, ham in zip(times, finite, hams):
+        if not (ok and math.isfinite(ham)):
+            raise SingularTime(f"the curvature at t = {x:.12g} is not finite")
+    if raised or pending:
+        raise raised or pending
+    return [{"t": x, "beta": beta, "ricci4": r, "scalar4": scalar, "hamiltonian": ham,
+             "identity_residual": res}
+            for x, beta, r, scalar, ham, res in zip(
+                times, frame.beta.tolist(), components.tolist(), ric.scalar.tolist(),
+                hams, residual.tolist())]

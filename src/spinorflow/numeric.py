@@ -23,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel_py as _kern
-from .errors import SingularTime
-from .frames import Sym3, ricci3, structure_constants_from_theta
+from .errors import SingularTime, SpinorFlowError
+from .frames import Sym3, frame_ricci, structure_constants_from_theta, sym_matrices
 from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, require_valid
 
 KERNEL_BACKEND = "python"
+
+_ETA3 = np.ones(3)
 
 # local error allowed per step of the controlled march, relative to max(1, |y|)
 LOCAL_TOL = 1e-12
@@ -64,40 +66,85 @@ class ResidualReport:
                              self.theta_u_constancy, self.closedness]))
 
 
-def hamiltonian_of(theta: Sym3) -> float:
+def hamiltonian_of(theta):
     """Direct Hamiltonian recomputation R - |Theta|^2 + Tr(Theta)^2 in the
-    frame made orthonormal by the evolved coframe."""
-    _, scal = ricci3(structure_constants_from_theta(theta))
-    return scal - theta.norm2() + theta.trace() ** 2
+    frame made orthonormal by the evolved coframe.
+
+    ``theta`` is a Sym3, or a stack: an array of components (uu, ul, un, ll,
+    ln, nn), one row per sample, which gives an array of H.  The squares in
+    |Theta|^2 and Tr(Theta)^2 are Python float squares, which raise
+    OverflowError past the largest float."""
+    if isinstance(theta, Sym3):
+        return next(_hamiltonians(theta.as_array(), [theta]))
+    comp = np.asarray(theta, dtype=float)
+    return np.array(list(_hamiltonians(comp, map(Sym3.from_array, comp.tolist()))))
 
 
-def ode_rhs(theta: Sym3, U: np.ndarray) -> tuple[Sym3, np.ndarray]:
-    """d/ds of the shape components and the coframe transform, s = B_t."""
-    y = list(theta.as_array()) + list(np.asarray(U, dtype=float).ravel())
-    dy = _kern._rhs(y)
-    return Sym3.from_array(dy[:6]), np.array(dy[6:]).reshape(3, 3)
+def _hamiltonians(comp: np.ndarray, thetas):
+    """H at each row of the components ``comp``, one row at a time;
+    ``thetas`` holds the same rows as Sym3.  R is computed for every row at
+    once; the squares are taken as each row comes, so a consumer that checks
+    each H as it comes meets an OverflowError where one call per row would."""
+    _, scal = frame_ricci(_ETA3, structure_constants_from_theta(comp))
+    for r, theta in zip(np.ravel(scal).tolist(), thetas):
+        yield r - theta.norm2() + theta.trace() ** 2
 
 
-def _state_from_vector(t: float, y, error: float | None = None) -> FlowState:
-    """The state with components y = (Theta_t, U_t row by row).  Raises
-    SingularTime when a number of the state, h_t and H_t included, is not
-    finite: U can overflow, and h_t = U^T U overflows before it does."""
-    theta = Sym3.from_array(y[:6])
-    u = np.array(y[6:]).reshape(3, 3)
+def ode_rhs(theta, U: np.ndarray):
+    """d/ds of the shape components and the coframe transform, s = B_t.
+
+    ``theta`` is a Sym3 and ``U`` a 3x3 matrix, or a stack: an array of
+    components with one row per sample and an array of matrices (one, or
+    one per sample), which gives an array of component rows and one of
+    matrices."""
+    if isinstance(theta, Sym3):
+        dth, du = ode_rhs(theta.as_array()[None], np.asarray(U, dtype=float)[None])
+        return Sym3.from_array(dth[0]), du[0]
+    comp = np.asarray(theta, dtype=float)
+    u = np.broadcast_to(U, comp.shape[:-1] + (3, 3)).reshape(-1, 9)
+    dy = np.array([_kern._rhs(y) for y in np.hstack([comp, u]).tolist()]).reshape(-1, 15)
+    return dy[:, :6], dy[:, 6:].reshape(-1, 3, 3)
+
+
+def _until_raised(items) -> tuple[list, Exception | None]:
+    """The values of the iterable ``items`` up to the first that raises a
+    SpinorFlowError or an ArithmeticError, and that exception (None when
+    every value came)."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except (SpinorFlowError, ArithmeticError) as exc:
+        return out, exc
+    return out, None
+
+
+def _state_from_vector(samples) -> list[FlowState]:
+    """The states of ``samples``, an iterable of (t, y, error) with
+    components y = (Theta_t, U_t row by row), evaluated as one stack.
+
+    Raises SingularTime at the first sample where a number of the state, h_t
+    and H_t included, is not finite: U can overflow, and h_t = U^T U
+    overflows before it does.  The iterable may raise, and H_t raises
+    OverflowError where a component squares past the largest float: either
+    exception is raised once the samples before it have been checked, as a
+    state at a time would."""
+    rows, pending = _until_raised(samples)
+    ys = np.array([y for _, y, _ in rows], dtype=float).reshape(-1, 15)
+    thetas = [Sym3.from_array(y) for y in ys[:, :6].tolist()]
+    u = ys[:, 6:].reshape(-1, 3, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        metric = u.T @ u
-        hamiltonian = hamiltonian_of(theta)
-    if not (np.isfinite(metric).all() and np.isfinite(y).all()
-            and math.isfinite(hamiltonian)):
-        raise SingularTime(f"the flow state at t = {t:.12g} is not finite")
-    return FlowState(
-        t=float(t),
-        theta=theta,
-        U=u,
-        metric=Sym3.from_matrix(metric),
-        hamiltonian=hamiltonian,
-        error=error,
-    )
+        metric = u.transpose(0, 2, 1) @ u
+        hams, raised = _until_raised(_hamiltonians(ys[:, :6], thetas))
+    finite = np.isfinite(metric).all(axis=(1, 2)) & np.isfinite(ys).all(axis=1)
+    for (t, _, _), ok, ham in zip(rows, finite.tolist(), hams):
+        if not (ok and math.isfinite(ham)):
+            raise SingularTime(f"the flow state at t = {t:.12g} is not finite")
+    if raised or pending:
+        raise raised or pending
+    return [FlowState(t=float(t), theta=theta, U=u[i], metric=Sym3.from_matrix(metric[i]),
+                      hamiltonian=ham, error=error)
+            for i, ((t, _, error), theta, ham) in enumerate(zip(rows, thetas, hams))]
 
 
 def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
@@ -145,18 +192,18 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     else:
         span = sum(abs(stops[-1]) for stops in sides)
         march = functools.partial(_fixed_march, step=span / n_steps_total)
-    out: dict[float, FlowState] = {}
 
-    def keep(s, y, error):
-        for t in at[s]:
-            out[t] = _state_from_vector(t, y, error)
+    def marched():
+        if 0.0 in at:
+            # the initial datum, exact
+            for t in at[0.0]:
+                yield t, y0, 0.0 if n_steps_total is None else None
+        for stops in sides:
+            for s, y, error in march(y0, stops, to_t):
+                for t in at[s]:
+                    yield t, y, error
 
-    if 0.0 in at:
-        # the initial datum, exact
-        keep(0.0, y0, 0.0 if n_steps_total is None else None)
-    for stops in sides:
-        for s, y, error in march(y0, stops, to_t):
-            keep(s, y, error)
+    out = {st.t: st for st in _state_from_vector(marched())}
     return [out[t] for t in requested]
 
 
@@ -277,36 +324,41 @@ def _controlled_march(y0, stops, to_t):
         yield target, extrapolated, _relative_gap(y, z) / 15.0
 
 
-def flow_residuals(state: FlowState, pair: CauchyPair) -> ResidualReport:
-    """Residuals of the four flow equations, evaluated on a stored state.
+def flow_residuals(state, pair: CauchyPair):
+    """Residuals of the four flow equations, evaluated on a stored state, or
+    on each of a sequence of states (a list of reports, one per state).
 
     All four are beta-independent up to an overall positive factor, so they
     are evaluated at unit lapse.
     """
-    th_t = state.theta.as_matrix()
+    states = [state] if isinstance(state, FlowState) else list(state)
+    comp = np.array([st.theta.as_array() for st in states]).reshape(-1, 6)
+    th_t = sym_matrices(comp)
     th_0 = pair.theta.as_matrix()
-    u = state.U
+    u = np.array([st.U for st in states]).reshape(-1, 3, 3)
 
     # r1: frame evolution, with dU re-derived from the right-hand side
-    dth, du = ode_rhs(state.theta, u)
-    r1 = float(np.max(np.abs(du + th_t @ u)))
+    dth, du = ode_rhs(comp, u)
+    r1 = np.abs(du + th_t @ u).max(axis=(1, 2))
 
     # r2: exterior derivative of the evolved coframe computed two ways
     a = u @ th_0
-    f = np.zeros((3, 3, 3))
-    f[:, :, 0] += a
-    f[:, 0, :] -= a
-    g = np.einsum("ab,bc,d->acd", th_t, u, u[0, :])
-    g = g - np.transpose(g, (0, 2, 1))
-    r2 = float(np.max(np.abs(f - g)))
+    f = np.zeros((len(states), 3, 3, 3))
+    f[:, :, :, 0] += a
+    f[:, :, 0, :] -= a
+    g = np.einsum("zab,zbc,zd->zacd", th_t, u, u[:, 0, :])
+    g = g - g.transpose(0, 1, 3, 2)
+    r2 = np.abs(f - g).max(axis=(1, 2, 3))
 
     # r3: constancy of Theta_t(e_u^t) in the reference coframe
-    v_dot = (dth.as_matrix() @ u + th_t @ du)[0, :]
-    r3 = float(np.max(np.abs(v_dot)))
+    v_dot = (sym_matrices(dth) @ u + th_t @ du)[:, 0, :]
+    r3 = np.abs(v_dot).max(axis=1)
 
     # r4: algebraic closedness contractions
-    w = th_t[0, :] @ th_t
-    r4 = float(max(abs(w[1]), abs(w[2])))
+    w = np.abs(th_t[:, None, 0, :] @ th_t)[:, 0, :]
+    # max(|w_l|, |w_n|) as Python's max takes it: |w_l| unless |w_n| > |w_l|
+    r4 = np.where(w[:, 2] > w[:, 1], w[:, 2], w[:, 1])
 
-    return ResidualReport(frame_evolution=r1, structure=r2,
-                          theta_u_constancy=r3, closedness=r4)
+    reports = [ResidualReport(*res) for res in
+               zip(r1.tolist(), r2.tolist(), r3.tolist(), r4.tolist())]
+    return reports[0] if isinstance(state, FlowState) else reports

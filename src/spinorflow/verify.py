@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import QD, solve
+from .exact import QD, FlowSolution, solve
 from .frames import levi_civita, ricci3, structure_constants_from_theta
 from .lapse import LapseProfile
 from .lorentz import _coframe4, _dirac_current, _identity_residual, \
@@ -52,7 +52,17 @@ def sample_window(pair: CauchyPair, profile: LapseProfile,
                   tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Middle 90 percent of the lifespan, infinite or unknown ends clipped
     to +-2, every end cut to the table's domain."""
-    span = solve(pair, tol).lifespan(profile)
+    return _window(solve(pair, tol), profile)
+
+
+def sample_times(pair: CauchyPair, profile: LapseProfile, n: int,
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    return _sample_times(solve(pair, tol), profile, n)
+
+
+def _window(sol: FlowSolution, profile: LapseProfile) -> tuple[float, float]:
+    """``sample_window`` of the pair that ``sol`` solves."""
+    span = sol.lifespan(profile)
     lo = -_CLIP if span.t_minus is None or math.isinf(span.t_minus) else span.t_minus
     hi = _CLIP if span.t_plus is None or math.isinf(span.t_plus) else span.t_plus
     dlo, dhi = profile.domain()
@@ -61,9 +71,9 @@ def sample_window(pair: CauchyPair, profile: LapseProfile,
     return lo + 0.05 * width, hi - 0.05 * width
 
 
-def sample_times(pair: CauchyPair, profile: LapseProfile, n: int,
-                 tol: float = DEFAULT_TOL) -> np.ndarray:
-    lo, hi = sample_window(pair, profile, tol)
+def _sample_times(sol: FlowSolution, profile: LapseProfile, n: int) -> np.ndarray:
+    """``sample_times`` of the pair that ``sol`` solves."""
+    lo, hi = _window(sol, profile)
     return np.linspace(lo, hi, n)
 
 
@@ -74,7 +84,7 @@ def suite_constraints(pair: CauchyPair, profile: LapseProfile, samples: int = 50
     h0 = con.hamiltonian
     sol = solve(pair, tol)
     ham_dev = mom_dev = ham_abs = mom_abs = 0.0
-    for t in sample_times(pair, profile, samples, tol):
+    for t in _sample_times(sol, profile, samples):
         bt = profile.b_integral(t)
         th_t = sol.theta_at(bt)
         # evolved from a validated pair: validating it again decides nothing
@@ -104,10 +114,10 @@ def suite_ricci4(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
     constrained = constraints(pair, tol).is_vacuum_admissible
     sol = solve(pair, tol)
     ident = flat = 0.0
-    for t in sample_times(pair, profile, samples, tol):
+    for t in _sample_times(sol, profile, samples):
         th_t = sol.theta_at(profile.b_integral(t))
         ric = ricci4(_coframe4(th_t, profile, t))
-        ident = _worst(ident, _identity_residual(ric, hamiltonian_of(th_t)))
+        ident = _worst(ident, _identity_residual(ric.components, hamiltonian_of(th_t)))
         if constrained:
             flat = _worst(flat, float(np.max(np.abs(ric.components))))
     rows = [CheckResult("4D Ricci equals (H/2) null-direction square", ident, 1e-6)]
@@ -123,7 +133,7 @@ def suite_ricciflow(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
     require_valid(pair, tol)
     sol = solve(pair, tol)
     qd = sol.branch == QD
-    times = sample_times(pair, profile, samples, tol)
+    times = _sample_times(sol, profile, samples)
     res = 0.0
     for t in times:
         th_t = sol.theta_at(profile.b_integral(t))
@@ -167,7 +177,7 @@ def suite_cosymplectic(pair: CauchyPair, profile: LapseProfile, samples: int = 2
     require_valid(pair, tol)
     sol = solve(pair, tol)
     rows = []
-    times = sample_times(pair, profile, samples, tol)
+    times = _sample_times(sol, profile, samples)
 
     if sol.branch != QD:
         res = 0.0
@@ -190,15 +200,15 @@ def suite_oracle(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
     """Closed forms against the numerical integrator."""
     require_valid(pair, tol)
     sol = solve(pair, tol)
-    times = sample_times(pair, profile, samples, tol)
+    times = _sample_times(sol, profile, samples)
     states = integrate_to(pair, profile, times, tol=tol)
     th_dev = u_dev = resid = 0.0
-    for t, st in zip(times, states):
+    for t, st, res in zip(times, states, flow_residuals(states, pair)):
         bt = profile.b_integral(t)
         th_dev = _worst(th_dev, float(np.max(np.abs(
             st.theta.as_matrix() - sol.theta_at(bt).as_matrix()))))
         u_dev = _worst(u_dev, float(np.max(np.abs(st.U - sol.frame_at(bt).U))))
-        resid = _worst(resid, flow_residuals(st, pair).max())
+        resid = _worst(resid, res.max())
     flagged = tuple(uncertified(states))
     return [
         CheckResult("shape components match the closed form", th_dev, 1e-8, flagged),

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinorflow
@@ -205,6 +206,35 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numeric failure: the curvature at t = 0 is not finite\n"
+
+    def test_non_finite_curvature_names_the_first_sample(self, tmp_path, capsys):
+        path = write_pair(tmp_path, "huge", theta_dict(ll=7e153, nn=-7e153))
+        assert main(["curvature", path, "--t0=-0.5", "--t1", "0.5",
+                     "--samples", "3"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: the curvature at t = -0.5 is not finite\n"
+
+    @pytest.mark.parametrize("argv, what", [
+        (["flow", "--method", "exact"], "flow state"), (["curvature"], "curvature"),
+    ], ids=["exact-flow", "curvature"])
+    def test_a_later_sample_that_raises_comes_after_the_first_failure(
+            self, tmp_path, capsys, argv, what):
+        # toward the pole at t = 1, Theta_ll = 1.35e148 / (1 - t) overflows the
+        # curvature from the 492nd of 500 samples on, squares past the largest
+        # float from the 495th, and the 500th is the pole: the first failure
+        # in sample order is reported, as with one sample at a time
+        pair = spinorflow.CauchyPair.from_components(uu=1.0, ll=1.35e148)
+        path = write_pair(tmp_path, "steep", pair.to_json_dict()["theta"])
+        late = exact.theta_exact(pair, spinorflow.LapseProfile.constant(1.0), 1.0 - 1e-6)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+            spinorflow.hamiltonian_of(late)
+        assert main([argv[0], path, "--t0", "0.9999", "--t1", "1", "--samples", "500"]
+                    + argv[1:]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"numeric failure: the {what} at t = 0.999998396794 "
+                                "is not finite\n")
 
     def test_overflowing_invariants_are_a_numeric_failure(self, tmp_path, capsys):
         # E(1,1) scaled to |Theta| = 7e153 is admissible, but its Hamiltonian
@@ -545,7 +575,7 @@ class TestEachPairIsSolvedOnce:
     @pytest.mark.parametrize("name", sorted(PAIRS))
     @pytest.mark.parametrize("argv,most", [
         (["flow", "--method", "exact"], 2), (["lifespan"], 2), (["curvature"], 2),
-        (["verify"], 10),
+        (["verify"], 5),
     ], ids=["exact-flow", "lifespan", "curvature", "verify"])
     def test_branch_calls(self, tmp_path, monkeypatch, capsys, name, argv, most):
         calls = []
@@ -554,6 +584,20 @@ class TestEachPairIsSolvedOnce:
         path = write_pair(tmp_path, name, theta_dict(**self.PAIRS[name]))
         assert main([argv[0], path] + argv[1:]) == EXIT_OK
         assert 1 <= len(calls) <= most
+
+    @pytest.mark.parametrize("argv", [["flow", "--method", "exact"], ["curvature"]],
+                             ids=["exact-flow", "curvature"])
+    def test_lapse_integral_once_per_sample(self, tmp_path, monkeypatch, capsys, argv):
+        calls = []
+        b_integral = lapse.LapseProfile.b_integral
+        monkeypatch.setattr(lapse.LapseProfile, "b_integral",
+                            lambda self, t: calls.append(t) or b_integral(self, t))
+        path = write_pair(tmp_path, "table", theta_dict(**self.PAIRS["tau2R-general"]),
+                          extra={"beta": {"kind": "tabulated", "times": [-1.0, 0.2, 1.5],
+                                          "values": [0.8, 1.3, 1.0]}})
+        assert main([argv[0], path, "--t0", "-0.3", "--t1", "1", "--samples", "7"]
+                    + argv[1:]) == EXIT_OK
+        assert len(calls) == 7
 
     def test_exact_flow_diagonalizes_once(self, tmp_path, monkeypatch, capsys):
         # the eigen data of the quasi-diagonal lower block is fixed by the pair
