@@ -23,8 +23,8 @@ from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
 from .exact import solve
 from .lapse import LapseProfile
 from .lorentz import _curvature
-from .numeric import CERTIFY_LIMIT, FlowState, _state_from_vector, \
-    flow_residuals, integrate_to, uncertified
+from .numeric import CERTIFY_LIMIT, FlowState, _integrate, _state_from_vector, \
+    flow_residuals, uncertified
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints, _row_group, classify, \
     invariants, require_valid, validate
 from .verify import SUITES, run_suite
@@ -208,9 +208,8 @@ def cmd_flow(args, data) -> int:
         states = _state_from_vector(
             (t, _exact_vector(sol, bt), None) for t, bt in zip(times, bts))
     else:
-        states = integrate_to(pair, profile, times, tol=args.tol)
+        states, bts = _integrate(pair, profile, times, tol=args.tol)
         _warn_uncertified(states)
-        bts = [profile.b_integral(st.t) for st in states]
     rows = [_flow_row(st, bt, res)
             for st, bt, res in zip(states, bts, flow_residuals(states, pair))]
     _emit(_render_table(FLOW_COLUMNS, rows, args.format), args.out)

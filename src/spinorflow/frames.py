@@ -6,12 +6,13 @@ Everything here works with frame components only: the 3D frame labels are
 left-invariant metric then reduces to finite-dimensional algebra on the
 structure constants of the orthonormal (co)frame.
 
-``structure_constants_from_theta``, ``levi_civita`` and ``frame_ricci``
-take optional leading axes, one sample per index, and evaluate a stack in
-one pass; scalar calls are unchanged.  Their einsum subscripts and
-transposes name every axis (no ``...``, no ``np.moveaxis``), which keeps
-the overhead of a single sample small, and every sample of a stack gets
-the same floating-point operations in the same order as a call of its own.
+``structure_constants_from_theta``, ``levi_civita``, ``frame_ricci`` and
+``divergence_sym`` take optional leading axes, one sample per index, and
+evaluate a stack in one pass; scalar calls are unchanged.  Their einsum
+subscripts and transposes name every axis (no ``...``, no
+``np.moveaxis``), which keeps the overhead of a single sample small, and
+every sample of a stack gets the same floating-point operations in the
+same order as a call of its own.
 """
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ def eigen2x2(theta2) -> EigenData2:
     return EigenData2(rho_plus=rho_p, rho_minus=rho_m, Q=Q)
 
 
+def sym_components(thetas) -> np.ndarray:
+    """The stack of components (uu, ul, un, ll, ln, nn) of an iterable of
+    Sym3, one row each."""
+    return np.array([th.as_array() for th in thetas]).reshape(-1, 6)
+
+
 def sym_matrices(theta) -> np.ndarray:
     """The matrix of a Sym3, or the stack of matrices of an array of
     components (uu, ul, un, ll, ln, nn) on its last axis, C-contiguous as
@@ -246,13 +253,17 @@ def ricci3(c: np.ndarray) -> tuple[Sym3, float]:
     return Sym3.from_matrix(0.5 * (ric + ric.T)), scal
 
 
-def divergence_sym(c: np.ndarray, s: Sym3) -> np.ndarray:
+def divergence_sym(c: np.ndarray, s) -> np.ndarray:
     """Frame components of div_h S for a constant-component symmetric S.
 
     (div S)_b = sum_a (nabla_a S)(x_a, x_b); for constant components the
-    covariant derivative is pure connection contraction.
+    covariant derivative is pure connection contraction.  Optional leading
+    axes: ``c`` may carry them, one sample per index, with ``s`` an array of
+    components on the same leading axes (``sym_matrices``); the divergences
+    then carry them too.  Scalar calls, with ``s`` a Sym3, are unchanged.
     """
+    p = _LEAD[:c.ndim - 3]
     om = levi_civita(c)
-    sm = s.as_matrix()
-    div = -np.einsum("aae,eb->b", om, sm) - np.einsum("abe,ae->b", om, sm)
-    return div
+    sm = sym_matrices(s)
+    return (-np.einsum(f"{p}aae,{p}eb->{p}b", om, sm)
+            - np.einsum(f"{p}abe,{p}ae->{p}b", om, sm))

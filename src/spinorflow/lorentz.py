@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SingularTime
 from .exact import FlowSolution, solve, theta_exact
-from .frames import Sym3, frame_ricci, sym_matrices
+from .frames import Sym3, frame_ricci, sym_components, sym_matrices
 from .lapse import LapseProfile
 from .numeric import _hamiltonians, _until_raised, hamiltonian_of, ode_rhs
 from .pairs import CauchyPair, DEFAULT_TOL
@@ -137,14 +137,18 @@ def _dirac_current(sol: FlowSolution, bt: float) -> DiracCurrentFrame:
     """The current frame where the lapse integral is B_t = bt."""
     th_t = sol.theta_at(bt).as_matrix()
     u = sol.frame_at(bt).U
-    # -Theta_t(e_u^t) expanded on the reference coframe
-    log_scale = -(th_t @ u)[0, :]
     l_rep = np.concatenate([[0.0], u[1, :]])
     return DiracCurrentFrame(
         base_oneform=NULL_DIRECTION.copy(),
-        log_scale_differential=log_scale,
+        log_scale_differential=_log_scale_differential(th_t, u),
         l_class_representative=l_rep,
     )
+
+
+def _log_scale_differential(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """-Theta_t(e_u^t) expanded on the reference coframe, given the matrices
+    of Theta_t and U_t, or the same of each sample of a stack."""
+    return -(theta @ u)[..., 0, :]
 
 
 def closedness_residual(pair: CauchyPair, alpha: np.ndarray) -> float:
@@ -173,7 +177,7 @@ def _curvature(th_t, profile: LapseProfile, t) -> list[dict]:
     once the samples before it have been checked, as a sample at a time
     would."""
     thetas, pending = _until_raised(th_t)
-    comp = np.array([th.as_array() for th in thetas]).reshape(-1, 6)
+    comp = sym_components(thetas)
     frame = _coframe4(comp, profile, t[:len(thetas)])
     with np.errstate(over="ignore", invalid="ignore"):
         ric = ricci4(frame)

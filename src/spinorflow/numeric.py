@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _kernel_py as _kern
 from .errors import SingularTime, SpinorFlowError
-from .frames import Sym3, frame_ricci, structure_constants_from_theta, sym_matrices
+from .frames import Sym3, frame_ricci, structure_constants_from_theta, \
+    sym_components, sym_matrices
 from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, require_valid
 
@@ -175,6 +176,15 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     outside a table, and SingularTime when the march blows up or overflows
     (see ``_singular``) before it reaches a requested time.
     """
+    return _integrate(pair, profile, times, n_steps_total, tol)[0]
+
+
+def _integrate(pair: CauchyPair, profile: LapseProfile, times,
+               n_steps_total: int | None = None,
+               tol: float = DEFAULT_TOL) -> tuple[list[FlowState], list[float]]:
+    """``integrate_to``, and B_t at each requested time: the clock the
+    march ran in, so a caller that needs B_t does not integrate the lapse
+    again."""
     require_valid(pair, tol)
     requested = [float(t) for t in times]
     if not all(map(math.isfinite, requested)):
@@ -204,7 +214,8 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
                     yield t, y, error
 
     out = {st.t: st for st in _state_from_vector(marched())}
-    return [out[t] for t in requested]
+    b_at = {t: s for s, ts in at.items() for t in ts}
+    return [out[t] for t in requested], [b_at[t] for t in requested]
 
 
 def _time_at(profile: LapseProfile, s: float) -> float:
@@ -332,7 +343,7 @@ def flow_residuals(state, pair: CauchyPair):
     are evaluated at unit lapse.
     """
     states = [state] if isinstance(state, FlowState) else list(state)
-    comp = np.array([st.theta.as_array() for st in states]).reshape(-1, 6)
+    comp = sym_components(st.theta for st in states)
     th_t = sym_matrices(comp)
     th_0 = pair.theta.as_matrix()
     u = np.array([st.U for st in states]).reshape(-1, 3, 3)

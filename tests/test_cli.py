@@ -585,8 +585,15 @@ class TestEachPairIsSolvedOnce:
         assert main([argv[0], path] + argv[1:]) == EXIT_OK
         assert 1 <= len(calls) <= most
 
-    @pytest.mark.parametrize("argv", [["flow", "--method", "exact"], ["curvature"]],
-                             ids=["exact-flow", "curvature"])
+    WINDOW = ["--t0", "-0.3", "--t1", "1", "--samples", "7"]
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--method", "exact", *WINDOW], ["curvature", *WINDOW],
+        ["flow", "--method", "rk4", *WINDOW],
+        *(["verify", "--suite", suite, "--samples", "7"]
+          for suite in ("ricci4", "constraints", "oracle")),
+    ], ids=["exact-flow", "curvature", "rk4-flow", "verify-ricci4", "verify-constraints",
+            "verify-oracle"])
     def test_lapse_integral_once_per_sample(self, tmp_path, monkeypatch, capsys, argv):
         calls = []
         b_integral = lapse.LapseProfile.b_integral
@@ -595,8 +602,7 @@ class TestEachPairIsSolvedOnce:
         path = write_pair(tmp_path, "table", theta_dict(**self.PAIRS["tau2R-general"]),
                           extra={"beta": {"kind": "tabulated", "times": [-1.0, 0.2, 1.5],
                                           "values": [0.8, 1.3, 1.0]}})
-        assert main([argv[0], path, "--t0", "-0.3", "--t1", "1", "--samples", "7"]
-                    + argv[1:]) == EXIT_OK
+        assert main([argv[0], path] + argv[1:]) == EXIT_OK
         assert len(calls) == 7
 
     def test_exact_flow_diagonalizes_once(self, tmp_path, monkeypatch, capsys):

@@ -1,15 +1,23 @@
 """Stacked evaluation: the curvature algebra over a leading sample axis
 gives, sample by sample, the bits of one call per sample."""
 
+import math
+
 import numpy as np
 import pytest
 
-from spinorflow import LapseProfile, coframe4_at, curvature_report, flow_residuals, \
-    frame_ricci, hamiltonian_of, integrate_to, ricci4, solve, \
-    structure_constants_from_theta
-from spinorflow.frames import L, N, U, Sym3
-from spinorflow.lorentz import ETA4, _coframe4, _curvature, _structure4
-from spinorflow.verify import sample_times
+from spinorflow import CauchyPair, LapseProfile, coframe4_at, constraints, \
+    curvature_report, flow_residuals, frame_ricci, hamiltonian_of, integrate_to, \
+    ricci3, ricci4, require_valid, solve, structure_constants_from_theta
+from spinorflow.errors import SingularTime, SpinorFlowError
+from spinorflow.exact import QD, FlowSolution
+from spinorflow.frames import L, N, U, Sym3, divergence_sym, levi_civita
+from spinorflow.lorentz import ETA4, _coframe4, _curvature, _identity_residual, \
+    _structure4, closedness_residual
+from spinorflow.numeric import uncertified
+from spinorflow.pairs import ConstraintReport, _constraints
+from spinorflow.verify import SUITES, CheckResult, _SUITE_FUNCS, _sample_times, \
+    _worst, sample_times
 
 from conftest import ROW_PAIRS
 
@@ -70,6 +78,25 @@ class TestStacksMatchSingleSamples:
         _same_bits(stacked.components, [ricci4(f).components for f in singles])
         _same_bits(stacked.scalar, [ricci4(f).scalar for f in singles])
 
+    def test_divergence_and_constraints(self, samples):
+        _, thetas, comp = samples
+        c = structure_constants_from_theta(comp)
+        _same_bits(divergence_sym(c, comp),
+                   [divergence_sym(structure_constants_from_theta(th), th) for th in thetas])
+        stacked = _constraints(comp, 1e-9)
+        singles = [_constraints(th, 1e-9) for th in thetas]
+        for name in ("hamiltonian", "momentum_residual", "scalar_curvature",
+                     "is_vacuum_admissible"):
+            _same_bits(getattr(stacked, name), [getattr(rep, name) for rep in singles])
+        # one sample is the scalar calls it replaced, types included
+        for th, rep in zip(thetas, singles):
+            want = _constraints_reference(th, 1e-9)
+            assert [type(rep.hamiltonian), type(rep.scalar_curvature),
+                    type(rep.is_vacuum_admissible)] == [float, float, bool]
+            assert (rep.hamiltonian, rep.scalar_curvature, rep.is_vacuum_admissible) == \
+                (want.hamiltonian, want.scalar_curvature, want.is_vacuum_admissible)
+            _same_bits(rep.momentum_residual, want.momentum_residual)
+
     def test_hamiltonian_of(self, samples):
         _, thetas, comp = samples
         _same_bits(hamiltonian_of(comp), [hamiltonian_of(th) for th in thetas])
@@ -125,3 +152,250 @@ class TestSliceAssignmentsMatchTheLoops:
         mats = np.array([th.as_matrix() for th in self.THETAS])
         with np.errstate(invalid="ignore"):
             _same_bits(_structure4(mats), [_structure4_loop(m) for m in mats])
+
+
+# The suites as they were before they evaluated one stack of samples: one
+# scalar call chain per sample, folded with _worst as each sample comes.
+
+def _constraints_reference(th, tol):
+    """_constraints of one Sym3 through the scalar calls."""
+    c = structure_constants_from_theta(th)
+    _, scal = ricci3(c)
+    ham = scal - th.norm2() + th.trace() ** 2
+    mom = divergence_sym(c, th)
+    scale = max(1.0, th.max_abs()) ** 2
+    ok = abs(ham) <= tol * scale and float(np.max(np.abs(mom))) <= tol * scale
+    return ConstraintReport(hamiltonian=ham, momentum_residual=mom,
+                            scalar_curvature=scal, is_vacuum_admissible=ok)
+
+
+def _suite_constraints_reference(pair, profile, samples=50, tol=1e-9):
+    con = constraints(pair, tol)
+    h0 = con.hamiltonian
+    sol = solve(pair, tol)
+    ham_dev = mom_dev = ham_abs = mom_abs = 0.0
+    for t in _sample_times(sol, profile, samples):
+        bt = profile.b_integral(t)
+        th_t = sol.theta_at(bt)
+        rep = _constraints_reference(th_t, tol)
+        ham_dev = _worst(ham_dev, abs(rep.hamiltonian - sol.hamiltonian_at(h0, bt)))
+        target = -0.5 * rep.hamiltonian * np.array([1.0, 0.0, 0.0])
+        mom_dev = _worst(mom_dev, float(np.max(np.abs(rep.momentum_residual - target))))
+        ham_abs = _worst(ham_abs, abs(rep.hamiltonian))
+        mom_abs = _worst(mom_abs, float(np.max(np.abs(rep.momentum_residual))))
+    rows = [
+        CheckResult("hamiltonian matches its closed-form evolution", ham_dev, 1e-8),
+        CheckResult("momentum residual equals -(H/2) e_u along the flow",
+                    mom_dev, 1e-9),
+    ]
+    if con.is_vacuum_admissible:
+        rows.append(CheckResult(
+            "hamiltonian stays zero (constrained pair)", ham_abs, 1e-9))
+        rows.append(CheckResult(
+            "momentum residual vanishes (constrained pair)", mom_abs, 1e-9))
+    return rows
+
+
+def _suite_ricci4_reference(pair, profile, samples=20, tol=1e-9):
+    constrained = constraints(pair, tol).is_vacuum_admissible
+    sol = solve(pair, tol)
+    ident = flat = 0.0
+    for t in _sample_times(sol, profile, samples):
+        th_t = sol.theta_at(profile.b_integral(t))
+        ric = ricci4(_coframe4(th_t, profile, t))
+        ident = _worst(ident, _identity_residual(ric.components, hamiltonian_of(th_t)))
+        if constrained:
+            flat = _worst(flat, float(np.max(np.abs(ric.components))))
+    rows = [CheckResult("4D Ricci equals (H/2) null-direction square", ident, 1e-6)]
+    if constrained:
+        rows.append(CheckResult("4D Ricci vanishes (constrained pair)", flat, 1e-8))
+    return rows
+
+
+def _suite_ricciflow_reference(pair, profile, samples=20, tol=1e-9):
+    require_valid(pair, tol)
+    sol = solve(pair, tol)
+    qd = sol.branch == QD
+    times = _sample_times(sol, profile, samples)
+    res = 0.0
+    for t in times:
+        th_t = sol.theta_at(profile.b_integral(t))
+        ric_t, _ = ricci3(structure_constants_from_theta(th_t))
+        ham = hamiltonian_of(th_t)
+        if qd:
+            target = -(th_t.ll + th_t.nn) * th_t.as_matrix()
+            target[0, 0] += 0.5 * ham
+        else:
+            target = 0.25 * ham * (np.eye(3) - np.outer(sol.eta, sol.eta))
+        res = _worst(res, float(np.max(np.abs(ric_t.as_matrix() - target))))
+    rows = [CheckResult(
+        "Ric(h) = -Tr(Theta) Theta + (H/2) e_u x e_u (quasi-diagonal)" if qd
+        else "Ric(h) = (H/4)(h - eta x eta) (off-diagonal branches)", res, 1e-8)]
+
+    if qd and _constraints_reference(pair.theta, tol).is_vacuum_admissible:
+        step = 1e-5
+        res = 0.0
+        for t in times:
+            bt = profile.b_integral(t)
+            th_t = sol.theta_at(bt)
+            u = sol.frame_at(bt).U
+            ric_t, _ = ricci3(structure_constants_from_theta(th_t))
+            ric_ref = u.T @ ric_t.as_matrix() @ u
+            h_plus = sol.metric_at(profile.b_integral(t + step)).as_matrix()
+            h_minus = sol.metric_at(profile.b_integral(t - step)).as_matrix()
+            dh = (h_plus - h_minus) / (2.0 * step)
+            factor = (th_t.ll + th_t.nn) / (2.0 * profile.beta(t))
+            res = _worst(res, float(np.max(np.abs(ric_ref - factor * dh))))
+        rows.append(CheckResult(
+            "Ric(h) = (Tr(Theta)/(2 beta)) dh/dt (constrained quasi-diagonal)",
+            res, 1e-6))
+    return rows
+
+
+def _suite_cosymplectic_reference(pair, profile, samples=20, tol=1e-9):
+    require_valid(pair, tol)
+    sol = solve(pair, tol)
+    rows = []
+    times = _sample_times(sol, profile, samples)
+
+    if sol.branch != QD:
+        res = 0.0
+        for t in times:
+            th_t = sol.theta_at(profile.b_integral(t))
+            om = levi_civita(structure_constants_from_theta(th_t))
+            res = _worst(res, float(np.max(np.abs(np.einsum("abd,d->ab", om, sol.eta)))))
+        rows.append(CheckResult("parallel one-form: nabla eta = 0", res, 1e-10))
+
+    res = 0.0
+    for t in times:
+        bt = profile.b_integral(t)
+        log_scale = -(sol.theta_at(bt).as_matrix() @ sol.frame_at(bt).U)[0, :]
+        res = _worst(res, closedness_residual(pair, log_scale))
+    rows.append(CheckResult("log-scale differential is closed", res, 1e-12))
+    return rows
+
+
+def _suite_oracle_reference(pair, profile, samples=20, tol=1e-9):
+    require_valid(pair, tol)
+    sol = solve(pair, tol)
+    times = _sample_times(sol, profile, samples)
+    states = integrate_to(pair, profile, times, tol=tol)
+    th_dev = u_dev = resid = 0.0
+    for t, st, res in zip(times, states, flow_residuals(states, pair)):
+        bt = profile.b_integral(t)
+        th_dev = _worst(th_dev, float(np.max(np.abs(
+            st.theta.as_matrix() - sol.theta_at(bt).as_matrix()))))
+        u_dev = _worst(u_dev, float(np.max(np.abs(st.U - sol.frame_at(bt).U))))
+        resid = _worst(resid, res.max())
+    flagged = tuple(uncertified(states))
+    return [
+        CheckResult("shape components match the closed form", th_dev, 1e-8, flagged),
+        CheckResult("coframe transform matches the closed form", u_dev, 1e-8, flagged),
+        CheckResult("flow-equation residuals along the trajectory", resid, 1e-8,
+                    flagged),
+    ]
+
+
+REFERENCES = {
+    "constraints": _suite_constraints_reference,
+    "ricci4": _suite_ricci4_reference,
+    "ricciflow": _suite_ricciflow_reference,
+    "cosymplectic": _suite_cosymplectic_reference,
+    "oracle": _suite_oracle_reference,
+}
+
+
+def _row_key(row):
+    """A row as the CLI reads it: name, residual bits (NaN as NaN), tol and
+    the states it leaves uncertified."""
+    r = float(row.residual)
+    return (row.name, "nan" if math.isnan(r) else r.hex(), row.tol,
+            [(st.t, st.theta, st.U.tobytes(), st.error) for st in row.uncertified])
+
+
+def _outcome(func, *args, **kwargs):
+    """The row keys of a suite run, or the type and message it raised; in
+    the floating-point state the CLI runs the suites in."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return [_row_key(row) for row in func(*args, **kwargs)]
+        except (SpinorFlowError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+class TestSuitesMatchSingleSamples:
+    """Each suite, evaluated as one stack, gives the rows of one scalar call
+    chain per sample, bit for bit."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 50])
+    def test_rows(self, suite, row_pair, profile, samples):
+        got = _outcome(_SUITE_FUNCS[suite], row_pair, profile, samples=samples)
+        assert isinstance(got, list)
+        assert got == _outcome(REFERENCES[suite], row_pair, profile, samples=samples)
+
+    def test_the_constrained_quasi_diagonal_row(self, suite):
+        # R3 at lapse 1.3 also gets the dh/dt row of the ricciflow suite
+        pair, profile = CauchyPair.from_components(uu=1.0), PROFILES["constant-1.3"]
+        got = _outcome(_SUITE_FUNCS[suite], pair, profile)
+        assert got == _outcome(REFERENCES[suite], pair, profile)
+        if suite == "ricciflow":
+            assert [name for name, *_ in got][1].endswith("(constrained quasi-diagonal)")
+
+    @pytest.mark.parametrize("k", [-500, 0, 160, 500])
+    def test_failures_come_in_sample_order(self, suite, row_pair, profile, k):
+        # scaled rows overflow, blow up or meet a pole along the samples:
+        # the stack raises what the first failing sample raised, or returns
+        # the same rows
+        pair = CauchyPair(Sym3.from_array(row_pair.theta.as_array() * 2.0 ** k))
+        assert _outcome(_SUITE_FUNCS[suite], pair, profile) == \
+            _outcome(REFERENCES[suite], pair, profile)
+
+    @pytest.mark.parametrize("theta", [
+        dict(ll=1e160, nn=-1e160),       # the pair's own squares overflow
+        dict(ul=3e153, un=4e153),        # so do those of Theta_t at the ends
+        dict(uu=1.0, ll=1.35e148),       # a later sample meets the pole
+    ], ids=["e11-1e160", "lambda-5e153", "pole-inside"])
+    def test_failures_past_the_floats(self, suite, profile, theta):
+        pair = CauchyPair.from_components(**theta)
+        assert _outcome(_SUITE_FUNCS[suite], pair, profile) == \
+            _outcome(REFERENCES[suite], pair, profile)
+
+    def test_the_first_failing_sample_wins(self, suite, monkeypatch):
+        # Theta_t squares past the largest float at sample 3 and raises at
+        # sample 6: every suite that squares it reports sample 3
+        pair, profile = ROW_PAIRS["tau2R-general"], PROFILES["table-5"]
+        times = sample_times(pair, profile, 9)
+        huge, pole = (profile.b_integral(times[i]) for i in (3, 6))
+        theta_at = FlowSolution.theta_at
+
+        def poisoned(self, bt):
+            if bt == pole:
+                raise SingularTime("a pole at sample 6")
+            th = theta_at(self, bt)
+            return Sym3.from_array(th.as_array() * 1e200) if bt == huge else th
+
+        monkeypatch.setattr(FlowSolution, "theta_at", poisoned)
+        got = _outcome(_SUITE_FUNCS[suite], pair, profile, samples=9)
+        assert got == _outcome(REFERENCES[suite], pair, profile, samples=9)
+        squared = suite in ("constraints", "ricci4", "ricciflow")
+        assert got[0] is (OverflowError if squared else SingularTime)
+
+    def test_a_nan_sample_fails_its_rows(self, suite, monkeypatch):
+        # Theta_t is NaN at the middle one of 9 samples and at no other
+        pair, profile = ROW_PAIRS["tau2R-general"], PROFILES["table-5"]
+        middle = profile.b_integral(sample_times(pair, profile, 9)[4])
+        theta_at = FlowSolution.theta_at
+
+        def poisoned(self, bt):
+            th = theta_at(self, bt)
+            return Sym3.from_array(th.as_array() * math.nan) if bt == middle else th
+
+        monkeypatch.setattr(FlowSolution, "theta_at", poisoned)
+        got = _outcome(_SUITE_FUNCS[suite], pair, profile, samples=9)
+        assert got == _outcome(REFERENCES[suite], pair, profile, samples=9)
+        rows = _SUITE_FUNCS[suite](pair, profile, samples=9)
+        if suite == "oracle":
+            # only its shape row reads Theta_t: the others read U_t and the march
+            rows = rows[:1]
+        assert all(math.isnan(row.residual) and not row.passed for row in rows)
