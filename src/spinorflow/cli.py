@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
-from .exact import solve
+from .exact import _Samples, solve
 from .lapse import LapseProfile
 from .lorentz import _curvature
 from .numeric import CERTIFY_LIMIT, FlowState, _integrate, _state_from_vector, \
@@ -87,13 +87,13 @@ def _flow_row(state: FlowState, bt: float, res) -> list[float]:
     )
 
 
-def _exact_vector(sol, bt) -> np.ndarray:
-    """The components (Theta_t, U_t row by row) where B_t = ``bt``."""
-    th = sol.theta_at(bt)
-    # a frame that overflows is refused by _state_from_vector
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = sol.frame_at(bt).U
-    return np.concatenate([th.as_array(), u.ravel()])
+def _closed_form(stack):
+    """(t, components of Theta_t and of U_t row by row, None) at each sample
+    of ``stack``, up to the first that raised, whose exception follows."""
+    us, raised = stack.frames
+    for t, th, u in zip(stack.times, stack.thetas, us):
+        yield t, np.concatenate([th.as_array(), u.ravel()]), None
+    stack.check(raised)
 
 
 def _span_end(x: float | None, fmt):
@@ -102,25 +102,6 @@ def _span_end(x: float | None, fmt):
     if x is None:
         return None
     return str(x) if math.isinf(x) else fmt(x)
-
-
-def _clip_window(span, profile, t0, t1) -> tuple[float, float]:
-    lo = -math.inf if span.t_minus is None else span.t_minus
-    hi = math.inf if span.t_plus is None else span.t_plus
-    dlo, dhi = profile.domain()
-    lo, hi = max(lo, dlo), min(hi, dhi)
-    margin = 1e-6 * max(1.0, abs(t0), abs(t1))
-    c0 = max(t0, lo + margin) if math.isfinite(lo) else t0
-    c1 = min(t1, hi - margin) if math.isfinite(hi) else t1
-    if (c0, c1) != (t0, t1):
-        print(
-            f"warning: window [{t0}, {t1}] clipped to [{c0}, {c1}] "
-            "to stay inside the lifespan",
-            file=sys.stderr,
-        )
-    if c0 >= c1:
-        raise SingularTime("requested window lies outside the lifespan")
-    return c0, c1
 
 
 def _warn_uncertified(states) -> None:
@@ -197,41 +178,55 @@ def cmd_lifespan(args, data) -> int:
     return EXIT_OK
 
 
-def cmd_flow(args, data) -> int:
+def _sampled(args, data):
+    """The prologue of ``flow`` and ``curvature``: the pair solved, its lapse
+    and lifespan, and the sample times of the window clipped to the lifespan."""
     pair, profile = _parse_pair(data)
     require_valid(pair, args.tol)
     sol = solve(pair, args.tol)
-    t0, t1 = _clip_window(sol.lifespan(profile), profile, args.t0, args.t1)
-    times = np.linspace(t0, t1, args.samples)
+    span = sol.lifespan(profile)
+    lo = -math.inf if span.t_minus is None else span.t_minus
+    hi = math.inf if span.t_plus is None else span.t_plus
+    dlo, dhi = profile.domain()
+    lo, hi = max(lo, dlo), min(hi, dhi)
+    margin = 1e-6 * max(1.0, abs(args.t0), abs(args.t1))
+    c0 = max(args.t0, lo + margin) if math.isfinite(lo) else args.t0
+    c1 = min(args.t1, hi - margin) if math.isfinite(hi) else args.t1
+    if (c0, c1) != (args.t0, args.t1):
+        print(
+            f"warning: window [{args.t0}, {args.t1}] clipped to [{c0}, {c1}] "
+            "to stay inside the lifespan",
+            file=sys.stderr,
+        )
+    if c0 >= c1:
+        raise SingularTime("requested window lies outside the lifespan")
+    return sol, profile, span, np.linspace(c0, c1, args.samples)
+
+
+def cmd_flow(args, data) -> int:
+    sol, profile, _, times = _sampled(args, data)
     if args.method == "exact":
-        bts = [profile.b_integral(t) for t in times]
-        states = _state_from_vector(
-            (t, _exact_vector(sol, bt), None) for t, bt in zip(times, bts))
+        stack = _Samples(sol, profile, times)
+        states, bts = _state_from_vector(_closed_form(stack)), stack.bts
     else:
-        states, bts = _integrate(pair, profile, times, tol=args.tol)
+        bts = [profile.b_integral(t) for t in times.tolist()]
+        states = _integrate(sol.pair, profile, times.tolist(), bts)
         _warn_uncertified(states)
     rows = [_flow_row(st, bt, res)
-            for st, bt, res in zip(states, bts, flow_residuals(states, pair))]
+            for st, bt, res in zip(states, bts, flow_residuals(states, sol.pair))]
     _emit(_render_table(FLOW_COLUMNS, rows, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_curvature(args, data) -> int:
-    pair, profile = _parse_pair(data)
-    require_valid(pair, args.tol)
-    sol = solve(pair, args.tol)
-    span = sol.lifespan(profile)
-    t0, t1 = _clip_window(span, profile, args.t0, args.t1)
-    times = np.linspace(t0, t1, args.samples)
-    reports = _curvature((sol.theta_at(profile.b_integral(t)) for t in times),
-                         profile, times)
+    sol, profile, span, times = _sampled(args, data)
     payload = {
         "lifespan": {
             "t_minus": _span_end(span.t_minus, float),
             "t_plus": _span_end(span.t_plus, float),
             "immortal": span.immortal,
         },
-        "samples": reports,
+        "samples": _curvature(_Samples(sol, profile, times)),
     }
     _emit(json.dumps(payload, indent=2, default=float) + "\n", args.out)
     return EXIT_OK

@@ -11,14 +11,16 @@ every constant the pair fixes; the scalar functions read one ``solve`` each.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotApplicable, SingularTime
-from .frames import L, N, U, EigenData2, Sym3, eigen2x2
+from .frames import L, N, U, EigenData2, Sym3, eigen2x2, sym_components
 from .lapse import LapseProfile
+from .numeric import _hamiltonians, _ricci3, _until_raised
 from .pairs import CauchyPair, DEFAULT_TOL, invariants
 
 _SINGULAR_GUARD = 1e-12
@@ -194,6 +196,44 @@ def solve(pair: CauchyPair, tol: float = DEFAULT_TOL) -> FlowSolution:
         c_nn=(th.nn * lam**2 + th.un**2 * th.uu) / denom,
         c_ln=(th.ln * lam**2 + th.ul * th.un * th.uu) / denom,
         eta=np.array([0.0, th.un, -th.ul]) / lam)
+
+
+class _Samples:
+    """The closed form ``sol`` at the flow ``times``, each quantity a
+    command or a suite reads of it evaluated once per sample.
+
+    ``bts`` holds B_t at every time, as floats: the RK4 march runs several
+    times slower on numpy scalars.  ``thetas`` and ``comp`` hold Theta_t up
+    to the first sample where it raises, and ``pending`` that exception, or
+    None.  U_t, and Ric and H_t of the 3D frame, come on first use at each
+    of ``thetas``, with what they raised; ``check`` raises the exception of
+    the earliest sample, as one sample at a time would."""
+
+    def __init__(self, sol: FlowSolution, profile: LapseProfile, times):
+        self.sol, self.profile = sol, profile
+        self.times = np.asarray(times, dtype=float).tolist()
+        self.bts = [profile.b_integral(t) for t in self.times]
+        self.thetas, self.pending = _until_raised(map(sol.theta_at, self.bts))
+        self.comp = sym_components(self.thetas)
+
+    @functools.cached_property
+    def frames(self) -> tuple[np.ndarray, Exception | None]:
+        # a frame that overflows is refused by its consumer
+        with np.errstate(over="ignore", invalid="ignore"):
+            us, raised = _until_raised(self.sol.frame_at(bt).U
+                                       for bt in self.bts[:len(self.thetas)])
+        return np.array(us).reshape(-1, 3, 3), raised
+
+    @functools.cached_property
+    def ricci3(self) -> tuple[np.ndarray, list[float], Exception | None]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ric, scal = _ricci3(self.comp)
+        return (ric, *_until_raised(_hamiltonians(scal, self.thetas)))
+
+    def check(self, raised: Exception | None = None) -> None:
+        """Raise ``raised``, met before ``pending``, or else ``pending``."""
+        if raised or self.pending:
+            raise raised or self.pending
 
 
 def nonqd_coefficients(pair: CauchyPair, tol: float = DEFAULT_TOL) -> FlowSolution:

@@ -7,8 +7,8 @@ prescribed by the evolved shape components, and the only time dependence
 enters through them, handled analytically via the ODE right-hand sides.
 
 The coframe, Ric4 and the identity residual take optional leading axes, one
-sample per index, so ``_curvature`` evaluates every sample of a command in
-one pass; scalar calls are unchanged.
+sample per index, so ``_curvature`` evaluates the stack of samples of a
+command (``exact._Samples``) in one pass; scalar calls are unchanged.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularTime
-from .exact import FlowSolution, solve, theta_exact
-from .frames import Sym3, frame_ricci, sym_components, sym_matrices
+from .exact import _Samples, solve, theta_exact
+from .frames import Sym3, frame_ricci, sym_matrices
 from .lapse import LapseProfile
-from .numeric import _hamiltonians, _until_raised, hamiltonian_of, ode_rhs
+from .numeric import hamiltonian_of, ode_rhs
 from .pairs import CauchyPair, DEFAULT_TOL
 
 ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -130,18 +130,14 @@ def verify_ricci_identity(pair: CauchyPair, profile: LapseProfile, t: float,
 
 def dirac_current_frame(pair: CauchyPair, profile: LapseProfile, t: float,
                         tol: float = DEFAULT_TOL) -> DiracCurrentFrame:
-    return _dirac_current(solve(pair, tol), profile.b_integral(t))
-
-
-def _dirac_current(sol: FlowSolution, bt: float) -> DiracCurrentFrame:
-    """The current frame where the lapse integral is B_t = bt."""
+    sol = solve(pair, tol)
+    bt = profile.b_integral(t)
     th_t = sol.theta_at(bt).as_matrix()
     u = sol.frame_at(bt).U
-    l_rep = np.concatenate([[0.0], u[1, :]])
     return DiracCurrentFrame(
         base_oneform=NULL_DIRECTION.copy(),
         log_scale_differential=_log_scale_differential(th_t, u),
-        l_class_representative=l_rep,
+        l_class_representative=np.concatenate([[0.0], u[1, :]]),
     )
 
 
@@ -164,24 +160,22 @@ def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
     """JSON-ready curvature summary at one time.  Theta_t, the coframe, Ric4
     and H_t are evaluated once, and the identity residual is taken from
     them.  Raises SingularTime when a number of the summary is not finite."""
-    return _curvature([theta_exact(pair, profile, t, tol)], profile, [t])[0]
+    return _curvature(_Samples(solve(pair, tol), profile, [t]))[0]
 
 
-def _curvature(th_t, profile: LapseProfile, t) -> list[dict]:
-    """The curvature summaries at the flow times t, given Theta_t at each as
-    an iterable of Sym3, evaluated as one stack.
+def _curvature(stack: _Samples) -> list[dict]:
+    """The curvature summaries at the samples of ``stack``, evaluated as
+    one stack.
 
-    Raises SingularTime at the first time where a number of the summary is
-    not finite.  The iterable may raise, and H_t raises OverflowError where a
-    component squares past the largest float: either exception is raised
-    once the samples before it have been checked, as a sample at a time
-    would."""
-    thetas, pending = _until_raised(th_t)
-    comp = sym_components(thetas)
-    frame = _coframe4(comp, profile, t[:len(thetas)])
+    Raises SingularTime at the first sample where a number of the summary
+    is not finite.  Theta_t may have raised at a sample, and H_t raises
+    OverflowError where a component squares past the largest float: either
+    exception is raised once the samples before it have been checked, as a
+    sample at a time would."""
+    frame = _coframe4(stack.comp, stack.profile, stack.times[:len(stack.thetas)])
+    _, hams, raised = stack.ricci3
     with np.errstate(over="ignore", invalid="ignore"):
         ric = ricci4(frame)
-        hams, raised = _until_raised(_hamiltonians(comp, thetas))
         n = len(hams)
         components = ric.components[:n]
         residual = _identity_residual(components, np.array(hams))
@@ -191,8 +185,7 @@ def _curvature(th_t, profile: LapseProfile, t) -> list[dict]:
     for x, ok, ham in zip(times, finite, hams):
         if not (ok and math.isfinite(ham)):
             raise SingularTime(f"the curvature at t = {x:.12g} is not finite")
-    if raised or pending:
-        raise raised or pending
+    stack.check(raised)
     return [{"t": x, "beta": beta, "ricci4": r, "scalar4": scalar, "hamiltonian": ham,
              "identity_residual": res}
             for x, beta, r, scalar, ham, res in zip(

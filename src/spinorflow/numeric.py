@@ -76,17 +76,22 @@ def hamiltonian_of(theta):
     |Theta|^2 and Tr(Theta)^2 are Python float squares, which raise
     OverflowError past the largest float."""
     if isinstance(theta, Sym3):
-        return next(_hamiltonians(theta.as_array(), [theta]))
+        return next(_hamiltonians(_ricci3(theta.as_array())[1], [theta]))
     comp = np.asarray(theta, dtype=float)
-    return np.array(list(_hamiltonians(comp, map(Sym3.from_array, comp.tolist()))))
+    return np.array(list(_hamiltonians(_ricci3(comp)[1],
+                                       map(Sym3.from_array, comp.tolist()))))
 
 
-def _hamiltonians(comp: np.ndarray, thetas):
-    """H at each row of the components ``comp``, one row at a time;
-    ``thetas`` holds the same rows as Sym3.  R is computed for every row at
-    once; the squares are taken as each row comes, so a consumer that checks
-    each H as it comes meets an OverflowError where one call per row would."""
-    _, scal = frame_ricci(_ETA3, structure_constants_from_theta(comp))
+def _ricci3(comp: np.ndarray):
+    """Ric and R of the 3D frame at each row of the components ``comp``."""
+    return frame_ricci(_ETA3, structure_constants_from_theta(comp))
+
+
+def _hamiltonians(scal, thetas):
+    """H at each of ``thetas``, one at a time, given the scalar curvature R
+    at each (``_ricci3``).  The squares are taken as each H comes, so a
+    consumer that checks each H as it comes meets an OverflowError where one
+    call per sample would."""
     for r, theta in zip(np.ravel(scal).tolist(), thetas):
         yield r - theta.norm2() + theta.trace() ** 2
 
@@ -136,7 +141,7 @@ def _state_from_vector(samples) -> list[FlowState]:
     u = ys[:, 6:].reshape(-1, 3, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         metric = u.transpose(0, 2, 1) @ u
-        hams, raised = _until_raised(_hamiltonians(ys[:, :6], thetas))
+        hams, raised = _until_raised(_hamiltonians(_ricci3(ys[:, :6])[1], thetas))
     finite = np.isfinite(metric).all(axis=(1, 2)) & np.isfinite(ys).all(axis=1)
     for (t, _, _), ok, ham in zip(rows, finite.tolist(), hams):
         if not (ok and math.isfinite(ham)):
@@ -176,24 +181,25 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     outside a table, and SingularTime when the march blows up or overflows
     (see ``_singular``) before it reaches a requested time.
     """
-    return _integrate(pair, profile, times, n_steps_total, tol)[0]
-
-
-def _integrate(pair: CauchyPair, profile: LapseProfile, times,
-               n_steps_total: int | None = None,
-               tol: float = DEFAULT_TOL) -> tuple[list[FlowState], list[float]]:
-    """``integrate_to``, and B_t at each requested time: the clock the
-    march ran in, so a caller that needs B_t does not integrate the lapse
-    again."""
     require_valid(pair, tol)
     requested = [float(t) for t in times]
     if not all(map(math.isfinite, requested)):
         raise ValueError("integration times must be finite")
+    clock = {t: profile.b_integral(t) for t in dict.fromkeys(requested)}
+    return _integrate(pair, profile, requested, [clock[t] for t in requested],
+                      n_steps_total)
+
+
+def _integrate(pair: CauchyPair, profile: LapseProfile, times, bts,
+               n_steps_total: int | None = None) -> list[FlowState]:
+    """``integrate_to`` of a validated pair at the finite ``times``, marched
+    in the B_t ``bts`` at each, which must be floats: the kernel runs
+    several times slower on numpy scalars."""
     to_t = functools.partial(_time_at, profile)
     y0 = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
     at: dict[float, list[float]] = {}  # s = B_t -> the times t it stands for
-    for t in dict.fromkeys(requested):
-        at.setdefault(profile.b_integral(t), []).append(t)
+    for t, s in dict(zip(times, bts)).items():
+        at.setdefault(s, []).append(t)
     forward = sorted(s for s in at if s > 0)
     backward = sorted((s for s in at if s < 0), reverse=True)
     sides = [stops for stops in (forward, backward) if stops]
@@ -214,8 +220,7 @@ def _integrate(pair: CauchyPair, profile: LapseProfile, times,
                     yield t, y, error
 
     out = {st.t: st for st in _state_from_vector(marched())}
-    b_at = {t: s for s, ts in at.items() for t in ts}
-    return [out[t] for t in requested], [b_at[t] for t in requested]
+    return [out[t] for t in times]
 
 
 def _time_at(profile: LapseProfile, s: float) -> float:

@@ -6,12 +6,14 @@ covers the middle 90 percent of the lifespan: its infinite ends, and the ends
 a tabulated lapse leaves unknown (None), are clipped to +-2 flow-time units,
 and then every end is cut to the table's domain.
 
-A suite evaluates its samples as one stack.  B_t, Theta_t, U_t and the
-closed form of H_t stay per-sample ``math`` calls, taken one sample at a
-time; the curvature algebra then runs once over the stack, and each row's
-residual is the ``_worst`` of its per-sample residuals, in sample order, so
-a NaN still fails its row.  A sample that raises does so once the samples
-before it have been evaluated, as one sample at a time did.
+``run_suite`` validates and solves the pair once, and hands each suite the
+stack of samples (``exact._Samples``) of its sample count: the suites that
+take as many samples read one stack, and each of B_t, Theta_t, U_t, the 3D
+Ricci tensor and H_t is evaluated once per sample.  The transcendentals stay
+per-sample ``math`` calls; the curvature algebra runs once over the stack,
+and each row's residual is the ``_worst`` of its per-sample residuals, in
+sample order, so a NaN still fails its row.  A sample that raises does so
+once the samples before it have been evaluated, as one sample at a time did.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import QD, FlowSolution, solve
-from .frames import frame_ricci, levi_civita, structure_constants_from_theta, \
-    sym_components, sym_matrices
+from .exact import QD, FlowSolution, _Samples, solve
+from .frames import levi_civita, structure_constants_from_theta, sym_components, \
+    sym_matrices
 from .lapse import LapseProfile
 from .lorentz import _coframe4, _identity_residual, _log_scale_differential, \
     closedness_residual, ricci4
-from .numeric import FlowState, _hamiltonians, _integrate, _until_raised, \
-    flow_residuals, uncertified
-from .pairs import CauchyPair, DEFAULT_TOL, _constraints, constraints, \
-    require_valid
+from .numeric import FlowState, _integrate, _until_raised, flow_residuals, \
+    uncertified
+from .pairs import CauchyPair, DEFAULT_TOL, _constraints, require_valid
 
 SUITES = ("constraints", "ricci4", "ricciflow", "cosymplectic", "oracle")
 
@@ -57,33 +58,22 @@ def _worst(a: float, b: float) -> float:
     return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
 
 
-def sample_window(pair: CauchyPair, profile: LapseProfile,
-                  tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Middle 90 percent of the lifespan, infinite or unknown ends clipped
-    to +-2, every end cut to the table's domain."""
-    return _window(solve(pair, tol), profile)
-
-
 def sample_times(pair: CauchyPair, profile: LapseProfile, n: int,
                  tol: float = DEFAULT_TOL) -> np.ndarray:
     return _sample_times(solve(pair, tol), profile, n)
 
 
-def _window(sol: FlowSolution, profile: LapseProfile) -> tuple[float, float]:
-    """``sample_window`` of the pair that ``sol`` solves."""
+def _sample_times(sol: FlowSolution, profile: LapseProfile, n: int) -> np.ndarray:
+    """``n`` times evenly spread over the middle 90 percent of the lifespan
+    of the pair that ``sol`` solves, infinite or unknown ends clipped to +-2,
+    every end cut to the table's domain."""
     span = sol.lifespan(profile)
     lo = -_CLIP if span.t_minus is None or math.isinf(span.t_minus) else span.t_minus
     hi = _CLIP if span.t_plus is None or math.isinf(span.t_plus) else span.t_plus
     dlo, dhi = profile.domain()
     lo, hi = max(lo, dlo), min(hi, dhi)
     width = hi - lo
-    return lo + 0.05 * width, hi - 0.05 * width
-
-
-def _sample_times(sol: FlowSolution, profile: LapseProfile, n: int) -> np.ndarray:
-    """``sample_times`` of the pair that ``sol`` solves."""
-    lo, hi = _window(sol, profile)
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo + 0.05 * width, hi - 0.05 * width, n)
 
 
 def _fold(residuals) -> float:
@@ -92,23 +82,19 @@ def _fold(residuals) -> float:
     return functools.reduce(_worst, np.asarray(residuals, dtype=float).tolist(), 0.0)
 
 
-def suite_constraints(pair: CauchyPair, profile: LapseProfile, samples: int = 50,
-                      tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def _check_constraints(stack: _Samples, tol: float) -> list[CheckResult]:
     """Propagation of the vacuum constraints along the flow."""
-    con = constraints(pair, tol)
-    h0 = con.hamiltonian
-    sol = solve(pair, tol)
+    con = _constraints(stack.sol.pair.theta, tol)
     # the closed form of H_t is taken with Theta_t, ahead of the squares of
     # H_t that came before it in a sample: it raises only where Theta_t is
     # too small for them to
-    got, pending = _until_raised(
-        (sol.theta_at(bt), sol.hamiltonian_at(h0, bt))
-        for bt in map(profile.b_integral, _sample_times(sol, profile, samples)))
+    closed, raised = _until_raised(
+        stack.sol.hamiltonian_at(con.hamiltonian, bt)
+        for bt in stack.bts[:len(stack.thetas)])
     # evolved from a validated pair: validating it again decides nothing
-    rep = _constraints(sym_components(th for th, _ in got), tol)
-    if pending:
-        raise pending
-    ham_dev = [abs(h - closed) for h, (_, closed) in zip(rep.hamiltonian, got)]
+    rep = _constraints(stack.comp[:len(closed)], tol)
+    stack.check(raised)
+    ham_dev = [abs(h - c) for h, c in zip(rep.hamiltonian, closed)]
     # the momentum residual is tied to the Hamiltonian: -(H/2) e_u
     target = np.multiply.outer(-0.5 * np.array(rep.hamiltonian), [1.0, 0.0, 0.0])
     mom = rep.momentum_residual
@@ -126,74 +112,54 @@ def suite_constraints(pair: CauchyPair, profile: LapseProfile, samples: int = 50
     return rows
 
 
-def _evolved(sol: FlowSolution, profile: LapseProfile, times):
-    """B_t, the components of Theta_t and H_t at each of ``times``.
-    B_t and Theta_t are taken one sample at a time, the squares of H_t row
-    by row: an exception of a sample is raised once the samples before it
-    have been evaluated, as a sample at a time would."""
-    got, pending = _until_raised(
-        (bt, sol.theta_at(bt)) for bt in map(profile.b_integral, times))
-    thetas = [th for _, th in got]
-    comp = sym_components(thetas)
-    hams, raised = _until_raised(_hamiltonians(comp, thetas))
-    if raised or pending:
-        raise raised or pending
-    return [bt for bt, _ in got], comp, np.array(hams)
-
-
-def suite_ricci4(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
-                 tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def _check_ricci4(stack: _Samples, tol: float) -> list[CheckResult]:
     """The 4D Ricci identity, plus exact flatness on constrained pairs."""
-    constrained = constraints(pair, tol).is_vacuum_admissible
-    sol = solve(pair, tol)
-    times = _sample_times(sol, profile, samples)
-    _, comp, hams = _evolved(sol, profile, times)
-    ric = ricci4(_coframe4(comp, profile, times)).components
+    constrained = _constraints(stack.sol.pair.theta, tol).is_vacuum_admissible
+    _, hams, raised = stack.ricci3
+    stack.check(raised)
+    ric = ricci4(_coframe4(stack.comp, stack.profile, stack.times)).components
     rows = [CheckResult("4D Ricci equals (H/2) null-direction square",
-                        _fold(_identity_residual(ric, hams)), 1e-6)]
+                        _fold(_identity_residual(ric, np.array(hams))), 1e-6)]
     if constrained:
         rows.append(CheckResult("4D Ricci vanishes (constrained pair)",
                                 _fold(np.abs(ric).max(axis=(1, 2))), 1e-8))
     return rows
 
 
-def suite_ricciflow(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
-                    tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def _check_ricciflow(stack: _Samples, tol: float) -> list[CheckResult]:
     """Remark identities tying Ric(h_t) to the shape tensor and, on
     constrained quasi-diagonal pairs, to the time derivative of h_t."""
-    require_valid(pair, tol)
-    sol = solve(pair, tol)
+    sol, profile, comp = stack.sol, stack.profile, stack.comp
     qd = sol.branch == QD
-    times = _sample_times(sol, profile, samples)
-    bts, comp, hams = _evolved(sol, profile, times)
-    ric, _ = frame_ricci(np.ones(3), structure_constants_from_theta(comp))
+    ric, hams, raised = stack.ricci3
+    stack.check(raised)
     ric = 0.5 * (ric + ric.swapaxes(1, 2))
     if qd:
         # T is the trace of the lower 2x2 block, not the full trace
         target = -(comp[:, 3] + comp[:, 5])[:, None, None] * sym_matrices(comp)
-        target[:, 0, 0] += 0.5 * hams
+        target[:, 0, 0] += 0.5 * np.array(hams)
     else:
-        target = np.multiply.outer(0.25 * hams, np.eye(3) - np.outer(sol.eta, sol.eta))
+        target = np.multiply.outer(0.25 * np.array(hams),
+                                   np.eye(3) - np.outer(sol.eta, sol.eta))
     rows = [CheckResult(
         "Ric(h) = -Tr(Theta) Theta + (H/2) e_u x e_u (quasi-diagonal)" if qd
         else "Ric(h) = (H/4)(h - eta x eta) (off-diagonal branches)",
         _fold(np.abs(ric - target).max(axis=(1, 2))), 1e-8)]
 
-    if qd and _constraints(pair.theta, tol).is_vacuum_admissible:
+    if qd and _constraints(sol.pair.theta, tol).is_vacuum_admissible:
         step = 1e-5
+        us, raised = stack.frames
 
         def dh_dt():
-            for t, bt in zip(times, bts):
-                th_t = sol.theta_at(bt)
-                u = sol.frame_at(bt).U
+            for i, (t, th_t) in enumerate(zip(stack.times, stack.thetas)):
+                if i == len(us):  # U_t raised here, ahead of h_t near t
+                    raise raised
                 h_plus = sol.metric_at(profile.b_integral(t + step)).as_matrix()
                 h_minus = sol.metric_at(profile.b_integral(t - step)).as_matrix()
                 dh = (h_plus - h_minus) / (2.0 * step)
-                yield u, (th_t.ll + th_t.nn) / (2.0 * profile.beta(t)) * dh
+                yield (th_t.ll + th_t.nn) / (2.0 * profile.beta(t)) * dh
 
-        got = list(dh_dt())
-        us = np.array([u for u, _ in got]).reshape(-1, 3, 3)
-        scaled = np.array([x for _, x in got]).reshape(-1, 3, 3)
+        scaled = np.array(list(dh_dt())).reshape(-1, 3, 3)
         # Ric(h_t) pulled back to the reference coframe components
         ric_ref = us.transpose(0, 2, 1) @ ric @ us
         rows.append(CheckResult(
@@ -202,43 +168,35 @@ def suite_ricciflow(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
     return rows
 
 
-def suite_cosymplectic(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
-                       tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def _check_cosymplectic(stack: _Samples, tol: float) -> list[CheckResult]:
     """Parallelism and closedness of the distinguished one-forms."""
-    require_valid(pair, tol)
-    sol = solve(pair, tol)
+    sol = stack.sol
+    us, raised = stack.frames
+    stack.check(raised)
     rows = []
-    # U_t is taken with Theta_t in each sample: on the lambda != 0 branches,
-    # where every Theta_t came first, U_t raises only where Theta_t does
-    got = [(sol.theta_at(bt), sol.frame_at(bt).U)
-           for bt in map(profile.b_integral, _sample_times(sol, profile, samples))]
-    comp = sym_components(th for th, _ in got)
     if sol.branch != QD:
-        om = levi_civita(structure_constants_from_theta(comp))
+        om = levi_civita(structure_constants_from_theta(stack.comp))
         nabla_eta = np.einsum("zabd,d->zab", om, sol.eta)
         rows.append(CheckResult("parallel one-form: nabla eta = 0",
                                 _fold(np.abs(nabla_eta).max(axis=(1, 2))), 1e-10))
 
-    us = np.array([u for _, u in got]).reshape(-1, 3, 3)
     rows.append(CheckResult(
         "log-scale differential is closed",
-        _fold([closedness_residual(pair, alpha)
-               for alpha in _log_scale_differential(sym_matrices(comp), us)]), 1e-12))
+        _fold([closedness_residual(sol.pair, alpha)
+               for alpha in _log_scale_differential(sym_matrices(stack.comp), us)]),
+        1e-12))
     return rows
 
 
-def suite_oracle(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
-                 tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def _check_oracle(stack: _Samples, tol: float) -> list[CheckResult]:
     """Closed forms against the numerical integrator."""
-    require_valid(pair, tol)
-    sol = solve(pair, tol)
-    times = _sample_times(sol, profile, samples)
-    states, bts = _integrate(pair, profile, times, tol=tol)
+    pair = stack.sol.pair
+    states = _integrate(pair, stack.profile, stack.times, stack.bts)
     residuals = flow_residuals(states, pair)
-    closed = [(sol.theta_at(bt), sol.frame_at(bt).U) for bt in bts]
-    th_dev = np.abs(sym_components(st.theta for st in states)
-                    - sym_components(th for th, _ in closed))
-    u_dev = np.abs(np.array([st.U for st in states]) - np.array([u for _, u in closed]))
+    us, raised = stack.frames
+    stack.check(raised)
+    th_dev = np.abs(sym_components(st.theta for st in states) - stack.comp)
+    u_dev = np.abs(np.array([st.U for st in states]) - us)
     flagged = tuple(uncertified(states))
     return [
         CheckResult("shape components match the closed form",
@@ -250,26 +208,34 @@ def suite_oracle(pair: CauchyPair, profile: LapseProfile, samples: int = 20,
     ]
 
 
-_SUITE_FUNCS = {
-    "constraints": suite_constraints,
-    "ricci4": suite_ricci4,
-    "ricciflow": suite_ricciflow,
-    "cosymplectic": suite_cosymplectic,
-    "oracle": suite_oracle,
+# each suite, and the number of samples it takes when none is asked for
+_CHECKS = {
+    "constraints": (_check_constraints, 50),
+    "ricci4": (_check_ricci4, 20),
+    "ricciflow": (_check_ricciflow, 20),
+    "cosymplectic": (_check_cosymplectic, 20),
+    "oracle": (_check_oracle, 20),
 }
 
 
 def run_suite(pair: CauchyPair, profile: LapseProfile, suite: str,
               samples: int | None = None, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Run one named suite, or all of them in declaration order."""
-    if suite == "all":
-        rows = []
-        for name in SUITES:
-            rows.extend(run_suite(pair, profile, name, samples, tol))
-        return rows
-    func = _SUITE_FUNCS.get(suite)
-    if func is None:
+    """Run one named suite, or all of them in declaration order.
+
+    The pair is validated and solved once, and the suites that take the
+    same number of samples read one stack of them (``exact._Samples``).
+    Raises ValueError on an unknown suite, or on fewer than one sample."""
+    if suite not in _CHECKS and suite != "all":
         raise ValueError(f"unknown suite: {suite!r}")
-    if samples is None:
-        return func(pair, profile, tol=tol)
-    return func(pair, profile, samples=samples, tol=tol)
+    if samples is not None and samples < 1:
+        raise ValueError(f"a suite takes at least 1 sample, not {samples}")
+    require_valid(pair, tol)
+    sol = solve(pair, tol)
+    # the ends of the sample window, the first and last time of every count
+    lo, hi = _sample_times(sol, profile, 2).tolist()
+    stack = functools.cache(lambda n: _Samples(sol, profile, np.linspace(lo, hi, n)))
+    rows = []
+    for name in SUITES if suite == "all" else (suite,):
+        check, default = _CHECKS[name]
+        rows.extend(check(stack(samples or default), tol))
+    return rows

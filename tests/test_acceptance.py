@@ -16,7 +16,7 @@ from spinorflow import CauchyPair, LapseProfile, coframe4_at, constraints, \
     frame_exact, hamiltonian_exact, hamiltonian_of, integrate_to, \
     lifespan, metric_exact, ricci4, theta_exact, verify_ricci_identity
 from spinorflow.pairs import algebraic_residuals
-from spinorflow.verify import sample_window, suite_cosymplectic, suite_ricciflow
+from spinorflow.verify import run_suite, sample_times
 
 from conftest import CONSTRAINED_PAIRS, ROW_PAIRS
 
@@ -30,7 +30,7 @@ def report(number: int, label: str, worst: float, tol: float) -> None:
 
 
 def window_times(pair, n):
-    lo, hi = sample_window(pair, UNIT)
+    lo, hi = sample_times(pair, UNIT, 2)
     return np.linspace(lo, hi, n)
 
 
@@ -39,7 +39,7 @@ def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for pair in ROW_PAIRS.values():
-        lo, hi = sample_window(pair, UNIT)
+        lo, hi = sample_times(pair, UNIT, 2)
         times = np.linspace(lo, hi, 7)
         n_total = int(math.ceil((hi - lo) / 1e-4))
         states = integrate_to(pair, UNIT, times, n_steps_total=n_total)
@@ -158,7 +158,7 @@ def test_criterion_7_remark_identities():
     tol_by_name = {}
     worst_by_name = {}
     for pair in ROW_PAIRS.values():
-        rows = suite_ricciflow(pair, UNIT) + suite_cosymplectic(pair, UNIT)
+        rows = run_suite(pair, UNIT, "ricciflow") + run_suite(pair, UNIT, "cosymplectic")
         for row in rows:
             tol_by_name[row.name] = row.tol
             worst_by_name[row.name] = max(worst_by_name.get(row.name, 0.0),
@@ -177,7 +177,7 @@ def test_criterion_8_integrals_of_motion():
     """Conserved quantities along every numeric trajectory."""
     drift = algebra = 0.0
     for pair in ROW_PAIRS.values():
-        lo, hi = sample_window(pair, UNIT)
+        lo, hi = sample_times(pair, UNIT, 2)
         for t_end in (lo, hi):
             # 200 records, 50 RK4 steps apart
             for st in integrate_to(pair, UNIT, np.linspace(0.0, t_end, 201)):

@@ -546,10 +546,11 @@ class TestCurvatureAndVerify:
                  for line in flagged.err.splitlines()]
         assert len(times) == len(set(times)) == 4
 
-    @pytest.mark.parametrize("suite,most", [("constraints", 1), ("all", 6)])
+    @pytest.mark.parametrize("suite", ["constraints", "oracle", "all"])
     def test_verify_validates_the_pair_once_per_entry(self, tmp_path, monkeypatch,
-                                                      capsys, suite, most):
-        # the evolved pairs of the constraints suite are not validated again
+                                                      capsys, suite):
+        # the evolved pairs of the constraints suite are not validated again,
+        # nor is the pair by the march, nor by each suite of "all"
         calls = []
         validate = pairs.validate
         monkeypatch.setattr(pairs, "validate", lambda *a: calls.append(a) or validate(*a))
@@ -557,7 +558,14 @@ class TestCurvatureAndVerify:
             uu=-2.0, ul=1.0, un=1.0, ll=1.0, ln=1.0, nn=1.0))
         assert main(["verify", path, "--suite", suite]) == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
-        assert 1 <= len(calls) <= most
+        assert len(calls) == 1
+
+    def test_rk4_flow_validates_the_pair_once(self, uu_file, monkeypatch, capsys):
+        calls = []
+        validate = pairs.validate
+        monkeypatch.setattr(pairs, "validate", lambda *a: calls.append(a) or validate(*a))
+        assert main(["flow", uu_file, "--method", "rk4", "--samples", "5"]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_verify_single_suite(self, e11_file, capsys):
         assert main(["verify", e11_file, "--suite", "oracle"]) == EXIT_OK
@@ -575,7 +583,7 @@ class TestEachPairIsSolvedOnce:
     @pytest.mark.parametrize("name", sorted(PAIRS))
     @pytest.mark.parametrize("argv,most", [
         (["flow", "--method", "exact"], 2), (["lifespan"], 2), (["curvature"], 2),
-        (["verify"], 5),
+        (["verify"], 1),
     ], ids=["exact-flow", "lifespan", "curvature", "verify"])
     def test_branch_calls(self, tmp_path, monkeypatch, capsys, name, argv, most):
         calls = []
@@ -586,6 +594,9 @@ class TestEachPairIsSolvedOnce:
         assert 1 <= len(calls) <= most
 
     WINDOW = ["--t0", "-0.3", "--t1", "1", "--samples", "7"]
+    # the 3-node table of the CI smoke steps
+    TABLE = {"beta": {"kind": "tabulated", "times": [-1.0, 0.2, 1.5],
+                      "values": [0.8, 1.3, 1.0]}}
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--method", "exact", *WINDOW], ["curvature", *WINDOW],
@@ -600,10 +611,45 @@ class TestEachPairIsSolvedOnce:
         monkeypatch.setattr(lapse.LapseProfile, "b_integral",
                             lambda self, t: calls.append(t) or b_integral(self, t))
         path = write_pair(tmp_path, "table", theta_dict(**self.PAIRS["tau2R-general"]),
-                          extra={"beta": {"kind": "tabulated", "times": [-1.0, 0.2, 1.5],
-                                          "values": [0.8, 1.3, 1.0]}})
+                          extra=self.TABLE)
         assert main([argv[0], path] + argv[1:]) == EXIT_OK
         assert len(calls) == 7
+
+    def test_verify_samples_each_grid_once(self, tmp_path, monkeypatch, capsys):
+        # constraints takes 50 samples, and the other four suites share one
+        # stack of 20: the lapse integral once per sample, the lifespan once
+        b_calls, span_calls = [], []
+        b_integral = lapse.LapseProfile.b_integral
+        lifespan = exact.FlowSolution.lifespan
+        monkeypatch.setattr(lapse.LapseProfile, "b_integral",
+                            lambda self, t: b_calls.append(t) or b_integral(self, t))
+        monkeypatch.setattr(exact.FlowSolution, "lifespan",
+                            lambda *a: span_calls.append(a) or lifespan(*a))
+        path = write_pair(tmp_path, "table", theta_dict(**self.PAIRS["tau2R-general"]),
+                          extra=self.TABLE)
+        assert main(["verify", path]) == EXIT_OK
+        assert len(b_calls) == 70 and len(span_calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--method", "rk4", *WINDOW], ["verify", "--suite", "oracle", "--samples", "7"],
+    ], ids=["rk4-flow", "verify-oracle"])
+    @pytest.mark.parametrize("beta", [{"kind": "constant", "value": 1.3}, TABLE["beta"]],
+                             ids=["constant-1.3", "table"])
+    def test_the_march_steps_in_python_floats(self, tmp_path, monkeypatch, capsys,
+                                              argv, beta):
+        # B_t as numpy scalars gives the same bits, several times slower
+        steps = []
+        doubling_step = numeric._kern.doubling_step
+
+        def spy(y, z, step, tol):
+            steps.append(type(step))
+            return doubling_step(y, z, step, tol)
+
+        monkeypatch.setattr(numeric._kern, "doubling_step", spy)
+        path = write_pair(tmp_path, "general", theta_dict(**self.PAIRS["tau2R-general"]),
+                          extra={"beta": beta})
+        assert main([argv[0], path] + argv[1:]) == EXIT_OK
+        assert steps and set(steps) == {float}
 
     def test_exact_flow_diagonalizes_once(self, tmp_path, monkeypatch, capsys):
         # the eigen data of the quasi-diagonal lower block is fixed by the pair

@@ -8,9 +8,9 @@ import pytest
 from spinorflow import CauchyPair, LapseProfile, closedness_residual, \
     coframe4_at, curvature_report, dirac_current_frame, frame_exact, ricci4, \
     verify_ricci_identity
-from spinorflow import exact, lorentz
+from spinorflow import exact
 from spinorflow.lorentz import ETA4, NULL_DIRECTION
-from spinorflow.verify import sample_times, suite_ricci4, suite_ricciflow
+from spinorflow.verify import run_suite, sample_times
 
 from conftest import ROW_PAIRS
 
@@ -152,9 +152,9 @@ class TestMetricAndReport:
 
     def test_report_evaluates_theta_once(self, monkeypatch):
         calls = []
-        theta_exact = lorentz.theta_exact
-        monkeypatch.setattr(lorentz, "theta_exact",
-                            lambda *a: calls.append(a) or theta_exact(*a))
+        theta_at = exact.FlowSolution.theta_at
+        monkeypatch.setattr(exact.FlowSolution, "theta_at",
+                            lambda *a: calls.append(a) or theta_at(*a))
         curvature_report(ROW_PAIRS["tau2R-general"], RAMP, 0.2)
         assert len(calls) == 1
 
@@ -172,12 +172,12 @@ class TestRicci4Suite:
         theta_at = exact.FlowSolution.theta_at
         monkeypatch.setattr(exact.FlowSolution, "theta_at",
                             lambda *a: calls.append(a) or theta_at(*a))
-        rows = suite_ricci4(ROW_PAIRS["tau2R-qd"], RAMP, samples=6)
+        rows = run_suite(ROW_PAIRS["tau2R-qd"], RAMP, "ricci4", samples=6)
         assert len(rows) == 2 and len(calls) == 6
 
     @pytest.mark.parametrize("profile", [UNIT, RAMP], ids=["constant", "tabulated"])
     def test_rows_are_the_per_sample_maxima(self, row_pair, profile):
-        rows = suite_ricci4(row_pair, profile, samples=5)
+        rows = run_suite(row_pair, profile, "ricci4", samples=5)
         times = sample_times(row_pair, profile, 5)
         assert rows[0].residual == max(
             verify_ricci_identity(row_pair, profile, t) for t in times)
@@ -194,5 +194,18 @@ class TestRicciflowSuite:
         theta_at = exact.FlowSolution.theta_at
         monkeypatch.setattr(exact.FlowSolution, "theta_at",
                             lambda *a: calls.append(a) or theta_at(*a))
-        rows = suite_ricciflow(ROW_PAIRS["tau2R-qd"], RAMP, samples=6)
-        assert len(rows) == 2 and len(calls) == 12
+        rows = run_suite(ROW_PAIRS["tau2R-qd"], RAMP, "ricciflow", samples=6)
+        assert len(rows) == 2 and len(calls) == 6
+
+
+class TestRunSuite:
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("suite", ["all", "oracle"])
+    def test_refuses_fewer_than_one_sample(self, suite, samples):
+        # no sample would check nothing, and pass every row
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            run_suite(ROW_PAIRS["R3"], UNIT, suite, samples=samples)
+
+    def test_one_sample_checks_it(self):
+        rows = run_suite(ROW_PAIRS["R3"], UNIT, "all", samples=1)
+        assert len(rows) == 12 and all(row.passed for row in rows)

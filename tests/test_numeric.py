@@ -116,8 +116,8 @@ class TestConvergence:
 
 class TestConservation:
     def test_off_diagonal_drift(self, row_pair):
-        from spinorflow.verify import sample_window
-        lo, hi = sample_window(row_pair, UNIT)
+        from spinorflow.verify import sample_times
+        lo, hi = sample_times(row_pair, UNIT, 2)
         for t_end in (lo, hi):
             for st in _path(row_pair, t_end):
                 assert abs(st.theta.ul - row_pair.theta.ul) <= 1e-12

@@ -10,14 +10,14 @@ from spinorflow import CauchyPair, LapseProfile, coframe4_at, constraints, \
     curvature_report, flow_residuals, frame_ricci, hamiltonian_of, integrate_to, \
     ricci3, ricci4, require_valid, solve, structure_constants_from_theta
 from spinorflow.errors import SingularTime, SpinorFlowError
-from spinorflow.exact import QD, FlowSolution
+from spinorflow.exact import QD, FlowSolution, _Samples
 from spinorflow.frames import L, N, U, Sym3, divergence_sym, levi_civita
 from spinorflow.lorentz import ETA4, _coframe4, _curvature, _identity_residual, \
     _structure4, closedness_residual
 from spinorflow.numeric import uncertified
 from spinorflow.pairs import ConstraintReport, _constraints
-from spinorflow.verify import SUITES, CheckResult, _SUITE_FUNCS, _sample_times, \
-    _worst, sample_times
+from spinorflow.verify import SUITES, CheckResult, _sample_times, _worst, run_suite, \
+    sample_times
 
 from conftest import ROW_PAIRS
 
@@ -108,8 +108,8 @@ class TestStacksMatchSingleSamples:
         assert reports == [flow_residuals(st, row_pair) for st in states]
 
     def test_curvature(self, row_pair, profile, samples):
-        times, thetas, _ = samples
-        reports = _curvature(thetas, profile, times)
+        times, _, _ = samples
+        reports = _curvature(_Samples(solve(row_pair), profile, times))
         assert reports == [curvature_report(row_pair, profile, t) for t in times]
 
 
@@ -330,14 +330,14 @@ class TestSuitesMatchSingleSamples:
 
     @pytest.mark.parametrize("samples", [1, 2, 50])
     def test_rows(self, suite, row_pair, profile, samples):
-        got = _outcome(_SUITE_FUNCS[suite], row_pair, profile, samples=samples)
+        got = _outcome(run_suite, row_pair, profile, suite, samples=samples)
         assert isinstance(got, list)
         assert got == _outcome(REFERENCES[suite], row_pair, profile, samples=samples)
 
     def test_the_constrained_quasi_diagonal_row(self, suite):
         # R3 at lapse 1.3 also gets the dh/dt row of the ricciflow suite
         pair, profile = CauchyPair.from_components(uu=1.0), PROFILES["constant-1.3"]
-        got = _outcome(_SUITE_FUNCS[suite], pair, profile)
+        got = _outcome(run_suite, pair, profile, suite)
         assert got == _outcome(REFERENCES[suite], pair, profile)
         if suite == "ricciflow":
             assert [name for name, *_ in got][1].endswith("(constrained quasi-diagonal)")
@@ -348,7 +348,7 @@ class TestSuitesMatchSingleSamples:
         # the stack raises what the first failing sample raised, or returns
         # the same rows
         pair = CauchyPair(Sym3.from_array(row_pair.theta.as_array() * 2.0 ** k))
-        assert _outcome(_SUITE_FUNCS[suite], pair, profile) == \
+        assert _outcome(run_suite, pair, profile, suite) == \
             _outcome(REFERENCES[suite], pair, profile)
 
     @pytest.mark.parametrize("theta", [
@@ -358,7 +358,7 @@ class TestSuitesMatchSingleSamples:
     ], ids=["e11-1e160", "lambda-5e153", "pole-inside"])
     def test_failures_past_the_floats(self, suite, profile, theta):
         pair = CauchyPair.from_components(**theta)
-        assert _outcome(_SUITE_FUNCS[suite], pair, profile) == \
+        assert _outcome(run_suite, pair, profile, suite) == \
             _outcome(REFERENCES[suite], pair, profile)
 
     def test_the_first_failing_sample_wins(self, suite, monkeypatch):
@@ -376,7 +376,7 @@ class TestSuitesMatchSingleSamples:
             return Sym3.from_array(th.as_array() * 1e200) if bt == huge else th
 
         monkeypatch.setattr(FlowSolution, "theta_at", poisoned)
-        got = _outcome(_SUITE_FUNCS[suite], pair, profile, samples=9)
+        got = _outcome(run_suite, pair, profile, suite, samples=9)
         assert got == _outcome(REFERENCES[suite], pair, profile, samples=9)
         squared = suite in ("constraints", "ricci4", "ricciflow")
         assert got[0] is (OverflowError if squared else SingularTime)
@@ -392,9 +392,9 @@ class TestSuitesMatchSingleSamples:
             return Sym3.from_array(th.as_array() * math.nan) if bt == middle else th
 
         monkeypatch.setattr(FlowSolution, "theta_at", poisoned)
-        got = _outcome(_SUITE_FUNCS[suite], pair, profile, samples=9)
+        got = _outcome(run_suite, pair, profile, suite, samples=9)
         assert got == _outcome(REFERENCES[suite], pair, profile, samples=9)
-        rows = _SUITE_FUNCS[suite](pair, profile, samples=9)
+        rows = run_suite(pair, profile, suite, samples=9)
         if suite == "oracle":
             # only its shape row reads Theta_t: the others read U_t and the march
             rows = rows[:1]
