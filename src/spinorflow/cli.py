@@ -200,7 +200,7 @@ def _sampled(args, data):
         )
     if c0 >= c1:
         raise SingularTime("requested window lies outside the lifespan")
-    return sol, profile, span, np.linspace(c0, c1, args.samples)
+    return sol, profile, span, np.linspace(c0, c1, args.samples).tolist()
 
 
 def cmd_flow(args, data) -> int:
@@ -209,8 +209,8 @@ def cmd_flow(args, data) -> int:
         stack = _Samples(sol, profile, times)
         states, bts = _state_from_vector(_closed_form(stack)), stack.bts
     else:
-        bts = [profile.b_integral(t) for t in times.tolist()]
-        states = _integrate(sol.pair, profile, times.tolist(), bts)
+        bts = [profile.b_integral(t) for t in times]
+        states = _integrate(sol.pair, profile, times, bts)
         _warn_uncertified(states)
     rows = [_flow_row(st, bt, res)
             for st, bt, res in zip(states, bts, flow_residuals(states, sol.pair))]

@@ -230,7 +230,7 @@ class _Samples:
             ric, scal = _ricci3(self.comp)
         return (ric, *_until_raised(_hamiltonians(scal, self.thetas)))
 
-    def check(self, raised: Exception | None = None) -> None:
+    def check(self, raised: Exception | None) -> None:
         """Raise ``raised``, met before ``pending``, or else ``pending``."""
         if raised or self.pending:
             raise raised or self.pending

@@ -64,9 +64,7 @@ def sample_times(pair: CauchyPair, profile: LapseProfile, n: int,
 
 
 def _sample_times(sol: FlowSolution, profile: LapseProfile, n: int) -> np.ndarray:
-    """``n`` times evenly spread over the middle 90 percent of the lifespan
-    of the pair that ``sol`` solves, infinite or unknown ends clipped to +-2,
-    every end cut to the table's domain."""
+    """``sample_times`` of the pair that ``sol`` solves."""
     span = sol.lifespan(profile)
     lo = -_CLIP if span.t_minus is None or math.isinf(span.t_minus) else span.t_minus
     hi = _CLIP if span.t_plus is None or math.isinf(span.t_plus) else span.t_plus
