@@ -88,8 +88,7 @@ def _flow_row(state: FlowState, bt: float, res) -> list[float]:
 
 
 def _closed_form(stack):
-    """(t, components of Theta_t and of U_t row by row, None) at each sample
-    of ``stack``, up to the first that raised, whose exception follows."""
+    """(t, Theta_t and U_t row by row, None) per sample, then ``stack``'s error."""
     us, raised = stack.frames
     for t, th, u in zip(stack.times, stack.thetas, us):
         yield t, np.concatenate([th.as_array(), u.ravel()]), None
@@ -200,7 +199,7 @@ def _sampled(args, data):
         )
     if c0 >= c1:
         raise SingularTime("requested window lies outside the lifespan")
-    return sol, profile, span, np.linspace(c0, c1, args.samples).tolist()
+    return sol, profile, span, np.linspace(c0, c1, args.samples)
 
 
 def cmd_flow(args, data) -> int:
@@ -209,8 +208,8 @@ def cmd_flow(args, data) -> int:
         stack = _Samples(sol, profile, times)
         states, bts = _state_from_vector(_closed_form(stack)), stack.bts
     else:
-        bts = [profile.b_integral(t) for t in times]
-        states = _integrate(sol.pair, profile, times, bts)
+        bts = [profile.b_integral(t) for t in times.tolist()]
+        states = _integrate(sol.pair, profile, times.tolist(), bts)
         _warn_uncertified(states)
     rows = [_flow_row(st, bt, res)
             for st, bt, res in zip(states, bts, flow_residuals(states, sol.pair))]

@@ -202,16 +202,18 @@ class _Samples:
     """The closed form ``sol`` at the flow ``times``, each quantity a
     command or a suite reads of it evaluated once per sample.
 
-    ``bts`` holds B_t at every time, as floats: the RK4 march runs several
-    times slower on numpy scalars.  ``thetas`` and ``comp`` hold Theta_t up
-    to the first sample where it raises, and ``pending`` that exception, or
-    None.  U_t, and Ric and H_t of the 3D frame, come on first use at each
-    of ``thetas``, with what they raised; ``check`` raises the exception of
-    the earliest sample, as one sample at a time would."""
+    ``bts`` holds B_t at each of the array ``times`` as a numpy scalar, as
+    the closed forms always took it: the square in ``hamiltonian_at`` is
+    then inf past the largest float, where a float raises.  ``thetas`` and
+    ``comp`` hold Theta_t up to the first sample where it raises, and
+    ``pending`` that exception, or None.  U_t, and Ric and H_t of the 3D
+    frame, come on first use at each of ``thetas``, with what they raised;
+    ``check`` raises the exception of the earliest sample, as one sample at
+    a time would."""
 
     def __init__(self, sol: FlowSolution, profile: LapseProfile, times):
         self.sol, self.profile = sol, profile
-        self.times = np.asarray(times, dtype=float).tolist()
+        self.times = np.asarray(times, dtype=float)
         self.bts = [profile.b_integral(t) for t in self.times]
         self.thetas, self.pending = _until_raised(map(sol.theta_at, self.bts))
         self.comp = sym_components(self.thetas)

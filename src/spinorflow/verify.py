@@ -6,14 +6,13 @@ covers the middle 90 percent of the lifespan: its infinite ends, and the ends
 a tabulated lapse leaves unknown (None), are clipped to +-2 flow-time units,
 and then every end is cut to the table's domain.
 
-``run_suite`` validates and solves the pair once, and hands each suite the
-stack of samples (``exact._Samples``) of its sample count: the suites that
-take as many samples read one stack, and each of B_t, Theta_t, U_t, the 3D
-Ricci tensor and H_t is evaluated once per sample.  The transcendentals stay
-per-sample ``math`` calls; the curvature algebra runs once over the stack,
-and each row's residual is the ``_worst`` of its per-sample residuals, in
-sample order, so a NaN still fails its row.  A sample that raises does so
-once the samples before it have been evaluated, as one sample at a time did.
+``run_suite`` validates and solves the pair once; the suites that take as
+many samples read one stack of them (``exact._Samples``), which evaluates
+B_t, Theta_t, U_t, the 3D Ricci tensor and H_t once per sample.  The
+curvature algebra runs once over a stack, and each row's residual is the
+``_worst`` of its per-sample residuals, in sample order, so a NaN still
+fails its row.  A sample that raises does so once the samples before it
+have been evaluated, as one sample at a time did.
 """
 
 from __future__ import annotations
@@ -188,9 +187,9 @@ def _check_cosymplectic(stack: _Samples, tol: float) -> list[CheckResult]:
 
 def _check_oracle(stack: _Samples, tol: float) -> list[CheckResult]:
     """Closed forms against the numerical integrator."""
-    pair = stack.sol.pair
-    states = _integrate(pair, stack.profile, stack.times, stack.bts)
-    residuals = flow_residuals(states, pair)
+    states = _integrate(stack.sol.pair, stack.profile, stack.times.tolist(),
+                        list(map(float, stack.bts)))
+    residuals = flow_residuals(states, stack.sol.pair)
     us, raised = stack.frames
     stack.check(raised)
     th_dev = np.abs(sym_components(st.theta for st in states) - stack.comp)

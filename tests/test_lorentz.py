@@ -10,9 +10,10 @@ from spinorflow import CauchyPair, LapseProfile, closedness_residual, \
     verify_ricci_identity
 from spinorflow import exact
 from spinorflow.lorentz import ETA4, NULL_DIRECTION
-from spinorflow.verify import run_suite, sample_times
+from spinorflow.verify import SUITES, run_suite, sample_times
 
 from conftest import ROW_PAIRS
+from test_stacks import REFERENCES, _outcome
 
 UNIT = LapseProfile.constant(1.0)
 RAMP = LapseProfile.tabulated([-2.0, -0.2, 0.5, 2.0], [0.6, 1.4, 0.9, 2.0])
@@ -205,6 +206,15 @@ class TestRunSuite:
         # no sample would check nothing, and pass every row
         with pytest.raises(ValueError, match="at least 1 sample"):
             run_suite(ROW_PAIRS["R3"], UNIT, suite, samples=samples)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_an_overflowing_closed_form_as_one_sample_at_a_time(self, suite):
+        # (1 - Theta_uu B_t)^2 in the closed form of H_t passes the largest
+        # float: with B_t a numpy scalar, as one sample at a time takes it,
+        # it is inf, where a float B_t raises OverflowError
+        pair, profile = CauchyPair.from_components(uu=2.0 ** 511), LapseProfile.constant(1.3)
+        assert _outcome(run_suite, pair, profile, suite) == \
+            _outcome(REFERENCES[suite], pair, profile)
 
     def test_one_sample_checks_it(self):
         rows = run_suite(ROW_PAIRS["R3"], UNIT, "all", samples=1)
