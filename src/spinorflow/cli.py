@@ -2,16 +2,26 @@
 lifespans and curvature, and execute the verification suites.
 
 Exit codes: 0 success, 1 invalid pair, 2 numeric or assertion failure,
-3 I/O, schema or usage failure.  All floats print as %.12e so identical
-inputs produce byte-identical output.
+3 I/O, schema or usage failure.  Every command renders its text once and
+writes it to stdout, or to ``--out`` (per pair ``.000``, ``.001``, ... in a
+sweep).  Identical inputs give byte-identical output:
+
+- ``validate``, ``classify``, ``lifespan``, ``flow`` and ``verify`` print
+  floats as %.12e (``flow --format json`` as strings, since a table cell
+  may be ``nan`` or ``inf``);
+- ``curvature`` prints the shortest repr of each float, as ``json`` does.
+
+``flow`` and ``curvature`` render through fixed-shape templates, each
+filled by one ``%`` over a flat tuple of Python floats: the CSV row
+``_CSV_ROW``, the JSON row object ``_JSON_ROW``, and the curvature sample
+``_SAMPLE`` under its lifespan head.  They write the bytes ``csv.writer``
+and ``json.dumps(..., indent=2)`` would, at a fraction of the cost.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -21,9 +31,10 @@ import numpy as np
 
 from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
 from .exact import _Samples, solve
+from .frames import sym_components
 from .lapse import LapseProfile
 from .lorentz import _curvature
-from .numeric import CERTIFY_LIMIT, FlowState, _integrate, _state_from_vector, \
+from .numeric import CERTIFY_LIMIT, _integrate, _state_from_vector, \
     flow_residuals, uncertified
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints, _row_group, classify, \
     invariants, require_valid, validate
@@ -75,16 +86,18 @@ FLOW_COLUMNS = (
 )
 
 
-def _flow_row(state: FlowState, bt: float, res) -> list[float]:
-    """The table row of ``state``, where B_t = ``bt``, with its residuals."""
-    return (
-        [state.t, bt]
-        + list(state.theta.as_array())
-        + list(state.U.ravel())
-        + list(state.metric.as_array())
-        + [state.hamiltonian, res.frame_evolution, res.structure,
-           res.theta_u_constancy, res.closedness]
-    )
+def _flow_cells(states, bts, residuals) -> tuple:
+    """The cells of the flow table, row by row, as one flat tuple of Python
+    floats: each state with its B_t and residuals."""
+    table = np.column_stack([
+        [st.t for st in states], bts,
+        sym_components(st.theta for st in states),
+        np.reshape([st.U for st in states], (-1, 9)),
+        sym_components(st.metric for st in states),
+        [(st.hamiltonian, res.frame_evolution, res.structure, res.theta_u_constancy,
+          res.closedness) for st, res in zip(states, residuals)],
+    ])
+    return tuple(table.ravel().tolist())
 
 
 def _closed_form(stack):
@@ -95,12 +108,13 @@ def _closed_form(stack):
     stack.check(raised)
 
 
-def _span_end(x: float | None, fmt):
-    """A lifespan end as JSON: null when unknown, the string "-inf" or "inf"
-    when unbounded (JSON has no infinite numbers), else ``fmt(x)``."""
+def _span_end(x: float | None):
+    """A lifespan end as ``lifespan`` prints it: null when unknown, the string
+    "-inf" or "inf" when unbounded (JSON has no infinite numbers), else
+    %.12e."""
     if x is None:
         return None
-    return str(x) if math.isinf(x) else fmt(x)
+    return str(x) if math.isinf(x) else _fmt(x)
 
 
 def _warn_uncertified(states) -> None:
@@ -111,25 +125,57 @@ def _warn_uncertified(states) -> None:
               file=sys.stderr)
 
 
-def _render_table(columns, rows, fmt) -> str:
+_CSV_ROW = ",".join(["%.12e"] * len(FLOW_COLUMNS)) + "\n"
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{c}": "%.12e"' for c in FLOW_COLUMNS) + "\n  }"
+
+
+def _render_flow(cells: tuple, fmt: str) -> str:
+    """The flow table whose cells, row by row, are ``cells``: CSV under a
+    header line, or a JSON array of one object of strings per row."""
+    n = len(cells) // len(FLOW_COLUMNS)
     if fmt == "json":
-        payload = [dict(zip(columns, [_fmt(v) for v in row])) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+        return "[\n" + ",\n".join([_JSON_ROW] * n) % cells + "\n]\n" if n else "[]\n"
+    return ",".join(FLOW_COLUMNS) + "\n" + _CSV_ROW * n % cells
+
+
+_RICCI_ROW = "        [\n" + ",\n".join(["          %r"] * 4) + "\n        ]"
+_SAMPLE = ('    {\n      "t": %r,\n      "beta": %r,\n      "ricci4": [\n'
+           + ",\n".join([_RICCI_ROW] * 4)
+           + '\n      ],\n      "scalar4": %r,\n      "hamiltonian": %r,\n'
+           '      "identity_residual": %r\n    }')
+_CURVATURE_HEAD = ('{\n  "lifespan": {\n    "t_minus": %s,\n    "t_plus": %s,\n'
+                   '    "immortal": %s\n  },\n  "samples": ')
+
+
+def _json_end(x: float | None) -> str:
+    """A lifespan end as ``curvature`` prints it, by the rules of
+    ``_span_end`` but as a float's shortest repr."""
+    if x is None:
+        return "null"
+    return '"%s"' % x if math.isinf(x) else repr(float(x))
+
+
+def _render_curvature(span, samples: list[dict]) -> str:
+    """The curvature payload: the lifespan of ``span``, then ``samples``
+    (``lorentz._curvature``), whose numbers are Python floats."""
+    head = _CURVATURE_HEAD % (_json_end(span.t_minus), _json_end(span.t_plus),
+                              "true" if span.immortal else "false")
+    if not samples:
+        return head + "[]\n}\n"
+    cells = []
+    for s in samples:
+        r = s["ricci4"]
+        cells += [s["t"], s["beta"], *r[0], *r[1], *r[2], *r[3],
+                  s["scalar4"], s["hamiltonian"], s["identity_residual"]]
+    return head + "[\n" + ",\n".join([_SAMPLE] * len(samples)) % tuple(cells) + "\n  ]\n}\n"
 
 
 def cmd_validate(args, data) -> int:
     pair, _ = _parse_pair(data)
     report = validate(pair, args.tol)
     if not report.valid:
-        print("invalid pair:")
-        for v in report.violations:
-            print(f"  {v}")
+        _emit("invalid pair:\n" + "".join(f"  {v}\n" for v in report.violations),
+              args.out)
         return EXIT_INVALID
     inv = invariants(pair)
     group = _row_group(pair, report.row, args.tol)
@@ -140,15 +186,16 @@ def cmd_validate(args, data) -> int:
     numbers = (inv.lam, inv.T, inv.Delta, con.hamiltonian, momentum)
     if not all(map(math.isfinite, numbers + (group.mu or 0.0,))):
         raise OverflowError("the invariants of the pair are not finite")
-    print(f"row: {report.row}")
-    print(f"lambda: {_fmt(inv.lam)}  T: {_fmt(inv.T)}  Delta: {_fmt(inv.Delta)}")
     label = group.tag.value
     if group.mu is not None:
         label += f" (mu = {_fmt(group.mu)})"
-    print(f"group: {label}")
-    print(f"H0: {_fmt(con.hamiltonian)}")
-    print(f"momentum_residual: {_fmt(momentum)}")
-    print(f"constrained_ricci_flat: {str(con.is_vacuum_admissible).lower()}")
+    _emit(f"row: {report.row}\n"
+          f"lambda: {_fmt(inv.lam)}  T: {_fmt(inv.T)}  Delta: {_fmt(inv.Delta)}\n"
+          f"group: {label}\n"
+          f"H0: {_fmt(con.hamiltonian)}\n"
+          f"momentum_residual: {_fmt(momentum)}\n"
+          f"constrained_ricci_flat: {str(con.is_vacuum_admissible).lower()}\n",
+          args.out)
     return EXIT_OK
 
 
@@ -156,9 +203,9 @@ def cmd_classify(args, data) -> int:
     pair, _ = _parse_pair(data)
     group = classify(pair, args.tol)
     if group.mu is None:
-        print(group.tag.value)
+        _emit(f"{group.tag.value}\n", args.out)
     else:
-        print(f"{group.tag.value} mu={_fmt(group.mu)}")
+        _emit(f"{group.tag.value} mu={_fmt(group.mu)}\n", args.out)
     return EXIT_OK
 
 
@@ -167,8 +214,8 @@ def cmd_lifespan(args, data) -> int:
     require_valid(pair, args.tol)
     span = solve(pair, args.tol).lifespan(profile)
     payload = {
-        "t_minus": _span_end(span.t_minus, _fmt),
-        "t_plus": _span_end(span.t_plus, _fmt),
+        "t_minus": _span_end(span.t_minus),
+        "t_plus": _span_end(span.t_plus),
         "immortal": span.immortal,
     }
     if span.note:
@@ -211,23 +258,15 @@ def cmd_flow(args, data) -> int:
         bts = [profile.b_integral(t) for t in times.tolist()]
         states = _integrate(sol.pair, profile, times.tolist(), bts)
         _warn_uncertified(states)
-    rows = [_flow_row(st, bt, res)
-            for st, bt, res in zip(states, bts, flow_residuals(states, sol.pair))]
-    _emit(_render_table(FLOW_COLUMNS, rows, args.format), args.out)
+    cells = _flow_cells(states, bts, flow_residuals(states, sol.pair))
+    _emit(_render_flow(cells, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_curvature(args, data) -> int:
     sol, profile, span, times = _sampled(args, data)
-    payload = {
-        "lifespan": {
-            "t_minus": _span_end(span.t_minus, float),
-            "t_plus": _span_end(span.t_plus, float),
-            "immortal": span.immortal,
-        },
-        "samples": _curvature(_Samples(sol, profile, times)),
-    }
-    _emit(json.dumps(payload, indent=2, default=float) + "\n", args.out)
+    samples = _curvature(_Samples(sol, profile, times))
+    _emit(_render_curvature(span, samples), args.out)
     return EXIT_OK
 
 
@@ -238,13 +277,10 @@ def cmd_verify(args, data) -> int:
         rows = run_suite(pair, profile, args.suite, samples=args.samples, tol=args.tol)
     # the oracle's rows share their states: one line per state
     _warn_uncertified({st.t: st for row in rows for st in row.uncertified}.values())
-    failed = False
-    for row in rows:
-        mark = "pass" if row.passed else "FAIL"
-        print(f"[{mark}] {row.name}: max residual {_fmt(row.residual)} "
-              f"(tol {_fmt(row.tol)})")
-        failed = failed or not row.passed
-    return EXIT_NUMERIC if failed else EXIT_OK
+    _emit("".join(f"[{'pass' if row.passed else 'FAIL'}] {row.name}: max residual "
+                  f"{_fmt(row.residual)} (tol {_fmt(row.tol)})\n" for row in rows),
+          args.out)
+    return EXIT_OK if all(row.passed for row in rows) else EXIT_NUMERIC
 
 
 _COMMANDS = {

@@ -1,6 +1,9 @@
 """CLI surface: exit codes, deterministic output, clipping, sweeps."""
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinorflow
 from spinorflow import cli, exact, lapse, numeric, pairs
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from spinorflow.exact import Lifespan
 
 
 def write_pair(tmp_path, name, theta, extra=None):
@@ -740,6 +746,119 @@ class TestSweep:
         first, second, third = captured.out.split("# pair ")[1:]
         assert second == "1\n"
         assert third.startswith("2\n") and third[2:] == first[2:]
+
+
+# every command with the options that shape its output; each writes to
+# stdout unless --out names a file
+OUT_COMMANDS = [
+    ["validate"], ["classify"], ["lifespan"], ["flow"], ["flow", "--format", "json"],
+    ["flow", "--method", "rk4", "--samples", "5"], ["curvature", "--samples", "5"],
+    ["verify", "--samples", "4"],
+]
+OUT_IDS = ["-".join(a.strip("-") for a in argv) for argv in OUT_COMMANDS]
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=OUT_IDS)
+    @pytest.mark.parametrize("theta", [theta_dict(uu=5.0 / 3.0, ll=2.0, nn=1.0),
+                                       theta_dict(ul=1.0, ll=1.0)],
+                             ids=["tau3mu", "invalid"])
+    def test_out_writes_what_stdout_would(self, tmp_path, capsys, argv, theta):
+        path = write_pair(tmp_path, "pair", theta)
+        code = main([argv[0], path] + argv[1:])
+        printed = capsys.readouterr()
+        out = tmp_path / "out.txt"
+        assert main([argv[0], path] + argv[1:] + ["--out", str(out)]) == code
+        written = capsys.readouterr()
+        assert written.out == "" and written.err == printed.err
+        if printed.out:
+            assert out.read_bytes() == printed.out.encode()
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=OUT_IDS)
+    def test_sweep_out_writes_what_stdout_would(self, tmp_path, capsys, argv):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps([{"theta": theta_dict(uu=-1.0)},
+                                    {"theta": theta_dict(ll=1.0, nn=-1.0)}]))
+        sweep = [argv[0], str(path), "--sweep"] + argv[1:]
+        code = main(sweep)
+        printed = capsys.readouterr()
+        assert main(sweep + ["--out", str(tmp_path / "run.txt")]) == code
+        written = capsys.readouterr()
+        assert written.out == "# pair 0\n# pair 1\n" and written.err == printed.err
+        files = [(tmp_path / f"run.{i:03d}.txt").read_bytes() for i in range(2)]
+        assert b"# pair 0\n" + files[0] + b"# pair 1\n" + files[1] == printed.out.encode()
+
+
+def _reference_table(cells, fmt):
+    """The flow table as csv.writer and json.dumps write it."""
+    n = len(cli.FLOW_COLUMNS)
+    rows = [[cli._fmt(v) for v in cells[i:i + n]] for i in range(0, len(cells), n)]
+    if fmt == "json":
+        return json.dumps([dict(zip(cli.FLOW_COLUMNS, row)) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.FLOW_COLUMNS)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _reference_curvature(span, samples):
+    """The curvature payload as json.dumps writes it."""
+    def end(x):
+        return x if x is None else str(x) if math.isinf(x) else float(x)
+    payload = {
+        "lifespan": {"t_minus": end(span.t_minus), "t_plus": end(span.t_plus),
+                     "immortal": span.immortal},
+        "samples": samples,
+    }
+    return json.dumps(payload, indent=2, default=float) + "\n"
+
+
+# finite floats, with the extremes and integral floats drawn often
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                             -1.7976931348623157e308, 1e16, 1e-5, 0.1])
+          | st.integers(-2 ** 60, 2 ** 60).map(float))
+# a residual cell may be any float: nan where a residual is not a number
+RESIDUAL = FINITE | st.sampled_from([math.nan, math.inf, -math.inf])
+FLOW_ROW = st.tuples(*[FINITE] * (len(cli.FLOW_COLUMNS) - 4), *[RESIDUAL] * 4)
+# a sample with its keys in the order lorentz._curvature gives them
+SAMPLE = st.tuples(
+    FINITE, FINITE,
+    st.lists(st.lists(FINITE, min_size=4, max_size=4), min_size=4, max_size=4),
+    FINITE, FINITE, FINITE,
+).map(lambda v: dict(zip(("t", "beta", "ricci4", "scalar4", "hamiltonian",
+                          "identity_residual"), v)))
+SPAN_END = st.none() | st.sampled_from([-math.inf, math.inf]) | FINITE
+SPAN = st.builds(Lifespan, SPAN_END, SPAN_END, st.booleans())
+
+
+class TestRenderers:
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(FLOW_ROW, min_size=1, max_size=4),
+           fmt=st.sampled_from(["csv", "json"]))
+    @example(rows=[tuple(np.linspace(-i, 3.0 ** i, 28).tolist()) for i in range(50)],
+             fmt="json")
+    @example(rows=[(1.0,) * 24 + (math.nan, math.inf, -math.inf, -0.0)], fmt="csv")
+    @example(rows=[(1.0,) * 24 + (math.nan, math.inf, -math.inf, -0.0)], fmt="json")
+    def test_flow_table(self, rows, fmt):
+        cells = tuple(v for row in rows for v in row)
+        assert cli._render_flow(cells, fmt) == _reference_table(cells, fmt)
+
+    @settings(max_examples=50, deadline=None)
+    @given(span=SPAN, samples=st.lists(SAMPLE, min_size=1, max_size=4))
+    @example(span=Lifespan(None, math.inf, False), samples=[
+        {"t": -0.0, "beta": 5e-324, "ricci4": [[1.7976931348623157e308] * 4] * 4,
+         "scalar4": -1.7976931348623157e308, "hamiltonian": 3.0,
+         "identity_residual": 1e16}])
+    @example(span=Lifespan(-math.inf, 0.5, True), samples=[
+        {"t": 0.1 * i, "beta": 1.0 + i, "ricci4": np.arange(16.0 * i, 16.0 * i + 16)
+         .reshape(4, 4).tolist(), "scalar4": -1e-300 * i, "hamiltonian": 2.0 ** -i,
+         "identity_residual": 1e-17 * i} for i in range(50)])
+    def test_curvature_payload(self, span, samples):
+        assert cli._render_curvature(span, samples) == _reference_curvature(span, samples)
 
 
 class TestParserReuse:
