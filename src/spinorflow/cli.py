@@ -130,11 +130,12 @@ _JSON_ROW = "  {\n" + ",\n".join(f'    "{c}": "%.12e"' for c in FLOW_COLUMNS) + 
 
 
 def _render_flow(cells: tuple, fmt: str) -> str:
-    """The flow table whose cells, row by row, are ``cells``: CSV under a
-    header line, or a JSON array of one object of strings per row."""
+    """The flow table whose cells, row by row, are ``cells`` (one row at
+    least): CSV under a header line, or a JSON array of one object of
+    strings per row."""
     n = len(cells) // len(FLOW_COLUMNS)
     if fmt == "json":
-        return "[\n" + ",\n".join([_JSON_ROW] * n) % cells + "\n]\n" if n else "[]\n"
+        return "[\n" + ",\n".join([_JSON_ROW] * n) % cells + "\n]\n"
     return ",".join(FLOW_COLUMNS) + "\n" + _CSV_ROW * n % cells
 
 
@@ -157,11 +158,9 @@ def _json_end(x: float | None) -> str:
 
 def _render_curvature(span, samples: list[dict]) -> str:
     """The curvature payload: the lifespan of ``span``, then ``samples``
-    (``lorentz._curvature``), whose numbers are Python floats."""
+    (``lorentz._curvature``; one at least), whose numbers are Python floats."""
     head = _CURVATURE_HEAD % (_json_end(span.t_minus), _json_end(span.t_plus),
                               "true" if span.immortal else "false")
-    if not samples:
-        return head + "[]\n}\n"
     cells = []
     for s in samples:
         r = s["ricci4"]
