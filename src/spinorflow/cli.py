@@ -31,11 +31,9 @@ import numpy as np
 
 from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
 from .exact import _Samples, solve
-from .frames import sym_components
 from .lapse import LapseProfile
 from .lorentz import _curvature
-from .numeric import CERTIFY_LIMIT, _integrate, _state_from_vector, \
-    flow_residuals, uncertified
+from .numeric import CERTIFY_LIMIT, _integrate, _residuals, _uncertain
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints, _row_group, classify, \
     invariants, require_valid, validate
 from .verify import SUITES, run_suite
@@ -86,26 +84,23 @@ FLOW_COLUMNS = (
 )
 
 
-def _flow_cells(states, bts, residuals) -> tuple:
-    """The cells of the flow table, row by row, as one flat tuple of Python
-    floats: each state with its B_t and residuals."""
+def _flow_cells(sol, profile, times, method: str) -> tuple:
+    """The cells of the flow table of ``sol`` at ``times``, row by row, as
+    one flat tuple of Python floats: each state of the closed form or the
+    march (``numeric._States``) with its B_t and residuals."""
+    if method == "exact":
+        stack = _Samples(sol, profile, times)
+        states, bts = stack.states(), stack.bts
+    else:
+        bts = [profile.b_integral(t) for t in times.tolist()]
+        states = _integrate(sol.pair, profile, times.tolist(), bts)
+        _warn_uncertified(zip(states.t.tolist(), states.error))
     table = np.column_stack([
-        [st.t for st in states], bts,
-        sym_components(st.theta for st in states),
-        np.reshape([st.U for st in states], (-1, 9)),
-        sym_components(st.metric for st in states),
-        [(st.hamiltonian, res.frame_evolution, res.structure, res.theta_u_constancy,
-          res.closedness) for st, res in zip(states, residuals)],
+        states.t, bts, states.comp, states.U.reshape(-1, 9),
+        states.metric[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], states.hamiltonian,
+        *_residuals(states.comp, states.U, sol.pair),
     ])
     return tuple(table.ravel().tolist())
-
-
-def _closed_form(stack):
-    """(t, Theta_t and U_t row by row, None) per sample, then ``stack``'s error."""
-    us, raised = stack.frames
-    for t, th, u in zip(stack.times, stack.thetas, us):
-        yield t, np.concatenate([th.as_array(), u.ravel()]), None
-    stack.check(raised)
 
 
 def _span_end(x: float | None):
@@ -117,12 +112,13 @@ def _span_end(x: float | None):
     return str(x) if math.isinf(x) else _fmt(x)
 
 
-def _warn_uncertified(states) -> None:
-    """One stderr line per RK4 state whose error the march cannot certify."""
-    for st in uncertified(states):
-        print(f"warning: rk4 state at t = {_fmt(st.t)} is not certified: "
-              f"estimated error {st.error:.2e} against {CERTIFY_LIMIT:.0e}",
-              file=sys.stderr)
+def _warn_uncertified(errors) -> None:
+    """One stderr line per (t, error) of an RK4 state the march cannot certify."""
+    for t, error in errors:
+        if _uncertain(error):
+            print(f"warning: rk4 state at t = {_fmt(t)} is not certified: "
+                  f"estimated error {error:.2e} against {CERTIFY_LIMIT:.0e}",
+                  file=sys.stderr)
 
 
 _CSV_ROW = ",".join(["%.12e"] * len(FLOW_COLUMNS)) + "\n"
@@ -250,15 +246,8 @@ def _sampled(args, data):
 
 def cmd_flow(args, data) -> int:
     sol, profile, _, times = _sampled(args, data)
-    if args.method == "exact":
-        stack = _Samples(sol, profile, times)
-        states, bts = _state_from_vector(_closed_form(stack)), stack.bts
-    else:
-        bts = [profile.b_integral(t) for t in times.tolist()]
-        states = _integrate(sol.pair, profile, times.tolist(), bts)
-        _warn_uncertified(states)
-    cells = _flow_cells(states, bts, flow_residuals(states, sol.pair))
-    _emit(_render_flow(cells, args.format), args.out)
+    _emit(_render_flow(_flow_cells(sol, profile, times, args.method), args.format),
+          args.out)
     return EXIT_OK
 
 
@@ -275,7 +264,7 @@ def cmd_verify(args, data) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         rows = run_suite(pair, profile, args.suite, samples=args.samples, tol=args.tol)
     # the oracle's rows share their states: one line per state
-    _warn_uncertified({st.t: st for row in rows for st in row.uncertified}.values())
+    _warn_uncertified({st.t: st.error for row in rows for st in row.uncertified}.items())
     _emit("".join(f"[{'pass' if row.passed else 'FAIL'}] {row.name}: max residual "
                   f"{_fmt(row.residual)} (tol {_fmt(row.tol)})\n" for row in rows),
           args.out)
@@ -391,7 +380,7 @@ def main(argv=None) -> int:
                 try:
                     code = _run_single(args, element)
                 except InvalidPair as exc:
-                    print(f"invalid pair: {'; '.join(exc.violations)}")
+                    _emit(f"invalid pair: {'; '.join(exc.violations)}\n", args.out)
                     code = EXIT_INVALID
                 except _NUMERIC_FAILURES as exc:
                     print(f"numeric failure: {exc.args[-1]}", file=sys.stderr)

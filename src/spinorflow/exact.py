@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NotApplicable, SingularTime
 from .frames import L, N, U, EigenData2, Sym3, eigen2x2, sym_components
 from .lapse import LapseProfile
-from .numeric import _hamiltonians, _ricci3, _until_raised
+from .numeric import _States, _hamiltonians, _ricci3, _state_from_vector, _until_raised
 from .pairs import CauchyPair, DEFAULT_TOL, invariants
 
 _SINGULAR_GUARD = 1e-12
@@ -209,7 +209,7 @@ class _Samples:
     ``pending`` that exception, or None.  U_t, and Ric and H_t of the 3D
     frame, come on first use at each of ``thetas``, with what they raised;
     ``check`` raises the exception of the earliest sample, as one sample at
-    a time would."""
+    a time would, and ``states`` gives the flow states themselves."""
 
     def __init__(self, sol: FlowSolution, profile: LapseProfile, times):
         self.sol, self.profile = sol, profile
@@ -230,7 +230,14 @@ class _Samples:
     def ricci3(self) -> tuple[np.ndarray, list[float], Exception | None]:
         with np.errstate(over="ignore", invalid="ignore"):
             ric, scal = _ricci3(self.comp)
-        return (ric, *_until_raised(_hamiltonians(scal, self.thetas)))
+        return (ric, *_until_raised(_hamiltonians(scal, self.comp.tolist())))
+
+    def states(self) -> _States:
+        """The flow states at the samples (``numeric._state_from_vector``)."""
+        us, raised = self.frames
+        n = len(us)
+        return _state_from_vector(self.times[:n], self.comp[:n], us, [None] * n,
+                                  *self.ricci3[1:], raised or self.pending)
 
     def check(self, raised: Exception | None) -> None:
         """Raise ``raised``, met before ``pending``, or else ``pending``."""

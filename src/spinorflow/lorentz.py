@@ -96,8 +96,13 @@ def _coframe4(th_t, profile: LapseProfile, t) -> Coframe4:
     if isinstance(th_t, Sym3):
         t, beta = float(t), profile.beta(t)
     else:
+        # one call for every time; beta raises at the first one off a table
         t = np.asarray(t, dtype=float)
-        beta = np.array([profile.beta(x) for x in t])
+        lo, hi = profile.domain()
+        for x in t[~((lo <= t) & (t <= hi))][:1]:
+            profile.beta(x)
+        beta = (np.full(t.shape, profile.value) if profile.kind == "constant"
+                else np.interp(t, profile.times, profile.values))
     return Coframe4(
         t=t,
         beta=beta,

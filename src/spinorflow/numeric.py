@@ -12,6 +12,10 @@ advance: one ``_kern.doubling_step`` per trial step, or one
 ``_kern.rk4_path`` per segment through ``_advance``.  The kernel is the
 pure-Python module ``_kernel_py``, whose two entries run one unrolled RK4
 step in one leg loop; ``KERNEL_BACKEND`` names it.
+
+Inside the package, states travel as one stacked record of arrays,
+``_States``, which ``_state_from_vector`` checks and builds; ``FlowState``
+objects are built only at the public edge.
 """
 
 from __future__ import annotations
@@ -76,10 +80,9 @@ def hamiltonian_of(theta):
     |Theta|^2 and Tr(Theta)^2 are Python float squares, which raise
     OverflowError past the largest float."""
     if isinstance(theta, Sym3):
-        return next(_hamiltonians(_ricci3(theta.as_array())[1], [theta]))
+        return _ricci3(theta.as_array())[1] - theta.norm2() + theta.trace() ** 2
     comp = np.asarray(theta, dtype=float)
-    return np.array(list(_hamiltonians(_ricci3(comp)[1],
-                                       map(Sym3.from_array, comp.tolist()))))
+    return np.array(list(_hamiltonians(_ricci3(comp)[1], comp.tolist())))
 
 
 def _ricci3(comp: np.ndarray):
@@ -87,13 +90,15 @@ def _ricci3(comp: np.ndarray):
     return frame_ricci(_ETA3, structure_constants_from_theta(comp))
 
 
-def _hamiltonians(scal, thetas):
-    """H at each of ``thetas``, one at a time, given the scalar curvature R
-    at each (``_ricci3``).  The squares are taken as each H comes, so a
-    consumer that checks each H as it comes meets an OverflowError where one
-    call per sample would."""
-    for r, theta in zip(np.ravel(scal).tolist(), thetas):
-        yield r - theta.norm2() + theta.trace() ** 2
+def _hamiltonians(scal, rows):
+    """H at each of ``rows``, components (uu, ul, un, ll, ln, nn) as Python
+    floats, given the scalar curvature R at each (``_ricci3``), one at a
+    time as ``hamiltonian_of`` takes it.  The squares are taken as each H
+    comes, so a consumer that checks each H as it comes meets an
+    OverflowError where one call per sample would."""
+    for r, (uu, ul, un, ll, ln, nn) in zip(np.ravel(scal).tolist(), rows):
+        yield (r - (uu**2 + ll**2 + nn**2 + 2.0 * (ul**2 + un**2 + ln**2))
+               + (uu + ll + nn) ** 2)
 
 
 def ode_rhs(theta, U: np.ndarray):
@@ -102,14 +107,23 @@ def ode_rhs(theta, U: np.ndarray):
     ``theta`` is a Sym3 and ``U`` a 3x3 matrix, or a stack: an array of
     components with one row per sample and an array of matrices (one, or
     one per sample), which gives an array of component rows and one of
-    matrices."""
+    matrices.  A stack takes the operations of ``_kern._rhs`` column by
+    column, in its order, and like Python floats warns of no overflow."""
     if isinstance(theta, Sym3):
         dth, du = ode_rhs(theta.as_array()[None], np.asarray(U, dtype=float)[None])
         return Sym3.from_array(dth[0]), du[0]
-    comp = np.asarray(theta, dtype=float)
-    u = np.broadcast_to(U, comp.shape[:-1] + (3, 3)).reshape(-1, 9)
-    dy = np.array([_kern._rhs(y) for y in np.hstack([comp, u]).tolist()]).reshape(-1, 15)
-    return dy[:, :6], dy[:, 6:].reshape(-1, 3, 3)
+    comp = np.asarray(theta, dtype=float).reshape(-1, 6)
+    v = comp[:, :3]  # (uu, ul, un)
+    th = sym_matrices(comp)[..., None]  # th[:, :, b] column b of Theta
+    u = np.broadcast_to(U, (len(comp), 3, 3))[:, None]  # u[:, :, b] row b of U
+    dth = np.zeros(comp.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dth[:, 0] = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+        # (ll, ln, nn) uu - (ul ul, ul un, un un)
+        dth[:, 3:] = comp[:, 3:] * v[:, :1] - v[:, [1, 1, 2]] * v[:, [1, 2, 2]]
+        du = -(th[:, :, 0] * u[:, :, 0] + th[:, :, 1] * u[:, :, 1]
+               + th[:, :, 2] * u[:, :, 2])
+    return dth, du
 
 
 def _until_raised(items) -> tuple[list, Exception | None]:
@@ -125,32 +139,46 @@ def _until_raised(items) -> tuple[list, Exception | None]:
     return out, None
 
 
-def _state_from_vector(samples) -> list[FlowState]:
-    """The states of ``samples``, an iterable of (t, y, error) with
-    components y = (Theta_t, U_t row by row), evaluated as one stack.
+@dataclass(frozen=True)
+class _States:
+    """The flow states of a stack of samples: each field of ``FlowState``
+    with one entry per sample, H_t as Python floats."""
 
-    Raises SingularTime at the first sample where a number of the state, h_t
-    and H_t included, is not finite: U can overflow, and h_t = U^T U
-    overflows before it does.  The iterable may raise, and H_t raises
-    OverflowError where a component squares past the largest float: either
-    exception is raised once the samples before it have been checked, as a
-    state at a time would."""
-    rows, pending = _until_raised(samples)
-    ys = np.array([y for _, y, _ in rows], dtype=float).reshape(-1, 15)
-    thetas = [Sym3.from_array(y) for y in ys[:, :6].tolist()]
-    u = ys[:, 6:].reshape(-1, 3, 3)
+    t: np.ndarray            # (n,)
+    comp: np.ndarray         # (n, 6) components (uu, ul, un, ll, ln, nn) of Theta_t
+    U: np.ndarray            # (n, 3, 3)
+    metric: np.ndarray       # (n, 3, 3) h_t = U^T U
+    hamiltonian: list[float]
+    error: list[float | None]
+
+    def take(self, rows) -> "_States":
+        """The states at the indices ``rows``, in their order."""
+        return _States(self.t[rows], self.comp[rows], self.U[rows], self.metric[rows],
+                       [self.hamiltonian[i] for i in rows], [self.error[i] for i in rows])
+
+    def state(self, i: int) -> FlowState:
+        return FlowState(t=float(self.t[i]), theta=Sym3.from_array(self.comp[i]),
+                         U=self.U[i], metric=Sym3.from_matrix(self.metric[i]),
+                         hamiltonian=self.hamiltonian[i], error=self.error[i])
+
+
+def _state_from_vector(t, comp, u, error, hams, overflow, pending) -> _States:
+    """The checked record of the states at the times ``t``, given Theta_t
+    (``comp``), U_t and the error estimate at each, and H_t up to the sample
+    where it raised ``overflow``; ``pending`` is what the sample after the
+    last raised, or None.  Raises SingularTime at the first sample where a
+    number of the state, h_t = U^T U and H_t included, is not finite, and
+    the exceptions once the samples before them are checked."""
     with np.errstate(over="ignore", invalid="ignore"):
         metric = u.transpose(0, 2, 1) @ u
-        hams, raised = _until_raised(_hamiltonians(_ricci3(ys[:, :6])[1], thetas))
-    finite = np.isfinite(metric).all(axis=(1, 2)) & np.isfinite(ys).all(axis=1)
-    for (t, _, _), ok, ham in zip(rows, finite.tolist(), hams):
+    finite = (np.isfinite(metric).all(axis=(1, 2)) & np.isfinite(comp).all(axis=1)
+              & np.isfinite(u).all(axis=(1, 2)))
+    for x, ok, ham in zip(t, finite.tolist(), hams):
         if not (ok and math.isfinite(ham)):
-            raise SingularTime(f"the flow state at t = {t:.12g} is not finite")
-    if raised or pending:
-        raise raised or pending
-    return [FlowState(t=float(t), theta=theta, U=u[i], metric=Sym3.from_matrix(metric[i]),
-                      hamiltonian=ham, error=error)
-            for i, ((t, _, error), theta, ham) in enumerate(zip(rows, thetas, hams))]
+            raise SingularTime(f"the flow state at t = {x:.12g} is not finite")
+    if len(hams) < len(t) or pending:
+        raise overflow if len(hams) < len(t) else pending
+    return _States(np.asarray(t, dtype=float), comp, u, metric, hams[:len(t)], list(error))
 
 
 def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
@@ -186,15 +214,17 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     if not all(map(math.isfinite, requested)):
         raise ValueError("integration times must be finite")
     clock = {t: profile.b_integral(t) for t in dict.fromkeys(requested)}
-    return _integrate(pair, profile, requested, [clock[t] for t in requested],
-                      n_steps_total)
+    states = _integrate(pair, profile, requested, [clock[t] for t in requested],
+                        n_steps_total)
+    return [states.state(i) for i in range(len(requested))]
 
 
 def _integrate(pair: CauchyPair, profile: LapseProfile, times, bts,
-               n_steps_total: int | None = None) -> list[FlowState]:
+               n_steps_total: int | None = None) -> _States:
     """``integrate_to`` of a validated pair at the finite ``times``, marched
     in the B_t ``bts`` at each, which must be floats: the kernel runs
-    several times slower on numpy scalars."""
+    several times slower on numpy scalars.  The states are checked in the
+    order they are marched, and come in the order of ``times``."""
     to_t = functools.partial(_time_at, profile)
     y0 = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
     at: dict[float, list[float]] = {}  # s = B_t -> the times t it stands for
@@ -219,8 +249,15 @@ def _integrate(pair: CauchyPair, profile: LapseProfile, times, bts,
                 for t in at[s]:
                     yield t, y, error
 
-    out = {st.t: st for st in _state_from_vector(marched())}
-    return [out[t] for t in times]
+    rows, pending = _until_raised(marched())
+    ys = np.array([y for _, y, _ in rows], dtype=float).reshape(-1, 15)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hams = _until_raised(_hamiltonians(_ricci3(ys[:, :6])[1], ys[:, :6].tolist()))
+    ts, _, errors = zip(*rows) if rows else ((), (), ())
+    states = _state_from_vector(ts, ys[:, :6], ys[:, 6:].reshape(-1, 3, 3), errors, *hams,
+                                pending)
+    row_of = {t: i for i, t in enumerate(ts)}
+    return states.take([row_of[t] for t in times])
 
 
 def _time_at(profile: LapseProfile, s: float) -> float:
@@ -234,8 +271,11 @@ def uncertified(states) -> list[FlowState]:
     """The states whose global error estimate exceeds half ``CERTIFY_LIMIT``:
     those the march cannot vouch for to ``CERTIFY_LIMIT`` with a factor-2
     margin on its estimate."""
-    return [st for st in states
-            if st.error is not None and 2.0 * st.error > CERTIFY_LIMIT]
+    return [st for st in states if _uncertain(st.error)]
+
+
+def _uncertain(error: float | None) -> bool:
+    return error is not None and 2.0 * error > CERTIFY_LIMIT
 
 
 def _advance(y, s, ds, n, target, to_t) -> tuple:
@@ -349,9 +389,19 @@ def flow_residuals(state, pair: CauchyPair):
     """
     states = [state] if isinstance(state, FlowState) else list(state)
     comp = sym_components(st.theta for st in states)
+    u = np.array([st.U for st in states]).reshape(-1, 3, 3)
+    reports = [ResidualReport(*res) for res in
+               zip(*(r.tolist() for r in _residuals(comp, u, pair)))]
+    return reports[0] if isinstance(state, FlowState) else reports
+
+
+def _residuals(comp: np.ndarray, u: np.ndarray, pair: CauchyPair):
+    """The residuals r1, r2, r3 and r4 of ``flow_residuals``, each an array
+    with one entry per row of the Theta_t components ``comp`` and of the
+    stack ``u`` of U_t."""
     th_t = sym_matrices(comp)
     th_0 = pair.theta.as_matrix()
-    u = np.array([st.U for st in states]).reshape(-1, 3, 3)
+    u = np.ascontiguousarray(u)
 
     # r1: frame evolution, with dU re-derived from the right-hand side
     dth, du = ode_rhs(comp, u)
@@ -359,7 +409,7 @@ def flow_residuals(state, pair: CauchyPair):
 
     # r2: exterior derivative of the evolved coframe computed two ways
     a = u @ th_0
-    f = np.zeros((len(states), 3, 3, 3))
+    f = np.zeros((len(u), 3, 3, 3))
     f[:, :, :, 0] += a
     f[:, :, 0, :] -= a
     g = np.einsum("zab,zbc,zd->zacd", th_t, u, u[:, 0, :])
@@ -374,7 +424,4 @@ def flow_residuals(state, pair: CauchyPair):
     w = np.abs(th_t[:, None, 0, :] @ th_t)[:, 0, :]
     # max(|w_l|, |w_n|) as Python's max takes it: |w_l| unless |w_n| > |w_l|
     r4 = np.where(w[:, 2] > w[:, 1], w[:, 2], w[:, 1])
-
-    reports = [ResidualReport(*res) for res in
-               zip(r1.tolist(), r2.tolist(), r3.tolist(), r4.tolist())]
-    return reports[0] if isinstance(state, FlowState) else reports
+    return r1, r2, r3, r4

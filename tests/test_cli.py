@@ -748,6 +748,91 @@ class TestSweep:
         assert third.startswith("2\n") and third[2:] == first[2:]
 
 
+
+# the commands that refuse an invalid pair by raising InvalidPair
+REFUSING_COMMANDS = [
+    ["classify"], ["lifespan"], ["flow"], ["flow", "--method", "rk4", "--samples", "5"],
+    ["curvature", "--samples", "5"], ["verify", "--samples", "4"],
+]
+
+
+class TestSweepOutOfAnInvalidPair:
+    @pytest.mark.parametrize("argv", REFUSING_COMMANDS,
+                             ids=["-".join(a.strip("-") for a in argv)
+                                  for argv in REFUSING_COMMANDS])
+    def test_the_report_goes_into_its_file(self, tmp_path, capsys, argv):
+        # the invalid pair is refused in its own .001 file, as validate's is,
+        # and stdout holds only the pair headers
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps([{"theta": theta_dict(uu=1.0)},
+                                    {"theta": theta_dict(ul=1.0, ll=1.0)},
+                                    {"theta": theta_dict(uu=-1.0)}]))
+        sweep = [argv[0], str(path), "--sweep"] + argv[1:]
+        code = main(sweep)
+        printed = capsys.readouterr()
+        assert main(sweep + ["--out", str(tmp_path / "run.txt")]) == code == EXIT_INVALID
+        written = capsys.readouterr()
+        assert written.out == "# pair 0\n# pair 1\n# pair 2\n"
+        assert written.err == printed.err
+        files = [(tmp_path / f"run.{i:03d}.txt").read_text() for i in range(3)]
+        assert files[1] == ("invalid pair: Theta_ln*Theta_un + Theta_ul*(Theta_ll"
+                            " + Theta_uu) = 1.000e+00 != 0\n")
+        assert "".join(f"# pair {i}\n{text}" for i, text in enumerate(files)) == printed.out
+
+
+class TestFlowReadsArrays:
+    """``flow`` reads its states as one stacked record: it builds no
+    ``FlowState``, and computes the 3D Ricci tensor of its samples once."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "exact"], ["--method", "exact", "--format", "json"],
+        ["--method", "rk4"], ["--method", "rk4", "--t0", "-0.5", "--t1", "2"],
+    ], ids=["exact", "exact-json", "rk4", "rk4-uncertified"])
+    @pytest.mark.parametrize("name,theta,beta", [
+        ("R3", dict(uu=1.0), None),
+        ("tau2R-general", dict(uu=-2.0, ul=1.0, un=1.0, ll=1.0, ln=1.0, nn=1.0),
+         {"kind": "tabulated", "times": [-1.0, 0.2, 1.5], "values": [0.8, 1.3, 1.0]}),
+    ], ids=["R3", "tau2R-general-table"])
+    def test_no_flow_state_and_one_ricci3(self, tmp_path, monkeypatch, capsys, argv,
+                                          name, theta, beta):
+        built, ricci = [], []
+        init = numeric.FlowState.__init__
+        monkeypatch.setattr(numeric.FlowState, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        ricci3 = numeric._ricci3
+        for module in (numeric, exact):
+            monkeypatch.setattr(module, "_ricci3", lambda c: ricci.append(c) or ricci3(c))
+        path = write_pair(tmp_path, name, theta_dict(**theta),
+                          extra={"beta": beta} if beta else None)
+        assert main(["flow", path, "--samples", "9"] + argv) == EXIT_OK
+        assert built == [] and len(ricci) == 1
+        if argv[-1] == "2" and name == "R3":
+            # the march flags the state next to the pole without building one
+            assert "is not certified" in capsys.readouterr().err
+
+    def test_curvature_computes_ricci3_once(self, tmp_path, monkeypatch, capsys):
+        ricci = []
+        ricci3 = numeric._ricci3
+        for module in (numeric, exact):
+            monkeypatch.setattr(module, "_ricci3", lambda c: ricci.append(c) or ricci3(c))
+        path = write_pair(tmp_path, "tau3mu", theta_dict(uu=5.0 / 3.0, ll=2.0, nn=1.0))
+        assert main(["curvature", path, "--samples", "9"]) == EXIT_OK
+        assert len(ricci) == 1
+
+    def test_the_lapse_of_a_table_in_one_call(self, tmp_path, monkeypatch, capsys):
+        # curvature reads beta at its samples with one interpolation
+        calls = []
+        beta = lapse.LapseProfile.beta
+        monkeypatch.setattr(lapse.LapseProfile, "beta",
+                            lambda self, t: calls.append(t) or beta(self, t))
+        path = write_pair(tmp_path, "table", theta_dict(ll=1.0, nn=-1.0),
+                          extra={"beta": {"kind": "tabulated", "times": [-1.0, 0.2, 1.5],
+                                          "values": [0.8, 1.3, 1.0]}})
+        assert main(["curvature", path, "--t0", "-0.5", "--t1", "1", "--samples", "9"]) \
+            == EXIT_OK
+        assert calls == []
+
+
 # every command with the options that shape its output; each writes to
 # stdout unless --out names a file
 OUT_COMMANDS = [

@@ -13,11 +13,13 @@ the script runs
 once in each checkout (R is the ``run_seconds`` there), alternating which
 side goes first from seed to seed, and reads each run's last stdout line (one
 JSON object: ``correct``, ``attempted``, ``failed``, ``metrics``).  Then it
-runs the Tier-1 tests once per side and times them.  The record holds, per
-workload and side, each end-to-end metric seed by seed with its median and
-quartiles, the failure counts seed by seed, the number of seed pairs in
-which the change is better on each metric, the Tier-1 wall times and the
-machine metadata.
+runs the Tier-1 tests once per side and times them, and reads the duration
+of criterion 1 (the RK4 oracle test, gated at 5 s) from pytest's
+``--durations`` report.  The record holds, per workload and side, each
+end-to-end metric seed by seed with its median and quartiles, the failure
+counts seed by seed, the number of seed pairs in which the change is better
+on each metric, the Tier-1 wall times with the criterion-1 durations and
+the machine metadata.
 
 Each checkout must be a complete tree with ``src/`` and ``perfbench/``;
 make them with ``git clone`` or ``git archive``.  A run leaves its results in
@@ -39,7 +41,10 @@ import time
 
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--durations=0"]
+# the line of criterion 1's test body in a --durations report
+CRITERION_1 = re.compile(
+    r"^([0-9.]+)s call\s+tests/test_acceptance\.py::test_criterion_1_oracle_equivalence$")
 
 
 def parse_args(argv=None):
@@ -63,14 +68,17 @@ def perfbench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def tier1(checkout: str) -> dict:
-    """Wall time and summary line of one Tier-1 run in ``checkout``."""
+    """Wall time, criterion-1 duration (None when the report lacks it) and
+    summary line of one Tier-1 run in ``checkout``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     start = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
-    return {"wall_s": round(wall, 2), "exit": proc.returncode,
-            "summary": lines[-1] if lines else ""}
+    criterion_1 = next((float(m.group(1)) for m in map(CRITERION_1.match, lines) if m),
+                       None)
+    return {"wall_s": round(wall, 2), "criterion_1_s": criterion_1,
+            "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
 def quartiles(values: list[float]) -> dict:
