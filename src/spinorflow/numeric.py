@@ -176,8 +176,10 @@ def _state_from_vector(t, comp, u, error, hams, overflow, pending) -> _States:
     for x, ok, ham in zip(t, finite.tolist(), hams):
         if not (ok and math.isfinite(ham)):
             raise SingularTime(f"the flow state at t = {x:.12g} is not finite")
-    if len(hams) < len(t) or pending:
-        raise overflow if len(hams) < len(t) else pending
+    if len(hams) < len(t):
+        raise overflow
+    if pending:
+        raise pending
     return _States(np.asarray(t, dtype=float), comp, u, metric, hams[:len(t)], list(error))
 
 

@@ -164,7 +164,7 @@ _COMPONENT = st.one_of(st.sampled_from(_SPECIAL),
 
 
 class TestStackedRightHandSide:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.lists(_COMPONENT, min_size=15, max_size=15),
                          min_size=1, max_size=6))
     @example(rows=[[-0.0] * 15, [0.0] * 15])
@@ -176,7 +176,7 @@ class TestStackedRightHandSide:
         singles = np.array([_kernel_py._rhs(row) for row in y.tolist()])
         _same_bits(np.hstack([dth, du.reshape(-1, 9)]), singles)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(st.lists(_COMPONENT, min_size=6, max_size=6),
                          min_size=1, max_size=6))
     def test_one_matrix_for_every_row(self, rows):
