@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NotApplicable, SingularTime
 from .frames import L, N, U, EigenData2, Sym3, eigen2x2, sym_components
 from .lapse import LapseProfile
-from .numeric import _States, _hamiltonians, _ricci3, _state_from_vector, _until_raised
+from .numeric import _States, _curvature3, _state_from_vector, _until_raised
 from .pairs import CauchyPair, DEFAULT_TOL, invariants
 
 _SINGULAR_GUARD = 1e-12
@@ -228,9 +228,7 @@ class _Samples:
 
     @functools.cached_property
     def ricci3(self) -> tuple[np.ndarray, list[float], Exception | None]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ric, scal = _ricci3(self.comp)
-        return (ric, *_until_raised(_hamiltonians(scal, self.comp.tolist())))
+        return _curvature3(self.comp)
 
     def states(self) -> _States:
         """The flow states at the samples (``numeric._state_from_vector``)."""

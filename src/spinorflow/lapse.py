@@ -66,6 +66,10 @@ class LapseProfile:
         if missing:
             raise ValueError(f"{kind} lapse is missing {', '.join(missing)}")
         try:
+            # a JSON number, or an array of them: no string, no bool
+            if not all(set(map(type, v if isinstance(v, list) else [v])) <= {int, float}
+                       for v in map(data.get, fields)):
+                raise TypeError
             args = [np.asarray(data[k], dtype=float) for k in fields]
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{kind} lapse {', '.join(fields)} must be finite numbers") from None

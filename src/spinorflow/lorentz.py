@@ -13,16 +13,14 @@ command (``exact._Samples``) in one pass; scalar calls are unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularTime
 from .exact import _Samples, solve, theta_exact
 from .frames import Sym3, frame_ricci, sym_matrices
 from .lapse import LapseProfile
-from .numeric import hamiltonian_of, ode_rhs
+from .numeric import _refuse, _theta_rhs, hamiltonian_of
 from .pairs import CauchyPair, DEFAULT_TOL
 
 ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -90,10 +88,8 @@ def _coframe4(th_t, profile: LapseProfile, t) -> Coframe4:
     """The coframe at flow time t, given the shape components Theta_t there
     as a Sym3; or the stack of coframes at the times t, given an array of
     components with one row per time."""
-    # derivative along the unit direction X_0 = (1/beta) d/dt, which is
-    # d/ds in s = B_t: what ode_rhs gives
-    dth, _ = ode_rhs(th_t, np.eye(3))
     if isinstance(th_t, Sym3):
+        th_t = th_t.as_array()
         t, beta = float(t), profile.beta(t)
     else:
         # one call for every time; beta raises at the first one off a table
@@ -103,11 +99,12 @@ def _coframe4(th_t, profile: LapseProfile, t) -> Coframe4:
             profile.beta(x)
         beta = (np.full(t.shape, profile.value) if profile.kind == "constant"
                 else np.interp(t, profile.times, profile.values))
+    # X_0 = (1/beta) d/dt is d/ds in s = B_t: dC0 from the shape rows of ode_rhs
     return Coframe4(
         t=t,
         beta=beta,
         C=_structure4(sym_matrices(th_t)),
-        dC0=_structure4(sym_matrices(dth)),
+        dC0=_structure4(sym_matrices(_theta_rhs(th_t))),
     )
 
 
@@ -170,13 +167,8 @@ def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
 
 def _curvature(stack: _Samples) -> list[dict]:
     """The curvature summaries at the samples of ``stack``, evaluated as
-    one stack.
-
-    Raises SingularTime at the first sample where a number of the summary
-    is not finite.  Theta_t may have raised at a sample, and H_t raises
-    OverflowError where a component squares past the largest float: either
-    exception is raised once the samples before it have been checked, as a
-    sample at a time would."""
+    one stack and refused as ``numeric._refuse`` rules on the numbers of
+    each summary."""
     frame = _coframe4(stack.comp, stack.profile, stack.times[:len(stack.thetas)])
     _, hams, raised = stack.ricci3
     with np.errstate(over="ignore", invalid="ignore"):
@@ -187,10 +179,7 @@ def _curvature(stack: _Samples) -> list[dict]:
     finite = (np.isfinite(ric.scalar[:n]) & np.isfinite(residual)
               & np.isfinite(components).all(axis=(1, 2))).tolist()
     times = frame.t.tolist()
-    for x, ok, ham in zip(times, finite, hams):
-        if not (ok and math.isfinite(ham)):
-            raise SingularTime(f"the curvature at t = {x:.12g} is not finite")
-    stack.check(raised)
+    _refuse("curvature", times, finite, hams, raised, stack.pending)
     return [{"t": x, "beta": beta, "ricci4": r, "scalar4": scalar, "hamiltonian": ham,
              "identity_residual": res}
             for x, beta, r, scalar, ham, res in zip(

@@ -15,7 +15,8 @@ step in one leg loop; ``KERNEL_BACKEND`` names it.
 
 Inside the package, states travel as one stacked record of arrays,
 ``_States``, which ``_state_from_vector`` checks and builds; ``FlowState``
-objects are built only at the public edge.
+objects are built only at the public edge.  A stack of samples takes Ric
+and H_t from ``_curvature3`` and is refused by the one rule ``_refuse``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import SingularTime, SpinorFlowError
 from .frames import Sym3, frame_ricci, structure_constants_from_theta, \
     sym_components, sym_matrices
 from .lapse import LapseProfile
-from .pairs import CauchyPair, DEFAULT_TOL, require_valid
+from .pairs import CauchyPair, DEFAULT_TOL, _hamiltonians, require_valid
 
 KERNEL_BACKEND = "python"
 
@@ -73,16 +74,16 @@ class ResidualReport:
 
 def hamiltonian_of(theta):
     """Direct Hamiltonian recomputation R - |Theta|^2 + Tr(Theta)^2 in the
-    frame made orthonormal by the evolved coframe.
+    frame made orthonormal by the evolved coframe (``pairs._hamiltonians``).
 
     ``theta`` is a Sym3, or a stack: an array of components (uu, ul, un, ll,
     ln, nn), one row per sample, which gives an array of H.  The squares in
     |Theta|^2 and Tr(Theta)^2 are Python float squares, which raise
     OverflowError past the largest float."""
-    if isinstance(theta, Sym3):
-        return _ricci3(theta.as_array())[1] - theta.norm2() + theta.trace() ** 2
-    comp = np.asarray(theta, dtype=float)
-    return np.array(list(_hamiltonians(_ricci3(comp)[1], comp.tolist())))
+    one = isinstance(theta, Sym3)
+    comp = np.asarray(theta.as_array() if one else theta, dtype=float)
+    hams = list(_hamiltonians(_ricci3(comp)[1], comp.reshape(-1, 6).tolist()))
+    return hams[0] if one else np.array(hams)
 
 
 def _ricci3(comp: np.ndarray):
@@ -90,15 +91,12 @@ def _ricci3(comp: np.ndarray):
     return frame_ricci(_ETA3, structure_constants_from_theta(comp))
 
 
-def _hamiltonians(scal, rows):
-    """H at each of ``rows``, components (uu, ul, un, ll, ln, nn) as Python
-    floats, given the scalar curvature R at each (``_ricci3``), one at a
-    time as ``hamiltonian_of`` takes it.  The squares are taken as each H
-    comes, so a consumer that checks each H as it comes meets an
-    OverflowError where one call per sample would."""
-    for r, (uu, ul, un, ll, ln, nn) in zip(np.ravel(scal).tolist(), rows):
-        yield (r - (uu**2 + ll**2 + nn**2 + 2.0 * (ul**2 + un**2 + ln**2))
-               + (uu + ll + nn) ** 2)
+def _curvature3(comp: np.ndarray) -> tuple[np.ndarray, list[float], Exception | None]:
+    """Ric of the 3D frame at each row of the components ``comp``, H_t up to
+    the first row whose squares overflow, and that OverflowError or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ric, scal = _ricci3(comp)
+    return (ric, *_until_raised(_hamiltonians(scal, comp.tolist())))
 
 
 def ode_rhs(theta, U: np.ndarray):
@@ -113,17 +111,25 @@ def ode_rhs(theta, U: np.ndarray):
         dth, du = ode_rhs(theta.as_array()[None], np.asarray(U, dtype=float)[None])
         return Sym3.from_array(dth[0]), du[0]
     comp = np.asarray(theta, dtype=float).reshape(-1, 6)
-    v = comp[:, :3]  # (uu, ul, un)
     th = sym_matrices(comp)[..., None]  # th[:, :, b] column b of Theta
     u = np.broadcast_to(U, (len(comp), 3, 3))[:, None]  # u[:, :, b] row b of U
-    dth = np.zeros(comp.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        dth[:, 0] = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
-        # (ll, ln, nn) uu - (ul ul, ul un, un un)
-        dth[:, 3:] = comp[:, 3:] * v[:, :1] - v[:, [1, 1, 2]] * v[:, [1, 2, 2]]
         du = -(th[:, :, 0] * u[:, :, 0] + th[:, :, 1] * u[:, :, 1]
                + th[:, :, 2] * u[:, :, 2])
-    return dth, du
+    return _theta_rhs(comp), du
+
+
+def _theta_rhs(comp: np.ndarray) -> np.ndarray:
+    """The shape rows of ``ode_rhs``: d/ds of the components (uu, ul, un,
+    ll, ln, nn) on the last axis of ``comp``."""
+    v = comp[..., :3]  # (uu, ul, un)
+    dth = np.zeros(comp.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = v * v
+        dth[..., 0] = sq[..., 0] + sq[..., 1] + sq[..., 2]
+        # (ll, ln, nn) uu - (ul ul, ul un, un un)
+        dth[..., 3:] = comp[..., 3:] * v[..., :1] - v[..., [1, 1, 2]] * v[..., [1, 2, 2]]
+    return dth
 
 
 def _until_raised(items) -> tuple[list, Exception | None]:
@@ -166,21 +172,26 @@ def _state_from_vector(t, comp, u, error, hams, overflow, pending) -> _States:
     """The checked record of the states at the times ``t``, given Theta_t
     (``comp``), U_t and the error estimate at each, and H_t up to the sample
     where it raised ``overflow``; ``pending`` is what the sample after the
-    last raised, or None.  Raises SingularTime at the first sample where a
-    number of the state, h_t = U^T U and H_t included, is not finite, and
-    the exceptions once the samples before them are checked."""
+    last raised, or None.  ``_refuse`` rules on every number of the state."""
     with np.errstate(over="ignore", invalid="ignore"):
         metric = u.transpose(0, 2, 1) @ u
     finite = (np.isfinite(metric).all(axis=(1, 2)) & np.isfinite(comp).all(axis=1)
               & np.isfinite(u).all(axis=(1, 2)))
-    for x, ok, ham in zip(t, finite.tolist(), hams):
+    _refuse("flow state", t, finite.tolist(), hams, overflow, pending)
+    return _States(np.asarray(t, dtype=float), comp, u, metric, hams[:len(t)], list(error))
+
+
+def _refuse(what: str, t, finite, hams, overflow, pending) -> None:
+    """SingularTime at the first of the times ``t``, up to the last H_t of
+    ``hams``, where ``finite`` is False or H_t is not finite; then the
+    ``overflow`` of H_t if ``hams`` stop short; then ``pending``, if any."""
+    for x, ok, ham in zip(t, finite, hams):
         if not (ok and math.isfinite(ham)):
-            raise SingularTime(f"the flow state at t = {x:.12g} is not finite")
+            raise SingularTime(f"the {what} at t = {x:.12g} is not finite")
     if len(hams) < len(t):
         raise overflow
     if pending:
         raise pending
-    return _States(np.asarray(t, dtype=float), comp, u, metric, hams[:len(t)], list(error))
 
 
 def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
@@ -253,8 +264,7 @@ def _integrate(pair: CauchyPair, profile: LapseProfile, times, bts,
 
     rows, pending = _until_raised(marched())
     ys = np.array([y for _, y, _ in rows], dtype=float).reshape(-1, 15)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hams = _until_raised(_hamiltonians(_ricci3(ys[:, :6])[1], ys[:, :6].tolist()))
+    _, *hams = _curvature3(ys[:, :6])
     ts, _, errors = zip(*rows) if rows else ((), (), ())
     states = _state_from_vector(ts, ys[:, :6], ys[:, 6:].reshape(-1, 3, 3), errors, *hams,
                                 pending)

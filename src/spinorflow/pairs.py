@@ -257,36 +257,29 @@ def constraints(pair: CauchyPair, tol: float = DEFAULT_TOL) -> ConstraintReport:
     return _constraints(pair.theta, tol)
 
 
-def _constraints(th, tol: float) -> ConstraintReport:
+def _constraints(th: Sym3, tol: float) -> ConstraintReport:
     """``constraints`` of the pair with shape components ``th``, which the
-    caller has validated, or evolved from a validated pair.
-
-    ``th`` is a Sym3, or a stack: an array of components (uu, ul, un, ll,
-    ln, nn), one row per sample, which gives a report with one entry per
-    row in each field.  The squares in H and in the scale are Python float
-    squares taken row by row, which raise OverflowError past the largest
-    float at the first row that has one."""
-    one = isinstance(th, Sym3)
-    rows = [th] if one else [Sym3.from_array(x) for x in np.asarray(th, dtype=float)]
+    caller has validated, or evolved from a validated pair; H as
+    ``_hamiltonians`` takes it.  One pair only: stacks read their own H_t."""
     c = structure_constants_from_theta(th)
     _, scal = frame_ricci(np.ones(3), c)
     # d Tr(Theta) vanishes for constant components, so the momentum residual
     # is the divergence alone.
     mom = divergence_sym(c, th)
-    ham, ok = [], []
-    for r, t, m in zip(np.ravel(scal).tolist(), rows,
-                       np.abs(mom).reshape(-1, 3).max(axis=1).tolist()):
-        ham.append(r - t.norm2() + t.trace() ** 2)
-        scale = max(1.0, t.max_abs()) ** 2
-        ok.append(abs(ham[-1]) <= tol * scale and m <= tol * scale)
-    if one:
-        return ConstraintReport(ham[0], mom, scal, ok[0])
-    return ConstraintReport(
-        hamiltonian=ham,
-        momentum_residual=mom,
-        scalar_curvature=scal.tolist(),
-        is_vacuum_admissible=ok,
-    )
+    ham = next(_hamiltonians(scal, [th.as_array().tolist()]))
+    scale = max(1.0, th.max_abs()) ** 2
+    ok = abs(ham) <= tol * scale and float(np.max(np.abs(mom))) <= tol * scale
+    return ConstraintReport(ham, mom, scal, ok)
+
+
+def _hamiltonians(scal, rows):
+    """H = R - |Theta|^2 + Tr(Theta)^2, the one formula of the package, at
+    each of ``rows`` (components as Python floats) given R there.  Each H
+    squares Python floats as it comes, so a consumer reading them in turn
+    meets an OverflowError where one sample at a time would."""
+    for r, (uu, ul, un, ll, ln, nn) in zip(np.ravel(scal).tolist(), rows):
+        yield (r - (uu**2 + ll**2 + nn**2 + 2.0 * (ul**2 + un**2 + ln**2))
+               + (uu + ll + nn) ** 2)
 
 
 def is_constrained_ricci_flat(pair: CauchyPair, tol: float = DEFAULT_TOL) -> bool:

@@ -8,7 +8,9 @@ and then every end is cut to the table's domain.
 
 ``run_suite`` validates and solves the pair once; the suites that take as
 many samples read one stack of them (``exact._Samples``), which evaluates
-B_t, Theta_t, U_t, the 3D Ricci tensor and H_t once per sample.  The
+B_t, Theta_t, U_t, the 3D Ricci tensor and H_t once per sample, and in
+place of a tolerance every suite receives the pair's constraints, which
+are evaluated at most once, where a suite first reads them.  The
 curvature algebra runs once over a stack, and each row's residual is the
 ``_worst`` of its per-sample residuals, in sample order, so a NaN still
 fails its row.  A sample that raises does so once the samples before it
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import QD, FlowSolution, _Samples, solve
-from .frames import levi_civita, structure_constants_from_theta, sym_matrices
+from .frames import divergence_sym, levi_civita, structure_constants_from_theta, \
+    sym_matrices
 from .lapse import LapseProfile
 from .lorentz import _coframe4, _identity_residual, _log_scale_differential, \
     closedness_residual, ricci4
@@ -77,39 +80,39 @@ def _fold(residuals) -> float:
     return functools.reduce(_worst, np.asarray(residuals, dtype=float).tolist(), 0.0)
 
 
-def _check_constraints(stack: _Samples, tol: float) -> list[CheckResult]:
+def _check_constraints(stack: _Samples, con) -> list[CheckResult]:
     """Propagation of the vacuum constraints along the flow."""
-    con = _constraints(stack.sol.pair.theta, tol)
+    h0 = con().hamiltonian
     # the closed form of H_t is taken with Theta_t, ahead of the squares of
     # H_t that came before it in a sample: it raises only where Theta_t is
     # too small for them to
     closed, raised = _until_raised(
-        stack.sol.hamiltonian_at(con.hamiltonian, bt)
-        for bt in stack.bts[:len(stack.thetas)])
-    # evolved from a validated pair: validating it again decides nothing
-    rep = _constraints(stack.comp[:len(closed)], tol)
+        stack.sol.hamiltonian_at(h0, bt) for bt in stack.bts[:len(stack.thetas)])
+    _, hams, overflow = stack.ricci3
+    if len(hams) < len(closed):
+        raise overflow
     stack.check(raised)
-    ham_dev = [abs(h - c) for h, c in zip(rep.hamiltonian, closed)]
-    # the momentum residual is tied to the Hamiltonian: -(H/2) e_u
-    target = np.multiply.outer(-0.5 * np.array(rep.hamiltonian), [1.0, 0.0, 0.0])
-    mom = rep.momentum_residual
+    ham_dev = [abs(h - c) for h, c in zip(hams, closed)]
+    # the momentum residual, the divergence, is tied to H: -(H/2) e_u
+    mom = divergence_sym(structure_constants_from_theta(stack.comp), stack.comp)
+    target = np.multiply.outer(-0.5 * np.array(hams), [1.0, 0.0, 0.0])
     rows = [
         CheckResult("hamiltonian matches its closed-form evolution",
                     _fold(ham_dev), 1e-8),
         CheckResult("momentum residual equals -(H/2) e_u along the flow",
                     _fold(np.abs(mom - target).max(axis=-1)), 1e-9),
     ]
-    if con.is_vacuum_admissible:
+    if con().is_vacuum_admissible:
         rows.append(CheckResult("hamiltonian stays zero (constrained pair)",
-                                _fold(np.abs(rep.hamiltonian)), 1e-9))
+                                _fold(np.abs(hams)), 1e-9))
         rows.append(CheckResult("momentum residual vanishes (constrained pair)",
                                 _fold(np.abs(mom).max(axis=-1)), 1e-9))
     return rows
 
 
-def _check_ricci4(stack: _Samples, tol: float) -> list[CheckResult]:
+def _check_ricci4(stack: _Samples, con) -> list[CheckResult]:
     """The 4D Ricci identity, plus exact flatness on constrained pairs."""
-    constrained = _constraints(stack.sol.pair.theta, tol).is_vacuum_admissible
+    constrained = con().is_vacuum_admissible
     _, hams, raised = stack.ricci3
     stack.check(raised)
     ric = ricci4(_coframe4(stack.comp, stack.profile, stack.times)).components
@@ -121,7 +124,7 @@ def _check_ricci4(stack: _Samples, tol: float) -> list[CheckResult]:
     return rows
 
 
-def _check_ricciflow(stack: _Samples, tol: float) -> list[CheckResult]:
+def _check_ricciflow(stack: _Samples, con) -> list[CheckResult]:
     """Remark identities tying Ric(h_t) to the shape tensor and, on
     constrained quasi-diagonal pairs, to the time derivative of h_t."""
     sol, profile, comp = stack.sol, stack.profile, stack.comp
@@ -141,7 +144,7 @@ def _check_ricciflow(stack: _Samples, tol: float) -> list[CheckResult]:
         else "Ric(h) = (H/4)(h - eta x eta) (off-diagonal branches)",
         _fold(np.abs(ric - target).max(axis=(1, 2))), 1e-8)]
 
-    if qd and _constraints(sol.pair.theta, tol).is_vacuum_admissible:
+    if qd and con().is_vacuum_admissible:
         step = 1e-5
         us, raised = stack.frames
 
@@ -163,7 +166,7 @@ def _check_ricciflow(stack: _Samples, tol: float) -> list[CheckResult]:
     return rows
 
 
-def _check_cosymplectic(stack: _Samples, tol: float) -> list[CheckResult]:
+def _check_cosymplectic(stack: _Samples, con) -> list[CheckResult]:
     """Parallelism and closedness of the distinguished one-forms."""
     sol = stack.sol
     us, raised = stack.frames
@@ -183,7 +186,7 @@ def _check_cosymplectic(stack: _Samples, tol: float) -> list[CheckResult]:
     return rows
 
 
-def _check_oracle(stack: _Samples, tol: float) -> list[CheckResult]:
+def _check_oracle(stack: _Samples, con) -> list[CheckResult]:
     """Closed forms against the numerical integrator."""
     states = _integrate(stack.sol.pair, stack.profile, stack.times.tolist(),
                         list(map(float, stack.bts)))
@@ -217,9 +220,9 @@ def run_suite(pair: CauchyPair, profile: LapseProfile, suite: str,
               samples: int | None = None, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Run one named suite, or all of them in declaration order.
 
-    The pair is validated and solved once, and the suites that take the
-    same number of samples read one stack of them (``exact._Samples``).
-    Raises ValueError on an unknown suite, or on fewer than one sample."""
+    The pair is validated and solved once, its constraints evaluated at
+    most once, and the suites that take the same number of samples read
+    one stack of them (``exact._Samples``).  Raises ValueError on an unknown suite, or on fewer than one sample."""
     if suite not in _CHECKS and suite != "all":
         raise ValueError(f"unknown suite: {suite!r}")
     if samples is not None and samples < 1:
@@ -229,8 +232,10 @@ def run_suite(pair: CauchyPair, profile: LapseProfile, suite: str,
     # the ends of the sample window, the first and last time of every count
     lo, hi = _sample_times(sol, profile, 2).tolist()
     stack = functools.cache(lambda n: _Samples(sol, profile, np.linspace(lo, hi, n)))
+    # the pair's constraints, evaluated where the first suite reads them
+    con = functools.cache(lambda: _constraints(pair.theta, tol))
     rows = []
     for name in SUITES if suite == "all" else (suite,):
         check, default = _CHECKS[name]
-        rows.extend(check(stack(samples or default), tol))
+        rows.extend(check(stack(samples or default), con))
     return rows

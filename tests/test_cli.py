@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorflow
-from spinorflow import cli, exact, lapse, numeric, pairs
+from spinorflow import cli, exact, frames, lapse, lorentz, numeric, pairs, verify
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
 
@@ -108,11 +108,16 @@ class TestExitCodes:
         {"kind": "constant", "value": None},
         {"kind": "tabulated", "times": [-1.0, 1.0], "values": [1.0, 1e400]},
         {"kind": "tabulated", "times": [-1.0, 1.0], "values": {"a": 1.0}},
+        {"kind": "constant", "value": "1.3"},
+        {"kind": "constant", "value": True},
+        {"kind": "tabulated", "times": [-1.0, True], "values": [0.8, 1.0]},
+        {"kind": "tabulated", "times": [-1.0, 1.0], "values": ["0.8", 1.0]},
     ], ids=["no-value", "no-values", "not-an-object", "inf-value", "huge-int-value",
-            "null-value", "inf-node", "values-not-an-array"])
+            "null-value", "inf-node", "values-not-an-array", "string-value", "bool-value",
+            "bool-time", "string-node"])
     def test_malformed_lapse(self, tmp_path, capsys, beta):
         # a huge literal parses to inf or to an int no float holds: refused,
-        # not run as an infinite lapse
+        # not run as an infinite lapse; a string or a bool is no number
         path = write_pair(tmp_path, "lapse", theta_dict(uu=1.0), extra={"beta": beta})
         assert main(["lifespan", path]) == EXIT_IO
         captured = capsys.readouterr()
@@ -800,8 +805,7 @@ class TestFlowReadsArrays:
         monkeypatch.setattr(numeric.FlowState, "__init__",
                             lambda self, *a, **k: built.append(a) or init(self, *a, **k))
         ricci3 = numeric._ricci3
-        for module in (numeric, exact):
-            monkeypatch.setattr(module, "_ricci3", lambda c: ricci.append(c) or ricci3(c))
+        monkeypatch.setattr(numeric, "_ricci3", lambda c: ricci.append(c) or ricci3(c))
         path = write_pair(tmp_path, name, theta_dict(**theta),
                           extra={"beta": beta} if beta else None)
         assert main(["flow", path, "--samples", "9"] + argv) == EXIT_OK
@@ -813,8 +817,7 @@ class TestFlowReadsArrays:
     def test_curvature_computes_ricci3_once(self, tmp_path, monkeypatch, capsys):
         ricci = []
         ricci3 = numeric._ricci3
-        for module in (numeric, exact):
-            monkeypatch.setattr(module, "_ricci3", lambda c: ricci.append(c) or ricci3(c))
+        monkeypatch.setattr(numeric, "_ricci3", lambda c: ricci.append(c) or ricci3(c))
         path = write_pair(tmp_path, "tau3mu", theta_dict(uu=5.0 / 3.0, ll=2.0, nn=1.0))
         assert main(["curvature", path, "--samples", "9"]) == EXIT_OK
         assert len(ricci) == 1
@@ -831,6 +834,38 @@ class TestFlowReadsArrays:
         assert main(["curvature", path, "--t0", "-0.5", "--t1", "1", "--samples", "9"]) \
             == EXIT_OK
         assert calls == []
+
+
+class TestVerifyEvaluatesOnce:
+    """``verify`` evaluates the pair's constraints at most once, and only
+    for a suite that reads them, and the 3D curvature once per stack of
+    samples and once for the RK4 states."""
+
+    PAIRS = {
+        "table": (dict(uu=-2.0, ul=1.0, un=1.0, ll=1.0, ln=1.0, nn=1.0),
+                  {"kind": "tabulated", "times": [-1.0, 0.2, 1.5],
+                   "values": [0.8, 1.3, 1.0]}),
+        "uu-1.3": (dict(uu=1.0), {"kind": "constant", "value": 1.3}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    @pytest.mark.parametrize("argv,constraints,ricci3", [
+        ([], 1, 4), (["--samples", "7"], 1, 3), (["--suite", "cosymplectic"], 0, 0),
+        (["--suite", "oracle"], 0, 1), (["--suite", "constraints"], 1, 2),
+    ], ids=["all", "samples-7", "cosymplectic", "oracle", "constraints"])
+    def test_counts(self, tmp_path, monkeypatch, capsys, name, argv, constraints, ricci3):
+        con, ricci = [], []
+        evaluate = pairs._constraints
+        monkeypatch.setattr(verify, "_constraints",
+                            lambda *a: con.append(a) or evaluate(*a))
+        frame_ricci = frames.frame_ricci
+        for module in (pairs, numeric, lorentz):
+            monkeypatch.setattr(module, "frame_ricci", lambda eta, *a: (
+                len(eta) == 3 and ricci.append(eta)) or frame_ricci(eta, *a))
+        theta, beta = self.PAIRS[name]
+        path = write_pair(tmp_path, name, theta_dict(**theta), extra={"beta": beta})
+        assert main(["verify", path] + argv) == EXIT_OK
+        assert (len(con), len(ricci)) == (constraints, ricci3)
 
 
 # every command with the options that shape its output; each writes to
