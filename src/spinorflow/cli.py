@@ -92,7 +92,7 @@ def _flow_cells(sol, profile, times, method: str) -> tuple:
         stack = _Samples(sol, profile, times)
         states, bts = stack.states(), stack.bts
     else:
-        bts = [profile.b_integral(t) for t in times.tolist()]
+        bts = profile.b_integral(times).tolist()
         states = _integrate(sol.pair, profile, times.tolist(), bts)
         _warn_uncertified(zip(states.t.tolist(), states.error))
     table = np.column_stack([

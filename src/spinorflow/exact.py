@@ -6,7 +6,8 @@ the quasi-diagonal branch (lambda = 0) evolves by the scalar factor
 s_t = 1 - Theta_uu * B_t, while lambda != 0 evolves through
 y_t = lambda * B_t + arctan(Theta_uu / lambda) with trigonometric profiles.
 ``solve`` decides the branch once per pair, in a ``FlowSolution`` that holds
-every constant the pair fixes; the scalar functions read one ``solve`` each.
+every constant the pair fixes and evaluates a whole grid of B_t in one pass
+(``_Samples``); the scalar functions read one ``solve`` each.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicable, SingularTime
-from .frames import L, N, U, EigenData2, Sym3, eigen2x2, sym_components
+from .frames import L, N, U, EigenData2, Sym3, eigen2x2
 from .lapse import LapseProfile
-from .numeric import _States, _curvature3, _state_from_vector, _until_raised
+from .numeric import _States, _curvature3, _state_from_vector
 from .pairs import CauchyPair, DEFAULT_TOL, invariants
 
 _SINGULAR_GUARD = 1e-12
@@ -64,11 +65,23 @@ def expm(a: np.ndarray) -> np.ndarray:
     return eig.Q @ np.diag(np.exp([eig.rho_plus, eig.rho_minus])) @ eig.Q.T
 
 
+def _first(stacked):
+    """The one sample of a stacked closed form, or what it raised."""
+    values, raised = stacked
+    if raised:
+        raise raised
+    return values[0]
+
+
 @dataclass(frozen=True)
 class FlowSolution:
     """The closed-form flow of one pair, with every constant the pair fixes;
-    ``solve`` builds it.  The ``*_at`` methods give Theta_t, U_t, h_t and H_t
-    where B_t = bt.
+    ``solve`` builds it.  ``_theta_stack``, ``_frame_stack`` and
+    ``_hamiltonian_stack`` give Theta_t, U_t and H_t at an array of B_t, up
+    to the first sample that raises, and what it raised (or None).  Each
+    sample gets the operations of a sample of its own, in its order: only
+    + - * / run on arrays, and math.cos, math.tan and ** stay scalar calls.
+    The ``*_at`` methods give Theta_t, U_t, h_t and H_t at one B_t.
 
     QD: ``eig`` is the eigen data of the lower 2x2 block over Theta_uu, or
     None where Theta_uu is zero within tol.  NONQD: ``lam``, ``y0``, ``c_ll``,
@@ -86,75 +99,101 @@ class FlowSolution:
     c_ln: float | None = None
     eta: np.ndarray | None = None
 
-    def _s(self, bt: float) -> float:
-        s = 1.0 - self.pair.theta.uu * bt
-        if abs(s) < _SINGULAR_GUARD or s < 0.0:
-            raise SingularTime(f"1 - Theta_uu*B_t = {s:.3e} at the lifespan boundary")
-        return s
-
-    def _y(self, bt: float) -> float:
-        y = self.lam * bt + self.y0
-        if math.pi / 2 - abs(y) < _SINGULAR_GUARD:
-            raise SingularTime(f"y_t = {y:.12f} at the lifespan boundary")
-        return y
-
-    def theta_at(self, bt: float) -> Sym3:
-        th = self.pair.theta
+    def _guarded(self, bts: np.ndarray) -> tuple[np.ndarray, SingularTime | None]:
+        """s_t = 1 - Theta_uu B_t (QD) or y_t (NONQD) at each of ``bts``, up
+        to the first sample at the lifespan boundary, and its SingularTime."""
         if self.branch == QD:
-            return Sym3.from_array(th.as_array() / self._s(bt))
-        lam = self.lam
-        y = self._y(bt)
-        sec, tan = 1.0 / math.cos(y), math.tan(y)
-        return Sym3(
-            uu=lam * tan,
-            ul=th.ul,
-            un=th.un,
-            ll=self.c_ll * sec - (th.ul**2 / lam) * tan,
-            ln=self.c_ln * sec - (th.ul * th.un / lam) * tan,
-            nn=self.c_nn * sec - (th.un**2 / lam) * tan,
-        )
+            v = 1.0 - self.pair.theta.uu * bts
+            bad = (np.abs(v) < _SINGULAR_GUARD) | (v < 0.0)
+            text = "1 - Theta_uu*B_t = {:.3e} at the lifespan boundary"
+        else:
+            v = self.lam * bts + self.y0
+            bad = math.pi / 2 - np.abs(v) < _SINGULAR_GUARD
+            text = "y_t = {:.12f} at the lifespan boundary"
+        n = int(bad.argmax()) if bad.any() else len(v)
+        return v[:n], SingularTime(text.format(v[n])) if n < len(v) else None
 
-    def frame_at(self, bt: float) -> FrameTransform:
+    def _theta_stack(self, bts) -> tuple[np.ndarray, Exception | None]:
+        """Theta_t at each of ``bts``: components, one row per sample."""
         th = self.pair.theta
+        v, raised = self._guarded(np.asarray(bts, dtype=float))
         if self.branch == QD:
-            u = np.eye(3)
-            if self.eig is None:
+            return th.as_array() / v[:, None], raised
+        lam, ys = self.lam, v.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            sec = 1.0 / np.array([math.cos(y) for y in ys])
+            tan = np.array([math.tan(y) for y in ys])
+            return np.column_stack([
+                lam * tan, np.full(len(ys), th.ul), np.full(len(ys), th.un),
+                self.c_ll * sec - (th.ul**2 / lam) * tan,
+                self.c_ln * sec - (th.ul * th.un / lam) * tan,
+                self.c_nn * sec - (th.un**2 / lam) * tan]).reshape(-1, 6), raised
+
+    def _frame_stack(self, bts) -> tuple[np.ndarray, Exception | None]:
+        """U_t at each of ``bts``: one matrix per sample.  A frame past the
+        largest float is inf or NaN, with no warning: its consumer refuses it."""
+        th = self.pair.theta
+        bts = np.asarray(bts, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.branch == QD and self.eig is None:
                 # formal limit Theta_uu -> 0: lower block is a matrix exponential
                 theta2 = np.array([[th.ll, th.ln], [th.ln, th.nn]])
-                u[1:, 1:] = expm(-bt * theta2)
-                return FrameTransform(u)
-            s, eig = self._s(bt), self.eig
-            u[U, U] = s
-            u[1:, 1:] = eig.Q @ np.diag([s**eig.rho_plus, s**eig.rho_minus]) @ eig.Q.T
-            return FrameTransform(u)
-
-        # lambda != 0, a single nonzero off-diagonal component included
-        lam = self.lam
-        tan = math.tan(self._y(bt))
-        u = np.empty((3, 3))
-        u[U, U] = 1.0 - th.uu * bt
-        u[U, L] = -th.ul * bt
-        u[U, N] = -th.un * bt
-        slope = (th.uu / lam - (1.0 - th.uu * bt) * tan) / lam
-        u[L, U] = th.ul * slope
-        u[N, U] = th.un * slope
-        u[L, L] = 1.0 + th.ul**2 * bt * tan / lam
-        u[L, N] = th.ul * th.un * bt * tan / lam
-        u[N, L] = u[L, N]
-        u[N, N] = 1.0 + th.un**2 * bt * tan / lam
+                u = np.tile(np.eye(3), (len(bts), 1, 1))
+                for ui, bt in zip(u, bts):
+                    ui[1:, 1:] = expm(-bt * theta2)
+                return u, None
+            v, raised = self._guarded(bts)
+            n = len(v)
+            if self.branch == QD:
+                eig = self.eig
+                u = np.tile(np.eye(3), (n, 1, 1))
+                u[:, U, U] = v
+                diag = np.array([[[s**eig.rho_plus, 0.0], [0.0, s**eig.rho_minus]] for s in v])
+                u[:, 1:, 1:] = eig.Q @ diag.reshape(-1, 2, 2) @ eig.Q.T
+                return u, raised
+            # lambda != 0, a single nonzero off-diagonal component included
+            lam, bt = self.lam, bts[:n]
+            tan = np.array([math.tan(y) for y in v.tolist()])
+            u = np.empty((n, 3, 3))
+            u[:, U, U] = 1.0 - th.uu * bt
+            u[:, U, L] = -th.ul * bt
+            u[:, U, N] = -th.un * bt
+            slope = (th.uu / lam - (1.0 - th.uu * bt) * tan) / lam
+            u[:, L, U] = th.ul * slope
+            u[:, N, U] = th.un * slope
+            u[:, L, L] = 1.0 + th.ul**2 * bt * tan / lam
+            u[:, L, N] = th.ul * th.un * bt * tan / lam
+            u[:, N, L] = u[:, L, N]
+            u[:, N, N] = 1.0 + th.un**2 * bt * tan / lam
         # -x * 0.0 is -0.0 (a zero Theta_ul or Theta_un, or B_t = 0); store +0.0
-        return FrameTransform(u + 0.0)
+        return u + 0.0, raised
+
+    def _hamiltonian_stack(self, h0: float, bts) -> tuple[np.ndarray, Exception | None]:
+        """H_t from its initial value h0 at each of ``bts``."""
+        v, raised = self._guarded(np.asarray(bts, dtype=float))
+        if self.branch == QD:
+            # numpy scalar squares: inf past the largest float, no OverflowError
+            return h0 / np.array([s**2 for s in v]), raised
+        lam, uu = self.lam, self.pair.theta.uu
+        try:  # Python-float squares, met once a sample passes the guard
+            k = lam**2 * h0 / (lam**2 + uu**2) if len(v) else 0.0
+        except ArithmeticError as exc:
+            return v[:0], exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            return k / np.array([math.cos(y) ** 2 for y in v.tolist()]), raised
+
+    def theta_at(self, bt: float) -> Sym3:
+        return Sym3.from_array(_first(self._theta_stack([bt])))
+
+    def frame_at(self, bt: float) -> FrameTransform:
+        return FrameTransform(_first(self._frame_stack([bt])))
 
     def metric_at(self, bt: float) -> Sym3:
         u = self.frame_at(bt).U
         return Sym3.from_matrix(u.T @ u)
 
     def hamiltonian_at(self, h0: float, bt: float) -> float:
-        if self.branch == QD:
-            return h0 / self._s(bt) ** 2
-        lam = self.lam
-        y = self._y(bt)
-        return (lam**2 * h0 / (lam**2 + self.pair.theta.uu**2)) / math.cos(y) ** 2
+        return _first(self._hamiltonian_stack(h0, [bt]))
 
     def lifespan(self, profile: LapseProfile) -> Lifespan:
         if self.branch == NONQD:
@@ -200,31 +239,23 @@ def solve(pair: CauchyPair, tol: float = DEFAULT_TOL) -> FlowSolution:
 
 class _Samples:
     """The closed form ``sol`` at the flow ``times``, each quantity a
-    command or a suite reads of it evaluated once per sample.
-
-    ``bts`` holds B_t at each of the array ``times`` as a numpy scalar, as
-    the closed forms always took it: the square in ``hamiltonian_at`` is
-    then inf past the largest float, where a float raises.  ``thetas`` and
-    ``comp`` hold Theta_t up to the first sample where it raises, and
+    command or a suite reads of it evaluated once per grid, as one stack:
+    ``bts`` holds B_t at each time, and ``comp`` the components of Theta_t,
+    one row per sample, up to the first sample where it raises, and
     ``pending`` that exception, or None.  U_t, and Ric and H_t of the 3D
-    frame, come on first use at each of ``thetas``, with what they raised;
-    ``check`` raises the exception of the earliest sample, as one sample at
-    a time would, and ``states`` gives the flow states themselves."""
+    frame, come on first use at each row of ``comp``, with what they
+    raised; ``check`` raises the exception of the earliest sample, as one
+    sample at a time would, and ``states`` gives the flow states."""
 
     def __init__(self, sol: FlowSolution, profile: LapseProfile, times):
         self.sol, self.profile = sol, profile
         self.times = np.asarray(times, dtype=float)
-        self.bts = [profile.b_integral(t) for t in self.times]
-        self.thetas, self.pending = _until_raised(map(sol.theta_at, self.bts))
-        self.comp = sym_components(self.thetas)
+        self.bts = profile.b_integral(self.times)
+        self.comp, self.pending = sol._theta_stack(self.bts)
 
     @functools.cached_property
     def frames(self) -> tuple[np.ndarray, Exception | None]:
-        # a frame that overflows is refused by its consumer
-        with np.errstate(over="ignore", invalid="ignore"):
-            us, raised = _until_raised(self.sol.frame_at(bt).U
-                                       for bt in self.bts[:len(self.thetas)])
-        return np.array(us).reshape(-1, 3, 3), raised
+        return self.sol._frame_stack(self.bts[:len(self.comp)])
 
     @functools.cached_property
     def ricci3(self) -> tuple[np.ndarray, list[float], Exception | None]:

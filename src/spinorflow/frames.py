@@ -134,12 +134,6 @@ def eigen2x2(theta2) -> EigenData2:
     return EigenData2(rho_plus=rho_p, rho_minus=rho_m, Q=Q)
 
 
-def sym_components(thetas) -> np.ndarray:
-    """The stack of components (uu, ul, un, ll, ln, nn) of an iterable of
-    Sym3, one row each."""
-    return np.array([th.as_array() for th in thetas]).reshape(-1, 6)
-
-
 def sym_matrices(theta) -> np.ndarray:
     """The matrix of a Sym3, or the stack of matrices of an array of
     components (uu, ul, un, ll, ln, nn) on its last axis, C-contiguous as

@@ -97,50 +97,53 @@ class LapseProfile:
             return (-math.inf, math.inf)
         return (float(self.times[0]), float(self.times[-1]))
 
-    def _check(self, t: float) -> None:
+    def _check(self, t: np.ndarray) -> None:
         lo, hi = self.domain()
-        if not lo <= t <= hi:
+        off = ~((lo <= t) & (t <= hi))
+        if off.any():
+            t = t.flat[int(off.argmax())]
             raise OutOfDomain(f"t = {t} outside tabulated domain [{lo}, {hi}]")
 
     def beta(self, t: float) -> float:
+        return float(self._betas(np.asarray(t, dtype=float)))
+
+    def _betas(self, t: np.ndarray) -> np.ndarray:
+        """The lapse at each of the times ``t``; the first off a table raises."""
         if self.kind == "constant":
-            return self.value
+            return np.full(t.shape, self.value)
         self._check(t)
-        return float(np.interp(t, self.times, self.values))
+        return np.interp(t, self.times, self.values)
 
     @functools.cached_property
     def _cumulative(self) -> np.ndarray:
         """B at every node of a tabulated profile, built on first use."""
         return _cumulative_trapezoid(self.times, self.values)
 
-    def _segment(self, i: int) -> tuple[float, float, float, float, float]:
-        """(t_i, t_i+1, beta_i, beta_i+1, slope) of table segment i, as
-        Python floats."""
-        ta, tb = self.times.item(i), self.times.item(i + 1)
-        va, vb = self.values.item(i), self.values.item(i + 1)
-        return ta, tb, va, vb, (vb - va) / (tb - ta)
-
-    def b_integral(self, t: float) -> float:
-        """Signed integral of the lapse from 0 to t.
-
-        A tabulated profile reads the node at or next to t, on the side of
-        t = 0, from the cumulative table and adds the trapezoid from that
-        node to t; inside the segment holding t = 0 it integrates from 0
-        itself, so small |t| keeps full relative accuracy."""
+    def b_integral(self, t):
+        """Signed integral of the lapse from 0 to t, or the array of them at
+        an array of times (any leading axes; the first time off a table, in
+        C order, raises).  A tabulated profile reads the node at or next to
+        t, on the side of t = 0, from the cumulative table and adds the
+        trapezoid from that node to t; inside the segment holding t = 0 it
+        integrates from 0 itself, so small |t| keeps full relative accuracy.
+        Each time of an array gets the operations of a time of its own."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.value * t
-        self._check(t)
-        table = self._cumulative
-        i = int(self.times.searchsorted(t, "right")) - 1
-        if self.times.item(i) == t:
-            return table.item(i)
-        ta, tb, va, vb, slope = self._segment(i)
-        beta_t = slope * (t - ta) + va
-        if ta < 0.0 < tb:
-            return t * (slope * (0.0 - ta) + va + beta_t) / 2.0
-        if t > 0.0:
-            return table.item(i) + (t - ta) * (va + beta_t) / 2.0
-        return table.item(i + 1) - (tb - t) * (beta_t + vb) / 2.0
+            b = self.value * t
+        else:
+            self._check(t)
+            table, times, values = self._cumulative, self.times, self.values
+            i = times.searchsorted(t, "right") - 1
+            j = np.minimum(i, len(times) - 2)  # the segment, where t is no node
+            ta, tb, va, vb = times[j], times[j + 1], values[j], values[j + 1]
+            slope = (vb - va) / (tb - ta)
+            beta_t = slope * (t - ta) + va
+            b = np.where(t > 0.0, table[j] + (t - ta) * (va + beta_t) / 2.0,
+                         table[j + 1] - (tb - t) * (beta_t + vb) / 2.0)
+            b = np.where((ta < 0.0) & (0.0 < tb),
+                         t * (slope * (0.0 - ta) + va + beta_t) / 2.0, b)
+            b = np.where(times[i] == t, table[i], b)
+        return float(b) if b.ndim == 0 else b
 
     def solve_b(self, target: float) -> float | None:
         """The time t with B_t = target.
@@ -165,7 +168,9 @@ class LapseProfile:
         i = int(table.searchsorted(target, "right")) - 1
         if table.item(i) == target:
             return self.times.item(i)
-        ta, tb, va, vb, slope = self._segment(i)
+        ta, tb = self.times.item(i), self.times.item(i + 1)
+        va, vb = self.values.item(i), self.values.item(i + 1)
+        slope = (vb - va) / (tb - ta)
         if ta < 0.0 < tb:
             start, beta, rest = 0.0, slope * (0.0 - ta) + va, target
         elif target > 0.0:

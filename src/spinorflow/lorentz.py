@@ -89,16 +89,10 @@ def _coframe4(th_t, profile: LapseProfile, t) -> Coframe4:
     as a Sym3; or the stack of coframes at the times t, given an array of
     components with one row per time."""
     if isinstance(th_t, Sym3):
-        th_t = th_t.as_array()
-        t, beta = float(t), profile.beta(t)
+        th_t, t, beta = th_t.as_array(), float(t), profile.beta(t)
     else:
-        # one call for every time; beta raises at the first one off a table
         t = np.asarray(t, dtype=float)
-        lo, hi = profile.domain()
-        for x in t[~((lo <= t) & (t <= hi))][:1]:
-            profile.beta(x)
-        beta = (np.full(t.shape, profile.value) if profile.kind == "constant"
-                else np.interp(t, profile.times, profile.values))
+        beta = profile._betas(t)
     # X_0 = (1/beta) d/dt is d/ds in s = B_t: dC0 from the shape rows of ode_rhs
     return Coframe4(
         t=t,
@@ -169,7 +163,7 @@ def _curvature(stack: _Samples) -> list[dict]:
     """The curvature summaries at the samples of ``stack``, evaluated as
     one stack and refused as ``numeric._refuse`` rules on the numbers of
     each summary."""
-    frame = _coframe4(stack.comp, stack.profile, stack.times[:len(stack.thetas)])
+    frame = _coframe4(stack.comp, stack.profile, stack.times[:len(stack.comp)])
     _, hams, raised = stack.ricci3
     with np.errstate(over="ignore", invalid="ignore"):
         ric = ricci4(frame)

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import _kernel_py as _kern
 from .errors import SingularTime, SpinorFlowError
-from .frames import Sym3, frame_ricci, structure_constants_from_theta, \
-    sym_components, sym_matrices
+from .frames import Sym3, frame_ricci, structure_constants_from_theta, sym_matrices
 from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, _hamiltonians, require_valid
 
@@ -226,7 +225,8 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     requested = [float(t) for t in times]
     if not all(map(math.isfinite, requested)):
         raise ValueError("integration times must be finite")
-    clock = {t: profile.b_integral(t) for t in dict.fromkeys(requested)}
+    distinct = list(dict.fromkeys(requested))
+    clock = dict(zip(distinct, profile.b_integral(np.array(distinct)).tolist()))
     states = _integrate(pair, profile, requested, [clock[t] for t in requested],
                         n_steps_total)
     return [states.state(i) for i in range(len(requested))]
@@ -400,7 +400,7 @@ def flow_residuals(state, pair: CauchyPair):
     are evaluated at unit lapse.
     """
     states = [state] if isinstance(state, FlowState) else list(state)
-    comp = sym_components(st.theta for st in states)
+    comp = np.array([st.theta.as_array() for st in states]).reshape(-1, 6)
     u = np.array([st.U for st in states]).reshape(-1, 3, 3)
     reports = [ResidualReport(*res) for res in
                zip(*(r.tolist() for r in _residuals(comp, u, pair)))]

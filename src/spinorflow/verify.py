@@ -31,7 +31,7 @@ from .frames import divergence_sym, levi_civita, structure_constants_from_theta,
 from .lapse import LapseProfile
 from .lorentz import _coframe4, _identity_residual, _log_scale_differential, \
     closedness_residual, ricci4
-from .numeric import FlowState, _integrate, _residuals, _uncertain, _until_raised
+from .numeric import FlowState, _integrate, _residuals, _uncertain
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints, require_valid
 
 SUITES = ("constraints", "ricci4", "ricciflow", "cosymplectic", "oracle")
@@ -86,13 +86,12 @@ def _check_constraints(stack: _Samples, con) -> list[CheckResult]:
     # the closed form of H_t is taken with Theta_t, ahead of the squares of
     # H_t that came before it in a sample: it raises only where Theta_t is
     # too small for them to
-    closed, raised = _until_raised(
-        stack.sol.hamiltonian_at(h0, bt) for bt in stack.bts[:len(stack.thetas)])
+    closed, raised = stack.sol._hamiltonian_stack(h0, stack.bts[:len(stack.comp)])
     _, hams, overflow = stack.ricci3
     if len(hams) < len(closed):
         raise overflow
     stack.check(raised)
-    ham_dev = [abs(h - c) for h, c in zip(hams, closed)]
+    ham_dev = np.abs(np.array(hams) - closed)
     # the momentum residual, the divergence, is tied to H: -(H/2) e_u
     mom = divergence_sym(structure_constants_from_theta(stack.comp), stack.comp)
     target = np.multiply.outer(-0.5 * np.array(hams), [1.0, 0.0, 0.0])
@@ -145,25 +144,37 @@ def _check_ricciflow(stack: _Samples, con) -> list[CheckResult]:
         _fold(np.abs(ric - target).max(axis=(1, 2))), 1e-8)]
 
     if qd and con().is_vacuum_admissible:
-        step = 1e-5
         us, raised = stack.frames
-
-        def dh_dt():
-            for i, (t, th_t) in enumerate(zip(stack.times, stack.thetas)):
-                if i == len(us):  # U_t raised here, ahead of h_t near t
-                    raise raised
-                h_plus = sol.metric_at(profile.b_integral(t + step)).as_matrix()
-                h_minus = sol.metric_at(profile.b_integral(t - step)).as_matrix()
-                dh = (h_plus - h_minus) / (2.0 * step)
-                yield (th_t.ll + th_t.nn) / (2.0 * profile.beta(t)) * dh
-
-        scaled = np.array(list(dh_dt())).reshape(-1, 3, 3)
+        factor = (comp[:, 3] + comp[:, 5]) / (2.0 * profile._betas(stack.times))
+        scaled = factor[:, None, None] * _dh_dt(sol, profile, stack.times[:len(us)], raised)
         # Ric(h_t) pulled back to the reference coframe components
         ric_ref = us.transpose(0, 2, 1) @ ric @ us
         rows.append(CheckResult(
             "Ric(h) = (Tr(Theta)/(2 beta)) dh/dt (constrained quasi-diagonal)",
             _fold(np.abs(ric_ref - scaled).max(axis=(1, 2))), 1e-6))
     return rows
+
+
+def _dh_dt(sol: FlowSolution, profile: LapseProfile, times: np.ndarray,
+           raised: Exception | None, step: float = 1e-5) -> np.ndarray:
+    """dh_t/dt at ``times`` by central differences of h_t = U_t^T U_t, from
+    one stacked B_t and U_t at all t +- step.  What raises first, sample by
+    sample in the order B_t at t + step, at t - step, then U_t at both,
+    raises here; ``raised``, U_t's at the sample after ``times``, comes last."""
+    near = (times[:, None] + np.array([step, -step])).ravel()
+    lo, hi = profile.domain()
+    inside = (lo <= near) & (near <= hi)
+    off = len(near) if inside.all() else int(inside.argmin())
+    us, u_raised = sol._frame_stack(profile.b_integral(near[:off]))
+    if u_raised and len(us) // 2 < off // 2:
+        raise u_raised
+    if off < len(near):
+        profile.b_integral(near[off])  # OutOfDomain, as B_t there raised
+    if raised:
+        raise raised
+    h = sym_matrices((us.transpose(0, 2, 1) @ us)[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])
+    h = h.reshape(-1, 2, 3, 3)
+    return (h[:, 0] - h[:, 1]) / (2.0 * step)
 
 
 def _check_cosymplectic(stack: _Samples, con) -> list[CheckResult]:
@@ -189,7 +200,7 @@ def _check_cosymplectic(stack: _Samples, con) -> list[CheckResult]:
 def _check_oracle(stack: _Samples, con) -> list[CheckResult]:
     """Closed forms against the numerical integrator."""
     states = _integrate(stack.sol.pair, stack.profile, stack.times.tolist(),
-                        list(map(float, stack.bts)))
+                        stack.bts.tolist())
     residuals = np.max(_residuals(states.comp, states.U, stack.sol.pair), axis=0)
     us, raised = stack.frames
     stack.check(raised)

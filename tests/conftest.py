@@ -1,5 +1,7 @@
-"""Shared fixtures: one representative pair per admissible-family table row."""
+"""Shared fixtures: one representative pair per admissible-family table row,
+and the faults the stack tests inject into a stacked closed form."""
 
+import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile
@@ -37,3 +39,23 @@ def row_pair(request):
 @pytest.fixture(params=sorted(CONSTRAINED_PAIRS), ids=sorted(CONSTRAINED_PAIRS))
 def constrained_pair(request):
     return CONSTRAINED_PAIRS[request.param]
+
+
+def fail_at(stacked, bts, bt, exc):
+    """The (values, raised) of a stacked closed form at ``bts`` with ``exc``
+    raised at the first sample whose B_t is ``bt``, as a fault met on
+    entering that sample: unless a sample before it raised."""
+    values, raised = stacked
+    hits = np.flatnonzero(np.ravel(bts) == bt)
+    if len(hits) and hits[0] <= len(values):
+        return values[:hits[0]], exc
+    return values, raised
+
+
+def scale_at(stacked, bts, bt, factor):
+    """The (values, raised) of a stacked closed form at ``bts`` with the
+    values of each sample whose B_t is ``bt`` multiplied by ``factor``."""
+    values, raised = stacked
+    values = values.copy()
+    values[np.ravel(bts)[:len(values)] == bt] *= factor
+    return values, raised

@@ -620,11 +620,11 @@ class TestEachPairIsSolvedOnce:
         calls = []
         b_integral = lapse.LapseProfile.b_integral
         monkeypatch.setattr(lapse.LapseProfile, "b_integral",
-                            lambda self, t: calls.append(t) or b_integral(self, t))
+                            lambda self, t: calls.append(np.size(t)) or b_integral(self, t))
         path = write_pair(tmp_path, "table", theta_dict(**self.PAIRS["tau2R-general"]),
                           extra=self.TABLE)
         assert main([argv[0], path] + argv[1:]) == EXIT_OK
-        assert len(calls) == 7
+        assert sum(calls) == 7
 
     def test_verify_samples_each_grid_once(self, tmp_path, monkeypatch, capsys):
         # constraints takes 50 samples, and the other four suites share one
@@ -633,13 +633,32 @@ class TestEachPairIsSolvedOnce:
         b_integral = lapse.LapseProfile.b_integral
         lifespan = exact.FlowSolution.lifespan
         monkeypatch.setattr(lapse.LapseProfile, "b_integral",
-                            lambda self, t: b_calls.append(t) or b_integral(self, t))
+                            lambda self, t: b_calls.append(np.size(t))
+                            or b_integral(self, t))
         monkeypatch.setattr(exact.FlowSolution, "lifespan",
                             lambda *a: span_calls.append(a) or lifespan(*a))
         path = write_pair(tmp_path, "table", theta_dict(**self.PAIRS["tau2R-general"]),
                           extra=self.TABLE)
         assert main(["verify", path]) == EXIT_OK
-        assert len(b_calls) == 70 and len(span_calls) == 1
+        assert sum(b_calls) == 70 and len(span_calls) == 1
+
+    @pytest.mark.parametrize("name", ["tau2R-general", "tau3mu", "R3"])
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--method", "exact", *WINDOW], ["curvature", *WINDOW], ["verify"],
+        ["verify", "--samples", "7"],
+    ], ids=["exact-flow", "curvature", "verify", "verify-7"])
+    def test_no_scalar_closed_form_calls(self, tmp_path, monkeypatch, capsys, name, argv):
+        # every command reads B_t, Theta_t, U_t, h_t and H_t as stacks; R3
+        # is constrained quasi-diagonal, so verify takes its dh/dt row too
+        calls = []
+        for method in ("theta_at", "frame_at", "metric_at", "hamiltonian_at"):
+            scalar = getattr(exact.FlowSolution, method)
+            monkeypatch.setattr(exact.FlowSolution, method,
+                                lambda *a, f=scalar: calls.append(a) or f(*a))
+        theta = self.PAIRS.get(name, dict(uu=1.0))
+        path = write_pair(tmp_path, "table", theta_dict(**theta), extra=self.TABLE)
+        assert main([argv[0], path] + argv[1:]) == EXIT_OK
+        assert calls == []
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--method", "rk4", *WINDOW], ["verify", "--suite", "oracle", "--samples", "7"],

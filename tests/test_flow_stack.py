@@ -17,7 +17,7 @@ from spinorflow.exact import FlowSolution
 from spinorflow.frames import Sym3
 from spinorflow.lorentz import _coframe4
 
-from conftest import ROW_PAIRS
+from conftest import ROW_PAIRS, fail_at, scale_at
 
 PROFILES = {
     "constant-1": LapseProfile.constant(1.0),
@@ -117,25 +117,25 @@ class TestFlowCellsMatchSingleSamples:
         pair, profile = ROW_PAIRS["tau2R-general"], PROFILES["table-5"]
         times = sample_times(pair, profile, 9)
         huge, nan, pole = (profile.b_integral(times[i]) for i in (3, 4, 6))
-        theta_at, frame_at = FlowSolution.theta_at, FlowSolution.frame_at
+        theta_stack, frame_stack = FlowSolution._theta_stack, FlowSolution._frame_stack
 
-        def poisoned_theta(self, bt):
-            if bt == pole:
-                raise SingularTime("a pole at sample 6")
-            th = theta_at(self, bt)
-            if poison == "huge-then-pole" and bt == huge:
-                return Sym3.from_array(th.as_array() * 1e200)
-            if poison == "nan" and bt == nan:
-                return Sym3.from_array(th.as_array() * math.nan)
-            return th
+        def poisoned_theta(self, bts):
+            thetas = fail_at(theta_stack(self, bts), bts, pole,
+                             SingularTime("a pole at sample 6"))
+            if poison == "huge-then-pole":
+                return scale_at(thetas, bts, huge, 1e200)
+            if poison == "nan":
+                return scale_at(thetas, bts, nan, math.nan)
+            return thetas
 
-        def poisoned_frame(self, bt):
-            if poison == "frame-then-pole" and bt == huge:
-                raise OverflowError("U_t overflows at sample 3")
-            return frame_at(self, bt)
+        def poisoned_frame(self, bts):
+            frames = frame_stack(self, bts)
+            if poison == "frame-then-pole":
+                return fail_at(frames, bts, huge, OverflowError("U_t overflows at sample 3"))
+            return frames
 
-        monkeypatch.setattr(FlowSolution, "theta_at", poisoned_theta)
-        monkeypatch.setattr(FlowSolution, "frame_at", poisoned_frame)
+        monkeypatch.setattr(FlowSolution, "_theta_stack", poisoned_theta)
+        monkeypatch.setattr(FlowSolution, "_frame_stack", poisoned_frame)
         got = _check(pair, profile, times)
         assert got[0] is {"huge-then-pole": OverflowError, "frame-then-pole": OverflowError,
                           "pole": SingularTime, "nan": SingularTime}[poison]

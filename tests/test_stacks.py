@@ -19,7 +19,7 @@ from spinorflow.pairs import ConstraintReport, _constraints
 from spinorflow.verify import SUITES, CheckResult, _sample_times, _worst, run_suite, \
     sample_times
 
-from conftest import ROW_PAIRS
+from conftest import ROW_PAIRS, fail_at, scale_at
 
 PROFILES = {
     "constant-1": LapseProfile.constant(1.0),
@@ -363,15 +363,14 @@ class TestSuitesMatchSingleSamples:
         pair, profile = ROW_PAIRS["tau2R-general"], PROFILES["table-5"]
         times = sample_times(pair, profile, 9)
         huge, pole = (profile.b_integral(times[i]) for i in (3, 6))
-        theta_at = FlowSolution.theta_at
+        theta_stack = FlowSolution._theta_stack
 
-        def poisoned(self, bt):
-            if bt == pole:
-                raise SingularTime("a pole at sample 6")
-            th = theta_at(self, bt)
-            return Sym3.from_array(th.as_array() * 1e200) if bt == huge else th
+        def poisoned(self, bts):
+            thetas = fail_at(theta_stack(self, bts), bts, pole,
+                             SingularTime("a pole at sample 6"))
+            return scale_at(thetas, bts, huge, 1e200)
 
-        monkeypatch.setattr(FlowSolution, "theta_at", poisoned)
+        monkeypatch.setattr(FlowSolution, "_theta_stack", poisoned)
         got = _outcome(run_suite, pair, profile, suite, samples=9)
         assert got == _outcome(REFERENCES[suite], pair, profile, samples=9)
         squared = suite in ("constraints", "ricci4", "ricciflow")
@@ -381,13 +380,12 @@ class TestSuitesMatchSingleSamples:
         # Theta_t is NaN at the middle one of 9 samples and at no other
         pair, profile = ROW_PAIRS["tau2R-general"], PROFILES["table-5"]
         middle = profile.b_integral(sample_times(pair, profile, 9)[4])
-        theta_at = FlowSolution.theta_at
+        theta_stack = FlowSolution._theta_stack
 
-        def poisoned(self, bt):
-            th = theta_at(self, bt)
-            return Sym3.from_array(th.as_array() * math.nan) if bt == middle else th
+        def poisoned(self, bts):
+            return scale_at(theta_stack(self, bts), bts, middle, math.nan)
 
-        monkeypatch.setattr(FlowSolution, "theta_at", poisoned)
+        monkeypatch.setattr(FlowSolution, "_theta_stack", poisoned)
         got = _outcome(run_suite, pair, profile, suite, samples=9)
         assert got == _outcome(REFERENCES[suite], pair, profile, samples=9)
         rows = run_suite(pair, profile, suite, samples=9)
