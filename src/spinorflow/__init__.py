@@ -27,10 +27,20 @@ from .verify import CheckResult, SUITES, run_suite, sample_times
 
 __version__ = "0.1.0"
 
+
+def __getattr__(name):
+    # JSON_BACKEND, the decoder of input files, comes from the CLI, which
+    # alone imports orjson: a library import does not load it
+    if name == "JSON_BACKEND":
+        from .cli import JSON_BACKEND
+        return JSON_BACKEND
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "CauchyPair", "CheckResult", "Coframe4", "ConstraintReport",
     "DiracCurrentFrame", "FlowSolution", "FlowState", "FrameTransform", "GroupTag",
-    "GroupType", "InvalidPair", "KERNEL_BACKEND", "LapseProfile", "Lifespan",
+    "GroupType", "InvalidPair", "JSON_BACKEND", "KERNEL_BACKEND", "LapseProfile", "Lifespan",
     "NotApplicable", "OutOfDomain", "ResidualReport", "Ricci4", "SUITES",
     "SingularTime", "SpinorFlowError", "Sym3", "ThetaInvariants",
     "ValidationReport", "branch", "classify",

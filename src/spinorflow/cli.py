@@ -11,6 +11,10 @@ sweep).  Identical inputs give byte-identical output:
   may be ``nan`` or ``inf``);
 - ``curvature`` prints the shortest repr of each float, as ``json`` does.
 
+Input files are decoded by orjson when it is installed (``JSON_BACKEND``),
+and by ``json`` otherwise or wherever the two could differ; both give the
+same values and the same errors (``_load_input``).
+
 ``flow`` and ``curvature`` render through fixed-shape templates, each
 filled by one ``%`` over a flat tuple of Python floats: the CSV row
 ``_CSV_ROW``, the JSON row object ``_JSON_ROW``, and the curvature sample
@@ -29,6 +33,11 @@ import sys
 
 import numpy as np
 
+try:
+    import orjson as _orjson
+except ImportError:  # the optional extra "fast"
+    _orjson = None
+
 from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
 from .exact import _Samples, solve
 from .lapse import LapseProfile
@@ -37,6 +46,8 @@ from .numeric import CERTIFY_LIMIT, _integrate, _residuals, _uncertain
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints, _row_group, classify, \
     invariants, require_valid, validate
 from .verify import SUITES, run_suite
+
+JSON_BACKEND = "json" if _orjson is None else "orjson"
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -53,9 +64,45 @@ def _fmt(x: float) -> str:
     return "%.12e" % float(x)
 
 
+# an input file's bytes with each digit read as "0", and as " " each byte
+# that may stand before the first digit of a number: JSON whitespace,
+# "[", ",", ":" and the minus sign
+_NUMBER_STARTS = bytes.maketrans(b"123456789\t\n\r[,:-", b"0" * 9 + b" " * 7)
+_LONG_INTEGER = b" " + b"0" * 19
+# json decodes 994 levels of nesting under the default recursion limit,
+# orjson 1024: a document that opens more arrays and objects than this is
+# left to json, so that json alone decides where nesting is too deep
+_MAX_OPENINGS = 512
+
+
+def _orjson_reads_alike(text: str) -> bool:
+    """Whether orjson, if it accepts ``text``, reads the values json reads.
+    Not when ``text`` opens more than ``_MAX_OPENINGS`` arrays and objects,
+    nor when it may hold an integer literal of 19 digits or more: orjson
+    reads the integers outside [-2**63, 2**64) as floats, and each has 19
+    digits at least.  The digits of a fraction or an exponent do not count,
+    since they follow ".", "e", "E" or "+"."""
+    if text.count("[") + text.count("{") > _MAX_OPENINGS:
+        return False
+    masked = text.encode().translate(_NUMBER_STARTS)
+    return not (_LONG_INTEGER in masked or masked.startswith(_LONG_INTEGER[1:]))
+
+
 def _load_input(path: str) -> dict | list:
+    """The JSON document in the file at ``path``: from orjson when it is
+    installed and ``_orjson_reads_alike``, else from ``json``.  orjson
+    refuses every other document that ``json`` would read otherwise (NaN,
+    Infinity, a float literal past the largest float, a lone surrogate
+    escape, a BOM, nesting deeper than 1024), and those go to ``json`` too,
+    so the value, or the error, is always the one ``json`` gives."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    if _orjson is not None and _orjson_reads_alike(text):
+        try:
+            return _orjson.loads(text)
+        except _orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
 
 
 def _parse_pair(data: dict) -> tuple[CauchyPair, LapseProfile]:

@@ -1030,5 +1030,7 @@ def test_cli_import_leaves_scipy_out():
     # a fresh interpreter: this one may hold scipy for the test oracles
     src = os.path.dirname(os.path.dirname(spinorflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, spinorflow.cli; assert 'scipy' not in sys.modules"
+    # and the library alone leaves out orjson, which only the CLI's decoder uses
+    code = ("import sys, spinorflow; assert 'orjson' not in sys.modules; "
+            "import spinorflow.cli; assert 'scipy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -3,7 +3,8 @@
 Usage, from anywhere:
 
     python3 tools/bench_record.py --parent PARENT_DIR --change CHANGE_DIR \
-        --seeds 2 3 4 5 6 7 8 9 10 11 --out BENCH_<n>.json
+        --seeds 2 3 4 5 6 7 8 9 10 11 --out BENCH_<n>.json \
+        [--revisions PARENT_COMMIT CHANGE_COMMIT]
 
 For each workload declared in the change's ``BENCHMARK.json`` and each seed,
 the script runs
@@ -19,10 +20,13 @@ of criterion 1 (the RK4 oracle test, gated at 5 s) from pytest's
 end-to-end metric seed by seed with its median and quartiles, the failure
 counts seed by seed, the number of seed pairs in which the change is better
 on each metric, the Tier-1 wall times with the criterion-1 durations and
-the machine metadata.
+the machine metadata, with the orjson version (null when it is not
+installed).
 
 Each checkout must be a complete tree with ``src/`` and ``perfbench/``;
-make them with ``git clone`` or ``git archive``.  A run leaves its results in
+make them with ``git clone`` or ``git archive``.  The record names each
+side's commit: ``git rev-parse HEAD`` of a clone, or, for trees without
+``.git``, the commits given to ``--revisions``.  A run leaves its results in
 that checkout's ``perfbench/results/`` (git-ignored).
 """
 
@@ -53,6 +57,8 @@ def parse_args(argv=None):
     p.add_argument("--change", required=True, help="checkout with the change")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--out", required=True, help="the BENCH_*.json to write")
+    p.add_argument("--revisions", nargs=2, metavar=("PARENT", "CHANGE"),
+                   help="the commits of the two trees, for trees without .git")
     return p.parse_args(argv)
 
 
@@ -106,7 +112,12 @@ def machine() -> dict:
                           if line.startswith("model name")), None)
     except OSError:
         pass
+    try:
+        import orjson
+    except ImportError:
+        orjson = None
     return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "orjson": None if orjson is None else orjson.__version__,
             "platform": platform.platform(), "cpu": model,
             "nproc": len(os.sched_getaffinity(0)), "cpu_count": os.cpu_count()}
 
@@ -142,7 +153,8 @@ def main(argv=None) -> int:
         "command": bench["command"] + ["--workload", "W", "--seed", "S", "--seconds",
                                        f"{seconds:g}", "--trace", "0"],
         "seeds": args.seeds,
-        "revisions": {side: revision(path) for side, path in checkouts.items()},
+        "revisions": dict(zip(SIDES, args.revisions)) if args.revisions else
+                     {side: revision(path) for side, path in checkouts.items()},
         "machine": machine(),
         "workloads": {},
     }
