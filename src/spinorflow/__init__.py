@@ -40,8 +40,8 @@ def __getattr__(name):
 __all__ = [
     "CauchyPair", "CheckResult", "Coframe4", "ConstraintReport",
     "DiracCurrentFrame", "FlowSolution", "FlowState", "FrameTransform", "GroupTag",
-    "GroupType", "InvalidPair", "JSON_BACKEND", "KERNEL_BACKEND", "LapseProfile", "Lifespan",
-    "NotApplicable", "OutOfDomain", "ResidualReport", "Ricci4", "SUITES",
+    "GroupType", "InvalidPair", "JSON_BACKEND", "KERNEL_BACKEND", "LapseProfile",
+    "Lifespan", "NotApplicable", "OutOfDomain", "ResidualReport", "Ricci4", "SUITES",
     "SingularTime", "SpinorFlowError", "Sym3", "ThetaInvariants",
     "ValidationReport", "branch", "classify",
     "closedness_residual", "coframe4_at", "constraints", "curvature_report",

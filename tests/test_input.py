@@ -87,7 +87,7 @@ def dump(x, sep: str) -> str:
     return json.dumps(x, ensure_ascii=False)
 
 
-# number literals as written by hand: up to 25 significant digits, so
+# number literals as written by hand: up to 26 significant digits, so
 # halfway cases between two floats, and exponents to past both ends
 NUMBER_TEXT = st.builds(
     lambda sign, digits, point, exp: sign + (digits[:point] + "." + digits[point:]
