@@ -8,9 +8,8 @@ curvature and constraint identities the construction satisfies.
 
 from .errors import (InvalidPair, NotApplicable, OutOfDomain, SingularTime,
                      SpinorFlowError)
-from .exact import (FlowSolution, FrameTransform, Lifespan, branch, eta_oneform,
-                    frame_exact, hamiltonian_exact, lifespan, metric_exact,
-                    nonqd_coefficients, solve, theta_exact)
+from .exact import (FlowSolution, Lifespan, branch, frame_exact, hamiltonian_exact,
+                    lifespan, nonqd_coefficients, solve, theta_exact)
 from .frames import Sym3, eigen2x2, frame_ricci, levi_civita, ricci3, \
     structure_constants_from_theta
 from .lapse import LapseProfile
@@ -39,17 +38,17 @@ def __getattr__(name):
 
 __all__ = [
     "CauchyPair", "CheckResult", "Coframe4", "ConstraintReport",
-    "DiracCurrentFrame", "FlowSolution", "FlowState", "FrameTransform", "GroupTag",
+    "DiracCurrentFrame", "FlowSolution", "FlowState", "GroupTag",
     "GroupType", "InvalidPair", "JSON_BACKEND", "KERNEL_BACKEND", "LapseProfile",
     "Lifespan", "NotApplicable", "OutOfDomain", "ResidualReport", "Ricci4", "SUITES",
     "SingularTime", "SpinorFlowError", "Sym3", "ThetaInvariants",
     "ValidationReport", "branch", "classify",
     "closedness_residual", "coframe4_at", "constraints", "curvature_report",
     "dirac_current_frame", "eigen2x2",
-    "eta_oneform", "flow_residuals", "frame_exact", "frame_ricci",
+    "flow_residuals", "frame_exact", "frame_ricci",
     "hamiltonian_exact", "hamiltonian_of", "integrate_to",
     "invariants", "is_constrained_ricci_flat", "levi_civita", "lifespan",
-    "metric_exact", "nonqd_coefficients", "ode_rhs", "require_valid",
+    "nonqd_coefficients", "ode_rhs", "require_valid",
     "ricci3", "ricci4", "run_suite", "sample_times", "solve",
     "structure_constants_from_theta", "theta_exact", "validate",
     "verify_ricci_identity",

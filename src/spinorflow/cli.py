@@ -96,7 +96,8 @@ def _load_input(path: str) -> dict | list:
     refuses every other document that ``json`` would read otherwise (NaN,
     Infinity, a float literal past the largest float, a lone surrogate
     escape, a BOM, nesting deeper than 1024), and those go to ``json`` too,
-    so the value, or the error, is always the one ``json`` gives."""
+    so the value, or the error, is always the one ``json`` gives (its
+    RecursionError on a document nested too deeply as a ValueError)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if _orjson is not None and _orjson_reads_alike(text):
@@ -104,7 +105,10 @@ def _load_input(path: str) -> dict | list:
             return _orjson.loads(text)
         except _orjson.JSONDecodeError:
             pass
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"nesting too deep: {exc}") from None
 
 
 def _parse_pair(data: dict) -> tuple[CauchyPair, LapseProfile]:

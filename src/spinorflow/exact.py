@@ -1,5 +1,5 @@
-"""Closed-form evolution of the flow: shape components, coframe transform,
-metric family, Hamiltonian evolution, lifespan.
+"""Closed-form evolution of the flow: shape components, coframe transform
+U_t (the metric family is h_t = U_t^T U_t), Hamiltonian evolution, lifespan.
 
 Branch structure follows the invariant lambda = sqrt(Theta_ul^2 + Theta_un^2):
 the quasi-diagonal branch (lambda = 0) evolves by the scalar factor
@@ -7,7 +7,8 @@ s_t = 1 - Theta_uu * B_t, while lambda != 0 evolves through
 y_t = lambda * B_t + arctan(Theta_uu / lambda) with trigonometric profiles.
 ``solve`` decides the branch once per pair, in a ``FlowSolution`` that holds
 every constant the pair fixes and evaluates a whole grid of B_t in one pass
-(``_Samples``); the scalar functions read one ``solve`` each.
+(``_Samples``), the stacks every command reads.  The scalar functions, which
+no command calls, read one ``solve`` each; at one t, a stack of one sample.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ _SINGULAR_GUARD = 1e-12
 # Branch names used for dispatch.
 QD = "quasi-diagonal"         # lambda = 0
 NONQD = "non-quasi-diagonal"  # lambda != 0
-
-
-@dataclass(frozen=True)
-class FrameTransform:
-    """Linear map U with e^t_a = U_ab e_b; U(0) = Id, det U > 0."""
-
-    U: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ class FlowSolution:
     to the first sample that raises, and what it raised (or None).  Each
     sample gets the operations of a sample of its own, in its order: only
     + - * / run on arrays, and math.cos, math.tan and ** stay scalar calls.
-    The ``*_at`` methods give Theta_t, U_t, h_t and H_t at one B_t.
+    The ``*_at`` methods give Theta_t, U_t and H_t at one B_t.
 
     QD: ``eig`` is the eigen data of the lower 2x2 block over Theta_uu, or
     None where Theta_uu is zero within tol.  NONQD: ``lam``, ``y0``, ``c_ll``,
@@ -185,12 +179,8 @@ class FlowSolution:
     def theta_at(self, bt: float) -> Sym3:
         return Sym3.from_array(_first(self._theta_stack([bt])))
 
-    def frame_at(self, bt: float) -> FrameTransform:
-        return FrameTransform(_first(self._frame_stack([bt])))
-
-    def metric_at(self, bt: float) -> Sym3:
-        u = self.frame_at(bt).U
-        return Sym3.from_matrix(u.T @ u)
+    def frame_at(self, bt: float) -> np.ndarray:
+        return _first(self._frame_stack([bt]))
 
     def hamiltonian_at(self, h0: float, bt: float) -> float:
         return _first(self._hamiltonian_stack(h0, [bt]))
@@ -289,15 +279,9 @@ def theta_exact(pair: CauchyPair, profile: LapseProfile, t: float,
 
 
 def frame_exact(pair: CauchyPair, profile: LapseProfile, t: float,
-                tol: float = DEFAULT_TOL) -> FrameTransform:
-    """Coframe transform U(t) with e^t = U e, U(0) = Id."""
+                tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Coframe transform U(t): e^t_a = U_ab e_b, U(0) = Id, det U > 0."""
     return solve(pair, tol).frame_at(profile.b_integral(t))
-
-
-def metric_exact(pair: CauchyPair, profile: LapseProfile, t: float,
-                 tol: float = DEFAULT_TOL) -> Sym3:
-    """Induced metric h_t = U^T U in the reference coframe basis."""
-    return solve(pair, tol).metric_at(profile.b_integral(t))
 
 
 def hamiltonian_exact(pair: CauchyPair, h0: float, profile: LapseProfile, t: float,
@@ -309,13 +293,3 @@ def hamiltonian_exact(pair: CauchyPair, h0: float, profile: LapseProfile, t: flo
 def lifespan(pair: CauchyPair, profile: LapseProfile, tol: float = DEFAULT_TOL) -> Lifespan:
     """Maximal interval of definition around t = 0."""
     return solve(pair, tol).lifespan(profile)
-
-
-def eta_oneform(pair: CauchyPair, profile: LapseProfile, t: float,
-                tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Components in the reference coframe of the parallel unit one-form
-    (Theta_un e^t_l - Theta_ul e^t_n) / lambda; only defined for lambda != 0."""
-    sol = solve(pair, tol)
-    if sol.branch == QD:
-        raise NotApplicable("eta is only defined on the lambda != 0 branches")
-    return sol.eta @ sol.frame_at(profile.b_integral(t)).U

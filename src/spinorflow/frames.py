@@ -24,8 +24,6 @@ import numpy as np
 # Frame label order used by every 3x3 array in the package.
 U, L, N = 0, 1, 2
 
-_SYM_KEYS = ("uu", "ul", "un", "ll", "ln", "nn")
-
 # entry (a, b) of a symmetric 3x3 matrix in the components (uu, ul, un, ll, ln, nn)
 _SYM_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
@@ -69,20 +67,6 @@ class Sym3:
     def max_abs(self) -> float:
         return float(max(abs(x) for x in self.as_array()))
 
-    def trace(self) -> float:
-        return self.uu + self.ll + self.nn
-
-    def norm2(self) -> float:
-        """Squared frame norm |S|^2 = S_ab S_ab (off-diagonals counted twice)."""
-        return (
-            self.uu**2
-            + self.ll**2
-            + self.nn**2
-            + 2.0 * (self.ul**2 + self.un**2 + self.ln**2)
-        )
-
-    def to_dict(self) -> dict:
-        return {k: float(getattr(self, k)) for k in _SYM_KEYS}
 
 
 @dataclass(frozen=True)
@@ -159,18 +143,6 @@ def structure_constants_from_theta(theta) -> np.ndarray:
     return c
 
 
-def jacobi_residual(c: np.ndarray) -> float:
-    """Max-norm residual of the Jacobi identity for c[a][b][c] = c^a_{bc}."""
-    # [[x_a, x_b], x_c] summed cyclically; bracket composition contracts c twice
-    comp = np.einsum("eab,dec->dabc", c, c)
-    cyc = comp + np.transpose(comp, (0, 2, 3, 1)) + np.transpose(comp, (0, 3, 1, 2))
-    return float(np.max(np.abs(cyc)))
-
-
-def antisymmetry_residual(c: np.ndarray) -> float:
-    return float(np.max(np.abs(c + np.transpose(c, (0, 2, 1)))))
-
-
 def levi_civita(c: np.ndarray) -> np.ndarray:
     """Connection coefficients om[a][b][d] = <nabla_{x_a} x_b, x_d>.
 
@@ -185,14 +157,6 @@ def levi_civita(c: np.ndarray) -> np.ndarray:
     # transpose (2,0,1) reads c_{bd,a}, transpose (1,2,0) reads c_{da,b}
     return 0.5 * (low - low.transpose(lead + (k + 2, k, k + 1))
                   + low.transpose(lead + (k + 1, k + 2, k)))
-
-
-def first_structure_residual(c: np.ndarray) -> float:
-    """Reconstruction error of c from the connection (first Cartan equation)."""
-    om = levi_civita(c)
-    rec = om - np.transpose(om, (1, 0, 2))  # c^d_{bc} = om[b][c][d] - om[c][b][d]
-    rec = np.transpose(rec, (2, 0, 1))
-    return float(np.max(np.abs(rec - c)))
 
 
 def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):

@@ -8,7 +8,8 @@ enters through them, handled analytically via the ODE right-hand sides.
 
 The coframe, Ric4 and the identity residual take optional leading axes, one
 sample per index, so ``_curvature`` evaluates the stack of samples of a
-command (``exact._Samples``) in one pass; scalar calls are unchanged.
+command (``exact._Samples``) in one pass; scalar calls, which only the
+one-time library entries make (no command does), are unchanged.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def dirac_current_frame(pair: CauchyPair, profile: LapseProfile, t: float,
     sol = solve(pair, tol)
     bt = profile.b_integral(t)
     th_t = sol.theta_at(bt).as_matrix()
-    u = sol.frame_at(bt).U
+    u = sol.frame_at(bt)
     return DiracCurrentFrame(
         base_oneform=NULL_DIRECTION.copy(),
         log_scale_differential=_log_scale_differential(th_t, u),

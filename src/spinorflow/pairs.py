@@ -55,9 +55,6 @@ class CauchyPair:
             vals[k] = float(v)
         return cls(Sym3(**vals))
 
-    def to_json_dict(self) -> dict:
-        return {"theta": self.theta.to_dict()}
-
 
 @dataclass(frozen=True)
 class ThetaInvariants:
@@ -136,10 +133,6 @@ _ALGEBRAIC = (
         lambda t: t.ln * t.ul + t.un * (t.nn + t.uu),
     ),
 )
-
-
-def algebraic_residuals(pair: CauchyPair) -> list[tuple[str, float]]:
-    return [(name, f(pair.theta)) for name, f in _ALGEBRAIC]
 
 
 def _match_row(th: Sym3, inv: ThetaInvariants, scale: float, tol: float) -> str | None:

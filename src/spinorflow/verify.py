@@ -233,7 +233,8 @@ def run_suite(pair: CauchyPair, profile: LapseProfile, suite: str,
 
     The pair is validated and solved once, its constraints evaluated at
     most once, and the suites that take the same number of samples read
-    one stack of them (``exact._Samples``).  Raises ValueError on an unknown suite, or on fewer than one sample."""
+    one stack of them (``exact._Samples``).  Raises ValueError on an
+    unknown suite, or on fewer than one sample."""
     if suite not in _CHECKS and suite != "all":
         raise ValueError(f"unknown suite: {suite!r}")
     if samples is not None and samples < 1:

@@ -1,10 +1,13 @@
 """Shared fixtures: one representative pair per admissible-family table row,
 and the faults the stack tests inject into a stacked closed form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile
+from spinorflow.pairs import _ALGEBRAIC
 
 ROW_PAIRS = {
     "R3": CauchyPair.from_components(uu=1.0),
@@ -39,6 +42,17 @@ def row_pair(request):
 @pytest.fixture(params=sorted(CONSTRAINED_PAIRS), ids=sorted(CONSTRAINED_PAIRS))
 def constrained_pair(request):
     return CONSTRAINED_PAIRS[request.param]
+
+
+def pair_json(pair):
+    """The ``{"theta": {"uu": ..., ...}}`` wire format of ``pair``."""
+    return {"theta": dataclasses.asdict(pair.theta)}
+
+
+def algebraic_residuals(theta):
+    """The four algebraic relations every admissible shape tensor satisfies
+    (``pairs._ALGEBRAIC``), evaluated at the Sym3 ``theta``."""
+    return [f(theta) for _, f in _ALGEBRAIC]
 
 
 def fail_at(stacked, bts, bt, exc):

@@ -20,6 +20,8 @@ from spinorflow import cli, exact, frames, lapse, lorentz, numeric, pairs, verif
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
 
+from conftest import pair_json
+
 
 def write_pair(tmp_path, name, theta, extra=None):
     path = tmp_path / f"{name}.json"
@@ -236,7 +238,7 @@ class TestExitCodes:
         # float from the 495th, and the 500th is the pole: the first failure
         # in sample order is reported, as with one sample at a time
         pair = spinorflow.CauchyPair.from_components(uu=1.0, ll=1.35e148)
-        path = write_pair(tmp_path, "steep", pair.to_json_dict()["theta"])
+        path = write_pair(tmp_path, "steep", pair_json(pair)["theta"])
         late = exact.theta_exact(pair, spinorflow.LapseProfile.constant(1.0), 1.0 - 1e-6)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
             spinorflow.hamiltonian_of(late)
@@ -531,7 +533,7 @@ class TestCurvatureAndVerify:
 
     def test_verify_all_suites_pass(self, tmp_path, capsys, row_pair):
         path = tmp_path / "pair.json"
-        path.write_text(json.dumps(row_pair.to_json_dict()))
+        path.write_text(json.dumps(pair_json(row_pair)))
         assert main(["verify", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[pass]" in out and "FAIL" not in out
@@ -651,7 +653,7 @@ class TestEachPairIsSolvedOnce:
         # every command reads B_t, Theta_t, U_t, h_t and H_t as stacks; R3
         # is constrained quasi-diagonal, so verify takes its dh/dt row too
         calls = []
-        for method in ("theta_at", "frame_at", "metric_at", "hamiltonian_at"):
+        for method in ("theta_at", "frame_at", "hamiltonian_at"):
             scalar = getattr(exact.FlowSolution, method)
             monkeypatch.setattr(exact.FlowSolution, method,
                                 lambda *a, f=scalar: calls.append(a) or f(*a))

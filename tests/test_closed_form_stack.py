@@ -194,7 +194,7 @@ def test_stacks_match_single_samples(row, scale, profile):
         # the scalar methods are stacks of one
         _same_outcome(_singles(lambda bt: sol.theta_at(bt).as_array(), bts),
                       _singles(lambda bt: theta_at(sol, bt), bts))
-        _same_outcome(_singles(lambda bt: sol.frame_at(bt).U, bts),
+        _same_outcome(_singles(sol.frame_at, bts),
                       _singles(lambda bt: frame_at(sol, bt), bts))
         _same_outcome(_singles(lambda bt: [sol.hamiltonian_at(1.0, bt)], bts),
                       _singles(lambda bt: [hamiltonian_at(sol, 1.0, bt)], bts))

@@ -12,8 +12,8 @@ import pytest
 from scipy.linalg import expm
 
 from spinorflow import CauchyPair, LapseProfile, NotApplicable, OutOfDomain, \
-    SingularTime, eta_oneform, frame_exact, hamiltonian_exact, lifespan, \
-    metric_exact, nonqd_coefficients, theta_exact
+    SingularTime, frame_exact, hamiltonian_exact, lifespan, nonqd_coefficients, \
+    solve, theta_exact
 from spinorflow import lapse as lapse_module
 from spinorflow.exact import NONQD, QD, branch
 from spinorflow.numeric import hamiltonian_of
@@ -311,13 +311,13 @@ class TestFrameExact:
     def test_qd_example(self):
         pair = CauchyPair.from_components(uu=1.0, ll=1.0)
         t = 0.4
-        u = frame_exact(pair, UNIT, t).U
+        u = frame_exact(pair, UNIT, t)
         assert np.allclose(u, np.diag([1 - t, 1 - t, 1.0]), atol=1e-12)
 
     def test_qd_zero_uu_is_matrix_exponential(self):
         pair = CauchyPair.from_components(ll=1.0, nn=-1.0)
         t = 1.0
-        u = frame_exact(pair, UNIT, t).U
+        u = frame_exact(pair, UNIT, t)
         assert np.allclose(u, np.diag([1.0, math.exp(-1), math.exp(1)]), atol=1e-12)
 
     @pytest.mark.parametrize("lapse, t", [
@@ -329,14 +329,14 @@ class TestFrameExact:
         pair = CauchyPair.from_components(ll=1.0, ln=-1.0, nn=-1.0)
         assert branch(pair) == QD
         profile = UNIT if lapse == "constant" else MIXING_RAMP
-        u = frame_exact(pair, profile, t).U
+        u = frame_exact(pair, profile, t)
         bt = profile.b_integral(t)
         assert np.allclose(u, expm(-bt * pair.theta.as_matrix()), atol=1e-10)
 
     def test_off_n_entries(self):
         pair = CauchyPair.from_components(un=1.0)
         t = 0.8
-        u = frame_exact(pair, UNIT, t).U
+        u = frame_exact(pair, UNIT, t)
         expected = np.array([
             [1.0, 0.0, -t],
             [0.0, 1.0, 0.0],
@@ -348,53 +348,59 @@ class TestFrameExact:
         pn = CauchyPair.from_components(uu=-2.0, un=1.0, nn=2.0)
         pl = CauchyPair.from_components(uu=-2.0, ul=1.0, ll=2.0)
         t = 0.3
-        un_mat = frame_exact(pn, UNIT, t).U
-        ul_mat = frame_exact(pl, UNIT, t).U
+        un_mat = frame_exact(pn, UNIT, t)
+        ul_mat = frame_exact(pl, UNIT, t)
         swap = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
         assert np.allclose(ul_mat, swap @ un_mat @ swap, atol=1e-12)
 
     def test_zero_entries_are_positive_zero(self, row_pair):
         # the CLI prints U and h, so a -0.0 would print as -0.000000000000e+00
         for t in (0.0, 0.3, -0.3):
-            u = frame_exact(row_pair, UNIT, t).U
+            u = frame_exact(row_pair, UNIT, t)
             assert not np.signbit(u[u == 0.0]).any()
 
     def test_identity_at_zero_and_positive_det(self, row_pair):
-        assert np.allclose(frame_exact(row_pair, UNIT, 0.0).U, np.eye(3))
+        assert np.allclose(frame_exact(row_pair, UNIT, 0.0), np.eye(3))
         span = lifespan(row_pair, UNIT)
         lo = max(span.t_minus, -2.0) if span.t_minus is not None else -2.0
         hi = min(span.t_plus, 2.0) if span.t_plus is not None else 2.0
         width = hi - lo
         for t in np.linspace(lo + 0.05 * width, hi - 0.05 * width, 25):
-            assert np.linalg.det(frame_exact(row_pair, UNIT, t).U) > 0.0
+            assert np.linalg.det(frame_exact(row_pair, UNIT, t)) > 0.0
+
+
+def _metric(pair, profile, t):
+    """The induced metric h_t = U^T U in the reference coframe basis."""
+    u = frame_exact(pair, profile, t)
+    return u.T @ u
 
 
 class TestMetricExact:
     def test_qd_metric_family(self):
         pair = CauchyPair.from_components(uu=1.0, ll=1.0)
         t = 0.25
-        h = metric_exact(pair, UNIT, t)
-        assert h.uu == pytest.approx((1 - t) ** 2, abs=1e-12)
-        assert h.ll == pytest.approx((1 - t) ** 2, abs=1e-12)
-        assert h.nn == 1.0 and h.ul == h.un == h.ln == 0.0
+        h = _metric(pair, UNIT, t)
+        assert h[0, 0] == pytest.approx((1 - t) ** 2, abs=1e-12)
+        assert h[1, 1] == pytest.approx((1 - t) ** 2, abs=1e-12)
+        assert h[2, 2] == 1.0 and h[0, 1] == h[0, 2] == h[1, 2] == 0.0
 
     def test_off_n_metric_family(self):
         pair = CauchyPair.from_components(un=1.0)
         for t in np.linspace(-1.2, 1.2, 100):
-            h = metric_exact(pair, UNIT, t)
+            h = _metric(pair, UNIT, t)
             sec2 = 1.0 / math.cos(t) ** 2
-            assert h.nn == pytest.approx(1 + t**2 * sec2 + 2 * t * math.tan(t),
-                                         abs=1e-10)
-            assert h.ll == pytest.approx(1.0, abs=1e-12)
+            assert h[2, 2] == pytest.approx(1 + t**2 * sec2 + 2 * t * math.tan(t),
+                                            abs=1e-10)
+            assert h[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_operator_reconstruction(self, row_pair, unit_lapse):
         # Theta_t = -(1/(2 beta)) dh/dt, with components pulled back to the
         # reference coframe through U
         t, step = 0.2, 1e-5
-        hp = metric_exact(row_pair, unit_lapse, t + step).as_matrix()
-        hm = metric_exact(row_pair, unit_lapse, t - step).as_matrix()
+        hp = _metric(row_pair, unit_lapse, t + step)
+        hm = _metric(row_pair, unit_lapse, t - step)
         dh = (hp - hm) / (2 * step)
-        u = frame_exact(row_pair, unit_lapse, t).U
+        u = frame_exact(row_pair, unit_lapse, t)
         th = theta_exact(row_pair, unit_lapse, t).as_matrix()
         assert np.max(np.abs(u.T @ th @ u + 0.5 * dh)) <= 1e-6
 
@@ -473,25 +479,36 @@ class TestLifespan:
         assert not span.immortal
 
 
+def _eta_oneform(pair, t):
+    """Components in the reference coframe of the parallel unit one-form
+    (Theta_un e^t_l - Theta_ul e^t_n) / lambda at flow time t, unit lapse:
+    ``sol.eta`` (evolved-frame components) pulled back through U_t."""
+    sol = solve(pair)
+    return sol.eta @ sol.frame_at(UNIT.b_integral(t))
+
+
 class TestEta:
     def test_examples_at_zero(self):
-        assert np.allclose(eta_oneform(CauchyPair.from_components(un=1.0), UNIT, 0.0),
+        assert np.allclose(_eta_oneform(CauchyPair.from_components(un=1.0), 0.0),
                            [0.0, 1.0, 0.0])
         r = 1 / math.sqrt(2)
         pair = CauchyPair.from_components(ul=r, un=r)
-        assert np.allclose(eta_oneform(pair, UNIT, 0.0), [0.0, r, -r])
+        assert np.allclose(_eta_oneform(pair, 0.0), [0.0, r, -r])
 
     def test_off_n_eta_is_constant_e_l(self):
         pair = CauchyPair.from_components(un=1.0)
-        assert np.allclose(eta_oneform(pair, UNIT, 0.3), [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(_eta_oneform(pair, 0.3), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_unit_norm_in_evolved_metric(self):
         pair = ROW_PAIRS["tau2R-general"]
         for t in (-0.2, 0.0, 0.5):
-            eta = eta_oneform(pair, UNIT, t)
-            hinv = np.linalg.inv(metric_exact(pair, UNIT, t).as_matrix())
+            eta = _eta_oneform(pair, t)
+            hinv = np.linalg.inv(_metric(pair, UNIT, t))
             assert eta @ hinv @ eta == pytest.approx(1.0, abs=1e-10)
 
     def test_not_applicable_on_qd(self):
+        # eta and the lambda != 0 constants are only defined off the QD branch
+        pair = CauchyPair.from_components(uu=1.0)
+        assert solve(pair).eta is None
         with pytest.raises(NotApplicable):
-            eta_oneform(CauchyPair.from_components(uu=1.0), UNIT, 0.0)
+            nonqd_coefficients(pair)

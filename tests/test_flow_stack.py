@@ -46,7 +46,7 @@ def _exact_reference(pair, profile, times):
     cells = []
     for t, bt in zip(times, bts):
         theta = sol.theta_at(bt)
-        u = sol.frame_at(bt).U
+        u = sol.frame_at(bt)
         metric = Sym3.from_matrix(u.T @ u)
         ham = hamiltonian_of(theta)
         numbers = np.concatenate([theta.as_array(), u.ravel(), metric.as_array(), [ham]])

@@ -1,5 +1,6 @@
 """Input decoding: with orjson installed or not, ``cli._load_input`` gives
-the values ``json`` gives, bit for bit, or raises the error ``json`` raises."""
+the values ``json`` gives, bit for bit, or raises the error ``json`` raises,
+with a RecursionError as a ValueError."""
 
 import contextlib
 import json
@@ -43,6 +44,15 @@ def outcome(load, path):
         return "value", load(path)
     except Exception as exc:  # the type and message are what is compared
         return "error", (type(exc), str(exc))
+
+
+def expected(path):
+    """The outcome ``_load_input`` gives: that of ``parent_load``, with the
+    RecursionError of a document nested too deeply as a ValueError."""
+    kind, value = outcome(parent_load, path)
+    if kind == "error" and value[0] is RecursionError:
+        return kind, (ValueError, f"nesting too deep: {value[1]}")
+    return kind, value
 
 
 def same(a, b) -> bool:
@@ -143,7 +153,7 @@ def test_every_document_decodes_as_json_does(tmp_path_factory, doc, sep, mutatio
     path = tmp_path_factory.getbasetemp() / "doc.json"
     path.write_bytes((("\ufeff" if bom else "") + mutate(dump(doc, sep), mutation))
                      .encode("utf-8"))
-    want = outcome(parent_load, path)
+    want = expected(path)
     for decoder in ("orjson", "json")[cli._orjson is None:]:
         with decoding_with(decoder):
             got = outcome(cli._load_input, path)
@@ -164,7 +174,7 @@ def test_named_documents_decode_as_json_does(tmp_path, decoder, text):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     with decoding_with(decoder):
-        want, got = outcome(parent_load, path), outcome(cli._load_input, path)
+        want, got = expected(path), outcome(cli._load_input, path)
     assert want[0] == got[0]
     assert same(want[1], got[1]) if want[0] == "value" else want[1] == got[1]
 
@@ -215,6 +225,19 @@ def test_refused_inputs_print_what_json_printed(tmp_path, capsys, decoder, comma
     with decoding_with(decoder):
         assert main([command, str(path)]) == EXIT_IO
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@DECODERS
+@pytest.mark.parametrize("depth", [3_000, 100_000])
+def test_a_document_nested_too_deeply_is_an_input_error(tmp_path, capsys, decoder, depth):
+    # json raises RecursionError, which is no ValueError; orjson hands any
+    # document past 512 openings to json
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    with decoding_with(decoder):
+        assert main(["validate", str(path)]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_the_backend_is_reported():

@@ -1,13 +1,14 @@
 """Four-dimensional development: coframe structure functions, the Ricci
-identity against the null direction, flatness of constrained pairs, and the
-frame data of the null current."""
+identity against the null direction, flatness of constrained pairs (the
+paper's initial-data characterization), and the frame data of the null
+current."""
 
 import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile, closedness_residual, \
-    coframe4_at, curvature_report, dirac_current_frame, frame_exact, ricci4, \
-    verify_ricci_identity
+    coframe4_at, curvature_report, dirac_current_frame, frame_exact, \
+    is_constrained_ricci_flat, ricci4, verify_ricci_identity
 from spinorflow import exact
 from spinorflow.lorentz import ETA4, NULL_DIRECTION
 from spinorflow.verify import SUITES, run_suite, sample_times
@@ -88,6 +89,31 @@ class TestRicci4:
         assert flat == (abs(ham) <= 1e-10)
 
 
+# the rows of the admissible-family table and Minkowski, at the lapses of the
+# golden corpus
+CHARACTERIZED = {**ROW_PAIRS, "minkowski": CauchyPair.from_components()}
+LAPSES = {
+    "constant-1": UNIT,
+    "constant-1.3": LapseProfile.constant(1.3),
+    "table-5": LapseProfile.tabulated([-3.0, -1.0, 0.2, 1.5, 4.0],
+                                      [0.9, 0.8, 1.3, 1.0, 1.2]),
+}
+
+
+@pytest.mark.parametrize("lapse", sorted(LAPSES))
+@pytest.mark.parametrize("name", sorted(CHARACTERIZED))
+def test_ricci_flat_exactly_when_constrained(name, lapse):
+    # the development is Ricci-flat if and only if the initial pair satisfies
+    # the vacuum constraints: flat rows measure <= 2.5e-14, the others >= 2
+    pair, profile = CHARACTERIZED[name], LAPSES[lapse]
+    worst = max(float(np.max(np.abs(ricci4(coframe4_at(pair, profile, t)).components)))
+                for t in sample_times(pair, profile, 20))
+    if is_constrained_ricci_flat(pair):
+        assert worst <= 1e-8
+    else:
+        assert worst > 1e-8
+
+
 class TestDiracCurrent:
     def test_base_is_null(self):
         cur = dirac_current_frame(CauchyPair.from_components(uu=1.0), UNIT, 0.3)
@@ -117,7 +143,7 @@ class TestDiracCurrent:
 
     def test_l_representative_tracks_frame(self, row_pair):
         cur = dirac_current_frame(row_pair, UNIT, 0.25)
-        u = frame_exact(row_pair, UNIT, 0.25).U
+        u = frame_exact(row_pair, UNIT, 0.25)
         assert cur.l_class_representative[0] == 0.0
         assert np.allclose(cur.l_class_representative[1:], u[1, :])
 
@@ -138,8 +164,7 @@ class TestClosedness:
 
 class TestMetricAndReport:
     def test_metric_initial_identity(self, row_pair):
-        st = frame_exact(row_pair, UNIT, 0.0)
-        assert np.allclose(st.U, np.eye(3))
+        assert np.allclose(frame_exact(row_pair, UNIT, 0.0), np.eye(3))
 
     def test_report_fields(self):
         pair = ROW_PAIRS["tau2R-general"]

@@ -18,7 +18,7 @@ from spinorflow import CauchyPair, GroupTag, InvalidPair, LapseProfile, Sym3, \
 from spinorflow.exact import QD, branch
 from spinorflow.pairs import require_valid
 
-from conftest import ROW_PAIRS
+from conftest import ROW_PAIRS, pair_json
 
 
 def lie_algebra_oracle(theta: Sym3):
@@ -264,7 +264,7 @@ class TestConstraints:
         rep = constraints(row_pair)
         if inv.lam == 0.0:
             # trace of -T Theta + (H/2) e_u x e_u gives R = -T^2 + H/2... solve
-            h_remark = 2.0 * (scal + inv.T * th.trace())
+            h_remark = 2.0 * (scal + inv.T * (th.uu + th.ll + th.nn))
         else:
             # trace of (H/4)(h - eta x eta) is H/2
             h_remark = 2.0 * scal
@@ -273,7 +273,7 @@ class TestConstraints:
 
 class TestJsonRoundTrip:
     def test_round_trip(self, row_pair):
-        again = CauchyPair.from_json_dict(row_pair.to_json_dict())
+        again = CauchyPair.from_json_dict(pair_json(row_pair))
         assert again == row_pair
 
     def test_missing_component(self):

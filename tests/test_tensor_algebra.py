@@ -12,10 +12,30 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorflow import Sym3, eigen2x2, frame_ricci, ricci3, \
+from spinorflow import Sym3, eigen2x2, frame_ricci, levi_civita, ricci3, \
     structure_constants_from_theta
-from spinorflow.frames import antisymmetry_residual, divergence_sym, \
-    first_structure_residual, jacobi_residual
+from spinorflow.frames import divergence_sym
+
+
+def jacobi_residual(c):
+    """Max-norm residual of the Jacobi identity for c[a][b][c] = c^a_{bc}."""
+    # [[x_a, x_b], x_c] summed cyclically; bracket composition contracts c twice
+    comp = np.einsum("eab,dec->dabc", c, c)
+    cyc = comp + np.transpose(comp, (0, 2, 3, 1)) + np.transpose(comp, (0, 3, 1, 2))
+    return float(np.max(np.abs(cyc)))
+
+
+def antisymmetry_residual(c):
+    """Max-norm residual of c^a_{bc} = -c^a_{cb}."""
+    return float(np.max(np.abs(c + np.transpose(c, (0, 2, 1)))))
+
+
+def first_structure_residual(c):
+    """Reconstruction error of c from the connection (first Cartan equation)."""
+    om = levi_civita(c)
+    rec = om - np.transpose(om, (1, 0, 2))  # c^d_{bc} = om[b][c][d] - om[c][b][d]
+    rec = np.transpose(rec, (2, 0, 1))
+    return float(np.max(np.abs(rec - c)))
 
 
 def coordinate_ricci(metric, coords):
