@@ -6,6 +6,11 @@ Everything here works with frame components only: the 3D frame labels are
 left-invariant metric then reduces to finite-dimensional algebra on the
 structure constants of the orthonormal (co)frame.
 
+``frame_ricci`` contracts the Ricci tensor straight from the connection,
+Ric_bc = sum_a R^a_{abc} = sum_{a,e} (om_bc^e om_ae^a - om_ac^e om_be^a
+- c^e_ab om_ec^a), plus the derivative terms of a frame that changes along
+X_0; it never forms the rank-4 Riemann tensor.
+
 ``structure_constants_from_theta``, ``levi_civita``, ``frame_ricci`` and
 ``divergence_sym`` take optional leading axes, one sample per index, and
 evaluate a stack in one pass; scalar calls are unchanged.  Their einsum
@@ -173,12 +178,23 @@ def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):
     them too, and the scalar is an array of that shape instead of a float.
     Each sample gets the operations, in the order, of a call of its own.
 
+    Only the traced components of the Riemann tensor are formed.  With
+    ``om[a][b][e]`` the connection, nabla_{X_a} X_b = om_ab^e X_e,
+
+        Ric_bc = sum_a ( om_bc^e om_ae^a - om_ac^e om_be^a - c^e_ab om_ec^a
+                         + delta_a0 X_0(om_bc^a) - delta_b0 X_0(om_ac^a) ),
+
+    summed over e, the derivative terms only with ``dc0``.  For constant
+    structure constants this is the left-invariant Ricci formula (Milnor,
+    Adv. Math. 21 (1976); Besse, Einstein Manifolds, 7.38) written in the
+    connection.  Each entry gets the floating-point operations, in the
+    order, of the trace of the full Riemann stack.
+
     Returns (ricci, scalar) with all indices down.
     """
     eta = np.asarray(eta, dtype=float)
     k = c.ndim - 3
     p = _LEAD[:k]
-    lead = tuple(range(k))
 
     # omega_{a b d} = <nabla_a X_b, X_d>, indices all down: the Koszul
     # formula on the structure functions with their upper index lowered
@@ -187,26 +203,37 @@ def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):
     # om[a][b][e]: nabla_a X_b = om X_e
     om = np.einsum(f"{p}abd,de->{p}abe", om_low, inv)
 
+    # r[a][b][c] = R^a_{a b c}, the component on X_a of
     # R(X_a, X_b) X_c = nabla_a nabla_b X_c - nabla_b nabla_a X_c - nabla_[a,b] X_c
-    quad = np.einsum(f"{p}bce,{p}aef->{p}abcf", om, om)
-    riem = quad - quad.transpose(lead + (k + 1, k, k + 2, k + 3))
-    riem -= np.einsum(f"{p}eab,{p}ecf->{p}abcf", c, om)
+    #   = om_bc^e om_ae^a - om_ac^e om_be^a - c^e_ab om_ec^a (+ derivative terms)
+    r = (np.einsum(f"{p}bce,{p}aea->{p}abc", om, om)
+         - np.einsum(f"{p}ace,{p}bea->{p}abc", om, om))
+    r -= np.einsum(f"{p}eab,{p}eca->{p}abc", c, om)
 
     if dc0 is not None:
+        # X_0(om_bc^e) enters R(X_0, X_b) X_c and, negated, R(X_a, X_0) X_c
         dom0 = np.einsum(f"{p}abd,de->{p}abe", levi_civita(eta[:, None, None] * dc0), inv)
-        deriv = np.zeros_like(riem)
-        deriv[..., 0, :, :, :] += dom0
-        deriv[..., :, 0, :, :] -= dom0
-        riem += deriv
+        deriv = np.zeros_like(r)
+        deriv[..., 0, :, :] += dom0[..., :, :, 0]
+        deriv[..., :, 0, :] -= np.einsum(f"{p}aca->{p}ac", dom0)
+        r += deriv
 
-    # Ric_{bc} = R^a_{a b c}: component on X_a of R(X_a, X_b) X_c
-    ric = np.einsum(f"{p}abca->{p}bc", riem)
+    # Ric_{bc} = sum_a R^a_{a b c}
+    ric = np.einsum(f"{p}abc->{p}bc", r)
     scalar = np.einsum(f"{p}bc,bc->{p}", ric, np.diag(1.0 / eta))
     return ric, (float(scalar) if k == 0 else scalar)
 
 
 def ricci3(c: np.ndarray) -> tuple[Sym3, float]:
-    """Ricci tensor and scalar curvature of the 3D left-invariant metric."""
+    """Ricci tensor and scalar curvature of the 3D left-invariant metric.
+
+    One sample only: ``c`` is 3x3x3.  A stack goes to ``frame_ricci``, whose
+    Ricci tensors carry the leading axes (``ric.T`` here would mix them).
+    """
+    c = np.asarray(c)
+    if c.shape != (3, 3, 3):
+        raise ValueError(f"ricci3 takes the 3x3x3 structure constants of one sample, "
+                         f"not shape {c.shape}; evaluate a stack with frame_ricci")
     ric, scal = frame_ricci(np.ones(3), c)
     return Sym3.from_matrix(0.5 * (ric + ric.T)), scal
 

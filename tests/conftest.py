@@ -73,3 +73,31 @@ def scale_at(stacked, bts, bt, factor):
     values = values.copy()
     values[np.ravel(bts)[:len(values)] == bt] *= factor
     return values, raised
+
+
+def besse_ricci(c):
+    """Ricci tensor of the left-invariant metric whose orthonormal frame has
+    brackets [X_b, X_d] = c[a][b][d] X_a, by the formula of Besse,
+    *Einstein Manifolds*, 7.38 (Milnor, Adv. Math. 21 (1976)), with no
+    connection:
+
+        Ric(X, X) = -1/2 sum_i |[X, X_i]|^2 - 1/2 B(X, X)
+                    + 1/4 sum_ij <[X_i, X_j], X>^2 - <[Z, X], X>,
+
+    B the Killing form and <Z, Y> = tr ad_Y; the off-diagonal entries by
+    polarization, Ric(X, Y) = (Ric(X+Y, X+Y) - Ric(X-Y, X-Y)) / 4."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    z = np.einsum("aba->b", c)  # Z^b = tr ad_{X_b}
+
+    def quadratic(x):
+        ad = np.einsum("b,abd->ad", x, c)  # ad_X, acting on frame components
+        return (-0.5 * np.sum(ad**2)
+                - 0.5 * np.trace(ad @ ad)
+                + 0.25 * np.sum(np.einsum("aij,a->ij", c, x) ** 2)
+                - x @ (np.einsum("b,abd->ad", z, c) @ x))
+
+    basis = np.eye(n)
+    return np.array([[quadratic(basis[i]) if i == j else
+                      (quadratic(basis[i] + basis[j]) - quadratic(basis[i] - basis[j])) / 4
+                      for j in range(n)] for i in range(n)])

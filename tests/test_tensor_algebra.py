@@ -12,9 +12,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorflow import Sym3, eigen2x2, frame_ricci, levi_civita, ricci3, \
-    structure_constants_from_theta
+from spinorflow import LapseProfile, Sym3, eigen2x2, frame_ricci, levi_civita, ricci3, \
+    sample_times, solve, structure_constants_from_theta
 from spinorflow.frames import divergence_sym
+
+from conftest import ROW_PAIRS, besse_ricci
 
 
 def jacobi_residual(c):
@@ -36,6 +38,31 @@ def first_structure_residual(c):
     rec = om - np.transpose(om, (1, 0, 2))  # c^d_{bc} = om[b][c][d] - om[c][b][d]
     rec = np.transpose(rec, (2, 0, 1))
     return float(np.max(np.abs(rec - c)))
+
+
+def rank4_frame_ricci(eta, c, dc0=None):
+    """``frame_ricci`` as it was before it contracted the trace directly:
+    the full rank-4 Riemann stack, then its trace.  The reference for the
+    bits of the contracted body."""
+    eta = np.asarray(eta, dtype=float)
+    k = c.ndim - 3
+    p = "zyxwv"[:k]
+    lead = tuple(range(k))
+    om_low = levi_civita(eta[:, None, None] * c)
+    inv = np.diag(1.0 / eta)
+    om = np.einsum(f"{p}abd,de->{p}abe", om_low, inv)
+    quad = np.einsum(f"{p}bce,{p}aef->{p}abcf", om, om)
+    riem = quad - quad.transpose(lead + (k + 1, k, k + 2, k + 3))
+    riem -= np.einsum(f"{p}eab,{p}ecf->{p}abcf", c, om)
+    if dc0 is not None:
+        dom0 = np.einsum(f"{p}abd,de->{p}abe", levi_civita(eta[:, None, None] * dc0), inv)
+        deriv = np.zeros_like(riem)
+        deriv[..., 0, :, :, :] += dom0
+        deriv[..., :, 0, :, :] -= dom0
+        riem += deriv
+    ric = np.einsum(f"{p}abca->{p}bc", riem)
+    scalar = np.einsum(f"{p}bc,bc->{p}", ric, np.diag(1.0 / eta))
+    return ric, (float(scalar) if k == 0 else scalar)
 
 
 def coordinate_ricci(metric, coords):
@@ -148,6 +175,94 @@ class TestRicci3:
         g = sp.diag(1, sp.exp(-2 * u), 1)
         _, scal_chart = coordinate_ricci(g, (u, sp.Symbol("l"), sp.Symbol("n")))
         assert float(scal_chart) == pytest.approx(scal)
+
+
+class TestRicci3OneSample:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stack_is_refused(self, n):
+        # ric.T would transpose the sample axis too: refused, with a pointer
+        # to the stacked entry
+        comp = np.tile(ROW_PAIRS["tau2R-general"].theta.as_array(), (n, 1))
+        with pytest.raises(ValueError, match="frame_ricci"):
+            ricci3(structure_constants_from_theta(comp))
+
+    def test_one_sample_is_the_symmetrized_frame_ricci(self, row_pair):
+        c = structure_constants_from_theta(row_pair.theta)
+        ric, scal = frame_ricci(np.ones(3), c)
+        sym, scal3 = ricci3(c)
+        assert np.array_equal(sym.as_matrix(), 0.5 * (ric + ric.T))
+        assert scal3 == scal and type(scal3) is float
+
+
+ETA3 = np.ones(3)
+ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
+# 0.0 draws signed zeros only; from 1e150 up the products overflow to inf,
+# and their differences to NaN
+SCALES = [0.0, 1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150, 1e160, 1e175, 1e200]
+
+
+def _draw(rng, dim, lead, scale):
+    """Structure functions of shape ``lead + (dim, dim, dim)``: normal
+    entries times ``scale``, spread over six decades, about a third of them
+    exact zeros and a sixth -0.0."""
+    shape = lead + (dim, dim, dim)
+    x = rng.standard_normal(shape) * scale * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    x[rng.random(shape) < 1 / 3] = 0.0
+    x[rng.random(shape) < 1 / 6] = -0.0
+    return x
+
+
+def _assert_same_bits(got, want):
+    """(ric, scalar) pairs equal bit for bit, NaN payloads and signed zeros
+    included; an unstacked scalar is a Python float on both sides."""
+    (ric, scal), (ric_ref, scal_ref) = got, want
+    assert ric.shape == ric_ref.shape and ric.tobytes() == ric_ref.tobytes()
+    if ric.ndim == 2:
+        assert type(scal) is float and type(scal_ref) is float
+    assert np.float64(scal).tobytes() == np.float64(scal_ref).tobytes()
+
+
+class TestFrameRicciContraction:
+    """``frame_ricci`` contracts R^a_{abc} without the rank-4 stack, with the
+    floating-point operations of its trace: the bits of ``rank4_frame_ricci``."""
+
+    @pytest.mark.parametrize("dim,with_dc0", [(3, False), (4, False), (4, True)],
+                             ids=["3d", "4d", "4d-dc0"])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bits_match_the_rank4_trace(self, dim, with_dc0, scale):
+        rng = np.random.default_rng([dim, int(with_dc0), SCALES.index(scale)])
+        eta = ETA3 if dim == 3 else ETA4
+        leads = [(), (), (1,), (2, 3), (80,)] + [(int(n),) for n in rng.integers(2, 81, 25)]
+        for lead in leads:
+            c = _draw(rng, dim, lead, scale)
+            dc0 = _draw(rng, dim, lead, scale) if with_dc0 else None
+            with np.errstate(all="ignore"):
+                _assert_same_bits(frame_ricci(eta, c, dc0), rank4_frame_ricci(eta, c, dc0))
+
+    def test_bits_on_the_row_pairs(self, row_pair):
+        sol = solve(row_pair)
+        bts = sample_times(row_pair, LapseProfile.constant(1.0), 9)
+        comp = np.array([sol.theta_at(bt).as_array() for bt in bts])
+        c = structure_constants_from_theta(comp)
+        _assert_same_bits(frame_ricci(ETA3, c), rank4_frame_ricci(ETA3, c))
+        for one in c:
+            _assert_same_bits(frame_ricci(ETA3, one), rank4_frame_ricci(ETA3, one))
+
+
+class TestBesseReference:
+    """The symmetrized 3D ``frame_ricci`` against Besse 7.38, which reads the
+    brackets only (``conftest.besse_ricci``), on Theta_t of every table row."""
+
+    def test_row_pair_along_the_flow(self, row_pair):
+        sol = solve(row_pair)
+        # at unit lapse B_t = t; B_t = 0 is the initial Theta
+        bts = np.append(0.0, sample_times(row_pair, LapseProfile.constant(1.0), 7))
+        comp = np.array([sol.theta_at(bt).as_array() for bt in bts])
+        c = structure_constants_from_theta(comp)
+        ric, _ = frame_ricci(ETA3, c)
+        for sym, one in zip(0.5 * (ric + ric.transpose(0, 2, 1)), c):
+            ref = besse_ricci(one)
+            assert np.max(np.abs(sym - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestDivergence:
