@@ -187,8 +187,9 @@ def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):
     summed over e, the derivative terms only with ``dc0``.  For constant
     structure constants this is the left-invariant Ricci formula (Milnor,
     Adv. Math. 21 (1976); Besse, Einstein Manifolds, 7.38) written in the
-    connection.  Each entry gets the floating-point operations, in the
-    order, of the trace of the full Riemann stack.
+    connection.  Each entry takes the floating-point operations, in the
+    order, that tracing the full Riemann tensor takes, so the results match
+    that trace bit for bit.
 
     Returns (ricci, scalar) with all indices down.
     """
@@ -203,9 +204,9 @@ def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):
     # om[a][b][e]: nabla_a X_b = om X_e
     om = np.einsum(f"{p}abd,de->{p}abe", om_low, inv)
 
-    # r[a][b][c] = R^a_{a b c}, the component on X_a of
-    # R(X_a, X_b) X_c = nabla_a nabla_b X_c - nabla_b nabla_a X_c - nabla_[a,b] X_c
-    #   = om_bc^e om_ae^a - om_ac^e om_be^a - c^e_ab om_ec^a (+ derivative terms)
+    # r[a][b][c] = R^a_{abc}, the component on X_a of
+    # R(X_a, X_b) X_c = nabla_a nabla_b X_c - nabla_b nabla_a X_c - nabla_[a,b] X_c:
+    # the only entries of the Riemann tensor that the trace reads
     r = (np.einsum(f"{p}bce,{p}aea->{p}abc", om, om)
          - np.einsum(f"{p}ace,{p}bea->{p}abc", om, om))
     r -= np.einsum(f"{p}eab,{p}eca->{p}abc", c, om)

@@ -186,13 +186,6 @@ class TestRicci3OneSample:
         with pytest.raises(ValueError, match="frame_ricci"):
             ricci3(structure_constants_from_theta(comp))
 
-    def test_one_sample_is_the_symmetrized_frame_ricci(self, row_pair):
-        c = structure_constants_from_theta(row_pair.theta)
-        ric, scal = frame_ricci(np.ones(3), c)
-        sym, scal3 = ricci3(c)
-        assert np.array_equal(sym.as_matrix(), 0.5 * (ric + ric.T))
-        assert scal3 == scal and type(scal3) is float
-
 
 ETA3 = np.ones(3)
 ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -238,15 +231,6 @@ class TestFrameRicciContraction:
             dc0 = _draw(rng, dim, lead, scale) if with_dc0 else None
             with np.errstate(all="ignore"):
                 _assert_same_bits(frame_ricci(eta, c, dc0), rank4_frame_ricci(eta, c, dc0))
-
-    def test_bits_on_the_row_pairs(self, row_pair):
-        sol = solve(row_pair)
-        bts = sample_times(row_pair, LapseProfile.constant(1.0), 9)
-        comp = np.array([sol.theta_at(bt).as_array() for bt in bts])
-        c = structure_constants_from_theta(comp)
-        _assert_same_bits(frame_ricci(ETA3, c), rank4_frame_ricci(ETA3, c))
-        for one in c:
-            _assert_same_bits(frame_ricci(ETA3, one), rank4_frame_ricci(ETA3, one))
 
 
 class TestBesseReference:
