@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 from dataclasses import dataclass
@@ -66,17 +67,13 @@ class LapseProfile:
         if missing:
             raise ValueError(f"{kind} lapse is missing {', '.join(missing)}")
         try:
-            # a JSON number, or an array of them: no string, no bool
-            if not all(set(map(type, v if isinstance(v, list) else [v])) <= {int, float}
-                       for v in map(data.get, fields)):
-                raise TypeError
-            args = [np.asarray(data[k], dtype=float) for k in fields]
-        except (TypeError, ValueError, OverflowError):
+            args = [_json_numbers(data[k]) for k in fields]
+        except (TypeError, OverflowError):
             raise ValueError(f"{kind} lapse {', '.join(fields)} must be finite numbers") from None
         if kind == "constant":
-            if args[0].ndim:
+            if isinstance(args[0], np.ndarray):
                 raise ValueError("constant lapse value must be a number")
-            return cls.constant(float(args[0]))
+            return cls.constant(args[0])
         return cls.tabulated(*args)
 
     def _key(self) -> tuple:
@@ -179,6 +176,24 @@ class LapseProfile:
             start, beta, rest = tb, vb, target - table.item(i + 1)
         root = math.sqrt(max(0.0, beta * beta + 2.0 * slope * rest))
         return min(max(start + 2.0 * rest / (beta + root), ta), tb)
+
+
+def _json_numbers(v):
+    """A JSON number as a float, or an array of them as a float array, as a
+    JSON decoder gives them.  Anything else raises TypeError: a bool, a
+    string, null, an object or a nested array; an integer past the float
+    range raises OverflowError.  ``array("d")`` refuses all of these but the
+    bools, which it reads as 0.0 and 1.0, so only the entries equal to those
+    are looked at again."""
+    if isinstance(v, list):
+        a = np.frombuffer(array.array("d", v))
+        for i in np.flatnonzero((a == 0.0) | (a == 1.0)).tolist():
+            if type(v[i]) is bool:
+                raise TypeError
+        return a
+    if type(v) is float or type(v) is int:
+        return float(v)
+    raise TypeError
 
 
 def _prefix_sums(parts: np.ndarray) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Input decoding: with orjson installed or not, ``cli._load_input`` gives
 the values ``json`` gives, bit for bit, or raises the error ``json`` raises,
-with a RecursionError as a ValueError."""
+with a RecursionError as a ValueError; and ``LapseProfile.from_json_dict``
+turns the decoded lapse into the floats, or the error, of its type-scan
+rule."""
 
 import contextlib
+import io
 import json
+import re
 import struct
 from dataclasses import dataclass
 
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 import spinorflow
 from spinorflow import cli
 from spinorflow.cli import EXIT_IO, main
+from spinorflow.lapse import LapseProfile
 
 DECODERS = pytest.mark.parametrize("decoder", [
     pytest.param("orjson", marks=pytest.mark.skipif(cli._orjson is None,
@@ -179,8 +184,8 @@ def test_named_documents_decode_as_json_does(tmp_path, decoder, text):
     assert same(want[1], got[1]) if want[0] == "value" else want[1] == got[1]
 
 
-@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
-def test_a_workload_table_is_read_by_orjson(tmp_path, monkeypatch):
+def workload_table(tmp_path):
+    """A 20,000-node table as the benchmark writes it, and its value."""
     # reprs such as -0.0039001950097505844 hold 19 digits after the point,
     # which a check for any run of 19 digits would take for a long integer
     times = np.linspace(-2.0, 2.0, 20_000).tolist()
@@ -189,13 +194,123 @@ def test_a_workload_table_is_read_by_orjson(tmp_path, monkeypatch):
     assert "-0.0039001950097505844" in text
     path = tmp_path / "table.json"
     path.write_text(text, encoding="utf-8")
-    want = json.loads(text)
+    return str(path), json.loads(text)
+
+
+@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
+def test_a_workload_table_is_read_by_orjson(tmp_path, monkeypatch):
+    path, want = workload_table(tmp_path)
 
     def refuse(*args, **kwargs):
         raise AssertionError("json decoded a document orjson reads alike")
 
     monkeypatch.setattr(cli.json, "loads", refuse)
-    assert same(cli._load_input(str(path)), want)
+    assert same(cli._load_input(path), want)
+
+
+@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
+def test_a_workload_table_is_decoded_without_its_text(tmp_path, monkeypatch):
+    path, want = workload_table(tmp_path)
+    modes = []
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the input was decoded to text")
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    monkeypatch.setattr(io, "TextIOWrapper", refuse)
+    got = cli._load_input(path)
+    monkeypatch.undo()
+    assert modes == ["rb"]
+    assert same(got, want)
+
+
+# the guard before it read bytes: on the text json read, "[" and "{" counted
+# apart, and a run of 19 digits refused after whitespace, "[", ",", ":", "-"
+PARENT_STARTS = bytes.maketrans(b"123456789\t\n\r[,:-", b"0" * 9 + b" " * 7)
+
+
+def parent_reads_alike(text: str) -> bool:
+    if text.count("[") + text.count("{") > cli._MAX_OPENINGS:
+        return False
+    masked = text.encode().translate(PARENT_STARTS)
+    return not (b" " + b"0" * 19 in masked or masked.startswith(b"0" * 19))
+
+
+def text_mode(text: str) -> str:
+    """``text`` as a file opened in text mode reads it back."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+# "{" and 19 digits: no valid JSON outside a string; the byte guard, which
+# reads "{" as "[", sends such a document to json, the text guard did not
+BRACE_RUN = re.compile(r"\{[0-9]{19}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS, sep=SEPARATORS)
+def test_the_byte_guard_decides_as_the_text_guard(doc, sep):
+    text = dump(doc, sep)
+    got = cli._orjson_reads_alike(text.encode("utf-8"))
+    if BRACE_RUN.search(text):
+        assert not got
+    else:
+        assert got == parent_reads_alike(text_mode(text))
+
+
+OPENINGS_512 = '{"a": [' * 256 + "0" + "]}" * 256
+
+
+@DECODERS
+@pytest.mark.parametrize("text, reads_alike", [
+    ("[1234567890123456789]", False), ('{"a":1234567890123456789}', False),
+    ("[-1234567890123456789]", False), ("1234567890123456789", False),
+    ("[-0.0039001950097505844]", True), ("[1e-1234567890123456789]", False),
+    (OPENINGS_512, True), ("[" + OPENINGS_512 + "]", False),
+    ("{1234567890123456789}", False), ('["{1234567890123456789"]', False),
+], ids=["after-bracket", "after-colon", "after-minus", "at-start", "fraction-run",
+        "exponent-minus", "openings-512", "openings-513", "brace-digits", "brace-digits-in-string"])
+def test_named_guard_decisions(tmp_path, decoder, text, reads_alike):
+    assert cli._orjson_reads_alike(text.encode("utf-8")) is reads_alike
+    if not BRACE_RUN.search(text):
+        assert parent_reads_alike(text) is reads_alike
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with decoding_with(decoder):
+        want, got = expected(path), outcome(cli._load_input, path)
+    assert want[0] == got[0]
+    assert same(want[1], got[1]) if want[0] == "value" else want[1] == got[1]
+
+
+TABLE_DOC = {"theta": {"uu": -2, "ul": 1, "un": 1, "ll": 1, "ln": 1, "nn": 1},
+             "beta": {"kind": "tabulated", "times": [-1.0, -0.0039001950097505844, 0.2, 1.5],
+                      "values": [0.8, 1 / 3, 1.3, 1.0]}}
+
+
+@DECODERS
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_tables_decode_as_json_does(tmp_path, decoder, newline):
+    path = tmp_path / "table.json"
+    path.write_bytes(json.dumps(TABLE_DOC, indent=1).replace("\n", newline).encode("utf-8"))
+    with decoding_with(decoder):
+        got = cli._load_input(str(path))
+    assert same(got, expected(path)[1])
+    assert same(got, json.loads(json.dumps(TABLE_DOC)))
+
+
+@DECODERS
+def test_a_crlf_file_reports_json_positions_in_its_text(tmp_path, capsys, decoder):
+    # json's line and column count CRLF as one newline, as text mode reads it
+    path = tmp_path / "pair.json"
+    path.write_bytes(('{\r\n  %s,\r\n  "beta": {"kind": "constant", "value": 1.3x}\r\n}\r\n'
+                      % THETA).encode("utf-8"))
+    with decoding_with(decoder):
+        assert main(["validate", str(path)]) == EXIT_IO
+    assert capsys.readouterr() == (
+        "", "error: Expecting ',' delimiter: line 3 column 44 (char 112)\n")
 
 
 THETA = '"theta": {"uu": 1, "ul": 0, "un": 0, "ll": 0, "ln": 0, "nn": 0}'
@@ -247,3 +362,87 @@ def test_the_backend_is_reported():
     with pytest.raises(AttributeError, match="no attribute 'JSON_BACKENDS'"):
         spinorflow.JSON_BACKENDS
 
+
+
+def parent_lapse(data):
+    """``LapseProfile.from_json_dict`` before it converted with ``array("d")``:
+    a scan of the field's types, then ``np.asarray``."""
+    kind = data["kind"]
+    fields = {"constant": ("value",), "tabulated": ("times", "values")}[kind]
+    try:
+        if not all(set(map(type, v if isinstance(v, list) else [v])) <= {int, float}
+                   for v in map(data.get, fields)):
+            raise TypeError
+        args = [np.asarray(data[k], dtype=float) for k in fields]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{kind} lapse {', '.join(fields)} must be finite numbers") from None
+    if kind == "constant":
+        if args[0].ndim:
+            raise ValueError("constant lapse value must be a number")
+        return LapseProfile.constant(float(args[0]))
+    return LapseProfile.tabulated(*args)
+
+
+def lapse_outcome(parse, data):
+    """The error, or the kind and the bits, dtype and ndim of every float."""
+    try:
+        profile = parse(data)
+    except Exception as exc:  # the type and message are what is compared
+        return "error", (type(exc), str(exc))
+    if profile.kind == "constant":
+        return "value", ("constant", type(profile.value), struct.pack("<d", profile.value))
+    return "value", ("tabulated", *((a.dtype.str, a.ndim, a.tobytes())
+                                    for a in (profile.times, profile.values)))
+
+
+# what a JSON decoder can give a lapse field, besides a plain number
+ODD_ENTRIES = st.sampled_from([
+    True, False, "1.0", "", None, [], [1.0], [[2.0]], {}, {"a": 1.0},
+    2 ** 63, -2 ** 63, 2 ** 63 - 1, 2 ** 64, -2 ** 64, 2 ** 64 + 1, 10 ** 400, -10 ** 400,
+    0, 1, 0.0, -0.0, 1.0, float("nan"), float("inf")])
+NUMBER_ENTRIES = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0),
+                           st.sampled_from([0, 1, 0.0, -0.0, 1.0]))
+ENTRIES = st.one_of(NUMBER_ENTRIES, ODD_ENTRIES)
+
+
+@st.composite
+def lapse_documents(draw):
+    """Constant and tabulated lapses, mostly valid, with odd entries mixed in."""
+    if draw(st.booleans()):
+        return {"kind": "constant",
+                "value": draw(st.one_of(ENTRIES, st.lists(ENTRIES, max_size=3)))}
+    n = draw(st.integers(0, 9))
+    start = draw(st.one_of(st.integers(-3, 0), st.floats(-3.0, -0.0), st.just(-0.0)))
+    steps = draw(st.lists(st.one_of(st.integers(1, 2), st.floats(0.125, 2.0), st.just(1.0)),
+                          min_size=n, max_size=n))
+    times = [start]
+    for step in steps:
+        times.append(times[-1] + step)
+    values = draw(st.lists(st.one_of(st.floats(0.25, 4.0), st.integers(1, 3),
+                                     st.sampled_from([1, 1.0, 2 ** 63, 2 ** 64, 2 ** 64 + 1])),
+                           min_size=len(times), max_size=len(times)))
+    for table in (times, values):
+        for _ in range(draw(st.integers(0, 2))):
+            table[draw(st.integers(0, len(table) - 1))] = draw(ENTRIES)
+    data = {"kind": "tabulated", "times": times, "values": values}
+    if draw(st.integers(0, 9)) == 0:
+        data[draw(st.sampled_from(["times", "values"]))] = draw(ENTRIES)
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=lapse_documents())
+def test_lapse_fields_parse_as_the_type_scan_did(data):
+    want = lapse_outcome(parent_lapse, data)
+    assert lapse_outcome(LapseProfile.from_json_dict, data) == want
+    assert lapse_outcome(LapseProfile.from_json_dict, {"beta": data}) == want
+
+
+@pytest.mark.parametrize("times, values", [
+    ([-1, 0, True], [1.0, 1.0, 1.0]), ([False, 1.0, 2.0], [1.0, 1.0, 1.0]),
+    ([-1.0, 0.0, 1.0], [1.0, True, 1.0]), ([-1.0, 0.0, 1.0], [1.0, 1, 2 ** 64]),
+    ([-1.0, -0.0, 1.0], [2 ** 63, 1.0, 10 ** 400]),
+], ids=["true-time", "false-time", "true-value", "ints", "past-float-range"])
+def test_named_lapse_tables_parse_as_the_type_scan_did(times, values):
+    data = {"kind": "tabulated", "times": times, "values": values}
+    assert lapse_outcome(LapseProfile.from_json_dict, data) == lapse_outcome(parent_lapse, data)
