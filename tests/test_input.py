@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorflow
@@ -184,8 +184,8 @@ def test_named_documents_decode_as_json_does(tmp_path, decoder, text):
     assert same(want[1], got[1]) if want[0] == "value" else want[1] == got[1]
 
 
-def workload_table(tmp_path):
-    """A 20,000-node table as the benchmark writes it, and its value."""
+@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
+def test_a_workload_table_is_read_by_orjson(tmp_path, monkeypatch):
     # reprs such as -0.0039001950097505844 hold 19 digits after the point,
     # which a check for any run of 19 digits would take for a long integer
     times = np.linspace(-2.0, 2.0, 20_000).tolist()
@@ -194,23 +194,7 @@ def workload_table(tmp_path):
     assert "-0.0039001950097505844" in text
     path = tmp_path / "table.json"
     path.write_text(text, encoding="utf-8")
-    return str(path), json.loads(text)
-
-
-@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
-def test_a_workload_table_is_read_by_orjson(tmp_path, monkeypatch):
-    path, want = workload_table(tmp_path)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("json decoded a document orjson reads alike")
-
-    monkeypatch.setattr(cli.json, "loads", refuse)
-    assert same(cli._load_input(path), want)
-
-
-@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
-def test_a_workload_table_is_decoded_without_its_text(tmp_path, monkeypatch):
-    path, want = workload_table(tmp_path)
+    want = json.loads(text)
     modes = []
 
     def spy_open(file, mode="r", *args, **kwargs):
@@ -218,11 +202,12 @@ def test_a_workload_table_is_decoded_without_its_text(tmp_path, monkeypatch):
         return open(file, mode, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the input was decoded to text")
+        raise AssertionError("a document orjson reads alike was decoded to text")
 
     monkeypatch.setattr(cli, "open", spy_open, raising=False)
     monkeypatch.setattr(io, "TextIOWrapper", refuse)
-    got = cli._load_input(path)
+    monkeypatch.setattr(cli.json, "loads", refuse)
+    got = cli._load_input(str(path))
     monkeypatch.undo()
     assert modes == ["rb"]
     assert same(got, want)
@@ -432,17 +417,13 @@ def lapse_documents(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(data=lapse_documents())
+@example(data={"kind": "tabulated", "times": [-1, 0, True], "values": [1.0, 1.0, 1.0]})
+@example(data={"kind": "tabulated", "times": [False, 1.0, 2.0], "values": [1.0, 1.0, 1.0]})
+@example(data={"kind": "tabulated", "times": [-1.0, 0.0, 1.0], "values": [1.0, True, 1]})
+@example(data={"kind": "tabulated", "times": [-1.0, -0.0, 1.0], "values": [1, 2 ** 63, 2 ** 64]})
+@example(data={"kind": "tabulated", "times": [-1.0, 0.0, 1.0], "values": [1.0, 1.0, 10 ** 400]})
+@example(data={"kind": "constant", "value": True})
 def test_lapse_fields_parse_as_the_type_scan_did(data):
     want = lapse_outcome(parent_lapse, data)
     assert lapse_outcome(LapseProfile.from_json_dict, data) == want
     assert lapse_outcome(LapseProfile.from_json_dict, {"beta": data}) == want
-
-
-@pytest.mark.parametrize("times, values", [
-    ([-1, 0, True], [1.0, 1.0, 1.0]), ([False, 1.0, 2.0], [1.0, 1.0, 1.0]),
-    ([-1.0, 0.0, 1.0], [1.0, True, 1.0]), ([-1.0, 0.0, 1.0], [1.0, 1, 2 ** 64]),
-    ([-1.0, -0.0, 1.0], [2 ** 63, 1.0, 10 ** 400]),
-], ids=["true-time", "false-time", "true-value", "ints", "past-float-range"])
-def test_named_lapse_tables_parse_as_the_type_scan_did(times, values):
-    data = {"kind": "tabulated", "times": times, "values": values}
-    assert lapse_outcome(LapseProfile.from_json_dict, data) == lapse_outcome(parent_lapse, data)
