@@ -118,9 +118,10 @@ def _load_input(path: str) -> dict | list:
     gives (its RecursionError on a document nested too deeply as a
     ValueError).  Only ``json`` reads text, decoded as text mode decodes
     it (UTF-8, with CRLF and CR read as LF), so its error positions and
-    UnicodeDecodeError messages stay those of that text.  The two give the same values: orjson refuses invalid UTF-8 and a
-    raw control character inside a string, as json does, so wherever it
-    accepts a CR or LF, that byte is whitespace."""
+    UnicodeDecodeError messages stay those of that text.  The two give the
+    same values: orjson refuses invalid UTF-8 and a raw control character
+    inside a string, as json does, so wherever it accepts a CR or LF, that
+    byte is whitespace."""
     with open(path, "rb") as fh:
         data = fh.read()
     if _orjson is not None and _orjson_reads_alike(data):

@@ -43,7 +43,8 @@ class LapseProfile:
         v = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
             raise ValueError("need matching 1D times/values with at least two nodes")
-        if not (np.all(np.diff(t) > 0) and np.all(np.isfinite(t))):
+        # finite first: np.diff of two equal infinities warns (inf - inf)
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
             raise ValueError("times must be finite and strictly increasing")
         if not np.all((v > 0) & (v < math.inf)):
             raise ValueError("lapse values must be strictly positive and finite")

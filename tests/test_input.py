@@ -7,8 +7,10 @@ rule."""
 import contextlib
 import io
 import json
+import math
 import re
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,7 +259,8 @@ OPENINGS_512 = '{"a": [' * 256 + "0" + "]}" * 256
     (OPENINGS_512, True), ("[" + OPENINGS_512 + "]", False),
     ("{1234567890123456789}", False), ('["{1234567890123456789"]', False),
 ], ids=["after-bracket", "after-colon", "after-minus", "at-start", "fraction-run",
-        "exponent-minus", "openings-512", "openings-513", "brace-digits", "brace-digits-in-string"])
+        "exponent-minus", "openings-512", "openings-513", "brace-digits",
+        "brace-digits-in-string"])
 def test_named_guard_decisions(tmp_path, decoder, text, reads_alike):
     assert cli._orjson_reads_alike(text.encode("utf-8")) is reads_alike
     if not BRACE_RUN.search(text):
@@ -427,3 +430,13 @@ def test_lapse_fields_parse_as_the_type_scan_did(data):
     want = lapse_outcome(parent_lapse, data)
     assert lapse_outcome(LapseProfile.from_json_dict, data) == want
     assert lapse_outcome(LapseProfile.from_json_dict, {"beta": data}) == want
+
+
+@pytest.mark.parametrize("times", [[math.inf, math.inf], [-math.inf, -math.inf, 0.0]],
+                         ids=["inf-inf", "minus-inf-twice"])
+def test_infinite_times_are_refused_without_a_warning(times):
+    data = {"kind": "tabulated", "times": times, "values": [1.0] * len(times)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^times must be finite and strictly increasing$"):
+            LapseProfile.from_json_dict(data)
