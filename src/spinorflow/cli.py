@@ -45,7 +45,7 @@ from .lapse import LapseProfile
 from .lorentz import _curvature
 from .numeric import CERTIFY_LIMIT, _integrate, _residuals, _uncertain
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints, _row_group, classify, \
-    invariants, require_valid, validate
+    invariants, validate
 from .verify import SUITES, run_suite
 
 JSON_BACKEND = "json" if _orjson is None else "orjson"
@@ -56,9 +56,12 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 # errors reported as "numeric failure: <last argument>" with EXIT_NUMERIC, per
-# pair in a sweep; Python raises OverflowError(errno, text) where a float
-# operation overflows, as squares of components near 1e160 do
-_NUMERIC_FAILURES = (SingularTime, OutOfDomain, NotApplicable, OverflowError)
+# pair in a sweep.  ArithmeticError is the class the stacks stop at
+# (``numeric._until_raised``): Python raises OverflowError(errno, text) where
+# a float operation overflows, as squares of components near 1e160 do, and
+# ZeroDivisionError where a divisor underflows to zero, as lambda^2 of
+# components near 1e-162 does
+_NUMERIC_FAILURES = (SingularTime, OutOfDomain, NotApplicable, ArithmeticError)
 
 
 def _fmt(x: float) -> str:
@@ -284,7 +287,6 @@ def cmd_classify(args, data) -> int:
 
 def cmd_lifespan(args, data) -> int:
     pair, profile = _parse_pair(data)
-    require_valid(pair, args.tol)
     span = solve(pair, args.tol).lifespan(profile)
     payload = {
         "t_minus": _span_end(span.t_minus),
@@ -301,13 +303,9 @@ def _sampled(args, data):
     """The prologue of ``flow`` and ``curvature``: the pair solved, its lapse
     and lifespan, and the sample times of the window clipped to the lifespan."""
     pair, profile = _parse_pair(data)
-    require_valid(pair, args.tol)
     sol = solve(pair, args.tol)
     span = sol.lifespan(profile)
-    lo = -math.inf if span.t_minus is None else span.t_minus
-    hi = math.inf if span.t_plus is None else span.t_plus
-    dlo, dhi = profile.domain()
-    lo, hi = max(lo, dlo), min(hi, dhi)
+    lo, hi = span.inside(profile, math.inf)
     margin = 1e-6 * max(1.0, abs(args.t0), abs(args.t1))
     c0 = max(args.t0, lo + margin) if math.isfinite(lo) else args.t0
     c1 = min(args.t1, hi - margin) if math.isfinite(hi) else args.t1
@@ -410,14 +408,32 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _run_single(args, data) -> int:
-    samples = getattr(args, "samples", None)  # None: a suite's own default
-    if samples is not None and samples < 2:
-        raise ValueError("--samples must be at least 2")
-    window = args.command in ("flow", "curvature")
-    if window and not -math.inf < args.t0 < args.t1 < math.inf:
-        raise ValueError("--t0 and --t1 must be finite, with --t0 below --t1")
-    return _COMMANDS[args.command](args, data)
+def _run_single(args, data, sweep: bool) -> int:
+    """Run the command on the pair document ``data``, and report what
+    refuses or fails it: an invalid pair on stderr, one violation per line,
+    or in a sweep as one line of the command's output."""
+    try:
+        samples = getattr(args, "samples", None)  # None: a suite's own default
+        if samples is not None and samples < 2:
+            raise ValueError("--samples must be at least 2")
+        window = args.command in ("flow", "curvature")
+        if window and not -math.inf < args.t0 < args.t1 < math.inf:
+            raise ValueError("--t0 and --t1 must be finite, with --t0 below --t1")
+        return _COMMANDS[args.command](args, data)
+    except InvalidPair as exc:
+        if sweep:
+            _emit(f"invalid pair: {'; '.join(exc.violations)}\n", args.out)
+        else:
+            print("invalid pair:", file=sys.stderr)
+            for v in exc.violations:
+                print(f"  {v}", file=sys.stderr)
+        return EXIT_INVALID
+    except _NUMERIC_FAILURES as exc:
+        print(f"numeric failure: {exc.args[-1]}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def _tolerance(tol: float | None) -> float:
@@ -445,39 +461,21 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        if args.sweep:
-            if not isinstance(data, list):
-                raise ValueError("--sweep expects a JSON array of pairs")
-            worst = EXIT_OK
-            base_out = args.out
-            for i, element in enumerate(data):
-                if base_out:
-                    root, ext = os.path.splitext(base_out)
-                    args.out = f"{root}.{i:03d}{ext}"
-                print(f"# pair {i}")
-                try:
-                    code = _run_single(args, element)
-                except InvalidPair as exc:
-                    _emit(f"invalid pair: {'; '.join(exc.violations)}\n", args.out)
-                    code = EXIT_INVALID
-                except _NUMERIC_FAILURES as exc:
-                    print(f"numeric failure: {exc.args[-1]}", file=sys.stderr)
-                    code = EXIT_NUMERIC
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    code = EXIT_IO
-                worst = max(worst, code)
-            return worst
-        return _run_single(args, data)
-    except InvalidPair as exc:
-        print("invalid pair:", file=sys.stderr)
-        for v in exc.violations:
-            print(f"  {v}", file=sys.stderr)
-        return EXIT_INVALID
-    except _NUMERIC_FAILURES as exc:
-        print(f"numeric failure: {exc.args[-1]}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if not args.sweep:
+            return _run_single(args, data, False)
+        if not isinstance(data, list):
+            raise ValueError("--sweep expects a JSON array of pairs")
+        worst = EXIT_OK
+        base_out = args.out
+        for i, element in enumerate(data):
+            if base_out:
+                root, ext = os.path.splitext(base_out)
+                args.out = f"{root}.{i:03d}{ext}"
+            print(f"# pair {i}")
+            worst = max(worst, _run_single(args, element, True))
+        return worst
     except (ValueError, OSError) as exc:
+        # an OSError, as of writing --out, ends a sweep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -5,10 +5,14 @@ Branch structure follows the invariant lambda = sqrt(Theta_ul^2 + Theta_un^2):
 the quasi-diagonal branch (lambda = 0) evolves by the scalar factor
 s_t = 1 - Theta_uu * B_t, while lambda != 0 evolves through
 y_t = lambda * B_t + arctan(Theta_uu / lambda) with trigonometric profiles.
-``solve`` decides the branch once per pair, in a ``FlowSolution`` that holds
-every constant the pair fixes and evaluates a whole grid of B_t in one pass
-(``_Samples``), the stacks every command reads.  The scalar functions, which
-no command calls, read one ``solve`` each; at one t, a stack of one sample.
+Whether lambda = 0 is read off the row of the admissible-family table that
+the pair matches (``pairs._QD_ROWS``), so the closed forms are only ever
+taken of an admissible pair.  ``solve`` decides the pair once: it validates
+it, raising InvalidPair when it is not admissible, and builds a
+``FlowSolution`` that holds every constant the pair fixes and evaluates a
+whole grid of B_t in one pass (``_Samples``), the stacks every command
+reads.  The scalar functions, which no command calls, read one ``solve``
+each; at one t, a stack of one sample.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import NotApplicable, SingularTime
 from .frames import L, N, U, EigenData2, Sym3, eigen2x2
 from .lapse import LapseProfile
 from .numeric import _States, _curvature3, _state_from_vector
-from .pairs import CauchyPair, DEFAULT_TOL, invariants
+from .pairs import _QD_ROWS, CauchyPair, DEFAULT_TOL, invariants, require_valid
 
 _SINGULAR_GUARD = 1e-12
 
@@ -46,11 +50,19 @@ class Lifespan:
     immortal: bool
     note: str | None = None
 
+    def inside(self, profile: LapseProfile, far: float) -> tuple[float, float]:
+        """The lifespan cut to the domain of ``profile``, an unbounded or
+        unknown (None) end first taken at -far or +far."""
+        lo = -far if self.t_minus is None or math.isinf(self.t_minus) else self.t_minus
+        hi = far if self.t_plus is None or math.isinf(self.t_plus) else self.t_plus
+        dlo, dhi = profile.domain()
+        return max(lo, dlo), min(hi, dhi)
+
 
 def branch(pair: CauchyPair, tol: float = DEFAULT_TOL) -> str:
-    """QD where lambda is zero within tol, relative to max(1, max |Theta|)."""
-    th = pair.theta
-    return QD if math.hypot(th.ul, th.un) <= tol * max(1.0, th.max_abs()) else NONQD
+    """QD on the lambda = 0 rows of the admissible-family table, NONQD on
+    the others; InvalidPair where ``pair`` is not admissible within tol."""
+    return QD if require_valid(pair, tol).row in _QD_ROWS else NONQD
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -210,7 +222,8 @@ class FlowSolution:
 
 
 def solve(pair: CauchyPair, tol: float = DEFAULT_TOL) -> FlowSolution:
-    """The closed-form flow of ``pair``: its branch and constants."""
+    """The closed-form flow of ``pair``: its branch and constants.  Raises
+    InvalidPair where ``pair`` is not admissible within tol (``branch``)."""
     th = pair.theta
     if branch(pair, tol) == QD:
         if abs(th.uu) <= tol * max(1.0, th.max_abs()):

@@ -147,7 +147,8 @@ def _match_row(th: Sym3, inv: ThetaInvariants, scale: float, tol: float) -> str 
         # quantities quadratic in the components
         return abs(x) <= tol * scale * scale
 
-    # lambda = 0 by the rule exact.branch follows
+    # the lambda = 0 rows (_QD_ROWS), on which exact.branch takes the
+    # quasi-diagonal closed form
     if zero(inv.lam):
         if zero(th.ll) and zero(th.ln) and zero(th.nn):
             return "R3"
@@ -211,6 +212,8 @@ _ROW_GROUPS = {
     **dict.fromkeys(("tau2+R (quasi-diagonal)", "tau2+R (lambda)", "tau2+R (u-l)",
                      "tau2+R (u-n)", "tau2+R (general)"), GroupTag.TAU2_PLUS_R),
 }
+# the rows on which lambda = 0: their flows are quasi-diagonal
+_QD_ROWS = frozenset(("R3", "E11", "tau2+R (quasi-diagonal)", "tau3mu"))
 
 
 def classify(pair: CauchyPair, tol: float = DEFAULT_TOL) -> GroupType:

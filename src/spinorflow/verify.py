@@ -4,17 +4,19 @@ Each suite evaluates a family of identities along the flow and returns one
 row per assertion with the worst residual over the sampled times.  Sampling
 covers the middle 90 percent of the lifespan: its infinite ends, and the ends
 a tabulated lapse leaves unknown (None), are clipped to +-2 flow-time units,
-and then every end is cut to the table's domain.
+and then every end is cut to the table's domain (``Lifespan.inside``).
 
-``run_suite`` validates and solves the pair once; the suites that take as
-many samples read one stack of them (``exact._Samples``), which evaluates
-B_t, Theta_t, U_t, the 3D Ricci tensor and H_t once per sample, and in
-place of a tolerance every suite receives the pair's constraints, which
-are evaluated at most once, where a suite first reads them.  The
-curvature algebra runs once over a stack, and each row's residual is the
-``_worst`` of its per-sample residuals, in sample order, so a NaN still
-fails its row.  A sample that raises does so once the samples before it
-have been evaluated, as one sample at a time did.
+``run_suite`` solves the pair once, which validates it (``exact.solve``);
+the suites that take as many samples read one stack of them
+(``exact._Samples``), which evaluates B_t, Theta_t, U_t, the 3D Ricci tensor
+and H_t once per sample.  In place of a tolerance every suite receives the
+pair's constraints, which are evaluated at most once, where a suite first
+reads them, and the step of central differences in t: 1e-5, or half the
+sample window's 5% inset where that is less, so that t +- step stays inside
+the window.  The curvature algebra runs once over a stack, and each row's
+residual is the ``_worst`` of its per-sample residuals, in sample order, so
+a NaN still fails its row.  A sample that raises does so once the samples
+before it have been evaluated, as one sample at a time did.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .lapse import LapseProfile
 from .lorentz import _coframe4, _identity_residual, _log_scale_differential, \
     closedness_residual, ricci4
 from .numeric import FlowState, _integrate, _residuals, _uncertain
-from .pairs import CauchyPair, DEFAULT_TOL, _constraints, require_valid
+from .pairs import CauchyPair, DEFAULT_TOL, _constraints
 
 SUITES = ("constraints", "ricci4", "ricciflow", "cosymplectic", "oracle")
 
@@ -65,11 +67,7 @@ def sample_times(pair: CauchyPair, profile: LapseProfile, n: int,
 
 def _sample_times(sol: FlowSolution, profile: LapseProfile, n: int) -> np.ndarray:
     """``sample_times`` of the pair that ``sol`` solves."""
-    span = sol.lifespan(profile)
-    lo = -_CLIP if span.t_minus is None or math.isinf(span.t_minus) else span.t_minus
-    hi = _CLIP if span.t_plus is None or math.isinf(span.t_plus) else span.t_plus
-    dlo, dhi = profile.domain()
-    lo, hi = max(lo, dlo), min(hi, dhi)
+    lo, hi = sol.lifespan(profile).inside(profile, _CLIP)
     width = hi - lo
     return np.linspace(lo + 0.05 * width, hi - 0.05 * width, n)
 
@@ -80,7 +78,7 @@ def _fold(residuals) -> float:
     return functools.reduce(_worst, np.asarray(residuals, dtype=float).tolist(), 0.0)
 
 
-def _check_constraints(stack: _Samples, con) -> list[CheckResult]:
+def _check_constraints(stack: _Samples, con, step: float) -> list[CheckResult]:
     """Propagation of the vacuum constraints along the flow."""
     h0 = con().hamiltonian
     # the closed form of H_t is taken with Theta_t, ahead of the squares of
@@ -109,7 +107,7 @@ def _check_constraints(stack: _Samples, con) -> list[CheckResult]:
     return rows
 
 
-def _check_ricci4(stack: _Samples, con) -> list[CheckResult]:
+def _check_ricci4(stack: _Samples, con, step: float) -> list[CheckResult]:
     """The 4D Ricci identity, plus exact flatness on constrained pairs."""
     constrained = con().is_vacuum_admissible
     _, hams, raised = stack.ricci3
@@ -123,7 +121,7 @@ def _check_ricci4(stack: _Samples, con) -> list[CheckResult]:
     return rows
 
 
-def _check_ricciflow(stack: _Samples, con) -> list[CheckResult]:
+def _check_ricciflow(stack: _Samples, con, step: float) -> list[CheckResult]:
     """Remark identities tying Ric(h_t) to the shape tensor and, on
     constrained quasi-diagonal pairs, to the time derivative of h_t."""
     sol, profile, comp = stack.sol, stack.profile, stack.comp
@@ -146,7 +144,8 @@ def _check_ricciflow(stack: _Samples, con) -> list[CheckResult]:
     if qd and con().is_vacuum_admissible:
         us, raised = stack.frames
         factor = (comp[:, 3] + comp[:, 5]) / (2.0 * profile._betas(stack.times))
-        scaled = factor[:, None, None] * _dh_dt(sol, profile, stack.times[:len(us)], raised)
+        scaled = factor[:, None, None] * _dh_dt(sol, profile, stack.times[:len(us)],
+                                                raised, step)
         # Ric(h_t) pulled back to the reference coframe components
         ric_ref = us.transpose(0, 2, 1) @ ric @ us
         rows.append(CheckResult(
@@ -156,28 +155,22 @@ def _check_ricciflow(stack: _Samples, con) -> list[CheckResult]:
 
 
 def _dh_dt(sol: FlowSolution, profile: LapseProfile, times: np.ndarray,
-           raised: Exception | None, step: float = 1e-5) -> np.ndarray:
+           raised: Exception | None, step: float) -> np.ndarray:
     """dh_t/dt at ``times`` by central differences of h_t = U_t^T U_t, from
-    one stacked B_t and U_t at all t +- step.  What raises first, sample by
-    sample in the order B_t at t + step, at t - step, then U_t at both,
-    raises here; ``raised``, U_t's at the sample after ``times``, comes last."""
+    one stacked B_t and U_t at all t +- step, which lie inside the table and
+    the lifespan.  What U_t raises first, sample by sample at t + step, then
+    t - step, raises here; ``raised``, U_t's at the sample after ``times``,
+    comes last."""
     near = (times[:, None] + np.array([step, -step])).ravel()
-    lo, hi = profile.domain()
-    inside = (lo <= near) & (near <= hi)
-    off = len(near) if inside.all() else int(inside.argmin())
-    us, u_raised = sol._frame_stack(profile.b_integral(near[:off]))
-    if u_raised and len(us) // 2 < off // 2:
-        raise u_raised
-    if off < len(near):
-        profile.b_integral(near[off])  # OutOfDomain, as B_t there raised
-    if raised:
-        raise raised
+    us, u_raised = sol._frame_stack(profile.b_integral(near))
+    if u_raised or raised:
+        raise u_raised or raised
     h = sym_matrices((us.transpose(0, 2, 1) @ us)[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])
     h = h.reshape(-1, 2, 3, 3)
     return (h[:, 0] - h[:, 1]) / (2.0 * step)
 
 
-def _check_cosymplectic(stack: _Samples, con) -> list[CheckResult]:
+def _check_cosymplectic(stack: _Samples, con, step: float) -> list[CheckResult]:
     """Parallelism and closedness of the distinguished one-forms."""
     sol = stack.sol
     us, raised = stack.frames
@@ -197,7 +190,7 @@ def _check_cosymplectic(stack: _Samples, con) -> list[CheckResult]:
     return rows
 
 
-def _check_oracle(stack: _Samples, con) -> list[CheckResult]:
+def _check_oracle(stack: _Samples, con, step: float) -> list[CheckResult]:
     """Closed forms against the numerical integrator."""
     states = _integrate(stack.sol.pair, stack.profile, stack.times.tolist(),
                         stack.bts.tolist())
@@ -231,7 +224,7 @@ def run_suite(pair: CauchyPair, profile: LapseProfile, suite: str,
               samples: int | None = None, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Run one named suite, or all of them in declaration order.
 
-    The pair is validated and solved once, its constraints evaluated at
+    The pair is solved once, which validates it, its constraints evaluated at
     most once, and the suites that take the same number of samples read
     one stack of them (``exact._Samples``).  Raises ValueError on an
     unknown suite, or on fewer than one sample."""
@@ -239,15 +232,17 @@ def run_suite(pair: CauchyPair, profile: LapseProfile, suite: str,
         raise ValueError(f"unknown suite: {suite!r}")
     if samples is not None and samples < 1:
         raise ValueError(f"a suite takes at least 1 sample, not {samples}")
-    require_valid(pair, tol)
     sol = solve(pair, tol)
-    # the ends of the sample window, the first and last time of every count
+    # the ends of the sample window, the first and last time of every count,
+    # each 5% of the window, (hi - lo) / 18, inside it: t +- step stays
+    # inside the window
     lo, hi = _sample_times(sol, profile, 2).tolist()
+    step = min(1e-5, (hi - lo) / 36)
     stack = functools.cache(lambda n: _Samples(sol, profile, np.linspace(lo, hi, n)))
     # the pair's constraints, evaluated where the first suite reads them
     con = functools.cache(lambda: _constraints(pair.theta, tol))
     rows = []
     for name in SUITES if suite == "all" else (suite,):
         check, default = _CHECKS[name]
-        rows.extend(check(stack(samples or default), con))
+        rows.extend(check(stack(samples or default), con, step))
     return rows

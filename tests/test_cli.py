@@ -38,6 +38,19 @@ def theta_dict(**kw):
     return base
 
 
+# admissible pairs whose closed form divides by a number that underflows to
+# zero: lambda * hypot(lambda, Theta_uu) in solve at Theta_ul = 1e-170, and
+# lambda^2 + Theta_uu^2 in the constant of H_t at components of 1.5e-162;
+# each command, with --tol 1e-300, and the one line it prints
+UNDERFLOWS = [
+    (dict(ul=1e-170), ["lifespan"]), (dict(ul=1e-170), ["flow", "--samples", "3"]),
+    (dict(ul=1e-170), ["curvature", "--samples", "3"]), (dict(ul=1e-170), ["verify"]),
+    (dict(uu=-1.5e-162, ul=1.5e-162, ll=1.5e-162), ["verify", "--suite", "constraints"]),
+]
+UNDERFLOW_IDS = ["lifespan", "flow", "curvature", "verify", "verify-constraints"]
+UNDERFLOW_REPORT = "numeric failure: float division by zero\n"
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -96,10 +109,15 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_IO
 
-    def test_wrong_schema(self, tmp_path):
+    def test_wrong_schema(self, tmp_path, capsys):
+        # the components not an object, and a document with no "theta"
         path = tmp_path / "schema.json"
-        path.write_text(json.dumps({"theta": [1, 2, 3]}))
-        assert main(["validate", str(path)]) == EXIT_IO
+        for document in ({"theta": [1, 2, 3]}, {"beta": {"kind": "constant", "value": 1}}):
+            path.write_text(json.dumps(document))
+            assert main(["validate", str(path)]) == EXIT_IO
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("beta", [
         {"kind": "constant"},
@@ -275,6 +293,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numeric failure: Numerical result out of range\n"
+
+    @pytest.mark.parametrize("theta, argv", UNDERFLOWS, ids=UNDERFLOW_IDS)
+    def test_a_division_by_zero_is_a_numeric_failure(self, tmp_path, capsys, theta, argv):
+        path = write_pair(tmp_path, "tiny", theta_dict(**theta))
+        assert main(["validate", path, "--tol", "1e-300"]) == EXIT_OK
+        capsys.readouterr()
+        assert main([argv[0], path, "--tol", "1e-300"] + argv[1:]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == UNDERFLOW_REPORT
 
     def test_a_residual_that_is_not_finite_fails_its_row(self, tmp_path, capsys):
         # at 7e153 the Hamiltonian is -inf at every sample, so the deviation
@@ -544,6 +572,25 @@ class TestCurvatureAndVerify:
                           extra={"beta": beta})
         assert main(["verify", path, "--suite", "constraints"]) == EXIT_OK
 
+    @pytest.mark.parametrize("theta", [dict(uu=1.0), dict(uu=5.0 / 3.0, ll=2.0, nn=1.0)],
+                             ids=["R3", "tau3mu"])
+    def test_verify_differences_inside_a_narrow_table(self, tmp_path, monkeypatch,
+                                                      capsys, theta):
+        # the window is 2e-5 wide and its inset 1e-6: the dh/dt row of a
+        # constrained quasi-diagonal pair steps t by half the inset, not by
+        # 1e-5 off the table, and the lifespan is still taken once
+        calls = []
+        lifespan = exact.FlowSolution.lifespan
+        monkeypatch.setattr(exact.FlowSolution, "lifespan",
+                            lambda *a: calls.append(a) or lifespan(*a))
+        beta = {"kind": "tabulated", "times": [-1e-5, 1e-5], "values": [1.0, 1.0]}
+        path = write_pair(tmp_path, "narrow", theta_dict(**theta), extra={"beta": beta})
+        assert main(["verify", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and "FAIL" not in captured.out
+        assert "[pass] Ric(h) = (Tr(Theta)/(2 beta)) dh/dt" in captured.out
+        assert len(calls) == 1
+
     def test_oracle_flags_each_state_once(self, e11_file, monkeypatch, capsys):
         # under a limit no march meets, every state but t = 0 is flagged:
         # once, although three rows rest on it, and the report is unchanged
@@ -769,6 +816,25 @@ class TestSweep:
         assert main(["lifespan", str(path), "--sweep"]) == EXIT_IO
         captured = capsys.readouterr()
         assert captured.err == "error: lapse JSON must be an object\n"
+        first, second, third = captured.out.split("# pair ")[1:]
+        assert second == "1\n"
+        assert third.startswith("2\n") and third[2:] == first[2:]
+        # a single pair, not an array of them, is refused before any pair
+        path.write_text(json.dumps(good))
+        assert main(["lifespan", str(path), "--sweep"]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sweep expects a JSON array of pairs\n"
+
+    @pytest.mark.parametrize("theta, argv", UNDERFLOWS, ids=UNDERFLOW_IDS)
+    def test_sweep_continues_past_a_division_by_zero(self, tmp_path, capsys, theta, argv):
+        good = {"theta": theta_dict(uu=-1.0)}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps([good, {"theta": theta_dict(**theta)}, good]))
+        assert main([argv[0], str(path), "--sweep", "--tol", "1e-300"]
+                    + argv[1:]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err == UNDERFLOW_REPORT
         first, second, third = captured.out.split("# pair ")[1:]
         assert second == "1\n"
         assert third.startswith("2\n") and third[2:] == first[2:]

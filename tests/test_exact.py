@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinorflow import CauchyPair, LapseProfile, NotApplicable, OutOfDomain, \
-    SingularTime, frame_exact, hamiltonian_exact, lifespan, nonqd_coefficients, \
-    solve, theta_exact
+from spinorflow import CauchyPair, InvalidPair, LapseProfile, NotApplicable, \
+    OutOfDomain, SingularTime, frame_exact, hamiltonian_exact, invariants, lifespan, \
+    nonqd_coefficients, solve, theta_exact, validate
 from spinorflow import lapse as lapse_module
 from spinorflow.exact import NONQD, QD, branch
 from spinorflow.numeric import hamiltonian_of
+from spinorflow.pairs import _QD_ROWS
 
 from conftest import ROW_PAIRS
 
@@ -261,6 +262,27 @@ class TestBranchDispatch:
         assert branch(ROW_PAIRS["tau2R-un"]) == NONQD
         assert branch(ROW_PAIRS["tau2R-ul"]) == NONQD
         assert branch(ROW_PAIRS["tau2R-general"]) == NONQD
+        # the branch is that of the row, quasi-diagonal on the lambda = 0 rows
+        for pair in ROW_PAIRS.values():
+            qd = invariants(pair).lam == 0.0
+            assert (branch(pair) == QD) == qd == (validate(pair).row in _QD_ROWS)
+
+    ENTRIES = {
+        "branch": lambda pair: branch(pair),
+        "solve": lambda pair: solve(pair),
+        "lifespan": lambda pair: lifespan(pair, UNIT),
+        "theta_exact": lambda pair: theta_exact(pair, UNIT, 0.5),
+        "frame_exact": lambda pair: frame_exact(pair, UNIT, 0.5),
+        "hamiltonian_exact": lambda pair: hamiltonian_exact(pair, 0.0, UNIT, 0.5),
+        "nonqd_coefficients": lambda pair: nonqd_coefficients(pair),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_an_invalid_pair_is_refused(self, entry):
+        # the closed forms hold for admissible pairs only; this one breaks
+        # a relation by 1 and has lambda = 1
+        with pytest.raises(InvalidPair):
+            self.ENTRIES[entry](CauchyPair.from_components(uu=1.0, ul=1.0))
 
 
 class TestThetaExact:

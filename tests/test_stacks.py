@@ -230,7 +230,9 @@ def _suite_ricciflow_reference(pair, profile, samples=20, tol=1e-9):
         else "Ric(h) = (H/4)(h - eta x eta) (off-diagonal branches)", res, 1e-8)]
 
     if qd and _constraints_reference(pair.theta, tol).is_vacuum_admissible:
-        step = 1e-5
+        # half the window's 5% inset, so that t +- step stays inside it
+        lo, hi = _sample_times(sol, profile, 2)
+        step = min(1e-5, (hi - lo) / 36)
         res = 0.0
         for t in times:
             bt = profile.b_integral(t)
@@ -339,6 +341,17 @@ class TestSuitesMatchSingleSamples:
         assert got == _outcome(REFERENCES[suite], pair, profile)
         if suite == "ricciflow":
             assert [name for name, *_ in got][1].endswith("(constrained quasi-diagonal)")
+
+    @pytest.mark.parametrize("samples", [1, 2, 20])
+    def test_a_narrow_table(self, suite, samples):
+        # a window 2e-5 wide, whose inset of 1e-6 is narrower than 1e-5: the
+        # dh/dt row of the ricciflow suite steps half the inset, also on a
+        # grid of one sample, and each row passes
+        pair = CauchyPair.from_components(uu=5.0 / 3.0, ll=2.0, nn=1.0)
+        profile = LapseProfile.tabulated([-1e-5, 1e-5], [1.0, 1.0])
+        got = _outcome(run_suite, pair, profile, suite, samples=samples)
+        assert got == _outcome(REFERENCES[suite], pair, profile, samples=samples)
+        assert all(row.passed for row in run_suite(pair, profile, suite, samples=samples))
 
     @pytest.mark.parametrize("k", [-500, 0, 160, 500])
     def test_failures_come_in_sample_order(self, suite, row_pair, profile, k):
