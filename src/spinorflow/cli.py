@@ -233,17 +233,14 @@ def _json_end(x: float | None) -> str:
     return '"%s"' % x if math.isinf(x) else repr(float(x))
 
 
-def _render_curvature(span, samples: list[dict]) -> str:
-    """The curvature payload: the lifespan of ``span``, then ``samples``
-    (``lorentz._curvature``; one at least), whose numbers are Python floats."""
+def _render_curvature(span, cells: tuple) -> str:
+    """The curvature payload: the lifespan of ``span``, then the samples
+    whose cells, sample by sample, are ``cells`` (``lorentz._curvature``;
+    one sample at least), Python floats."""
     head = _CURVATURE_HEAD % (_json_end(span.t_minus), _json_end(span.t_plus),
                               "true" if span.immortal else "false")
-    cells = []
-    for s in samples:
-        r = s["ricci4"]
-        cells += [s["t"], s["beta"], *r[0], *r[1], *r[2], *r[3],
-                  s["scalar4"], s["hamiltonian"], s["identity_residual"]]
-    return head + "[\n" + ",\n".join([_SAMPLE] * len(samples)) % tuple(cells) + "\n  ]\n}\n"
+    n = len(cells) // _SAMPLE.count("%r")
+    return head + "[\n" + ",\n".join([_SAMPLE] * n) % cells + "\n  ]\n}\n"
 
 
 def cmd_validate(args, data) -> int:
@@ -309,14 +306,14 @@ def _sampled(args, data):
     margin = 1e-6 * max(1.0, abs(args.t0), abs(args.t1))
     c0 = max(args.t0, lo + margin) if math.isfinite(lo) else args.t0
     c1 = min(args.t1, hi - margin) if math.isfinite(hi) else args.t1
+    if c0 >= c1:
+        raise SingularTime("requested window lies outside the lifespan")
     if (c0, c1) != (args.t0, args.t1):
         print(
             f"warning: window [{args.t0}, {args.t1}] clipped to [{c0}, {c1}] "
             "to stay inside the lifespan",
             file=sys.stderr,
         )
-    if c0 >= c1:
-        raise SingularTime("requested window lies outside the lifespan")
     return sol, profile, span, np.linspace(c0, c1, args.samples)
 
 
@@ -329,8 +326,7 @@ def cmd_flow(args, data) -> int:
 
 def cmd_curvature(args, data) -> int:
     sol, profile, span, times = _sampled(args, data)
-    samples = _curvature(_Samples(sol, profile, times))
-    _emit(_render_curvature(span, samples), args.out)
+    _emit(_render_curvature(span, _curvature(_Samples(sol, profile, times))), args.out)
     return EXIT_OK
 
 
@@ -385,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t0", type=float, default=0.0)
             p.add_argument("--t1", type=float, default=1.0)
             p.add_argument("--samples", type=int, default=50)
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if method:
             p.add_argument("--method", choices=("exact", "rk4"), default="exact")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if suite:
             p.add_argument("--suite", choices=("all",) + SUITES, default="all")
             p.add_argument("--samples", type=int, default=None)
@@ -456,11 +452,6 @@ def main(argv=None) -> int:
     try:
         args.tol = _tolerance(args.tol)
         data = _load_input(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
         if not args.sweep:
             return _run_single(args, data, False)
         if not isinstance(data, list):
@@ -474,7 +465,7 @@ def main(argv=None) -> int:
             print(f"# pair {i}")
             worst = max(worst, _run_single(args, element, True))
         return worst
-    except (ValueError, OSError) as exc:
+    except (OSError, ValueError) as exc:
         # an OSError, as of writing --out, ends a sweep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

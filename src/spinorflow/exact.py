@@ -11,8 +11,9 @@ taken of an admissible pair.  ``solve`` decides the pair once: it validates
 it, raising InvalidPair when it is not admissible, and builds a
 ``FlowSolution`` that holds every constant the pair fixes and evaluates a
 whole grid of B_t in one pass (``_Samples``), the stacks every command
-reads.  The scalar functions, which no command calls, read one ``solve``
-each; at one t, a stack of one sample.
+reads.  The lifespan guard is taken once per grid, and each closed form
+then reads the guarded prefix as plain arrays.  The scalar functions, which
+no command calls, read one ``solve`` each; at one t, a stack of one sample.
 """
 
 from __future__ import annotations
@@ -71,23 +72,18 @@ def expm(a: np.ndarray) -> np.ndarray:
     return eig.Q @ np.diag(np.exp([eig.rho_plus, eig.rho_minus])) @ eig.Q.T
 
 
-def _first(stacked):
-    """The one sample of a stacked closed form, or what it raised."""
-    values, raised = stacked
-    if raised:
-        raise raised
-    return values[0]
-
-
 @dataclass(frozen=True)
 class FlowSolution:
     """The closed-form flow of one pair, with every constant the pair fixes;
-    ``solve`` builds it.  ``_theta_stack``, ``_frame_stack`` and
-    ``_hamiltonian_stack`` give Theta_t, U_t and H_t at an array of B_t, up
-    to the first sample that raises, and what it raised (or None).  Each
-    sample gets the operations of a sample of its own, in its order: only
-    + - * / run on arrays, and math.cos, math.tan and ** stay scalar calls.
-    The ``*_at`` methods give Theta_t, U_t and H_t at one B_t.
+    ``solve`` builds it.  ``_guarded`` is the one test of where the closed
+    form stops: it takes an array of B_t to the prefix of samples before the
+    lifespan boundary, as s_t or y_t, and the SingularTime of the sample
+    there.  ``_theta_stack``, ``_frame_stack`` and ``_hamiltonian_stack``
+    take that guarded prefix and give Theta_t, U_t and H_t as arrays, one
+    entry per sample.  Each sample gets the operations of a sample of its
+    own, in its order: only + - * / run on arrays, and math.cos, math.tan
+    and ** stay scalar calls.  The ``*_at`` methods give Theta_t, U_t and
+    H_t at one B_t, a stack of one.
 
     QD: ``eig`` is the eigen data of the lower 2x2 block over Theta_uu, or
     None where Theta_uu is zero within tol.  NONQD: ``lam``, ``y0``, ``c_ll``,
@@ -119,12 +115,29 @@ class FlowSolution:
         n = int(bad.argmax()) if bad.any() else len(v)
         return v[:n], SingularTime(text.format(v[n])) if n < len(v) else None
 
-    def _theta_stack(self, bts) -> tuple[np.ndarray, Exception | None]:
-        """Theta_t at each of ``bts``: components, one row per sample."""
+    def _at(self, bt: float) -> np.ndarray:
+        """The ``_guarded`` value of one B_t, as an array of one, or the
+        SingularTime of a B_t at the lifespan boundary."""
+        v, raised = self._guarded(np.array([bt], dtype=float))
+        if raised:
+            raise raised
+        return v
+
+    def _frames(self, bts: np.ndarray) -> np.ndarray:
+        """U_t at every one of ``bts``, or the guard's SingularTime where
+        ``_frame_stack`` stops short of them."""
+        v, raised = self._guarded(bts)
+        us = self._frame_stack(v, bts)
+        if len(us) < len(bts):
+            raise raised
+        return us
+
+    def _theta_stack(self, v: np.ndarray) -> np.ndarray:
+        """Theta_t at each guarded value of ``v``: components, one row per
+        sample."""
         th = self.pair.theta
-        v, raised = self._guarded(np.asarray(bts, dtype=float))
         if self.branch == QD:
-            return th.as_array() / v[:, None], raised
+            return th.as_array() / v[:, None]
         lam, ys = self.lam, v.tolist()
         with np.errstate(over="ignore", invalid="ignore"):
             sec = 1.0 / np.array([math.cos(y) for y in ys])
@@ -133,13 +146,15 @@ class FlowSolution:
                 lam * tan, np.full(len(ys), th.ul), np.full(len(ys), th.un),
                 self.c_ll * sec - (th.ul**2 / lam) * tan,
                 self.c_ln * sec - (th.ul * th.un / lam) * tan,
-                self.c_nn * sec - (th.un**2 / lam) * tan]).reshape(-1, 6), raised
+                self.c_nn * sec - (th.un**2 / lam) * tan]).reshape(-1, 6)
 
-    def _frame_stack(self, bts) -> tuple[np.ndarray, Exception | None]:
-        """U_t at each of ``bts``: one matrix per sample.  A frame past the
-        largest float is inf or NaN, with no warning: its consumer refuses it."""
+    def _frame_stack(self, v: np.ndarray, bts: np.ndarray) -> np.ndarray:
+        """U_t at each guarded value of ``v`` and its B_t, the first
+        ``len(v)`` of ``bts``: one matrix per sample.  Where Theta_uu is zero
+        within tol, U_t takes no guard and comes at every one of ``bts``.  A
+        frame past the largest float is inf or NaN, with no warning: its
+        consumer refuses it."""
         th = self.pair.theta
-        bts = np.asarray(bts, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.branch == QD and self.eig is None:
                 # formal limit Theta_uu -> 0: lower block is a matrix exponential
@@ -147,8 +162,7 @@ class FlowSolution:
                 u = np.tile(np.eye(3), (len(bts), 1, 1))
                 for ui, bt in zip(u, bts):
                     ui[1:, 1:] = expm(-bt * theta2)
-                return u, None
-            v, raised = self._guarded(bts)
+                return u
             n = len(v)
             if self.branch == QD:
                 eig = self.eig
@@ -156,7 +170,7 @@ class FlowSolution:
                 u[:, U, U] = v
                 diag = np.array([[[s**eig.rho_plus, 0.0], [0.0, s**eig.rho_minus]] for s in v])
                 u[:, 1:, 1:] = eig.Q @ diag.reshape(-1, 2, 2) @ eig.Q.T
-                return u, raised
+                return u
             # lambda != 0, a single nonzero off-diagonal component included
             lam, bt = self.lam, bts[:n]
             tan = np.array([math.tan(y) for y in v.tolist()])
@@ -172,30 +186,28 @@ class FlowSolution:
             u[:, N, L] = u[:, L, N]
             u[:, N, N] = 1.0 + th.un**2 * bt * tan / lam
         # -x * 0.0 is -0.0 (a zero Theta_ul or Theta_un, or B_t = 0); store +0.0
-        return u + 0.0, raised
+        return u + 0.0
 
-    def _hamiltonian_stack(self, h0: float, bts) -> tuple[np.ndarray, Exception | None]:
-        """H_t from its initial value h0 at each of ``bts``."""
-        v, raised = self._guarded(np.asarray(bts, dtype=float))
+    def _hamiltonian_stack(self, h0: float, v: np.ndarray) -> np.ndarray:
+        """H_t from its initial value h0 at each guarded value of ``v``.
+        Raises the ArithmeticError of its constant, which is met once a
+        sample passes the guard."""
         if self.branch == QD:
             # numpy scalar squares: inf past the largest float, no OverflowError
-            return h0 / np.array([s**2 for s in v]), raised
+            return h0 / np.array([s**2 for s in v])
         lam, uu = self.lam, self.pair.theta.uu
-        try:  # Python-float squares, met once a sample passes the guard
-            k = lam**2 * h0 / (lam**2 + uu**2) if len(v) else 0.0
-        except ArithmeticError as exc:
-            return v[:0], exc
+        k = lam**2 * h0 / (lam**2 + uu**2) if len(v) else 0.0  # Python-float squares
         with np.errstate(over="ignore", invalid="ignore"):
-            return k / np.array([math.cos(y) ** 2 for y in v.tolist()]), raised
+            return k / np.array([math.cos(y) ** 2 for y in v.tolist()])
 
     def theta_at(self, bt: float) -> Sym3:
-        return Sym3.from_array(_first(self._theta_stack([bt])))
+        return Sym3.from_array(self._theta_stack(self._at(bt))[0])
 
     def frame_at(self, bt: float) -> np.ndarray:
-        return _first(self._frame_stack([bt]))
+        return self._frames(np.array([bt], dtype=float))[0]
 
     def hamiltonian_at(self, h0: float, bt: float) -> float:
-        return _first(self._hamiltonian_stack(h0, [bt]))
+        return self._hamiltonian_stack(h0, self._at(bt))[0]
 
     def lifespan(self, profile: LapseProfile) -> Lifespan:
         if self.branch == NONQD:
@@ -242,23 +254,25 @@ def solve(pair: CauchyPair, tol: float = DEFAULT_TOL) -> FlowSolution:
 
 class _Samples:
     """The closed form ``sol`` at the flow ``times``, each quantity a
-    command or a suite reads of it evaluated once per grid, as one stack:
-    ``bts`` holds B_t at each time, and ``comp`` the components of Theta_t,
-    one row per sample, up to the first sample where it raises, and
-    ``pending`` that exception, or None.  U_t, and Ric and H_t of the 3D
-    frame, come on first use at each row of ``comp``, with what they
-    raised; ``check`` raises the exception of the earliest sample, as one
-    sample at a time would, and ``states`` gives the flow states."""
+    command or a suite reads of it evaluated once per grid, as one record
+    of arrays: ``bts`` holds B_t at each time, ``v`` and ``pending`` what
+    ``sol._guarded`` gives of them, the prefix of samples before the
+    lifespan boundary and the SingularTime of the sample there (or None),
+    and ``comp`` the components of Theta_t, one row per sample of ``v``.
+    U_t (``frames``), and Ric and H_t of the 3D frame, come on first use at
+    the same rows; ``check`` raises the exception of the earliest sample,
+    as one sample at a time would, and ``states`` gives the flow states."""
 
     def __init__(self, sol: FlowSolution, profile: LapseProfile, times):
         self.sol, self.profile = sol, profile
         self.times = np.asarray(times, dtype=float)
         self.bts = profile.b_integral(self.times)
-        self.comp, self.pending = sol._theta_stack(self.bts)
+        self.v, self.pending = sol._guarded(self.bts)
+        self.comp = sol._theta_stack(self.v)
 
     @functools.cached_property
-    def frames(self) -> tuple[np.ndarray, Exception | None]:
-        return self.sol._frame_stack(self.bts[:len(self.comp)])
+    def frames(self) -> np.ndarray:
+        return self.sol._frame_stack(self.v, self.bts[:len(self.v)])
 
     @functools.cached_property
     def ricci3(self) -> tuple[np.ndarray, list[float], Exception | None]:
@@ -266,12 +280,11 @@ class _Samples:
 
     def states(self) -> _States:
         """The flow states at the samples (``numeric._state_from_vector``)."""
-        us, raised = self.frames
-        n = len(us)
-        return _state_from_vector(self.times[:n], self.comp[:n], us, [None] * n,
-                                  *self.ricci3[1:], raised or self.pending)
+        n = len(self.comp)
+        return _state_from_vector(self.times[:n], self.comp, self.frames, [None] * n,
+                                  *self.ricci3[1:], self.pending)
 
-    def check(self, raised: Exception | None) -> None:
+    def check(self, raised: Exception | None = None) -> None:
         """Raise ``raised``, met before ``pending``, or else ``pending``."""
         if raised or self.pending:
             raise raised or self.pending

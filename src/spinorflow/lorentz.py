@@ -157,13 +157,17 @@ def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
     """JSON-ready curvature summary at one time.  Theta_t, the coframe, Ric4
     and H_t are evaluated once, and the identity residual is taken from
     them.  Raises SingularTime when a number of the summary is not finite."""
-    return _curvature(_Samples(solve(pair, tol), profile, [t]))[0]
+    c = _curvature(_Samples(solve(pair, tol), profile, [t]))
+    return {"t": c[0], "beta": c[1], "ricci4": [list(c[i:i + 4]) for i in (2, 6, 10, 14)],
+            "scalar4": c[18], "hamiltonian": c[19], "identity_residual": c[20]}
 
 
-def _curvature(stack: _Samples) -> list[dict]:
+def _curvature(stack: _Samples) -> tuple:
     """The curvature summaries at the samples of ``stack``, evaluated as
     one stack and refused as ``numeric._refuse`` rules on the numbers of
-    each summary."""
+    each summary, as one flat tuple of Python floats: per sample, 21 cells
+    t, beta, the 16 components of Ric4 row by row, its scalar, H_t and the
+    identity residual."""
     frame = _coframe4(stack.comp, stack.profile, stack.times[:len(stack.comp)])
     _, hams, raised = stack.ricci3
     with np.errstate(over="ignore", invalid="ignore"):
@@ -175,8 +179,5 @@ def _curvature(stack: _Samples) -> list[dict]:
               & np.isfinite(components).all(axis=(1, 2))).tolist()
     times = frame.t.tolist()
     _refuse("curvature", times, finite, hams, raised, stack.pending)
-    return [{"t": x, "beta": beta, "ricci4": r, "scalar4": scalar, "hamiltonian": ham,
-             "identity_residual": res}
-            for x, beta, r, scalar, ham, res in zip(
-                times, frame.beta.tolist(), components.tolist(), ric.scalar.tolist(),
-                hams, residual.tolist())]
+    return tuple(np.column_stack([frame.t, frame.beta, components.reshape(-1, 16),
+                                  ric.scalar, hams, residual]).ravel().tolist())

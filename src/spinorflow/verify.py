@@ -82,13 +82,11 @@ def _check_constraints(stack: _Samples, con, step: float) -> list[CheckResult]:
     """Propagation of the vacuum constraints along the flow."""
     h0 = con().hamiltonian
     # the closed form of H_t is taken with Theta_t, ahead of the squares of
-    # H_t that came before it in a sample: it raises only where Theta_t is
-    # too small for them to
-    closed, raised = stack.sol._hamiltonian_stack(h0, stack.bts[:len(stack.comp)])
+    # H_t that came before it in a sample: its constant raises only where
+    # Theta_t is too small for them to
+    closed = stack.sol._hamiltonian_stack(h0, stack.v)
     _, hams, overflow = stack.ricci3
-    if len(hams) < len(closed):
-        raise overflow
-    stack.check(raised)
+    stack.check(overflow)
     ham_dev = np.abs(np.array(hams) - closed)
     # the momentum residual, the divergence, is tied to H: -(H/2) e_u
     mom = divergence_sym(structure_constants_from_theta(stack.comp), stack.comp)
@@ -142,10 +140,9 @@ def _check_ricciflow(stack: _Samples, con, step: float) -> list[CheckResult]:
         _fold(np.abs(ric - target).max(axis=(1, 2))), 1e-8)]
 
     if qd and con().is_vacuum_admissible:
-        us, raised = stack.frames
+        us = stack.frames
         factor = (comp[:, 3] + comp[:, 5]) / (2.0 * profile._betas(stack.times))
-        scaled = factor[:, None, None] * _dh_dt(sol, profile, stack.times[:len(us)],
-                                                raised, step)
+        scaled = factor[:, None, None] * _dh_dt(sol, profile, stack.times, step)
         # Ric(h_t) pulled back to the reference coframe components
         ric_ref = us.transpose(0, 2, 1) @ ric @ us
         rows.append(CheckResult(
@@ -155,16 +152,15 @@ def _check_ricciflow(stack: _Samples, con, step: float) -> list[CheckResult]:
 
 
 def _dh_dt(sol: FlowSolution, profile: LapseProfile, times: np.ndarray,
-           raised: Exception | None, step: float) -> np.ndarray:
+           step: float) -> np.ndarray:
     """dh_t/dt at ``times`` by central differences of h_t = U_t^T U_t, from
     one stacked B_t and U_t at all t +- step, which lie inside the table and
-    the lifespan.  What U_t raises first, sample by sample at t + step, then
-    t - step, raises here; ``raised``, U_t's at the sample after ``times``,
-    comes last."""
+    the lifespan.  Where U_t stops short of them at the lifespan boundary,
+    sample by sample at t + step, then t - step, the guard's SingularTime
+    raises here; U_t of a Theta_uu zero within tol takes no guard
+    (``FlowSolution._frames``)."""
     near = (times[:, None] + np.array([step, -step])).ravel()
-    us, u_raised = sol._frame_stack(profile.b_integral(near))
-    if u_raised or raised:
-        raise u_raised or raised
+    us = sol._frames(profile.b_integral(near))
     h = sym_matrices((us.transpose(0, 2, 1) @ us)[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])
     h = h.reshape(-1, 2, 3, 3)
     return (h[:, 0] - h[:, 1]) / (2.0 * step)
@@ -173,8 +169,8 @@ def _dh_dt(sol: FlowSolution, profile: LapseProfile, times: np.ndarray,
 def _check_cosymplectic(stack: _Samples, con, step: float) -> list[CheckResult]:
     """Parallelism and closedness of the distinguished one-forms."""
     sol = stack.sol
-    us, raised = stack.frames
-    stack.check(raised)
+    us = stack.frames
+    stack.check()
     rows = []
     if sol.branch != QD:
         om = levi_civita(structure_constants_from_theta(stack.comp))
@@ -195,8 +191,8 @@ def _check_oracle(stack: _Samples, con, step: float) -> list[CheckResult]:
     states = _integrate(stack.sol.pair, stack.profile, stack.times.tolist(),
                         stack.bts.tolist())
     residuals = np.max(_residuals(states.comp, states.U, stack.sol.pair), axis=0)
-    us, raised = stack.frames
-    stack.check(raised)
+    us = stack.frames
+    stack.check()
     th_dev = np.abs(states.comp - stack.comp)
     u_dev = np.abs(states.U - us)
     flagged = tuple(states.state(i) for i, e in enumerate(states.error) if _uncertain(e))

@@ -55,24 +55,24 @@ def algebraic_residuals(theta):
     return [f(theta) for _, f in _ALGEBRAIC]
 
 
-def fail_at(stacked, bts, bt, exc):
-    """The (values, raised) of a stacked closed form at ``bts`` with ``exc``
-    raised at the first sample whose B_t is ``bt``, as a fault met on
-    entering that sample: unless a sample before it raised."""
-    values, raised = stacked
+def fail_at(guarded, bts, bt, exc):
+    """The (values, raised) of ``FlowSolution._guarded`` at ``bts`` with
+    ``exc`` raised at the first sample whose B_t is ``bt``, as a fault met
+    on entering that sample: unless a sample before it raised."""
+    values, raised = guarded
     hits = np.flatnonzero(np.ravel(bts) == bt)
     if len(hits) and hits[0] <= len(values):
         return values[:hits[0]], exc
     return values, raised
 
 
-def scale_at(stacked, bts, bt, factor):
-    """The (values, raised) of a stacked closed form at ``bts`` with the
-    values of each sample whose B_t is ``bt`` multiplied by ``factor``."""
-    values, raised = stacked
+def scale_at(values, v, key, factor):
+    """The values of a stacked closed form at the guarded values ``v`` with
+    those of each sample whose guarded value is ``key`` multiplied by
+    ``factor``."""
     values = values.copy()
-    values[np.ravel(bts)[:len(values)] == bt] *= factor
-    return values, raised
+    values[np.ravel(v)[:len(values)] == key] *= factor
+    return values
 
 
 def besse_ricci(c):

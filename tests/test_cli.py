@@ -185,7 +185,20 @@ class TestExitCodes:
         # the flow blows up at t = 1; a window beyond it cannot be clipped
         code = main(["flow", uu_file, "--t0", "2.0", "--t1", "3.0"])
         assert code == EXIT_NUMERIC
-        assert "numeric failure" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "numeric failure: requested window lies outside the lifespan\n"
+
+    @pytest.mark.parametrize("command", ["flow", "curvature"])
+    def test_an_inverted_window_is_refused_without_a_warning(self, tmp_path, capsys,
+                                                             command):
+        # the lifespan (-1.57e-7, 1.57e-7) is narrower than the margin of
+        # 1.5e-6 at each end: [-0.5, 1.5] clips to an inverted window, which
+        # is refused before any clipping warning
+        path = write_pair(tmp_path, "short", theta_dict(ul=6e6, un=8e6))
+        assert main([command, path, "--t0=-0.5", "--t1", "1.5"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: requested window lies outside the lifespan\n"
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--t0=-inf"], ["curvature", "--t0=-inf"],
@@ -323,10 +336,11 @@ class TestExitCodes:
         (["validate", "PAIR", "--tol", "-1e-9"], EXIT_IO),
         (["nosuch", "PAIR"], EXIT_IO),
         (["verify", "PAIR", "--samples", "x"], EXIT_IO),
+        (["curvature", "PAIR", "--format", "json"], EXIT_IO),
         ([], EXIT_IO),
         (["validate", "--help"], EXIT_OK),
     ], ids=["tol-read-as-option", "unknown-command", "samples-not-an-int",
-            "no-command", "help"])
+            "curvature-takes-no-format", "no-command", "help"])
     def test_usage_error_exit_code(self, e11_file, capsys, argv, code):
         # argparse's own usage-error code 2 would read as a numeric failure
         with pytest.raises(SystemExit) as exc:
@@ -1065,7 +1079,10 @@ class TestRenderers:
          .reshape(4, 4).tolist(), "scalar4": -1e-300 * i, "hamiltonian": 2.0 ** -i,
          "identity_residual": 1e-17 * i} for i in range(50)])
     def test_curvature_payload(self, span, samples):
-        assert cli._render_curvature(span, samples) == _reference_curvature(span, samples)
+        cells = tuple(x for s in samples for x in (
+            s["t"], s["beta"], *(v for row in s["ricci4"] for v in row),
+            s["scalar4"], s["hamiltonian"], s["identity_residual"]))
+        assert cli._render_curvature(span, cells) == _reference_curvature(span, samples)
 
 
 class TestParserReuse:

@@ -184,12 +184,22 @@ def test_stacks_match_single_samples(row, scale, profile):
         bts = profile.b_integral(inside)
         _same_outcome((bts, None), _singles(lambda t: b_integral(profile, t), inside))
 
-        # Theta_t, U_t and H_t at the same B_t, as numpy scalars
-        _same_outcome(sol._theta_stack(bts), _singles(lambda bt: theta_at(sol, bt), bts))
-        _same_outcome(sol._frame_stack(bts), _singles(lambda bt: frame_at(sol, bt), bts))
+        # Theta_t, U_t and H_t at the same B_t, as numpy scalars: each stack
+        # reads the prefix the guard passes, and its first failing sample
+        # raises what the guard raised there
+        v, raised = sol._guarded(bts)
+        _same_outcome((sol._theta_stack(v), raised),
+                      _singles(lambda bt: theta_at(sol, bt), bts))
+        # U_t of a Theta_uu zero within tol takes no guard, and comes at every B_t
+        us = sol._frame_stack(v, bts)
+        _same_outcome((us, raised if len(us) < len(bts) else None),
+                      _singles(lambda bt: frame_at(sol, bt), bts))
         for h0 in (1.0, -2.5):
-            _same_outcome(sol._hamiltonian_stack(h0, bts),
-                          _singles(lambda bt: hamiltonian_at(sol, h0, bt), bts))
+            try:  # the constant of H_t raises at the first sample that passes
+                hams = sol._hamiltonian_stack(h0, v), raised
+            except ArithmeticError as exc:
+                hams = v[:0], exc
+            _same_outcome(hams, _singles(lambda bt: hamiltonian_at(sol, h0, bt), bts))
 
         # the scalar methods are stacks of one
         _same_outcome(_singles(lambda bt: sol.theta_at(bt).as_array(), bts),

@@ -342,6 +342,19 @@ class TestFrameExact:
         u = frame_exact(pair, UNIT, t)
         assert np.allclose(u, np.diag([1.0, math.exp(-1), math.exp(1)]), atol=1e-12)
 
+    def test_a_uu_zero_within_tol_takes_no_guard(self):
+        # Theta_uu = 1 is zero within tol beside Theta_ll = 1.35e148, so U_t
+        # is the block exponential, also at B_t = 1.5 past 1/Theta_uu, where
+        # Theta_t meets the guard
+        th = CauchyPair.from_components(uu=1.0, ll=1.35e148).theta
+        sol = solve(CauchyPair(th))
+        u = sol.frame_at(1.5)
+        assert u[0, 0] == 1.0
+        np.testing.assert_array_equal(
+            u[1:, 1:], expm(-1.5 * np.array([[th.ll, th.ln], [th.ln, th.nn]])))
+        with pytest.raises(SingularTime):
+            sol.theta_at(1.5)
+
     @pytest.mark.parametrize("lapse, t", [
         (lapse, t) for lapse in ("constant", "tabulated") for t in (-1.6, -0.4, 0.7, 1.9)
     ])

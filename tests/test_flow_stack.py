@@ -113,27 +113,33 @@ class TestFlowCellsMatchSingleSamples:
     @pytest.mark.parametrize("poison", ["huge-then-pole", "frame-then-pole", "pole", "nan"])
     def test_the_first_failing_sample_wins(self, monkeypatch, poison):
         # Theta_t squares past the largest float at sample 3, U_t overflows
-        # there, Theta_t raises at sample 6, or is NaN at sample 4
+        # there, the guard raises at sample 6, or Theta_t is NaN at sample 4
         pair, profile = ROW_PAIRS["tau2R-general"], PROFILES["table-5"]
         times = sample_times(pair, profile, 9)
         huge, nan, pole = (profile.b_integral(times[i]) for i in (3, 4, 6))
+        # the stacks read the guarded values of the samples, not their B_t
+        v_huge, v_nan = solve(pair)._guarded(np.array([huge, nan]))[0]
+        guarded = FlowSolution._guarded
         theta_stack, frame_stack = FlowSolution._theta_stack, FlowSolution._frame_stack
 
-        def poisoned_theta(self, bts):
-            thetas = fail_at(theta_stack(self, bts), bts, pole,
-                             SingularTime("a pole at sample 6"))
+        def poisoned_guard(self, bts):
+            return fail_at(guarded(self, bts), bts, pole, SingularTime("a pole at sample 6"))
+
+        def poisoned_theta(self, v):
+            thetas = theta_stack(self, v)
             if poison == "huge-then-pole":
-                return scale_at(thetas, bts, huge, 1e200)
+                return scale_at(thetas, v, v_huge, 1e200)
             if poison == "nan":
-                return scale_at(thetas, bts, nan, math.nan)
+                return scale_at(thetas, v, v_nan, math.nan)
             return thetas
 
-        def poisoned_frame(self, bts):
-            frames = frame_stack(self, bts)
-            if poison == "frame-then-pole":
-                return fail_at(frames, bts, huge, OverflowError("U_t overflows at sample 3"))
-            return frames
+        def poisoned_frame(self, v, bts):
+            # U_t, an array, overflows on every grid that holds sample 3
+            if poison == "frame-then-pole" and (v == v_huge).any():
+                raise OverflowError("U_t overflows at sample 3")
+            return frame_stack(self, v, bts)
 
+        monkeypatch.setattr(FlowSolution, "_guarded", poisoned_guard)
         monkeypatch.setattr(FlowSolution, "_theta_stack", poisoned_theta)
         monkeypatch.setattr(FlowSolution, "_frame_stack", poisoned_frame)
         got = _check(pair, profile, times)

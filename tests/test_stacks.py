@@ -30,6 +30,12 @@ PROFILES = {
 SAMPLES = 9
 
 
+def _report_cells(rep):
+    """The 21 cells of a curvature report, in the order of ``_curvature``."""
+    return [rep["t"], rep["beta"], *(x for row in rep["ricci4"] for x in row),
+            rep["scalar4"], rep["hamiltonian"], rep["identity_residual"]]
+
+
 def _same_bits(stacked, singles):
     """The stack equals the singles stacked, bit for bit (signed zeros too)."""
     stacked, singles = np.asarray(stacked), np.asarray(singles)
@@ -104,9 +110,11 @@ class TestStacksMatchSingleSamples:
         assert reports == [flow_residuals(st, row_pair) for st in states]
 
     def test_curvature(self, row_pair, profile, samples):
+        # the cells of the stack are those of one report per sample, in its order
         times, _, _ = samples
-        reports = _curvature(_Samples(solve(row_pair), profile, times))
-        assert reports == [curvature_report(row_pair, profile, t) for t in times]
+        cells = _curvature(_Samples(solve(row_pair), profile, times))
+        reports = [curvature_report(row_pair, profile, t) for t in times]
+        assert cells == tuple(v for rep in reports for v in _report_cells(rep))
 
 
 def _structure_constants_loop(theta):
@@ -373,18 +381,22 @@ class TestSuitesMatchSingleSamples:
             _outcome(REFERENCES[suite], pair, profile)
 
     def test_the_first_failing_sample_wins(self, suite, monkeypatch):
-        # Theta_t squares past the largest float at sample 3 and raises at
-        # sample 6: every suite that squares it reports sample 3
+        # Theta_t squares past the largest float at sample 3 and the guard
+        # raises at sample 6: every suite that squares it reports sample 3
         pair, profile = ROW_PAIRS["tau2R-general"], PROFILES["table-5"]
         times = sample_times(pair, profile, 9)
         huge, pole = (profile.b_integral(times[i]) for i in (3, 6))
-        theta_stack = FlowSolution._theta_stack
+        # Theta_t reads the guarded value of a sample, not its B_t
+        v_huge = solve(pair)._guarded(np.array([huge]))[0][0]
+        guarded, theta_stack = FlowSolution._guarded, FlowSolution._theta_stack
 
-        def poisoned(self, bts):
-            thetas = fail_at(theta_stack(self, bts), bts, pole,
-                             SingularTime("a pole at sample 6"))
-            return scale_at(thetas, bts, huge, 1e200)
+        def poisoned_guard(self, bts):
+            return fail_at(guarded(self, bts), bts, pole, SingularTime("a pole at sample 6"))
 
+        def poisoned(self, v):
+            return scale_at(theta_stack(self, v), v, v_huge, 1e200)
+
+        monkeypatch.setattr(FlowSolution, "_guarded", poisoned_guard)
         monkeypatch.setattr(FlowSolution, "_theta_stack", poisoned)
         got = _outcome(run_suite, pair, profile, suite, samples=9)
         assert got == _outcome(REFERENCES[suite], pair, profile, samples=9)
@@ -395,10 +407,11 @@ class TestSuitesMatchSingleSamples:
         # Theta_t is NaN at the middle one of 9 samples and at no other
         pair, profile = ROW_PAIRS["tau2R-general"], PROFILES["table-5"]
         middle = profile.b_integral(sample_times(pair, profile, 9)[4])
+        v_middle = solve(pair)._guarded(np.array([middle]))[0][0]
         theta_stack = FlowSolution._theta_stack
 
-        def poisoned(self, bts):
-            return scale_at(theta_stack(self, bts), bts, middle, math.nan)
+        def poisoned(self, v):
+            return scale_at(theta_stack(self, v), v, v_middle, math.nan)
 
         monkeypatch.setattr(FlowSolution, "_theta_stack", poisoned)
         got = _outcome(run_suite, pair, profile, suite, samples=9)
