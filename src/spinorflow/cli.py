@@ -42,7 +42,7 @@ except ImportError:  # the optional extra "fast"
 from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
 from .exact import _Samples, solve
 from .lapse import LapseProfile
-from .lorentz import _curvature
+from .lorentz import _CURVATURE_CELLS, _curvature
 from .numeric import CERTIFY_LIMIT, _integrate, _residuals, _uncertain
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints, _row_group, classify, \
     invariants, validate
@@ -239,7 +239,7 @@ def _render_curvature(span, cells: tuple) -> str:
     one sample at least), Python floats."""
     head = _CURVATURE_HEAD % (_json_end(span.t_minus), _json_end(span.t_plus),
                               "true" if span.immortal else "false")
-    n = len(cells) // _SAMPLE.count("%r")
+    n = len(cells) // _CURVATURE_CELLS
     return head + "[\n" + ",\n".join([_SAMPLE] * n) % cells + "\n  ]\n}\n"
 
 

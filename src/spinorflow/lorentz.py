@@ -152,22 +152,27 @@ def closedness_residual(pair: CauchyPair, alpha: np.ndarray) -> float:
     return float(max(abs(v[1]), abs(v[2])))
 
 
+# The cells of one curvature sample, in this order: t, beta, the 16
+# components of Ric4 row by row, its scalar, H_t and the identity residual.
+_CURVATURE_CELLS = 21
+
+
 def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
                      tol: float = DEFAULT_TOL) -> dict:
     """JSON-ready curvature summary at one time.  Theta_t, the coframe, Ric4
     and H_t are evaluated once, and the identity residual is taken from
     them.  Raises SingularTime when a number of the summary is not finite."""
-    c = _curvature(_Samples(solve(pair, tol), profile, [t]))
-    return {"t": c[0], "beta": c[1], "ricci4": [list(c[i:i + 4]) for i in (2, 6, 10, 14)],
-            "scalar4": c[18], "hamiltonian": c[19], "identity_residual": c[20]}
+    stack = _Samples(solve(pair, tol), profile, [t])
+    t, beta, *ric, scalar, ham, residual = _curvature(stack)
+    return {"t": t, "beta": beta, "ricci4": [ric[i:i + 4] for i in range(0, 16, 4)],
+            "scalar4": scalar, "hamiltonian": ham, "identity_residual": residual}
 
 
 def _curvature(stack: _Samples) -> tuple:
     """The curvature summaries at the samples of ``stack``, evaluated as
     one stack and refused as ``numeric._refuse`` rules on the numbers of
-    each summary, as one flat tuple of Python floats: per sample, 21 cells
-    t, beta, the 16 components of Ric4 row by row, its scalar, H_t and the
-    identity residual."""
+    each summary, as one flat tuple of Python floats: per sample, the
+    ``_CURVATURE_CELLS`` cells in their order."""
     frame = _coframe4(stack.comp, stack.profile, stack.times[:len(stack.comp)])
     _, hams, raised = stack.ricci3
     with np.errstate(over="ignore", invalid="ignore"):

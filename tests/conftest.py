@@ -49,6 +49,13 @@ def pair_json(pair):
     return {"theta": dataclasses.asdict(pair.theta)}
 
 
+def curvature_cells(report):
+    """The cells of a ``curvature_report`` dict, in the order of
+    ``lorentz._curvature``."""
+    return (report["t"], report["beta"], *(x for row in report["ricci4"] for x in row),
+            report["scalar4"], report["hamiltonian"], report["identity_residual"])
+
+
 def algebraic_residuals(theta):
     """The four algebraic relations every admissible shape tensor satisfies
     (``pairs._ALGEBRAIC``), evaluated at the Sym3 ``theta``."""

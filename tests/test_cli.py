@@ -20,7 +20,7 @@ from spinorflow import cli, exact, frames, lapse, lorentz, numeric, pairs, verif
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
 
-from conftest import pair_json
+from conftest import curvature_cells, pair_json
 
 
 def write_pair(tmp_path, name, theta, extra=None):
@@ -181,21 +181,18 @@ class TestExitCodes:
         assert "[pass]" not in captured.out
         assert captured.err == "error: --samples must be at least 2\n"
 
-    def test_window_outside_lifespan(self, uu_file, capsys):
+    @pytest.mark.parametrize("command, theta, t0, t1", [
         # the flow blows up at t = 1; a window beyond it cannot be clipped
-        code = main(["flow", uu_file, "--t0", "2.0", "--t1", "3.0"])
-        assert code == EXIT_NUMERIC
-        assert capsys.readouterr().err == \
-            "numeric failure: requested window lies outside the lifespan\n"
-
-    @pytest.mark.parametrize("command", ["flow", "curvature"])
-    def test_an_inverted_window_is_refused_without_a_warning(self, tmp_path, capsys,
-                                                             command):
+        ("flow", theta_dict(uu=1.0), "2.0", "3.0"),
         # the lifespan (-1.57e-7, 1.57e-7) is narrower than the margin of
         # 1.5e-6 at each end: [-0.5, 1.5] clips to an inverted window, which
         # is refused before any clipping warning
-        path = write_pair(tmp_path, "short", theta_dict(ul=6e6, un=8e6))
-        assert main([command, path, "--t0=-0.5", "--t1", "1.5"]) == EXIT_NUMERIC
+        ("flow", theta_dict(ul=6e6, un=8e6), "-0.5", "1.5"),
+        ("curvature", theta_dict(ul=6e6, un=8e6), "-0.5", "1.5"),
+    ], ids=["beyond", "inverted-flow", "inverted-curvature"])
+    def test_window_outside_lifespan(self, tmp_path, capsys, command, theta, t0, t1):
+        path = write_pair(tmp_path, "pair", theta)
+        assert main([command, path, f"--t0={t0}", "--t1", t1]) == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numeric failure: requested window lies outside the lifespan\n"
@@ -1079,9 +1076,7 @@ class TestRenderers:
          .reshape(4, 4).tolist(), "scalar4": -1e-300 * i, "hamiltonian": 2.0 ** -i,
          "identity_residual": 1e-17 * i} for i in range(50)])
     def test_curvature_payload(self, span, samples):
-        cells = tuple(x for s in samples for x in (
-            s["t"], s["beta"], *(v for row in s["ricci4"] for v in row),
-            s["scalar4"], s["hamiltonian"], s["identity_residual"]))
+        cells = tuple(x for s in samples for x in curvature_cells(s))
         assert cli._render_curvature(span, cells) == _reference_curvature(span, samples)
 
 

@@ -19,7 +19,7 @@ from spinorflow.pairs import ConstraintReport, _constraints
 from spinorflow.verify import SUITES, CheckResult, _sample_times, _worst, run_suite, \
     sample_times
 
-from conftest import ROW_PAIRS, fail_at, scale_at
+from conftest import ROW_PAIRS, curvature_cells, fail_at, scale_at
 
 PROFILES = {
     "constant-1": LapseProfile.constant(1.0),
@@ -28,12 +28,6 @@ PROFILES = {
                                       [0.9, 0.8, 1.3, 1.0, 1.2]),
 }
 SAMPLES = 9
-
-
-def _report_cells(rep):
-    """The 21 cells of a curvature report, in the order of ``_curvature``."""
-    return [rep["t"], rep["beta"], *(x for row in rep["ricci4"] for x in row),
-            rep["scalar4"], rep["hamiltonian"], rep["identity_residual"]]
 
 
 def _same_bits(stacked, singles):
@@ -114,7 +108,7 @@ class TestStacksMatchSingleSamples:
         times, _, _ = samples
         cells = _curvature(_Samples(solve(row_pair), profile, times))
         reports = [curvature_report(row_pair, profile, t) for t in times]
-        assert cells == tuple(v for rep in reports for v in _report_cells(rep))
+        assert cells == tuple(v for rep in reports for v in curvature_cells(rep))
 
 
 def _structure_constants_loop(theta):

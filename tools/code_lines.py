@@ -2,9 +2,8 @@
 token of code, so neither blank lines, comments nor docstrings (of a module,
 class or function).  Prints one line per module and then their total.
 
-    python tools/code_lines.py [ROOT]
+    python tools/code_lines.py
 
-ROOT defaults to the src/ directory beside this script's directory.
 Standard library only.
 """
 
@@ -42,8 +41,8 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src"
     total = 0
     for path in sorted(root.rglob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
@@ -54,4 +53,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
