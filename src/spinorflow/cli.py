@@ -41,6 +41,7 @@ except ImportError:  # the optional extra "fast"
 
 from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
 from .exact import _Samples, solve
+from .frames import _SYM_FLAT
 from .lapse import LapseProfile
 from .lorentz import _CURVATURE_CELLS, _curvature
 from .numeric import CERTIFY_LIMIT, _integrate, _residuals, _uncertain
@@ -178,7 +179,7 @@ def _flow_cells(sol, profile, times, method: str) -> tuple:
         _warn_uncertified(zip(states.t.tolist(), states.error))
     table = np.column_stack([
         states.t, bts, states.comp, states.U.reshape(-1, 9),
-        states.metric[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], states.hamiltonian,
+        states.metric.reshape(-1, 9)[:, _SYM_FLAT], states.hamiltonian,
         *_residuals(states.comp, states.U, sol.pair),
     ])
     return tuple(table.ravel().tolist())

@@ -31,6 +31,8 @@ U, L, N = 0, 1, 2
 
 # entry (a, b) of a symmetric 3x3 matrix in the components (uu, ul, un, ll, ln, nn)
 _SYM_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# and the reverse: where each component sits in a 3x3 matrix flattened row by row
+_SYM_FLAT = [0, 1, 2, 4, 5, 8]
 
 # einsum labels of the leading (sample) axes of a stack
 _LEAD = "zyxwv"
@@ -113,10 +115,7 @@ def eigen2x2(theta2) -> EigenData2:
     col1 = np.array([a - rho_m, b])
     col2 = np.array([b, c - rho_m])
     v = col1 if np.linalg.norm(col1) >= np.linalg.norm(col2) else col2
-    nv = np.linalg.norm(v)
-    if nv <= 1e-300:
-        return EigenData2(rho_plus=rho_p, rho_minus=rho_m, Q=np.eye(2))
-    v = v / nv
+    v = v / np.linalg.norm(v)
     if v[0] < 0 or (v[0] == 0 and v[1] < 0):
         v = -v
     Q = np.array([[v[0], -v[1]], [v[1], v[0]]])

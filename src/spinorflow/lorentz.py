@@ -170,19 +170,18 @@ def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
 
 def _curvature(stack: _Samples) -> tuple:
     """The curvature summaries at the samples of ``stack``, evaluated as
-    one stack and refused as ``numeric._refuse`` rules on the numbers of
-    each summary, as one flat tuple of Python floats: per sample, the
-    ``_CURVATURE_CELLS`` cells in their order."""
+    one stack, as one flat tuple of Python floats: per sample, the
+    ``_CURVATURE_CELLS`` cells in their order.  A sample with a cell that is
+    not finite is refused as ``numeric._refuse`` rules."""
     frame = _coframe4(stack.comp, stack.profile, stack.times[:len(stack.comp)])
     _, hams, raised = stack.ricci3
+    n = len(hams)
     with np.errstate(over="ignore", invalid="ignore"):
         ric = ricci4(frame)
-        n = len(hams)
         components = ric.components[:n]
         residual = _identity_residual(components, np.array(hams))
-    finite = (np.isfinite(ric.scalar[:n]) & np.isfinite(residual)
-              & np.isfinite(components).all(axis=(1, 2))).tolist()
-    times = frame.t.tolist()
-    _refuse("curvature", times, finite, hams, raised, stack.pending)
-    return tuple(np.column_stack([frame.t, frame.beta, components.reshape(-1, 16),
-                                  ric.scalar, hams, residual]).ravel().tolist())
+    cells = np.column_stack([frame.t[:n], frame.beta[:n], components.reshape(-1, 16),
+                             ric.scalar[:n], hams, residual])
+    _refuse("curvature", frame.t.tolist(), np.isfinite(cells).all(axis=1).tolist(), hams,
+            raised, stack.pending)
+    return tuple(cells.ravel().tolist())

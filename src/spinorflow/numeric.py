@@ -205,7 +205,7 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     s = ``profile.b_integral(t)`` at unit lapse, where the kinks of a table
     vanish; a constant lapse c gives s = c t.  ``FlowState.t`` is the
     requested t, and SingularTime messages name times t (s through
-    ``profile.solve_b``).
+    ``profile.solve_b``).  B_t is taken of all ``times`` in one call.
 
     With no ``n_steps_total`` the march is under step doubling
     (``_controlled_march``): every step keeps its local error within
@@ -217,18 +217,17 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     and every stop is reached in the fewest equal steps no longer than the
     total span over ``n_steps_total``; its states carry no error estimate.
 
-    Raises ValueError on a time that is not finite, OutOfDomain on one
-    outside a table, and SingularTime when the march blows up or overflows
-    (see ``_singular``) before it reaches a requested time.
+    Raises ValueError on a time that is not finite, OutOfDomain on the
+    first one outside a table, in the order of ``times``, and SingularTime
+    when the march blows up or overflows (see ``_singular``) before it
+    reaches a requested time.
     """
     require_valid(pair, tol)
     requested = [float(t) for t in times]
     if not all(map(math.isfinite, requested)):
         raise ValueError("integration times must be finite")
-    distinct = list(dict.fromkeys(requested))
-    clock = dict(zip(distinct, profile.b_integral(np.array(distinct)).tolist()))
-    states = _integrate(pair, profile, requested, [clock[t] for t in requested],
-                        n_steps_total)
+    states = _integrate(pair, profile, requested,
+                        profile.b_integral(np.array(requested)).tolist(), n_steps_total)
     return [states.state(i) for i in range(len(requested))]
 
 

@@ -14,22 +14,22 @@ pair's constraints, which are evaluated at most once, where a suite first
 reads them, and the step of central differences in t: 1e-5, or half the
 sample window's 5% inset where that is less, so that t +- step stays inside
 the window.  The curvature algebra runs once over a stack, and each row's
-residual is the ``_worst`` of its per-sample residuals, in sample order, so
-a NaN still fails its row.  A sample that raises does so once the samples
-before it have been evaluated, as one sample at a time did.
+residual is the largest of its per-sample residuals (``_fold``), or NaN
+when one of them is, so a NaN still fails its row.  A sample that raises
+does so once the samples before it have been evaluated, as one sample at a
+time did.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import QD, FlowSolution, _Samples, solve
-from .frames import divergence_sym, levi_civita, structure_constants_from_theta, \
-    sym_matrices
+from .frames import _SYM_FLAT, divergence_sym, levi_civita, \
+    structure_constants_from_theta, sym_matrices
 from .lapse import LapseProfile
 from .lorentz import _coframe4, _identity_residual, _log_scale_differential, \
     closedness_residual, ricci4
@@ -54,12 +54,6 @@ class CheckResult:
         return self.residual <= self.tol
 
 
-def _worst(a: float, b: float) -> float:
-    """max(a, b), but NaN when either is: a residual that is not a number
-    must fail its row, and max() keeps its first argument against a NaN."""
-    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
-
-
 def sample_times(pair: CauchyPair, profile: LapseProfile, n: int,
                  tol: float = DEFAULT_TOL) -> np.ndarray:
     return _sample_times(solve(pair, tol), profile, n)
@@ -73,9 +67,10 @@ def _sample_times(sol: FlowSolution, profile: LapseProfile, n: int) -> np.ndarra
 
 
 def _fold(residuals) -> float:
-    """The ``_worst`` of 0.0 and the per-sample residuals, folded in sample
-    order: the row's residual, NaN when one of them is."""
-    return functools.reduce(_worst, np.asarray(residuals, dtype=float).tolist(), 0.0)
+    """The row's residual: the largest of 0.0 and the per-sample residuals,
+    NaN when one of them is, so that a residual that is not a number fails
+    its row."""
+    return float(np.max(np.append(residuals, 0.0)))
 
 
 def _check_constraints(stack: _Samples, con, step: float) -> list[CheckResult]:
@@ -161,8 +156,7 @@ def _dh_dt(sol: FlowSolution, profile: LapseProfile, times: np.ndarray,
     (``FlowSolution._frames``)."""
     near = (times[:, None] + np.array([step, -step])).ravel()
     us = sol._frames(profile.b_integral(near))
-    h = sym_matrices((us.transpose(0, 2, 1) @ us)[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]])
-    h = h.reshape(-1, 2, 3, 3)
+    h = sym_matrices((us.transpose(0, 2, 1) @ us).reshape(-1, 2, 9)[..., _SYM_FLAT])
     return (h[:, 0] - h[:, 1]) / (2.0 * step)
 
 

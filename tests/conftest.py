@@ -108,3 +108,23 @@ def besse_ricci(c):
     return np.array([[quadratic(basis[i]) if i == j else
                       (quadratic(basis[i] + basis[j]) - quadratic(basis[i] - basis[j])) / 4
                       for j in range(n)] for i in range(n)])
+
+
+def ricci_x(h, c):
+    """Ricci tensor, in the basis x, of the left-invariant metric with
+    components h_ab = <x_a, x_b> and brackets [x_b, x_d] = c[a][b][d] x_a:
+    ``besse_ricci``'s formula polarized term by term, with each sum over an
+    orthonormal frame taken as a contraction with h^-1 (g below),
+
+        Ric(X, Y) = -1/2 sum_i <[X, X_i], [Y, X_i]> - 1/2 B(X, Y)
+                    + 1/4 sum_ij <[X_i, X_j], X> <[X_i, X_j], Y>
+                    - 1/2 (<[Z, X], Y> + <[Z, Y], X>)."""
+    h, c = np.asarray(h, dtype=float), np.asarray(c, dtype=float)
+    g = np.linalg.inv(h)
+    low = np.einsum("ed,dai->eai", h, c)  # low[e, a, i] = <[x_a, x_i], x_e>
+    z = g @ np.einsum("dbd->b", c)  # <Z, x_b> = tr ad_{x_b}
+    zx = np.einsum("m,bma->ab", z, low)  # <[Z, x_a], x_b>
+    return (-0.5 * np.einsum("eai,ebi->ab", low, c @ g)
+            - 0.5 * np.einsum("dae,ebd->ab", c, c)
+            + 0.25 * np.einsum("aij,bij->ab", low, g @ low @ g)
+            - 0.5 * (zx + zx.T))

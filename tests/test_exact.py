@@ -85,6 +85,9 @@ class TestLapse:
         assert UNIT != LapseProfile.constant(2.0)
         assert UNIT != LapseProfile.tabulated([-1.0, 1.0], [1.0, 1.0])
         assert len({tab, same, UNIT, LapseProfile.constant(1.0)}) == 2
+        # a profile is no number, not even the value of a constant one
+        assert LapseProfile.__eq__(UNIT, 1.0) is NotImplemented
+        assert UNIT != 1.0 and not UNIT == 1.0
 
 
 def _b_integral_reference(prof, t):

@@ -235,6 +235,11 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="at least 1 sample"):
             run_suite(ROW_PAIRS["R3"], UNIT, suite, samples=samples)
 
+    @pytest.mark.parametrize("suite", ["", "Oracle", "ricci3"])
+    def test_refuses_an_unknown_suite(self, suite):
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite(ROW_PAIRS["R3"], UNIT, suite)
+
     @pytest.mark.parametrize("suite", SUITES)
     def test_an_overflowing_closed_form_as_one_sample_at_a_time(self, suite):
         # (1 - Theta_uu B_t)^2 in the closed form of H_t passes the largest

@@ -242,6 +242,21 @@ class TestIntegrateTo:
                                                r"before reaching t = 0\.5$"):
             integrate_to(CauchyPair.from_components(), UNIT, [0.5])
 
+    def test_stalls_when_every_trial_is_rejected(self, monkeypatch):
+        # each rejected trial cuts the step to a fifth, until s + step == s
+        calls = []
+
+        def rejected(y, z, h, tol):
+            calls.append(h)
+            assert len(calls) < 10_000, "the march never stalled"
+            return y, None, math.inf, None
+
+        monkeypatch.setattr(numeric._kern, "doubling_step", rejected)
+        with pytest.raises(SingularTime, match=r"^integration stalled at t = 0 "
+                                               r"before reaching t = 0\.5$"):
+            integrate_to(CauchyPair.from_components(), UNIT, [0.5])
+        assert calls[0] == 0.5 and calls[-1] > 0.0
+
     @pytest.mark.parametrize("pair, profile, times", [
         (CauchyPair.from_components(uu=1.0), LAPSE_13, [-3.0, 0.5, 0.9]),
         (CauchyPair.from_components(uu=-1.0), UNIT_TABLE, [-1.5]),

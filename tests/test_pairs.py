@@ -82,6 +82,11 @@ class TestValidate:
     def test_all_rows_accepted(self, row_pair):
         assert validate(row_pair).valid
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_refuses_a_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            validate(CauchyPair.from_components(uu=5.0), tol)
+
     def test_require_valid_raises(self):
         with pytest.raises(InvalidPair):
             require_valid(CauchyPair.from_components(ul=1.0, ll=1.0))

@@ -16,8 +16,7 @@ from spinorflow.lorentz import ETA4, _coframe4, _curvature, _identity_residual, 
     _structure4, closedness_residual
 from spinorflow.numeric import uncertified
 from spinorflow.pairs import ConstraintReport, _constraints
-from spinorflow.verify import SUITES, CheckResult, _sample_times, _worst, run_suite, \
-    sample_times
+from spinorflow.verify import SUITES, CheckResult, _sample_times, run_suite, sample_times
 
 from conftest import ROW_PAIRS, curvature_cells, fail_at, scale_at
 
@@ -154,6 +153,12 @@ class TestSliceAssignmentsMatchTheLoops:
 
 # The suites as they were before they evaluated one stack of samples: one
 # scalar call chain per sample, folded with _worst as each sample comes.
+
+def _worst(a: float, b: float) -> float:
+    """max(a, b), but NaN when either is: a residual that is not a number
+    must fail its row, and max() keeps its first argument against a NaN."""
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
 
 def _constraints_reference(th, tol):
     """_constraints of one Sym3 through the scalar calls."""
