@@ -39,7 +39,7 @@ try:
 except ImportError:  # the optional extra "fast"
     _orjson = None
 
-from .errors import InvalidPair, NotApplicable, OutOfDomain, SingularTime
+from .errors import InvalidPair, SingularTime, SpinorFlowError
 from .exact import _Samples, solve
 from .frames import _SYM_FLAT
 from .lapse import LapseProfile
@@ -61,8 +61,9 @@ EXIT_IO = 3
 # (``numeric._until_raised``): Python raises OverflowError(errno, text) where
 # a float operation overflows, as squares of components near 1e160 do, and
 # ZeroDivisionError where a divisor underflows to zero, as lambda^2 of
-# components near 1e-162 does
-_NUMERIC_FAILURES = (SingularTime, OutOfDomain, NotApplicable, ArithmeticError)
+# components near 1e-162 does.  InvalidPair, also a SpinorFlowError, is
+# caught before it
+_NUMERIC_FAILURES = (SpinorFlowError, ArithmeticError)
 
 
 def _fmt(x: float) -> str:
@@ -305,8 +306,8 @@ def _sampled(args, data):
     span = sol.lifespan(profile)
     lo, hi = span.inside(profile, math.inf)
     margin = 1e-6 * max(1.0, abs(args.t0), abs(args.t1))
-    c0 = max(args.t0, lo + margin) if math.isfinite(lo) else args.t0
-    c1 = min(args.t1, hi - margin) if math.isfinite(hi) else args.t1
+    # an unbounded end is -inf or inf, and the window is finite: it keeps t0 or t1
+    c0, c1 = max(args.t0, lo + margin), min(args.t1, hi - margin)
     if c0 >= c1:
         raise SingularTime("requested window lies outside the lifespan")
     if (c0, c1) != (args.t0, args.t1):

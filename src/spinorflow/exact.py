@@ -12,8 +12,9 @@ it, raising InvalidPair when it is not admissible, and builds a
 ``FlowSolution`` that holds every constant the pair fixes and evaluates a
 whole grid of B_t in one pass (``_Samples``), the stacks every command
 reads.  The lifespan guard is taken once per grid, and each closed form
-then reads the guarded prefix as plain arrays.  The scalar functions, which
-no command calls, read one ``solve`` each; at one t, a stack of one sample.
+then reads the guarded prefix as plain arrays.  The one-time functions,
+which no command calls, read one ``solve`` each: at one t, a checked stack
+of one sample (``_sample``).
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class FlowSolution:
     take that guarded prefix and give Theta_t, U_t and H_t as arrays, one
     entry per sample.  Each sample gets the operations of a sample of its
     own, in its order: only + - * / run on arrays, and math.cos, math.tan
-    and ** stay scalar calls.  The ``*_at`` methods give Theta_t, U_t and
-    H_t at one B_t, a stack of one.
+    and ** stay scalar calls.  There is no per-sample method: one time is a
+    stack of one sample (``theta_exact``).
 
     QD: ``eig`` is the eigen data of the lower 2x2 block over Theta_uu, or
     None where Theta_uu is zero within tol.  NONQD: ``lam``, ``y0``, ``c_ll``,
@@ -114,14 +115,6 @@ class FlowSolution:
             text = "y_t = {:.12f} at the lifespan boundary"
         n = int(bad.argmax()) if bad.any() else len(v)
         return v[:n], SingularTime(text.format(v[n])) if n < len(v) else None
-
-    def _at(self, bt: float) -> np.ndarray:
-        """The ``_guarded`` value of one B_t, as an array of one, or the
-        SingularTime of a B_t at the lifespan boundary."""
-        v, raised = self._guarded(np.array([bt], dtype=float))
-        if raised:
-            raise raised
-        return v
 
     def _frames(self, bts: np.ndarray) -> np.ndarray:
         """U_t at every one of ``bts``, or the guard's SingularTime where
@@ -199,15 +192,6 @@ class FlowSolution:
         k = lam**2 * h0 / (lam**2 + uu**2) if len(v) else 0.0  # Python-float squares
         with np.errstate(over="ignore", invalid="ignore"):
             return k / np.array([math.cos(y) ** 2 for y in v.tolist()])
-
-    def theta_at(self, bt: float) -> Sym3:
-        return Sym3.from_array(self._theta_stack(self._at(bt))[0])
-
-    def frame_at(self, bt: float) -> np.ndarray:
-        return self._frames(np.array([bt], dtype=float))[0]
-
-    def hamiltonian_at(self, h0: float, bt: float) -> float:
-        return self._hamiltonian_stack(h0, self._at(bt))[0]
 
     def lifespan(self, profile: LapseProfile) -> Lifespan:
         if self.branch == NONQD:
@@ -298,22 +282,32 @@ def nonqd_coefficients(pair: CauchyPair, tol: float = DEFAULT_TOL) -> FlowSoluti
     return sol
 
 
+def _sample(pair: CauchyPair, profile: LapseProfile, t: float, tol: float) -> _Samples:
+    """The stack of one sample at flow time t, or the exception of that
+    sample (OutOfDomain off a table, SingularTime at the lifespan boundary)."""
+    stack = _Samples(solve(pair, tol), profile, [t])
+    stack.check()
+    return stack
+
+
 def theta_exact(pair: CauchyPair, profile: LapseProfile, t: float,
                 tol: float = DEFAULT_TOL) -> Sym3:
     """Shape components at flow time t."""
-    return solve(pair, tol).theta_at(profile.b_integral(t))
+    return Sym3.from_array(_sample(pair, profile, t, tol).comp[0])
 
 
 def frame_exact(pair: CauchyPair, profile: LapseProfile, t: float,
                 tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Coframe transform U(t): e^t_a = U_ab e_b, U(0) = Id, det U > 0."""
-    return solve(pair, tol).frame_at(profile.b_integral(t))
+    """Coframe transform U(t): e^t_a = U_ab e_b, U(0) = Id, det U > 0.
+    Where Theta_uu is zero within tol, U(t) takes no guard (``_frames``)."""
+    return solve(pair, tol)._frames(profile.b_integral(np.array([t], dtype=float)))[0]
 
 
 def hamiltonian_exact(pair: CauchyPair, h0: float, profile: LapseProfile, t: float,
                       tol: float = DEFAULT_TOL) -> float:
     """Evolved Hamiltonian residual from its initial value h0."""
-    return solve(pair, tol).hamiltonian_at(h0, profile.b_integral(t))
+    stack = _sample(pair, profile, t, tol)
+    return stack.sol._hamiltonian_stack(h0, stack.v)[0]
 
 
 def lifespan(pair: CauchyPair, profile: LapseProfile, tol: float = DEFAULT_TOL) -> Lifespan:

@@ -32,7 +32,7 @@ U, L, N = 0, 1, 2
 # entry (a, b) of a symmetric 3x3 matrix in the components (uu, ul, un, ll, ln, nn)
 _SYM_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 # and the reverse: where each component sits in a 3x3 matrix flattened row by row
-_SYM_FLAT = [0, 1, 2, 4, 5, 8]
+_SYM_FLAT = np.array([0, 1, 2, 4, 5, 8])
 
 # einsum labels of the leading (sample) axes of a stack
 _LEAD = "zyxwv"
@@ -50,18 +50,12 @@ class Sym3:
     nn: float = 0.0
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.uu, self.ul, self.un],
-                [self.ul, self.ll, self.ln],
-                [self.un, self.ln, self.nn],
-            ]
-        )
+        return self.as_array()[_SYM_INDEX]
 
     @classmethod
     def from_matrix(cls, m) -> "Sym3":
-        m = np.asarray(m, dtype=float)
-        return cls(uu=m[0, 0], ul=m[0, 1], un=m[0, 2], ll=m[1, 1], ln=m[1, 2], nn=m[2, 2])
+        """The upper triangle of the 3x3 matrix ``m``."""
+        return cls(*np.asarray(m, dtype=float).ravel()[_SYM_FLAT])
 
     def as_array(self) -> np.ndarray:
         """Components in the fixed order (uu, ul, un, ll, ln, nn)."""

@@ -6,10 +6,11 @@ Everything is finite-dimensional algebra: the coframe differentials are
 prescribed by the evolved shape components, and the only time dependence
 enters through them, handled analytically via the ODE right-hand sides.
 
-The coframe, Ric4 and the identity residual take optional leading axes, one
-sample per index, so ``_curvature`` evaluates the stack of samples of a
-command (``exact._Samples``) in one pass; scalar calls, which only the
-one-time library entries make (no command does), are unchanged.
+The coframe and the identity residual are built of a stack of samples
+(``exact._Samples``), one sample per leading index, and ``_curvature``
+evaluates the stack of a command in one pass.  The one-time library
+entries, which no command calls, read a stack of one sample and take its
+row 0: there is no scalar branch.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _Samples, solve, theta_exact
-from .frames import Sym3, frame_ricci, sym_matrices
+from .exact import _sample, _Samples, solve
+from .frames import frame_ricci, sym_matrices
 from .lapse import LapseProfile
 from .numeric import _refuse, _theta_rhs, hamiltonian_of
 from .pairs import CauchyPair, DEFAULT_TOL
@@ -82,24 +83,22 @@ def _structure4(theta: np.ndarray) -> np.ndarray:
 def coframe4_at(pair: CauchyPair, profile: LapseProfile, t: float,
                 tol: float = DEFAULT_TOL) -> Coframe4:
     """Structure functions of the moving coframe at flow time t."""
-    return _coframe4(theta_exact(pair, profile, t, tol), profile, t)
+    stack = _sample(pair, profile, t, tol)
+    frame = _coframe4(stack.comp, profile, stack.times)
+    return Coframe4(t=frame.t.item(0), beta=frame.beta.item(0), C=frame.C[0],
+                    dC0=frame.dC0[0])
 
 
-def _coframe4(th_t, profile: LapseProfile, t) -> Coframe4:
-    """The coframe at flow time t, given the shape components Theta_t there
-    as a Sym3; or the stack of coframes at the times t, given an array of
-    components with one row per time."""
-    if isinstance(th_t, Sym3):
-        th_t, t, beta = th_t.as_array(), float(t), profile.beta(t)
-    else:
-        t = np.asarray(t, dtype=float)
-        beta = profile._betas(t)
+def _coframe4(comp: np.ndarray, profile: LapseProfile, t: np.ndarray) -> Coframe4:
+    """The stack of coframes at the times t, given the components of
+    Theta_t there, one row per time."""
+    t = np.asarray(t, dtype=float)
     # X_0 = (1/beta) d/dt is d/ds in s = B_t: dC0 from the shape rows of ode_rhs
     return Coframe4(
         t=t,
-        beta=beta,
-        C=_structure4(sym_matrices(th_t)),
-        dC0=_structure4(sym_matrices(_theta_rhs(th_t))),
+        beta=profile._betas(t),
+        C=_structure4(sym_matrices(comp)),
+        dC0=_structure4(sym_matrices(_theta_rhs(comp))),
     )
 
 
@@ -109,31 +108,28 @@ def ricci4(frame: Coframe4) -> Ricci4:
     return Ricci4(components=0.5 * (ric + ric.swapaxes(-1, -2)), scalar=scal)
 
 
-def _identity_residual(components: np.ndarray, ham):
-    """Max-norm residual of Ric4 against (H/2) (e_0+e_1) tensor itself, or
-    the residual of each sample of a stack of Ric4 and of H."""
-    target = np.multiply.outer(0.5 * np.asarray(ham), _NULL_SQUARE)
-    residual = np.abs(components - target).max(axis=(-2, -1))
-    return float(residual) if residual.ndim == 0 else residual
+def _identity_residual(components: np.ndarray, hams: np.ndarray) -> np.ndarray:
+    """Max-norm residual of Ric4 against (H/2) (e_0+e_1) tensor itself, at
+    each sample of a stack of Ric4 and of H."""
+    target = np.multiply.outer(0.5 * hams, _NULL_SQUARE)
+    return np.abs(components - target).max(axis=(-2, -1))
 
 
 def verify_ricci_identity(pair: CauchyPair, profile: LapseProfile, t: float,
                           tol: float = DEFAULT_TOL) -> float:
     """Max-norm residual of Ric4 against (H_t/2) (e_0+e_1) tensor itself."""
-    th_t = theta_exact(pair, profile, t, tol)
-    return _identity_residual(ricci4(_coframe4(th_t, profile, t)).components,
-                              hamiltonian_of(th_t))
+    stack = _sample(pair, profile, t, tol)
+    return _identity_residual(ricci4(_coframe4(stack.comp, profile, stack.times)).components,
+                              hamiltonian_of(stack.comp)).item(0)
 
 
 def dirac_current_frame(pair: CauchyPair, profile: LapseProfile, t: float,
                         tol: float = DEFAULT_TOL) -> DiracCurrentFrame:
-    sol = solve(pair, tol)
-    bt = profile.b_integral(t)
-    th_t = sol.theta_at(bt).as_matrix()
-    u = sol.frame_at(bt)
+    stack = _sample(pair, profile, t, tol)
+    u = stack.frames[0]
     return DiracCurrentFrame(
         base_oneform=NULL_DIRECTION.copy(),
-        log_scale_differential=_log_scale_differential(th_t, u),
+        log_scale_differential=_log_scale_differential(sym_matrices(stack.comp)[0], u),
         l_class_representative=np.concatenate([[0.0], u[1, :]]),
     )
 

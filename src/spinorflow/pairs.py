@@ -237,7 +237,10 @@ def _row_group(pair: CauchyPair, row: str, tol: float) -> GroupType:
     if abs(th.ln) > tol * scale:
         s = math.copysign(1.0, inv.T)
         root = math.sqrt(max(inv.T**2 - 4.0 * inv.Delta, 0.0))
-        mu = (inv.T - s * root) / (inv.T + s * root)
+        big = inv.T + s * root
+        # T - s r cancels where 4 Delta << T^2; the product of the
+        # eigenvalues, Delta, gives the small one there without it
+        mu = 4.0 * inv.Delta / big**2 if 2.0 * root > abs(inv.T) else (inv.T - s * root) / big
     elif abs(th.ll) >= abs(th.nn):
         mu = th.nn / th.ll
     else:

@@ -369,6 +369,13 @@ class TestClassifyAndLifespan:
         assert out.startswith("Tau3Mu")
         assert "mu=5.000000000000e-01" in out
 
+    def test_classify_mu_of_a_nearly_singular_block(self, tmp_path, capsys):
+        # 4 Delta << T^2: mu = 9.9e-21, not the 0 of T - s r cancelling
+        path = write_pair(tmp_path, "tau3", theta_dict(ll=1.0, ln=1e-11, nn=1e-20))
+        assert main(["classify", path, "--tol", "1e-21"]) == EXIT_OK
+        assert capsys.readouterr().out == "Tau3Mu mu=9.900000000000e-21\n"
+        assert main(["validate", path, "--tol", "1e-21"]) == EXIT_OK
+
     @pytest.mark.parametrize("theta", [dict(ll=1e-5, nn=-1e-5), dict(ln=2e-5)],
                              ids=["ll-nn", "ln"])
     def test_validate_prints_the_group_of_its_row(self, tmp_path, capsys, theta):
@@ -701,24 +708,6 @@ class TestEachPairIsSolvedOnce:
                           extra=self.TABLE)
         assert main(["verify", path]) == EXIT_OK
         assert sum(b_calls) == 70 and len(span_calls) == 1
-
-    @pytest.mark.parametrize("name", ["tau2R-general", "tau3mu", "R3"])
-    @pytest.mark.parametrize("argv", [
-        ["flow", "--method", "exact", *WINDOW], ["curvature", *WINDOW], ["verify"],
-        ["verify", "--samples", "7"],
-    ], ids=["exact-flow", "curvature", "verify", "verify-7"])
-    def test_no_scalar_closed_form_calls(self, tmp_path, monkeypatch, capsys, name, argv):
-        # every command reads B_t, Theta_t, U_t, h_t and H_t as stacks; R3
-        # is constrained quasi-diagonal, so verify takes its dh/dt row too
-        calls = []
-        for method in ("theta_at", "frame_at", "hamiltonian_at"):
-            scalar = getattr(exact.FlowSolution, method)
-            monkeypatch.setattr(exact.FlowSolution, method,
-                                lambda *a, f=scalar: calls.append(a) or f(*a))
-        theta = self.PAIRS.get(name, dict(uu=1.0))
-        path = write_pair(tmp_path, "table", theta_dict(**theta), extra=self.TABLE)
-        assert main([argv[0], path] + argv[1:]) == EXIT_OK
-        assert calls == []
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--method", "rk4", *WINDOW], ["verify", "--suite", "oracle", "--samples", "7"],

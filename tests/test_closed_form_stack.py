@@ -2,17 +2,22 @@
 U_t and H_t of an array give, sample by sample, the bits of the scalar
 bodies they replaced, and raise what the first failing sample raised."""
 
+import hashlib
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from spinorflow import CauchyPair, LapseProfile, solve
+from spinorflow import CauchyPair, LapseProfile, coframe4_at, curvature_report, \
+    dirac_current_frame, frame_exact, hamiltonian_exact, solve, theta_exact, \
+    verify_ricci_identity
 from spinorflow.errors import OutOfDomain, SingularTime, SpinorFlowError
 from spinorflow.exact import QD, expm
 from spinorflow.frames import L, N, U, Sym3
 
-from conftest import ROW_PAIRS
+from conftest import ROW_PAIRS, curvature_cells
 from test_flow_stack import _same_bits
 
 NODES = [-3.0, -1.0, 0.2, 1.5, 4.0]
@@ -201,14 +206,6 @@ def test_stacks_match_single_samples(row, scale, profile):
                 hams = v[:0], exc
             _same_outcome(hams, _singles(lambda bt: hamiltonian_at(sol, h0, bt), bts))
 
-        # the scalar methods are stacks of one
-        _same_outcome(_singles(lambda bt: sol.theta_at(bt).as_array(), bts),
-                      _singles(lambda bt: theta_at(sol, bt), bts))
-        _same_outcome(_singles(sol.frame_at, bts),
-                      _singles(lambda bt: frame_at(sol, bt), bts))
-        _same_outcome(_singles(lambda bt: [sol.hamiltonian_at(1.0, bt)], bts),
-                      _singles(lambda bt: [hamiltonian_at(sol, 1.0, bt)], bts))
-
 
 def test_b_integral_keeps_leading_axes():
     # a stack with a leading axis, read in C order: the first time off the
@@ -222,3 +219,87 @@ def test_b_integral_keeps_leading_axes():
         profile.b_integral(np.array([[0.5, 4.5], [-3.5, 0.0]]))
     assert isinstance(profile.b_integral(0.5), float)
     assert isinstance(PROFILES["constant-1.3"].b_integral(0.5), float)
+
+
+# The seven one-time library entries at one t, each as a list of the arrays
+# and floats it returns.
+ONE_TIME_ENTRIES = {
+    "theta_exact": lambda pair, profile, t: [theta_exact(pair, profile, t).as_array()],
+    "frame_exact": lambda pair, profile, t: [frame_exact(pair, profile, t)],
+    "hamiltonian_exact": lambda pair, profile, t: [hamiltonian_exact(pair, -2.5, profile, t)],
+    "coframe4_at": lambda pair, profile, t: astuple(coframe4_at(pair, profile, t)),
+    "verify_ricci_identity": lambda pair, profile, t: [verify_ricci_identity(pair, profile, t)],
+    "dirac_current_frame": lambda pair, profile, t: astuple(
+        dirac_current_frame(pair, profile, t)),
+    "curvature_report": lambda pair, profile, t: [
+        curvature_cells(curvature_report(pair, profile, t))],
+}
+ONE_TIME_CASES = {
+    # past the pole at t = 1, and off the table
+    "R3-pole": (ROW_PAIRS["R3"], PROFILES["constant-1"], 1.5),
+    "R3-off-table": (ROW_PAIRS["R3"], PROFILES["table-5"], 5.0),
+    # H_0's Python float squares past the largest float, and Ric4 past it
+    "E11-1e160": (CauchyPair.from_components(ll=1e160, nn=-1e160), PROFILES["constant-1"], 0.5),
+    "E11-7e153": (CauchyPair.from_components(ll=7e153, nn=-7e153), PROFILES["constant-1"], 0.0),
+    # Theta_uu zero within tol: U_t takes no guard, Theta_t does
+    "uu-1.35e148": (CauchyPair.from_components(uu=1.0, ll=1.35e148), PROFILES["constant-1"], 1.5),
+    "tau3mu-table": (ROW_PAIRS["tau3mu"], PROFILES["table-5"], 0.3),
+    "tau2R-general-table": (ROW_PAIRS["tau2R-general"], PROFILES["table-5"], 0.3),
+}
+# What each entry gave, in the order of ONE_TIME_ENTRIES, when it was
+# written on FlowSolution's per-sample methods: the digest of its bits or
+# its exception, and its warnings (``_pinned_outcome``)
+_POLE = ("SingularTime", "1 - Theta_uu*B_t = -5.000e-01 at the lifespan boundary"), []
+_OFF_TABLE = ("OutOfDomain", "t = 5.0 outside tabulated domain [-3.0, 4.0]"), []
+_OVERFLOW = "OverflowError", "(34, 'Numerical result out of range')"
+PINNED = {
+    "R3-pole": [_POLE] * 7,
+    "R3-off-table": [_OFF_TABLE] * 7,
+    "E11-1e160": [
+        ("e3c0fbce4bd87d3a", []), ("1788100cffc7c3b4", []), ("dde259eb6c7aa554", []),
+        ("d83798e73480b615", []), (_OVERFLOW, ["invalid value encountered in subtract"]),
+        ("84f3518634762dea", []), (_OVERFLOW, [])],
+    "E11-7e153": [
+        ("1d01982d9f0798b4", []), ("1332df685c45a61a", []), ("dde259eb6c7aa554", []),
+        ("3dd6ea9eb64c4ef5", []),
+        ("74999fd28ab18ccc", ["invalid value encountered in multiply",
+                              "invalid value encountered in subtract",
+                              "overflow encountered in add"]),
+        ("8176a204ea0ff83e", []),
+        (("SingularTime", "the curvature at t = 0 is not finite"), [])],
+    "uu-1.35e148": [_POLE, ("973bec6bde29b77b", []), *[_POLE] * 5],
+    "tau3mu-table": [
+        ("3ad7230581cf58b2", []), ("3409aaf0a56492c6", []), ("89368abea5089080", []),
+        ("88ff80ec060b2b2a", []), ("43494c291edda026", []), ("0a3a0d75c3a309c3", []),
+        ("61a5ede45631f607", [])],
+    "tau2R-general-table": [
+        ("1c68553d4bd92103", []), ("d22ff027c4d68e6c", []), ("1d267b70081d9e76", []),
+        ("96aa2abf207bed16", []), ("78902dbbf3ee23e6", []), ("43152c2ed5553f79", []),
+        ("33f93334401b785b", [])],
+}
+
+
+def _pinned_outcome(entry, pair, profile, t):
+    """What ``entry`` gives: the first 16 hex digits of the SHA-256 of its
+    float64 bits (every NaN made the same NaN: its sign and payload mean
+    nothing), or its exception's type and message; and the messages of the
+    warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            flat = np.concatenate([np.ravel(np.asarray(x, dtype=float))
+                                   for x in entry(pair, profile, t)])
+            flat = np.where(np.isnan(flat), math.nan, flat)
+            out = hashlib.sha256(flat.tobytes()).hexdigest()[:16]
+        except (SpinorFlowError, ArithmeticError) as exc:
+            out = type(exc).__name__, str(exc)
+    return out, sorted({str(w.message) for w in caught})
+
+
+@pytest.mark.parametrize("entry", list(ONE_TIME_ENTRIES))
+@pytest.mark.parametrize("case", list(ONE_TIME_CASES))
+def test_one_time_entries_keep_their_bits(case, entry):
+    # each entry at one t is a stack of one sample: the same bits, the same
+    # exception and the same warnings as the per-sample methods gave
+    pinned = dict(zip(ONE_TIME_ENTRIES, PINNED[case]))
+    assert _pinned_outcome(ONE_TIME_ENTRIES[entry], *ONE_TIME_CASES[case]) == pinned[entry]

@@ -349,14 +349,14 @@ class TestFrameExact:
         # Theta_uu = 1 is zero within tol beside Theta_ll = 1.35e148, so U_t
         # is the block exponential, also at B_t = 1.5 past 1/Theta_uu, where
         # Theta_t meets the guard
-        th = CauchyPair.from_components(uu=1.0, ll=1.35e148).theta
-        sol = solve(CauchyPair(th))
-        u = sol.frame_at(1.5)
+        pair = CauchyPair.from_components(uu=1.0, ll=1.35e148)
+        th = pair.theta
+        u = frame_exact(pair, UNIT, 1.5)
         assert u[0, 0] == 1.0
         np.testing.assert_array_equal(
             u[1:, 1:], expm(-1.5 * np.array([[th.ll, th.ln], [th.ln, th.nn]])))
         with pytest.raises(SingularTime):
-            sol.theta_at(1.5)
+            theta_exact(pair, UNIT, 1.5)
 
     @pytest.mark.parametrize("lapse, t", [
         (lapse, t) for lapse in ("constant", "tabulated") for t in (-1.6, -0.4, 0.7, 1.9)
@@ -521,8 +521,7 @@ def _eta_oneform(pair, t):
     """Components in the reference coframe of the parallel unit one-form
     (Theta_un e^t_l - Theta_ul e^t_n) / lambda at flow time t, unit lapse:
     ``sol.eta`` (evolved-frame components) pulled back through U_t."""
-    sol = solve(pair)
-    return sol.eta @ sol.frame_at(UNIT.b_integral(t))
+    return solve(pair).eta @ frame_exact(pair, UNIT, t)
 
 
 class TestEta:

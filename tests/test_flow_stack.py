@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorflow import CauchyPair, FlowState, LapseProfile, flow_residuals, \
-    hamiltonian_of, integrate_to, ode_rhs, sample_times, solve
+    frame_exact, hamiltonian_of, integrate_to, ode_rhs, sample_times, solve, theta_exact
 from spinorflow import _kernel_py
 from spinorflow.cli import _flow_cells
 from spinorflow.errors import OutOfDomain, SingularTime, SpinorFlowError
@@ -41,12 +41,11 @@ def _exact_reference(pair, profile, times):
     """The exact flow table one sample at a time: B_t at every time first,
     then per sample Theta_t, U_t, h_t and H_t, the finiteness check and the
     residuals of one ``FlowState``."""
-    sol = solve(pair)
     bts = [profile.b_integral(t) for t in times]
     cells = []
     for t, bt in zip(times, bts):
-        theta = sol.theta_at(bt)
-        u = sol.frame_at(bt)
+        theta = theta_exact(pair, profile, t)
+        u = frame_exact(pair, profile, t)
         metric = Sym3.from_matrix(u.T @ u)
         ham = hamiltonian_of(theta)
         numbers = np.concatenate([theta.as_array(), u.ravel(), metric.as_array(), [ham]])

@@ -6,6 +6,7 @@ dimension, unimodularity, eigenvalues of the adjoint action).
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -167,6 +168,23 @@ class TestClassify:
         g = classify(CauchyPair.from_components(ll=1.0, nn=-0.5, uu=2.0))
         assert g.tag is GroupTag.TAU3_MU
         assert 0.0 < abs(g.mu) <= 1.0
+
+    @pytest.mark.parametrize("block, tol", [
+        ((1.0, 1e-11, 1e-20), 1e-21),  # T - s r cancelled to 0
+        ((1.0, 1e-4, 1e-9), 1e-9),     # and kept 8 of its digits
+        ((1.0, 0.3, 0.7), 1e-9),
+        ((-3.0, 2e-7, -2.0), 1e-9),
+    ], ids=["4Delta-1e-19", "4Delta-4e-8", "separated", "negative-T"])
+    def test_mu_against_fifty_digits(self, block, tol):
+        # the eigenvalue ratio of the lower block, small over large
+        pair = CauchyPair.from_components(ll=block[0], ln=block[1], nn=block[2])
+        assert validate(pair, tol).row == "tau3mu"
+        with localcontext() as ctx:
+            ctx.prec = 50
+            ll, ln, nn = map(Decimal, block)
+            t, root = ll + nn, ((ll - nn) ** 2 + 4 * ln * ln).sqrt()
+            want = float((t - root) / (t + root) if t > 0 else (t + root) / (t - root))
+        assert classify(pair, tol).mu == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_scaling_by_powers_of_two_keeps_tag_and_mu(self, row_pair):
         # past |Theta| = 1 every threshold of classify scales with Theta

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile, coframe4_at, constraints, \
-    curvature_report, flow_residuals, frame_ricci, hamiltonian_of, integrate_to, \
-    ricci3, ricci4, require_valid, solve, structure_constants_from_theta
+    curvature_report, flow_residuals, frame_exact, frame_ricci, hamiltonian_exact, \
+    hamiltonian_of, integrate_to, ricci3, ricci4, require_valid, solve, \
+    structure_constants_from_theta, theta_exact, verify_ricci_identity
 from spinorflow.errors import SingularTime, SpinorFlowError
 from spinorflow.exact import QD, FlowSolution, _Samples
 from spinorflow.frames import L, N, U, Sym3, divergence_sym, levi_civita
-from spinorflow.lorentz import ETA4, _coframe4, _curvature, _identity_residual, \
-    _structure4, closedness_residual
+from spinorflow.lorentz import ETA4, _coframe4, _curvature, _structure4, \
+    closedness_residual
 from spinorflow.numeric import uncertified
 from spinorflow.pairs import ConstraintReport, _constraints
 from spinorflow.verify import SUITES, CheckResult, _sample_times, run_suite, sample_times
@@ -45,9 +46,8 @@ def profile(request):
 @pytest.fixture
 def samples(row_pair, profile):
     """The pair's 9 sample times, Theta_t at each, and their components."""
-    sol = solve(row_pair)
     times = sample_times(row_pair, profile, SAMPLES)
-    thetas = [sol.theta_at(profile.b_integral(t)) for t in times]
+    thetas = [theta_exact(row_pair, profile, t) for t in times]
     return times, thetas, np.array([th.as_array() for th in thetas])
 
 
@@ -179,10 +179,10 @@ def _suite_constraints_reference(pair, profile, samples=50, tol=1e-9):
     sol = solve(pair, tol)
     ham_dev = mom_dev = ham_abs = mom_abs = 0.0
     for t in _sample_times(sol, profile, samples):
-        bt = profile.b_integral(t)
-        th_t = sol.theta_at(bt)
+        th_t = theta_exact(pair, profile, t, tol)
         rep = _constraints_reference(th_t, tol)
-        ham_dev = _worst(ham_dev, abs(rep.hamiltonian - sol.hamiltonian_at(h0, bt)))
+        ham_dev = _worst(ham_dev, abs(rep.hamiltonian
+                                      - hamiltonian_exact(pair, h0, profile, t, tol)))
         target = -0.5 * rep.hamiltonian * np.array([1.0, 0.0, 0.0])
         mom_dev = _worst(mom_dev, float(np.max(np.abs(rep.momentum_residual - target))))
         ham_abs = _worst(ham_abs, abs(rep.hamiltonian))
@@ -205,9 +205,8 @@ def _suite_ricci4_reference(pair, profile, samples=20, tol=1e-9):
     sol = solve(pair, tol)
     ident = flat = 0.0
     for t in _sample_times(sol, profile, samples):
-        th_t = sol.theta_at(profile.b_integral(t))
-        ric = ricci4(_coframe4(th_t, profile, t))
-        ident = _worst(ident, _identity_residual(ric.components, hamiltonian_of(th_t)))
+        ric = ricci4(coframe4_at(pair, profile, t, tol))
+        ident = _worst(ident, verify_ricci_identity(pair, profile, t, tol))
         if constrained:
             flat = _worst(flat, float(np.max(np.abs(ric.components))))
     rows = [CheckResult("4D Ricci equals (H/2) null-direction square", ident, 1e-6)]
@@ -223,7 +222,7 @@ def _suite_ricciflow_reference(pair, profile, samples=20, tol=1e-9):
     times = _sample_times(sol, profile, samples)
     res = 0.0
     for t in times:
-        th_t = sol.theta_at(profile.b_integral(t))
+        th_t = theta_exact(pair, profile, t, tol)
         ric_t, _ = ricci3(structure_constants_from_theta(th_t))
         ham = hamiltonian_of(th_t)
         if qd:
@@ -242,13 +241,12 @@ def _suite_ricciflow_reference(pair, profile, samples=20, tol=1e-9):
         step = min(1e-5, (hi - lo) / 36)
         res = 0.0
         for t in times:
-            bt = profile.b_integral(t)
-            th_t = sol.theta_at(bt)
-            u = sol.frame_at(bt)
+            th_t = theta_exact(pair, profile, t, tol)
+            u = frame_exact(pair, profile, t, tol)
             ric_t, _ = ricci3(structure_constants_from_theta(th_t))
             ric_ref = u.T @ ric_t.as_matrix() @ u
-            u_plus = sol.frame_at(profile.b_integral(t + step))
-            u_minus = sol.frame_at(profile.b_integral(t - step))
+            u_plus = frame_exact(pair, profile, t + step, tol)
+            u_minus = frame_exact(pair, profile, t - step, tol)
             h_plus, h_minus = u_plus.T @ u_plus, u_minus.T @ u_minus
             dh = (h_plus - h_minus) / (2.0 * step)
             factor = (th_t.ll + th_t.nn) / (2.0 * profile.beta(t))
@@ -268,15 +266,15 @@ def _suite_cosymplectic_reference(pair, profile, samples=20, tol=1e-9):
     if sol.branch != QD:
         res = 0.0
         for t in times:
-            th_t = sol.theta_at(profile.b_integral(t))
+            th_t = theta_exact(pair, profile, t, tol)
             om = levi_civita(structure_constants_from_theta(th_t))
             res = _worst(res, float(np.max(np.abs(np.einsum("abd,d->ab", om, sol.eta)))))
         rows.append(CheckResult("parallel one-form: nabla eta = 0", res, 1e-10))
 
     res = 0.0
     for t in times:
-        bt = profile.b_integral(t)
-        log_scale = -(sol.theta_at(bt).as_matrix() @ sol.frame_at(bt))[0, :]
+        log_scale = -(theta_exact(pair, profile, t, tol).as_matrix()
+                      @ frame_exact(pair, profile, t, tol))[0, :]
         res = _worst(res, closedness_residual(pair, log_scale))
     rows.append(CheckResult("log-scale differential is closed", res, 1e-12))
     return rows
@@ -289,10 +287,9 @@ def _suite_oracle_reference(pair, profile, samples=20, tol=1e-9):
     states = integrate_to(pair, profile, times, tol=tol)
     th_dev = u_dev = resid = 0.0
     for t, st, res in zip(times, states, flow_residuals(states, pair)):
-        bt = profile.b_integral(t)
         th_dev = _worst(th_dev, float(np.max(np.abs(
-            st.theta.as_matrix() - sol.theta_at(bt).as_matrix()))))
-        u_dev = _worst(u_dev, float(np.max(np.abs(st.U - sol.frame_at(bt)))))
+            st.theta.as_matrix() - theta_exact(pair, profile, t, tol).as_matrix()))))
+        u_dev = _worst(u_dev, float(np.max(np.abs(st.U - frame_exact(pair, profile, t, tol)))))
         resid = _worst(resid, res.max())
     flagged = tuple(uncertified(states))
     return [
