@@ -239,8 +239,11 @@ def _row_group(pair: CauchyPair, row: str, tol: float) -> GroupType:
         root = math.sqrt(max(inv.T**2 - 4.0 * inv.Delta, 0.0))
         big = inv.T + s * root
         # T - s r cancels where 4 Delta << T^2; the product of the
-        # eigenvalues, Delta, gives the small one there without it
-        mu = 4.0 * inv.Delta / big**2 if 2.0 * root > abs(inv.T) else (inv.T - s * root) / big
+        # eigenvalues, Delta, gives the small one there without it, and
+        # |mu| <= 1/2 keeps its rounding off 1.  Elsewhere |T - s r| is at
+        # most |T| + r in floats too, so |mu| <= 1
+        small = 8.0 * abs(inv.Delta) < inv.T**2
+        mu = 4.0 * inv.Delta / big**2 if small else (inv.T - s * root) / big
     elif abs(th.ll) >= abs(th.nn):
         mu = th.nn / th.ll
     else:

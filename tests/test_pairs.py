@@ -174,7 +174,9 @@ class TestClassify:
         ((1.0, 1e-4, 1e-9), 1e-9),     # and kept 8 of its digits
         ((1.0, 0.3, 0.7), 1e-9),
         ((-3.0, 2e-7, -2.0), 1e-9),
-    ], ids=["4Delta-1e-19", "4Delta-4e-8", "separated", "negative-T"])
+        # |mu| within an ulp of 1, where 4 Delta/(T + s r)^2 rounds past it
+        ((1.0, 1.0, -0.9999999999999998), 1e-21),
+    ], ids=["4Delta-1e-19", "4Delta-4e-8", "separated", "negative-T", "mu-near-minus-1"])
     def test_mu_against_fifty_digits(self, block, tol):
         # the eigenvalue ratio of the lower block, small over large
         pair = CauchyPair.from_components(ll=block[0], ln=block[1], nn=block[2])
@@ -184,7 +186,9 @@ class TestClassify:
             ll, ln, nn = map(Decimal, block)
             t, root = ll + nn, ((ll - nn) ** 2 + 4 * ln * ln).sqrt()
             want = float((t - root) / (t + root) if t > 0 else (t + root) / (t - root))
-        assert classify(pair, tol).mu == pytest.approx(want, rel=1e-14, abs=0.0)
+        mu = classify(pair, tol).mu
+        assert mu == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert abs(mu) <= 1.0
 
     def test_scaling_by_powers_of_two_keeps_tag_and_mu(self, row_pair):
         # past |Theta| = 1 every threshold of classify scales with Theta

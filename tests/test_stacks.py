@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile, coframe4_at, constraints, \
-    curvature_report, flow_residuals, frame_exact, frame_ricci, hamiltonian_exact, \
-    hamiltonian_of, integrate_to, ricci3, ricci4, require_valid, solve, \
-    structure_constants_from_theta, theta_exact, verify_ricci_identity
+    curvature_report, flow_residuals, frame_ricci, hamiltonian_of, integrate_to, \
+    ricci3, ricci4, require_valid, solve, structure_constants_from_theta
 from spinorflow.errors import SingularTime, SpinorFlowError
 from spinorflow.exact import QD, FlowSolution, _Samples
 from spinorflow.frames import L, N, U, Sym3, divergence_sym, levi_civita
-from spinorflow.lorentz import ETA4, _coframe4, _curvature, _structure4, \
-    closedness_residual
+from spinorflow.lorentz import ETA4, _coframe4, _curvature, _identity_residual, \
+    _structure4, closedness_residual
 from spinorflow.numeric import uncertified
 from spinorflow.pairs import ConstraintReport, _constraints
 from spinorflow.verify import SUITES, CheckResult, _sample_times, run_suite, sample_times
@@ -43,11 +42,20 @@ def profile(request):
     return PROFILES[request.param]
 
 
+def _one(sol, profile, t):
+    """The checked stack of one sample at t of the solved pair ``sol``, as
+    the one-time entries read it (``exact._sample``)."""
+    one = _Samples(sol, profile, [t])
+    one.check()
+    return one
+
+
 @pytest.fixture
 def samples(row_pair, profile):
     """The pair's 9 sample times, Theta_t at each, and their components."""
+    sol = solve(row_pair)
     times = sample_times(row_pair, profile, SAMPLES)
-    thetas = [theta_exact(row_pair, profile, t) for t in times]
+    thetas = [Sym3.from_array(_one(sol, profile, t).comp[0]) for t in times]
     return times, thetas, np.array([th.as_array() for th in thetas])
 
 
@@ -179,10 +187,9 @@ def _suite_constraints_reference(pair, profile, samples=50, tol=1e-9):
     sol = solve(pair, tol)
     ham_dev = mom_dev = ham_abs = mom_abs = 0.0
     for t in _sample_times(sol, profile, samples):
-        th_t = theta_exact(pair, profile, t, tol)
-        rep = _constraints_reference(th_t, tol)
-        ham_dev = _worst(ham_dev, abs(rep.hamiltonian
-                                      - hamiltonian_exact(pair, h0, profile, t, tol)))
+        one = _one(sol, profile, t)
+        rep = _constraints_reference(Sym3.from_array(one.comp[0]), tol)
+        ham_dev = _worst(ham_dev, abs(rep.hamiltonian - sol._hamiltonian_stack(h0, one.v)[0]))
         target = -0.5 * rep.hamiltonian * np.array([1.0, 0.0, 0.0])
         mom_dev = _worst(mom_dev, float(np.max(np.abs(rep.momentum_residual - target))))
         ham_abs = _worst(ham_abs, abs(rep.hamiltonian))
@@ -205,8 +212,10 @@ def _suite_ricci4_reference(pair, profile, samples=20, tol=1e-9):
     sol = solve(pair, tol)
     ident = flat = 0.0
     for t in _sample_times(sol, profile, samples):
-        ric = ricci4(coframe4_at(pair, profile, t, tol))
-        ident = _worst(ident, verify_ricci_identity(pair, profile, t, tol))
+        one = _one(sol, profile, t)
+        ric = ricci4(_coframe4(one.comp, profile, one.times))
+        ident = _worst(ident, _identity_residual(ric.components,
+                                                 hamiltonian_of(one.comp)).item(0))
         if constrained:
             flat = _worst(flat, float(np.max(np.abs(ric.components))))
     rows = [CheckResult("4D Ricci equals (H/2) null-direction square", ident, 1e-6)]
@@ -222,7 +231,7 @@ def _suite_ricciflow_reference(pair, profile, samples=20, tol=1e-9):
     times = _sample_times(sol, profile, samples)
     res = 0.0
     for t in times:
-        th_t = theta_exact(pair, profile, t, tol)
+        th_t = Sym3.from_array(_one(sol, profile, t).comp[0])
         ric_t, _ = ricci3(structure_constants_from_theta(th_t))
         ham = hamiltonian_of(th_t)
         if qd:
@@ -241,12 +250,12 @@ def _suite_ricciflow_reference(pair, profile, samples=20, tol=1e-9):
         step = min(1e-5, (hi - lo) / 36)
         res = 0.0
         for t in times:
-            th_t = theta_exact(pair, profile, t, tol)
-            u = frame_exact(pair, profile, t, tol)
+            one = _one(sol, profile, t)
+            th_t, u = Sym3.from_array(one.comp[0]), one.frames[0]
             ric_t, _ = ricci3(structure_constants_from_theta(th_t))
             ric_ref = u.T @ ric_t.as_matrix() @ u
-            u_plus = frame_exact(pair, profile, t + step, tol)
-            u_minus = frame_exact(pair, profile, t - step, tol)
+            u_plus = _one(sol, profile, t + step).frames[0]
+            u_minus = _one(sol, profile, t - step).frames[0]
             h_plus, h_minus = u_plus.T @ u_plus, u_minus.T @ u_minus
             dh = (h_plus - h_minus) / (2.0 * step)
             factor = (th_t.ll + th_t.nn) / (2.0 * profile.beta(t))
@@ -266,15 +275,15 @@ def _suite_cosymplectic_reference(pair, profile, samples=20, tol=1e-9):
     if sol.branch != QD:
         res = 0.0
         for t in times:
-            th_t = theta_exact(pair, profile, t, tol)
+            th_t = Sym3.from_array(_one(sol, profile, t).comp[0])
             om = levi_civita(structure_constants_from_theta(th_t))
             res = _worst(res, float(np.max(np.abs(np.einsum("abd,d->ab", om, sol.eta)))))
         rows.append(CheckResult("parallel one-form: nabla eta = 0", res, 1e-10))
 
     res = 0.0
     for t in times:
-        log_scale = -(theta_exact(pair, profile, t, tol).as_matrix()
-                      @ frame_exact(pair, profile, t, tol))[0, :]
+        one = _one(sol, profile, t)
+        log_scale = -(Sym3.from_array(one.comp[0]).as_matrix() @ one.frames[0])[0, :]
         res = _worst(res, closedness_residual(pair, log_scale))
     rows.append(CheckResult("log-scale differential is closed", res, 1e-12))
     return rows
@@ -287,9 +296,10 @@ def _suite_oracle_reference(pair, profile, samples=20, tol=1e-9):
     states = integrate_to(pair, profile, times, tol=tol)
     th_dev = u_dev = resid = 0.0
     for t, st, res in zip(times, states, flow_residuals(states, pair)):
+        one = _one(sol, profile, t)
         th_dev = _worst(th_dev, float(np.max(np.abs(
-            st.theta.as_matrix() - theta_exact(pair, profile, t, tol).as_matrix()))))
-        u_dev = _worst(u_dev, float(np.max(np.abs(st.U - frame_exact(pair, profile, t, tol)))))
+            st.theta.as_matrix() - Sym3.from_array(one.comp[0]).as_matrix()))))
+        u_dev = _worst(u_dev, float(np.max(np.abs(st.U - one.frames[0]))))
         resid = _worst(resid, res.max())
     flagged = tuple(uncertified(states))
     return [

@@ -5,7 +5,7 @@ example all resolve and run."""
 
 import functools
 import importlib
-import re
+import runpy
 import types
 from pathlib import Path
 
@@ -39,8 +39,6 @@ def test_every_traced_name_resolves(span, modname, attr):
 
 
 def test_the_readme_library_example_runs(capsys):
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M)
-    exec(compile(block.group(1), "README.md", "exec"), {})
+    runpy.run_path(str(ROOT / "tools" / "readme_example.py"))
     # the last line is the identity residual, which its comment gives as 0.0
     assert float(capsys.readouterr().out.splitlines()[-1]) <= 1e-14
