@@ -22,8 +22,7 @@ class LapseProfile:
     every node, anchored at t = 0 (``_cumulative_trapezoid``); from it B_t
     takes one binary search and a partial trapezoid, and its inverse one
     binary search and a closed-form root.  Times outside the table raise
-    OutOfDomain.  Profiles compare and hash by value, the tables included;
-    the cumulative table is derived from them and takes no part.
+    OutOfDomain.
     """
 
     kind: str  # "constant" | "tabulated"
@@ -76,19 +75,6 @@ class LapseProfile:
                 raise ValueError("constant lapse value must be a number")
             return cls.constant(args[0])
         return cls.tabulated(*args)
-
-    def _key(self) -> tuple:
-        if self.kind == "constant":
-            return (self.kind, self.value)
-        return (self.kind, tuple(self.times.tolist()), tuple(self.values.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, LapseProfile):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def domain(self) -> tuple[float, float]:
         if self.kind == "constant":

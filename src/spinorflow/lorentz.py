@@ -6,11 +6,13 @@ Everything is finite-dimensional algebra: the coframe differentials are
 prescribed by the evolved shape components, and the only time dependence
 enters through them, handled analytically via the ODE right-hand sides.
 
-The coframe and the identity residual are built of a stack of samples
-(``exact._Samples``), one sample per leading index, and ``_curvature``
-evaluates the stack of a command in one pass.  The one-time library
-entries, which no command calls, read a stack of one sample and take its
-row 0: there is no scalar branch.
+The coframe is built of a stack of samples (``exact._Samples``), one sample
+per leading index.  ``_cells`` is the one evaluation of Ric4, H_t and the
+identity residual of a stack, unrefused; ``_curvature`` refuses its cells as
+``numeric._refuse`` rules, for the ``curvature`` command and for the
+one-time entries ``curvature_report`` and ``verify_ricci_identity``, which
+read a stack of one sample and so refuse as the command does.  The
+``ricci4`` suite reads the same cells.  There is no scalar branch.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _sample, _Samples, solve
+from .exact import _sample, _Samples
 from .frames import frame_ricci, sym_matrices
 from .lapse import LapseProfile
-from .numeric import _refuse, _theta_rhs, hamiltonian_of
+from .numeric import _refuse, _theta_rhs
 from .pairs import CauchyPair, DEFAULT_TOL
 
 ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -108,19 +110,12 @@ def ricci4(frame: Coframe4) -> Ricci4:
     return Ricci4(components=0.5 * (ric + ric.swapaxes(-1, -2)), scalar=scal)
 
 
-def _identity_residual(components: np.ndarray, hams: np.ndarray) -> np.ndarray:
-    """Max-norm residual of Ric4 against (H/2) (e_0+e_1) tensor itself, at
-    each sample of a stack of Ric4 and of H."""
-    target = np.multiply.outer(0.5 * hams, _NULL_SQUARE)
-    return np.abs(components - target).max(axis=(-2, -1))
-
-
 def verify_ricci_identity(pair: CauchyPair, profile: LapseProfile, t: float,
                           tol: float = DEFAULT_TOL) -> float:
-    """Max-norm residual of Ric4 against (H_t/2) (e_0+e_1) tensor itself."""
-    stack = _sample(pair, profile, t, tol)
-    return _identity_residual(ricci4(_coframe4(stack.comp, profile, stack.times)).components,
-                              hamiltonian_of(stack.comp)).item(0)
+    """Max-norm residual of Ric4 against (H_t/2) (e_0+e_1) tensor itself,
+    the last cell of ``_curvature``, refused as the ``curvature`` command
+    refuses it."""
+    return _curvature(_sample(pair, profile, t, tol))[-1]
 
 
 def dirac_current_frame(pair: CauchyPair, profile: LapseProfile, t: float,
@@ -149,35 +144,43 @@ def closedness_residual(pair: CauchyPair, alpha: np.ndarray) -> float:
 
 
 # The cells of one curvature sample, in this order: t, beta, the 16
-# components of Ric4 row by row, its scalar, H_t and the identity residual.
+# components of Ric4 row by row, its scalar, H_t and the identity residual,
+# the max-norm residual of Ric4 against (H_t/2) (e_0+e_1) tensor itself.
 _CURVATURE_CELLS = 21
 
 
 def curvature_report(pair: CauchyPair, profile: LapseProfile, t: float,
                      tol: float = DEFAULT_TOL) -> dict:
-    """JSON-ready curvature summary at one time.  Theta_t, the coframe, Ric4
-    and H_t are evaluated once, and the identity residual is taken from
-    them.  Raises SingularTime when a number of the summary is not finite."""
-    stack = _Samples(solve(pair, tol), profile, [t])
-    t, beta, *ric, scalar, ham, residual = _curvature(stack)
+    """JSON-ready curvature summary at one time, the cells of ``_curvature``.
+    Raises SingularTime when a number of the summary is not finite."""
+    t, beta, *ric, scalar, ham, residual = _curvature(_sample(pair, profile, t, tol))
     return {"t": t, "beta": beta, "ricci4": [ric[i:i + 4] for i in range(0, 16, 4)],
             "scalar4": scalar, "hamiltonian": ham, "identity_residual": residual}
 
 
-def _curvature(stack: _Samples) -> tuple:
-    """The curvature summaries at the samples of ``stack``, evaluated as
-    one stack, as one flat tuple of Python floats: per sample, the
-    ``_CURVATURE_CELLS`` cells in their order.  A sample with a cell that is
-    not finite is refused as ``numeric._refuse`` rules."""
+def _cells(stack: _Samples) -> np.ndarray:
+    """The ``_CURVATURE_CELLS`` cells of each sample of ``stack`` up to its
+    last H_t, one row per sample, unrefused: a cell past the largest float
+    is inf or NaN, with no warning."""
     frame = _coframe4(stack.comp, stack.profile, stack.times[:len(stack.comp)])
-    _, hams, raised = stack.ricci3
+    hams = np.array(stack.ricci3[1])
     n = len(hams)
     with np.errstate(over="ignore", invalid="ignore"):
         ric = ricci4(frame)
         components = ric.components[:n]
-        residual = _identity_residual(components, np.array(hams))
-    cells = np.column_stack([frame.t[:n], frame.beta[:n], components.reshape(-1, 16),
-                             ric.scalar[:n], hams, residual])
-    _refuse("curvature", frame.t.tolist(), np.isfinite(cells).all(axis=1).tolist(), hams,
-            raised, stack.pending)
+        target = np.multiply.outer(0.5 * hams, _NULL_SQUARE)
+        residual = np.abs(components - target).max(axis=(-2, -1))
+    return np.column_stack([frame.t[:n], frame.beta[:n], components.reshape(-1, 16),
+                            ric.scalar[:n], hams, residual])
+
+
+def _curvature(stack: _Samples) -> tuple:
+    """The curvature summaries at the samples of ``stack``, evaluated as
+    one stack, as one flat tuple of Python floats: per sample, its row of
+    ``_cells``.  A sample with a cell that is not finite is refused as
+    ``numeric._refuse`` rules."""
+    cells = _cells(stack)
+    _, hams, raised = stack.ricci3
+    _refuse("curvature", stack.times[:len(stack.comp)].tolist(),
+            np.isfinite(cells).all(axis=1).tolist(), hams, raised, stack.pending)
     return tuple(cells.ravel().tolist())

@@ -99,16 +99,15 @@ def _curvature3(comp: np.ndarray) -> tuple[np.ndarray, list[float], Exception | 
 
 
 def ode_rhs(theta, U: np.ndarray):
-    """d/ds of the shape components and the coframe transform, s = B_t.
+    """d/ds of the shape components and the coframe transform, s = B_t,
+    at a stack of samples.
 
-    ``theta`` is a Sym3 and ``U`` a 3x3 matrix, or a stack: an array of
-    components with one row per sample and an array of matrices (one, or
-    one per sample), which gives an array of component rows and one of
-    matrices.  A stack takes the operations of ``_kern._rhs`` column by
-    column, in its order, and like Python floats warns of no overflow."""
-    if isinstance(theta, Sym3):
-        dth, du = ode_rhs(theta.as_array()[None], np.asarray(U, dtype=float)[None])
-        return Sym3.from_array(dth[0]), du[0]
+    ``theta`` is an array of components (uu, ul, un, ll, ln, nn), one row
+    per sample, and ``U`` one 3x3 matrix or one per sample; the result is an
+    array of component rows and one of matrices, one of each per sample,
+    one sample included.  The stack takes the operations of ``_kern._rhs``
+    column by column, in its order, and like Python floats warns of no
+    overflow."""
     comp = np.asarray(theta, dtype=float).reshape(-1, 6)
     th = sym_matrices(comp)[..., None]  # th[:, :, b] column b of Theta
     u = np.broadcast_to(U, (len(comp), 3, 3))[:, None]  # u[:, :, b] row b of U

@@ -160,14 +160,12 @@ def _match_row(th: Sym3, inv: ThetaInvariants, scale: float, tol: float) -> str 
     # lambda != 0 families
     if zero(th.uu) and zero(th.ll) and zero(th.ln) and zero(th.nn):
         return "tau2+R (lambda)"
-    if zero(th.un) and zero(th.ln) and zero(th.nn):
-        if not zero(th.ul) and not zero(th.ll) and zero(th.uu + th.ll):
-            return "tau2+R (u-l)"
-        return None
-    if zero(th.ul) and zero(th.ln) and zero(th.ll):
-        if not zero(th.un) and not zero(th.nn) and zero(th.uu + th.nn):
-            return "tau2+R (u-n)"
-        return None
+    if (zero(th.un) and zero(th.ln) and zero(th.nn)
+            and not zero(th.ul) and not zero(th.ll) and zero(th.uu + th.ll)):
+        return "tau2+R (u-l)"
+    if (zero(th.ul) and zero(th.ln) and zero(th.ll)
+            and not zero(th.un) and not zero(th.nn) and zero(th.uu + th.nn)):
+        return "tau2+R (u-n)"
     if not zero(th.ln) and not zero(th.ul) and not zero(th.un):
         if (
             zero2(th.nn * th.ul - th.un * th.ln)

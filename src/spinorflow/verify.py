@@ -13,7 +13,9 @@ and H_t once per sample.  In place of a tolerance every suite receives the
 pair's constraints, which are evaluated at most once, where a suite first
 reads them, and the step of central differences in t: 1e-5, or half the
 sample window's 5% inset where that is less, so that t +- step stays inside
-the window.  The curvature algebra runs once over a stack, and each row's
+the window.  The curvature algebra runs once over a stack; the ``ricci4``
+suite reads the cells the ``curvature`` command prints (``lorentz._cells``),
+unrefused, so a Ric4 past the largest float fails its rows.  Each row's
 residual is the largest of its per-sample residuals (``_fold``), or NaN
 when one of them is, so a NaN still fails its row.  A sample that raises
 does so once the samples before it have been evaluated, as one sample at a
@@ -31,8 +33,7 @@ from .exact import QD, FlowSolution, _Samples, solve
 from .frames import _SYM_FLAT, divergence_sym, levi_civita, \
     structure_constants_from_theta, sym_matrices
 from .lapse import LapseProfile
-from .lorentz import _coframe4, _identity_residual, _log_scale_differential, \
-    closedness_residual, ricci4
+from .lorentz import _cells, _log_scale_differential, closedness_residual
 from .numeric import FlowState, _integrate, _residuals, _uncertain
 from .pairs import CauchyPair, DEFAULT_TOL, _constraints
 
@@ -103,14 +104,14 @@ def _check_constraints(stack: _Samples, con, step: float) -> list[CheckResult]:
 def _check_ricci4(stack: _Samples, con, step: float) -> list[CheckResult]:
     """The 4D Ricci identity, plus exact flatness on constrained pairs."""
     constrained = con().is_vacuum_admissible
-    _, hams, raised = stack.ricci3
-    stack.check(raised)
-    ric = ricci4(_coframe4(stack.comp, stack.profile, stack.times)).components
+    stack.check(stack.ricci3[2])
+    cells = _cells(stack)
     rows = [CheckResult("4D Ricci equals (H/2) null-direction square",
-                        _fold(_identity_residual(ric, np.array(hams))), 1e-6)]
+                        _fold(cells[:, -1]), 1e-6)]
     if constrained:
+        # cells 2 to 17 are the components of Ric4
         rows.append(CheckResult("4D Ricci vanishes (constrained pair)",
-                                _fold(np.abs(ric).max(axis=(1, 2))), 1e-8))
+                                _fold(np.abs(cells[:, 2:18]).max(axis=1)), 1e-8))
     return rows
 
 

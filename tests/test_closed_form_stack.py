@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from spinorflow import CauchyPair, LapseProfile, coframe4_at, curvature_report, \
-    dirac_current_frame, frame_exact, hamiltonian_exact, hamiltonian_of, ricci4, solve, \
-    theta_exact, verify_ricci_identity
+    dirac_current_frame, frame_exact, hamiltonian_exact, solve, theta_exact, \
+    verify_ricci_identity
 from spinorflow.errors import OutOfDomain, SingularTime, SpinorFlowError
 from spinorflow.exact import QD, _Samples, expm
 from spinorflow.frames import L, N, U, Sym3, sym_matrices
 from spinorflow.lorentz import _CURVATURE_CELLS, NULL_DIRECTION, _coframe4, _curvature, \
-    _identity_residual, _log_scale_differential
+    _log_scale_differential
 
 from conftest import ROW_PAIRS, curvature_cells
 from test_flow_stack import _same_bits
@@ -247,8 +247,10 @@ ONE_TIME_CASES = {
     "tau2R-general-table": (ROW_PAIRS["tau2R-general"], PROFILES["table-5"], 0.3),
 }
 # The exception of each entry that raises on a case, as the entries raised
-# it when they were written on FlowSolution's per-sample methods (the
+# it when they were written on FlowSolution's per-sample methods, and as
+# the curvature command refuses it for the two that read its cells (the
 # message of an OverflowError is the C library's, and is not compared)
+_NOT_FINITE = SingularTime, "the curvature at t = 0 is not finite"
 _POLE = SingularTime, "1 - Theta_uu*B_t = -5.000e-01 at the lifespan boundary"
 RAISES = {
     "R3-pole": dict.fromkeys(ONE_TIME_ENTRIES, _POLE),
@@ -256,7 +258,7 @@ RAISES = {
         ONE_TIME_ENTRIES, (OutOfDomain, "t = 5.0 outside tabulated domain [-3.0, 4.0]")),
     "E11-1e160": dict.fromkeys(["verify_ricci_identity", "curvature_report"],
                                (OverflowError, None)),
-    "E11-7e153": {"curvature_report": (SingularTime, "the curvature at t = 0 is not finite")},
+    "E11-7e153": dict.fromkeys(["verify_ricci_identity", "curvature_report"], _NOT_FINITE),
     "uu-1.35e148": {entry: _POLE for entry in ONE_TIME_ENTRIES if entry != "frame_exact"},
 }
 
@@ -272,8 +274,8 @@ STACK_ROWS = {
     "frame_exact": lambda stack, i: [stack.sol._frames(stack.bts)[i]],
     "hamiltonian_exact": lambda stack, i: [stack.sol._hamiltonian_stack(-2.5, stack.v)[i]],
     "coframe4_at": lambda stack, i: [x[i] for x in astuple(_coframes(stack))],
-    "verify_ricci_identity": lambda stack, i: [_identity_residual(
-        ricci4(_coframes(stack)).components, hamiltonian_of(stack.comp))[i]],
+    "verify_ricci_identity": lambda stack, i: [
+        _curvature(stack)[_CURVATURE_CELLS * (i + 1) - 1]],
     "dirac_current_frame": lambda stack, i: [
         NULL_DIRECTION, _log_scale_differential(sym_matrices(stack.comp), stack.frames)[i],
         np.append(0.0, stack.frames[i, 1])],
@@ -300,3 +302,13 @@ def test_one_time_entries_are_rows_of_a_stack(case, entry):
     assert len(got) == len(want)
     for x, y in zip(got, want):
         _same_bits(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_ricci_identity_refuses_as_the_curvature_command():
+    # with no np.errstate around it, Ric4 past the largest float is refused
+    # with the command's message, and warns of nothing
+    pair, profile, t = ONE_TIME_CASES["E11-7e153"]
+    with pytest.raises(SingularTime) as caught:
+        verify_ricci_identity(pair, profile, t)
+    assert str(caught.value) == _NOT_FINITE[1]

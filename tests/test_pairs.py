@@ -125,6 +125,17 @@ class TestValidate:
         assert not report.valid
         assert report.violations == ["component pattern matches no admissible family"]
 
+    @pytest.mark.parametrize("theta", [
+        dict(ul=1e-8, ll=1.0, uu=-0.999),   # the u-l pattern, with Theta_uu + Theta_ll != 0
+        dict(un=1e-8, nn=1.0, uu=-0.999),   # the u-n pattern, with Theta_uu + Theta_nn != 0
+        dict(ul=1e-8, un=1e-8, ln=1.0, ll=1.0, nn=1.0, uu=-1.95),  # the general pattern
+    ], ids=["u-l", "u-n", "general"])
+    def test_near_miss_of_a_lambda_family(self, theta):
+        # each relation holds within tol, and no lambda != 0 row matches
+        report = validate(CauchyPair.from_components(**theta))
+        assert report.violations == ["component pattern matches no admissible family"]
+        assert report.row is None
+
     def test_lambda_within_tol_is_quasi_diagonal(self):
         # lambda = 7.1e-10: every rule reads lambda = 0
         pair = CauchyPair.from_components(uu=1.0, ul=5e-10, un=5e-10)
