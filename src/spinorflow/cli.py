@@ -20,6 +20,15 @@ filled by one ``%`` over a flat tuple of Python floats: the CSV row
 ``_CSV_ROW``, the JSON row object ``_JSON_ROW``, and the curvature sample
 ``_SAMPLE`` under its lifespan head.  They write the bytes ``csv.writer``
 and ``json.dumps(..., indent=2)`` would, at a fraction of the cost.
+
+Importing this module loads only what every command runs: argparse, json,
+numpy, orjson when it is installed, and the parsing of pairs and lapses
+(``errors``, ``frames``, ``lapse``, ``pairs``).  Each command imports the
+rest where it first needs it: ``lifespan``, ``flow`` and ``curvature`` the
+closed forms of ``exact``, which load the march (``numeric``, ``_kernel_py``);
+``curvature`` also ``lorentz``; ``verify`` the suites.  numpy and orjson stay
+module-level imports: every command decodes its input and computes with
+numpy, so deferring them would only move their cost into the command.
 """
 
 from __future__ import annotations
@@ -40,14 +49,10 @@ except ImportError:  # the optional extra "fast"
     _orjson = None
 
 from .errors import InvalidPair, SingularTime, SpinorFlowError
-from .exact import _Samples, solve
 from .frames import _SYM_FLAT
 from .lapse import LapseProfile
-from .lorentz import _CURVATURE_CELLS, _curvature
-from .numeric import CERTIFY_LIMIT, _integrate, _residuals, _uncertain
-from .pairs import CauchyPair, DEFAULT_TOL, _constraints, _row_group, classify, \
-    invariants, validate
-from .verify import SUITES, run_suite
+from .pairs import SUITES, CauchyPair, DEFAULT_TOL, _constraints, _row_group, \
+    classify, invariants, validate
 
 JSON_BACKEND = "json" if _orjson is None else "orjson"
 
@@ -171,6 +176,9 @@ def _flow_cells(sol, profile, times, method: str) -> tuple:
     """The cells of the flow table of ``sol`` at ``times``, row by row, as
     one flat tuple of Python floats: each state of the closed form or the
     march (``numeric._States``) with its B_t and residuals."""
+    from .exact import _Samples
+    from .numeric import _integrate, _residuals
+
     if method == "exact":
         stack = _Samples(sol, profile, times)
         states, bts = stack.states(), stack.bts
@@ -197,6 +205,8 @@ def _span_end(x: float | None):
 
 def _warn_uncertified(errors) -> None:
     """One stderr line per (t, error) of an RK4 state the march cannot certify."""
+    from .numeric import CERTIFY_LIMIT, _uncertain
+
     for t, error in errors:
         if _uncertain(error):
             print(f"warning: rk4 state at t = {_fmt(t)} is not certified: "
@@ -239,6 +249,8 @@ def _render_curvature(span, cells: tuple) -> str:
     """The curvature payload: the lifespan of ``span``, then the samples
     whose cells, sample by sample, are ``cells`` (``lorentz._curvature``;
     one sample at least), Python floats."""
+    from .lorentz import _CURVATURE_CELLS
+
     head = _CURVATURE_HEAD % (_json_end(span.t_minus), _json_end(span.t_plus),
                               "true" if span.immortal else "false")
     n = len(cells) // _CURVATURE_CELLS
@@ -285,6 +297,8 @@ def cmd_classify(args, data) -> int:
 
 
 def cmd_lifespan(args, data) -> int:
+    from .exact import solve
+
     pair, profile = _parse_pair(data)
     span = solve(pair, args.tol).lifespan(profile)
     payload = {
@@ -301,6 +315,8 @@ def cmd_lifespan(args, data) -> int:
 def _sampled(args, data):
     """The prologue of ``flow`` and ``curvature``: the pair solved, its lapse
     and lifespan, and the sample times of the window clipped to the lifespan."""
+    from .exact import solve
+
     pair, profile = _parse_pair(data)
     sol = solve(pair, args.tol)
     span = sol.lifespan(profile)
@@ -327,12 +343,17 @@ def cmd_flow(args, data) -> int:
 
 
 def cmd_curvature(args, data) -> int:
+    from .exact import _Samples
+    from .lorentz import _curvature
+
     sol, profile, span, times = _sampled(args, data)
     _emit(_render_curvature(span, _curvature(_Samples(sol, profile, times))), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args, data) -> int:
+    from .verify import run_suite
+
     pair, profile = _parse_pair(data)
     # a residual that overflows fails its row: no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):

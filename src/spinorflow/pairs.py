@@ -18,6 +18,9 @@ from .errors import InvalidPair
 from .frames import Sym3, divergence_sym, frame_ricci, structure_constants_from_theta
 
 DEFAULT_TOL = 1e-9
+# the verification suites of ``verify``, named here, where the CLI's parser
+# reads them without loading ``verify``
+SUITES = ("constraints", "ricci4", "ricciflow", "cosymplectic", "oracle")
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,7 @@ from .frames import _SYM_FLAT, divergence_sym, levi_civita, \
 from .lapse import LapseProfile
 from .lorentz import _cells, _log_scale_differential, closedness_residual
 from .numeric import FlowState, _integrate, _residuals, _uncertain
-from .pairs import CauchyPair, DEFAULT_TOL, _constraints
-
-SUITES = ("constraints", "ricci4", "ricciflow", "cosymplectic", "oracle")
+from .pairs import SUITES, CauchyPair, DEFAULT_TOL, _constraints
 
 _CLIP = 2.0
 

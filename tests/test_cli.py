@@ -1103,3 +1103,37 @@ def test_cli_import_leaves_scipy_out():
     code = ("import sys, spinorflow; assert 'orjson' not in sys.modules; "
             "import spinorflow.cli; assert 'scipy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# a fresh interpreter's package modules (without "spinorflow.") after each
+# step: importing the package, then the CLI, then three commands in turn
+_LOADED_BY_STEP = """
+import json, sys
+def loaded():
+    return sorted(m[len("spinorflow."):] for m in sys.modules
+                  if m.startswith("spinorflow."))
+import spinorflow
+steps = {"spinorflow": loaded(), "dir": sorted(dir(spinorflow))}
+from spinorflow.cli import main
+steps["spinorflow.cli"] = loaded()
+for command in ("validate", "classify", "lifespan"):
+    assert main([command, sys.argv[1]]) == 0
+    steps[command] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_loads_only_what_it_runs(e11_file):
+    src = os.path.dirname(os.path.dirname(spinorflow.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_STEP, e11_file],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True)
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps["spinorflow"] == []
+    assert set(spinorflow.__all__) <= set(steps["dir"])
+    assert steps["spinorflow.cli"] == ["cli", "errors", "frames", "lapse", "pairs"]
+    # no closed form, march, curvature or suite
+    for command in ("validate", "classify"):
+        assert steps[command] == steps["spinorflow.cli"], command
+    assert not {"lorentz", "verify"} & set(steps["lifespan"])
+    assert {"exact", "numeric", "_kernel_py"} <= set(steps["lifespan"])

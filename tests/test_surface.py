@@ -17,9 +17,22 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_resolves():
+    # each name is its home module's, bound on first access and by import *
     assert len(set(spinorflow.__all__)) == len(spinorflow.__all__)
-    for name in spinorflow.__all__:
-        getattr(spinorflow, name)
+    namespace = {}
+    exec("from spinorflow import *", namespace)
+    assert set(spinorflow.__all__) <= set(namespace)
+    for home, names in spinorflow._HOMES.items():
+        module = importlib.import_module("spinorflow." + home)
+        for name in names:
+            assert getattr(spinorflow, name) is getattr(module, name) \
+                is namespace[name], name
+            # a class or function is defined in its home
+            assert getattr(namespace[name], "__module__", module.__name__) \
+                == module.__name__, name
+    with pytest.raises(AttributeError,
+                       match="^module 'spinorflow' has no attribute 'no_such_name'$"):
+        spinorflow.no_such_name
 
 
 def _tracer_targets():
