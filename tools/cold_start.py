@@ -8,11 +8,13 @@ Usage, from anywhere:
 Each command runs on one pair with a tabulated lapse, written to a temporary
 directory.  For each command, each pair of runs times one process per
 checkout (``PYTHONPATH`` set to its ``src/``), alternating which side goes
-first from pair to pair, after one untimed run per side that leaves the
-bytecode caches written.  A time is the wall time of the whole process:
-interpreter start, imports and the command.  The script prints, per
-command, the median time of each side with its quartiles, the ratio of the
-medians, and the number of pairs in which the change was faster.
+first from pair to pair, after one untimed run per side that warms the
+file cache (and writes the bytecode caches, unless PYTHONDONTWRITEBYTECODE
+is set, in which case each process compiles the modules it imports).  A
+time is the wall time of the whole process: interpreter start, imports and
+the command.  The script prints, per command, the median time of each side
+with its quartiles, the ratio of the medians, and the number of pairs in
+which the change was faster.
 
 This is the cost that ``perfbench`` does not see: its warm-up round loads
 every module before any command is timed, and its ``setup_s`` times the
