@@ -7,7 +7,8 @@ curvature and constraint identities the construction satisfies.
 
 ``import spinorflow`` loads none of its modules: each public name is
 imported from the module that defines it (``_HOMES``) on first access
-(PEP 562), so a program pays only for the modules it uses.  The CLI
+(PEP 562), as is each module read as an attribute (``spinorflow.numeric``),
+so a program pays only for the modules it uses.  The CLI
 (``spinorflow.cli``) loads numpy, orjson when it is installed, and the
 parsing of pairs and lapses eagerly, since every command needs them, and
 each command's other modules where the command first needs them.
@@ -46,6 +47,8 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
+    if name in _HOMES:  # a module, as in ``spinorflow.numeric.uncertified``
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -1,11 +1,15 @@
-"""The library surface: every name ``spinorflow.__all__`` lists, every
+"""The library surface: every name ``spinorflow.__all__`` lists and every
+module of the package as an attribute of it, every
 function the benchmark's tracer wraps (``perfbench/tracing.py`` ``TARGETS``,
 whose ``Tracer.install`` fails on a missing name), and README's Library
 example all resolve and run."""
 
 import functools
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -22,8 +26,11 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from spinorflow import *", namespace)
     assert set(spinorflow.__all__) <= set(namespace)
+    assert not set(spinorflow._HOMES) & set(spinorflow.__all__)
     for home, names in spinorflow._HOMES.items():
         module = importlib.import_module("spinorflow." + home)
+        # a module resolves as an attribute before any of its names is used
+        assert spinorflow.__getattr__(home) is getattr(spinorflow, home) is module
         for name in names:
             assert getattr(spinorflow, name) is getattr(module, name) \
                 is namespace[name], name
@@ -33,6 +40,10 @@ def test_every_public_name_resolves():
     with pytest.raises(AttributeError,
                        match="^module 'spinorflow' has no attribute 'no_such_name'$"):
         spinorflow.no_such_name
+    # README's spelling, in a fresh interpreter that has loaded no module yet
+    code = "import spinorflow; assert callable(spinorflow.numeric.uncertified)"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
 
 
 def _tracer_targets():

@@ -3,18 +3,19 @@
 
 Usage, from anywhere:
 
-    python3 tools/cold_start.py --parent PARENT_DIR --change CHANGE_DIR [--pairs 20]
+    python3 tools/cold_start.py --parent PARENT_DIR --change CHANGE_DIR
 
 Each command runs on one pair with a tabulated lapse, written to a temporary
-directory.  For each command, each pair of runs times one process per
-checkout (``PYTHONPATH`` set to its ``src/``), alternating which side goes
-first from pair to pair, after one untimed run per side that warms the
+directory.  For each command, each of ``PAIRS`` pairs of runs times one
+process per checkout (``PYTHONPATH`` set to its ``src/``), alternating which
+side goes first from pair to pair, after one untimed run per side that warms the
 file cache (and writes the bytecode caches, unless PYTHONDONTWRITEBYTECODE
 is set, in which case each process compiles the modules it imports).  A
 time is the wall time of the whole process: interpreter start, imports and
 the command.  The script prints, per command, the median time of each side
-with its quartiles, the ratio of the medians, and the number of pairs in
-which the change was faster.
+with its quartiles (``bench_record.quartiles``, the rule of the BENCH
+records), the ratio of the medians, and the number of pairs in which the
+change was faster.
 
 This is the cost that ``perfbench`` does not see: its warm-up round loads
 every module before any command is timed, and its ``setup_s`` times the
@@ -28,13 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
-SIDES = ("parent", "change")
+from bench_record import SIDES, quartiles
+
+PAIRS = 20
 COMMANDS = (
     ("validate", []),
     ("lifespan", []),
@@ -54,7 +56,6 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="checkout before the change")
     p.add_argument("--change", required=True, help="checkout with the change")
-    p.add_argument("--pairs", type=int, default=20, help="alternating pairs per command")
     return p.parse_args(argv)
 
 
@@ -71,15 +72,8 @@ def run_once(checkout: str, argv: list[str]) -> float:
     return seconds
 
 
-def quartiles(xs: list[float]) -> tuple[float, float]:
-    q = statistics.quantiles(xs, n=4)
-    return q[0], q[2]
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.pairs < 2:
-        raise SystemExit("cold_start: --pairs must be at least 2")
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,17 +89,16 @@ def main(argv=None) -> int:
                 run_once(checkouts[side], command)
             times = {side: [] for side in SIDES}
             wins = 0
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {side: run_once(checkouts[side], command) for side in order}
                 wins += pair["change"] < pair["parent"]
                 for side in SIDES:
                     times[side].append(pair[side] * 1e3)
-            med = {side: statistics.median(times[side]) for side in SIDES}
-            cells = [f"{med[side]:.1f} ({quartiles(times[side])[0]:.1f}–"
-                     f"{quartiles(times[side])[1]:.1f})" for side in SIDES]
+            q = [quartiles(times[side]) for side in SIDES]
+            cells = [f"{s['median']:.1f} ({s['q1']:.1f}–{s['q3']:.1f})" for s in q]
             print(f"| `{label}` | {cells[0]} | {cells[1]} | "
-                  f"{med['change'] / med['parent']:.3f} | {wins}/{args.pairs} |",
+                  f"{q[1]['median'] / q[0]['median']:.3f} | {wins}/{PAIRS} |",
                   flush=True)
     return 0
 
