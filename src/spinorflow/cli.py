@@ -12,8 +12,9 @@ sweep).  Identical inputs give byte-identical output:
 - ``curvature`` prints the shortest repr of each float, as ``json`` does.
 
 Input files are decoded by orjson when it is installed (``JSON_BACKEND``),
-and by ``json`` otherwise or wherever the two could differ; both give the
-same values and the same errors (``_load_input``).
+and by ``json`` otherwise or wherever orjson's value could differ from
+json's, which a walk of that value tells; both give the same values and the
+same errors (``_load_input``).
 
 ``flow`` and ``curvature`` render through fixed-shape templates, each
 filled by one ``%`` over a flat tuple of Python floats: the CSV row
@@ -39,6 +40,7 @@ import io
 import json
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -75,68 +77,63 @@ def _fmt(x: float) -> str:
     return "%.12e" % float(x)
 
 
-# an input file's bytes with each digit read as "0", "{" as "[", and as " "
-# each other byte that may stand before the first digit of a number: JSON
-# whitespace, ",", ":" and the minus sign
-_MASK = bytes.maketrans(b"123456789{\t\n\r,:-", b"0" * 9 + b"[" + b" " * 6)
-_DIGITS_19 = b"0" * 19
 # json raises RecursionError past about 995 levels of nesting on Python
 # 3.10 and 3.11 (fewer when called from deep in the stack), orjson past
-# 1024: a document that opens more arrays and objects than this is left to
-# json, so that json alone decides where nesting is too deep
-_MAX_OPENINGS = 512
+# 1024: a document nested deeper than this is left to json, so that json
+# alone decides where nesting is too deep
+_MAX_DEPTH = 512
 
 
-def _orjson_reads_alike(data: bytes) -> bool:
-    """Whether orjson, if it accepts the file contents ``data``, reads the
-    values json reads.  Not when ``data`` opens more than ``_MAX_OPENINGS``
-    arrays and objects, nor when it may hold an integer literal of 19 digits
-    or more: orjson reads the integers outside [-2**63, 2**64) as floats,
-    and each has 19 digits at least.  A run of 19 digits counts when it
-    starts the document or follows whitespace, "[", "{", ",", ":" or "-";
-    so digits after "." or an exponent's "e", "E" or "+" do not, and those
-    after an exponent's "-" do, which only sends such a document to json,
-    as does a run after "[" or "{" inside a string.  Bytes that are no
-    UTF-8 may get either answer, since orjson refuses them."""
-    masked = data.translate(_MASK)
-    # look for the opening past the limit with find, which skips to each
-    # "[" at memchr speed, where count compares every byte (30 times slower)
-    at = -1
-    for _ in range(_MAX_OPENINGS + 1):
-        at = masked.find(b"[", at + 1)
-        if at < 0:
-            break
-    else:
-        return False
-    # a run found at ``at`` holds the next 18 positions, so no run starting
-    # there follows a byte other than "0"
-    at = masked.find(_DIGITS_19)
-    while at >= 0:
-        if at == 0 or masked[at - 1] in b" [":
-            return False
-        at = masked.find(_DIGITS_19, at + 19)
-    return True
+def _orjson_reads_alike(value) -> bool:
+    """Whether json reads the document that orjson read as ``value`` to
+    that value.  Not when it nests deeper than ``_MAX_DEPTH``, nor when it
+    holds a float of magnitude 2**63 or more: orjson reads each integer
+    literal outside [-2**63, 2**64) as such a float, and json as an int.
+    The walk keeps its own stack, since a document nests 1024 deep.  A list
+    of numbers is checked in one pass over its float images, in which an
+    int in [2**63, 2**64) reads as such a float too; that only sends the
+    document to json."""
+    pending = [(0, [value])]  # (depth, container): the document at depth 1
+    while pending and pending[-1][0] <= _MAX_DEPTH:
+        depth, items = pending.pop()
+        if type(items) is list:
+            try:
+                floats = np.frombuffer(struct.pack(f"{len(items)}d", *items))
+            except struct.error:  # an entry that is no number
+                pass
+            else:
+                if not (np.abs(floats) < 2.0 ** 63).all():
+                    return False
+                continue
+        for x in items.values() if type(items) is dict else items:
+            if type(x) is list or type(x) is dict:
+                pending.append((depth + 1, x))
+            elif type(x) is float and not abs(x) < 2.0 ** 63:
+                return False
+    return not pending  # else a container nests deeper than _MAX_DEPTH
 
 
 def _load_input(path: str) -> dict | list:
-    """The JSON document in the file at ``path``: from orjson when it is
-    installed and ``_orjson_reads_alike``, else from ``json``.  orjson reads
-    the file's bytes and refuses every other document that ``json`` would
-    read otherwise (NaN, Infinity, a float literal past the largest float,
-    a lone surrogate escape, a BOM, nesting deeper than 1024), and those go
-    to ``json`` too, so the value, or the error, is always the one ``json``
-    gives (its RecursionError on a document nested too deeply as a
-    ValueError).  Only ``json`` reads text, decoded as text mode decodes
-    it (UTF-8, with CRLF and CR read as LF), so its error positions and
-    UnicodeDecodeError messages stay those of that text.  The two give the
-    same values: orjson refuses invalid UTF-8 and a raw control character
-    inside a string, as json does, so wherever it accepts a CR or LF, that
-    byte is whitespace."""
+    """The JSON document in the file at ``path``: the value orjson reads
+    from the file's bytes when it is installed and ``_orjson_reads_alike``
+    that value, else the value ``json`` reads.  orjson refuses every other
+    document that ``json`` would read otherwise (NaN, Infinity, a float
+    literal past the largest float, a lone surrogate escape, a BOM, nesting
+    deeper than 1024), and those go to ``json`` too, so the value, or the
+    error, is always the one ``json`` gives (its RecursionError on a
+    document nested too deeply as a ValueError).  Only ``json`` reads text,
+    decoded as text mode decodes it (UTF-8, with CRLF and CR read as LF),
+    so its error positions and UnicodeDecodeError messages stay those of
+    that text.  The two give the same values: orjson refuses invalid UTF-8
+    and a raw control character inside a string, as json does, so wherever
+    it accepts a CR or LF, that byte is whitespace."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if _orjson is not None and _orjson_reads_alike(data):
+    if _orjson is not None:
         try:
-            return _orjson.loads(data)
+            value = _orjson.loads(data)
+            if _orjson_reads_alike(value):
+                return value
         except _orjson.JSONDecodeError:
             pass
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import array
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +16,13 @@ from .errors import OutOfDomain
 class LapseProfile:
     """Strictly positive lapse, either constant or tabulated on a time grid.
 
-    Tabulated profiles interpolate linearly between nodes; the integral B_t
-    is then the exact (trapezoid) integral of the interpolant.  The first
-    ``b_integral`` or ``solve_b`` call builds the cumulative table, B at
-    every node, anchored at t = 0 (``_cumulative_trapezoid``); from it B_t
-    takes one binary search and a partial trapezoid, and its inverse one
-    binary search and a closed-form root.  Times outside the table raise
-    OutOfDomain.
+    Tabulated profiles hold read-only copies of their times and values, and
+    interpolate linearly between nodes; the integral B_t is then the exact
+    (trapezoid) integral of the interpolant.  The first ``b_integral`` or
+    ``solve_b`` call builds the cumulative table, B at every node, anchored
+    at t = 0 (``_cumulative_trapezoid``); from it B_t takes one binary
+    search and a partial trapezoid, and its inverse one binary search and a
+    closed-form root.  Times outside the table raise OutOfDomain.
     """
 
     kind: str  # "constant" | "tabulated"
@@ -38,8 +38,9 @@ class LapseProfile:
 
     @classmethod
     def tabulated(cls, times, values) -> "LapseProfile":
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
+        # read-only copies: a caller's later writes cannot reach the profile
+        t, v = (np.array(x, dtype=float) for x in (times, values))
+        t.flags.writeable = v.flags.writeable = False
         if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
             raise ValueError("need matching 1D times/values with at least two nodes")
         # finite first: np.diff of two equal infinities warns (inf - inf)
@@ -68,7 +69,7 @@ class LapseProfile:
             raise ValueError(f"{kind} lapse is missing {', '.join(missing)}")
         try:
             args = [_json_numbers(data[k]) for k in fields]
-        except (TypeError, OverflowError):
+        except (TypeError, OverflowError, struct.error):
             raise ValueError(f"{kind} lapse {', '.join(fields)} must be finite numbers") from None
         if kind == "constant":
             if isinstance(args[0], np.ndarray):
@@ -168,12 +169,13 @@ class LapseProfile:
 def _json_numbers(v):
     """A JSON number as a float, or an array of them as a float array, as a
     JSON decoder gives them.  Anything else raises TypeError: a bool, a
-    string, null, an object or a nested array; an integer past the float
-    range raises OverflowError.  ``array("d")`` refuses all of these but the
-    bools, which it reads as 0.0 and 1.0, so only the entries equal to those
-    are looked at again."""
+    string, null, an object or a nested array, and an integer past the
+    float range OverflowError; in an array, each of these but the bools
+    raises struct.error.  One ``struct.pack`` converts an array, and reads
+    a bool as 0.0 or 1.0, so only the entries equal to those are looked at
+    again."""
     if isinstance(v, list):
-        a = np.frombuffer(array.array("d", v))
+        a = np.frombuffer(struct.pack(f"{len(v)}d", *v))
         for i in np.flatnonzero((a == 0.0) | (a == 1.0)).tolist():
             if type(v[i]) is bool:
                 raise TypeError

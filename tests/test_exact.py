@@ -237,6 +237,24 @@ class TestCumulativeTable:
         built.b_integral(0.5), built.solve_b(0.5), built.b_integral(-0.5)
         assert len(builds) == 1
 
+    def test_writes_to_the_inputs_do_not_reach_the_profile(self):
+        times, values = np.array([-1.0, 0.0, 1.0]), np.array([1.0, 2.0, 1.0])
+        prof = LapseProfile.tabulated(times, values)
+        want = prof.beta(0.5), prof.b_integral(0.5), prof.solve_b(1.0)
+        times[:] = [-3.0, -2.0, -1.0]
+        values[:] = -3.0
+        assert (prof.beta(0.5), prof.b_integral(0.5), prof.solve_b(1.0)) == want
+        assert prof.domain() == (-1.0, 1.0)
+
+    def test_the_table_is_read_only(self):
+        prof = LapseProfile.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            prof.times[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            prof.values[0] = -3.0
+        assert prof.times.tolist() == [-1.0, 0.0, 1.0]
+        assert prof.values.tolist() == [1.0, 2.0, 1.0]
+
 
 class TestBranchDispatch:
     def test_branches(self):

@@ -8,7 +8,6 @@ import contextlib
 import io
 import json
 import math
-import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -215,62 +214,47 @@ def test_a_workload_table_is_read_by_orjson(tmp_path, monkeypatch):
     assert same(got, want)
 
 
-# the guard before it read bytes: on the text json read, "[" and "{" counted
-# apart, and a run of 19 digits refused after whitespace, "[", ",", ":", "-"
-PARENT_STARTS = bytes.maketrans(b"123456789\t\n\r[,:-", b"0" * 9 + b" " * 7)
-
-
-def parent_reads_alike(text: str) -> bool:
-    if text.count("[") + text.count("{") > cli._MAX_OPENINGS:
-        return False
-    masked = text.encode().translate(PARENT_STARTS)
-    return not (b" " + b"0" * 19 in masked or masked.startswith(b"0" * 19))
-
-
-def text_mode(text: str) -> str:
-    """``text`` as a file opened in text mode reads it back."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-# "{" and 19 digits: no valid JSON outside a string; the byte guard, which
-# reads "{" as "[", sends such a document to json, the text guard did not
-BRACE_RUN = re.compile(r"\{[0-9]{19}")
-
-
-@settings(max_examples=300, deadline=None)
-@given(doc=DOCUMENTS, sep=SEPARATORS)
-def test_the_byte_guard_decides_as_the_text_guard(doc, sep):
-    text = dump(doc, sep)
-    got = cli._orjson_reads_alike(text.encode("utf-8"))
-    if BRACE_RUN.search(text):
-        assert not got
-    else:
-        assert got == parent_reads_alike(text_mode(text))
-
-
-OPENINGS_512 = '{"a": [' * 256 + "0" + "]}" * 256
+DEPTH_512 = {"arrays": "[" * 512 + "]" * 512, "objects": '{"a":' * 511 + "{}" + "}" * 511}
 
 
 @DECODERS
 @pytest.mark.parametrize("text, reads_alike", [
-    ("[1234567890123456789]", False), ('{"a":1234567890123456789}', False),
-    ("[-1234567890123456789]", False), ("1234567890123456789", False),
-    ("[-0.0039001950097505844]", True), ("[1e-1234567890123456789]", False),
-    (OPENINGS_512, True), ("[" + OPENINGS_512 + "]", False),
-    ("{1234567890123456789}", False), ('["{1234567890123456789"]', False),
-], ids=["after-bracket", "after-colon", "after-minus", "at-start", "fraction-run",
-        "exponent-minus", "openings-512", "openings-513", "brace-digits",
-        "brace-digits-in-string"])
-def test_named_guard_decisions(tmp_path, decoder, text, reads_alike):
-    assert cli._orjson_reads_alike(text.encode("utf-8")) is reads_alike
-    if not BRACE_RUN.search(text):
-        assert parent_reads_alike(text) is reads_alike
+    ("[1.5, 18446744073709551616, 2.0]", False), ('[1.5, "a", 18446744073709551616]', False),
+    ('{"a": 18446744073709551616}', False), ("18446744073709551616", False),
+    ("[-9223372036854775809]", False), ("[9223372036854775808]", False),
+    ("[1e19]", False), ("[1234567890123456789, -0.0039001950097505844]", True),
+    (DEPTH_512["arrays"], True), ("[" + DEPTH_512["arrays"] + "]", False),
+    (DEPTH_512["objects"], True), ('{"a":' + DEPTH_512["objects"] + "}", False),
+    ("[" + ",".join(["[0.5]"] * 600) + "]", True),
+], ids=["2pow64-in-numbers", "2pow64-in-mixed-list", "2pow64-in-object", "2pow64-bare",
+        "below-minus-2pow63", "int-in-2pow63-2pow64", "float-1e19", "19-digits-in-range",
+        "arrays-512", "arrays-513", "objects-512", "objects-513", "600-siblings"])
+def test_named_value_checks(tmp_path, decoder, text, reads_alike):
+    if decoder == "orjson":
+        assert cli._orjson_reads_alike(cli._orjson.loads(text)) is reads_alike
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     with decoding_with(decoder):
         want, got = expected(path), outcome(cli._load_input, path)
     assert want[0] == got[0]
     assert same(want[1], got[1]) if want[0] == "value" else want[1] == got[1]
+
+
+@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
+@pytest.mark.parametrize("literal", sorted({s * (b + d) for b in BOUNDARIES
+                                            for d in (-1, 0, 1) for s in (1, -1)}))
+def test_orjson_reads_a_boundary_integer_as_json_or_as_a_far_float(literal):
+    # the assumption of ``_orjson_reads_alike``: orjson reads an integer
+    # literal as json does, or as a float of magnitude 2**63 or more
+    for text in (str(literal), f"[{literal}]"):
+        try:
+            got = cli._orjson.loads(text)
+        except cli._orjson.JSONDecodeError:
+            continue
+        want = json.loads(text)
+        if not same(got, want):
+            far = got if isinstance(got, float) else got[0]
+            assert type(far) is float and abs(far) >= 2.0 ** 63, text
 
 
 TABLE_DOC = {"theta": {"uu": -2, "ul": 1, "un": 1, "ll": 1, "ln": 1, "nn": 1},
@@ -430,6 +414,19 @@ def test_lapse_fields_parse_as_the_type_scan_did(data):
     want = lapse_outcome(parent_lapse, data)
     assert lapse_outcome(LapseProfile.from_json_dict, data) == want
     assert lapse_outcome(LapseProfile.from_json_dict, {"beta": data}) == want
+
+
+@pytest.mark.parametrize("field", ["times", "values"])
+@pytest.mark.parametrize("at", [0, 10_000, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("entry", [True, False, "1.0", None, [1.0], 2 ** 1024],
+                         ids=["true", "false", "string", "null", "nested-list", "2pow1024"])
+def test_an_odd_entry_in_a_long_table_is_refused_as_the_type_scan_did(field, at, entry):
+    data = {"kind": "tabulated", "times": np.linspace(-1.0, 1.0, 20_000).tolist(),
+            "values": [1.0] * 20_000}
+    data[field][at] = entry
+    want = lapse_outcome(parent_lapse, data)
+    assert want[0] == "error"
+    assert lapse_outcome(LapseProfile.from_json_dict, data) == want
 
 
 @pytest.mark.parametrize("times", [[math.inf, math.inf], [-math.inf, -math.inf, 0.0]],
