@@ -85,8 +85,8 @@ _MAX_DEPTH = 512
 
 
 def _orjson_reads_alike(value) -> bool:
-    """Whether json reads the document that orjson read as ``value`` to
-    that value.  Not when it nests deeper than ``_MAX_DEPTH``, nor when it
+    """Whether json reads the same value from the document that orjson read
+    as ``value``.  Not when it nests deeper than ``_MAX_DEPTH``, nor when it
     holds a float of magnitude 2**63 or more: orjson reads each integer
     literal outside [-2**63, 2**64) as such a float, and json as an int.
     The walk keeps its own stack, since a document nests 1024 deep.  A list

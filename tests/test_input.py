@@ -337,8 +337,8 @@ def test_the_backend_is_reported():
 
 
 def parent_lapse(data):
-    """``LapseProfile.from_json_dict`` before it converted with ``array("d")``:
-    a scan of the field's types, then ``np.asarray``."""
+    """``LapseProfile.from_json_dict`` before it converted each list in one
+    pass: a scan of the field's types, then ``np.asarray``."""
     kind = data["kind"]
     fields = {"constant": ("value",), "tabulated": ("times", "values")}[kind]
     try:
