@@ -1,4 +1,10 @@
-"""The RK4 kernel: the one RK4 step of the package, written out once.
+"""The RK4 kernel in Python: the reference of the package's RK4 step, and
+the fallback of its C kernel.
+
+``numeric`` runs the C extension built from ``_kernel.c``, which repeats
+this module's ``_march`` operation for operation and gives the same bits,
+and runs this module wherever that cannot be built or loaded.  This module
+states the contract of both; ``tests/test_numeric.py`` holds both to it.
 
 It marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
@@ -8,6 +14,7 @@ lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
+Both entries take their arguments by position only.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march.  It returns ``(y, steps done, truncated)``: y is
 the state the march ends on, as a tuple of 15 floats, which on truncation
@@ -67,12 +74,12 @@ def _rhs(y):
     return out
 
 
-def rk4_path(y0, dt, n_steps):
+def rk4_path(y0, dt, n_steps, /):
     """March y0 by ``n_steps`` RK4 steps; see the module docstring."""
     return _march(tuple(map(float, y0)), None, float(dt), None, n_steps)
 
 
-def doubling_step(y, z, h, tol):
+def doubling_step(y, z, h, tol, /):
     """One trial of the controlled march; see the module docstring."""
     return _march(y, z, h, tol, None)
 

@@ -26,8 +26,9 @@ Importing this module loads only what every command runs: argparse, json,
 numpy, orjson when it is installed, and the parsing of pairs and lapses
 (``errors``, ``frames``, ``lapse``, ``pairs``).  Each command imports the
 rest where it first needs it: ``lifespan``, ``flow`` and ``curvature`` the
-closed forms of ``exact``, which load the march (``numeric``, ``_kernel_py``);
-``curvature`` also ``lorentz``; ``verify`` the suites.  numpy and orjson stay
+closed forms of ``exact``, which load the march (``numeric``, ``_kernel_py``
+and the C kernel, which ``numeric`` builds on its first import); ``curvature``
+also ``lorentz``; ``verify`` the suites.  numpy and orjson stay
 module-level imports: every command decodes its input and computes with
 numpy, so deferring them would only move their cost into the command.
 """

@@ -168,21 +168,19 @@ class LapseProfile:
 
 def _json_numbers(v):
     """A JSON number as a float, or an array of them as a float array, as a
-    JSON decoder gives them.  Anything else raises TypeError: a bool, a
-    string, null, an object or a nested array, and an integer past the
-    float range OverflowError; in an array, each of these but the bools
-    raises struct.error.  One ``struct.pack`` converts an array, and reads
+    JSON decoder gives them.  Either shape takes what ``struct.pack("d")``
+    takes, a bool excepted: a float or an int within the float range, and
+    any other number with ``__float__`` or ``__index__`` (``Decimal``,
+    ``Fraction``, ``numpy.float64``).  Anything else raises struct.error,
+    and a bool TypeError.  One ``struct.pack`` converts an array, and reads
     a bool as 0.0 or 1.0, so only the entries equal to those are looked at
     again."""
-    if isinstance(v, list):
-        a = np.frombuffer(struct.pack(f"{len(v)}d", *v))
-        for i in np.flatnonzero((a == 0.0) | (a == 1.0)).tolist():
-            if type(v[i]) is bool:
-                raise TypeError
-        return a
-    if type(v) is float or type(v) is int:
-        return float(v)
-    raise TypeError
+    items = v if isinstance(v, list) else [v]
+    a = np.frombuffer(struct.pack(f"{len(items)}d", *items))
+    for i in np.flatnonzero((a == 0.0) | (a == 1.0)).tolist():
+        if type(items[i]) is bool:
+            raise TypeError
+    return a if isinstance(v, list) else a.item()
 
 
 def _prefix_sums(parts: np.ndarray) -> np.ndarray:

@@ -9,9 +9,15 @@ state; ``uncertified`` lists the states that estimate cannot vouch for.  A
 caller that names ``n_steps_total`` gets a fixed-step march in s instead.
 Both carry the state as a tuple of 15 floats and make one kernel call per
 advance: one ``_kern.doubling_step`` per trial step, or one
-``_kern.rk4_path`` per segment through ``_advance``.  The kernel is the
-pure-Python module ``_kernel_py``, whose two entries run one unrolled RK4
-step in one leg loop; ``KERNEL_BACKEND`` names it.
+``_kern.rk4_path`` per segment through ``_advance``.
+
+The kernel ``_kern`` is the C extension built from ``_kernel.c`` when this
+module is first imported (``_c_kernel``), and otherwise the pure-Python
+module ``_kernel_py``, which documents the contract of both and gives the
+same bits; ``KERNEL_BACKEND`` reads ``"c"`` or ``"python"``.  The build
+runs the interpreter's own compiler once and caches the library in the
+package's ``__pycache__``; any failure falls back to ``_kernel_py`` and
+prints nothing.
 
 Inside the package, states travel as one stacked record of arrays,
 ``_States``, which ``_state_from_vector`` checks and builds; ``FlowState``
@@ -22,18 +28,71 @@ and H_t from ``_curvature3`` and is refused by the one rule ``_refuse``.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import sys
+import sysconfig
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import _kernel_py as _kern
+from . import _kernel_py
 from .errors import SingularTime, SpinorFlowError
 from .frames import Sym3, frame_ricci, structure_constants_from_theta, sym_matrices
 from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, _hamiltonians, require_valid
 
-KERNEL_BACKEND = "python"
+
+
+def _compile_flags() -> list[str]:
+    """The command that builds ``_kernel.c``, less its file names: the
+    interpreter's shared-library compiler and include directories, with no
+    multiply and add fused and no fast-math."""
+    cfg = sysconfig.get_config_var
+    includes = dict.fromkeys(sysconfig.get_path(k) for k in ("include", "platinclude"))
+    return [*cfg("LDSHARED").split(), *cfg("CCSHARED").split(), "-O2",
+            "-ffp-contract=off", "-fno-fast-math", *(f"-I{d}" for d in includes)]
+
+
+def _c_kernel(cache: Path):
+    """The kernel built from ``_kernel.c`` into the directory ``cache`` on
+    first use, or ``_kernel_py`` when it cannot be built or loaded.
+
+    The library's name is keyed by a CRC-32 of the C source and of
+    ``_compile_flags()``, so a changed source or compiler builds anew.  The
+    compiler writes a temporary file, which then replaces the library's
+    name in one step, so a process never loads a half-written library.
+    Its output is captured, and a failure prints nothing."""
+    source = Path(__file__).with_name("_kernel.c")
+    try:
+        flags = _compile_flags()
+        key = zlib.crc32("\0".join(flags).encode(), zlib.crc32(source.read_bytes()))
+        path = cache / f"_kernel-{key:08x}{sysconfig.get_config_var('EXT_SUFFIX')}"
+        if not path.exists():
+            import subprocess
+
+            cache.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run([*flags, str(source), "-o", str(tmp)], check=True,
+                               stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        spec = importlib.util.spec_from_file_location(f"{__package__}._kernel", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except Exception:
+        return _kernel_py
+
+
+_kern = _c_kernel(Path(__file__).with_name("__pycache__"))
+sys.modules[_kern.__name__] = _kern
+KERNEL_BACKEND = "python" if _kern is _kernel_py else "c"
 
 _ETA3 = np.ones(3)
 
@@ -105,7 +164,7 @@ def ode_rhs(theta, U: np.ndarray):
     ``theta`` is an array of components (uu, ul, un, ll, ln, nn), one row
     per sample, and ``U`` one 3x3 matrix or one per sample; the result is an
     array of component rows and one of matrices, one of each per sample,
-    one sample included.  The stack takes the operations of ``_kern._rhs``
+    one sample included.  The stack takes the operations of ``_kernel_py._rhs``
     column by column, in its order, and like Python floats warns of no
     overflow."""
     comp = np.asarray(theta, dtype=float).reshape(-1, 6)
@@ -363,7 +422,7 @@ def _controlled_march(y0, stops, to_t):
     s = 0.0
     sign = 1.0 if stops[0] > 0 else -1.0
     # a first step over which the initial slope moves y by 1 percent
-    slope = _kern._rhs(y)
+    slope = _kernel_py._rhs(y)
     rate = max(abs(d) / max(1.0, abs(v)) for v, d in zip(y, slope))
     h = min(abs(stops[-1]), 0.01 / rate) if rate > 0 else abs(stops[-1])
     for target in stops:

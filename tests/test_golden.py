@@ -7,6 +7,10 @@ where the shortest repr of a float is printed, by one ulp of that float:
 numpy and libm may round an ulp apart across machines.  On the machine that
 wrote the corpus, rerunning ``tests/golden/regenerate.py`` and ``git diff
 tests/golden`` compare bytes.
+
+The commands that march (``flow --method rk4`` and ``verify``) run once more
+on the pure-Python kernel ``_kernel_py``, the fallback of a machine that
+cannot build the C kernel: it must print the active kernel's bytes.
 """
 
 import json
@@ -17,6 +21,7 @@ from decimal import Decimal
 import pytest
 
 from golden import regenerate
+from spinorflow import _kernel_py, numeric
 
 # a number not glued to a word before it: "R3" and "tau2R" are text
 NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -62,6 +67,22 @@ def test_commands_reproduce_the_corpus(path):
         for stream in ("stdout", "stderr"):
             assert same_output("\n".join(want[stream]), "\n".join(got[stream])), \
                 f"{where}: {stream} differs"
+
+
+@pytest.mark.parametrize("path", FILES, ids=[f.stem for f in FILES])
+def test_the_python_kernel_prints_the_same_bytes(path, monkeypatch):
+    record = json.loads(path.read_text())
+    marching = [want for want in record["runs"]
+                if want["argv"][0] == "verify" or "rk4" in want["argv"]]
+    for want in marching:
+        got = regenerate.run(record["input"], want["argv"])
+        with monkeypatch.context() as patch:
+            patch.setattr(numeric, "_kern", _kernel_py)
+            fallback = regenerate.run(record["input"], want["argv"])
+        assert fallback == got, " ".join(want["argv"])
+        assert fallback["exit"] == want["exit"]
+        for stream in ("stdout", "stderr"):
+            assert same_output("\n".join(want[stream]), "\n".join(fallback[stream]))
 
 
 class TestSameOutput:

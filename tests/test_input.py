@@ -11,6 +11,8 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -437,3 +439,29 @@ def test_infinite_times_are_refused_without_a_warning(times):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^times must be finite and strictly increasing$"):
             LapseProfile.from_json_dict(data)
+
+
+# numbers no JSON decoder gives, which a library caller may: a constant lapse
+# and a table read each alike, as the float struct.pack("d") takes it
+@pytest.mark.parametrize("number", [Decimal("1.3"), Fraction(13, 10), np.float64(1.3),
+                                    np.float32(1.25), np.int64(2), 2, 1.3],
+                         ids=["Decimal", "Fraction", "float64", "float32", "int64", "int",
+                              "float"])
+def test_a_number_type_reads_alike_as_a_value_and_in_a_table(number):
+    want = struct.unpack("d", struct.pack("d", number))[0]
+    constant = LapseProfile.from_json_dict({"kind": "constant", "value": number})
+    assert type(constant.value) is float and constant.value == want
+    table = LapseProfile.from_json_dict({"kind": "tabulated", "times": [-1.0, 0.0, number],
+                                         "values": [number, 1.0, number]})
+    assert table.times.tolist() == [-1.0, 0.0, want]
+    assert table.values.tolist() == [want, 1.0, want]
+
+
+@pytest.mark.parametrize("entry", [True, np.array([1.3, 1.3]), "1.3", Decimal("sNaN")],
+                         ids=["bool", "array", "string", "signaling-nan"])
+def test_what_struct_refuses_is_refused_as_a_value_and_in_a_table(entry):
+    with pytest.raises(ValueError, match="^constant lapse value must be finite numbers$"):
+        LapseProfile.from_json_dict({"kind": "constant", "value": entry})
+    with pytest.raises(ValueError, match="^tabulated lapse times, values must be finite numbers$"):
+        LapseProfile.from_json_dict({"kind": "tabulated", "times": [-1.0, 0.0, 1.0],
+                                     "values": [1.0, entry, 1.0]})

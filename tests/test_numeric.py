@@ -5,6 +5,9 @@ marched in t on smooth tables."""
 
 import dataclasses
 import math
+import struct
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from spinorflow.numeric import CERTIFY_LIMIT, KERNEL_BACKEND, FlowState, \
     ResidualReport, uncertified
 from spinorflow.verify import sample_times
 from spinorflow import _kernel_py, numeric
+from pathlib import Path
 
 from conftest import ROW_PAIRS, algebraic_residuals
 
@@ -539,26 +543,127 @@ def _drawn_states(draw):
     return tuple(y)
 
 
+# _kernel_py, and the C kernel when numeric runs it: every kernel test below
+# holds each to the list form
+KERNELS = [pytest.param(_kernel_py, id="python")] + (
+    [] if numeric._kern is _kernel_py else [pytest.param(numeric._kern, id="c")])
+
+
+@pytest.fixture(scope="module", params=KERNELS)
+def kernel(request):
+    return request.param
+
+
+def _random_calls(rng, n):
+    """``n`` kernel calls as (y, z, h, n_steps, tol), drawn for
+    ``test_c_kernel_matches_python_kernel_on_random_calls``: one in six an
+    ``rk4_path`` (tol None), the rest ``doubling_step`` trials (n_steps
+    None).  Each state is moderate, with about one entry in eight replaced
+    by a signed zero, a NaN or an infinity, a Theta value near the guard,
+    or a value up to 1e300; h has either sign and a size from 1e-6 to 1."""
+    y, z = rng.uniform(-3.0, 3.0, (2, n, 15))
+    for states in (y, z):
+        odd = rng.integers(0, 40, states.shape)  # 0-4 replace the entry
+        states[odd == 0] = rng.choice([0.0, -0.0], np.count_nonzero(odd == 0))
+        states[odd == 1] = rng.choice([math.nan, math.inf, -math.inf],
+                                      np.count_nonzero(odd == 1))
+        near = (odd == 2) & np.isin(np.arange(15), [0, 3, 4, 5])
+        states[near] = rng.choice([1.0, -1.0], np.count_nonzero(near)) * rng.uniform(
+            0.9 * _kernel_py._GUARD, 1.1 * _kernel_py._GUARD, np.count_nonzero(near))
+        big = odd == 3
+        states[big] = rng.choice([1.0, -1.0], np.count_nonzero(big)) * 10.0 ** rng.uniform(
+            0.0, 300.0, np.count_nonzero(big))
+    h = rng.choice([1.0, -1.0], n) * 10.0 ** rng.uniform(-6.0, 0.0, n)
+    paths = rng.integers(0, 6, n) == 0
+    n_steps = rng.integers(0, 21, n)
+    tol = rng.choice([0.0, 1e-12, 1e-8, math.inf], n)
+    for row in zip(y.tolist(), z.tolist(), h.tolist(), paths.tolist(), n_steps.tolist(),
+                   tol.tolist()):
+        yield (tuple(row[0]), tuple(row[1]), row[2], row[4] if row[3] else None,
+               None if row[3] else row[5])
+
+
+def _state_bits(y):
+    """The bits of the state ``y``, every NaN read as ``math.nan``; None for
+    None.  The sign bit of a NaN is no part of a result (see
+    ``test_doubling_step_matches_list_form_on_drawn_states``)."""
+    return None if y is None else struct.pack("15d", *(math.nan if v != v else v for v in y))
+
+
 class TestKernelParity:
-    def test_python_kernel_matches_active_backend(self):
-        # the kernel numeric runs is the one checked against the list form
-        assert numeric._kern is _kernel_py
-        pair = ROW_PAIRS["tau2R-general"]
-        y0 = np.concatenate([pair.theta.as_array(), np.eye(3).ravel()])
-        n = 500
-        # a constant lapse of 1.3 reaches the kernel as 1.3 times the step
-        for dt in (0.4 / n, 1.3 * (0.4 / n)):
-            _assert_same_path(_run_kernel(numeric._kern, y0, dt, n),
-                              _run_list_form(y0, 0.0, dt, n))
+    @pytest.mark.skipif(numeric._kern is _kernel_py,
+                        reason="numeric runs _kernel_py itself: no C kernel was built")
+    def test_c_kernel_matches_python_kernel_on_random_calls(self):
+        outcomes = Counter()
+        for y, z, h, n, tol in _random_calls(np.random.default_rng(39), 120_000):
+            if n is not None:
+                got, want = numeric._kern.rk4_path(y, h, n), _kernel_py.rk4_path(y, h, n)
+                assert got[1:] == want[1:] and type(got[1]) is int, (y, h, n)
+                outcomes["truncated" if want[2] else "path"] += 1
+            else:
+                got = numeric._kern.doubling_step(y, z, h, tol)
+                want = _kernel_py.doubling_step(y, z, h, tol)
+                assert got[3] == want[3], (y, z, h, tol)
+                assert _state_bits(got[1]) == _state_bits(want[1]), (y, z, h, tol)
+                assert struct.pack("d", got[2] or 0.0) == struct.pack("d", want[2] or 0.0)
+                assert (got[2] is None) == (want[2] is None)
+                outcomes[want[3][0] if want[3] else
+                         "rejected" if want[1] is None else "taken"] += 1
+            assert _state_bits(got[0]) == _state_bits(want[0]), (y, z, h, n, tol)
+            assert all(type(v) is float for v in got[0])
+        # every way a call can end came up
+        assert min(outcomes[k] for k in ("path", "truncated", "taken", "rejected", "whole",
+                                         "half 1", "half 2", "companion")) >= 10, outcomes
 
     def test_backend_reported(self):
-        assert KERNEL_BACKEND == "python"
+        assert KERNEL_BACKEND == ("python" if numeric._kern is _kernel_py else "c")
+        assert sys.modules[numeric._kern.__name__] is numeric._kern
 
-    def test_truncation_contract_matches(self):
+    def test_a_fresh_build_loads(self, tmp_path):
+        built = numeric._c_kernel(tmp_path)
+        assert (built is _kernel_py) == (numeric._kern is _kernel_py)
+        if built is not _kernel_py:
+            # the name numeric's own cache holds, and no temporary file left
+            library, = tmp_path.iterdir()
+            assert library.name == Path(numeric._kern.__file__).name
+            y = tuple(np.concatenate([ROW_PAIRS["tau3mu"].theta.as_array(),
+                                      np.eye(3).ravel()]).tolist())
+            assert built.doubling_step(y, y, 0.1, 1e-8) == _kernel_py.doubling_step(
+                y, y, 0.1, 1e-8)
+            # a second load reads the library as it is
+            written = library.stat().st_mtime_ns
+            assert numeric._c_kernel(tmp_path).__file__ == str(library)
+            assert library.stat().st_mtime_ns == written
+
+    @pytest.mark.parametrize("compiler", [
+        # fails, talking on both streams
+        [sys.executable, "-c", "import sys; print('compiling'); sys.exit('error: no')"],
+        # is not there
+        [str(Path(sys.executable).with_name("no-such-compiler"))],
+        # writes something that is not a library
+        [sys.executable, "-c", "import sys; open(sys.argv[-1], 'w').write('not a library')"],
+        # takes no time to fail, but prints a warning
+        [sys.executable, "-c", "import warnings; warnings.warn('odd'); raise SystemExit(3)"],
+    ], ids=["fails", "missing", "not-a-library", "warns"])
+    def test_a_failed_build_falls_back_to_python_silently(self, tmp_path, monkeypatch,
+                                                          capfd, compiler):
+        monkeypatch.setattr(numeric, "_compile_flags", lambda: compiler)
+        assert numeric._c_kernel(tmp_path / "cache") is _kernel_py
+        assert capfd.readouterr() == ("", "")
+        # nothing but, at most, the library the compiler claimed to write
+        left = list((tmp_path / "cache").iterdir())
+        assert not [p for p in left if p.name.endswith(".tmp")]
+
+    def test_an_unwritable_cache_falls_back_to_python_silently(self, tmp_path, capfd):
+        (tmp_path / "file").write_text("")
+        assert numeric._c_kernel(tmp_path / "file" / "cache") is _kernel_py
+        assert capfd.readouterr() == ("", "")
+
+    def test_truncation_contract_matches(self, kernel):
         y0 = np.concatenate([[1.0, 0, 0, 0, 0, 0], np.eye(3).ravel()])
         n = 10_000
         dt = 1.05 / n
-        got = _run_kernel(_kernel_py, y0, dt, n)
+        got = _run_kernel(kernel, y0, dt, n)
         y, done, trunc = got
         # the end state is the one that tripped the guard
         assert trunc and done < n and y[0] > _kernel_py._GUARD
@@ -576,14 +681,14 @@ class TestKernelParity:
         ((1.0, 0.6, 0.8, 0.5, -0.3, 2.0), 0.0625, 1),
     ], ids=["backward", "signed-zero-fwd", "signed-zero-bwd", "lapse-1.3",
             "adaptive-step"])
-    def test_python_kernel_matches_list_form(self, theta, dt, n):
+    def test_kernel_matches_list_form(self, kernel, theta, dt, n):
         y0 = np.concatenate([theta, np.eye(3).ravel()])
-        _assert_same_path(_run_kernel(_kernel_py, y0, dt, n),
+        _assert_same_path(_run_kernel(kernel, y0, dt, n),
                           _run_list_form(y0, 0.0, dt, n))
 
     @pytest.mark.parametrize("beta", [1.0, 1.3], ids=["beta-1", "beta-1.3"])
     @pytest.mark.parametrize("h", [0.05, -0.05], ids=["fwd", "bwd"])
-    def test_doubling_step_matches_list_form(self, row_pair, beta, h):
+    def test_doubling_step_matches_list_form(self, kernel, row_pair, beta, h):
         # from a state with a U that is not the identity, and a companion
         # apart from it; tol = inf takes every trial.  A constant lapse
         # beta reaches the kernel as the trial of size beta h in s.
@@ -591,17 +696,17 @@ class TestKernelParity:
         y = tuple(_list_form_step(y0, (1.0,) * 3, 0.1))
         z = tuple(v * (1.0 + 1e-7) for v in y)
         for tol in (math.inf, numeric.LOCAL_TOL):
-            _assert_same_trial(_kernel_py.doubling_step(y, z, beta * h, tol),
+            _assert_same_trial(kernel.doubling_step(y, z, beta * h, tol),
                                _list_form_trial(y, z, beta * h, tol))
 
     @pytest.mark.parametrize("ul, un", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
                              ids=["ul-neg", "un-neg", "both-neg"])
     @pytest.mark.parametrize("h", [0.05, -0.05], ids=["fwd", "bwd"])
-    def test_doubling_step_keeps_signed_zeros(self, ul, un, h):
+    def test_doubling_step_keeps_signed_zeros(self, kernel, ul, un, h):
         # the companion carries the zeros of the other sign
         y = (1.0, ul, un, 0.5, -0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
         z = y[:1] + (-ul, -un) + y[3:]
-        got = _kernel_py.doubling_step(y, z, h, math.inf)
+        got = kernel.doubling_step(y, z, h, math.inf)
         _assert_same_trial(got, _list_form_trial(y, z, h, math.inf))
         assert got[1] is not None
 
@@ -614,15 +719,15 @@ class TestKernelParity:
         (1e11, 1.0, 0.94e-11, "half 2"),
         (1.0, 10.0, 1.0, "companion"),
     ], ids=["whole", "half-1", "half-2", "companion"])
-    def test_doubling_step_truncation_contract(self, uu, zuu, h, leg):
+    def test_doubling_step_truncation_contract(self, kernel, uu, zuu, h, leg):
         # Theta_uu over the identity frame, the rest of Theta zero
         y, z = ((v,) + (0.0,) * 5 + tuple(np.eye(3).ravel().tolist()) for v in (uu, zuu))
-        got = _kernel_py.doubling_step(y, z, h, math.inf)
+        got = kernel.doubling_step(y, z, h, math.inf)
         assert got[1:] == (None, None, (leg, True))
         _assert_same_trial(got, _list_form_trial(y, z, h, math.inf))
 
     @pytest.mark.parametrize("leg", ["whole", "companion"])
-    def test_doubling_step_reports_an_overflowed_frame(self, leg):
+    def test_doubling_step_reports_an_overflowed_frame(self, kernel, leg):
         # Theta = -2 I stays bounded while each entry of U in turn, at
         # 1e308, grows past the largest float: the guard reads Theta only
         fine = (1.0,) + (0.0,) * 5 + tuple(np.eye(3).ravel().tolist())
@@ -630,20 +735,20 @@ class TestKernelParity:
             big = [-2.0, 0.0, 0.0, -2.0, 0.0, -2.0] + np.eye(3).ravel().tolist()
             big[i] = 1e308
             y, z = (tuple(big), fine) if leg == "whole" else (fine, tuple(big))
-            got = _kernel_py.doubling_step(y, z, 1.0, math.inf)
+            got = kernel.doubling_step(y, z, 1.0, math.inf)
             assert got[1:] == (None, None, (leg, False)), i
             _assert_same_trial(got, _list_form_trial(y, z, 1.0, math.inf))
 
-    def test_doubling_step_rejects_without_a_companion(self):
+    def test_doubling_step_rejects_without_a_companion(self, kernel):
         pair = ROW_PAIRS["tau2R-general"]
         y = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
-        taken = _kernel_py.doubling_step(y, y, 0.05, math.inf)
+        taken = kernel.doubling_step(y, y, 0.05, math.inf)
         error = taken[2]
         assert error > 0.0
         # an error equal to tol is taken, one ulp above it is not
-        assert _kernel_py.doubling_step(y, y, 0.05, error)[1] is not None
+        assert kernel.doubling_step(y, y, 0.05, error)[1] is not None
         tol = math.nextafter(error, 0.0)
-        rejected = _kernel_py.doubling_step(y, y, 0.05, tol)
+        rejected = kernel.doubling_step(y, y, 0.05, tol)
         assert rejected[1] is None and rejected[3] is None
         assert rejected[2] == error
         assert _same_bits(np.array(rejected[0]), np.array(taken[0]))
@@ -661,30 +766,30 @@ class TestKernelParity:
            st.floats(1e-6, 1.0), st.sampled_from([1.0, -1.0]),
            st.sampled_from([0.0, 1e-12, 1e-8, math.inf]))
     @settings(max_examples=300, deadline=None)
-    def test_doubling_step_matches_list_form_on_drawn_states(self, y, z, size, sign, tol):
+    def test_doubling_step_matches_list_form_on_drawn_states(self, kernel, y, z, size, sign, tol):
         h = sign * size
-        _assert_same_trial(_nan_as_nan(_kernel_py.doubling_step(y, z, h, tol)),
+        _assert_same_trial(_nan_as_nan(kernel.doubling_step(y, z, h, tol)),
                            _nan_as_nan(_list_form_trial(y, z, h, tol)))
 
     # the states and the NaN rule of the doubling_step test above
     @given(_drawn_states(), _drawn_states(), st.integers(0, 20),
            st.floats(1e-6, 1.0), st.sampled_from([1.0, -1.0]))
     @settings(max_examples=300, deadline=None)
-    def test_rk4_path_matches_list_form_on_drawn_states(self, y, z, n, size, sign):
+    def test_rk4_path_matches_list_form_on_drawn_states(self, kernel, y, z, n, size, sign):
         dt = sign * size
-        got = _run_kernel(_kernel_py, y, dt, n)
+        got = _run_kernel(kernel, y, dt, n)
         ref = _run_list_form(y, 0.0, dt, n)
         assert got[1:] == ref[1:]
         assert _same_bits(np.array(_nan_state(got[0])), np.array(_nan_state(ref[0])))
         if n == 0:
             assert got[1:] == (0, False) and _same_bits(got[0], np.array(y))
         # a trial that takes every leg is two steps of h/2 and one of h
-        trial = _kernel_py.doubling_step(y, z, dt, math.inf)
+        trial = kernel.doubling_step(y, z, dt, math.inf)
         if trial[3] is None:
             assert _same_bits(np.array(trial[0]),
-                              np.array(_kernel_py.rk4_path(y, dt / 2, 2)[0]))
+                              np.array(kernel.rk4_path(y, dt / 2, 2)[0]))
             assert _same_bits(np.array(trial[1]),
-                              np.array(_kernel_py.rk4_path(z, dt, 1)[0]))
+                              np.array(kernel.rk4_path(z, dt, 1)[0]))
 
 
 def _tripped(y):
