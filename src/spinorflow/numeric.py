@@ -46,7 +46,6 @@ from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, _hamiltonians, require_valid
 
 
-
 def _compile_flags() -> list[str]:
     """The command that builds ``_kernel.c``, less its file names: the
     interpreter's shared-library compiler and include directories, with no
@@ -72,7 +71,7 @@ def _c_kernel(cache: Path):
         key = zlib.crc32("\0".join(flags).encode(), zlib.crc32(source.read_bytes()))
         path = cache / f"_kernel-{key:08x}{sysconfig.get_config_var('EXT_SUFFIX')}"
         if not path.exists():
-            import subprocess
+            import subprocess  # only here: a built kernel loads without it
 
             cache.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -86,12 +85,12 @@ def _c_kernel(cache: Path):
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
-    except Exception:
+    except Exception:  # whatever failed, _kernel_py gives the same bits
         return _kernel_py
 
 
 _kern = _c_kernel(Path(__file__).with_name("__pycache__"))
-sys.modules[_kern.__name__] = _kern
+sys.modules[_kern.__name__] = _kern  # a loaded C kernel shows as imported
 KERNEL_BACKEND = "python" if _kern is _kernel_py else "c"
 
 _ETA3 = np.ones(3)
