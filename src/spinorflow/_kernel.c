@@ -2,8 +2,11 @@
    its bits.
 
    _kernel_py documents the contract and stays the reference: every
-   floating-point operation here is the one its _march performs, in the same
-   order, on the same operands.  The 13 evolving components (Theta_uu,
+   floating-point operation here is the one its _march and march_stop
+   perform, in the same order, on the same operands.  march() takes one
+   trial, or a run of plain steps, on arrays of doubles; rk4_path() is one
+   call of it, and march_stop() loops over its trials up to one stop, with
+   no Python object inside the loop.  The 13 evolving components (Theta_uu,
    Theta_ll, Theta_ln, Theta_nn and U row-major) live in arrays in that
    order; the conserved Theta_ul, Theta_un in scalars, as there.  rhs() is
    the statements k1..k4 of a leg, and the loops over the 13 components are
@@ -78,18 +81,13 @@ fail:
     return -1;
 }
 
-/* the state tuple of the evolving components e and Theta_ul, Theta_un */
+/* the state tuple of the 15 floats y */
 static PyObject *
-state(const double *e, double ul, double un)
+state(const double *y)
 {
     PyObject *t = PyTuple_New(15);
     if (t == NULL)
         return NULL;
-    double y[15];
-    for (int i = 0; i < N; i++)
-        y[AT[i]] = e[i];
-    y[1] = ul;
-    y[2] = un;
     for (int i = 0; i < 15; i++) {
         PyObject *v = PyFloat_FromDouble(y[i]);
         if (v == NULL) {
@@ -101,6 +99,16 @@ state(const double *e, double ul, double un)
     return t;
 }
 
+/* the 15-float state of the evolving components e and Theta_ul, Theta_un */
+static void
+put(double *y, const double *e, double ul, double un)
+{
+    for (int i = 0; i < N; i++)
+        y[AT[i]] = e[i];
+    y[1] = ul;
+    y[2] = un;
+}
+
 static int
 all_finite(const double *e, double ul, double un)
 {
@@ -110,20 +118,32 @@ all_finite(const double *e, double ul, double un)
     return ok;
 }
 
+/* how a march() ended */
+enum { FINISHED, REJECTED, FAILED };
+
+/* what a march() ended on: y is the last plain step, a trial's halves or
+   the state a failing leg ended on, z an accepted trial's companion */
+struct run {
+    double y[15], z[15];
+    double error;    /* a trial's local error, once its halves are taken */
+    Py_ssize_t done; /* plain steps done */
+    int leg;         /* the leg that failed */
+    int tripped;     /* whether it tripped the guard, else it ended on a state not finite */
+};
+
 /* _kernel_py._march: n_steps plain steps of size h from y, or with trial
-   set the trial of size h from y and its companion from the sequence z */
-static PyObject *
-march(const double *y, PyObject *z, double h, double tol, Py_ssize_t n_steps, int trial)
+   set the trial of size h from y and its companion from z; FINISHED,
+   REJECTED (error > tol) or FAILED, with the rest in r */
+static int
+march(const double *y, const double *z, double h, double tol, Py_ssize_t n_steps, int trial,
+      struct run *r)
 {
-    double e[N], w[N], x[N], k1[N], k2[N], k3[N], k4[N], zy[15];
-    double error = 0.0;
-    PyObject *halves = NULL;  /* the trial's result, once its halves are taken */
+    double e[N], w[N], x[N], k1[N], k2[N], k3[N], k4[N];
     double ul_s = y[1], un_s = y[2];
     double h2 = 0.5 * h;
     double h6 = h / 6.0;
     double d = h, d2 = h2, d6 = h6;
-    Py_ssize_t done = 0;
-    int leg = STEP, tripped;
+    int leg = STEP;
 
     for (int j = 0; j < N; j++)
         e[j] = y[AT[j]];
@@ -133,6 +153,7 @@ march(const double *y, PyObject *z, double h, double tol, Py_ssize_t n_steps, in
     double ul2 = ul * ul;
     double un2 = un * un;
     double ulun = ul * un;
+    r->done = 0;
 
     for (Py_ssize_t i = 0; trial || i < n_steps; i++) {
         if (trial)
@@ -152,18 +173,18 @@ march(const double *y, PyObject *z, double h, double tol, Py_ssize_t n_steps, in
             e[j] = e[j] + d6 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
         if (e[0] > GUARD || e[0] < -GUARD || e[1] > GUARD || e[1] < -GUARD
                 || e[2] > GUARD || e[2] < -GUARD || e[3] > GUARD || e[3] < -GUARD) {
-            tripped = 1;
+            r->tripped = 1;
             goto stopped;
         }
         if (leg == STEP || leg == HALF_1) {
-            done += 1;
+            r->done += 1;
             ul_s = ul;
             un_s = un;
             ulun_s = ulun;
             continue;
         }
         if (!all_finite(e, ul, un)) {
-            tripped = 0;
+            r->tripped = 0;
             goto stopped;
         }
         if (leg == WHOLE) {
@@ -177,24 +198,21 @@ march(const double *y, PyObject *z, double h, double tol, Py_ssize_t n_steps, in
             d6 = h2 / 6.0;
         }
         else if (leg == HALF_2) {
+            double error = 0.0;
             for (int j = 0; j < N; j++) {
                 double v = e[j];
                 double term = fabs(v - w[j]) / (v > 1.0 ? v : v < -1.0 ? -v : 1.0);
                 if (j == 0 || term > error)
                     error = term;
             }
-            error = error / 15.0;
-            halves = state(e, ul, un);
-            if (halves == NULL || error > tol)
-                return Py_BuildValue("(NOdO)", halves, Py_None, error, Py_None);
-            if (read_state(z, zy, 0) < 0) {
-                Py_DECREF(halves);
-                return NULL;
-            }
+            r->error = error / 15.0;
+            put(r->y, e, ul, un);
+            if (r->error > tol)
+                return REJECTED;
             for (int j = 0; j < N; j++)
-                e[j] = zy[AT[j]];
-            ul_s = zy[1];
-            un_s = zy[2];
+                e[j] = z[AT[j]];
+            ul_s = z[1];
+            un_s = z[2];
             ulun_s = ul_s * un_s;
             ul = ul_s + h * 0.0;
             un = un_s + h * 0.0;
@@ -206,17 +224,18 @@ march(const double *y, PyObject *z, double h, double tol, Py_ssize_t n_steps, in
             d6 = h6;
         }
         else {
-            return Py_BuildValue("(NNdO)", halves, state(e, ul, un), error, Py_None);
+            put(r->z, e, ul, un);
+            return FINISHED;
         }
     }
-    return Py_BuildValue("(NnO)", state(e, ul_s, un_s), done, Py_False);
+    put(r->y, e, ul_s, un_s);
+    return FINISHED;
 
 stopped:
-    Py_XDECREF(halves);
-    if (leg == STEP)
-        return Py_BuildValue("(NnO)", state(e, ul, un), done + 1, Py_True);
-    return Py_BuildValue("(NOO(sO))", state(e, ul, un), Py_None, Py_None,
-                         LEG_NAME[leg], tripped ? Py_True : Py_False);
+    put(r->y, e, ul, un);
+    r->leg = leg;
+    r->done += leg == STEP;
+    return FAILED;
 }
 
 static int
@@ -243,29 +262,81 @@ rk4_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t n_steps = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
     if (n_steps == -1 && PyErr_Occurred())
         return NULL;
-    return march(y, NULL, dt, 0.0, n_steps, 0);
+    struct run r;
+    int how = march(y, NULL, dt, 0.0, n_steps, 0, &r);
+    return Py_BuildValue("(NnO)", state(r.y), r.done, how == FAILED ? Py_True : Py_False);
+}
+
+/* the double of the float x in *out; 0 on success, -1 with an exception set */
+static int
+read_float(PyObject *x, double *out)
+{
+    *out = PyFloat_AsDouble(x);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* Python's min(5.0, max(0.2, v)): each keeps its first argument unless the
+   second is beyond it, so a NaN v gives 0.2 */
+static double
+clamp(double v)
+{
+    v = v > 0.2 ? v : 0.2;
+    return v < 5.0 ? v : 5.0;
 }
 
 static PyObject *
-doubling_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double y[15], h, tol;
-    if (!check_nargs("doubling_step", nargs, 4) || read_state(args[0], y, 0) < 0)
+    double y[15], z[15], s, h, target, tol;
+    Py_ssize_t accepted = 0, rejected = 0;
+    struct run r;
+    if (!check_nargs("march_stop", nargs, 6) || read_state(args[0], y, 0) < 0
+            || read_state(args[1], z, 0) < 0 || read_float(args[2], &s) < 0
+            || read_float(args[3], &h) < 0 || read_float(args[4], &target) < 0
+            || read_float(args[5], &tol) < 0)
         return NULL;
-    h = PyFloat_AsDouble(args[2]);
-    if (h == -1.0 && PyErr_Occurred())
-        return NULL;
-    tol = PyFloat_AsDouble(args[3]);
-    if (tol == -1.0 && PyErr_Occurred())
-        return NULL;
-    return march(y, args[1], h, tol, 0, 1);
+    while (s != target) {
+        int land = h >= fabs(target - s);
+        double step = land ? target - s : target > s ? h : -h;
+        if (s + step == s)
+            return Py_BuildValue("(NNddOOnn(sO))", state(y), state(z), s, h, Py_None,
+                                 Py_None, accepted, rejected, "stall", Py_None);
+        int how = march(y, z, step, tol, 0, 1, &r);
+        if (how == FAILED) {
+            s = s + (r.leg == HALF_1 ? 0.5 * step : step);
+            return Py_BuildValue("(NNddOOnn(sO))", state(r.y), state(z), s, h, Py_None,
+                                 Py_None, accepted, rejected, LEG_NAME[r.leg],
+                                 r.tripped ? Py_True : Py_False);
+        }
+        if (how == REJECTED)
+            rejected += 1;
+        else {
+            accepted += 1;
+            memcpy(y, r.y, sizeof y);
+            memcpy(z, r.z, sizeof z);
+            s = land ? target : s + step;
+            if (land)
+                break;
+        }
+        h = fabs(step) * (r.error == 0.0 ? 5.0 : clamp(0.9 * pow(tol / r.error, 0.2)));
+    }
+    double extrapolated[15], gap = 0.0;
+    for (int i = 0; i < 15; i++) {
+        double a = fabs(y[i]);
+        double term = fabs(y[i] - z[i]) / (a > 1.0 ? a : 1.0);
+        if (i == 0 || term > gap)
+            gap = term;
+        extrapolated[i] = y[i] + (y[i] - z[i]) / 15.0;
+    }
+    return Py_BuildValue("(NNddNdnnO)", state(y), state(z), s, h, state(extrapolated),
+                         gap / 15.0, accepted, rejected, Py_None);
 }
 
 static PyMethodDef methods[] = {
     {"rk4_path", (PyCFunction)(void (*)(void))rk4_path, METH_FASTCALL,
      "rk4_path(y0, dt, n_steps, /): as _kernel_py.rk4_path."},
-    {"doubling_step", (PyCFunction)(void (*)(void))doubling_step, METH_FASTCALL,
-     "doubling_step(y, z, h, tol, /): as _kernel_py.doubling_step."},
+    {"march_stop", (PyCFunction)(void (*)(void))march_stop, METH_FASTCALL,
+     "march_stop(y, z, s, h, target, tol, /): as _kernel_py.march_stop."},
     {NULL, NULL, 0, NULL},
 };
 

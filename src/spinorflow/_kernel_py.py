@@ -21,31 +21,45 @@ the state the march ends on, as a tuple of 15 floats, which on truncation
 is the state that tripped the guard.  The guard reads Theta only, so the
 caller checks y for an overflowed U.
 
-``doubling_step(y, z, h, tol)`` is one trial of the controlled march in
-one call, from the march state y and its companion z (sequences of 15
-floats; h and tol floats).  It takes the whole step of size h
-from y, the two half steps from y, whose first k1 is the whole step's,
-and the local error max_i |halves_i - whole_i| / max(1, |halves_i|) / 15.
-Only when that error is within ``tol`` does it take the companion step of
-size h from z.  It returns ``(halves, companion, error, None)``, with
-companion None on a rejected trial.  A leg that trips the guard or ends on
-a state that is not finite stops the trial and returns ``(the state it
-ended on, None, None, (leg, tripped))``: leg is "whole", "half 1",
-"half 2" or "companion", in the order they run, and tripped is False for a
-state that is not finite.  As in ``rk4_path(y, h/2, 2)``, the first
-half step ends the trial only on a guard trip.  The halves are therefore
-bit-identical to ``rk4_path(y, h/2, 2)[0]`` and the companion to
-``rk4_path(z, h, 1)[0]``.
+``march_stop(y, z, s, h, target, tol)`` runs every trial of the
+controlled march from s to one stop, ``target``, in one call: y is the
+march state at s and z its companion (sequences of 15 floats), h the step
+size proposed for the next trial, and tol >= 0 the local error a trial
+may keep.  Each trial of size h (the last one shortened to land on
+``target``) takes the whole step from y, the two half steps from y, whose
+first k1 is the whole step's, and the local error
+max_i |halves_i - whole_i| / max(1, |halves_i|) / 15.  A trial within
+tol is accepted: the companion step of size h from z follows, and the
+halves and the companion become y and z.  After a trial that does not
+land, the next h is 0.9 (tol / error)^(1/5) times its size, clamped to
+[1/5, 5] times it (5 times on a zero error); landing keeps the h proposed
+before it.  The halves are therefore bit-identical to
+``rk4_path(y, h/2, 2)[0]`` and the companion to ``rk4_path(z, h, 1)[0]``.
 
-Both entries are one call of ``_march``, which writes the RK4 step out
-once, unrolled over scalars, in a loop over legs: ``n_steps`` plain steps
-for ``rk4_path``, the four legs of the trial for ``doubling_step``.  It
-calls no function and builds no list inside a leg.  The 13 evolving
-components (Theta_uu, Theta_ll, Theta_ln, Theta_nn and the nine entries of
-U) live in locals, and dt/2, dt/6 and the products of the conserved
-Theta_ul, Theta_un are computed outside the step.  Every floating-point
-operation is the one the list form performs, in the same order: ``_rhs``
-evaluated at y, y + dt/2 k1, y + dt/2 k2 and y + dt k3, then
+It returns ``(y, z, s, h, extrapolated, estimate, accepted, rejected,
+failed)``: on landing, s is ``target``, extrapolated is y + (y - z)/15 as
+a tuple, estimate is max_i |y_i - z_i| / max(1, |y_i|) / 15, accepted and
+rejected count the trials, and failed is None.  A failure returns
+extrapolated and estimate None, z and h as they stood, and failed
+``(leg, tripped)``.  A leg that trips the guard or ends on a state that
+is not finite stops the march: leg is "whole", "half 1", "half 2" or
+"companion", in the order they run, tripped is False for a state that is
+not finite, y is the state the leg ended on and s the one it reached:
+s + step/2 for "half 1", s + step for the others.  As in
+``rk4_path(y, h/2, 2)``, the first half step fails only on a guard trip.
+A trial whose step no longer moves s (s + step == s) is never run: failed
+is ``("stall", None)``, with y and s those of the march.
+
+``rk4_path`` is one call of ``_march``, and ``march_stop`` one call of it
+per trial.  ``_march`` writes the RK4 step out once, unrolled over
+scalars, in a loop over legs: ``n_steps`` plain steps for ``rk4_path``,
+the four legs of a trial for ``march_stop``.  It calls no function and
+builds no list inside a leg.  The 13 evolving components (Theta_uu,
+Theta_ll, Theta_ln, Theta_nn and the nine entries of U) live in locals,
+and dt/2, dt/6 and the products of the conserved Theta_ul, Theta_un are
+computed outside the step.  Every floating-point operation is the one the
+list form performs, in the same order: ``_rhs`` evaluated at y,
+y + dt/2 k1, y + dt/2 k2 and y + dt k3, then
 y + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The output is therefore bit-identical
 to that list form, which ``tests/test_numeric.py`` keeps as its reference.
 A sign flip is written -(e), never folded into a subtraction such as
@@ -57,6 +71,8 @@ from __future__ import annotations
 from itertools import repeat
 
 _GUARD = 1e12
+# the legs of a trial, in the order they run
+_TRIAL = ("whole", "half 1", "half 2", "companion")
 
 
 def _rhs(y):
@@ -76,18 +92,44 @@ def _rhs(y):
 
 def rk4_path(y0, dt, n_steps, /):
     """March y0 by ``n_steps`` RK4 steps; see the module docstring."""
-    return _march(tuple(map(float, y0)), None, float(dt), None, n_steps)
+    return _march(tuple(map(float, y0)), None, float(dt), None, repeat("step", n_steps))
 
 
-def doubling_step(y, z, h, tol, /):
-    """One trial of the controlled march; see the module docstring."""
-    return _march(y, z, h, tol, None)
+def march_stop(y, z, s, h, target, tol, /):
+    """Every trial of the controlled march from s to ``target``; see the
+    module docstring."""
+    accepted = rejected = 0
+    while s != target:
+        land = h >= abs(target - s)
+        step = target - s if land else h if target > s else -h
+        if s + step == s:
+            return y, z, s, h, None, None, accepted, rejected, ("stall", None)
+        halves, companion, error, failed = _march(y, z, step, tol, _TRIAL)
+        if failed:  # the first half step stops halfway, every other leg at s + step
+            s += 0.5 * step if failed[0] == "half 1" else step
+            return halves, z, s, h, None, None, accepted, rejected, failed
+        if companion is None:  # error > tol
+            rejected += 1
+        else:
+            accepted += 1
+            y, z = halves, companion
+            s = target if land else s + step
+            if land:
+                break
+        h = abs(step) * (5.0 if error == 0.0 else
+                         min(5.0, max(0.2, 0.9 * (tol / error) ** 0.2)))
+    extrapolated = tuple(a + (a - b) / 15.0 for a, b in zip(y, z))
+    estimate = max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(y, z)) / 15.0
+    return y, z, s, h, extrapolated, estimate, accepted, rejected, None
 
 
-def _march(y, z, h, tol, n_steps):
-    """``n_steps`` plain RK4 steps of size h from y, as ``rk4_path``
-    returns them, or with ``n_steps`` None the trial of size h from y and
-    its companion z, as ``doubling_step`` returns it."""
+def _march(y, z, h, tol, legs):
+    """The RK4 steps of size h from y that ``legs`` names: plain steps
+    ("step"), as ``rk4_path`` returns them, or ``_TRIAL``, the trial of
+    size h from y and its companion z.  A trial returns ``(halves,
+    companion, error, None)``, with companion None when the error exceeds
+    tol, or ``(the state a failing leg ended on, None, None, (leg,
+    tripped))``."""
     # U is row-major: a*, b*, c* are its rows 0, 1, 2
     uu, ul_s, un_s, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2 = y
     h2 = 0.5 * h  # dt/2 of a step of size h, and the half steps' dt
@@ -111,10 +153,6 @@ def _march(y, z, h, tol, n_steps):
 
     # Each leg is one RK4 step from the state in the locals, which it
     # overwrites; between legs the locals are set up for the next one.
-    if n_steps is None:
-        legs = ("whole", "half 1", "half 2", "companion")
-    else:
-        legs = repeat("step", n_steps)
     for leg in legs:
         if leg != "half 1":  # the first half step shares the whole step's k1
             # k1 at the leg's start
@@ -287,7 +325,7 @@ def _march(y, z, h, tol, n_steps):
                     (uu, ul, un, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2),
                     error, None)
     else:
-        # the n_steps plain steps are done; ul_s, un_s are the input values
+        # the plain steps are done; ul_s, un_s are the input values
         # until a step is done, ul, un after it
         return ((uu, ul_s, un_s, ll, ln, nn, a0, a1, a2, b0, b1, b2, c0, c1, c2),
                 done, False)

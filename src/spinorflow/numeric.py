@@ -8,8 +8,8 @@ lands on every requested time and estimates the global error of each
 state; ``uncertified`` lists the states that estimate cannot vouch for.  A
 caller that names ``n_steps_total`` gets a fixed-step march in s instead.
 Both carry the state as a tuple of 15 floats and make one kernel call per
-advance: one ``_kern.doubling_step`` per trial step, or one
-``_kern.rk4_path`` per segment through ``_advance``.
+stop: one ``_kern.march_stop``, which runs every trial step up to the
+stop, or one ``_kern.rk4_path`` per segment through ``_advance``.
 
 The kernel ``_kern`` is the C extension built from ``_kernel.c`` when this
 module is first imported (``_c_kernel``), and otherwise the pure-Python
@@ -359,8 +359,10 @@ def _advance(y, s, ds, n, target, to_t) -> tuple:
 
 def _singular(tripped, s, target, to_t) -> SingularTime:
     """The error for a march that stopped at s = ``s``, short of
-    ``target``: on a guard trip, or on a state that is not finite."""
-    how = "blew up at" if tripped else "overflowed by"
+    ``target``: on a guard trip, on a state that is not finite (``tripped``
+    False), or on a stall (``tripped`` None)."""
+    how = ("stalled at" if tripped is None else
+           "blew up at" if tripped else "overflowed by")
     return SingularTime(f"integration {how} t = {to_t(s):.12g} "
                         f"before reaching t = {to_t(target):.12g}")
 
@@ -377,17 +379,6 @@ def _fixed_march(y0, stops, to_t, step):
         y = _advance(y, prev, seg / n, n, target, to_t)
         prev = target
         yield target, y, None
-
-
-def _relative_gap(a, b) -> float:
-    """max_i |a_i - b_i| / max(1, |a_i|)."""
-    return max(abs(x - z) / max(1.0, abs(x)) for x, z in zip(a, b))
-
-
-# where each leg of a ``_kern.doubling_step`` trial of size h stops, as
-# ``_advance`` counted it: (steps done, step size over h)
-_LEG_ENDS = {"whole": (1, 1.0), "half 1": (1, 0.5), "half 2": (2, 0.5),
-             "companion": (1, 1.0)}
 
 
 def _controlled_march(y0, stops, to_t):
@@ -412,40 +403,24 @@ def _controlled_march(y0, stops, to_t):
     than the estimate says.  Errors are measured relative to max(1, |y|)
     per component and maximized over the 15.
 
-    Each trial is one ``_kern.doubling_step`` call: the whole step, both
-    half steps, the local error and, on an accepted trial, the companion
-    step.  A leg that trips the guard or ends on a state that is not
-    finite raises the SingularTime ``_advance`` would raise for it.
+    Each stop is one ``_kern.march_stop`` call, which runs every trial up
+    to it and returns the extrapolated state and its estimate.  A leg that
+    trips the guard or ends on a state that is not finite raises the
+    SingularTime ``_advance`` would raise for it, at the s the kernel
+    reports; a step too small to move s raises one that names the stall.
     """
     y = z = y0
     s = 0.0
-    sign = 1.0 if stops[0] > 0 else -1.0
     # a first step over which the initial slope moves y by 1 percent
     slope = _kernel_py._rhs(y)
     rate = max(abs(d) / max(1.0, abs(v)) for v, d in zip(y, slope))
     h = min(abs(stops[-1]), 0.01 / rate) if rate > 0 else abs(stops[-1])
     for target in stops:
-        while s != target:
-            land = h >= abs(target - s)
-            step = target - s if land else sign * h
-            if s + step == s:
-                raise SingularTime(f"integration stalled at t = {to_t(s):.12g} "
-                                   f"before reaching t = {to_t(target):.12g}")
-            halves, companion, error, failed = _kern.doubling_step(
-                y, z, step, LOCAL_TOL)
-            if failed:
-                leg, tripped = failed
-                done, fraction = _LEG_ENDS[leg]
-                raise _singular(tripped, s + done * (fraction * step), target, to_t)
-            if companion is not None:  # error <= LOCAL_TOL
-                y, z = halves, companion
-                s = target if land else s + step
-                if land:
-                    continue
-            h = abs(step) * (5.0 if error == 0.0 else
-                             min(5.0, max(0.2, 0.9 * (LOCAL_TOL / error) ** 0.2)))
-        extrapolated = [a + (a - b) / 15.0 for a, b in zip(y, z)]
-        yield target, extrapolated, _relative_gap(y, z) / 15.0
+        y, z, s, h, extrapolated, estimate, _, _, failed = _kern.march_stop(
+            y, z, s, h, target, LOCAL_TOL)
+        if failed:
+            raise _singular(failed[1], s, target, to_t)
+        yield target, extrapolated, estimate
 
 
 def flow_residuals(state, pair: CauchyPair):

@@ -718,13 +718,13 @@ class TestEachPairIsSolvedOnce:
                                               argv, beta):
         # B_t as numpy scalars gives the same bits, several times slower
         steps = []
-        doubling_step = numeric._kern.doubling_step
+        march_stop = numeric._kern.march_stop
 
-        def spy(y, z, step, tol):
-            steps.append(type(step))
-            return doubling_step(y, z, step, tol)
+        def spy(y, z, s, h, target, tol):
+            steps.extend(map(type, (s, h, target)))
+            return march_stop(y, z, s, h, target, tol)
 
-        monkeypatch.setattr(numeric._kern, "doubling_step", spy)
+        monkeypatch.setattr(numeric._kern, "march_stop", spy)
         path = write_pair(tmp_path, "general", theta_dict(**self.PAIRS["tau2R-general"]),
                           extra={"beta": beta})
         assert main([argv[0], path] + argv[1:]) == EXIT_OK

@@ -38,6 +38,23 @@ SMOOTH = LapseProfile.tabulated(_GRID, 1.0 + 0.3 * np.sin(1.3 * _GRID + 0.4))
 _FINE = np.linspace(-3.0, 3.0, 2000)
 SMOOTH_FINE = LapseProfile.tabulated(_FINE, 0.8 + 0.5 * np.cos(0.7 * _FINE) ** 2)
 
+_FRAME = tuple(np.eye(3).ravel().tolist())
+_AT_REST = (0.0,) * 6 + _FRAME  # Theta = 0 over the identity frame
+# (y, z) whose trial of size 0.5 from s = 0 fails at the named leg
+_FAILING_AT_HALF = {
+    # RK4 from Theta_uu = 100 lands past the guard
+    "whole": ((100.0,) + (0.0,) * 5 + _FRAME, _AT_REST),
+    # Theta_ll decays about like exp(-t/10) from past the guard: back inside
+    # it after the whole step, not yet after the first half
+    "half 1": ((-0.1, 0.0, 0.0, 1.04e12, 0.0, 0.0) + _FRAME, _AT_REST),
+    # Theta = -I grows U_00 by about e^0.5, and the two halves grow it a
+    # little more than the whole step: past the largest float, which the
+    # whole step stays below (from 2.9969e307 to 3.0153e307)
+    "half 2": ((-1.0, 0.0, 0.0, -1.0, 0.0, -1.0, 3.005e307) + _FRAME[1:], _AT_REST),
+    # Theta = 0 takes the trial; its companion overflows U_00
+    "companion": (_AT_REST, (-2.0, 0.0, 0.0, -2.0, 0.0, -2.0, 1e308) + _FRAME[1:]),
+}
+
 
 def _rhs(theta):
     """``ode_rhs`` at the component row of the Sym3 ``theta`` and U = I, as
@@ -245,24 +262,31 @@ class TestIntegrateTo:
         ("whole", True, "0.5"), ("half 1", True, "0.25"), ("half 2", False, "0.5"),
         ("companion", False, "0.5")], ids=["whole", "half-1", "half-2", "companion"])
     def test_names_where_the_failing_leg_stopped(self, monkeypatch, leg, tripped, stop):
-        # Theta = 0 has no slope, so the first trial is the whole window
-        monkeypatch.setattr(numeric._kern, "doubling_step",
-                            lambda y, z, h, tol: (y, None, None, (leg, tripped)))
+        # Theta = 0 has no slope, so the first trial is the whole window, of
+        # 0.5; the kernel runs it from a state that fails that leg
+        y, z = _FAILING_AT_HALF[leg]
+        march_stop = numeric._kern.march_stop
+        monkeypatch.setattr(numeric._kern, "march_stop", lambda *args: march_stop(
+            y, z, *args[2:]))
         how = "blew up at" if tripped else "overflowed by"
         with pytest.raises(SingularTime, match=rf"^integration {how} t = {stop} "
                                                r"before reaching t = 0\.5$"):
             integrate_to(CauchyPair.from_components(), UNIT, [0.5])
 
     def test_stalls_when_every_trial_is_rejected(self, monkeypatch):
-        # each rejected trial cuts the step to a fifth, until s + step == s
+        # each rejected trial cuts the step to a fifth, until s + step == s.
+        # No state stalls the march at s = 0: a trial whose steps no longer
+        # move y has zero error and is taken, however small tol.  So every
+        # trial _kernel_py runs is rejected here.
         calls = []
 
-        def rejected(y, z, h, tol):
+        def rejected(y, z, h, tol, legs):
             calls.append(h)
             assert len(calls) < 10_000, "the march never stalled"
             return y, None, math.inf, None
 
-        monkeypatch.setattr(numeric._kern, "doubling_step", rejected)
+        monkeypatch.setattr(numeric, "_kern", _kernel_py)
+        monkeypatch.setattr(_kernel_py, "_march", rejected)
         with pytest.raises(SingularTime, match=r"^integration stalled at t = 0 "
                                                r"before reaching t = 0\.5$"):
             integrate_to(CauchyPair.from_components(), UNIT, [0.5])
@@ -335,16 +359,18 @@ class TestControlledMarch:
 
     def test_middle_window_takes_few_steps(self, row_pair, monkeypatch):
         # RK4 steps counted through the march's one kernel entry: the whole
-        # step, two half steps and, on an accepted trial, the companion step
+        # step and two half steps of every trial, and the companion step of
+        # each accepted one
         steps = []
-        doubling_step = numeric._kern.doubling_step
+        march_stop = numeric._kern.march_stop
 
         def counting(*args):
-            result = doubling_step(*args)
-            steps.append(3 + (result[1] is not None))
+            result = march_stop(*args)
+            accepted, rejected = result[6:8]
+            steps.append(3 * (accepted + rejected) + accepted)
             return result
 
-        monkeypatch.setattr(numeric._kern, "doubling_step", counting)
+        monkeypatch.setattr(numeric._kern, "march_stop", counting)
         monkeypatch.setattr(numeric._kern, "rk4_path", None)  # never called
         for profile in (UNIT, SMOOTH):
             steps.clear()
@@ -352,7 +378,7 @@ class TestControlledMarch:
             assert 0 < sum(steps) < 10_000, profile.kind
 
     def test_matches_the_three_call_march(self, row_pair, monkeypatch):
-        # one doubling_step call per trial gives the bits of the march that
+        # one march_stop call per stop gives the bits of the march that
         # made three rk4_path calls per trial, up to 1e-4 from a pole
         for profile in (LAPSE_13, SMOOTH):
             span = lifespan(row_pair, profile)
@@ -397,13 +423,19 @@ class TestControlledMarch:
             assert exact0.error == 0.0 and 0.0 < st.error <= CERTIFY_LIMIT
 
 
+def _relative_gap(a, b):
+    """max_i |a_i - b_i| / max(1, |a_i|), over floats."""
+    return max(abs(x - z) / max(1.0, abs(x)) for x, z in zip(a, b))
+
+
 def _three_call_march(y0, stops, to_t, rejected=None):
-    """The controlled march as it ran before ``doubling_step``: each trial
-    makes three ``rk4_path`` calls through ``numeric._advance`` (the whole
-    step, the two half steps, the companion step) and its own
-    ``_relative_gap``.  The reference ``_controlled_march`` must match bit
-    for bit; ``rejected`` collects the values of s of rejected trials."""
-    advance, gap = numeric._advance, numeric._relative_gap
+    """The controlled march as it ran before its trials moved into the
+    kernel: each trial makes three ``rk4_path`` calls through
+    ``numeric._advance`` (the whole step, the two half steps, the companion
+    step) and its own ``_relative_gap``.  The reference
+    ``_controlled_march`` must match bit for bit; ``rejected`` collects the
+    values of s of rejected trials."""
+    advance, gap = numeric._advance, _relative_gap
     y = z = y0
     s = 0.0
     sign = 1.0 if stops[0] > 0 else -1.0
@@ -555,15 +587,17 @@ def kernel(request):
 
 
 def _random_calls(rng, n):
-    """``n`` kernel calls as (y, z, h, n_steps, tol), drawn for
+    """``n`` kernel calls as (entry, arguments), drawn for
     ``test_c_kernel_matches_python_kernel_on_random_calls``: one in six an
-    ``rk4_path`` (tol None), the rest ``doubling_step`` trials (n_steps
-    None).  Each state is moderate, with about one entry in ten replaced
-    by a signed zero, a NaN or an infinity, a Theta value near the guard,
-    or a value up to 1e300; h has either sign and a size from 1e-6 to 1."""
+    ``rk4_path``, the rest ``march_stop`` stops.  Each state is moderate,
+    with about one entry in eight replaced by a signed zero, a NaN or an
+    infinity, a Theta value near the guard, or a value up to 1e300; h has
+    either sign and a size from 1e-6 to 1.  A stop starts at s = 0 (one in
+    four) or at an s of either sign and a size from 0.1 to 1e16, and ends
+    at ``_stop_target``."""
     y, z = rng.uniform(-3.0, 3.0, (2, n, 15))
     for states in (y, z):
-        odd = rng.integers(0, 40, states.shape)  # 0 to 3 replace the entry
+        odd = rng.integers(0, 25, states.shape)  # 0 to 3 replace the entry
         states[odd == 0] = rng.choice([0.0, -0.0], np.count_nonzero(odd == 0))
         states[odd == 1] = rng.choice([math.nan, math.inf, -math.inf],
                                       np.count_nonzero(odd == 1))
@@ -576,18 +610,52 @@ def _random_calls(rng, n):
     h = rng.choice([1.0, -1.0], n) * 10.0 ** rng.uniform(-6.0, 0.0, n)
     paths = rng.integers(0, 6, n) == 0
     n_steps = rng.integers(0, 21, n)
-    tol = rng.choice([0.0, 1e-12, 1e-8, math.inf], n)
-    for row in zip(y.tolist(), z.tolist(), h.tolist(), paths.tolist(), n_steps.tolist(),
-                   tol.tolist()):
-        yield (tuple(row[0]), tuple(row[1]), row[2], row[4] if row[3] else None,
-               None if row[3] else row[5])
+    s = np.where(rng.integers(0, 4, n) == 0, 0.0,
+                 rng.choice([1.0, -1.0], n) * 10.0 ** rng.uniform(-1.0, 16.0, n))
+    ratio = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    ulps = rng.integers(1, 65, n)
+    tol = rng.choice([0.0, 1e-15, 1e-12, math.inf], n)
+    for y, z, h, path, n, s, ratio, ulps, tol in zip(
+            y.tolist(), z.tolist(), h.tolist(), paths.tolist(), n_steps.tolist(),
+            s.tolist(), ratio.tolist(), ulps.tolist(), tol.tolist()):
+        if path:
+            yield "rk4_path", (tuple(y), h, n)
+        else:
+            yield "march_stop", (tuple(y), tuple(z), s, abs(h),
+                                 _stop_target(s, h, ratio, ulps, tol), tol)
+
+
+def _stop_target(s, h, ratio, ulps, tol):
+    """A stop ``ratio`` |h| from s in the direction of h, and under a finite
+    tol no more than ``ulps`` spacings of s away.  Each trial that is taken
+    then moves s by a spacing or more, and each one rejected cuts h by a
+    tenth or more, until a step too small to move s stalls the stop: no
+    drawn stop runs long.  A wider one could crawl, on an extreme state or
+    near a pole, at steps of the size of rounding."""
+    span = ratio * abs(h)
+    if tol < math.inf:
+        span = min(span, ulps * math.ulp(s))
+    return s + math.copysign(span, h)
 
 
 def _state_bits(y):
     """The bits of the state ``y``, every NaN read as ``math.nan``; None for
     None.  The sign bit of a NaN is no part of a result (see
-    ``test_doubling_step_matches_list_form_on_drawn_states``)."""
+    ``test_march_stop_matches_list_form_on_drawn_states``)."""
     return None if y is None else struct.pack("15d", *(math.nan if v != v else v for v in y))
+
+
+def _stop_bits(stop):
+    """A ``march_stop`` result in comparable form: its states as
+    ``_state_bits``, the bits of s, h and the estimate, and the rest as it
+    is; each state a tuple of floats, each count an int."""
+    y, z, s, h, extrapolated, estimate, accepted, rejected, failed = stop
+    for state in (y, z) if extrapolated is None else (y, z, extrapolated):
+        assert type(state) is tuple and all(type(v) is float for v in state)
+    assert type(accepted) is int and type(rejected) is int
+    return (_state_bits(y), _state_bits(z), struct.pack("2d", s, h), _state_bits(extrapolated),
+            None if estimate is None else struct.pack("d", estimate), accepted, rejected,
+            failed)
 
 
 class TestKernelParity:
@@ -595,25 +663,23 @@ class TestKernelParity:
                         reason="numeric runs _kernel_py itself: no C kernel was built")
     def test_c_kernel_matches_python_kernel_on_random_calls(self):
         outcomes = Counter()
-        for y, z, h, n, tol in _random_calls(np.random.default_rng(39), 120_000):
-            if n is not None:
-                got, want = numeric._kern.rk4_path(y, h, n), _kernel_py.rk4_path(y, h, n)
-                assert got[1:] == want[1:] and type(got[1]) is int, (y, h, n)
+        for entry, args in _random_calls(np.random.default_rng(40), 60_000):
+            got = getattr(numeric._kern, entry)(*args)
+            want = getattr(_kernel_py, entry)(*args)
+            if entry == "rk4_path":
+                assert got[1:] == want[1:] and type(got[1]) is int, args
+                assert _state_bits(got[0]) == _state_bits(want[0]), args
+                assert all(type(v) is float for v in got[0])
                 outcomes["truncated" if want[2] else "path"] += 1
             else:
-                got = numeric._kern.doubling_step(y, z, h, tol)
-                want = _kernel_py.doubling_step(y, z, h, tol)
-                assert got[3] == want[3], (y, z, h, tol)
-                assert _state_bits(got[1]) == _state_bits(want[1]), (y, z, h, tol)
-                assert struct.pack("d", got[2] or 0.0) == struct.pack("d", want[2] or 0.0)
-                assert (got[2] is None) == (want[2] is None)
-                outcomes[want[3][0] if want[3] else
-                         "rejected" if want[1] is None else "taken"] += 1
-            assert _state_bits(got[0]) == _state_bits(want[0]), (y, z, h, n, tol)
-            assert all(type(v) is float for v in got[0])
+                assert _stop_bits(got) == _stop_bits(want), args
+                failed = want[8]
+                outcomes[failed[0] if failed else
+                         "landed after a rejection" if want[7] else "landed"] += 1
         # every way a call can end came up
-        assert min(outcomes[k] for k in ("path", "truncated", "taken", "rejected", "whole",
-                                         "half 1", "half 2", "companion")) >= 10, outcomes
+        assert min(outcomes[k] for k in (
+            "path", "truncated", "landed", "landed after a rejection", "whole", "half 1",
+            "half 2", "companion", "stall")) >= 10, outcomes
 
     def test_backend_reported(self):
         assert KERNEL_BACKEND == ("python" if numeric._kern is _kernel_py else "c")
@@ -628,8 +694,8 @@ class TestKernelParity:
             assert library.name == Path(numeric._kern.__file__).name
             y = tuple(np.concatenate([ROW_PAIRS["tau3mu"].theta.as_array(),
                                       np.eye(3).ravel()]).tolist())
-            assert built.doubling_step(y, y, 0.1, 1e-8) == _kernel_py.doubling_step(
-                y, y, 0.1, 1e-8)
+            assert built.march_stop(y, y, 0.0, 0.1, 0.3, 1e-8) == _kernel_py.march_stop(
+                y, y, 0.0, 0.1, 0.3, 1e-8)
             # a second load reads the library as it is
             written = library.stat().st_mtime_ns
             assert numeric._c_kernel(tmp_path).__file__ == str(library)
@@ -689,71 +755,95 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("beta", [1.0, 1.3], ids=["beta-1", "beta-1.3"])
     @pytest.mark.parametrize("h", [0.05, -0.05], ids=["fwd", "bwd"])
-    def test_doubling_step_matches_list_form(self, kernel, row_pair, beta, h):
+    def test_march_stop_matches_list_form(self, kernel, row_pair, beta, h):
         # from a state with a U that is not the identity, and a companion
-        # apart from it; tol = inf takes every trial.  A constant lapse
-        # beta reaches the kernel as the trial of size beta h in s.
+        # apart from it: one trial, and a stop of several; tol = inf takes
+        # every trial.  A constant lapse beta reaches the kernel as the
+        # trials of size beta h in s.
         y0 = np.concatenate([row_pair.theta.as_array(), np.eye(3).ravel()]).tolist()
         y = tuple(_list_form_step(y0, (1.0,) * 3, 0.1))
         z = tuple(v * (1.0 + 1e-7) for v in y)
         for tol in (math.inf, numeric.LOCAL_TOL):
-            _assert_same_trial(kernel.doubling_step(y, z, beta * h, tol),
-                               _list_form_trial(y, z, beta * h, tol))
+            for target in (beta * h, 7.0 * beta * h):
+                args = (y, z, 0.0, beta * abs(h), target, tol)
+                assert _stop_bits(kernel.march_stop(*args)) == _stop_bits(
+                    _list_form_stop(*args)), args
 
     @pytest.mark.parametrize("ul, un", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
                              ids=["ul-neg", "un-neg", "both-neg"])
     @pytest.mark.parametrize("h", [0.05, -0.05], ids=["fwd", "bwd"])
-    def test_doubling_step_keeps_signed_zeros(self, kernel, ul, un, h):
+    def test_march_stop_keeps_signed_zeros(self, kernel, ul, un, h):
         # the companion carries the zeros of the other sign
         y = (1.0, ul, un, 0.5, -0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
         z = y[:1] + (-ul, -un) + y[3:]
-        got = kernel.doubling_step(y, z, h, math.inf)
-        _assert_same_trial(got, _list_form_trial(y, z, h, math.inf))
-        assert got[1] is not None
+        got = kernel.march_stop(y, z, 0.0, abs(h), h, math.inf)
+        assert _stop_bits(got) == _stop_bits(_list_form_stop(y, z, 0.0, abs(h), h, math.inf))
+        assert got[6:] == (1, 0, None)
 
-    @pytest.mark.parametrize("uu, zuu, h, leg", [
+    @pytest.mark.parametrize("uu, zuu, h, leg, s", [
         # RK4 from Theta_uu = 10 over h = 1 lands past the guard
-        (10.0, 1.0, 1.0, "whole"),
+        (10.0, 1.0, 1.0, "whole", 1.0),
         # the whole step climbs back inside the guard, the first half not
-        (-1.0000001e12, 1.0, 1.5e-19, "half 1"),
+        (-1.0000001e12, 1.0, 1.5e-19, "half 1", 0.75e-19),
         # the whole step falls short of the guard that two halves pass
-        (1e11, 1.0, 0.94e-11, "half 2"),
-        (1.0, 10.0, 1.0, "companion"),
+        (1e11, 1.0, 0.94e-11, "half 2", 0.94e-11),
+        (1.0, 10.0, 1.0, "companion", 1.0),
     ], ids=["whole", "half-1", "half-2", "companion"])
-    def test_doubling_step_truncation_contract(self, kernel, uu, zuu, h, leg):
-        # Theta_uu over the identity frame, the rest of Theta zero
-        y, z = ((v,) + (0.0,) * 5 + tuple(np.eye(3).ravel().tolist()) for v in (uu, zuu))
-        got = kernel.doubling_step(y, z, h, math.inf)
-        assert got[1:] == (None, None, (leg, True))
-        _assert_same_trial(got, _list_form_trial(y, z, h, math.inf))
+    def test_march_stop_truncation_contract(self, kernel, uu, zuu, h, leg, s):
+        # Theta_uu over the identity frame, the rest of Theta zero; the stop
+        # is one trial, and s is where its failing leg stopped
+        y, z = ((v,) + (0.0,) * 5 + _FRAME for v in (uu, zuu))
+        got = kernel.march_stop(y, z, 0.0, h, h, math.inf)
+        assert got[1:] == (z, s, h, None, None, 0, 0, (leg, True))
+        assert _stop_bits(got) == _stop_bits(_list_form_stop(y, z, 0.0, h, h, math.inf))
 
     @pytest.mark.parametrize("leg", ["whole", "companion"])
-    def test_doubling_step_reports_an_overflowed_frame(self, kernel, leg):
+    def test_march_stop_reports_an_overflowed_frame(self, kernel, leg):
         # Theta = -2 I stays bounded while each entry of U in turn, at
         # 1e308, grows past the largest float: the guard reads Theta only
-        fine = (1.0,) + (0.0,) * 5 + tuple(np.eye(3).ravel().tolist())
+        fine = (1.0,) + (0.0,) * 5 + _FRAME
         for i in range(6, 15):
-            big = [-2.0, 0.0, 0.0, -2.0, 0.0, -2.0] + np.eye(3).ravel().tolist()
+            big = [-2.0, 0.0, 0.0, -2.0, 0.0, -2.0] + list(_FRAME)
             big[i] = 1e308
             y, z = (tuple(big), fine) if leg == "whole" else (fine, tuple(big))
-            got = kernel.doubling_step(y, z, 1.0, math.inf)
-            assert got[1:] == (None, None, (leg, False)), i
-            _assert_same_trial(got, _list_form_trial(y, z, 1.0, math.inf))
+            got = kernel.march_stop(y, z, 0.0, 1.0, 1.0, math.inf)
+            assert got[6:] == (0, 0, (leg, False)), i
+            assert _stop_bits(got) == _stop_bits(_list_form_stop(y, z, 0.0, 1.0, 1.0,
+                                                                 math.inf))
 
-    def test_doubling_step_rejects_without_a_companion(self, kernel):
+    def test_march_stop_rejects_without_a_companion(self, kernel):
+        # from z = y, the companion of one trial is its whole step, so the
+        # stop's estimate is that trial's local error
         pair = ROW_PAIRS["tau2R-general"]
         y = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
-        taken = kernel.doubling_step(y, y, 0.05, math.inf)
-        error = taken[2]
-        assert error > 0.0
-        # an error equal to tol is taken, one ulp above it is not
-        assert kernel.doubling_step(y, y, 0.05, error)[1] is not None
+        taken = kernel.march_stop(y, y, 0.0, 0.05, 0.05, math.inf)
+        error = taken[5]
+        assert error > 0.0 and taken[6:] == (1, 0, None)
+        # an error equal to tol is taken, one ulp above it is not: the
+        # rejected trial cuts h, and shorter ones land
+        assert kernel.march_stop(y, y, 0.0, 0.05, 0.05, error)[6:] == (1, 0, None)
         tol = math.nextafter(error, 0.0)
-        rejected = kernel.doubling_step(y, y, 0.05, tol)
-        assert rejected[1] is None and rejected[3] is None
-        assert rejected[2] == error
-        assert _same_bits(np.array(rejected[0]), np.array(taken[0]))
-        _assert_same_trial(rejected, _list_form_trial(y, y, 0.05, tol))
+        rejected = kernel.march_stop(y, y, 0.0, 0.05, 0.05, tol)
+        assert rejected[6] > 1 and rejected[7] >= 1 and rejected[8] is None
+        assert _stop_bits(rejected) == _stop_bits(_list_form_stop(y, y, 0.0, 0.05, 0.05, tol))
+
+    @pytest.mark.parametrize("s, h, tol, rejected", [
+        # a step below half a spacing of s is never taken
+        (1.0, 1e-17, math.inf, 0),
+        (-2.0, -2e-16, 1e-12, 0),
+        # at tol = 0, every trial with an error is rejected: 0.5 down to
+        # 1.6e-4 by fifths, and the next step no longer moves s
+        (1e12, 0.5, 0.0, 6),
+    ], ids=["tiny-step", "tiny-step-bwd", "rejected"])
+    def test_march_stop_stalls(self, kernel, s, h, tol, rejected):
+        pair = ROW_PAIRS["tau2R-general"]
+        y = tuple(np.concatenate([pair.theta.as_array(), np.eye(3).ravel()]).tolist())
+        target = s + math.copysign(1.0, h) * 2.0 * max(abs(h), math.ulp(s))
+        got = kernel.march_stop(y, y, s, abs(h), target, tol)
+        assert got[8] == ("stall", None) and got[2] == s and got[6] == 0
+        assert got[7] == rejected and got[4:6] == (None, None)
+        assert got[:2] == (y, y)
+        assert _stop_bits(got) == _stop_bits(_list_form_stop(y, y, s, abs(h), target, tol))
 
     # Only finite states are drawn: the march stops at the first leg that
     # ends on a state that is not finite, so it never starts a trial from
@@ -763,18 +853,20 @@ class TestKernelParity:
     # for the addition, and the kernel and the list form differed there in
     # 2 of 100,000 random trials.  So a NaN entry compares as NaN; every
     # other bit must match.  Each draw holds every backend to one list-form
-    # result.
+    # result.  Its stop ends at ``_stop_target``.
     @given(_drawn_states(), _drawn_states(),
-           st.floats(1e-6, 1.0), st.sampled_from([1.0, -1.0]),
-           st.sampled_from([0.0, 1e-12, 1e-8, math.inf]))
+           st.one_of(st.just(0.0), st.floats(-1e16, 1e16)), st.floats(1e-6, 1.0),
+           st.sampled_from([1.0, -1.0]), st.floats(0.1, 10.0), st.integers(1, 64),
+           st.sampled_from([0.0, 1e-15, 1e-12, math.inf]))
     @settings(max_examples=300, deadline=None)
-    def test_doubling_step_matches_list_form_on_drawn_states(self, y, z, size, sign, tol):
-        h = sign * size
-        want = _nan_as_nan(_list_form_trial(y, z, h, tol))
+    def test_march_stop_matches_list_form_on_drawn_states(self, y, z, s, size, sign, ratio,
+                                                          ulps, tol):
+        target = _stop_target(s, sign * size, ratio, ulps, tol)
+        want = _stop_bits(_list_form_stop(y, z, s, size, target, tol))
         for kernel in BACKENDS:
-            _assert_same_trial(_nan_as_nan(kernel.doubling_step(y, z, h, tol)), want)
+            assert _stop_bits(kernel.march_stop(y, z, s, size, target, tol)) == want
 
-    # the states and the NaN rule of the doubling_step test above
+    # the states and the NaN rule of the march_stop test above
     @given(_drawn_states(), _drawn_states(), st.integers(0, 20),
            st.floats(1e-6, 1.0), st.sampled_from([1.0, -1.0]))
     @settings(max_examples=300, deadline=None)
@@ -784,15 +876,17 @@ class TestKernelParity:
         for kernel in BACKENDS:
             got = _run_kernel(kernel, y, dt, n)
             assert got[1:] == ref[1:]
-            assert _same_bits(np.array(_nan_state(got[0])), np.array(_nan_state(ref[0])))
+            assert _state_bits(got[0]) == _state_bits(ref[0])
             if n == 0:
                 assert got[1:] == (0, False) and _same_bits(got[0], np.array(y))
-            # a trial that takes every leg is two steps of h/2 and one of h
-            trial = kernel.doubling_step(y, z, dt, math.inf)
-            if trial[3] is None:
-                assert _same_bits(np.array(trial[0]),
+            # a stop of one trial that takes every leg is two steps of h/2
+            # from y and one of h from z
+            stop = kernel.march_stop(y, z, 0.0, size, dt, math.inf)
+            if stop[8] is None:
+                assert stop[6:8] == (1, 0)
+                assert _same_bits(np.array(stop[0]),
                                   np.array(kernel.rk4_path(y, dt / 2, 2)[0]))
-                assert _same_bits(np.array(trial[1]),
+                assert _same_bits(np.array(stop[1]),
                                   np.array(kernel.rk4_path(z, dt, 1)[0]))
 
 
@@ -803,9 +897,10 @@ def _tripped(y):
 
 
 def _list_form_trial(y, z, h, tol):
-    """``doubling_step`` from the list form: the whole step, the two half
-    steps, the local error and, within ``tol``, the companion step, each
-    leg checked as ``rk4_path`` and ``numeric._advance`` check it."""
+    """One trial from the list form: the whole step, the two half steps,
+    the local error and, within ``tol``, the companion step, each leg
+    checked as ``rk4_path`` and ``numeric._advance`` check it; as
+    ``_kernel_py._march`` returns a trial."""
     lapses = (1.0, 1.0, 1.0)
     whole = _list_form_step(y, lapses, h)
     if _tripped(whole) or not all(map(math.isfinite, whole)):
@@ -825,24 +920,30 @@ def _list_form_trial(y, z, h, tol):
     return halves, companion, error, None
 
 
-def _nan_state(state):
-    """``state`` with every NaN entry replaced by ``math.nan``."""
-    return None if state is None else tuple(math.nan if v != v else v for v in state)
-
-
-def _nan_as_nan(trial):
-    """``trial`` with every NaN entry of its states replaced by ``math.nan``."""
-    return (_nan_state(trial[0]), _nan_state(trial[1])) + tuple(trial[2:])
-
-
-def _assert_same_trial(got, ref):
-    assert type(got[0]) is tuple and all(type(v) is float for v in got[0])
-    assert got[3] == ref[3]
-    assert _same_bits(np.array(got[0]), np.array(ref[0]))
-    assert (got[1] is None) == (ref[1] is None)
-    if ref[1] is not None:
-        assert type(got[1]) is tuple and all(type(v) is float for v in got[1])
-        assert _same_bits(np.array(got[1]), np.array(ref[1]))
-    assert (got[2] is None) == (ref[2] is None)
-    if ref[2] is not None:
-        assert _same_bits(np.array([got[2]]), np.array([ref[2]]))
+def _list_form_stop(y, z, s, h, target, tol):
+    """``march_stop`` from the list form: ``_list_form_trial`` for each
+    trial, in the loop and with the step-size rule of the march before its
+    trials moved into the kernel (``_three_call_march``)."""
+    sign = 1.0 if target > s else -1.0
+    accepted = rejected = 0
+    while s != target:
+        land = h >= abs(target - s)
+        step = target - s if land else sign * h
+        if s + step == s:
+            return y, z, s, h, None, None, accepted, rejected, ("stall", None)
+        halves, companion, error, failed = _list_form_trial(y, z, step, tol)
+        if failed:  # where the failing leg stopped
+            s += 0.5 * step if failed[0] == "half 1" else step
+            return tuple(halves), z, s, h, None, None, accepted, rejected, failed
+        if companion is None:
+            rejected += 1
+        else:
+            accepted += 1
+            y, z = tuple(halves), tuple(companion)
+            s = target if land else s + step
+            if land:
+                break
+        h = abs(step) * (5.0 if error == 0.0 else
+                         min(5.0, max(0.2, 0.9 * (tol / error) ** 0.2)))
+    extrapolated = tuple(a + (a - b) / 15.0 for a, b in zip(y, z))
+    return y, z, s, h, extrapolated, _relative_gap(y, z) / 15.0, accepted, rejected, None
