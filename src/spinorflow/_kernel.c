@@ -1,4 +1,4 @@
-/* The RK4 kernel in C: the two entries of _kernel_py, with its contract and
+/* The kernel in C: the three entries of _kernel_py, with its contract and
    its bits.
 
    _kernel_py documents the contract and stays the reference: every
@@ -14,11 +14,21 @@
    takes fabs() and keeps the first largest term, as Python's abs() and
    max() do.  numeric builds this file with -ffp-contract=off and without
    fast-math, so that no multiply and add fuse and no operation is
-   reordered. */
+   reordered.
+
+   e12() prints each cell of the flow table as "%.12e" % x does, byte for
+   byte, with integer arithmetic in place of dtoa's big numbers (the method
+   of Ryu printf, Adams 2019): V = |x| 10^(12 - k) is computed exactly in
+   128 bits, its integer part gives the 13 digits and its remainder against
+   one half the rounding, half to even, as Gay's dtoa rounds.  The zeros
+   take the same path; subnormals, infinities, NaNs, |x| outside [1e-20,
+   1e45) and a compiler without __int128 take PyOS_double_to_string,
+   Python's own formatter. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 #define GUARD 1e12
@@ -295,6 +305,8 @@ march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             || read_float(args[3], &h) < 0 || read_float(args[4], &target) < 0
             || read_float(args[5], &tol) < 0)
         return NULL;
+    if (!(tol >= 0.0)) /* a negative or NaN tol would reject every trial, forever */
+        return PyErr_Format(PyExc_ValueError, "march_stop needs tol >= 0, got %R", args[5]);
     while (s != target) {
         int land = h >= fabs(target - s);
         double step = land ? target - s : target > s ? h : -h;
@@ -332,11 +344,141 @@ march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                          gap / 15.0, accepted, rejected, Py_None);
 }
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+#define MAX_J 32 /* m 5^j < 2^53 5^32 < 2^128 */
+static u128 POW5[MAX_J + 1];
+
+/* the 13 significant digits of m 2^e2 (2^52 <= m < 2^53) as %.12e rounds
+   them, an integer in [10^12, 10^13), with the decimal exponent k of the
+   first one; 0 where V = m 2^e2 10^(12 - k) is out of reach, |12 - k| >
+   MAX_J.  V is exact: m 5^j shifted for j = 12 - k >= 0, else m 2^s divided
+   by 5^-j, with its remainder against one half, so that a tie rounds to
+   even as dtoa does. */
+static int
+digits13(uint64_t m, int e2, uint64_t *q, int *k)
+{
+    const uint64_t lo = 1000000000000ULL, hi = 10 * lo;
+    /* m 2^e2 lies in [2^(e2 + 52), 2^(e2 + 53)): k is this or one more */
+    *k = (int)floor((e2 + 52) * 0.30102999566398120);
+    for (int tries = 0; tries < 3; tries++) {
+        int j = 12 - *k, s = e2 + j, half; /* the rest of V against 1/2: -1, 0 or 1 */
+        u128 v;
+        if (j > MAX_J || j < -MAX_J)
+            return 0;
+        if (j >= 0) {
+            if (s >= 0 || s <= -128) /* V >= m >= 2^52, or no fraction bits to keep */
+                return 0;
+            u128 p = (u128)m * POW5[j], rest = p & ((((u128)1) << -s) - 1);
+            u128 one_half = ((u128)1) << (-s - 1);
+            v = p >> -s;
+            half = rest > one_half ? 1 : rest == one_half ? 0 : -1;
+        }
+        else {
+            if (s >= 64 || s <= -48) /* V >= 2^64, or V < 2^53 / 2^48 */
+                return 0;
+            u128 num = s >= 0 ? (u128)m << s : m, den = s >= 0 ? POW5[-j] : POW5[-j] << -s;
+            u128 rest = num % den;
+            v = num / den;
+            half = rest > den - rest ? 1 : rest == den - rest ? 0 : -1;
+        }
+        if (v < lo) {
+            *k -= 1;
+            continue;
+        }
+        if (v >= hi) {
+            *k += 1;
+            continue;
+        }
+        *q = (uint64_t)v + (half > 0 || (half == 0 && (v & 1)));
+        if (*q == hi) {
+            *q = lo;
+            *k += 1;
+        }
+        return 1;
+    }
+    return 0;
+}
+#endif
+
+/* "%.12e" % x */
+static PyObject *
+format_e12(double x)
+{
+    uint64_t bits, q = 0;
+    int k = 0;
+    memcpy(&bits, &x, sizeof bits);
+    int neg = (int)(bits >> 63), biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t frac = bits & ((1ULL << 52) - 1);
+    if (biased != 0 || frac != 0) {
+        int ok = 0;
+#ifdef __SIZEOF_INT128__
+        if (biased != 0 && biased != 0x7ff)
+            ok = digits13(frac | 1ULL << 52, biased - 1075, &q, &k);
+#endif
+        if (!ok) { /* subnormals, inf, nan and the far exponents: Python's own path */
+            char *text = PyOS_double_to_string(x, 'e', 12, 0, NULL);
+            if (text == NULL)
+                return NULL;
+            PyObject *out = PyUnicode_FromString(text);
+            PyMem_Free(text);
+            return out;
+        }
+    }
+    int ak = k < 0 ? -k : k;
+    Py_ssize_t len = neg + 14 + 2 + (ak >= 100 ? 3 : 2);
+    PyObject *out = PyUnicode_New(len, 127);
+    if (out == NULL)
+        return NULL;
+    char *p = (char *)PyUnicode_1BYTE_DATA(out);
+    if (neg)
+        *p++ = '-';
+    for (int i = 13; i >= 0; i--) { /* d.dddddddddddd, from the last digit */
+        if (i == 1) {
+            p[i] = '.';
+            continue;
+        }
+        p[i] = (char)('0' + q % 10);
+        q /= 10;
+    }
+    p += 14;
+    *p++ = 'e';
+    *p++ = k < 0 ? '-' : '+';
+    if (ak >= 100)
+        *p++ = (char)('0' + ak / 100);
+    *p++ = (char)('0' + ak / 10 % 10);
+    *p = (char)('0' + ak % 10);
+    return out;
+}
+
+static PyObject *
+e12(PyObject *module, PyObject *cells)
+{
+    PyObject *fast = PySequence_Fast(cells, "e12() takes a sequence of floats");
+    if (fast == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    PyObject *out = PyTuple_New(n);
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
+        double x = PyFloat_AsDouble(items[i]);
+        PyObject *text = x == -1.0 && PyErr_Occurred() ? NULL : format_e12(x);
+        if (text == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, text);
+    }
+    Py_DECREF(fast);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"rk4_path", (PyCFunction)(void (*)(void))rk4_path, METH_FASTCALL,
      "rk4_path(y0, dt, n_steps, /): as _kernel_py.rk4_path."},
     {"march_stop", (PyCFunction)(void (*)(void))march_stop, METH_FASTCALL,
      "march_stop(y, z, s, h, target, tol, /): as _kernel_py.march_stop."},
+    {"e12", e12, METH_O, "e12(cells, /): as _kernel_py.e12."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -349,5 +491,10 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
+#ifdef __SIZEOF_INT128__
+    POW5[0] = 1;
+    for (int j = 1; j <= MAX_J; j++)
+        POW5[j] = 5 * POW5[j - 1];
+#endif
     return PyModule_Create(&kernel_module);
 }

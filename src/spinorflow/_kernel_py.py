@@ -1,10 +1,11 @@
-"""The RK4 kernel in Python: the reference of the package's RK4 step, and
-the fallback of its C kernel.
+"""The kernel in Python: the reference of the package's RK4 step and of
+the flow table's number format, and the fallback of its C kernel.
 
 ``numeric`` runs the C extension built from ``_kernel.c``, which repeats
 this module's ``_march`` operation for operation and gives the same bits,
 and runs this module wherever that cannot be built or loaded.  This module
-states the contract of both; ``tests/test_numeric.py`` holds both to it.
+states the contract of both; ``tests/test_numeric.py`` holds both to it,
+and ``tests/test_cli.py`` holds both ``e12`` to ``"%.12e" % x``.
 
 It marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
@@ -14,7 +15,7 @@ lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
-Both entries take their arguments by position only.
+The three entries take their arguments by position only.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march.  It returns ``(y, steps done, truncated)``: y is
 the state the march ends on, as a tuple of 15 floats, which on truncation
@@ -25,7 +26,8 @@ caller checks y for an overflowed U.
 controlled march from s to one stop, ``target``, in one call: y is the
 march state at s and z its companion (sequences of 15 floats), h the step
 size proposed for the next trial, and tol >= 0 the local error a trial
-may keep.  Each trial of size h (the last one shortened to land on
+may keep; a negative or NaN tol, which would reject every trial, raises
+ValueError before the first one.  Each trial of size h (the last one shortened to land on
 ``target``) takes the whole step from y, the two half steps from y, whose
 first k1 is the whole step's, and the local error
 max_i |halves_i - whole_i| / max(1, |halves_i|) / 15.  A trial within
@@ -64,6 +66,13 @@ y + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The output is therefore bit-identical
 to that list form, which ``tests/test_numeric.py`` keeps as its reference.
 A sign flip is written -(e), never folded into a subtraction such as
 y - dt/2 (e): where the terms cancel, the sum's zero would change sign.
+
+``e12(cells)`` returns ``"%.12e" % x`` for each float x of the sequence
+``cells``, as a tuple of strings: the cells of the flow table, which
+``cli`` fills into its templates.  Here it formats every cell with one
+``%`` over ``"%.12e " * n`` and splits the result, which costs less than a
+``%`` per cell; the C kernel computes each cell's digits exactly in
+integers.
 """
 
 from __future__ import annotations
@@ -98,6 +107,8 @@ def rk4_path(y0, dt, n_steps, /):
 def march_stop(y, z, s, h, target, tol, /):
     """Every trial of the controlled march from s to ``target``; see the
     module docstring."""
+    if not tol >= 0:
+        raise ValueError(f"march_stop needs tol >= 0, got {tol!r}")
     accepted = rejected = 0
     while s != target:
         land = h >= abs(target - s)
@@ -121,6 +132,12 @@ def march_stop(y, z, s, h, target, tol, /):
     extrapolated = tuple(a + (a - b) / 15.0 for a, b in zip(y, z))
     estimate = max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(y, z)) / 15.0
     return y, z, s, h, extrapolated, estimate, accepted, rejected, None
+
+
+def e12(cells, /):
+    """``"%.12e" % x`` for each float x of ``cells``, as a tuple of
+    strings; see the module docstring."""
+    return tuple(("%.12e " * len(cells) % tuple(cells)).split())
 
 
 def _march(y, z, h, tol, legs):

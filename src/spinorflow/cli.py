@@ -17,10 +17,14 @@ json's, which a walk of that value tells; both give the same values and the
 same errors (``_load_input``).
 
 ``flow`` and ``curvature`` render through fixed-shape templates, each
-filled by one ``%`` over a flat tuple of Python floats: the CSV row
-``_CSV_ROW``, the JSON row object ``_JSON_ROW``, and the curvature sample
-``_SAMPLE`` under its lifespan head.  They write the bytes ``csv.writer``
-and ``json.dumps(..., indent=2)`` would, at a fraction of the cost.
+filled by one ``%`` over a flat tuple: the CSV row ``_CSV_ROW``, the JSON
+row object ``_JSON_ROW``, and the curvature sample ``_SAMPLE`` under its
+lifespan head.  They write the bytes ``csv.writer`` and
+``json.dumps(..., indent=2)`` would, at a fraction of the cost.  The flow
+table's cells arrive as strings from the kernel's ``e12``
+(``numeric._kern``, read when the table renders), which prints each float
+as %.12e does, in C with integer arithmetic; ``curvature``'s shortest-repr
+cells are Python floats, printed by ``%r``.
 
 Importing this module loads only what every command runs: argparse, json,
 numpy, orjson when it is installed, and the parsing of pairs and lapses
@@ -212,18 +216,21 @@ def _warn_uncertified(errors) -> None:
                   file=sys.stderr)
 
 
-_CSV_ROW = ",".join(["%.12e"] * len(FLOW_COLUMNS)) + "\n"
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{c}": "%.12e"' for c in FLOW_COLUMNS) + "\n  }"
+_CSV_ROW = ",".join(["%s"] * len(FLOW_COLUMNS)) + "\n"
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{c}": "%s"' for c in FLOW_COLUMNS) + "\n  }"
 
 
 def _render_flow(cells: tuple, fmt: str) -> str:
     """The flow table whose cells, row by row, are ``cells`` (one row at
-    least): CSV under a header line, or a JSON array of one object of
-    strings per row."""
+    least), each printed as %.12e by the kernel's ``e12``: CSV under a
+    header line, or a JSON array of one object of strings per row."""
+    from . import numeric
+
     n = len(cells) // len(FLOW_COLUMNS)
+    text = numeric._kern.e12(cells)
     if fmt == "json":
-        return "[\n" + ",\n".join([_JSON_ROW] * n) % cells + "\n]\n"
-    return ",".join(FLOW_COLUMNS) + "\n" + _CSV_ROW * n % cells
+        return "[\n" + ",\n".join([_JSON_ROW] * n) % text + "\n]\n"
+    return ",".join(FLOW_COLUMNS) + "\n" + _CSV_ROW * n % text
 
 
 _RICCI_ROW = "        [\n" + ",\n".join(["          %r"] * 4) + "\n        ]"

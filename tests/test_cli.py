@@ -1,6 +1,7 @@
 """CLI surface: exit codes, deterministic output, clipping, sweeps."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -16,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorflow
-from spinorflow import cli, exact, frames, lapse, lorentz, numeric, pairs, verify
+from spinorflow import _kernel_py, cli, exact, frames, lapse, lorentz, numeric, pairs, \
+    verify
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
 
@@ -1042,7 +1044,78 @@ SPAN_END = st.none() | st.sampled_from([-math.inf, math.inf]) | FINITE
 SPAN = st.builds(Lifespan, SPAN_END, SPAN_END, st.booleans())
 
 
+# each backend's e12; the C one where numeric built it
+E12_KERNELS = [
+    pytest.param(_kernel_py, id="python"),
+    pytest.param(numeric._kern, id="c", marks=pytest.mark.skipif(
+        numeric._kern is _kernel_py, reason="numeric runs _kernel_py: no C kernel was built")),
+]
+
+
+@functools.cache
+def _e12_cases() -> tuple[tuple, tuple]:
+    """About 200,000 floats on which a %.12e formatter could slip, and
+    ``"%.12e" % x`` of each: random bit patterns (NaNs, infinities and
+    subnormals among them), log-uniform magnitudes of either sign from
+    1e-45 to 1e42, and of both signs values within 2 ulps of a decimal tie
+    (N + 1/2) 10^(k - 12), exact ties at three scales, every power of two,
+    the carries of 9.9999999999995 10^k into the next exponent, the
+    zeros, infinities and NaNs."""
+    rng = np.random.default_rng(41)
+    ties = (rng.integers(10 ** 12, 10 ** 13, 10_000) + 0.5) * 10.0 ** rng.integers(
+        -30, 40, 10_000).astype(float) / 1e12
+    carries = 9.9999999999995 * 10.0 ** np.arange(-324, 308).astype(float)
+    whole = rng.integers(10 ** 12, 10 ** 13, (3, 3_000)).astype(float)
+    signed = [
+        *(np.nextafter(ties, direction) for direction in (-np.inf, np.inf)),
+        ties, np.nextafter(np.nextafter(ties, -np.inf), -np.inf),
+        np.nextafter(np.nextafter(ties, np.inf), np.inf),
+        # n + 1/2 at 10^12, and 10 n + 5 and 100 n + 50 past it: exact in binary
+        whole[0] + 0.5, 10.0 * whole[1] + 5.0, 100.0 * whole[2] + 50.0,
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        carries, np.nextafter(carries, 0.0), np.nextafter(carries, np.inf),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+         2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308],
+    ]
+    cells = np.concatenate(signed)
+    cells = tuple(np.concatenate([
+        rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64).view(np.float64),
+        rng.choice([1.0, -1.0], 40_000) * 10.0 ** rng.uniform(-45.0, 42.0, 40_000),
+        cells, -cells]).tolist())
+    return cells, tuple("%.12e" % x for x in cells)
+
+
+@pytest.mark.parametrize("kernel", E12_KERNELS)
+def test_e12_prints_each_float_as_percent_12e(kernel):
+    # exact: the golden comparison forgives a last-digit unit, so it would
+    # not see a rounding slip
+    cells, want = _e12_cases()
+    got = kernel.e12(cells)
+    assert type(got) is tuple and all(type(x) is str for x in got)
+    assert [(x, a, b) for x, a, b in zip(cells, got, want) if a != b] == []
+    assert kernel.e12([]) == () and kernel.e12([0.5, -1]) == ("5.000000000000e-01",
+                                                              "-1.000000000000e+00")
+
+
 class TestRenderers:
+    @pytest.mark.parametrize("kernel", E12_KERNELS)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_flow_table_of_edge_cells(self, kernel, fmt, monkeypatch):
+        # the %.12e templates the flow table was rendered through before
+        # e12 printed its cells, kept as the reference
+        csv_row = ",".join(["%.12e"] * len(cli.FLOW_COLUMNS)) + "\n"
+        json_row = ("  {\n" + ",\n".join(f'    "{c}": "%.12e"' for c in cli.FLOW_COLUMNS)
+                    + "\n  }")
+        edges = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                 1e308, -1e308, 1234567890123.5, 1234567890122.5, 2.0 ** -20, 0.1]
+        cells = tuple(edges * (2 * len(cli.FLOW_COLUMNS) // len(edges)))
+        monkeypatch.setattr(numeric, "_kern", kernel)
+        if fmt == "json":
+            want = "[\n" + ",\n".join([json_row] * 2) % cells + "\n]\n"
+        else:
+            want = ",".join(cli.FLOW_COLUMNS) + "\n" + csv_row * 2 % cells
+        assert cli._render_flow(cells, fmt) == want
+
     @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(FLOW_ROW, min_size=1, max_size=4),
            fmt=st.sampled_from(["csv", "json"]))

@@ -5,7 +5,9 @@ marched in t on smooth tables."""
 
 import dataclasses
 import math
+import os
 import struct
+import subprocess
 import sys
 from collections import Counter
 
@@ -594,7 +596,8 @@ def _random_calls(rng, n):
     infinity, a Theta value near the guard, or a value up to 1e300; h has
     either sign and a size from 1e-6 to 1.  A stop starts at s = 0 (one in
     four) or at an s of either sign and a size from 0.1 to 1e16, and ends
-    at ``_stop_target``."""
+    at ``_stop_target``.  One stop in 40 gets a tol that is negative or
+    NaN, which both backends refuse."""
     y, z = rng.uniform(-3.0, 3.0, (2, n, 15))
     for states in (y, z):
         odd = rng.integers(0, 25, states.shape)  # 0 to 3 replace the entry
@@ -615,6 +618,8 @@ def _random_calls(rng, n):
     ratio = 10.0 ** rng.uniform(-1.0, 1.0, n)
     ulps = rng.integers(1, 65, n)
     tol = rng.choice([0.0, 1e-15, 1e-12, math.inf], n)
+    tol = np.where(rng.integers(0, 40, n) == 0,
+                   rng.choice([-1e-12, -1.0, -math.inf, math.nan], n), tol)
     for y, z, h, path, n, s, ratio, ulps, tol in zip(
             y.tolist(), z.tolist(), h.tolist(), paths.tolist(), n_steps.tolist(),
             s.tolist(), ratio.tolist(), ulps.tolist(), tol.tolist()):
@@ -636,6 +641,15 @@ def _stop_target(s, h, ratio, ulps, tol):
     if tol < math.inf:
         span = min(span, ulps * math.ulp(s))
     return s + math.copysign(span, h)
+
+
+def _call(kernel, entry, args):
+    """The result of ``kernel.entry(*args)``, or (ValueError, its message)
+    when it raises one."""
+    try:
+        return getattr(kernel, entry)(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
 
 
 def _state_bits(y):
@@ -664,9 +678,12 @@ class TestKernelParity:
     def test_c_kernel_matches_python_kernel_on_random_calls(self):
         outcomes = Counter()
         for entry, args in _random_calls(np.random.default_rng(40), 60_000):
-            got = getattr(numeric._kern, entry)(*args)
-            want = getattr(_kernel_py, entry)(*args)
-            if entry == "rk4_path":
+            got = _call(numeric._kern, entry, args)
+            want = _call(_kernel_py, entry, args)
+            if want[0] is ValueError:  # both raise alike
+                assert got == want, args
+                outcomes["refused"] += 1
+            elif entry == "rk4_path":
                 assert got[1:] == want[1:] and type(got[1]) is int, args
                 assert _state_bits(got[0]) == _state_bits(want[0]), args
                 assert all(type(v) is float for v in got[0])
@@ -679,7 +696,35 @@ class TestKernelParity:
         # every way a call can end came up
         assert min(outcomes[k] for k in (
             "path", "truncated", "landed", "landed after a rejection", "whole", "half 1",
-            "half 2", "companion", "stall")) >= 10, outcomes
+            "half 2", "companion", "stall", "refused")) >= 10, outcomes
+
+    def test_march_stop_refuses_a_negative_or_nan_tol(self):
+        # in a subprocess with a timeout: a stop that took such a tol would
+        # reject every trial and never return, in C past any signal
+        y = tuple(np.concatenate([ROW_PAIRS["tau2R-general"].theta.as_array(),
+                                  np.eye(3).ravel()]).tolist())
+        still = (0.0,) * 6 + tuple(np.eye(3).ravel().tolist())  # Theta = 0: no slope
+        script = f"""if True:
+            import math
+            from spinorflow import _kernel_py, numeric
+            for kernel in dict.fromkeys([_kernel_py, numeric._kern]):
+                for y in ({y!r}, {still!r}):
+                    for tol in (-1e-12, -0.0 - 5e-324, -math.inf, math.nan, -1):
+                        try:
+                            kernel.march_stop(y, y, 0.0, 0.5, 0.5, tol)
+                        except ValueError as exc:
+                            assert str(exc) == f"march_stop needs tol >= 0, got {{tol!r}}", exc
+                        else:
+                            raise AssertionError((kernel, y, tol))
+            print(numeric.KERNEL_BACKEND)
+        """
+        src = str(Path(numeric.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        ran = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert ran.returncode == 0, ran.stderr
+        assert ran.stdout == KERNEL_BACKEND + "\n"
 
     def test_backend_reported(self):
         assert KERNEL_BACKEND == ("python" if numeric._kern is _kernel_py else "c")
