@@ -426,15 +426,15 @@ format_e12(double x)
             return out;
         }
     }
+    /* d.dddddddddddde+kk: |k| <= 45 here, two digits */
     int ak = k < 0 ? -k : k;
-    Py_ssize_t len = neg + 14 + 2 + (ak >= 100 ? 3 : 2);
-    PyObject *out = PyUnicode_New(len, 127);
+    PyObject *out = PyUnicode_New(neg + 18, 127);
     if (out == NULL)
         return NULL;
     char *p = (char *)PyUnicode_1BYTE_DATA(out);
     if (neg)
         *p++ = '-';
-    for (int i = 13; i >= 0; i--) { /* d.dddddddddddd, from the last digit */
+    for (int i = 13; i >= 0; i--) { /* from the last digit */
         if (i == 1) {
             p[i] = '.';
             continue;
@@ -445,9 +445,7 @@ format_e12(double x)
     p += 14;
     *p++ = 'e';
     *p++ = k < 0 ? '-' : '+';
-    if (ak >= 100)
-        *p++ = (char)('0' + ak / 100);
-    *p++ = (char)('0' + ak / 10 % 10);
+    *p++ = (char)('0' + ak / 10);
     *p = (char)('0' + ak % 10);
     return out;
 }

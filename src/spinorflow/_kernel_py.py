@@ -27,9 +27,9 @@ controlled march from s to one stop, ``target``, in one call: y is the
 march state at s and z its companion (sequences of 15 floats), h the step
 size proposed for the next trial, and tol >= 0 the local error a trial
 may keep; a negative or NaN tol, which would reject every trial, raises
-ValueError before the first one.  Each trial of size h (the last one shortened to land on
-``target``) takes the whole step from y, the two half steps from y, whose
-first k1 is the whole step's, and the local error
+ValueError before the first one.  Each trial of size h (the last one
+shortened to land on ``target``) takes the whole step from y, the two
+half steps from y, whose first k1 is the whole step's, and the local error
 max_i |halves_i - whole_i| / max(1, |halves_i|) / 15.  A trial within
 tol is accepted: the companion step of size h from z follows, and the
 halves and the companion become y and z.  After a trial that does not

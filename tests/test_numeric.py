@@ -709,7 +709,7 @@ class TestKernelParity:
             from spinorflow import _kernel_py, numeric
             for kernel in dict.fromkeys([_kernel_py, numeric._kern]):
                 for y in ({y!r}, {still!r}):
-                    for tol in (-1e-12, -0.0 - 5e-324, -math.inf, math.nan, -1):
+                    for tol in (-1e-12, -5e-324, -math.inf, math.nan, -1):
                         try:
                             kernel.march_stop(y, y, 0.0, 0.5, 0.5, tol)
                         except ValueError as exc:
