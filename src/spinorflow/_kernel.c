@@ -1,20 +1,21 @@
 /* The kernel in C: the three entries of _kernel_py, with its contract and
    its bits.
 
-   _kernel_py documents the contract and stays the reference: every
-   floating-point operation here is the one its _march and march_stop
-   perform, in the same order, on the same operands.  march() takes one
-   trial, or a run of plain steps, on arrays of doubles; rk4_path() is one
-   call of it, and march_stop() loops over its trials up to one stop, with
-   no Python object inside the loop.  The 13 evolving components (Theta_uu,
-   Theta_ll, Theta_ln, Theta_nn and U row-major) live in arrays in that
-   order; the conserved Theta_ul, Theta_un in scalars, as there.  rhs() is
-   the statements k1..k4 of a leg, and the loops over the 13 components are
-   its stage points and its update, element by element.  The error term
-   takes fabs() and keeps the first largest term, as Python's abs() and
-   max() do.  numeric builds this file with -ffp-contract=off and without
-   fast-math, so that no multiply and add fuse and no operation is
-   reordered.
+   _kernel_py documents the contract and stays the reference.  The march
+   here is the list form that tests/test_numeric.py holds both kernels to
+   (_list_form_step, _list_form_trial): rhs() is _kernel_py._rhs over the
+   15 floats of the state, with zero slope for the conserved Theta_ul and
+   Theta_un, and rk4() is one RK4 step, a loop over the 15 floats for each
+   stage point and for the update.  trial() takes the whole step, the two
+   half steps and the companion of a trial, each leg checked as there;
+   rk4_path() loops rk4(), and march_stop() loops trial() up to one stop,
+   with no Python object inside the loop.  _kernel_py._march unrolls the
+   same operations over scalars and gives the same bits: a conserved
+   component's stage point y + dt/2 * 0.0 keeps the sign of a zero as
+   _march's bookkeeping does.  The error term takes fabs() and keeps the
+   first largest term, as Python's abs() and max() do.  numeric builds this
+   file with -ffp-contract=off and without fast-math, so that no multiply
+   and add fuse and no operation is reordered.
 
    e12() prints each cell of the flow table as "%.12e" % x does, byte for
    byte, with integer arithmetic in place of dtoa's big numbers (the method
@@ -32,30 +33,63 @@
 #include <string.h>
 
 #define GUARD 1e12
-#define N 13
 
-/* where each evolving component sits in the 15-float state */
-static const int AT[N] = {0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14};
+enum { WHOLE, HALF_1, HALF_2, COMPANION };
+static const char *const LEG_NAME[] = {"whole", "half 1", "half 2", "companion"};
 
-enum { STEP, WHOLE, HALF_1, HALF_2, COMPANION };
-static const char *const LEG_NAME[] = {"step", "whole", "half 1", "half 2", "companion"};
-
-/* the slope of the evolving components at x, given Theta_ul, Theta_un as
-   p, q, their squares p2, q2 and their product pq */
+/* _kernel_py._rhs: the slope at the state y, zero for Theta_ul, Theta_un */
 static inline void
-rhs(const double *x, double p, double q, double p2, double q2, double pq, double *k)
+rhs(const double *y, double *k)
 {
-    double uu = x[0], ll = x[1], ln = x[2], nn = x[3];
-    k[0] = uu * uu + p2 + q2;
-    k[1] = ll * uu - p2;
-    k[2] = ln * uu - pq;
-    k[3] = nn * uu - q2;
+    double uu = y[0], ul = y[1], un = y[2], ll = y[3], ln = y[4], nn = y[5];
+    k[0] = uu * uu + ul * ul + un * un;
+    k[1] = k[2] = 0.0;
+    k[3] = ll * uu - ul * ul;
+    k[4] = ln * uu - ul * un;
+    k[5] = nn * uu - un * un;
     for (int j = 0; j < 3; j++) {
-        double a = x[4 + j], b = x[7 + j], c = x[10 + j];
-        k[4 + j] = -(uu * a + p * b + q * c);
-        k[7 + j] = -(p * a + ll * b + ln * c);
-        k[10 + j] = -(q * a + ln * b + nn * c);
+        double a = y[6 + j], b = y[9 + j], c = y[12 + j];
+        k[6 + j] = -(uu * a + ul * b + un * c);
+        k[9 + j] = -(ul * a + ll * b + ln * c);
+        k[12 + j] = -(un * a + ln * b + nn * c);
     }
+}
+
+/* one RK4 step of size dt from y into out, which may be y */
+static inline void
+rk4(const double *y, double dt, double *out)
+{
+    double k1[15], k2[15], k3[15], k4[15], x[15];
+    rhs(y, k1);
+    for (int i = 0; i < 15; i++)
+        x[i] = y[i] + 0.5 * dt * k1[i];
+    rhs(x, k2);
+    for (int i = 0; i < 15; i++)
+        x[i] = y[i] + 0.5 * dt * k2[i];
+    rhs(x, k3);
+    for (int i = 0; i < 15; i++)
+        x[i] = y[i] + dt * k3[i];
+    rhs(x, k4);
+    for (int i = 0; i < 15; i++)
+        out[i] = y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+}
+
+/* the guard: |Theta_uu|, |Theta_ll|, |Theta_ln| or |Theta_nn| past GUARD;
+   a NaN does not trip it */
+static int
+past_guard(const double *y)
+{
+    return fabs(y[0]) > GUARD || fabs(y[3]) > GUARD || fabs(y[4]) > GUARD
+        || fabs(y[5]) > GUARD;
+}
+
+static int
+all_finite(const double *y)
+{
+    for (int i = 0; i < 15; i++)
+        if (!isfinite(y[i]))
+            return 0;
+    return 1;
 }
 
 /* the 15 floats of the sequence seq, each read as float() reads it when
@@ -109,143 +143,43 @@ state(const double *y)
     return t;
 }
 
-/* the 15-float state of the evolving components e and Theta_ul, Theta_un */
-static void
-put(double *y, const double *e, double ul, double un)
-{
-    for (int i = 0; i < N; i++)
-        y[AT[i]] = e[i];
-    y[1] = ul;
-    y[2] = un;
-}
-
+/* the trial of size h from y, as _list_form_trial: the halves go to out,
+   their local error to *error and, within tol, the companion step from z
+   to comp.  A leg that trips the guard, or ends on a state that is not
+   finite, stops the trial (the first half step only on a guard trip): its
+   state goes to out, *tripped says which, and its leg is returned; -1 when
+   no leg failed. */
 static int
-all_finite(const double *e, double ul, double un)
+trial(const double *y, const double *z, double h, double tol, double *out, double *comp,
+      double *error, int *tripped)
 {
-    int ok = isfinite(ul) && isfinite(un);
-    for (int j = 0; j < N; j++)
-        ok &= isfinite(e[j]) != 0;
-    return ok;
-}
-
-/* how a march() ended */
-enum { FINISHED, REJECTED, FAILED };
-
-/* what a march() ended on: y is the last plain step, a trial's halves or
-   the state a failing leg ended on, z an accepted trial's companion */
-struct run {
-    double y[15], z[15];
-    double error;    /* a trial's local error, once its halves are taken */
-    Py_ssize_t done; /* plain steps done */
-    int leg;         /* the leg that failed */
-    int tripped;     /* whether it tripped the guard, else it ended on a state not finite */
-};
-
-/* _kernel_py._march: n_steps plain steps of size h from y, or with trial
-   set the trial of size h from y and its companion from z; FINISHED,
-   REJECTED (error > tol) or FAILED, with the rest in r */
-static int
-march(const double *y, const double *z, double h, double tol, Py_ssize_t n_steps, int trial,
-      struct run *r)
-{
-    double e[N], w[N], x[N], k1[N], k2[N], k3[N], k4[N];
-    double ul_s = y[1], un_s = y[2];
-    double h2 = 0.5 * h;
-    double h6 = h / 6.0;
-    double d = h, d2 = h2, d6 = h6;
-    int leg = STEP;
-
-    for (int j = 0; j < N; j++)
-        e[j] = y[AT[j]];
-    double ulun_s = ul_s * un_s;
-    double ul = ul_s + h * 0.0;
-    double un = un_s + h * 0.0;
-    double ul2 = ul * ul;
-    double un2 = un * un;
-    double ulun = ul * un;
-    r->done = 0;
-
-    for (Py_ssize_t i = 0; trial || i < n_steps; i++) {
-        if (trial)
-            leg = WHOLE + (int)i;
-        if (leg != HALF_1)
-            rhs(e, ul_s, un_s, ul2, un2, ulun_s, k1);
-        for (int j = 0; j < N; j++)
-            x[j] = e[j] + d2 * k1[j];
-        rhs(x, ul, un, ul2, un2, ulun, k2);
-        for (int j = 0; j < N; j++)
-            x[j] = e[j] + d2 * k2[j];
-        rhs(x, ul, un, ul2, un2, ulun, k3);
-        for (int j = 0; j < N; j++)
-            x[j] = e[j] + d * k3[j];
-        rhs(x, ul, un, ul2, un2, ulun, k4);
-        for (int j = 0; j < N; j++)
-            e[j] = e[j] + d6 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-        if (e[0] > GUARD || e[0] < -GUARD || e[1] > GUARD || e[1] < -GUARD
-                || e[2] > GUARD || e[2] < -GUARD || e[3] > GUARD || e[3] < -GUARD) {
-            r->tripped = 1;
-            goto stopped;
-        }
-        if (leg == STEP || leg == HALF_1) {
-            r->done += 1;
-            ul_s = ul;
-            un_s = un;
-            ulun_s = ulun;
-            continue;
-        }
-        if (!all_finite(e, ul, un)) {
-            r->tripped = 0;
-            goto stopped;
-        }
-        if (leg == WHOLE) {
-            memcpy(w, e, sizeof e);
-            for (int j = 0; j < N; j++)
-                e[j] = y[AT[j]];
-            ul_s = y[1];
-            un_s = y[2];
-            d = h2;
-            d2 = 0.5 * h2;
-            d6 = h2 / 6.0;
-        }
-        else if (leg == HALF_2) {
-            double error = 0.0;
-            for (int j = 0; j < N; j++) {
-                double v = e[j];
-                double term = fabs(v - w[j]) / (v > 1.0 ? v : v < -1.0 ? -v : 1.0);
-                if (j == 0 || term > error)
-                    error = term;
-            }
-            r->error = error / 15.0;
-            put(r->y, e, ul, un);
-            if (r->error > tol)
-                return REJECTED;
-            for (int j = 0; j < N; j++)
-                e[j] = z[AT[j]];
-            ul_s = z[1];
-            un_s = z[2];
-            ulun_s = ul_s * un_s;
-            ul = ul_s + h * 0.0;
-            un = un_s + h * 0.0;
-            ul2 = ul * ul;
-            un2 = un * un;
-            ulun = ul * un;
-            d = h;
-            d2 = h2;
-            d6 = h6;
-        }
-        else {
-            put(r->z, e, ul, un);
-            return FINISHED;
-        }
+    double whole[15], e = 0.0;
+    rk4(y, h, whole);
+    if ((*tripped = past_guard(whole)) || !all_finite(whole)) {
+        memcpy(out, whole, sizeof whole);
+        return WHOLE;
     }
-    put(r->y, e, ul_s, un_s);
-    return FINISHED;
-
-stopped:
-    put(r->y, e, ul, un);
-    r->leg = leg;
-    r->done += leg == STEP;
-    return FAILED;
+    rk4(y, 0.5 * h, out);
+    if ((*tripped = past_guard(out)))
+        return HALF_1;
+    rk4(out, 0.5 * h, out);
+    if ((*tripped = past_guard(out)) || !all_finite(out))
+        return HALF_2;
+    for (int i = 0; i < 15; i++) {
+        double a = fabs(out[i]);
+        double term = fabs(out[i] - whole[i]) / (a > 1.0 ? a : 1.0);
+        if (i == 0 || term > e)
+            e = term;
+    }
+    *error = e / 15.0;
+    if (*error > tol)
+        return -1;
+    rk4(z, h, comp);
+    if ((*tripped = past_guard(comp)) || !all_finite(comp)) {
+        memcpy(out, comp, 15 * sizeof *comp);
+        return COMPANION;
+    }
+    return -1;
 }
 
 static int
@@ -272,9 +206,14 @@ rk4_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t n_steps = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
     if (n_steps == -1 && PyErr_Occurred())
         return NULL;
-    struct run r;
-    int how = march(y, NULL, dt, 0.0, n_steps, 0, &r);
-    return Py_BuildValue("(NnO)", state(r.y), r.done, how == FAILED ? Py_True : Py_False);
+    Py_ssize_t done = 0;
+    int tripped = 0;
+    while (done < n_steps && !tripped) {
+        rk4(y, dt, y);
+        done += 1;
+        tripped = past_guard(y);
+    }
+    return Py_BuildValue("(NnO)", state(y), done, tripped ? Py_True : Py_False);
 }
 
 /* the double of the float x in *out; 0 on success, -1 with an exception set */
@@ -297,9 +236,8 @@ clamp(double v)
 static PyObject *
 march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double y[15], z[15], s, h, target, tol;
+    double y[15], z[15], halves[15], companion[15], s, h, target, tol, error;
     Py_ssize_t accepted = 0, rejected = 0;
-    struct run r;
     if (!check_nargs("march_stop", nargs, 6) || read_state(args[0], y, 0) < 0
             || read_state(args[1], z, 0) < 0 || read_float(args[2], &s) < 0
             || read_float(args[3], &h) < 0 || read_float(args[4], &target) < 0
@@ -313,24 +251,24 @@ march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (s + step == s)
             return Py_BuildValue("(NNddOOnn(sO))", state(y), state(z), s, h, Py_None,
                                  Py_None, accepted, rejected, "stall", Py_None);
-        int how = march(y, z, step, tol, 0, 1, &r);
-        if (how == FAILED) {
-            s = s + (r.leg == HALF_1 ? 0.5 * step : step);
-            return Py_BuildValue("(NNddOOnn(sO))", state(r.y), state(z), s, h, Py_None,
-                                 Py_None, accepted, rejected, LEG_NAME[r.leg],
-                                 r.tripped ? Py_True : Py_False);
+        int tripped, leg = trial(y, z, step, tol, halves, companion, &error, &tripped);
+        if (leg >= 0) {
+            s = s + (leg == HALF_1 ? 0.5 * step : step);
+            return Py_BuildValue("(NNddOOnn(sO))", state(halves), state(z), s, h, Py_None,
+                                 Py_None, accepted, rejected, LEG_NAME[leg],
+                                 tripped ? Py_True : Py_False);
         }
-        if (how == REJECTED)
+        if (error > tol)
             rejected += 1;
         else {
             accepted += 1;
-            memcpy(y, r.y, sizeof y);
-            memcpy(z, r.z, sizeof z);
+            memcpy(y, halves, sizeof y);
+            memcpy(z, companion, sizeof z);
             s = land ? target : s + step;
             if (land)
                 break;
         }
-        h = fabs(step) * (r.error == 0.0 ? 5.0 : clamp(0.9 * pow(tol / r.error, 0.2)));
+        h = fabs(step) * (error == 0.0 ? 5.0 : clamp(0.9 * pow(tol / error, 0.2)));
     }
     double extrapolated[15], gap = 0.0;
     for (int i = 0; i < 15; i++) {

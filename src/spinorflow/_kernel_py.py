@@ -1,11 +1,13 @@
 """The kernel in Python: the reference of the package's RK4 step and of
 the flow table's number format, and the fallback of its C kernel.
 
-``numeric`` runs the C extension built from ``_kernel.c``, which repeats
-this module's ``_march`` operation for operation and gives the same bits,
-and runs this module wherever that cannot be built or loaded.  This module
-states the contract of both; ``tests/test_numeric.py`` holds both to it,
-and ``tests/test_cli.py`` holds both ``e12`` to ``"%.12e" % x``.
+``numeric`` runs the C extension built from ``_kernel.c``, and runs this
+module wherever that cannot be built or loaded.  The C kernel writes the
+RK4 step as the list form below, a function call per right-hand side and
+a loop over the 15 floats, and gives the same bits as this module's
+unrolled ``_march``.  This module states the contract of both;
+``tests/test_numeric.py`` holds both to it, and ``tests/test_cli.py``
+holds both ``e12`` to ``"%.12e" % x``.
 
 It marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)

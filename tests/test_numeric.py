@@ -842,17 +842,19 @@ class TestKernelParity:
         assert got[1:] == (z, s, h, None, None, 0, 0, (leg, True))
         assert _stop_bits(got) == _stop_bits(_list_form_stop(y, z, 0.0, h, h, math.inf))
 
-    @pytest.mark.parametrize("leg", ["whole", "companion"])
+    @pytest.mark.parametrize("leg", ["whole", "half 2", "companion"])
     def test_march_stop_reports_an_overflowed_frame(self, kernel, leg):
         # Theta = -2 I stays bounded while each entry of U in turn, at
-        # 1e308, grows past the largest float: the guard reads Theta only
+        # 1e308, grows past the largest float: the guard reads Theta only.
+        # At max / 7.1 the whole step stays finite (x7.0) and the two half
+        # steps do not (x7.335)
         fine = (1.0,) + (0.0,) * 5 + _FRAME
         for i in range(6, 15):
             big = [-2.0, 0.0, 0.0, -2.0, 0.0, -2.0] + list(_FRAME)
-            big[i] = 1e308
-            y, z = (tuple(big), fine) if leg == "whole" else (fine, tuple(big))
+            big[i] = sys.float_info.max / 7.1 if leg == "half 2" else 1e308
+            y, z = (fine, tuple(big)) if leg == "companion" else (tuple(big), fine)
             got = kernel.march_stop(y, z, 0.0, 1.0, 1.0, math.inf)
-            assert got[6:] == (0, 0, (leg, False)), i
+            assert (got[2],) + got[6:] == (1.0, 0, 0, (leg, False)), i
             assert _stop_bits(got) == _stop_bits(_list_form_stop(y, z, 0.0, 1.0, 1.0,
                                                                  math.inf))
 
