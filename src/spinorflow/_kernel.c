@@ -1,4 +1,4 @@
-/* The kernel in C: the three entries of _kernel_py, with its contract and
+/* The kernel in C: the four entries of _kernel_py, with its contract and
    its bits.
 
    _kernel_py documents the contract and stays the reference.  The march
@@ -24,7 +24,19 @@
    one half the rounding, half to even, as Gay's dtoa rounds.  The zeros
    take the same path; subnormals, infinities, NaNs, |x| outside [1e-20,
    1e45) and a compiler without __int128 take PyOS_double_to_string,
-   Python's own formatter. */
+   Python's own formatter.
+
+   reprs() prints each cell of the curvature payload as repr(x) does, the
+   shortest digits that read back as x, by Ryu (Adams 2018) with exact
+   powers of five in place of its truncated tables: x and the ends of the
+   interval that rounds to it are scaled to 19 digits in up to 192 bits,
+   and digits are dropped while the ends differ.  The layout is
+   float_repr's: plain for 1e-4 <= |x| < 1e16, with ".0" on an integral
+   value, else d.ddde+XX.  Subnormals, infinities, NaNs, |x| outside
+   [2^-122, 2^155) (about [1.9e-37, 4.6e46)), two shortest candidates
+   equally near x and a compiler without __int128 take
+   PyOS_double_to_string, which leaves dtoa's tie rule to dtoa.  The zeros
+   are two shared strings. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -286,7 +298,8 @@ march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 typedef unsigned __int128 u128;
 
 #define MAX_J 32 /* m 5^j < 2^53 5^32 < 2^128 */
-static u128 POW5[MAX_J + 1];
+#define MAX_P5 55 /* 5^55 < 2^128 */
+static u128 POW5[MAX_P5 + 1];
 
 /* the 13 significant digits of m 2^e2 (2^52 <= m < 2^53) as %.12e rounds
    them, an integer in [10^12, 10^13), with the decimal exponent k of the
@@ -338,7 +351,107 @@ digits13(uint64_t m, int e2, uint64_t *q, int *k)
     }
     return 0;
 }
+
+/* floor(w 2^e / 10^k) for w < 2^56 in *v, and in *exact whether it is
+   exact; 0 where that is out of reach.  For k <= 0 it is w 5^-k, a product
+   of up to 192 bits, top:p0, shifted by e - k; for k > 0, which holds only
+   past 1e18 where e > k, w 2^(e - k) divided by 5^k. */
+static int
+scaled(uint64_t w, int e, int k, u128 *v, int *exact)
+{
+    int s = e - k;
+    if (k > 0) {
+        if (k > MAX_P5 || s < 0 || s > 72)
+            return 0;
+        u128 num = (u128)w << s;
+        *v = num / POW5[k];
+        *exact = *v * POW5[k] == num;
+        return 1;
+    }
+    if (-k > MAX_P5)
+        return 0;
+    u128 lo = (u128)w * (uint64_t)POW5[-k], hi = (u128)w * (uint64_t)(POW5[-k] >> 64);
+    u128 mid = (lo >> 64) + (uint64_t)hi;
+    uint64_t p0 = (uint64_t)lo, p2 = (uint64_t)(hi >> 64) + (uint64_t)(mid >> 64);
+    u128 top = (u128)p2 << 64 | (uint64_t)mid; /* the product less its word p0 */
+    if (s >= 0) {
+        if (s > 8 || top >> (56 - s) != 0)
+            return 0;
+        *v = (top << 64 | p0) << s;
+        *exact = 1;
+    }
+    else if (s > -64) {
+        if (p2 >> -s != 0)
+            return 0;
+        *v = top << (64 + s) | p0 >> -s;
+        *exact = p0 << (64 + s) == 0;
+    }
+    else {
+        if (s <= -192)
+            return 0;
+        *v = top >> (-s - 64);
+        *exact = p0 == 0 && (top & ((((u128)1) << (-s - 64)) - 1)) == 0;
+    }
+    return 1;
+}
+
+/* the shortest digits that read back as m 2^e2 (2^52 <= m < 2^53), as Ryu
+   finds them (Adams 2018), with the decimal exponent of the last digit; 0
+   where they are out of reach or two shortest candidates are equally near,
+   where dtoa's own rule decides.  The ends of the interval that rounds to
+   x, x -+ 1/2 ulp (the lower gap halved at m = 2^52 past the first
+   binade), count iff m is even, as in dtoa.  The ends and x are taken
+   exactly at 19 digits, with whether each is exact, and Ryu's general loop
+   drops digits while the ends still differ. */
+static int
+shortest(uint64_t m, int e2, int half_gap, uint64_t *digits, int *exp10)
+{
+    const uint64_t ten19 = 10000000000000000000ULL;
+    int even = !(m & 1), e = e2 - 2, x_exact, up_exact, low_exact;
+    /* x lies in [10^f, 2 10^(f + 1)): x / 10^k in [10^18, 2 10^19) */
+    int k = (int)floor((e2 + 52) * 0.30102999566398120) - 18;
+    u128 v, up, low;
+    if (!scaled(4 * m, e, k, &v, &x_exact))
+        return 0;
+    if (v >= ten19 && !scaled(4 * m, e, ++k, &v, &x_exact))
+        return 0;
+    if (!scaled(4 * m + 2, e, k, &up, &up_exact)
+            || !scaled(4 * m - 1 - !half_gap, e, k, &low, &low_exact))
+        return 0;
+    /* x, its ends and the digits dropped: all below 2^64 from here */
+    uint64_t r = (uint64_t)v, p = (uint64_t)up - (!even && up_exact), lo = (uint64_t)low;
+    int lo_zeros = even && low_exact, r_zeros = x_exact, last = 0;
+    *exp10 = k;
+    /* while the ends differ past the next digit, and then while an exact
+       lower end that counts has another zero to drop */
+    while (p / 10 > lo / 10 || (lo_zeros && lo % 10 == 0)) {
+        lo_zeros &= lo % 10 == 0;
+        r_zeros &= last == 0;
+        last = (int)(r % 10);
+        r /= 10, p /= 10, lo /= 10, ++*exp10;
+    }
+    if (r_zeros && last == 5)
+        return 0;
+    r += (r == lo && !lo_zeros) || last >= 5;
+    for (; r % 10 == 0; r /= 10)
+        ++*exp10;
+    *digits = r;
+    return 1;
+}
 #endif
+
+/* PyOS_double_to_string(x, code, precision, flags), Python's own formatter,
+   as a str */
+static PyObject *
+python_format(double x, char code, int precision, int flags)
+{
+    char *text = PyOS_double_to_string(x, code, precision, flags, NULL);
+    if (text == NULL)
+        return NULL;
+    PyObject *out = PyUnicode_FromString(text);
+    PyMem_Free(text);
+    return out;
+}
 
 /* "%.12e" % x */
 static PyObject *
@@ -355,14 +468,8 @@ format_e12(double x)
         if (biased != 0 && biased != 0x7ff)
             ok = digits13(frac | 1ULL << 52, biased - 1075, &q, &k);
 #endif
-        if (!ok) { /* subnormals, inf, nan and the far exponents: Python's own path */
-            char *text = PyOS_double_to_string(x, 'e', 12, 0, NULL);
-            if (text == NULL)
-                return NULL;
-            PyObject *out = PyUnicode_FromString(text);
-            PyMem_Free(text);
-            return out;
-        }
+        if (!ok) /* subnormals, inf, nan and the far exponents: Python's own path */
+            return python_format(x, 'e', 12, 0);
     }
     /* d.dddddddddddde+kk: |k| <= 45 here, two digits */
     int ak = k < 0 ? -k : k;
@@ -388,10 +495,81 @@ format_e12(double x)
     return out;
 }
 
+static PyObject *ZEROS[2]; /* "0.0" and "-0.0", shared by every zero cell */
+
+/* repr(x): the shortest digits, plain for 1e-4 <= |x| < 1e16 with ".0" on
+   an integral value, else d.ddde+XX, as float_repr lays them out */
 static PyObject *
-e12(PyObject *module, PyObject *cells)
+format_repr(double x)
 {
-    PyObject *fast = PySequence_Fast(cells, "e12() takes a sequence of floats");
+    uint64_t bits, d = 0;
+    int exp10 = 0;
+    memcpy(&bits, &x, sizeof bits);
+    int neg = (int)(bits >> 63), biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t frac = bits & ((1ULL << 52) - 1);
+    if (biased == 0 && frac == 0)
+        return Py_NewRef(ZEROS[neg]);
+    int ok = 0;
+#ifdef __SIZEOF_INT128__
+    if (biased != 0 && biased != 0x7ff)
+        ok = shortest(frac | 1ULL << 52, biased - 1075, frac == 0 && biased > 1, &d, &exp10);
+#endif
+    if (!ok) /* subnormals, inf, nan, the far exponents and the ties */
+        return python_format(x, 'r', 0, Py_DTSF_ADD_DOT_0);
+    char digits[20], text[32], *p = text;
+    int n = 0;
+    for (; d != 0; d /= 10) /* from the last digit */
+        digits[19 - n++] = (char)('0' + d % 10);
+    const char *first = digits + 20 - n;
+    int point = exp10 + n; /* x = 0.(digits) 10^point */
+    if (neg)
+        *p++ = '-';
+    if (point <= -4 || point > 16) {
+        int e = point - 1;
+        *p++ = first[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, first + 1, n - 1);
+            p += n - 1;
+        }
+        int ae = e < 0 ? -e : e; /* two digits at least, as %+.2d */
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (ae >= 100)
+            *p++ = (char)('0' + ae / 100);
+        *p++ = (char)('0' + ae / 10 % 10);
+        *p++ = (char)('0' + ae % 10);
+    }
+    else if (point <= 0) {
+        memcpy(p, "0.0000", 2 - point);
+        p += 2 - point;
+        memcpy(p, first, n);
+        p += n;
+    }
+    else if (point < n) {
+        memcpy(p, first, point);
+        p[point] = '.';
+        memcpy(p + point + 1, first + point, n - point);
+        p += n + 1;
+    }
+    else {
+        memcpy(p, first, n);
+        memset(p + n, '0', point - n);
+        p += point;
+        memcpy(p, ".0", 2);
+        p += 2;
+    }
+    PyObject *out = PyUnicode_New(p - text, 127);
+    if (out != NULL)
+        memcpy(PyUnicode_1BYTE_DATA(out), text, p - text);
+    return out;
+}
+
+/* the tuple of format(x) for each float x of the sequence cells */
+static PyObject *
+format_each(PyObject *cells, PyObject *(*format)(double), const char *message)
+{
+    PyObject *fast = PySequence_Fast(cells, message);
     if (fast == NULL)
         return NULL;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
@@ -399,7 +577,7 @@ e12(PyObject *module, PyObject *cells)
     PyObject *out = PyTuple_New(n);
     for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
         double x = PyFloat_AsDouble(items[i]);
-        PyObject *text = x == -1.0 && PyErr_Occurred() ? NULL : format_e12(x);
+        PyObject *text = x == -1.0 && PyErr_Occurred() ? NULL : format(x);
         if (text == NULL)
             Py_CLEAR(out);
         else
@@ -409,12 +587,25 @@ e12(PyObject *module, PyObject *cells)
     return out;
 }
 
+static PyObject *
+e12(PyObject *module, PyObject *cells)
+{
+    return format_each(cells, format_e12, "e12() takes a sequence of floats");
+}
+
+static PyObject *
+reprs(PyObject *module, PyObject *cells)
+{
+    return format_each(cells, format_repr, "reprs() takes a sequence of floats");
+}
+
 static PyMethodDef methods[] = {
     {"rk4_path", (PyCFunction)(void (*)(void))rk4_path, METH_FASTCALL,
      "rk4_path(y0, dt, n_steps, /): as _kernel_py.rk4_path."},
     {"march_stop", (PyCFunction)(void (*)(void))march_stop, METH_FASTCALL,
      "march_stop(y, z, s, h, target, tol, /): as _kernel_py.march_stop."},
     {"e12", e12, METH_O, "e12(cells, /): as _kernel_py.e12."},
+    {"reprs", reprs, METH_O, "reprs(cells, /): as _kernel_py.reprs."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -429,8 +620,11 @@ PyInit__kernel(void)
 {
 #ifdef __SIZEOF_INT128__
     POW5[0] = 1;
-    for (int j = 1; j <= MAX_J; j++)
+    for (int j = 1; j <= MAX_P5; j++)
         POW5[j] = 5 * POW5[j - 1];
 #endif
+    if ((ZEROS[0] = PyUnicode_InternFromString("0.0")) == NULL
+            || (ZEROS[1] = PyUnicode_InternFromString("-0.0")) == NULL)
+        return NULL;
     return PyModule_Create(&kernel_module);
 }

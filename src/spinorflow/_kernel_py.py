@@ -1,5 +1,6 @@
 """The kernel in Python: the reference of the package's RK4 step and of
-the flow table's number format, and the fallback of its C kernel.
+the number formats of the flow table and of curvature, and the fallback of
+its C kernel.
 
 ``numeric`` runs the C extension built from ``_kernel.c``, and runs this
 module wherever that cannot be built or loaded.  The C kernel writes the
@@ -7,7 +8,7 @@ RK4 step as the list form below, a function call per right-hand side and
 a loop over the 15 floats, and gives the same bits as this module's
 unrolled ``_march``.  This module states the contract of both;
 ``tests/test_numeric.py`` holds both to it, and ``tests/test_cli.py``
-holds both ``e12`` to ``"%.12e" % x``.
+holds both ``e12`` to ``"%.12e" % x`` and both ``reprs`` to ``repr(x)``.
 
 It marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
@@ -17,7 +18,7 @@ lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
-The three entries take their arguments by position only.
+The four entries take their arguments by position only.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march.  It returns ``(y, steps done, truncated)``: y is
 the state the march ends on, as a tuple of 15 floats, which on truncation
@@ -75,6 +76,13 @@ y - dt/2 (e): where the terms cancel, the sum's zero would change sign.
 ``%`` over ``"%.12e " * n`` and splits the result, which costs less than a
 ``%`` per cell; the C kernel computes each cell's digits exactly in
 integers.
+
+``reprs(cells)`` returns ``repr(x)`` for each Python float x of the
+sequence ``cells``, as a tuple of strings: the cells of the curvature
+payload, its shortest round-tripping digits, which ``cli`` fills into its
+templates.  Here it formats every cell with one ``%`` over ``"%r " * n``
+and splits the result; the C kernel finds each cell's shortest digits
+exactly in integers.
 """
 
 from __future__ import annotations
@@ -140,6 +148,12 @@ def e12(cells, /):
     """``"%.12e" % x`` for each float x of ``cells``, as a tuple of
     strings; see the module docstring."""
     return tuple(("%.12e " * len(cells) % tuple(cells)).split())
+
+
+def reprs(cells, /):
+    """``repr(x)`` for each float x of ``cells``, as a tuple of strings;
+    see the module docstring."""
+    return tuple(("%r " * len(cells) % tuple(cells)).split())
 
 
 def _march(y, z, h, tol, legs):

@@ -21,10 +21,10 @@ filled by one ``%`` over a flat tuple: the CSV row ``_CSV_ROW``, the JSON
 row object ``_JSON_ROW``, and the curvature sample ``_SAMPLE`` under its
 lifespan head.  They write the bytes ``csv.writer`` and
 ``json.dumps(..., indent=2)`` would, at a fraction of the cost.  The flow
-table's cells arrive as strings from the kernel's ``e12``
-(``numeric._kern``, read when the table renders), which prints each float
-as %.12e does, in C with integer arithmetic; ``curvature``'s shortest-repr
-cells are Python floats, printed by ``%r``.
+table's cells arrive as strings from the kernel's ``e12`` and
+``curvature``'s from its ``reprs`` (``numeric._kern``, read when the
+output renders), which print each float as %.12e and as ``repr`` do, in C
+with integer arithmetic.
 
 Importing this module loads only what every command runs: argparse, json,
 numpy, orjson when it is installed, and the parsing of pairs and lapses
@@ -233,11 +233,11 @@ def _render_flow(cells: tuple, fmt: str) -> str:
     return ",".join(FLOW_COLUMNS) + "\n" + _CSV_ROW * n % text
 
 
-_RICCI_ROW = "        [\n" + ",\n".join(["          %r"] * 4) + "\n        ]"
-_SAMPLE = ('    {\n      "t": %r,\n      "beta": %r,\n      "ricci4": [\n'
+_RICCI_ROW = "        [\n" + ",\n".join(["          %s"] * 4) + "\n        ]"
+_SAMPLE = ('    {\n      "t": %s,\n      "beta": %s,\n      "ricci4": [\n'
            + ",\n".join([_RICCI_ROW] * 4)
-           + '\n      ],\n      "scalar4": %r,\n      "hamiltonian": %r,\n'
-           '      "identity_residual": %r\n    }')
+           + '\n      ],\n      "scalar4": %s,\n      "hamiltonian": %s,\n'
+           '      "identity_residual": %s\n    }')
 _CURVATURE_HEAD = ('{\n  "lifespan": {\n    "t_minus": %s,\n    "t_plus": %s,\n'
                    '    "immortal": %s\n  },\n  "samples": ')
 
@@ -253,13 +253,16 @@ def _json_end(x: float | None) -> str:
 def _render_curvature(span, cells: tuple) -> str:
     """The curvature payload: the lifespan of ``span``, then the samples
     whose cells, sample by sample, are ``cells`` (``lorentz._curvature``;
-    one sample at least), Python floats."""
+    one sample at least), Python floats, each printed as its shortest repr
+    by the kernel's ``reprs``."""
+    from . import numeric
     from .lorentz import _CURVATURE_CELLS
 
     head = _CURVATURE_HEAD % (_json_end(span.t_minus), _json_end(span.t_plus),
                               "true" if span.immortal else "false")
     n = len(cells) // _CURVATURE_CELLS
-    return head + "[\n" + ",\n".join([_SAMPLE] * n) % cells + "\n  ]\n}\n"
+    text = numeric._kern.reprs(cells)
+    return head + "[\n" + ",\n".join([_SAMPLE] * n) % text + "\n  ]\n}\n"
 
 
 def cmd_validate(args, data) -> int:

@@ -15,11 +15,12 @@ The kernel ``_kern`` is the C extension built from ``_kernel.c`` when this
 module is first imported (``_c_kernel``), and otherwise the pure-Python
 module ``_kernel_py``, which documents the contract of both and gives the
 same bits; ``KERNEL_BACKEND`` reads ``"c"`` or ``"python"``.  Its third
-entry, ``e12``, prints the cells of ``cli``'s flow table, which reads it
-as ``numeric._kern.e12`` when it renders.  The build
-runs the interpreter's own compiler once and caches the library in the
-package's ``__pycache__``; any failure falls back to ``_kernel_py`` and
-prints nothing.
+and fourth entries, ``e12`` and ``reprs``, print the cells of ``cli``'s
+flow table and of its curvature payload, which read them as
+``numeric._kern.e12`` and ``numeric._kern.reprs`` when they render.  The
+build runs the interpreter's own compiler once and caches the library in
+the package's ``__pycache__``; any failure falls back to ``_kernel_py``
+and prints nothing.
 
 Inside the package, states travel as one stacked record of arrays,
 ``_States``, which ``_state_from_vector`` checks and builds; ``FlowState``

@@ -1044,8 +1044,8 @@ SPAN_END = st.none() | st.sampled_from([-math.inf, math.inf]) | FINITE
 SPAN = st.builds(Lifespan, SPAN_END, SPAN_END, st.booleans())
 
 
-# each backend's e12; the C one where numeric built it
-E12_KERNELS = [
+# each backend, for e12 and reprs; the C one where numeric built it
+KERNELS = [
     pytest.param(_kernel_py, id="python"),
     pytest.param(numeric._kern, id="c", marks=pytest.mark.skipif(
         numeric._kern is _kernel_py, reason="numeric runs _kernel_py: no C kernel was built")),
@@ -1085,7 +1085,7 @@ def _e12_cases() -> tuple[tuple, tuple]:
     return cells, tuple("%.12e" % x for x in cells)
 
 
-@pytest.mark.parametrize("kernel", E12_KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_e12_prints_each_float_as_percent_12e(kernel):
     # exact: the golden comparison forgives a last-digit unit, so it would
     # not see a rounding slip
@@ -1097,8 +1097,58 @@ def test_e12_prints_each_float_as_percent_12e(kernel):
                                                               "-1.000000000000e+00")
 
 
+@functools.cache
+def _repr_cases() -> tuple[tuple, tuple]:
+    """About 200,000 floats on which a shortest-repr writer could slip, and
+    ``repr(x)`` of each: random bit patterns (NaNs, infinities and
+    subnormals among them), log-uniform magnitudes from 1e-25 to 1e50, the
+    200 floats on either side of the notation switches at 1e-4 and 1e16,
+    every power of two (whose lower gap is half its upper one) and its
+    neighbours, values whose shortest form has 1 to 17 digits, integral
+    floats up to 2^70, subnormals, the zeros, infinities and NaNs, and
+    every curvature cell of the golden corpus; each of both signs."""
+    from golden import regenerate
+
+    rng = np.random.default_rng(43)
+    switches = np.array([1e-4, 1e16])[:, None] * (1.0 + np.arange(-200, 201) * 2.0 ** -52)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    # d random digits at a random exponent, read back: 1 to 17 digits
+    digits = [float(f"{n}e{e}") for d in range(1, 18)
+              for n, e in zip(rng.integers(10 ** (d - 1), 10 ** d, 1_000).tolist(),
+                              rng.integers(-25, 25, 1_000).tolist())]
+    integral = np.ldexp(rng.integers(1, 2 ** 53, 5_000).astype(float),
+                        rng.integers(0, 18, 5_000))
+    corpus = []
+    for path in regenerate.corpus_files():
+        for run in json.loads(path.read_text())["runs"]:
+            if run["argv"][0] == "curvature" and run["exit"] == 0:
+                corpus += (x for sample in json.loads("\n".join(run["stdout"]))["samples"]
+                           for x in curvature_cells(sample))
+    cells = np.concatenate([
+        rng.integers(0, 2 ** 64, 15_000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-25.0, 50.0, 30_000),
+        switches.ravel(), powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        digits, integral, rng.integers(1, 2 ** 52, 1_000, dtype=np.uint64).view(np.float64),
+        [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+         sys.float_info.max], corpus,
+    ])
+    cells = tuple(np.concatenate([cells, -cells]).tolist())
+    return cells, tuple(map(repr, cells))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_reprs_prints_each_float_as_repr(kernel):
+    # exact: the golden comparison forgives an ulp, so it would not see a
+    # slip in the last digit
+    cells, want = _repr_cases()
+    got = kernel.reprs(cells)
+    assert type(got) is tuple and all(type(x) is str for x in got)
+    assert [(x, a, b) for x, a, b in zip(cells, got, want) if a != b] == []
+    assert kernel.reprs([]) == () and kernel.reprs([0.5, -1e16]) == ("0.5", "-1e+16")
+
+
 class TestRenderers:
-    @pytest.mark.parametrize("kernel", E12_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_flow_table_of_edge_cells(self, kernel, fmt, monkeypatch):
         # the %.12e templates the flow table was rendered through before
@@ -1126,6 +1176,24 @@ class TestRenderers:
     def test_flow_table(self, rows, fmt):
         cells = tuple(v for row in rows for v in row)
         assert cli._render_flow(cells, fmt) == _reference_table(cells, fmt)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_curvature_payload_of_edge_cells(self, kernel, monkeypatch):
+        # the %r sample template curvature was rendered through before
+        # reprs printed its cells, kept as the reference
+        ricci_row = "        [\n" + ",\n".join(["          %r"] * 4) + "\n        ]"
+        sample = ('    {\n      "t": %r,\n      "beta": %r,\n      "ricci4": [\n'
+                  + ",\n".join([ricci_row] * 4)
+                  + '\n      ],\n      "scalar4": %r,\n      "hamiltonian": %r,\n'
+                  '      "identity_residual": %r\n    }')
+        edges = [0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-4,
+                 math.nextafter(1e-4, 0.0), 0.1, 1e22, sys.float_info.max]
+        n = 2 * lorentz._CURVATURE_CELLS
+        cells = tuple((edges * n)[:n])
+        monkeypatch.setattr(numeric, "_kern", kernel)
+        want = (cli._CURVATURE_HEAD % ("null", '"inf"', "false") + "[\n"
+                + ",\n".join([sample] * 2) % cells + "\n  ]\n}\n")
+        assert cli._render_curvature(Lifespan(None, math.inf, False), cells) == want
 
     @settings(max_examples=50, deadline=None)
     @given(span=SPAN, samples=st.lists(SAMPLE, min_size=1, max_size=4))

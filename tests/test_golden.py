@@ -9,7 +9,8 @@ wrote the corpus, rerunning ``tests/golden/regenerate.py`` and ``git diff
 tests/golden`` compare bytes.
 
 The commands that run the kernel (``flow``, which prints its table through
-the kernel's ``e12`` and marches with ``--method rk4``, and ``verify``) run
+the kernel's ``e12`` and marches with ``--method rk4``, ``curvature``,
+which prints its cells through the kernel's ``reprs``, and ``verify``) run
 once more on the pure-Python kernel ``_kernel_py``, the fallback of a
 machine that cannot build the C kernel: it must print the active kernel's
 bytes.
@@ -74,7 +75,7 @@ def test_commands_reproduce_the_corpus(path):
 @pytest.mark.parametrize("path", FILES, ids=[f.stem for f in FILES])
 def test_the_python_kernel_prints_the_same_bytes(path, monkeypatch):
     record = json.loads(path.read_text())
-    for want in [run for run in record["runs"] if run["argv"][0] in ("flow", "verify")]:
+    for want in [run for run in record["runs"] if run["argv"][0] in ("flow", "curvature", "verify")]:
         got = regenerate.run(record["input"], want["argv"])
         with monkeypatch.context() as patch:
             patch.setattr(numeric, "_kern", _kernel_py)
