@@ -80,9 +80,9 @@ integers.
 ``reprs(cells)`` returns ``repr(x)`` for each Python float x of the
 sequence ``cells``, as a tuple of strings: the cells of the curvature
 payload, its shortest round-tripping digits, which ``cli`` fills into its
-templates.  Here it formats every cell with one ``%`` over ``"%r " * n``
-and splits the result; the C kernel finds each cell's shortest digits
-exactly in integers.
+templates.  Here it maps ``repr`` over the cells, which costs less than
+``e12``'s one ``%`` and split; the C kernel finds each cell's shortest
+digits exactly in integers.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def e12(cells, /):
 def reprs(cells, /):
     """``repr(x)`` for each float x of ``cells``, as a tuple of strings;
     see the module docstring."""
-    return tuple(("%r " * len(cells) % tuple(cells)).split())
+    return tuple(map(repr, cells))
 
 
 def _march(y, z, h, tol, legs):

@@ -1110,7 +1110,8 @@ def _repr_cases() -> tuple[tuple, tuple]:
     from golden import regenerate
 
     rng = np.random.default_rng(43)
-    switches = np.array([1e-4, 1e16])[:, None] * (1.0 + np.arange(-200, 201) * 2.0 ** -52)
+    switches = (np.array([1e-4, 1e16]).view(np.int64)[:, None]
+                + np.arange(-200, 201)).view(np.float64)
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     # d random digits at a random exponent, read back: 1 to 17 digits
     digits = [float(f"{n}e{e}") for d in range(1, 18)
