@@ -1,4 +1,4 @@
-/* The kernel in C: the four entries of _kernel_py, with its contract and
+/* The kernel in C: the five entries of _kernel_py, with its contract and
    its bits.
 
    _kernel_py documents the contract and stays the reference.  The march
@@ -22,9 +22,9 @@
    of Ryu printf, Adams 2019): V = |x| 10^(12 - k) is computed exactly in
    128 bits, its integer part gives the 13 digits and its remainder against
    one half the rounding, half to even, as Gay's dtoa rounds.  The zeros
-   take the same path; subnormals, infinities, NaNs, |x| outside [1e-20,
-   1e45) and a compiler without __int128 take PyOS_double_to_string,
-   Python's own formatter.
+   are two shared strings; subnormals, infinities, NaNs, |x| outside
+   [1e-20, 1e45) and a compiler without __int128 take
+   PyOS_double_to_string, Python's own formatter.
 
    reprs() prints each cell of the curvature payload as repr(x) does, the
    shortest digits that read back as x, by Ryu (Adams 2018) with exact
@@ -36,7 +36,12 @@
    [2^-122, 2^155) (about [1.9e-37, 4.6e46)), two shortest candidates
    equally near x and a compiler without __int128 take
    PyOS_double_to_string, which leaves dtoa's tie rule to dtoa.  The zeros
-   are two shared strings. */
+   are two shared strings.
+
+   cumulative() builds the table of a tabulated lapse, B at every node, in
+   one pass outward from t = 0 to either end: each segment's trapezoid part,
+   then its compensated running sum, each the operations of _kernel_py's
+   numpy form in their order, so the bytes are the same. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -294,6 +299,85 @@ march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                          gap / 15.0, accepted, rejected, Py_None);
 }
 
+/* the double buffer of the float64 array x in *view; 0 on success, -1 with
+   an exception set */
+static int
+read_doubles(PyObject *x, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(x, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->ndim == 1 && view->itemsize == sizeof(double) && strcmp(view->format, "d") == 0)
+        return 0;
+    PyBuffer_Release(view);
+    PyErr_SetString(PyExc_TypeError, "cumulative() takes 1D float64 arrays");
+    return -1;
+}
+
+/* one term of _kernel_py._prefix_sums: p added to the running sum *sum and
+   its correction *fix (first: p is the first term, the sums are p and its
+   rounding error from 0.0); returns the corrected sum */
+static inline double
+prefix_sum(double p, double *sum, double *fix, int first)
+{
+    double prev = first ? 0.0 : *sum, s = first ? p : prev + p, added = s - prev;
+    double error = (prev - (s - added)) + (p - added);
+    *fix = first ? error : *fix + error;
+    *sum = s;
+    return s + *fix;
+}
+
+/* the table of the n nodes t, v, z the first with t[z] >= 0: outward from
+   the node at 0, t[z] or the split point (0, at_zero), first to the nodes
+   above it, then to those below it, negated; tp, vp is the node before,
+   nearer 0 */
+static void
+fill_table(const double *t, const double *v, Py_ssize_t n, Py_ssize_t z, double at_zero,
+           double *out)
+{
+    int split = t[z] != 0.0;
+    double t0 = split ? 0.0 : t[z], v0 = split ? at_zero : v[z], tp = t0, vp = v0;
+    double sum = 0.0, fix = 0.0;
+    if (!split)
+        out[z] = 0.0;
+    for (Py_ssize_t i = z + !split; i < n; i++) {
+        out[i] = prefix_sum((t[i] - tp) * (v[i] + vp) / 2.0, &sum, &fix, i == z + !split);
+        tp = t[i], vp = v[i];
+    }
+    tp = t0, vp = v0;
+    for (Py_ssize_t i = z - 1; i >= 0; i--) {
+        out[i] = -prefix_sum((tp - t[i]) * (vp + v[i]) / 2.0, &sum, &fix, i == z - 1);
+        tp = t[i], vp = v[i];
+    }
+}
+
+static PyObject *
+cumulative(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer t, v;
+    double at_zero;
+    if (!check_nargs("cumulative", nargs, 3) || read_float(args[2], &at_zero) < 0
+            || read_doubles(args[0], &t) < 0)
+        return NULL;
+    if (read_doubles(args[1], &v) < 0) {
+        PyBuffer_Release(&t);
+        return NULL;
+    }
+    Py_ssize_t n = t.len / (Py_ssize_t)sizeof(double), z = 0;
+    const double *times = t.buf;
+    while (z < n && times[z] < 0.0) /* np.searchsorted(times, 0.0) */
+        z++;
+    PyObject *out = NULL;
+    if (v.len != t.len || n < 2 || z == n)
+        PyErr_SetString(PyExc_ValueError,
+                        "cumulative() needs times and values of n >= 2 nodes, "
+                        "times[0] <= 0 <= times[-1]");
+    else if ((out = PyBytes_FromStringAndSize(NULL, t.len)) != NULL)
+        fill_table(times, v.buf, n, z, at_zero, (double *)PyBytes_AS_STRING(out));
+    PyBuffer_Release(&t);
+    PyBuffer_Release(&v);
+    return out;
+}
+
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
@@ -453,6 +537,9 @@ python_format(double x, char code, int precision, int flags)
     return out;
 }
 
+/* "0.000000000000e+00" and "-0.000000000000e+00", shared by every zero cell */
+static PyObject *E12_ZEROS[2];
+
 /* "%.12e" % x */
 static PyObject *
 format_e12(double x)
@@ -462,15 +549,15 @@ format_e12(double x)
     memcpy(&bits, &x, sizeof bits);
     int neg = (int)(bits >> 63), biased = (int)(bits >> 52 & 0x7ff);
     uint64_t frac = bits & ((1ULL << 52) - 1);
-    if (biased != 0 || frac != 0) {
-        int ok = 0;
+    if (biased == 0 && frac == 0)
+        return Py_NewRef(E12_ZEROS[neg]);
+    int ok = 0;
 #ifdef __SIZEOF_INT128__
-        if (biased != 0 && biased != 0x7ff)
-            ok = digits13(frac | 1ULL << 52, biased - 1075, &q, &k);
+    if (biased != 0 && biased != 0x7ff)
+        ok = digits13(frac | 1ULL << 52, biased - 1075, &q, &k);
 #endif
-        if (!ok) /* subnormals, inf, nan and the far exponents: Python's own path */
-            return python_format(x, 'e', 12, 0);
-    }
+    if (!ok) /* subnormals, inf, nan and the far exponents: Python's own path */
+        return python_format(x, 'e', 12, 0);
     /* d.dddddddddddde+kk: |k| <= 45 here, two digits */
     int ak = k < 0 ? -k : k;
     PyObject *out = PyUnicode_New(neg + 18, 127);
@@ -606,6 +693,8 @@ static PyMethodDef methods[] = {
      "march_stop(y, z, s, h, target, tol, /): as _kernel_py.march_stop."},
     {"e12", e12, METH_O, "e12(cells, /): as _kernel_py.e12."},
     {"reprs", reprs, METH_O, "reprs(cells, /): as _kernel_py.reprs."},
+    {"cumulative", (PyCFunction)(void (*)(void))cumulative, METH_FASTCALL,
+     "cumulative(times, values, at_zero, /): as _kernel_py.cumulative."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -624,7 +713,9 @@ PyInit__kernel(void)
         POW5[j] = 5 * POW5[j - 1];
 #endif
     if ((ZEROS[0] = PyUnicode_InternFromString("0.0")) == NULL
-            || (ZEROS[1] = PyUnicode_InternFromString("-0.0")) == NULL)
+            || (ZEROS[1] = PyUnicode_InternFromString("-0.0")) == NULL
+            || (E12_ZEROS[0] = PyUnicode_InternFromString("0.000000000000e+00")) == NULL
+            || (E12_ZEROS[1] = PyUnicode_InternFromString("-0.000000000000e+00")) == NULL)
         return NULL;
     return PyModule_Create(&kernel_module);
 }

@@ -1,14 +1,15 @@
-"""The kernel in Python: the reference of the package's RK4 step and of
-the number formats of the flow table and of curvature, and the fallback of
-its C kernel.
+"""The kernel in Python: the reference of the package's RK4 step, of the
+number formats of the flow table and of curvature and of the cumulative
+table of a tabulated lapse, and the fallback of its C kernel.
 
 ``numeric`` runs the C extension built from ``_kernel.c``, and runs this
 module wherever that cannot be built or loaded.  The C kernel writes the
 RK4 step as the list form below, a function call per right-hand side and
 a loop over the 15 floats, and gives the same bits as this module's
 unrolled ``_march``.  This module states the contract of both;
-``tests/test_numeric.py`` holds both to it, and ``tests/test_cli.py``
-holds both ``e12`` to ``"%.12e" % x`` and both ``reprs`` to ``repr(x)``.
+``tests/test_numeric.py`` holds both to it, ``tests/test_cli.py`` holds
+both ``e12`` to ``"%.12e" % x`` and both ``reprs`` to ``repr(x)``, and
+``tests/test_exact.py`` holds the C ``cumulative`` to this one.
 
 It marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
@@ -18,7 +19,7 @@ lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
-The four entries take their arguments by position only.
+The five entries take their arguments by position only.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march.  It returns ``(y, steps done, truncated)``: y is
 the state the march ends on, as a tuple of 15 floats, which on truncation
@@ -83,11 +84,26 @@ payload, its shortest round-tripping digits, which ``cli`` fills into its
 templates.  Here it maps ``repr`` over the cells, which costs less than
 ``e12``'s one ``%`` and split; the C kernel finds each cell's shortest
 digits exactly in integers.
+
+``cumulative(times, values, at_zero)`` returns the table of a tabulated
+lapse, B at every node, as the bytes of n float64s: ``times`` and
+``values`` are float64 arrays of n >= 2 nodes, times strictly increasing
+with times[0] <= 0 <= times[-1], and ``at_zero`` is the lapse at t = 0,
+``np.interp(0.0, times, values)``.  When 0 is no node, the segment holding
+it is split there, at the node (0, at_zero).  Each segment's part is
+(t_b - t_a) * (v_b + v_a) / 2.0, with a the node below b; the parts are
+summed outward from t = 0 in both directions, each sum corrected by the
+cumulated rounding error of its additions (``_prefix_sums``), and a node
+below 0 takes the negated sum.  B at a node at 0 is 0.0.  Here that is
+numpy's ``cumsum`` over the arrays; the C kernel makes one pass from t = 0
+to either end, with the same operations in the same order.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+
+import numpy as np
 
 _GUARD = 1e12
 # the legs of a trial, in the order they run
@@ -154,6 +170,30 @@ def reprs(cells, /):
     """``repr(x)`` for each float x of ``cells``, as a tuple of strings;
     see the module docstring."""
     return tuple(map(repr, cells))
+
+
+def cumulative(times, values, at_zero, /):
+    """B at every node of the lapse table ``times``, ``values``, as bytes;
+    see the module docstring."""
+    z = int(np.searchsorted(times, 0.0))
+    split = times[z] != 0.0
+    if split:
+        values = np.insert(values, z, at_zero)
+        times = np.insert(times, z, 0.0)
+    parts = np.diff(times) * (values[1:] + values[:-1]) / 2.0
+    table = np.concatenate((-_prefix_sums(parts[:z][::-1])[::-1], [0.0],
+                            _prefix_sums(parts[z:])))
+    return (np.delete(table, z) if split else table).tobytes()
+
+
+def _prefix_sums(parts):
+    """Running sums of ``parts``, each correctly rounded up to a term of
+    order n eps^2: np.cumsum, corrected by the cumulated rounding error of
+    its additions, each recovered exactly by Knuth's TwoSum."""
+    sums = np.cumsum(parts)
+    prev = np.concatenate(([0.0], sums[:-1]))
+    added = sums - prev
+    return sums + np.cumsum((prev - (sums - added)) + (parts - added))
 
 
 def _march(y, z, h, tol, legs):

@@ -14,7 +14,10 @@ sweep).  Identical inputs give byte-identical output:
 Input files are decoded by orjson when it is installed (``JSON_BACKEND``),
 and by ``json`` otherwise or wherever orjson's value could differ from
 json's, which a walk of that value tells; both give the same values and the
-same errors (``_load_input``).
+same errors (``_load_input``).  The walk converts each list of numbers to
+floats in one ``lapse._float_image``, and a tabulated lapse keeps the
+images of its times and values (``_parse_pair``), so each list is converted
+once per command; the images live as long as one ``main`` call.
 
 ``flow`` and ``curvature`` render through fixed-shape templates, each
 filled by one ``%`` over a flat tuple: the CSV row ``_CSV_ROW``, the JSON
@@ -55,6 +58,7 @@ try:
 except ImportError:  # the optional extra "fast"
     _orjson = None
 
+from . import lapse
 from .errors import InvalidPair, SingularTime, SpinorFlowError
 from .frames import _SYM_FLAT
 from .lapse import LapseProfile
@@ -89,26 +93,29 @@ def _fmt(x: float) -> str:
 _MAX_DEPTH = 512
 
 
-def _orjson_reads_alike(value) -> bool:
+def _orjson_reads_alike(value, images: dict | None = None) -> bool:
     """Whether json reads the same value from the document that orjson read
     as ``value``.  Not when it nests deeper than ``_MAX_DEPTH``, nor when it
     holds a float of magnitude 2**63 or more: orjson reads each integer
     literal outside [-2**63, 2**64) as such a float, and json as an int.
     The walk keeps its own stack, since a document nests 1024 deep.  A list
-    of numbers is checked in one pass over its float images, in which an
-    int in [2**63, 2**64) reads as such a float too; that only sends the
-    document to json."""
+    of numbers is checked in one pass over its float image
+    (``lapse._float_image``), in which an int in [2**63, 2**64) reads as
+    such a float too; that only sends the document to json.  Each image
+    goes into ``images``, when given, under the ``id`` of its list."""
     pending = [(0, [value])]  # (depth, container): the document at depth 1
     while pending and pending[-1][0] <= _MAX_DEPTH:
         depth, items = pending.pop()
         if type(items) is list:
             try:
-                floats = np.frombuffer(struct.pack(f"{len(items)}d", *items))
+                floats = lapse._float_image(items)
             except struct.error:  # an entry that is no number
                 pass
             else:
                 if not (np.abs(floats) < 2.0 ** 63).all():
                     return False
+                if images is not None:
+                    images[id(items)] = floats
                 continue
         for x in items.values() if type(items) is dict else items:
             if type(x) is list or type(x) is dict:
@@ -118,7 +125,7 @@ def _orjson_reads_alike(value) -> bool:
     return not pending  # else a container nests deeper than _MAX_DEPTH
 
 
-def _load_input(path: str) -> dict | list:
+def _load_input(path: str, images: dict | None = None) -> dict | list:
     """The JSON document in the file at ``path``: the value orjson reads
     from the file's bytes when it is installed and ``_orjson_reads_alike``
     that value, else the value ``json`` reads.  orjson refuses every other
@@ -131,13 +138,20 @@ def _load_input(path: str) -> dict | list:
     so its error positions and UnicodeDecodeError messages stay those of
     that text.  The two give the same values: orjson refuses invalid UTF-8
     and a raw control character inside a string, as json does, so wherever
-    it accepts a CR or LF, that byte is whitespace."""
+    it accepts a CR or LF, that byte is whitespace.
+
+    The float images of the number lists of orjson's value go into
+    ``images``, when given, keyed by the ``id`` of each list, which the
+    document keeps alive; ``json``'s value gives none."""
     with open(path, "rb") as fh:
         data = fh.read()
     if _orjson is not None:
+        found = {}
         try:
             value = _orjson.loads(data)
-            if _orjson_reads_alike(value):
+            if _orjson_reads_alike(value, found):
+                if images is not None:
+                    images.update(found)
                 return value
         except _orjson.JSONDecodeError:
             pass
@@ -148,10 +162,13 @@ def _load_input(path: str) -> dict | list:
         raise ValueError(f"nesting too deep: {exc}") from None
 
 
-def _parse_pair(data: dict) -> tuple[CauchyPair, LapseProfile]:
+def _parse_pair(data: dict, images: dict) -> tuple[CauchyPair, LapseProfile]:
+    """The pair of the document ``data`` and its lapse, the unit lapse where
+    it names none; the lapse's number lists are read from their ``images``
+    (``_load_input``) where those hold them."""
     pair = CauchyPair.from_json_dict(data)
     if "beta" in data:
-        profile = LapseProfile.from_json_dict(data)
+        profile = LapseProfile.from_json_dict(data, images)
     else:
         profile = LapseProfile.constant(1.0)
     return pair, profile
@@ -265,8 +282,7 @@ def _render_curvature(span, cells: tuple) -> str:
     return head + "[\n" + ",\n".join([_SAMPLE] * n) % text + "\n  ]\n}\n"
 
 
-def cmd_validate(args, data) -> int:
-    pair, _ = _parse_pair(data)
+def cmd_validate(args, pair, _) -> int:
     report = validate(pair, args.tol)
     if not report.valid:
         _emit("invalid pair:\n" + "".join(f"  {v}\n" for v in report.violations),
@@ -294,8 +310,7 @@ def cmd_validate(args, data) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args, data) -> int:
-    pair, _ = _parse_pair(data)
+def cmd_classify(args, pair, _) -> int:
     group = classify(pair, args.tol)
     if group.mu is None:
         _emit(f"{group.tag.value}\n", args.out)
@@ -304,10 +319,9 @@ def cmd_classify(args, data) -> int:
     return EXIT_OK
 
 
-def cmd_lifespan(args, data) -> int:
+def cmd_lifespan(args, pair, profile) -> int:
     from .exact import solve
 
-    pair, profile = _parse_pair(data)
     span = solve(pair, args.tol).lifespan(profile)
     payload = {
         "t_minus": _span_end(span.t_minus),
@@ -320,12 +334,11 @@ def cmd_lifespan(args, data) -> int:
     return EXIT_OK
 
 
-def _sampled(args, data):
-    """The prologue of ``flow`` and ``curvature``: the pair solved, its lapse
-    and lifespan, and the sample times of the window clipped to the lifespan."""
+def _sampled(args, pair, profile):
+    """The prologue of ``flow`` and ``curvature``: the pair solved, its lifespan,
+    and the sample times of the window clipped to the lifespan."""
     from .exact import solve
 
-    pair, profile = _parse_pair(data)
     sol = solve(pair, args.tol)
     span = sol.lifespan(profile)
     lo, hi = span.inside(profile, math.inf)
@@ -340,29 +353,28 @@ def _sampled(args, data):
             "to stay inside the lifespan",
             file=sys.stderr,
         )
-    return sol, profile, span, np.linspace(c0, c1, args.samples)
+    return sol, span, np.linspace(c0, c1, args.samples)
 
 
-def cmd_flow(args, data) -> int:
-    sol, profile, _, times = _sampled(args, data)
+def cmd_flow(args, pair, profile) -> int:
+    sol, _, times = _sampled(args, pair, profile)
     _emit(_render_flow(_flow_cells(sol, profile, times, args.method), args.format),
           args.out)
     return EXIT_OK
 
 
-def cmd_curvature(args, data) -> int:
+def cmd_curvature(args, pair, profile) -> int:
     from .exact import _Samples
     from .lorentz import _curvature
 
-    sol, profile, span, times = _sampled(args, data)
+    sol, span, times = _sampled(args, pair, profile)
     _emit(_render_curvature(span, _curvature(_Samples(sol, profile, times))), args.out)
     return EXIT_OK
 
 
-def cmd_verify(args, data) -> int:
+def cmd_verify(args, pair, profile) -> int:
     from .verify import run_suite
 
-    pair, profile = _parse_pair(data)
     # a residual that overflows fails its row: no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
         rows = run_suite(pair, profile, args.suite, samples=args.samples, tol=args.tol)
@@ -435,10 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _run_single(args, data, sweep: bool) -> int:
-    """Run the command on the pair document ``data``, and report what
-    refuses or fails it: an invalid pair on stderr, one violation per line,
-    or in a sweep as one line of the command's output."""
+def _run_single(args, data, images: dict, sweep: bool) -> int:
+    """Run the command on the pair document ``data``, its number lists read
+    from ``images`` (``_parse_pair``), and report what refuses or fails it:
+    an invalid pair on stderr, one violation per line, or in a sweep as one
+    line of the command's output."""
     try:
         samples = getattr(args, "samples", None)  # None: a suite's own default
         if samples is not None and samples < 2:
@@ -446,7 +459,7 @@ def _run_single(args, data, sweep: bool) -> int:
         window = args.command in ("flow", "curvature")
         if window and not -math.inf < args.t0 < args.t1 < math.inf:
             raise ValueError("--t0 and --t1 must be finite, with --t0 below --t1")
-        return _COMMANDS[args.command](args, data)
+        return _COMMANDS[args.command](args, *_parse_pair(data, images))
     except InvalidPair as exc:
         if sweep:
             _emit(f"invalid pair: {'; '.join(exc.violations)}\n", args.out)
@@ -482,9 +495,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.tol = _tolerance(args.tol)
-        data = _load_input(args.input)
+        images = {}
+        data = _load_input(args.input, images)
         if not args.sweep:
-            return _run_single(args, data, False)
+            return _run_single(args, data, images, False)
         if not isinstance(data, list):
             raise ValueError("--sweep expects a JSON array of pairs")
         worst = EXIT_OK
@@ -494,7 +508,7 @@ def main(argv=None) -> int:
                 root, ext = os.path.splitext(base_out)
                 args.out = f"{root}.{i:03d}{ext}"
             print(f"# pair {i}")
-            worst = max(worst, _run_single(args, element, True))
+            worst = max(worst, _run_single(args, element, images, True))
         return worst
     except (OSError, ValueError) as exc:
         # an OSError, as of writing --out, ends a sweep

@@ -1,4 +1,14 @@
-"""Time gauge of the flow: the lapse family beta_t and its integral B_t."""
+"""Time gauge of the flow: the lapse family beta_t and its integral B_t.
+
+A tabulated lapse is read once.  Its times and values become float arrays
+by one ``_float_image`` each: the CLI's decoder makes those images while it
+checks the document, and ``LapseProfile.from_json_dict`` keeps them, with
+no second conversion or copy; a library's ``LapseProfile.tabulated`` keeps
+read-only copies of its arrays.  The table of B at every node is built on
+first use, in one call of the kernel's ``cumulative`` (``numeric._kern``,
+the C kernel or ``_kernel_py``); ``validate`` never builds it, so it never
+loads the kernel.
+"""
 
 from __future__ import annotations
 
@@ -20,9 +30,10 @@ class LapseProfile:
     interpolate linearly between nodes; the integral B_t is then the exact
     (trapezoid) integral of the interpolant.  The first ``b_integral`` or
     ``solve_b`` call builds the cumulative table, B at every node, anchored
-    at t = 0 (``_cumulative_trapezoid``); from it B_t takes one binary
-    search and a partial trapezoid, and its inverse one binary search and a
-    closed-form root.  Times outside the table raise OutOfDomain.
+    at t = 0 (``_cumulative_trapezoid``, one pass of the kernel's
+    ``cumulative``); from it B_t takes one binary search and a partial
+    trapezoid, and its inverse one binary search and a closed-form root.
+    Times outside the table raise OutOfDomain.
     """
 
     kind: str  # "constant" | "tabulated"
@@ -41,6 +52,13 @@ class LapseProfile:
         # read-only copies: a caller's later writes cannot reach the profile
         t, v = (np.array(x, dtype=float) for x in (times, values))
         t.flags.writeable = v.flags.writeable = False
+        return cls._checked(t, v)
+
+    @classmethod
+    def _checked(cls, t: np.ndarray, v: np.ndarray) -> "LapseProfile":
+        """The tabulated profile of the float arrays ``t`` and ``v``, which it
+        keeps as they are: the caller hands over read-only arrays that nothing
+        else writes.  Every check of ``tabulated`` runs here."""
         if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
             raise ValueError("need matching 1D times/values with at least two nodes")
         # finite first: np.diff of two equal infinities warns (inf - inf)
@@ -53,9 +71,14 @@ class LapseProfile:
         return cls(kind="tabulated", times=t, values=v)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "LapseProfile":
+    def from_json_dict(cls, data: dict, images: dict | None = None) -> "LapseProfile":
         """Parse the `{"kind": ...}` wire format, given as is or as the
-        ``"beta"`` field of a pair.  Every malformed input raises ValueError."""
+        ``"beta"`` field of a pair.  Every malformed input raises ValueError.
+
+        ``images`` maps the ``id`` of a number list of the document to the
+        read-only float array ``_float_image`` made of it (``cli._load_input``
+        fills it while it checks the document): such a list is not converted
+        again, and a table keeps its images as they are."""
         if isinstance(data, dict) and "beta" in data:
             data = data["beta"]
         if not isinstance(data, dict):
@@ -68,14 +91,15 @@ class LapseProfile:
         if missing:
             raise ValueError(f"{kind} lapse is missing {', '.join(missing)}")
         try:
-            args = [_json_numbers(data[k]) for k in fields]
+            args = [_json_numbers(data[k], images) for k in fields]
         except (TypeError, OverflowError, struct.error):
             raise ValueError(f"{kind} lapse {', '.join(fields)} must be finite numbers") from None
         if kind == "constant":
             if isinstance(args[0], np.ndarray):
                 raise ValueError("constant lapse value must be a number")
             return cls.constant(args[0])
-        return cls.tabulated(*args)
+        # fresh read-only arrays: no copy (a number fails the checks)
+        return cls._checked(*map(np.asarray, args))
 
     def domain(self) -> tuple[float, float]:
         if self.kind == "constant":
@@ -166,44 +190,40 @@ class LapseProfile:
         return min(max(start + 2.0 * rest / (beta + root), ta), tb)
 
 
-def _json_numbers(v):
+def _float_image(items: list) -> np.ndarray:
+    """The float64 image of the list ``items``, read-only: what
+    ``struct.pack("d")`` makes of each entry.  It is the one conversion of a
+    decoded number list, in ``cli._orjson_reads_alike`` or here."""
+    return np.frombuffer(struct.pack(f"{len(items)}d", *items))
+
+
+def _json_numbers(v, images: dict | None = None):
     """A JSON number as a float, or an array of them as a float array, as a
     JSON decoder gives them.  Either shape takes what ``struct.pack("d")``
     takes, a bool excepted: a float or an int within the float range, and
     any other number with ``__float__`` or ``__index__`` (``Decimal``,
     ``Fraction``, ``numpy.float64``).  Anything else raises struct.error,
-    and a bool TypeError.  One ``struct.pack`` converts an array, and reads
-    a bool as 0.0 or 1.0, so only the entries equal to those are looked at
-    again."""
+    and a bool TypeError.  One ``struct.pack`` converts an array, unless
+    ``images`` holds its image already, and reads a bool as 0.0 or 1.0, so
+    only the entries equal to those are looked at again."""
     items = v if isinstance(v, list) else [v]
-    a = np.frombuffer(struct.pack(f"{len(items)}d", *items))
+    # an id in images is that of a list the document holds, so of v itself
+    a = images.get(id(v)) if images else None
+    if a is None:
+        a = _float_image(items)
     for i in np.flatnonzero((a == 0.0) | (a == 1.0)).tolist():
         if type(items[i]) is bool:
             raise TypeError
     return a if isinstance(v, list) else a.item()
 
 
-def _prefix_sums(parts: np.ndarray) -> np.ndarray:
-    """Running sums of ``parts``, each correctly rounded up to a term of
-    order n eps^2: np.cumsum, corrected by the cumulated rounding error of
-    its additions, each recovered exactly by Knuth's TwoSum."""
-    sums = np.cumsum(parts)
-    prev = np.concatenate(([0.0], sums[:-1]))
-    added = sums - prev
-    return sums + np.cumsum((prev - (sums - added)) + (parts - added))
-
-
 def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """C[i] = integral from 0 to times[i] of the piecewise-linear lapse: the
-    trapezoid sums of its segments, accumulated outward from t = 0 in both
-    directions.  When 0 is no node, the segment holding it is split there at
-    the interpolated lapse."""
-    z = int(np.searchsorted(times, 0.0))
-    split = times[z] != 0.0
-    if split:
-        values = np.insert(values, z, np.interp(0.0, times, values))
-        times = np.insert(times, z, 0.0)
-    parts = np.diff(times) * (values[1:] + values[:-1]) / 2.0
-    table = np.concatenate((-_prefix_sums(parts[:z][::-1])[::-1], [0.0],
-                            _prefix_sums(parts[z:])))
-    return np.delete(table, z) if split else table
+    """C[i] = integral from 0 to times[i] of the piecewise-linear lapse,
+    read-only: the kernel's ``cumulative`` (``numeric._kern``, read at each
+    call), which accumulates the trapezoid sums of the segments outward from
+    t = 0 in both directions, with the segment holding 0 split there at the
+    interpolated lapse."""
+    from . import numeric
+
+    return np.frombuffer(numeric._kern.cumulative(times, values,
+                                                  np.interp(0.0, times, values)))

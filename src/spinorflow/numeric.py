@@ -17,7 +17,9 @@ module ``_kernel_py``, which documents the contract of both and gives the
 same bits; ``KERNEL_BACKEND`` reads ``"c"`` or ``"python"``.  Its third
 and fourth entries, ``e12`` and ``reprs``, print the cells of ``cli``'s
 flow table and of its curvature payload, which read them as
-``numeric._kern.e12`` and ``numeric._kern.reprs`` when they render.  The
+``numeric._kern.e12`` and ``numeric._kern.reprs`` when they render; its
+fifth, ``cumulative``, builds the table of B of a tabulated lapse, which
+``lapse._cumulative_trapezoid`` reads as ``numeric._kern.cumulative``.  The
 build runs the interpreter's own compiler once and caches the library in
 the package's ``__pycache__``; any failure falls back to ``_kernel_py``
 and prints nothing.

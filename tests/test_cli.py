@@ -1095,6 +1095,9 @@ def test_e12_prints_each_float_as_percent_12e(kernel):
     assert [(x, a, b) for x, a, b in zip(cells, got, want) if a != b] == []
     assert kernel.e12([]) == () and kernel.e12([0.5, -1]) == ("5.000000000000e-01",
                                                               "-1.000000000000e+00")
+    if kernel is not _kernel_py:  # the C kernel shares two strings for the zeros
+        zeros = kernel.e12([0.0, -0.0]) + kernel.e12([0.0, -0.0])
+        assert zeros[0] is zeros[2] and zeros[1] is zeros[3]
 
 
 @functools.cache

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from spinorflow import CauchyPair, InvalidPair, LapseProfile, NotApplicable, \
     OutOfDomain, SingularTime, frame_exact, hamiltonian_exact, invariants, lifespan, \
     nonqd_coefficients, solve, theta_exact, validate
+from spinorflow import _kernel_py, numeric
 from spinorflow import lapse as lapse_module
 from spinorflow.exact import NONQD, QD, branch
 from spinorflow.numeric import hamiltonian_of
@@ -254,6 +255,72 @@ class TestCumulativeTable:
             prof.values[0] = -3.0
         assert prof.times.tolist() == [-1.0, 0.0, 1.0]
         assert prof.values.tolist() == [1.0, 2.0, 1.0]
+
+
+_C_TABLE = pytest.mark.skipif(numeric._kern is _kernel_py,
+                              reason="numeric runs _kernel_py: no C kernel was built")
+
+
+@_C_TABLE
+class TestKernelTable:
+    """The C kernel's ``cumulative`` gives ``_kernel_py``'s bytes, so the
+    sign of every zero too."""
+
+    @staticmethod
+    def _same(times, values):
+        times, values = (np.asarray(x, dtype=float) for x in (times, values))
+        at_zero = np.interp(0.0, times, values)
+        want = _kernel_py.cumulative(times, values, at_zero)
+        assert numeric._kern.cumulative(times, values, at_zero) == want
+        assert len(want) == 8 * len(times)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_random_tables(self, seed):
+        for prof in _random_tables(seed):
+            self._same(prof.times, prof.values)
+
+    @pytest.mark.parametrize("times", [
+        [-1.0, 0.0, 2.0], [0.0, 0.5, 2.0], [-0.0, 0.5, 2.0], [-2.0, -0.5, 0.0],
+        [-2.0, -0.5, -0.0], [-1.0, 2.0], [0.0, 2.0], [-2.0, 0.0], [-1.0, 0.5, 2.0],
+        [-3.0, -1.0, 1e-300, 2.0], np.linspace(-2.0, 2.0, 20_000),
+        np.linspace(-2.0, 0.0, 20_000), np.linspace(0.0, 3.0, 20_000),
+    ], ids=["zero-node", "starts-at-zero", "starts-at-minus-zero", "ends-at-zero",
+            "ends-at-minus-zero", "two-nodes", "two-nodes-from-zero", "two-nodes-to-zero",
+            "straddles-zero", "tiny-straddle", "20000-nodes", "20000-nodes-to-zero",
+            "20000-nodes-from-zero"])
+    def test_edges(self, times):
+        self._same(times, np.linspace(0.7, 1.9, len(times)))
+
+    def test_zero_parts_keep_their_sign(self):
+        # parts that underflow to 0.0: +0.0 above t = 0 and -0.0 below it
+        times, values = [-2e-300, -1e-300, 1e-300, 3e-300], [1e-30] * 4
+        self._same(times, values)
+        table = np.frombuffer(numeric._kern.cumulative(np.array(times), np.array(values),
+                                                       1e-30))
+        assert [math.copysign(1.0, b) for b in table.tolist()] == [-1.0, -1.0, 1.0, 1.0]
+        assert (table == 0.0).all()
+
+    def test_the_profile_reads_the_kernel(self, monkeypatch):
+        prof = LapseProfile.tabulated([-1.0, 0.3, 2.0], [1.0, 2.0, 0.5])
+        got = prof._cumulative
+        monkeypatch.setattr(numeric, "_kern", _kernel_py)
+        want = lapse_module._cumulative_trapezoid(prof.times, prof.values)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+
+    @pytest.mark.parametrize("times, values, error", [
+        (np.array([-1.0, 1.0], dtype=np.float32), np.array([1.0, 1.0]), TypeError),
+        (np.array([-1.0, 1.0]), np.array([[1.0, 1.0]]), TypeError),
+        (np.array([-1.0, 0.5, 1.0])[::2], np.array([1.0, 1.0]), ValueError),
+        (np.array([-1.0, 1.0]), np.array([1.0, 1.0, 1.0]), ValueError),
+        (np.array([0.0]), np.array([1.0]), ValueError),
+        (np.array([-2.0, -1.0]), np.array([1.0, 1.0]), ValueError),
+    ], ids=["float32", "2d", "strided", "lengths", "one-node", "zero-outside"])
+    def test_a_bad_table_is_refused(self, times, values, error):
+        # the profile never passes these; the C kernel refuses them rather
+        # than read past an array
+        with pytest.raises(error):
+            numeric._kern.cumulative(times, values, 1.0)
 
 
 class TestBranchDispatch:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorflow
-from spinorflow import cli
+from spinorflow import cli, lapse
 from spinorflow.cli import EXIT_IO, main
 from spinorflow.lapse import LapseProfile
 
@@ -465,3 +465,58 @@ def test_what_struct_refuses_is_refused_as_a_value_and_in_a_table(entry):
     with pytest.raises(ValueError, match="^tabulated lapse times, values must be finite numbers$"):
         LapseProfile.from_json_dict({"kind": "tabulated", "times": [-1.0, 0.0, 1.0],
                                      "values": [1.0, entry, 1.0]})
+
+
+@DECODERS
+def test_lifespan_converts_each_number_list_of_a_table_once(tmp_path, monkeypatch, capsys,
+                                                            decoder):
+    # orjson's value is checked over the float image of each list of numbers,
+    # and the lapse reads its times and values from those images; json's
+    # value is converted by the lapse alone
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(TABLE_DOC), encoding="utf-8")
+    convert, parse = lapse._float_image, cli._parse_pair
+    images, profiles = [], []
+
+    def spy_convert(items):
+        image = convert(items)  # struct.error on a list of other entries
+        images.append((list(items), image))
+        return image
+
+    def spy_parse(*args):
+        pair, profile = parse(*args)
+        profiles.append(profile)
+        return pair, profile
+
+    monkeypatch.setattr(lapse, "_float_image", spy_convert)
+    monkeypatch.setattr(cli, "_parse_pair", spy_parse)
+    with decoding_with(decoder):
+        assert main(["lifespan", str(path)]) == 0
+    monkeypatch.undo()
+    times, values = TABLE_DOC["beta"]["times"], TABLE_DOC["beta"]["values"]
+    assert sorted(items for items, _ in images) == sorted([times, values])
+    (profile,) = profiles
+    # the profile keeps the images, with no copy
+    assert {id(profile.times), id(profile.values)} == {id(image) for _, image in images}
+    assert profile.times.tolist() == times and profile.values.tolist() == values
+    assert not profile.times.flags.writeable and not profile.values.flags.writeable
+    assert '"immortal"' in capsys.readouterr().out
+
+
+@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
+def test_a_document_sent_to_json_leaves_no_images(tmp_path):
+    # the walk converts the table's lists before it meets 2**64, which sends
+    # the document to json: json's lists are new, so no image may be kept
+    text = '{"x": [[18446744073709551616]], ' + json.dumps(TABLE_DOC)[1:]
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    found = {}
+    assert cli._orjson_reads_alike(cli._orjson.loads(text), found) is False
+    assert len(found) == 2
+    images = {}
+    assert same(cli._load_input(str(path), images), json.loads(text))
+    assert images == {}
+    # the table alone is orjson's value, with the images of its two lists
+    path.write_text(json.dumps(TABLE_DOC), encoding="utf-8")
+    assert same(cli._load_input(str(path), images), json.loads(json.dumps(TABLE_DOC)))
+    assert len(images) == 2
