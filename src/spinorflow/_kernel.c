@@ -1,4 +1,4 @@
-/* The kernel in C: the five entries of _kernel_py, with its contract and
+/* The kernel in C: the six entries of _kernel_py, with its contract and
    its bits.
 
    _kernel_py documents the contract and stays the reference.  The march
@@ -41,7 +41,17 @@
    cumulative() builds the table of a tabulated lapse, B at every node, in
    one pass outward from t = 0 to either end: each segment's trapezoid part,
    then its compensated running sum, each the operations of _kernel_py's
-   numpy form in their order, so the bytes are the same. */
+   numpy form in their order, so the bytes are the same.
+
+   ricci() evaluates frames.frame_ricci, whose einsums _kernel_py runs, on
+   each frame of a stack in turn, with its operations in their order: the
+   connection, then each entry of R^a_{abc} as (s1 - s2) - s3 plus its
+   derivative term, then their sum over a.  Each of these sums starts at
+   0.0 and adds its terms in index order, the products with the structural
+   zeros and with the zero entries of diag(1/eta) included, so an infinity
+   times a zero gives NaN and every zero its sign as numpy gives them.  The
+   scalar takes the order in which numpy's einsum sums a contiguous
+   product, in two lanes (trace()). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -299,17 +309,19 @@ march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                          gap / 15.0, accepted, rejected, Py_None);
 }
 
-/* the double buffer of the float64 array x in *view; 0 on success, -1 with
-   an exception set */
+/* the double buffer of the C-contiguous float64 array x, of min_ndim to
+   max_ndim axes, in *view; 0 on success, -1 with an exception set, a
+   TypeError with message on a wrong type or number of axes */
 static int
-read_doubles(PyObject *x, Py_buffer *view)
+read_doubles(PyObject *x, Py_buffer *view, int min_ndim, int max_ndim, const char *message)
 {
     if (PyObject_GetBuffer(x, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
-    if (view->ndim == 1 && view->itemsize == sizeof(double) && strcmp(view->format, "d") == 0)
+    if (view->ndim >= min_ndim && view->ndim <= max_ndim
+            && view->itemsize == sizeof(double) && strcmp(view->format, "d") == 0)
         return 0;
     PyBuffer_Release(view);
-    PyErr_SetString(PyExc_TypeError, "cumulative() takes 1D float64 arrays");
+    PyErr_SetString(PyExc_TypeError, message);
     return -1;
 }
 
@@ -350,15 +362,17 @@ fill_table(const double *t, const double *v, Py_ssize_t n, Py_ssize_t z, double 
     }
 }
 
+#define TABLE_TYPE "cumulative() takes 1D float64 arrays"
+
 static PyObject *
 cumulative(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer t, v;
     double at_zero;
     if (!check_nargs("cumulative", nargs, 3) || read_float(args[2], &at_zero) < 0
-            || read_doubles(args[0], &t) < 0)
+            || read_doubles(args[0], &t, 1, 1, TABLE_TYPE) < 0)
         return NULL;
-    if (read_doubles(args[1], &v) < 0) {
+    if (read_doubles(args[1], &v, 1, 1, TABLE_TYPE) < 0) {
         PyBuffer_Release(&t);
         return NULL;
     }
@@ -375,6 +389,153 @@ cumulative(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         fill_table(times, v.buf, n, z, at_zero, (double *)PyBytes_AS_STRING(out));
     PyBuffer_Release(&t);
     PyBuffer_Release(&v);
+    return out;
+}
+
+/* ricci(): frames.frame_ricci of each frame of a stack, its operations in
+   their order.  n is the dimension, at most MAX_DIM, and IX the index of
+   entry [a][b][d] of an n x n x n block */
+#define MAX_DIM 4
+#define IX(a, b, d) (((a) * n + (b)) * n + (d))
+
+/* om[a][b][e], nabla_a X_b = om X_e, of the structure constants c:
+   frames.levi_civita of eta[a] c[a][b][d], then the sum over d of its
+   [a][b][d] times inv[d][e], the entries of diag(1/eta) */
+static void
+connection(int n, const double *eta, const double *inv, const double *c, double *om)
+{
+    double lc[MAX_DIM * MAX_DIM * MAX_DIM], low[MAX_DIM * MAX_DIM * MAX_DIM];
+    for (int i = 0; i < n * n * n; i++)
+        lc[i] = eta[i / (n * n)] * c[i];
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++)
+            for (int d = 0; d < n; d++)
+                low[IX(a, b, d)] = 0.5 * ((lc[IX(d, a, b)] - lc[IX(a, b, d)]) + lc[IX(b, d, a)]);
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++)
+            for (int e = 0; e < n; e++) {
+                double s = 0.0;
+                for (int d = 0; d < n; d++)
+                    s += low[IX(a, b, d)] * inv[d * n + e];
+                om[IX(a, b, e)] = s;
+            }
+}
+
+/* the scalar, the sum of ric[i] inv[i] over the m = n n entries, in the
+   order of numpy's einsum over a contiguous product at two lanes: lane 0
+   takes the even i, lane 1 the odd, each a block of eight at a time from
+   its last pair to its first, then the pairs left over in order, and the
+   scalar is lane 0 + lane 1 */
+static double
+trace(int m, const double *ric, const double *inv)
+{
+    double even = 0.0, odd = 0.0;
+    int i = 0;
+    for (; i + 8 <= m; i += 8)
+        for (int j = i + 6; j >= i; j -= 2) {
+            even = ric[j] * inv[j] + even;
+            odd = ric[j + 1] * inv[j + 1] + odd;
+        }
+    for (; i < m; i += 2) {
+        even = ric[i] * inv[i] + even;
+        if (i + 1 < m)
+            odd = ric[i + 1] * inv[i + 1] + odd;
+    }
+    return even + odd;
+}
+
+/* Ric and the scalar of the frame with structure constants c and, unless
+   dc is NULL, their derivative dc along X_0: each sum starts at 0.0 and
+   adds its terms in index order, products with zeros included, as
+   frame_ricci's einsums do */
+static void
+ricci_frame(int n, const double *eta, const double *inv, const double *c, const double *dc,
+            double *ric, double *scalar)
+{
+    double om[MAX_DIM * MAX_DIM * MAX_DIM], dom[MAX_DIM * MAX_DIM * MAX_DIM];
+    connection(n, eta, inv, c, om);
+    if (dc != NULL)
+        connection(n, eta, inv, dc, dom);
+    for (int i = 0; i < n * n; i++)
+        ric[i] = 0.0;
+    /* Ric_bk = sum over a of R^a_{abk}, added as a runs */
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++)
+            for (int k = 0; k < n; k++) {
+                double s1 = 0.0, s2 = 0.0, s3 = 0.0;
+                for (int e = 0; e < n; e++) {
+                    s1 += om[IX(b, k, e)] * om[IX(a, e, a)];
+                    s2 += om[IX(a, k, e)] * om[IX(b, e, a)];
+                    s3 += c[IX(e, a, b)] * om[IX(e, k, a)];
+                }
+                double r = (s1 - s2) - s3;
+                if (dc != NULL) { /* every entry adds its derivative term, 0.0 too */
+                    double deriv = 0.0;
+                    if (a == 0)
+                        deriv += dom[IX(b, k, 0)];
+                    if (b == 0)
+                        deriv -= dom[IX(a, k, a)];
+                    r += deriv;
+                }
+                ric[b * n + k] += r;
+            }
+    *scalar = trace(n * n, ric, inv);
+}
+
+#define RICCI_TYPE "ricci() takes float64 arrays: eta 1D, c and dc0 of 3 or more axes"
+
+static PyObject *
+ricci(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer e, c, d;
+    int has_d = nargs == 3 && args[2] != Py_None;
+    if (!check_nargs("ricci", nargs, 3) || read_doubles(args[0], &e, 1, 1, RICCI_TYPE) < 0)
+        return NULL;
+    if (read_doubles(args[1], &c, 3, INT_MAX, RICCI_TYPE) < 0) {
+        PyBuffer_Release(&e);
+        return NULL;
+    }
+    if (has_d && read_doubles(args[2], &d, 3, INT_MAX, RICCI_TYPE) < 0) {
+        PyBuffer_Release(&e);
+        PyBuffer_Release(&c);
+        return NULL;
+    }
+    Py_ssize_t n = e.shape[0];
+    int fits = n >= 1 && n <= MAX_DIM;
+    for (int i = c.ndim - 3; i < c.ndim; i++)
+        fits = fits && c.shape[i] == n;
+    if (has_d) {
+        fits = fits && d.ndim == c.ndim;
+        for (int i = 0; fits && i < c.ndim; i++)
+            fits = d.shape[i] == c.shape[i];
+    }
+    PyObject *ric = NULL, *scalars = NULL, *out = NULL;
+    if (!fits)
+        PyErr_SetString(PyExc_ValueError, "ricci() needs eta of n <= 4 entries, c of shape "
+                                          "(..., n, n, n) and dc0 None or of c's shape");
+    else {
+        Py_ssize_t block = n * n * n, frames = c.len / (block * (Py_ssize_t)sizeof(double));
+        ric = PyBytes_FromStringAndSize(NULL, frames * n * n * (Py_ssize_t)sizeof(double));
+        scalars = PyBytes_FromStringAndSize(NULL, frames * (Py_ssize_t)sizeof(double));
+        if (ric != NULL && scalars != NULL) {
+            const double *eta = e.buf, *cs = c.buf, *ds = has_d ? d.buf : NULL;
+            double inv[MAX_DIM * MAX_DIM], *rs = (double *)PyBytes_AS_STRING(ric);
+            double *ss = (double *)PyBytes_AS_STRING(scalars);
+            for (int i = 0; i < n; i++)
+                for (int j = 0; j < n; j++)
+                    inv[i * n + j] = i == j ? 1.0 / eta[i] : 0.0;
+            for (Py_ssize_t f = 0; f < frames; f++)
+                ricci_frame((int)n, eta, inv, cs + f * block, ds ? ds + f * block : NULL,
+                            rs + f * n * n, ss + f);
+            out = PyTuple_Pack(2, ric, scalars);
+        }
+    }
+    Py_XDECREF(ric);
+    Py_XDECREF(scalars);
+    PyBuffer_Release(&e);
+    PyBuffer_Release(&c);
+    if (has_d)
+        PyBuffer_Release(&d);
     return out;
 }
 
@@ -695,6 +856,8 @@ static PyMethodDef methods[] = {
     {"reprs", reprs, METH_O, "reprs(cells, /): as _kernel_py.reprs."},
     {"cumulative", (PyCFunction)(void (*)(void))cumulative, METH_FASTCALL,
      "cumulative(times, values, at_zero, /): as _kernel_py.cumulative."},
+    {"ricci", (PyCFunction)(void (*)(void))ricci, METH_FASTCALL,
+     "ricci(eta, c, dc0, /): as _kernel_py.ricci."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,6 +1,7 @@
 """The kernel in Python: the reference of the package's RK4 step, of the
-number formats of the flow table and of curvature and of the cumulative
-table of a tabulated lapse, and the fallback of its C kernel.
+number formats of the flow table and of curvature, of the cumulative
+table of a tabulated lapse and of the Ricci tensor of a stack of frames,
+and the fallback of its C kernel.
 
 ``numeric`` runs the C extension built from ``_kernel.c``, and runs this
 module wherever that cannot be built or loaded.  The C kernel writes the
@@ -8,8 +9,9 @@ RK4 step as the list form below, a function call per right-hand side and
 a loop over the 15 floats, and gives the same bits as this module's
 unrolled ``_march``.  This module states the contract of both;
 ``tests/test_numeric.py`` holds both to it, ``tests/test_cli.py`` holds
-both ``e12`` to ``"%.12e" % x`` and both ``reprs`` to ``repr(x)``, and
-``tests/test_exact.py`` holds the C ``cumulative`` to this one.
+both ``e12`` to ``"%.12e" % x`` and both ``reprs`` to ``repr(x)``,
+``tests/test_exact.py`` holds the C ``cumulative`` to this one and
+``tests/test_tensor_algebra.py`` the C ``ricci``.
 
 It marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
@@ -19,7 +21,7 @@ lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
-The five entries take their arguments by position only.
+The six entries take their arguments by position only.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march.  It returns ``(y, steps done, truncated)``: y is
 the state the march ends on, as a tuple of 15 floats, which on truncation
@@ -97,6 +99,16 @@ cumulated rounding error of its additions (``_prefix_sums``), and a node
 below 0 takes the negated sum.  B at a node at 0 is 0.0.  Here that is
 numpy's ``cumsum`` over the arrays; the C kernel makes one pass from t = 0
 to either end, with the same operations in the same order.
+
+``ricci(eta, c, dc0)`` returns ``frames.frame_ricci(eta, c, dc0)``, Ric
+and the scalar of each frame of a stack, as the bytes of their float64s:
+``eta`` is the diagonal metric, a float64 array of n <= 4 entries, ``c``
+the structure constants, a C-contiguous float64 array of shape (..., n,
+n, n), and ``dc0`` None or their derivative along X_0, of the same shape.
+A Ricci tensor past the largest float is inf or NaN, with no warning.
+Here that is ``frame_ricci`` itself; the C kernel evaluates one frame at
+a time with the same operations in the same order, and gives the same
+bytes up to the payload of a NaN.
 """
 
 from __future__ import annotations
@@ -104,6 +116,8 @@ from __future__ import annotations
 from itertools import repeat
 
 import numpy as np
+
+from .frames import frame_ricci
 
 _GUARD = 1e12
 # the legs of a trial, in the order they run
@@ -184,6 +198,14 @@ def cumulative(times, values, at_zero, /):
     table = np.concatenate((-_prefix_sums(parts[:z][::-1])[::-1], [0.0],
                             _prefix_sums(parts[z:])))
     return (np.delete(table, z) if split else table).tobytes()
+
+
+def ricci(eta, c, dc0, /):
+    """Ric and the scalar of each frame of ``c`` as bytes; see the module
+    docstring."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ric, scalar = frame_ricci(eta, c, dc0)
+    return ric.tobytes(), np.asarray(scalar).tobytes()
 
 
 def _prefix_sums(parts):

@@ -48,6 +48,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 
@@ -491,8 +492,24 @@ def _tolerance(tol: float | None) -> float:
     return tol
 
 
+# a negative number in exponent notation, such as -1e-05
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][+-]?\d+")
+
+
+def _joined_times(argv) -> list[str]:
+    """``argv`` with ``--t0 X`` and ``--t1 X`` written ``--t0=X`` where X is
+    a negative number in exponent notation, as ``-1e-05`` or a time of the
+    flow table, ``-1.433864309371e+00``: argparse before Python 3.13 reads
+    such an X as an option, and stops on "expected one argument"."""
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--t0", "--t1") and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined_times(sys.argv[1:] if argv is None else argv))
     try:
         args.tol = _tolerance(args.tol)
         images = {}

@@ -18,6 +18,11 @@ subscripts and transposes name every axis (no ``...``, no
 ``np.moveaxis``), which keeps the overhead of a single sample small, and
 every sample of a stack gets the same floating-point operations in the
 same order as a call of its own.
+
+The stacks of the flow and of curvature (``numeric._ricci3``,
+``lorentz.ricci4``) evaluate ``frame_ricci`` in the kernel's ``ricci``,
+which gives its bits one frame at a time (``numeric._frame_ricci``);
+``frame_ricci`` stays their reference, and what ``pairs`` evaluates.
 """
 
 from __future__ import annotations

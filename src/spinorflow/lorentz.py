@@ -12,7 +12,9 @@ identity residual of a stack, unrefused; ``_curvature`` refuses its cells as
 ``numeric._refuse`` rules, for the ``curvature`` command and for the
 one-time entries ``curvature_report`` and ``verify_ricci_identity``, which
 read a stack of one sample and so refuse as the command does.  The
-``ricci4`` suite reads the same cells.  There is no scalar branch.
+``ricci4`` suite reads the same cells.  There is no scalar branch.  Ric4
+is ``frames.frame_ricci`` of the coframe, evaluated in one call of the
+kernel's ``ricci`` (``numeric._frame_ricci``).
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import _sample, _Samples
-from .frames import frame_ricci, sym_matrices
+from .frames import sym_matrices
 from .lapse import LapseProfile
-from .numeric import _refuse, _theta_rhs
+from .numeric import _frame_ricci, _refuse, _theta_rhs
 from .pairs import CauchyPair, DEFAULT_TOL
 
 ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -106,7 +108,7 @@ def _coframe4(comp: np.ndarray, profile: LapseProfile, t: np.ndarray) -> Coframe
 
 def ricci4(frame: Coframe4) -> Ricci4:
     """Ric4 of a coframe, or of each coframe of a stack."""
-    ric, scal = frame_ricci(ETA4, frame.C, frame.dC0)
+    ric, scal = _frame_ricci(ETA4, frame.C, frame.dC0)
     return Ricci4(components=0.5 * (ric + ric.swapaxes(-1, -2)), scalar=scal)
 
 

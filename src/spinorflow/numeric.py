@@ -19,7 +19,10 @@ and fourth entries, ``e12`` and ``reprs``, print the cells of ``cli``'s
 flow table and of its curvature payload, which read them as
 ``numeric._kern.e12`` and ``numeric._kern.reprs`` when they render; its
 fifth, ``cumulative``, builds the table of B of a tabulated lapse, which
-``lapse._cumulative_trapezoid`` reads as ``numeric._kern.cumulative``.  The
+``lapse._cumulative_trapezoid`` reads as ``numeric._kern.cumulative``; its
+sixth, ``ricci``, evaluates ``frames.frame_ricci`` on a stack of frames,
+which ``_frame_ricci`` reads for the 3D curvature of a stack (``_ricci3``,
+whence H_t) and for ``lorentz.ricci4``.  The
 build runs the interpreter's own compiler once and caches the library in
 the package's ``__pycache__``; any failure falls back to ``_kernel_py``
 and prints nothing.
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import _kernel_py
 from .errors import SingularTime, SpinorFlowError
-from .frames import Sym3, frame_ricci, structure_constants_from_theta, sym_matrices
+from .frames import Sym3, structure_constants_from_theta, sym_matrices
 from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, _hamiltonians, require_valid
 
@@ -148,16 +151,28 @@ def hamiltonian_of(theta):
     return hams[0] if one else np.array(hams)
 
 
+def _frame_ricci(eta: np.ndarray, c, dc0=None):
+    """``frame_ricci`` of the frame, or the stack of frames, with structure
+    constants ``c``, in one call of the kernel's ``ricci``, with no warning:
+    a Ricci tensor past the largest float is inf or NaN."""
+    c = np.ascontiguousarray(c, dtype=float)
+    if dc0 is not None:
+        dc0 = np.ascontiguousarray(dc0, dtype=float)
+    ric, scalar = _kern.ricci(eta, c, dc0)
+    scalar = np.frombuffer(scalar)
+    return (np.frombuffer(ric).reshape(c.shape[:-1]),
+            scalar.item() if c.ndim == 3 else scalar.reshape(c.shape[:-3]))
+
+
 def _ricci3(comp: np.ndarray):
     """Ric and R of the 3D frame at each row of the components ``comp``."""
-    return frame_ricci(_ETA3, structure_constants_from_theta(comp))
+    return _frame_ricci(_ETA3, structure_constants_from_theta(comp))
 
 
 def _curvature3(comp: np.ndarray) -> tuple[np.ndarray, list[float], Exception | None]:
     """Ric of the 3D frame at each row of the components ``comp``, H_t up to
     the first row whose squares overflow, and that OverflowError or None."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ric, scal = _ricci3(comp)
+    ric, scal = _ricci3(comp)
     return (ric, *_until_raised(_hamiltonians(scal, comp.tolist())))
 
 

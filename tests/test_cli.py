@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorflow
-from spinorflow import _kernel_py, cli, exact, frames, lapse, lorentz, numeric, pairs, \
+from spinorflow import _kernel_py, cli, exact, lapse, lorentz, numeric, pairs, \
     verify
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
@@ -347,6 +347,30 @@ class TestExitCodes:
         assert exc.value.code == code
         if code != EXIT_OK:
             assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["flow", "curvature"])
+    @pytest.mark.parametrize("t", ["-1e-05", "-1.433864309371e+00"],
+                             ids=["exponent", "flow-table-time"])
+    def test_a_negative_time_in_exponent_notation(self, e11_file, capsys, command, t):
+        # argparse before Python 3.13 reads such a value as an option; each
+        # reads as it does joined to its option by "="
+        for window in (["--t0", t, "--t1", "1"], ["--t0", "-2.5", "--t1", t]):
+            joined = [f"{a}={b}" for a, b in zip(window[::2], window[1::2])]
+            assert main([command, e11_file, "--samples", "3"] + joined) == EXIT_OK
+            want = capsys.readouterr()
+            assert main([command, e11_file, "--samples", "3"] + window) == EXIT_OK
+            assert capsys.readouterr() == want
+        if command == "flow":
+            assert want.out.splitlines()[-1].startswith(f"{float(t):.12e},")
+
+    @pytest.mark.parametrize("argv", [["--t0", "-inf"], ["--t0", "-x"], ["--tol", "-1e-9"]],
+                             ids=["t0-inf", "t0-word", "tol-exponent"])
+    def test_other_option_values_are_still_usage_errors(self, e11_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", e11_file] + argv)
+        assert exc.value.code == EXIT_IO
+        assert capsys.readouterr().err.endswith(
+            f"spinorflow flow: error: argument {argv[0]}: expected one argument\n")
 
     def test_failed_suite_exit_code(self, uu_file, monkeypatch, capsys):
         monkeypatch.setenv("SPINORFLOW_TOL", "1e-9")
@@ -928,7 +952,8 @@ class TestFlowReadsArrays:
 class TestVerifyEvaluatesOnce:
     """``verify`` evaluates the pair's constraints at most once, and only
     for a suite that reads them, and the 3D curvature once per stack of
-    samples and once for the RK4 states."""
+    samples and once for the RK4 states: a call of the kernel's ``ricci``
+    on 3D frames, or of ``frame_ricci`` by ``pairs``."""
 
     PAIRS = {
         "table": (dict(uu=-2.0, ul=1.0, un=1.0, ll=1.0, ln=1.0, nn=1.0),
@@ -947,10 +972,9 @@ class TestVerifyEvaluatesOnce:
         evaluate = pairs._constraints
         monkeypatch.setattr(verify, "_constraints",
                             lambda *a: con.append(a) or evaluate(*a))
-        frame_ricci = frames.frame_ricci
-        for module in (pairs, numeric, lorentz):
-            monkeypatch.setattr(module, "frame_ricci", lambda eta, *a: (
-                len(eta) == 3 and ricci.append(eta)) or frame_ricci(eta, *a))
+        for module, entry in ((pairs, "frame_ricci"), (numeric._kern, "ricci")):
+            monkeypatch.setattr(module, entry, lambda eta, *a, run=getattr(module, entry): (
+                len(eta) == 3 and ricci.append(eta)) or run(eta, *a))
         theta, beta = self.PAIRS[name]
         path = write_pair(tmp_path, name, theta_dict(**theta), extra={"beta": beta})
         assert main(["verify", path] + argv) == EXIT_OK

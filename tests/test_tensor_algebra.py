@@ -12,9 +12,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorflow import LapseProfile, Sym3, eigen2x2, frame_ricci, levi_civita, ricci3, \
-    sample_times, structure_constants_from_theta, theta_exact
-from spinorflow.frames import divergence_sym
+from spinorflow import LapseProfile, Sym3, _kernel_py, coframe4_at, eigen2x2, frame_ricci, \
+    levi_civita, numeric, ricci3, ricci4, sample_times, structure_constants_from_theta, \
+    theta_exact
+from spinorflow.frames import divergence_sym, sym_matrices
+from spinorflow.lorentz import _structure4
 
 from conftest import ROW_PAIRS, besse_ricci
 
@@ -282,3 +284,118 @@ class TestFrameRicci4:
         assert np.allclose(ric[1:, 1:], ric3_ref.as_matrix())
         assert np.allclose(ric[0, :], 0.0)
         assert scal == pytest.approx(scal3)
+
+
+# _kernel_py, and the C kernel when numeric runs it
+BACKENDS = (_kernel_py,) if numeric._kern is _kernel_py else (_kernel_py, numeric._kern)
+
+
+def _with_extremes(rng, x):
+    """``x`` with about one entry in twelve replaced by an infinity of
+    either sign or a NaN."""
+    x = x.copy()
+    pick = rng.random(x.shape)
+    x[pick < 1 / 36] = np.inf
+    x[(pick >= 1 / 36) & (pick < 2 / 36)] = -np.inf
+    x[(pick >= 2 / 36) & (pick < 3 / 36)] = np.nan
+    return x
+
+
+def _same_cells(got, want):
+    """Two byte strings of float64s hold the same cells, a NaN as any NaN."""
+    got, want = np.frombuffer(got), np.frombuffer(want)
+    nan = np.isnan(want)
+    assert got.shape == want.shape and (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _theta_stack(rng, lead, scale):
+    """Components (uu, ul, un, ll, ln, nn) of ``lead`` shapes Theta, normal
+    entries times ``scale`` over six decades, with signed zeros."""
+    return _draw(rng, 6, lead, scale)[..., 0, 0]
+
+
+@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: "python" if k is _kernel_py else "c")
+class TestKernelRicci:
+    """The kernel's ``ricci`` gives the bytes of ``_kernel_py.ricci``, which
+    are ``frame_ricci``'s cells, a NaN as any NaN: every rounding, signed
+    zero and infinity of each sum, and the NaN of an infinity times a zero
+    that the sums multiply in."""
+
+    LEADS = [(), (0,), (1,), (2, 3), (7,), (50,)]
+
+    @staticmethod
+    def _same(kernel, eta, c, dc0=None):
+        want = _kernel_py.ricci(eta, c, dc0)
+        for got, ref in zip(kernel.ricci(eta, c, dc0), want):
+            _same_cells(got, ref)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ric, scalar = frame_ricci(eta, c, dc0)
+        assert want == (ric.tobytes(), np.float64(scalar).tobytes())
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_theta_stacks(self, kernel, scale):
+        # the 3D frames of numeric._ricci3 and the 4D frames with dC0 of
+        # lorentz._coframe4
+        rng = np.random.default_rng([45, SCALES.index(scale)])
+        for lead in self.LEADS:
+            comp = _theta_stack(rng, lead, scale)
+            for extreme in (False, True):
+                if extreme:
+                    comp = _with_extremes(rng, comp)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    c4, dc4 = (_structure4(sym_matrices(x))
+                               for x in (comp, numeric._theta_rhs(comp)))
+                self._same(kernel, ETA3, structure_constants_from_theta(comp))
+                self._same(kernel, ETA4, c4, dc4)
+
+    @pytest.mark.parametrize("dim,with_dc0", [(3, False), (4, False), (4, True)],
+                             ids=["3d", "4d", "4d-dc0"])
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+    def test_dense_frames(self, kernel, dim, with_dc0, scale):
+        rng = np.random.default_rng([46, dim, int(with_dc0), SCALES.index(scale)])
+        eta = ETA3 if dim == 3 else ETA4
+        for lead in self.LEADS:
+            c = rng.standard_normal(lead + (dim,) * 3) * scale
+            dc0 = rng.standard_normal(c.shape) * scale if with_dc0 else None
+            self._same(kernel, eta, c, dc0)
+            c = _with_extremes(rng, _draw(rng, dim, lead, scale))
+            dc0 = _with_extremes(rng, _draw(rng, dim, lead, scale)) if with_dc0 else None
+            self._same(kernel, eta, c, dc0)
+
+
+@pytest.mark.skipif(numeric._kern is _kernel_py,
+                    reason="numeric runs _kernel_py: no C kernel was built")
+@pytest.mark.parametrize("args, error", [
+    ((ETA3, np.zeros((2, 3, 3, 3), dtype=np.float32), None), TypeError),
+    ((ETA3, np.zeros((3, 3)), None), TypeError),
+    ((ETA3, np.zeros((3, 3, 6))[..., ::2], None), ValueError),
+    ((ETA3, np.zeros((2, 3, 3, 3)), np.zeros((1, 3, 3, 3))), ValueError),
+    ((ETA4, np.zeros((2, 3, 3, 3)), None), ValueError),
+    ((np.ones(5), np.zeros((5, 5, 5)), None), ValueError),
+], ids=["float32", "2d", "strided", "dc0-shape", "eta-length", "dim-5"])
+def test_the_c_kernel_refuses_a_bad_stack(args, error):
+    # the stacks never pass these; the C kernel refuses them rather than
+    # read past an array
+    with pytest.raises(error):
+        numeric._kern.ricci(*args)
+
+
+class TestTheStacksReadTheKernel:
+    """``numeric._ricci3`` and ``lorentz.ricci4`` take Ric from the kernel's
+    ``ricci``: ``frame_ricci``'s values, with one sample's scalar a float."""
+
+    def test_ricci3(self):
+        comp = np.array([[1.0, 0.5, -0.25, 2.0, 0.3, -1.0], [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]])
+        for rows in (comp, comp[0]):
+            ric, scalar = numeric._ricci3(rows)
+            want = frame_ricci(ETA3, structure_constants_from_theta(rows))
+            _assert_same_bits((ric, scalar), want)
+
+    def test_ricci4(self, row_pair):
+        frame = coframe4_at(row_pair, LapseProfile.constant(1.0), 0.3)
+        ric, scalar = frame_ricci(ETA4, frame.C, frame.dC0)
+        got = ricci4(frame)
+        assert type(got.scalar) is float
+        assert np.float64(got.scalar).tobytes() == np.float64(scalar).tobytes()
+        assert got.components.tobytes() == (0.5 * (ric + ric.T)).tobytes()
