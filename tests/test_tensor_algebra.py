@@ -196,11 +196,10 @@ ETA4 = np.array([-1.0, 1.0, 1.0, 1.0])
 SCALES = [0.0, 1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150, 1e160, 1e175, 1e200]
 
 
-def _draw(rng, dim, lead, scale):
-    """Structure functions of shape ``lead + (dim, dim, dim)``: normal
-    entries times ``scale``, spread over six decades, about a third of them
-    exact zeros and a sixth -0.0."""
-    shape = lead + (dim, dim, dim)
+def _draw(rng, shape, scale):
+    """An array of ``shape``, such as structure functions of shape
+    ``lead + (dim, dim, dim)``: normal entries times ``scale``, spread over
+    six decades, about a third of them exact zeros and a sixth -0.0."""
     x = rng.standard_normal(shape) * scale * 10.0 ** rng.uniform(-3.0, 3.0, shape)
     x[rng.random(shape) < 1 / 3] = 0.0
     x[rng.random(shape) < 1 / 6] = -0.0
@@ -229,8 +228,8 @@ class TestFrameRicciContraction:
         eta = ETA3 if dim == 3 else ETA4
         leads = [(), (), (1,), (2, 3), (80,)] + [(int(n),) for n in rng.integers(2, 81, 25)]
         for lead in leads:
-            c = _draw(rng, dim, lead, scale)
-            dc0 = _draw(rng, dim, lead, scale) if with_dc0 else None
+            c = _draw(rng, lead + (dim,) * 3, scale)
+            dc0 = _draw(rng, lead + (dim,) * 3, scale) if with_dc0 else None
             with np.errstate(all="ignore"):
                 _assert_same_bits(frame_ricci(eta, c, dc0), rank4_frame_ricci(eta, c, dc0))
 
@@ -309,12 +308,6 @@ def _same_cells(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-def _theta_stack(rng, lead, scale):
-    """Components (uu, ul, un, ll, ln, nn) of ``lead`` shapes Theta, normal
-    entries times ``scale`` over six decades, with signed zeros."""
-    return _draw(rng, 6, lead, scale)[..., 0, 0]
-
-
 @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: "python" if k is _kernel_py else "c")
 class TestKernelRicci:
     """The kernel's ``ricci`` gives the bytes of ``_kernel_py.ricci``, which
@@ -339,7 +332,7 @@ class TestKernelRicci:
         # lorentz._coframe4
         rng = np.random.default_rng([45, SCALES.index(scale)])
         for lead in self.LEADS:
-            comp = _theta_stack(rng, lead, scale)
+            comp = _draw(rng, lead + (6,), scale)  # (uu, ul, un, ll, ln, nn)
             for extreme in (False, True):
                 if extreme:
                     comp = _with_extremes(rng, comp)
@@ -359,8 +352,9 @@ class TestKernelRicci:
             c = rng.standard_normal(lead + (dim,) * 3) * scale
             dc0 = rng.standard_normal(c.shape) * scale if with_dc0 else None
             self._same(kernel, eta, c, dc0)
-            c = _with_extremes(rng, _draw(rng, dim, lead, scale))
-            dc0 = _with_extremes(rng, _draw(rng, dim, lead, scale)) if with_dc0 else None
+            c = _with_extremes(rng, _draw(rng, c.shape, scale))
+            dc0 = (_with_extremes(rng, _draw(rng, c.shape, scale)) if with_dc0
+                   else None)
             self._same(kernel, eta, c, dc0)
 
 
