@@ -1,4 +1,4 @@
-/* The kernel in C: the six entries of _kernel_py, with its contract and
+/* The kernel in C: the seven entries of _kernel_py, with its contract and
    its bits.
 
    _kernel_py documents the contract and stays the reference.  The march
@@ -51,7 +51,14 @@
    zeros and with the zero entries of diag(1/eta) included, so an infinity
    times a zero gives NaN and every zero its sign as numpy gives them.  The
    scalar takes the order in which numpy's einsum sums a contiguous
-   product, in two lanes (trace()). */
+   product, in two lanes (trace()).
+
+   residuals() evaluates the flow residuals r1-r4 of each sample of a
+   stack, the formulas that _kernel_py writes as elementwise numpy over the
+   stack, in their order.  Every sum of products is written in index order,
+   (x0 y0 + x1 y1) + x2 y2 (product()), and no multiply and add fuse, so
+   the bits depend on no BLAS and no CPU.  Each maximum keeps a NaN, as
+   np.max does (max_nan()). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -539,6 +546,116 @@ ricci(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
+/* residuals(): numeric._residuals' r1-r4 of each sample.  SYM3 is the
+   entry [i][j] of a symmetric 3x3 matrix in its components (uu, ul, un, ll,
+   ln, nn) */
+static const int SYM3[9] = {0, 1, 2, 1, 3, 4, 2, 4, 5};
+
+/* entry [i][j] of x y, of 3x3 matrices row by row, summed in index order */
+static inline double
+product(const double *x, const double *y, int i, int j)
+{
+    return (x[3 * i] * y[j] + x[3 * i + 1] * y[3 + j]) + x[3 * i + 2] * y[6 + j];
+}
+
+/* np.max's step: x when it is NaN or above m, else m, so a NaN stays */
+static inline double
+max_nan(double m, double x)
+{
+    return x > m || isnan(x) ? x : m;
+}
+
+/* r[0], r[n], r[2n], r[3n]: r1-r4 of the sample with components comp and
+   U_t u, for Theta_0 of the matrix th0 */
+static void
+residuals_of(const double *comp, const double *u, const double *th0, Py_ssize_t n,
+             double *r)
+{
+    double uu = comp[0], ul = comp[1], un = comp[2], dth[6], th[9], d[9], du[9], a[9];
+    double g[27], r1 = 0.0, r2 = 0.0, r3 = 0.0;
+    /* _theta_rhs, and dU = -Theta U as ode_rhs takes it */
+    dth[0] = (uu * uu + ul * ul) + un * un;
+    dth[1] = dth[2] = 0.0;
+    dth[3] = comp[3] * uu - ul * ul;
+    dth[4] = comp[4] * uu - ul * un;
+    dth[5] = comp[5] * uu - un * un;
+    for (int k = 0; k < 9; k++) {
+        th[k] = comp[SYM3[k]];
+        d[k] = dth[SYM3[k]];
+    }
+    for (int i = 0; i < 3; i++)
+        for (int j = 0; j < 3; j++) {
+            double p = product(th, u, i, j);
+            du[3 * i + j] = -p;
+            r1 = max_nan(r1, fabs(du[3 * i + j] + p));
+            a[3 * i + j] = product(u, th0, i, j);
+        }
+    /* g[a][c][e] = (Theta_ab U_bc) U_0e, summed over b in index order */
+    for (int i = 0; i < 3; i++)
+        for (int c = 0; c < 3; c++)
+            for (int e = 0; e < 3; e++)
+                g[9 * i + 3 * c + e] = ((th[3 * i] * u[c]) * u[e]
+                                        + (th[3 * i + 1] * u[3 + c]) * u[e])
+                                       + (th[3 * i + 2] * u[6 + c]) * u[e];
+    for (int i = 0; i < 3; i++)
+        for (int c = 0; c < 3; c++)
+            for (int e = 0; e < 3; e++) {
+                double f = 0.0; /* its += a, then its -= a */
+                if (e == 0)
+                    f += a[3 * i + c];
+                if (c == 0)
+                    f -= a[3 * i + e];
+                double dg = g[9 * i + 3 * c + e] - g[9 * i + 3 * e + c];
+                r2 = max_nan(r2, fabs(f - dg));
+            }
+    for (int j = 0; j < 3; j++)
+        r3 = max_nan(r3, fabs(product(d, u, 0, j) + product(th, du, 0, j)));
+    double wl = fabs(product(th, th, 0, 1)), wn = fabs(product(th, th, 0, 2));
+    r[0] = r1;
+    r[n] = r2;
+    r[2 * n] = r3;
+    r[3 * n] = wn > wl ? wn : wl;
+}
+
+#define RESIDUALS_TYPE "residuals() takes float64 arrays: comp 2D, u 3D, theta0 1D"
+
+static PyObject *
+residuals(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer c, u, t;
+    if (!check_nargs("residuals", nargs, 3)
+            || read_doubles(args[0], &c, 2, 2, RESIDUALS_TYPE) < 0)
+        return NULL;
+    if (read_doubles(args[1], &u, 3, 3, RESIDUALS_TYPE) < 0) {
+        PyBuffer_Release(&c);
+        return NULL;
+    }
+    if (read_doubles(args[2], &t, 1, 1, RESIDUALS_TYPE) < 0) {
+        PyBuffer_Release(&c);
+        PyBuffer_Release(&u);
+        return NULL;
+    }
+    Py_ssize_t n = c.shape[0];
+    PyObject *out = NULL;
+    if (c.shape[1] != 6 || u.shape[0] != n || u.shape[1] != 3 || u.shape[2] != 3
+            || t.shape[0] != 6)
+        PyErr_SetString(PyExc_ValueError, "residuals() needs comp of shape (n, 6), u of "
+                                          "shape (n, 3, 3) and theta0 of 6 components");
+    else if ((out = PyBytes_FromStringAndSize(NULL, 4 * n * (Py_ssize_t)sizeof(double)))
+             != NULL) {
+        const double *comps = c.buf, *us = u.buf, *t0 = t.buf;
+        double th0[9], *r = (double *)PyBytes_AS_STRING(out);
+        for (int k = 0; k < 9; k++)
+            th0[k] = t0[SYM3[k]];
+        for (Py_ssize_t i = 0; i < n; i++)
+            residuals_of(comps + 6 * i, us + 9 * i, th0, n, r + i);
+    }
+    PyBuffer_Release(&c);
+    PyBuffer_Release(&u);
+    PyBuffer_Release(&t);
+    return out;
+}
+
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
@@ -858,6 +975,8 @@ static PyMethodDef methods[] = {
      "cumulative(times, values, at_zero, /): as _kernel_py.cumulative."},
     {"ricci", (PyCFunction)(void (*)(void))ricci, METH_FASTCALL,
      "ricci(eta, c, dc0, /): as _kernel_py.ricci."},
+    {"residuals", (PyCFunction)(void (*)(void))residuals, METH_FASTCALL,
+     "residuals(comp, u, theta0, /): as _kernel_py.residuals."},
     {NULL, NULL, 0, NULL},
 };
 

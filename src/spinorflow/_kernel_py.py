@@ -1,7 +1,8 @@
 """The kernel in Python: the reference of the package's RK4 step, of the
 number formats of the flow table and of curvature, of the cumulative
-table of a tabulated lapse and of the Ricci tensor of a stack of frames,
-and the fallback of its C kernel.
+table of a tabulated lapse, of the Ricci tensor of a stack of frames and
+of the flow residuals of a stack of states, and the fallback of its C
+kernel.
 
 ``numeric`` runs the C extension built from ``_kernel.c``, and runs this
 module wherever that cannot be built or loaded.  The C kernel writes the
@@ -10,8 +11,9 @@ a loop over the 15 floats, and gives the same bits as this module's
 unrolled ``_march``.  This module states the contract of both;
 ``tests/test_numeric.py`` holds both to it, ``tests/test_cli.py`` holds
 both ``e12`` to ``"%.12e" % x`` and both ``reprs`` to ``repr(x)``,
-``tests/test_exact.py`` holds the C ``cumulative`` to this one and
-``tests/test_tensor_algebra.py`` the C ``ricci``.
+``tests/test_exact.py`` holds the C ``cumulative`` to this one,
+``tests/test_tensor_algebra.py`` the C ``ricci`` and
+``tests/test_numeric.py`` the C ``residuals``.
 
 It marches the 15 flow components
 y = (Theta_uu, Theta_ul, Theta_un, Theta_ll, Theta_ln, Theta_nn, U row-major)
@@ -21,7 +23,7 @@ lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
-The six entries take their arguments by position only.
+The seven entries take their arguments by position only.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march.  It returns ``(y, steps done, truncated)``: y is
 the state the march ends on, as a tuple of 15 floats, which on truncation
@@ -109,6 +111,31 @@ A Ricci tensor past the largest float is inf or NaN, with no warning.
 Here that is ``frame_ricci`` itself; the C kernel evaluates one frame at
 a time with the same operations in the same order, and gives the same
 bytes up to the payload of a NaN.
+
+``residuals(comp, u, theta0)`` returns the residuals of the flow
+equations at each state of a stack, ``numeric.flow_residuals``' r1, r2,
+r3 and r4, as the bytes of 4 n float64s: all n r1 first, then the r2, r3
+and r4.  ``comp`` is a C-contiguous float64 array of shape (n, 6), the
+components (uu, ul, un, ll, ln, nn) of Theta_t, ``u`` one of shape (n, 3,
+3), the U_t, and ``theta0`` the 6 components of Theta_0.  With
+dTheta = ``_theta_rhs(comp)`` and dU = -Theta_t U_t, as ``numeric.ode_rhs``
+takes them:
+
+- r1 = max |dU + Theta_t U_t|, the frame evolution;
+- r2 = max |f - (g - g^T)|, the structure of dU: f starts at 0.0, takes
+  a = U_t Theta_0 added into f[i][c][0], then subtracted from f[i][0][d],
+  and g[a][c][d] is (Theta_ab U_bc) U_0d summed over b;
+- r3 = max |row u of dTheta U_t + Theta_t dU|, the constancy of
+  Theta_t(e_u);
+- r4 = |w_l| unless |w_n| > |w_l|, w = row u of Theta_t Theta_t, the
+  closedness.
+
+Every sum of products is in index order, (x0 y0 + x1 y1) + x2 y2, with no
+multiply and add fused, and never the BLAS; each max keeps a NaN as
+``np.max`` does.  No overflow warns.  Here the formulas run as elementwise
+numpy over the stack axis; the C kernel takes one state at a time with the
+same operations in the same order, and gives the same bytes up to the
+payload of a NaN.
 """
 
 from __future__ import annotations
@@ -117,7 +144,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .frames import frame_ricci
+from .frames import frame_ricci, index_matmul, sym_matrices
 
 _GUARD = 1e12
 # the legs of a trial, in the order they run
@@ -206,6 +233,50 @@ def ricci(eta, c, dc0, /):
     with np.errstate(over="ignore", invalid="ignore"):
         ric, scalar = frame_ricci(eta, c, dc0)
     return ric.tobytes(), np.asarray(scalar).tobytes()
+
+
+def residuals(comp, u, theta0, /):
+    """r1, r2, r3 and r4 of each sample as bytes; see the module docstring."""
+    th = sym_matrices(comp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # r1: frame evolution, dU = -Theta U as ode_rhs takes it
+        p = index_matmul(th, u)
+        du = -p
+        r1 = np.abs(du + p).max(axis=(1, 2))
+        # r2: d e^t computed two ways; f takes its += a, then its -= a
+        a = index_matmul(u, sym_matrices(theta0))
+        f = np.zeros((len(u), 3, 3, 3))
+        f[:, :, :, 0] += a
+        f[:, :, 0, :] -= a
+        # g[a, c, d] = (Theta_ab U_bc) U_0d, summed over b in index order
+        row0 = u[:, None, None, 0, :]
+        g0, g1, g2 = ((th[:, :, b, None] * u[:, None, b, :])[..., None] * row0
+                      for b in range(3))
+        g = (g0 + g1) + g2
+        g = g - g.transpose(0, 1, 3, 2)
+        r2 = np.abs(f - g).max(axis=(1, 2, 3))
+        # r3: row u of dTheta U + Theta dU
+        v_dot = (index_matmul(sym_matrices(_theta_rhs(comp))[:, :1], u)
+                 + index_matmul(th[:, :1], du))
+        r3 = np.abs(v_dot).max(axis=(1, 2))
+        # r4: |w_l| unless |w_n| > |w_l|, w = Theta_t(e_u) Theta_t
+        w = np.abs(index_matmul(th[:, :1], th))[:, 0]
+        r4 = np.where(w[:, 2] > w[:, 1], w[:, 2], w[:, 1])
+    return np.concatenate((r1, r2, r3, r4)).tobytes()
+
+
+def _theta_rhs(comp):
+    """The shape rows of ``numeric.ode_rhs``: d/ds of the components (uu, ul,
+    un, ll, ln, nn) on the last axis of ``comp``, the operations of
+    ``_rhs`` in its order."""
+    v = comp[..., :3]  # (uu, ul, un)
+    dth = np.zeros(comp.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = v * v
+        dth[..., 0] = sq[..., 0] + sq[..., 1] + sq[..., 2]
+        # (ll, ln, nn) uu - (ul ul, ul un, un un)
+        dth[..., 3:] = comp[..., 3:] * v[..., :1] - v[..., [1, 1, 2]] * v[..., [1, 2, 2]]
+    return dth
 
 
 def _prefix_sums(parts):

@@ -23,6 +23,10 @@ The stacks of the flow and of curvature (``numeric._ricci3``,
 ``lorentz.ricci4``) evaluate ``frame_ricci`` in the kernel's ``ricci``,
 which gives its bits one frame at a time (``numeric._frame_ricci``);
 ``frame_ricci`` stays their reference, and what ``pairs`` evaluates.
+
+``index_matmul`` multiplies 3x3 matrices, or stacks of them, with each
+sum in index order: the flow's right-hand side and its log-scale
+differential use it in place of ``@``, whose BLAS rounds by the CPU.
 """
 
 from __future__ import annotations
@@ -128,6 +132,15 @@ def sym_matrices(theta) -> np.ndarray:
     if isinstance(theta, Sym3):
         return theta.as_matrix()
     return np.ascontiguousarray(np.asarray(theta, dtype=float)[..., _SYM_INDEX])
+
+
+def index_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a matrix a of 3 columns and b of 3 rows, or broadcast stacks
+    of them, each entry summed in index order, (a_i0 b_0j + a_i1 b_1j) +
+    a_i2 b_2j, with no multiply and add fused: its bits do not depend on the
+    CPU, as those of the BLAS that ``@`` calls do."""
+    return ((a[..., :, :1] * b[..., :1, :] + a[..., :, 1:2] * b[..., 1:2, :])
+            + a[..., :, 2:] * b[..., 2:, :])
 
 
 def structure_constants_from_theta(theta) -> np.ndarray:

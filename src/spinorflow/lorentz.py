@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import _sample, _Samples
-from .frames import sym_matrices
+from .frames import index_matmul, sym_matrices
 from .lapse import LapseProfile
 from .numeric import _frame_ricci, _refuse, _theta_rhs
 from .pairs import CauchyPair, DEFAULT_TOL
@@ -133,15 +133,16 @@ def dirac_current_frame(pair: CauchyPair, profile: LapseProfile, t: float,
 
 def _log_scale_differential(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """-Theta_t(e_u^t) expanded on the reference coframe, given the matrices
-    of Theta_t and U_t, or the same of each sample of a stack."""
-    return -(theta @ u)[..., 0, :]
+    of Theta_t and U_t, or the same of each sample of a stack: row u of
+    Theta_t U_t, summed in index order."""
+    return -index_matmul(theta[..., :1, :], u)[..., 0, :]
 
 
 def closedness_residual(pair: CauchyPair, alpha: np.ndarray) -> float:
     """Residual of d(alpha) = 0 for a left-invariant one-form with the given
     reference-coframe components; the reference differentials are
-    d e_a = Theta_ab e_b ^ e_u."""
-    v = pair.theta.as_matrix() @ np.asarray(alpha, dtype=float)
+    d e_a = Theta_ab e_b ^ e_u.  Theta_0 alpha is summed in index order."""
+    v = index_matmul(pair.theta.as_matrix(), np.asarray(alpha, dtype=float)[:, None])[:, 0]
     return float(max(abs(v[1]), abs(v[2])))
 
 

@@ -22,7 +22,10 @@ fifth, ``cumulative``, builds the table of B of a tabulated lapse, which
 ``lapse._cumulative_trapezoid`` reads as ``numeric._kern.cumulative``; its
 sixth, ``ricci``, evaluates ``frames.frame_ricci`` on a stack of frames,
 which ``_frame_ricci`` reads for the 3D curvature of a stack (``_ricci3``,
-whence H_t) and for ``lorentz.ricci4``.  The
+whence H_t) and for ``lorentz.ricci4``; its seventh, ``residuals``,
+evaluates the flow residuals r1-r4 of a stack of states for
+``_residuals``, every sum of products in index order and none through the
+BLAS, so the flow table's residual cells do not depend on the CPU.  The
 build runs the interpreter's own compiler once and caches the library in
 the package's ``__pycache__``; any failure falls back to ``_kernel_py``
 and prints nothing.
@@ -48,8 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernel_py
+from ._kernel_py import _theta_rhs
 from .errors import SingularTime, SpinorFlowError
-from .frames import Sym3, structure_constants_from_theta, sym_matrices
+from .frames import Sym3, index_matmul, structure_constants_from_theta, sym_matrices
 from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, _hamiltonians, require_valid
 
@@ -187,25 +191,10 @@ def ode_rhs(theta, U: np.ndarray):
     column by column, in its order, and like Python floats warns of no
     overflow."""
     comp = np.asarray(theta, dtype=float).reshape(-1, 6)
-    th = sym_matrices(comp)[..., None]  # th[:, :, b] column b of Theta
-    u = np.broadcast_to(U, (len(comp), 3, 3))[:, None]  # u[:, :, b] row b of U
+    u = np.broadcast_to(U, (len(comp), 3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        du = -(th[:, :, 0] * u[:, :, 0] + th[:, :, 1] * u[:, :, 1]
-               + th[:, :, 2] * u[:, :, 2])
+        du = -index_matmul(sym_matrices(comp), u)
     return _theta_rhs(comp), du
-
-
-def _theta_rhs(comp: np.ndarray) -> np.ndarray:
-    """The shape rows of ``ode_rhs``: d/ds of the components (uu, ul, un,
-    ll, ln, nn) on the last axis of ``comp``."""
-    v = comp[..., :3]  # (uu, ul, un)
-    dth = np.zeros(comp.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = v * v
-        dth[..., 0] = sq[..., 0] + sq[..., 1] + sq[..., 2]
-        # (ll, ln, nn) uu - (ul ul, ul un, un un)
-        dth[..., 3:] = comp[..., 3:] * v[..., :1] - v[..., [1, 1, 2]] * v[..., [1, 2, 2]]
-    return dth
 
 
 def _until_raised(items) -> tuple[list, Exception | None]:
@@ -453,38 +442,15 @@ def flow_residuals(state, pair: CauchyPair):
     states = [state] if isinstance(state, FlowState) else list(state)
     comp = np.array([st.theta.as_array() for st in states]).reshape(-1, 6)
     u = np.array([st.U for st in states]).reshape(-1, 3, 3)
-    reports = [ResidualReport(*res) for res in
-               zip(*(r.tolist() for r in _residuals(comp, u, pair)))]
+    reports = [ResidualReport(*res) for res in _residuals(comp, u, pair).T.tolist()]
     return reports[0] if isinstance(state, FlowState) else reports
 
 
-def _residuals(comp: np.ndarray, u: np.ndarray, pair: CauchyPair):
-    """The residuals r1, r2, r3 and r4 of ``flow_residuals``, each an array
+def _residuals(comp: np.ndarray, u: np.ndarray, pair: CauchyPair) -> np.ndarray:
+    """The residuals of ``flow_residuals`` in four rows, r1, r2, r3 and r4,
     with one entry per row of the Theta_t components ``comp`` and of the
-    stack ``u`` of U_t."""
-    th_t = sym_matrices(comp)
-    th_0 = pair.theta.as_matrix()
-    u = np.ascontiguousarray(u)
-
-    # r1: frame evolution, with dU re-derived from the right-hand side
-    dth, du = ode_rhs(comp, u)
-    r1 = np.abs(du + th_t @ u).max(axis=(1, 2))
-
-    # r2: exterior derivative of the evolved coframe computed two ways
-    a = u @ th_0
-    f = np.zeros((len(u), 3, 3, 3))
-    f[:, :, :, 0] += a
-    f[:, :, 0, :] -= a
-    g = np.einsum("zab,zbc,zd->zacd", th_t, u, u[:, 0, :])
-    g = g - g.transpose(0, 1, 3, 2)
-    r2 = np.abs(f - g).max(axis=(1, 2, 3))
-
-    # r3: constancy of Theta_t(e_u^t) in the reference coframe
-    v_dot = (sym_matrices(dth) @ u + th_t @ du)[:, 0, :]
-    r3 = np.abs(v_dot).max(axis=1)
-
-    # r4: algebraic closedness contractions
-    w = np.abs(th_t[:, None, 0, :] @ th_t)[:, 0, :]
-    # max(|w_l|, |w_n|) as Python's max takes it: |w_l| unless |w_n| > |w_l|
-    r4 = np.where(w[:, 2] > w[:, 1], w[:, 2], w[:, 1])
-    return r1, r2, r3, r4
+    stack ``u`` of U_t: one call of the kernel's ``residuals``, every sum of
+    products in index order."""
+    comp = np.ascontiguousarray(comp, dtype=float).reshape(-1, 6)
+    u = np.ascontiguousarray(u, dtype=float).reshape(-1, 3, 3)
+    return np.frombuffer(_kern.residuals(comp, u, pair.theta.as_array())).reshape(4, -1)

@@ -20,6 +20,7 @@ from spinorflow import CauchyPair, LapseProfile, SingularTime, Sym3, \
     flow_residuals, frame_exact, integrate_to, lifespan, ode_rhs, theta_exact
 from spinorflow.numeric import CERTIFY_LIMIT, KERNEL_BACKEND, FlowState, \
     ResidualReport, uncertified
+from spinorflow.frames import sym_matrices
 from spinorflow.verify import sample_times
 from spinorflow import _kernel_py, numeric
 from pathlib import Path
@@ -180,12 +181,14 @@ class TestResiduals:
         for st in _path(row_pair, 0.3):
             assert flow_residuals(st, row_pair).max() <= 1e-8
 
-    def test_one_rhs_evaluation(self, monkeypatch):
-        st = integrate_to(ROW_PAIRS["tau2R-general"], UNIT, [0.3])[-1]
+    def test_one_kernel_call(self, monkeypatch):
+        # the residuals of a whole sequence of states come from one pass
+        states = integrate_to(ROW_PAIRS["tau2R-general"], UNIT, [0.1, 0.2, 0.3])
         calls = []
-        rhs = numeric.ode_rhs
-        monkeypatch.setattr(numeric, "ode_rhs", lambda *a: calls.append(a) or rhs(*a))
-        flow_residuals(st, ROW_PAIRS["tau2R-general"])
+        kernel = numeric._kern.residuals
+        monkeypatch.setattr(numeric._kern, "residuals",
+                            lambda *a: calls.append(a) or kernel(*a))
+        flow_residuals(states, ROW_PAIRS["tau2R-general"])
         assert len(calls) == 1
 
     def test_corrupted_state_detected(self):
@@ -994,3 +997,129 @@ def _list_form_stop(y, z, s, h, target, tol):
                          min(5.0, max(0.2, 0.9 * (tol / error) ** 0.2)))
     extrapolated = tuple(a + (a - b) / 15.0 for a, b in zip(y, z))
     return y, z, s, h, extrapolated, _relative_gap(y, z) / 15.0, accepted, rejected, None
+
+
+def _flow_stack(pair, profile=UNIT, samples=20):
+    """(comp, u, theta0) of the RK4 states of ``pair`` at its sample times."""
+    states = integrate_to(pair, profile, sample_times(pair, profile, samples))
+    return (np.array([st.theta.as_array() for st in states]),
+            np.array([st.U for st in states]), pair.theta.as_array())
+
+
+def _with_specials(rng, x):
+    """``x`` with about one entry in six replaced by +-0.0, +-inf or NaN."""
+    x = x.copy()
+    pick = rng.integers(0, 30, x.shape)
+    for k, special in enumerate([0.0, -0.0, np.inf, -np.inf, np.nan]):
+        x[pick == k] = special
+    return x
+
+
+def _numpy_residuals(comp, u, theta0):
+    """r1-r4 as they were evaluated before the kernel took them: with
+    numpy's ``@`` and ``einsum``, summed in whatever order the BLAS picks."""
+    th_t, th_0 = sym_matrices(comp), sym_matrices(theta0)
+    dth, du = ode_rhs(comp, u)
+    r1 = np.abs(du + th_t @ u).max(axis=(1, 2))
+    a = u @ th_0
+    f = np.zeros((len(u), 3, 3, 3))
+    f[:, :, :, 0] += a
+    f[:, :, 0, :] -= a
+    g = np.einsum("zab,zbc,zd->zacd", th_t, u, u[:, 0, :])
+    r2 = np.abs(f - (g - g.transpose(0, 1, 3, 2))).max(axis=(1, 2, 3))
+    r3 = np.abs((sym_matrices(dth) @ u + th_t @ du)[:, 0, :]).max(axis=1)
+    w = np.abs(th_t[:, None, 0, :] @ th_t)[:, 0, :]
+    return np.stack([r1, r2, r3, np.where(w[:, 2] > w[:, 1], w[:, 2], w[:, 1])])
+
+
+# magnitudes of the residual stacks: products underflow or overflow at the ends
+_SCALES = [1e-160, 1.0, 1e160]
+
+
+class TestKernelResiduals:
+    """The kernel's ``residuals`` gives the bytes of ``_kernel_py.residuals``,
+    a NaN as any NaN: every sum of products in index order, with no fused
+    multiply-add, the maxima keeping a NaN as ``np.max`` does, and r4 |w_l|
+    unless |w_n| > |w_l|."""
+
+    @staticmethod
+    def _same(kernel, comp, u, theta0):
+        got = np.frombuffer(kernel.residuals(comp, u, theta0))
+        want = np.frombuffer(_kernel_py.residuals(comp, u, theta0))
+        nan = np.isnan(want)
+        assert got.shape == want.shape == (4 * len(comp),)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_flow_stacks(self, kernel, row_pair, scale):
+        rng = np.random.default_rng([46, _SCALES.index(scale)])
+        comp, u, theta0 = (x * scale for x in _flow_stack(row_pair))
+        for n in (0, 1, len(comp)):
+            self._same(kernel, comp[:n], u[:n], theta0)
+            self._same(kernel, -comp[:n], -u[:n], -theta0)  # zeros of the other sign
+        self._same(kernel, _with_specials(rng, comp), _with_specials(rng, u), theta0)
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_dense_stacks(self, kernel, scale):
+        rng = np.random.default_rng([47, _SCALES.index(scale)])
+        for n in (0, 1, 2, 50):
+            comp = rng.standard_normal((n, 6)) * scale
+            u = rng.standard_normal((n, 3, 3)) * scale
+            theta0 = rng.standard_normal(6) * scale
+            self._same(kernel, comp, u, theta0)
+            self._same(kernel, _with_specials(rng, comp), _with_specials(rng, u),
+                       _with_specials(rng, theta0))
+
+    def test_a_nan_w_l_is_kept(self, kernel):
+        # Theta_ll NaN makes w_l NaN and leaves w_n finite: r4 is NaN
+        comp = np.array([[1.0, 2.0, 3.0, np.nan, 0.5, -1.0]])
+        r4 = np.frombuffer(kernel.residuals(comp, np.eye(3)[None], np.ones(6)))[3]
+        assert math.isnan(r4)
+        self._same(kernel, comp, np.eye(3)[None], np.ones(6))
+
+
+class TestResidualsAgainstMatmul:
+    """``numeric._residuals`` against numpy's ``@`` and ``einsum``, an
+    independent reference that differs only in how each sum rounds."""
+
+    def test_flow_states(self, row_pair):
+        # within 4 ulps of max(1, |Theta_t|) max(1, |U_t|), max norms
+        for profile in (UNIT, RAMP):
+            comp, u, _ = _flow_stack(row_pair, profile, 40)
+            got = numeric._residuals(comp, u, row_pair)
+            want = _numpy_residuals(comp, u, row_pair.theta.as_array())
+            scale = (np.maximum(1.0, np.abs(comp).max(axis=1))
+                     * np.maximum(1.0, np.abs(u).max(axis=(1, 2))))
+            assert (np.abs(got - want) <= 4 * np.finfo(float).eps * scale).all()
+
+    def test_dense_stacks(self):
+        # residuals of size 1, whose sums hold products of up to three
+        # factors: within 16 ulps of the largest such product
+        rng = np.random.default_rng(48)
+        comp, u, theta0 = (rng.standard_normal(shape) for shape in ((200, 6), (200, 3, 3), 6))
+        pair = CauchyPair(Sym3.from_array(theta0))
+        got = numeric._residuals(comp, u, pair)
+        want = _numpy_residuals(comp, u, theta0)
+        th = np.maximum(np.maximum(1.0, np.abs(comp).max(axis=1)), np.abs(theta0).max())
+        big_u = np.maximum(1.0, np.abs(u).max(axis=(1, 2)))
+        scale = th * big_u * np.maximum(th, big_u)
+        assert (np.abs(got - want) <= 16 * np.finfo(float).eps * scale).all()
+        # r1 is a rounding residue, since dU is -Theta_t U_t; the others are not
+        assert (want[1:].max(axis=1) > 0.1).all()
+
+
+@pytest.mark.skipif(numeric._kern is _kernel_py,
+                    reason="numeric runs _kernel_py: no C kernel was built")
+@pytest.mark.parametrize("args, error", [
+    ((np.zeros((2, 6), dtype=np.float32), np.zeros((2, 3, 3)), np.zeros(6)), TypeError),
+    ((np.zeros(6), np.zeros((1, 3, 3)), np.zeros(6)), TypeError),
+    ((np.zeros((2, 12))[:, ::2], np.zeros((2, 3, 3)), np.zeros(6)), ValueError),
+    ((np.zeros((2, 6)), np.zeros((1, 3, 3)), np.zeros(6)), ValueError),
+    ((np.zeros((2, 6)), np.zeros((2, 3, 3)), np.zeros(5)), ValueError),
+], ids=["float32", "1d-comp", "strided", "u-length", "theta0-length"])
+def test_the_c_kernel_refuses_a_bad_residual_stack(args, error):
+    # numeric._residuals never passes these; the C kernel refuses them
+    # rather than read past an array
+    with pytest.raises(error):
+        numeric._kern.residuals(*args)

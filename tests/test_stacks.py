@@ -291,7 +291,9 @@ def _suite_cosymplectic_reference(pair, profile, samples=20, tol=1e-9):
     res = 0.0
     for t in times:
         one = _one(sol, profile, t)
-        log_scale = -(Sym3.from_array(one.comp[0]).as_matrix() @ one.frames[0])[0, :]
+        th, u = Sym3.from_array(one.comp[0]).as_matrix(), one.frames[0]
+        # row u of Theta_t U_t, summed in index order
+        log_scale = -((th[0, 0] * u[0] + th[0, 1] * u[1]) + th[0, 2] * u[2])
         res = _worst(res, closedness_residual(pair, log_scale))
     rows.append(CheckResult("log-scale differential is closed", res, 1e-12))
     return rows
