@@ -50,8 +50,8 @@
    0.0 and adds its terms in index order, the products with the structural
    zeros and with the zero entries of diag(1/eta) included, so an infinity
    times a zero gives NaN and every zero its sign as numpy gives them.  The
-   scalar takes the order in which numpy's einsum sums a contiguous
-   product, in two lanes (trace()).
+   scalar is such a sum too, over the n n entries of Ric diag(1/eta) in
+   flat index order (trace()).
 
    residuals() evaluates the flow residuals r1-r4 of each sample of a
    stack, the formulas that _kernel_py writes as elementwise numpy over the
@@ -428,27 +428,15 @@ connection(int n, const double *eta, const double *inv, const double *c, double 
             }
 }
 
-/* the scalar, the sum of ric[i] inv[i] over the m = n n entries, in the
-   order of numpy's einsum over a contiguous product at two lanes: lane 0
-   takes the even i, lane 1 the odd, each a block of eight at a time from
-   its last pair to its first, then the pairs left over in order, and the
-   scalar is lane 0 + lane 1 */
+/* the scalar: 0.0 plus ric[i] inv[i] over the m = n n entries, added in
+   index order */
 static double
 trace(int m, const double *ric, const double *inv)
 {
-    double even = 0.0, odd = 0.0;
-    int i = 0;
-    for (; i + 8 <= m; i += 8)
-        for (int j = i + 6; j >= i; j -= 2) {
-            even = ric[j] * inv[j] + even;
-            odd = ric[j + 1] * inv[j + 1] + odd;
-        }
-    for (; i < m; i += 2) {
-        even = ric[i] * inv[i] + even;
-        if (i + 1 < m)
-            odd = ric[i + 1] * inv[i + 1] + odd;
-    }
-    return even + odd;
+    double s = 0.0;
+    for (int i = 0; i < m; i++)
+        s += ric[i] * inv[i];
+    return s;
 }
 
 /* Ric and the scalar of the frame with structure constants c and, unless

@@ -107,10 +107,12 @@ and the scalar of each frame of a stack, as the bytes of their float64s:
 ``eta`` is the diagonal metric, a float64 array of n <= 4 entries, ``c``
 the structure constants, a C-contiguous float64 array of shape (..., n,
 n, n), and ``dc0`` None or their derivative along X_0, of the same shape.
-A Ricci tensor past the largest float is inf or NaN, with no warning.
-Here that is ``frame_ricci`` itself; the C kernel evaluates one frame at
-a time with the same operations in the same order, and gives the same
-bytes up to the payload of a NaN.
+Every sum starts at 0.0 and adds its terms in index order, the scalar's
+too: the products of Ric and diag(1/eta), zeros included, in flat index
+order.  A Ricci tensor past the largest float is inf or NaN, with no
+warning.  Here that is ``frame_ricci`` itself; the C kernel evaluates one
+frame at a time with the same operations in the same order, and gives the
+same bytes up to the payload of a NaN.
 
 ``residuals(comp, u, theta0)`` returns the residuals of the flow
 equations at each state of a stack, ``numeric.flow_residuals``' r1, r2,

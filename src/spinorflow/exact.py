@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicable, SingularTime
-from .frames import L, N, U, EigenData2, Sym3, eigen2x2
+from .frames import L, N, U, EigenData2, Sym3, eigen2x2, index_matmul
 from .lapse import LapseProfile
 from .numeric import _States, _curvature3, _state_from_vector
 from .pairs import _QD_ROWS, CauchyPair, DEFAULT_TOL, invariants, require_valid
@@ -68,9 +68,15 @@ def branch(pair: CauchyPair, tol: float = DEFAULT_TOL) -> str:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Exponential of a symmetric 2x2 matrix: Q diag(e^rho+, e^rho-) Q^T."""
+    """Exponential of a symmetric 2x2 matrix: Q diag(e^rho+, e^rho-) Q^T,
+    with the bits of ``index_matmul(index_matmul(Q, diag), Q.T)``, the
+    products with the zeros of diag included, in Python floats, which cost
+    one sample less than numpy's arrays do."""
     eig = eigen2x2(a)
-    return eig.Q @ np.diag(np.exp([eig.rho_plus, eig.rho_minus])) @ eig.Q.T
+    q, (ep, em) = eig.Q.tolist(), np.exp([eig.rho_plus, eig.rho_minus]).tolist()
+    qd = [(x0 * ep + x1 * 0.0, x0 * 0.0 + x1 * em) for x0, x1 in q]
+    # the rows of Q are the columns of Q^T
+    return np.array([[x0 * y0 + x1 * y1 for y0, y1 in q] for x0, x1 in qd])
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,8 @@ class FlowSolution:
                 u = np.tile(np.eye(3), (n, 1, 1))
                 u[:, U, U] = v
                 diag = np.array([[[s**eig.rho_plus, 0.0], [0.0, s**eig.rho_minus]] for s in v])
-                u[:, 1:, 1:] = eig.Q @ diag.reshape(-1, 2, 2) @ eig.Q.T
+                u[:, 1:, 1:] = index_matmul(index_matmul(eig.Q, diag.reshape(-1, 2, 2)),
+                                            eig.Q.T)
                 return u
             # lambda != 0, a single nonzero off-diagonal component included
             lam, bt = self.lam, bts[:n]

@@ -24,13 +24,22 @@ The stacks of the flow and of curvature (``numeric._ricci3``,
 which gives its bits one frame at a time (``numeric._frame_ricci``);
 ``frame_ricci`` stays their reference, and what ``pairs`` evaluates.
 
-``index_matmul`` multiplies 3x3 matrices, or stacks of them, with each
-sum in index order: the flow's right-hand side and its log-scale
-differential use it in place of ``@``, whose BLAS rounds by the CPU.
+Every sum of products on the way to a printed number is added in index
+order, one term after the other, with no multiply and add fused: the
+package's matrix products go through ``index_matmul`` and never through
+``@``, whose BLAS rounds by the CPU.  The same holds for the scalar of
+``frame_ricci``, 0.0 plus the products of Ric and diag(1/eta) in flat
+index order, and for the lengths in ``eigen2x2``, sqrt(x*x + y*y).  Only
+``frame_ricci``'s inner contractions and ``divergence_sym`` keep numpy's
+einsum: written as index-order numpy, they doubled the cost of a single
+frame.  Their sums run in index order on the numpy the tests run, which
+hold the C ``ricci``, each of whose sums is a plain loop, to them bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,33 +123,36 @@ def eigen2x2(theta2) -> EigenData2:
         return EigenData2(rho_plus=rho_p, rho_minus=rho_m, Q=Q)
 
     # the rho_plus eigenspace is the range of (m - rho_minus * Id); taking
-    # the larger column avoids cancellation when b is tiny
-    col1 = np.array([a - rho_m, b])
-    col2 = np.array([b, c - rho_m])
-    v = col1 if np.linalg.norm(col1) >= np.linalg.norm(col2) else col2
-    v = v / np.linalg.norm(v)
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        v = -v
-    Q = np.array([[v[0], -v[1]], [v[1], v[0]]])
+    # the larger column avoids cancellation when b is tiny.  A column's
+    # length is sqrt(x*x + y*y) in Python floats, its sum in index order
+    x1, y1, x2, y2 = float(a - rho_m), float(b), float(b), float(c - rho_m)
+    n1, n2 = math.sqrt(x1 * x1 + y1 * y1), math.sqrt(x2 * x2 + y2 * y2)
+    x, y, n = (x1, y1, n1) if n1 >= n2 else (x2, y2, n2)
+    x, y = x / n, y / n
+    if x < 0 or (x == 0 and y < 0):
+        x, y = -x, -y
+    Q = np.array([[x, -y], [y, x]])
     return EigenData2(rho_plus=rho_p, rho_minus=rho_m, Q=Q)
 
 
 def sym_matrices(theta) -> np.ndarray:
     """The matrix of a Sym3, or the stack of matrices of an array of
     components (uu, ul, un, ll, ln, nn) on its last axis, C-contiguous as
-    ``as_matrix`` makes each: matmul rounds a strided stack differently."""
+    ``as_matrix`` makes each."""
     if isinstance(theta, Sym3):
         return theta.as_matrix()
     return np.ascontiguousarray(np.asarray(theta, dtype=float)[..., _SYM_INDEX])
 
 
 def index_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a matrix a of 3 columns and b of 3 rows, or broadcast stacks
-    of them, each entry summed in index order, (a_i0 b_0j + a_i1 b_1j) +
-    a_i2 b_2j, with no multiply and add fused: its bits do not depend on the
-    CPU, as those of the BLAS that ``@`` calls do."""
-    return ((a[..., :, :1] * b[..., :1, :] + a[..., :, 1:2] * b[..., 1:2, :])
-            + a[..., :, 2:] * b[..., 2:, :])
+    """a @ b for a matrix a of k columns and b of k rows, or broadcast stacks
+    of them, each entry summed in index order, ((a_i0 b_0j + a_i1 b_1j) +
+    a_i2 b_2j) + ..., with no multiply and add fused: its bits do not depend
+    on the CPU, as those of the BLAS that ``@`` calls do."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
 
 
 def structure_constants_from_theta(theta) -> np.ndarray:
@@ -232,8 +244,13 @@ def frame_ricci(eta: np.ndarray, c: np.ndarray, dc0: np.ndarray | None = None):
 
     # Ric_{bc} = sum_a R^a_{a b c}
     ric = np.einsum(f"{p}abc->{p}bc", r)
-    scalar = np.einsum(f"{p}bc,bc->{p}", ric, np.diag(1.0 / eta))
-    return ric, (float(scalar) if k == 0 else scalar)
+    # the scalar: 0.0 plus the products of Ric and diag(1/eta), zeros
+    # included, added in flat index order (.T puts that index first, and
+    # the last .T restores the order of the leading axes)
+    scalar = 0.0
+    for term in (ric * np.diag(1.0 / eta)).reshape(ric.shape[:k] + (eta.size ** 2,)).T:
+        scalar = scalar + term
+    return ric, (float(scalar) if k == 0 else scalar.T)
 
 
 def ricci3(c: np.ndarray) -> tuple[Sym3, float]:

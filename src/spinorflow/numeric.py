@@ -31,9 +31,11 @@ the package's ``__pycache__``; any failure falls back to ``_kernel_py``
 and prints nothing.
 
 Inside the package, states travel as one stacked record of arrays,
-``_States``, which ``_state_from_vector`` checks and builds; ``FlowState``
-objects are built only at the public edge.  A stack of samples takes Ric
-and H_t from ``_curvature3`` and is refused by the one rule ``_refuse``.
+``_States``, which ``_state_from_vector`` checks and builds, with h_t =
+U_t^T U_t summed in index order (``frames.index_matmul``), so that no cell
+of the flow table goes through the BLAS; ``FlowState`` objects are built
+only at the public edge.  A stack of samples takes Ric and H_t from
+``_curvature3`` and is refused by the one rule ``_refuse``.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def _state_from_vector(t, comp, u, error, hams, overflow, pending) -> _States:
     where it raised ``overflow``; ``pending`` is what the sample after the
     last raised, or None.  ``_refuse`` rules on every number of the state."""
     with np.errstate(over="ignore", invalid="ignore"):
-        metric = u.transpose(0, 2, 1) @ u
+        metric = index_matmul(u.transpose(0, 2, 1), u)
     finite = (np.isfinite(metric).all(axis=(1, 2)) & np.isfinite(comp).all(axis=1)
               & np.isfinite(u).all(axis=(1, 2)))
     _refuse("flow state", t, finite.tolist(), hams, overflow, pending)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import QD, FlowSolution, _Samples, solve
-from .frames import _SYM_FLAT, divergence_sym, levi_civita, \
+from .frames import _SYM_FLAT, divergence_sym, index_matmul, levi_civita, \
     structure_constants_from_theta, sym_matrices
 from .lapse import LapseProfile
 from .lorentz import _cells, _log_scale_differential, closedness_residual
@@ -138,7 +138,7 @@ def _check_ricciflow(stack: _Samples, con, step: float) -> list[CheckResult]:
         factor = (comp[:, 3] + comp[:, 5]) / (2.0 * profile._betas(stack.times))
         scaled = factor[:, None, None] * _dh_dt(sol, profile, stack.times, step)
         # Ric(h_t) pulled back to the reference coframe components
-        ric_ref = us.transpose(0, 2, 1) @ ric @ us
+        ric_ref = index_matmul(index_matmul(us.transpose(0, 2, 1), ric), us)
         rows.append(CheckResult(
             "Ric(h) = (Tr(Theta)/(2 beta)) dh/dt (constrained quasi-diagonal)",
             _fold(np.abs(ric_ref - scaled).max(axis=(1, 2))), 1e-6))
@@ -155,7 +155,7 @@ def _dh_dt(sol: FlowSolution, profile: LapseProfile, times: np.ndarray,
     (``FlowSolution._frames``)."""
     near = (times[:, None] + np.array([step, -step])).ravel()
     us = sol._frames(profile.b_integral(near))
-    h = sym_matrices((us.transpose(0, 2, 1) @ us).reshape(-1, 2, 9)[..., _SYM_FLAT])
+    h = sym_matrices(index_matmul(us.transpose(0, 2, 1), us).reshape(-1, 2, 9)[..., _SYM_FLAT])
     return (h[:, 0] - h[:, 1]) / (2.0 * step)
 
 
@@ -167,7 +167,7 @@ def _check_cosymplectic(stack: _Samples, con, step: float) -> list[CheckResult]:
     rows = []
     if sol.branch != QD:
         om = levi_civita(structure_constants_from_theta(stack.comp))
-        nabla_eta = np.einsum("zabd,d->zab", om, sol.eta)
+        nabla_eta = index_matmul(om, sol.eta[:, None])[..., 0]
         rows.append(CheckResult("parallel one-form: nabla eta = 0",
                                 _fold(np.abs(nabla_eta).max(axis=(1, 2))), 1e-10))
 

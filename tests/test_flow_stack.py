@@ -14,8 +14,9 @@ from spinorflow import _kernel_py
 from spinorflow.cli import _flow_cells
 from spinorflow.errors import OutOfDomain, SingularTime, SpinorFlowError
 from spinorflow.exact import FlowSolution
-from spinorflow.frames import Sym3
+from spinorflow.frames import Sym3, index_matmul
 from spinorflow.lorentz import _coframe4
+from spinorflow.numeric import _state_from_vector
 
 from conftest import ROW_PAIRS, fail_at, scale_at
 
@@ -46,7 +47,7 @@ def _exact_reference(pair, profile, times):
     for t, bt in zip(times, bts):
         theta = theta_exact(pair, profile, t)
         u = frame_exact(pair, profile, t)
-        metric = Sym3.from_matrix(u.T @ u)
+        metric = Sym3.from_matrix(index_matmul(u.T, u))
         ham = hamiltonian_of(theta)
         numbers = np.concatenate([theta.as_array(), u.ravel(), metric.as_array(), [ham]])
         if not np.isfinite(numbers).all():
@@ -197,6 +198,23 @@ class TestStackedRightHandSide:
         with np.errstate(all="raise"):
             dth, _ = ode_rhs(np.full((2, 6), 1e200), np.eye(3))
         assert np.isinf(dth[:, 0]).all()
+
+
+class TestMetricInIndexOrder:
+    """h_t = U_t^T U_t, the flow table's h_* cells, sums each entry in index
+    order, (U_0i U_0j + U_1i U_1j) + U_2i U_2j, on every CPU.  Through a
+    BLAS that fuses multiply and add, 70 of the 180,000 entries of these
+    frames printed otherwise in "%.12e"."""
+
+    def test_random_frames(self):
+        rng = np.random.default_rng(47)
+        n = 20_000
+        u = rng.standard_normal((n, 3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1, 1))
+        states = _state_from_vector(np.zeros(n), np.zeros((n, 6)), u, [None] * n,
+                                    [0.0] * n, None, None)
+        want = ((u[:, 0, :, None] * u[:, 0, None, :] + u[:, 1, :, None] * u[:, 1, None, :])
+                + u[:, 2, :, None] * u[:, 2, None, :])
+        assert states.metric.tobytes() == want.tobytes()
 
 
 class TestLapseOfAStack:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from spinorflow import LapseProfile, Sym3, _kernel_py, coframe4_at, eigen2x2, frame_ricci, \
     levi_civita, numeric, ricci3, ricci4, sample_times, structure_constants_from_theta, \
     theta_exact
-from spinorflow.frames import divergence_sym, sym_matrices
+from spinorflow.exact import expm
+from spinorflow.frames import divergence_sym, index_matmul, sym_matrices
 from spinorflow.lorentz import _structure4
 
 from conftest import ROW_PAIRS, besse_ricci
@@ -63,8 +64,18 @@ def rank4_frame_ricci(eta, c, dc0=None):
         deriv[..., :, 0, :, :] -= dom0
         riem += deriv
     ric = np.einsum(f"{p}abca->{p}bc", riem)
-    scalar = np.einsum(f"{p}bc,bc->{p}", ric, np.diag(1.0 / eta))
-    return ric, (float(scalar) if k == 0 else scalar)
+    return ric, index_order_scalar(eta, ric)
+
+
+def index_order_scalar(eta, ric):
+    """The scalar of ``ric``, one frame or a stack: 0.0 plus each product of
+    Ric and diag(1/eta), zeros included, added in flat index order."""
+    inv = np.diag(1.0 / np.asarray(eta, dtype=float))
+    scalar = 0.0
+    for b in range(len(inv)):
+        for d in range(len(inv)):
+            scalar = scalar + ric[..., b, d] * inv[b, d]
+    return float(scalar) if ric.ndim == 2 else scalar
 
 
 def coordinate_ricci(metric, coords):
@@ -120,6 +131,34 @@ class TestEigen2x2:
         assert np.linalg.det(eig.Q) == pytest.approx(1.0, abs=1e-12)
         rec = eig.Q @ np.diag([eig.rho_plus, eig.rho_minus]) @ eig.Q.T
         assert np.max(np.abs(rec - m)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+
+    def test_normalised_in_index_order(self):
+        # Q's first column is the longer column of m - rho_minus Id over its
+        # length sqrt(x*x + y*y), on every CPU: through the BLAS's dot, 1,568
+        # of these 20,000 matrices came out otherwise on a CPU that fuses
+        rng = np.random.default_rng(47)
+        a, b, c = rng.standard_normal((3, 20_000)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 20_000))
+        eigs = [eigen2x2([[x, y], [y, z]]) for x, y, z in zip(a, b, c)]
+        rho_m = np.array([eig.rho_minus for eig in eigs])
+        x1, y1, x2, y2 = a - rho_m, b, b, c - rho_m
+        n1, n2 = np.sqrt(x1 * x1 + y1 * y1), np.sqrt(x2 * x2 + y2 * y2)
+        first = n1 >= n2
+        x = np.where(first, x1, x2) / np.where(first, n1, n2)
+        y = np.where(first, y1, y2) / np.where(first, n1, n2)
+        flip = (x < 0) | ((x == 0) & (y < 0))
+        x, y = np.where(flip, -x, x), np.where(flip, -y, y)
+        want = np.stack([x, -y, y, x], axis=1).reshape(-1, 2, 2)
+        assert np.array([eig.Q for eig in eigs]).tobytes() == want.tobytes()
+
+    def test_expm_in_index_order(self):
+        # the exponential's Python-float product gives index_matmul's bits
+        rng = np.random.default_rng(48)
+        entries = rng.standard_normal((2_000, 3)) * 10.0 ** rng.uniform(-3.0, 2.0, (2_000, 1))
+        for x, y, z in entries:
+            eig = eigen2x2([[x, y], [y, z]])
+            diag = np.diag(np.exp([eig.rho_plus, eig.rho_minus]))
+            want = index_matmul(index_matmul(eig.Q, diag), eig.Q.T)
+            assert expm(np.array([[x, y], [y, z]])).tobytes() == want.tobytes()
 
 
 class TestStructureConstants:
@@ -287,6 +326,29 @@ class TestFrameRicci4:
 
 # _kernel_py, and the C kernel when numeric runs it
 BACKENDS = (_kernel_py,) if numeric._kern is _kernel_py else (_kernel_py, numeric._kern)
+
+
+class TestScalarInIndexOrder:
+    """The scalar of ``frame_ricci``, and of each kernel's ``ricci``, is 0.0
+    plus the products of Ric and diag(1/eta) in flat index order, for a
+    stack and for one frame at a time.  Summed in the two lanes of numpy's
+    einsum, 725 of these 2,000 4D scalars came out otherwise."""
+
+    @pytest.mark.parametrize("dim,with_dc0", [(3, False), (4, False), (4, True)],
+                             ids=["3d", "4d", "4d-dc0"])
+    def test_random_frames(self, dim, with_dc0):
+        rng = np.random.default_rng([47, dim, int(with_dc0)])
+        eta = ETA3 if dim == 3 else ETA4
+        c = rng.standard_normal((2_000,) + (dim,) * 3)
+        dc0 = rng.standard_normal(c.shape) if with_dc0 else None
+        ric, scalar = frame_ricci(eta, c, dc0)
+        want = index_order_scalar(eta, ric).tobytes()
+        assert scalar.tobytes() == want
+        singles = [frame_ricci(eta, c[i], None if dc0 is None else dc0[i])[1]
+                   for i in range(len(c))]
+        assert np.array(singles).tobytes() == want
+        for kernel in BACKENDS:
+            assert kernel.ricci(eta, c, dc0)[1] == want
 
 
 def _with_extremes(rng, x):
