@@ -203,8 +203,8 @@ class TestStackedRightHandSide:
 class TestMetricInIndexOrder:
     """h_t = U_t^T U_t, the flow table's h_* cells, sums each entry in index
     order, (U_0i U_0j + U_1i U_1j) + U_2i U_2j, on every CPU.  Through a
-    BLAS that fuses multiply and add, 70 of the 180,000 entries of these
-    frames printed otherwise in "%.12e"."""
+    BLAS that fuses multiply and add, 52,622 of the 180,000 entries of
+    these frames differed in bits, and 85 printed otherwise in "%.12e"."""
 
     def test_random_frames(self):
         rng = np.random.default_rng(47)

@@ -45,8 +45,9 @@ def first_structure_residual(c):
 
 def rank4_frame_ricci(eta, c, dc0=None):
     """``frame_ricci`` as it was before it contracted the trace directly:
-    the full rank-4 Riemann stack, then its trace.  The reference for the
-    bits of the contracted body."""
+    the full rank-4 Riemann stack, then its trace, with the scalar in
+    index order (``index_order_scalar``).  The reference for the bits of
+    the contracted body."""
     eta = np.asarray(eta, dtype=float)
     k = c.ndim - 3
     p = "zyxwv"[:k]
@@ -134,7 +135,7 @@ class TestEigen2x2:
 
     def test_normalised_in_index_order(self):
         # Q's first column is the longer column of m - rho_minus Id over its
-        # length sqrt(x*x + y*y), on every CPU: through the BLAS's dot, 1,568
+        # length sqrt(x*x + y*y), on every CPU: through the BLAS's dot, 1,661
         # of these 20,000 matrices came out otherwise on a CPU that fuses
         rng = np.random.default_rng(47)
         a, b, c = rng.standard_normal((3, 20_000)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 20_000))
@@ -332,7 +333,8 @@ class TestScalarInIndexOrder:
     """The scalar of ``frame_ricci``, and of each kernel's ``ricci``, is 0.0
     plus the products of Ric and diag(1/eta) in flat index order, for a
     stack and for one frame at a time.  Summed in the two lanes of numpy's
-    einsum, 725 of these 2,000 4D scalars came out otherwise."""
+    einsum, 701 of these 2,000 4D scalars came out otherwise, and 754 of
+    those with dc0."""
 
     @pytest.mark.parametrize("dim,with_dc0", [(3, False), (4, False), (4, True)],
                              ids=["3d", "4d", "4d-dc0"])
