@@ -17,26 +17,24 @@
    file with -ffp-contract=off and without fast-math, so that no multiply
    and add fuse and no operation is reordered.
 
-   e12() prints each cell of the flow table as "%.12e" % x does, byte for
-   byte, with integer arithmetic in place of dtoa's big numbers (the method
-   of Ryu printf, Adams 2019): V = |x| 10^(12 - k) is computed exactly in
-   128 bits, its integer part gives the 13 digits and its remainder against
-   one half the rounding, half to even, as Gay's dtoa rounds.  The zeros
-   are two shared strings; subnormals, infinities, NaNs, |x| outside
-   [1e-20, 1e45) and a compiler without __int128 take
-   PyOS_double_to_string, Python's own formatter.
-
-   reprs() prints each cell of the curvature payload as repr(x) does, the
-   shortest digits that read back as x, by Ryu (Adams 2018) with exact
-   powers of five in place of its truncated tables: x and the ends of the
-   interval that rounds to it are scaled to 19 digits in up to 192 bits,
-   and digits are dropped while the ends differ.  The layout is
-   float_repr's: plain for 1e-4 <= |x| < 1e16, with ".0" on an integral
-   value, else d.ddde+XX.  Subnormals, infinities, NaNs, |x| outside
-   [2^-122, 2^155) (about [1.9e-37, 4.6e46)), two shortest candidates
-   equally near x and a compiler without __int128 take
-   PyOS_double_to_string, which leaves dtoa's tie rule to dtoa.  The zeros
-   are two shared strings.
+   e12() and reprs() print the cells of the flow table as "%.12e" % x does
+   and those of the curvature payload as repr(x) does, byte for byte, with
+   integer arithmetic in place of dtoa's big numbers.  Both start from one
+   exact scaling, digits19(): x / 10^k truncated to 19 digits, with whether
+   that is exact, in up to 192 bits with exact powers of five (scaled()).
+   e12's 13 digits are the first 13 of these, rounded by the other 6 and
+   the exact flag against one half, a tie to even as Gay's dtoa rounds
+   (digits13()); repr's shortest digits that read back as x are found by
+   Ryu (Adams 2018), the ends of the interval that rounds to x scaled to the
+   same 19 digits and digits dropped while the ends differ (shortest()).
+   One writer, format_cell(), lays the digits out: d.dddddddddddde+XX for
+   %.12e, and float_repr's layout for repr, plain for 1e-4 <= |x| < 1e16
+   with ".0" on an integral value, else d.ddde+XX.  The zeros are shared
+   strings.  Both printers reach |x| in [2^-122, 2^155) (about [1.9e-37,
+   4.6e46)), the reach of scaled(); subnormals, infinities, NaNs, the far
+   exponents, two shortest candidates equally near x and a compiler
+   without __int128 take PyOS_double_to_string, Python's own formatter,
+   which leaves dtoa's tie rule to dtoa.
 
    cumulative() builds the table of a tabulated lapse, B at every node, in
    one pass outward from t = 0 to either end: each segment's trapezoid part,
@@ -647,60 +645,8 @@ residuals(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
-#define MAX_J 32 /* m 5^j < 2^53 5^32 < 2^128 */
 #define MAX_P5 55 /* 5^55 < 2^128 */
 static u128 POW5[MAX_P5 + 1];
-
-/* the 13 significant digits of m 2^e2 (2^52 <= m < 2^53) as %.12e rounds
-   them, an integer in [10^12, 10^13), with the decimal exponent k of the
-   first one; 0 where V = m 2^e2 10^(12 - k) is out of reach, |12 - k| >
-   MAX_J.  V is exact: m 5^j shifted for j = 12 - k >= 0, else m 2^s divided
-   by 5^-j, with its remainder against one half, so that a tie rounds to
-   even as dtoa does. */
-static int
-digits13(uint64_t m, int e2, uint64_t *q, int *k)
-{
-    const uint64_t lo = 1000000000000ULL, hi = 10 * lo;
-    /* m 2^e2 lies in [2^(e2 + 52), 2^(e2 + 53)): k is this or one more */
-    *k = (int)floor((e2 + 52) * 0.30102999566398120);
-    for (int tries = 0; tries < 3; tries++) {
-        int j = 12 - *k, s = e2 + j, half; /* the rest of V against 1/2: -1, 0 or 1 */
-        u128 v;
-        if (j > MAX_J || j < -MAX_J)
-            return 0;
-        if (j >= 0) {
-            if (s >= 0 || s <= -128) /* V >= m >= 2^52, or no fraction bits to keep */
-                return 0;
-            u128 p = (u128)m * POW5[j], rest = p & ((((u128)1) << -s) - 1);
-            u128 one_half = ((u128)1) << (-s - 1);
-            v = p >> -s;
-            half = rest > one_half ? 1 : rest == one_half ? 0 : -1;
-        }
-        else {
-            if (s >= 64 || s <= -48) /* V >= 2^64, or V < 2^53 / 2^48 */
-                return 0;
-            u128 num = s >= 0 ? (u128)m << s : m, den = s >= 0 ? POW5[-j] : POW5[-j] << -s;
-            u128 rest = num % den;
-            v = num / den;
-            half = rest > den - rest ? 1 : rest == den - rest ? 0 : -1;
-        }
-        if (v < lo) {
-            *k -= 1;
-            continue;
-        }
-        if (v >= hi) {
-            *k += 1;
-            continue;
-        }
-        *q = (uint64_t)v + (half > 0 || (half == 0 && (v & 1)));
-        if (*q == hi) {
-            *q = lo;
-            *k += 1;
-        }
-        return 1;
-    }
-    return 0;
-}
 
 /* floor(w 2^e / 10^k) for w < 2^56 in *v, and in *exact whether it is
    exact; 0 where that is out of reach.  For k <= 0 it is w 5^-k, a product
@@ -745,33 +691,64 @@ scaled(uint64_t w, int e, int k, u128 *v, int *exact)
     return 1;
 }
 
+/* x = m 2^e2 (2^52 <= m < 2^53) at 19 digits: floor(x / 10^k) in
+   [10^18, 10^19) in *v, with k, and in *exact whether it is exact; 0
+   outside [2^-122, 2^155), where scaled() is out of reach.  x is scaled as
+   4 m 2^(e2 - 2), the form in which shortest() scales the ends of its
+   interval. */
+static int
+digits19(uint64_t m, int e2, uint64_t *v, int *k, int *exact)
+{
+    u128 w;
+    /* x lies in [10^f, 2 10^(f + 1)): x / 10^k in [10^18, 2 10^19) */
+    *k = (int)floor((e2 + 52) * 0.30102999566398120) - 18;
+    if (!scaled(4 * m, e2 - 2, *k, &w, exact)
+            || (w >= 10000000000000000000ULL && !scaled(4 * m, e2 - 2, ++*k, &w, exact)))
+        return 0;
+    *v = (uint64_t)w;
+    return 1;
+}
+
+/* the 13 significant digits of m 2^e2 as %.12e rounds them, an integer in
+   [10^12, 10^13), with the decimal exponent of the last; 0 out of reach.
+   They are the first 13 of the 19 digits, rounded by the other 6 and
+   whether the 19 are exact against one half, a tie to even as dtoa
+   rounds. */
+static int
+digits13(uint64_t m, int e2, uint64_t *q, int *exp10)
+{
+    uint64_t v, rest;
+    int exact;
+    if (!digits19(m, e2, &v, exp10, &exact))
+        return 0;
+    *q = v / 1000000, rest = v % 1000000, *exp10 += 6;
+    *q += rest > 500000 || (rest == 500000 && (!exact || (*q & 1)));
+    if (*q == 10000000000000ULL) /* 9.999999999999|5 carries into 1.0 10^(k + 1) */
+        *q /= 10, ++*exp10;
+    return 1;
+}
+
 /* the shortest digits that read back as m 2^e2 (2^52 <= m < 2^53), as Ryu
    finds them (Adams 2018), with the decimal exponent of the last digit; 0
    where they are out of reach or two shortest candidates are equally near,
    where dtoa's own rule decides.  The ends of the interval that rounds to
    x, x -+ 1/2 ulp (the lower gap halved at m = 2^52 past the first
-   binade), count iff m is even, as in dtoa.  The ends and x are taken
-   exactly at 19 digits, with whether each is exact, and Ryu's general loop
-   drops digits while the ends still differ. */
+   binade), count iff m is even, as in dtoa.  The ends are taken exactly at
+   x's 19 digits, with whether each is exact, and Ryu's general loop drops
+   digits while the ends still differ. */
 static int
 shortest(uint64_t m, int e2, int half_gap, uint64_t *digits, int *exp10)
 {
-    const uint64_t ten19 = 10000000000000000000ULL;
-    int even = !(m & 1), e = e2 - 2, x_exact, up_exact, low_exact;
-    /* x lies in [10^f, 2 10^(f + 1)): x / 10^k in [10^18, 2 10^19) */
-    int k = (int)floor((e2 + 52) * 0.30102999566398120) - 18;
-    u128 v, up, low;
-    if (!scaled(4 * m, e, k, &v, &x_exact))
-        return 0;
-    if (v >= ten19 && !scaled(4 * m, e, ++k, &v, &x_exact))
-        return 0;
-    if (!scaled(4 * m + 2, e, k, &up, &up_exact)
-            || !scaled(4 * m - 1 - !half_gap, e, k, &low, &low_exact))
+    int even = !(m & 1), x_exact, up_exact, low_exact;
+    uint64_t r;
+    u128 up, low;
+    if (!digits19(m, e2, &r, exp10, &x_exact)
+            || !scaled(4 * m + 2, e2 - 2, *exp10, &up, &up_exact)
+            || !scaled(4 * m - 1 - !half_gap, e2 - 2, *exp10, &low, &low_exact))
         return 0;
     /* x, its ends and the digits dropped: all below 2^64 from here */
-    uint64_t r = (uint64_t)v, p = (uint64_t)up - (!even && up_exact), lo = (uint64_t)low;
+    uint64_t p = (uint64_t)up - (!even && up_exact), lo = (uint64_t)low;
     int lo_zeros = even && low_exact, r_zeros = x_exact, last = 0;
-    *exp10 = k;
     /* while the ends differ past the next digit, and then while an exact
        lower end that counts has another zero to drop */
     while (p / 10 > lo / 10 || (lo_zeros && lo % 10 == 0)) {
@@ -790,85 +767,39 @@ shortest(uint64_t m, int e2, int half_gap, uint64_t *digits, int *exp10)
 }
 #endif
 
-/* PyOS_double_to_string(x, code, precision, flags), Python's own formatter,
-   as a str */
+/* the zero cells, shared: ZEROS[0] "0.0" and "-0.0" for repr, ZEROS[1]
+   "0.000000000000e+00" and "-0.000000000000e+00" for %.12e */
+static PyObject *ZEROS[2][2];
+
+/* "%.12e" % x if e12, else repr(x): the digits of digits13() or shortest()
+   laid out as %.12e always does, d.dddddddddddde+XX, and as float_repr
+   does, plain for 1e-4 <= |x| < 1e16 with ".0" on an integral value, else
+   d.ddde+XX */
 static PyObject *
-python_format(double x, char code, int precision, int flags)
-{
-    char *text = PyOS_double_to_string(x, code, precision, flags, NULL);
-    if (text == NULL)
-        return NULL;
-    PyObject *out = PyUnicode_FromString(text);
-    PyMem_Free(text);
-    return out;
-}
-
-/* "0.000000000000e+00" and "-0.000000000000e+00", shared by every zero cell */
-static PyObject *E12_ZEROS[2];
-
-/* "%.12e" % x */
-static PyObject *
-format_e12(double x)
-{
-    uint64_t bits, q = 0;
-    int k = 0;
-    memcpy(&bits, &x, sizeof bits);
-    int neg = (int)(bits >> 63), biased = (int)(bits >> 52 & 0x7ff);
-    uint64_t frac = bits & ((1ULL << 52) - 1);
-    if (biased == 0 && frac == 0)
-        return Py_NewRef(E12_ZEROS[neg]);
-    int ok = 0;
-#ifdef __SIZEOF_INT128__
-    if (biased != 0 && biased != 0x7ff)
-        ok = digits13(frac | 1ULL << 52, biased - 1075, &q, &k);
-#endif
-    if (!ok) /* subnormals, inf, nan and the far exponents: Python's own path */
-        return python_format(x, 'e', 12, 0);
-    /* d.dddddddddddde+kk: |k| <= 45 here, two digits */
-    int ak = k < 0 ? -k : k;
-    PyObject *out = PyUnicode_New(neg + 18, 127);
-    if (out == NULL)
-        return NULL;
-    char *p = (char *)PyUnicode_1BYTE_DATA(out);
-    if (neg)
-        *p++ = '-';
-    for (int i = 13; i >= 0; i--) { /* from the last digit */
-        if (i == 1) {
-            p[i] = '.';
-            continue;
-        }
-        p[i] = (char)('0' + q % 10);
-        q /= 10;
-    }
-    p += 14;
-    *p++ = 'e';
-    *p++ = k < 0 ? '-' : '+';
-    *p++ = (char)('0' + ak / 10);
-    *p = (char)('0' + ak % 10);
-    return out;
-}
-
-static PyObject *ZEROS[2]; /* "0.0" and "-0.0", shared by every zero cell */
-
-/* repr(x): the shortest digits, plain for 1e-4 <= |x| < 1e16 with ".0" on
-   an integral value, else d.ddde+XX, as float_repr lays them out */
-static PyObject *
-format_repr(double x)
+format_cell(double x, int e12)
 {
     uint64_t bits, d = 0;
-    int exp10 = 0;
+    int exp10 = 0, ok = 0;
     memcpy(&bits, &x, sizeof bits);
     int neg = (int)(bits >> 63), biased = (int)(bits >> 52 & 0x7ff);
     uint64_t frac = bits & ((1ULL << 52) - 1);
     if (biased == 0 && frac == 0)
-        return Py_NewRef(ZEROS[neg]);
-    int ok = 0;
+        return Py_NewRef(ZEROS[e12][neg]);
 #ifdef __SIZEOF_INT128__
     if (biased != 0 && biased != 0x7ff)
-        ok = shortest(frac | 1ULL << 52, biased - 1075, frac == 0 && biased > 1, &d, &exp10);
+        ok = e12 ? digits13(frac | 1ULL << 52, biased - 1075, &d, &exp10)
+                 : shortest(frac | 1ULL << 52, biased - 1075, frac == 0 && biased > 1, &d,
+                            &exp10);
 #endif
-    if (!ok) /* subnormals, inf, nan, the far exponents and the ties */
-        return python_format(x, 'r', 0, Py_DTSF_ADD_DOT_0);
+    if (!ok) { /* subnormals, inf, nan, the far exponents and repr's ties */
+        char *text = PyOS_double_to_string(x, e12 ? 'e' : 'r', e12 ? 12 : 0,
+                                           e12 ? 0 : Py_DTSF_ADD_DOT_0, NULL);
+        if (text == NULL)
+            return NULL;
+        PyObject *out = PyUnicode_FromString(text);
+        PyMem_Free(text);
+        return out;
+    }
     char digits[20], text[32], *p = text;
     int n = 0;
     for (; d != 0; d /= 10) /* from the last digit */
@@ -877,7 +808,7 @@ format_repr(double x)
     int point = exp10 + n; /* x = 0.(digits) 10^point */
     if (neg)
         *p++ = '-';
-    if (point <= -4 || point > 16) {
+    if (e12 || point <= -4 || point > 16) {
         int e = point - 1;
         *p++ = first[0];
         if (n > 1) {
@@ -918,9 +849,9 @@ format_repr(double x)
     return out;
 }
 
-/* the tuple of format(x) for each float x of the sequence cells */
+/* the tuple of format_cell(x, e12) for each float x of the sequence cells */
 static PyObject *
-format_each(PyObject *cells, PyObject *(*format)(double), const char *message)
+format_each(PyObject *cells, int e12, const char *message)
 {
     PyObject *fast = PySequence_Fast(cells, message);
     if (fast == NULL)
@@ -930,7 +861,7 @@ format_each(PyObject *cells, PyObject *(*format)(double), const char *message)
     PyObject *out = PyTuple_New(n);
     for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
         double x = PyFloat_AsDouble(items[i]);
-        PyObject *text = x == -1.0 && PyErr_Occurred() ? NULL : format(x);
+        PyObject *text = x == -1.0 && PyErr_Occurred() ? NULL : format_cell(x, e12);
         if (text == NULL)
             Py_CLEAR(out);
         else
@@ -943,13 +874,13 @@ format_each(PyObject *cells, PyObject *(*format)(double), const char *message)
 static PyObject *
 e12(PyObject *module, PyObject *cells)
 {
-    return format_each(cells, format_e12, "e12() takes a sequence of floats");
+    return format_each(cells, 1, "e12() takes a sequence of floats");
 }
 
 static PyObject *
 reprs(PyObject *module, PyObject *cells)
 {
-    return format_each(cells, format_repr, "reprs() takes a sequence of floats");
+    return format_each(cells, 0, "reprs() takes a sequence of floats");
 }
 
 static PyMethodDef methods[] = {
@@ -982,10 +913,10 @@ PyInit__kernel(void)
     for (int j = 1; j <= MAX_P5; j++)
         POW5[j] = 5 * POW5[j - 1];
 #endif
-    if ((ZEROS[0] = PyUnicode_InternFromString("0.0")) == NULL
-            || (ZEROS[1] = PyUnicode_InternFromString("-0.0")) == NULL
-            || (E12_ZEROS[0] = PyUnicode_InternFromString("0.000000000000e+00")) == NULL
-            || (E12_ZEROS[1] = PyUnicode_InternFromString("-0.000000000000e+00")) == NULL)
+    if ((ZEROS[0][0] = PyUnicode_InternFromString("0.0")) == NULL
+            || (ZEROS[0][1] = PyUnicode_InternFromString("-0.0")) == NULL
+            || (ZEROS[1][0] = PyUnicode_InternFromString("0.000000000000e+00")) == NULL
+            || (ZEROS[1][1] = PyUnicode_InternFromString("-0.000000000000e+00")) == NULL)
         return NULL;
     return PyModule_Create(&kernel_module);
 }

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import sysconfig
 import warnings
 from pathlib import Path
 
@@ -1076,18 +1077,26 @@ KERNELS = [
 ]
 
 
+# the 200 floats on either side of 2^-122 and of 2^155, the ends of the
+# reach of the C kernel's e12 and reprs
+_REACH_ENDS = (np.ldexp(1.0, [-122, 155]).view(np.int64)[:, None]
+               + np.arange(-200, 201)).view(np.float64)
+
+
 @functools.cache
 def _e12_cases() -> tuple[tuple, tuple]:
     """About 200,000 floats on which a %.12e formatter could slip, and
     ``"%.12e" % x`` of each: random bit patterns (NaNs, infinities and
     subnormals among them), log-uniform magnitudes of either sign from
-    1e-45 to 1e42, and of both signs values within 2 ulps of a decimal tie
-    (N + 1/2) 10^(k - 12), exact ties at three scales, every power of two,
-    the carries of 9.9999999999995 10^k into the next exponent, the
-    zeros, infinities and NaNs."""
+    1e-45 to 1e47, and of both signs values within 2 ulps of a decimal tie
+    (N + 1/2) 10^(k - 12) up to 1e47, exact ties at three scales, every
+    power of two, the carries of 9.9999999999995 10^k into the next
+    exponent, the 200 floats on either side of 2^-122 and 2^155, where the
+    C kernel hands over to Python's formatter, the zeros, infinities and
+    NaNs."""
     rng = np.random.default_rng(41)
     ties = (rng.integers(10 ** 12, 10 ** 13, 10_000) + 0.5) * 10.0 ** rng.integers(
-        -30, 40, 10_000).astype(float) / 1e12
+        -30, 47, 10_000).astype(float) / 1e12
     carries = 9.9999999999995 * 10.0 ** np.arange(-324, 308).astype(float)
     whole = rng.integers(10 ** 12, 10 ** 13, (3, 3_000)).astype(float)
     signed = [
@@ -1098,13 +1107,14 @@ def _e12_cases() -> tuple[tuple, tuple]:
         whole[0] + 0.5, 10.0 * whole[1] + 5.0, 100.0 * whole[2] + 50.0,
         np.ldexp(1.0, np.arange(-1074, 1024)),
         carries, np.nextafter(carries, 0.0), np.nextafter(carries, np.inf),
+        _REACH_ENDS.ravel(),
         [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
          2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308],
     ]
     cells = np.concatenate(signed)
     cells = tuple(np.concatenate([
         rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64).view(np.float64),
-        rng.choice([1.0, -1.0], 40_000) * 10.0 ** rng.uniform(-45.0, 42.0, 40_000),
+        rng.choice([1.0, -1.0], 40_000) * 10.0 ** rng.uniform(-45.0, 47.0, 40_000),
         cells, -cells]).tolist())
     return cells, tuple("%.12e" % x for x in cells)
 
@@ -1129,8 +1139,9 @@ def _repr_cases() -> tuple[tuple, tuple]:
     """About 200,000 floats on which a shortest-repr writer could slip, and
     ``repr(x)`` of each: random bit patterns (NaNs, infinities and
     subnormals among them), log-uniform magnitudes from 1e-25 to 1e50, the
-    200 floats on either side of the notation switches at 1e-4 and 1e16,
-    every power of two (whose lower gap is half its upper one) and its
+    200 floats on either side of the notation switches at 1e-4 and 1e16
+    and of the C kernel's hand-over to Python's formatter at 2^-122 and
+    2^155, every power of two (whose lower gap is half its upper one) and its
     neighbours, values whose shortest form has 1 to 17 digits, integral
     floats up to 2^70, subnormals, the zeros, infinities and NaNs, and
     every curvature cell of the golden corpus; each of both signs."""
@@ -1155,7 +1166,8 @@ def _repr_cases() -> tuple[tuple, tuple]:
     cells = np.concatenate([
         rng.integers(0, 2 ** 64, 15_000, dtype=np.uint64).view(np.float64),
         10.0 ** rng.uniform(-25.0, 50.0, 30_000),
-        switches.ravel(), powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        switches.ravel(), _REACH_ENDS.ravel(), powers, np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf),
         digits, integral, rng.integers(1, 2 ** 52, 1_000, dtype=np.uint64).view(np.float64),
         [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
          sys.float_info.max], corpus,
@@ -1173,6 +1185,25 @@ def test_reprs_prints_each_float_as_repr(kernel):
     assert type(got) is tuple and all(type(x) is str for x in got)
     assert [(x, a, b) for x, a, b in zip(cells, got, want) if a != b] == []
     assert kernel.reprs([]) == () and kernel.reprs([0.5, -1e16]) == ("0.5", "-1e+16")
+
+
+@pytest.mark.skipif(numeric.KERNEL_BACKEND == "python", reason="numeric runs _kernel_py: "
+                    "no C compiler built the kernel")
+def test_the_kernel_built_without_int128_prints_as_python(tmp_path):
+    # 32-bit targets and MSVC have no __int128: every nonzero cell takes
+    # Python's formatter, and the bytes are the same
+    import importlib.util
+
+    path = tmp_path / f"_kernel{sysconfig.get_config_var('EXT_SUFFIX')}"
+    subprocess.run([*numeric._compile_flags(), "-U__SIZEOF_INT128__",
+                    str(Path(numeric.__file__).with_name("_kernel.c")), "-o", str(path)],
+                   check=True, capture_output=True)
+    spec = importlib.util.spec_from_file_location("spinorflow_no_int128._kernel", path)
+    kernel = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernel)
+    for fn, cases in ((kernel.e12, _e12_cases), (kernel.reprs, _repr_cases)):
+        cells, want = cases()
+        assert [(x, a, b) for x, a, b in zip(cells, fn(cells), want) if a != b] == []
 
 
 class TestRenderers:
