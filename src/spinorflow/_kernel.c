@@ -723,7 +723,7 @@ digits13(uint64_t m, int e2, uint64_t *q, int *exp10)
         return 0;
     *q = v / 1000000, rest = v % 1000000, *exp10 += 6;
     *q += rest > 500000 || (rest == 500000 && (!exact || (*q & 1)));
-    if (*q == 10000000000000ULL) /* 9.999999999999|5 carries into 1.0 10^(k + 1) */
+    if (*q == 10000000000000ULL) /* 9.9999999999995 carries into the next power of ten */
         *q /= 10, ++*exp10;
     return 1;
 }

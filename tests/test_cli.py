@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -1192,8 +1193,6 @@ def test_reprs_prints_each_float_as_repr(kernel):
 def test_the_kernel_built_without_int128_prints_as_python(tmp_path):
     # 32-bit targets and MSVC have no __int128: every nonzero cell takes
     # Python's formatter, and the bytes are the same
-    import importlib.util
-
     path = tmp_path / f"_kernel{sysconfig.get_config_var('EXT_SUFFIX')}"
     subprocess.run([*numeric._compile_flags(), "-U__SIZEOF_INT128__",
                     str(Path(numeric.__file__).with_name("_kernel.c")), "-o", str(path)],
