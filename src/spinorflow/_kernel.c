@@ -1,5 +1,7 @@
-/* The kernel in C: the seven entries of _kernel_py, with its contract and
-   its bits.
+/* The kernel in C: six of the seven entries of _kernel_py, with its
+   contract and its bits.  The seventh, rk4_path, the fixed-step march that
+   no command runs, is _kernel_py's on both backends: numeric binds it onto
+   this module.
 
    _kernel_py documents the contract and stays the reference.  The march
    here is the list form that tests/test_numeric.py holds both kernels to
@@ -7,15 +9,15 @@
    15 floats of the state, with zero slope for the conserved Theta_ul and
    Theta_un, and rk4() is one RK4 step, a loop over the 15 floats for each
    stage point and for the update.  trial() takes the whole step, the two
-   half steps and the companion of a trial, each leg checked as there;
-   rk4_path() loops rk4(), and march_stop() loops trial() up to one stop,
-   with no Python object inside the loop.  _kernel_py._march unrolls the
-   same operations over scalars and gives the same bits: a conserved
-   component's stage point y + dt/2 * 0.0 keeps the sign of a zero as
-   _march's bookkeeping does.  The error term takes fabs() and keeps the
-   first largest term, as Python's abs() and max() do.  numeric builds this
-   file with -ffp-contract=off and without fast-math, so that no multiply
-   and add fuse and no operation is reordered.
+   half steps and the companion of a trial, each leg checked as there, and
+   march_stop() loops trial() up to one stop, with no Python object inside
+   the loop.  _kernel_py._march unrolls the same operations over scalars
+   and gives the same bits: a conserved component's stage point
+   y + dt/2 * 0.0 keeps the sign of a zero as _march's bookkeeping does.
+   The error term takes fabs() and keeps the first largest term, as
+   Python's abs() and max() do.  numeric builds this file with
+   -ffp-contract=off and without fast-math, so that no multiply and add
+   fuse and no operation is reordered.
 
    e12() and reprs() print the cells of the flow table as "%.12e" % x does
    and those of the curvature payload as repr(x) does, byte for byte, with
@@ -27,10 +29,10 @@
    (digits13()); repr's shortest digits that read back as x are found by
    Ryu (Adams 2018), the ends of the interval that rounds to x scaled to the
    same 19 digits and digits dropped while the ends differ (shortest()).
-   One writer, format_cell(), lays the digits out: d.dddddddddddde+XX for
-   %.12e, and float_repr's layout for repr, plain for 1e-4 <= |x| < 1e16
-   with ".0" on an integral value, else d.ddde+XX.  The zeros are shared
-   strings.  Both printers reach |x| in [2^-122, 2^155) (about [1.9e-37,
+   One writer, format_cell(), lays the digits out, straight into a str of
+   the cell's length: d.dddddddddddde+XX for %.12e, and float_repr's layout
+   for repr, plain for 1e-4 <= |x| < 1e16 with ".0" on an integral value,
+   else d.ddde+XX.  The zeros are shared strings.  Both printers reach |x| in [2^-122, 2^155) (about [1.9e-37,
    4.6e46)), the reach of scaled(); subnormals, infinities, NaNs, the far
    exponents, two shortest candidates equally near x and a compiler
    without __int128 take PyOS_double_to_string, Python's own formatter,
@@ -56,7 +58,12 @@
    stack, in their order.  Every sum of products is written in index order,
    (x0 y0 + x1 y1) + x2 y2 (product()), and no multiply and add fuse, so
    the bits depend on no BLAS and no CPU.  Each maximum keeps a NaN, as
-   np.max does (max_nan()). */
+   np.max does (max_nan()).
+
+   These three read their arrays through one read_doubles(), which checks
+   each array's type and number of axes and releases the buffers it has
+   read when a later one fails; each entry releases them all with one
+   release() on its way out. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -124,11 +131,10 @@ all_finite(const double *y)
     return 1;
 }
 
-/* the 15 floats of the sequence seq, each read as float() reads it when
-   as_float, else as the arithmetic of _kernel_py reads a float; 0 on
-   success, -1 with an exception set */
+/* the 15 floats of the sequence seq, each read as the arithmetic of
+   _kernel_py reads a float; 0 on success, -1 with an exception set */
 static int
-read_state(PyObject *seq, double *out, int as_float)
+read_state(PyObject *seq, double *out)
 {
     PyObject *fast = PySequence_Fast(seq, "the state must be a sequence of 15 floats");
     if (fast == NULL)
@@ -136,14 +142,11 @@ read_state(PyObject *seq, double *out, int as_float)
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     PyObject **items = PySequence_Fast_ITEMS(fast);
     for (Py_ssize_t i = 0; i < n && i < 15; i++) {
-        PyObject *item = as_float ? PyNumber_Float(items[i]) : items[i];
-        if (item == NULL)
-            goto fail;
-        out[i] = PyFloat_AsDouble(item);
-        if (as_float)
-            Py_DECREF(item);
-        if (out[i] == -1.0 && PyErr_Occurred())
-            goto fail;
+        out[i] = PyFloat_AsDouble(items[i]);
+        if (out[i] == -1.0 && PyErr_Occurred()) {
+            Py_DECREF(fast);
+            return -1;
+        }
     }
     Py_DECREF(fast);
     if (n < 15)
@@ -152,9 +155,6 @@ read_state(PyObject *seq, double *out, int as_float)
     else if (n > 15)
         PyErr_SetString(PyExc_ValueError, "too many values to unpack (expected 15)");
     return n == 15 ? 0 : -1;
-fail:
-    Py_DECREF(fast);
-    return -1;
 }
 
 /* the state tuple of the 15 floats y */
@@ -224,30 +224,6 @@ check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return 0;
 }
 
-static PyObject *
-rk4_path(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    double y[15], dt;
-    if (!check_nargs("rk4_path", nargs, 3) || read_state(args[0], y, 1) < 0)
-        return NULL;
-    PyObject *f = PyNumber_Float(args[1]);
-    if (f == NULL)
-        return NULL;
-    dt = PyFloat_AS_DOUBLE(f);
-    Py_DECREF(f);
-    Py_ssize_t n_steps = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
-    if (n_steps == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t done = 0;
-    int tripped = 0;
-    while (done < n_steps && !tripped) {
-        rk4(y, dt, y);
-        done += 1;
-        tripped = past_guard(y);
-    }
-    return Py_BuildValue("(NnO)", state(y), done, tripped ? Py_True : Py_False);
-}
-
 /* the double of the float x in *out; 0 on success, -1 with an exception set */
 static int
 read_float(PyObject *x, double *out)
@@ -270,8 +246,8 @@ march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     double y[15], z[15], halves[15], companion[15], s, h, target, tol, error;
     Py_ssize_t accepted = 0, rejected = 0;
-    if (!check_nargs("march_stop", nargs, 6) || read_state(args[0], y, 0) < 0
-            || read_state(args[1], z, 0) < 0 || read_float(args[2], &s) < 0
+    if (!check_nargs("march_stop", nargs, 6) || read_state(args[0], y) < 0
+            || read_state(args[1], z) < 0 || read_float(args[2], &s) < 0
             || read_float(args[3], &h) < 0 || read_float(args[4], &target) < 0
             || read_float(args[5], &tol) < 0)
         return NULL;
@@ -314,20 +290,36 @@ march_stop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                          gap / 15.0, accepted, rejected, Py_None);
 }
 
-/* the double buffer of the C-contiguous float64 array x, of min_ndim to
-   max_ndim axes, in *view; 0 on success, -1 with an exception set, a
-   TypeError with message on a wrong type or number of axes */
-static int
-read_doubles(PyObject *x, Py_buffer *view, int min_ndim, int max_ndim, const char *message)
+/* PyBuffer_Release() of the first n views */
+static void
+release(Py_buffer *views, int n)
 {
-    if (PyObject_GetBuffer(x, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return -1;
-    if (view->ndim >= min_ndim && view->ndim <= max_ndim
-            && view->itemsize == sizeof(double) && strcmp(view->format, "d") == 0)
-        return 0;
-    PyBuffer_Release(view);
-    PyErr_SetString(PyExc_TypeError, message);
-    return -1;
+    while (n-- > 0)
+        PyBuffer_Release(&views[n]);
+}
+
+/* the double buffers of the n C-contiguous float64 arrays x[i], each of
+   axes[i][0] to axes[i][1] axes, in views[i]; 0 on success, -1 with an
+   exception set and no view held, a TypeError with message on a wrong type
+   or number of axes */
+static int
+read_doubles(PyObject *const *x, int n, const int (*axes)[2], const char *message,
+             Py_buffer *views)
+{
+    for (int i = 0; i < n; i++) {
+        Py_buffer *view = &views[i];
+        if (PyObject_GetBuffer(x[i], view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+            release(views, i);
+            return -1;
+        }
+        if (view->ndim < axes[i][0] || view->ndim > axes[i][1]
+                || view->itemsize != sizeof(double) || strcmp(view->format, "d") != 0) {
+            release(views, i + 1);
+            PyErr_SetString(PyExc_TypeError, message);
+            return -1;
+        }
+    }
+    return 0;
 }
 
 /* one term of _kernel_py._prefix_sums: p added to the running sum *sum and
@@ -372,28 +364,25 @@ fill_table(const double *t, const double *v, Py_ssize_t n, Py_ssize_t z, double 
 static PyObject *
 cumulative(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer t, v;
+    static const int axes[][2] = {{1, 1}, {1, 1}};
+    Py_buffer b[2]; /* times and values */
+    const Py_buffer *t = b, *v = b + 1;
     double at_zero;
     if (!check_nargs("cumulative", nargs, 3) || read_float(args[2], &at_zero) < 0
-            || read_doubles(args[0], &t, 1, 1, TABLE_TYPE) < 0)
+            || read_doubles(args, 2, axes, TABLE_TYPE, b) < 0)
         return NULL;
-    if (read_doubles(args[1], &v, 1, 1, TABLE_TYPE) < 0) {
-        PyBuffer_Release(&t);
-        return NULL;
-    }
-    Py_ssize_t n = t.len / (Py_ssize_t)sizeof(double), z = 0;
-    const double *times = t.buf;
+    Py_ssize_t n = t->len / (Py_ssize_t)sizeof(double), z = 0;
+    const double *times = t->buf;
     while (z < n && times[z] < 0.0) /* np.searchsorted(times, 0.0) */
         z++;
     PyObject *out = NULL;
-    if (v.len != t.len || n < 2 || z == n)
+    if (v->len != t->len || n < 2 || z == n)
         PyErr_SetString(PyExc_ValueError,
                         "cumulative() needs times and values of n >= 2 nodes, "
                         "times[0] <= 0 <= times[-1]");
-    else if ((out = PyBytes_FromStringAndSize(NULL, t.len)) != NULL)
-        fill_table(times, v.buf, n, z, at_zero, (double *)PyBytes_AS_STRING(out));
-    PyBuffer_Release(&t);
-    PyBuffer_Release(&v);
+    else if ((out = PyBytes_FromStringAndSize(NULL, t->len)) != NULL)
+        fill_table(times, v->buf, n, z, at_zero, (double *)PyBytes_AS_STRING(out));
+    release(b, 2);
     return out;
 }
 
@@ -480,38 +469,32 @@ ricci_frame(int n, const double *eta, const double *inv, const double *c, const 
 static PyObject *
 ricci(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer e, c, d;
+    static const int axes[][2] = {{1, 1}, {3, INT_MAX}, {3, INT_MAX}};
+    Py_buffer b[3]; /* eta, c and, unless dc0 is None, dc0 */
+    const Py_buffer *e = b, *c = b + 1, *d = b + 2;
     int has_d = nargs == 3 && args[2] != Py_None;
-    if (!check_nargs("ricci", nargs, 3) || read_doubles(args[0], &e, 1, 1, RICCI_TYPE) < 0)
+    if (!check_nargs("ricci", nargs, 3)
+            || read_doubles(args, 2 + has_d, axes, RICCI_TYPE, b) < 0)
         return NULL;
-    if (read_doubles(args[1], &c, 3, INT_MAX, RICCI_TYPE) < 0) {
-        PyBuffer_Release(&e);
-        return NULL;
-    }
-    if (has_d && read_doubles(args[2], &d, 3, INT_MAX, RICCI_TYPE) < 0) {
-        PyBuffer_Release(&e);
-        PyBuffer_Release(&c);
-        return NULL;
-    }
-    Py_ssize_t n = e.shape[0];
+    Py_ssize_t n = e->shape[0];
     int fits = n >= 1 && n <= MAX_DIM;
-    for (int i = c.ndim - 3; i < c.ndim; i++)
-        fits = fits && c.shape[i] == n;
+    for (int i = c->ndim - 3; i < c->ndim; i++)
+        fits = fits && c->shape[i] == n;
     if (has_d) {
-        fits = fits && d.ndim == c.ndim;
-        for (int i = 0; fits && i < c.ndim; i++)
-            fits = d.shape[i] == c.shape[i];
+        fits = fits && d->ndim == c->ndim;
+        for (int i = 0; fits && i < c->ndim; i++)
+            fits = d->shape[i] == c->shape[i];
     }
     PyObject *ric = NULL, *scalars = NULL, *out = NULL;
     if (!fits)
         PyErr_SetString(PyExc_ValueError, "ricci() needs eta of n <= 4 entries, c of shape "
                                           "(..., n, n, n) and dc0 None or of c's shape");
     else {
-        Py_ssize_t block = n * n * n, frames = c.len / (block * (Py_ssize_t)sizeof(double));
+        Py_ssize_t block = n * n * n, frames = c->len / (block * (Py_ssize_t)sizeof(double));
         ric = PyBytes_FromStringAndSize(NULL, frames * n * n * (Py_ssize_t)sizeof(double));
         scalars = PyBytes_FromStringAndSize(NULL, frames * (Py_ssize_t)sizeof(double));
         if (ric != NULL && scalars != NULL) {
-            const double *eta = e.buf, *cs = c.buf, *ds = has_d ? d.buf : NULL;
+            const double *eta = e->buf, *cs = c->buf, *ds = has_d ? d->buf : NULL;
             double inv[MAX_DIM * MAX_DIM], *rs = (double *)PyBytes_AS_STRING(ric);
             double *ss = (double *)PyBytes_AS_STRING(scalars);
             for (int i = 0; i < n; i++)
@@ -525,10 +508,7 @@ ricci(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     Py_XDECREF(ric);
     Py_XDECREF(scalars);
-    PyBuffer_Release(&e);
-    PyBuffer_Release(&c);
-    if (has_d)
-        PyBuffer_Release(&d);
+    release(b, 2 + has_d);
     return out;
 }
 
@@ -608,37 +588,28 @@ residuals_of(const double *comp, const double *u, const double *th0, Py_ssize_t 
 static PyObject *
 residuals(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer c, u, t;
+    static const int axes[][2] = {{2, 2}, {3, 3}, {1, 1}};
+    Py_buffer b[3]; /* comp, u and theta0 */
+    const Py_buffer *c = b, *u = b + 1, *t = b + 2;
     if (!check_nargs("residuals", nargs, 3)
-            || read_doubles(args[0], &c, 2, 2, RESIDUALS_TYPE) < 0)
+            || read_doubles(args, 3, axes, RESIDUALS_TYPE, b) < 0)
         return NULL;
-    if (read_doubles(args[1], &u, 3, 3, RESIDUALS_TYPE) < 0) {
-        PyBuffer_Release(&c);
-        return NULL;
-    }
-    if (read_doubles(args[2], &t, 1, 1, RESIDUALS_TYPE) < 0) {
-        PyBuffer_Release(&c);
-        PyBuffer_Release(&u);
-        return NULL;
-    }
-    Py_ssize_t n = c.shape[0];
+    Py_ssize_t n = c->shape[0];
     PyObject *out = NULL;
-    if (c.shape[1] != 6 || u.shape[0] != n || u.shape[1] != 3 || u.shape[2] != 3
-            || t.shape[0] != 6)
+    if (c->shape[1] != 6 || u->shape[0] != n || u->shape[1] != 3 || u->shape[2] != 3
+            || t->shape[0] != 6)
         PyErr_SetString(PyExc_ValueError, "residuals() needs comp of shape (n, 6), u of "
                                           "shape (n, 3, 3) and theta0 of 6 components");
     else if ((out = PyBytes_FromStringAndSize(NULL, 4 * n * (Py_ssize_t)sizeof(double)))
              != NULL) {
-        const double *comps = c.buf, *us = u.buf, *t0 = t.buf;
+        const double *comps = c->buf, *us = u->buf, *t0 = t->buf;
         double th0[9], *r = (double *)PyBytes_AS_STRING(out);
         for (int k = 0; k < 9; k++)
             th0[k] = t0[SYM3[k]];
         for (Py_ssize_t i = 0; i < n; i++)
             residuals_of(comps + 6 * i, us + 9 * i, th0, n, r + i);
     }
-    PyBuffer_Release(&c);
-    PyBuffer_Release(&u);
-    PyBuffer_Release(&t);
+    release(b, 3);
     return out;
 }
 
@@ -771,10 +742,22 @@ shortest(uint64_t m, int e2, int half_gap, uint64_t *digits, int *exp10)
    "0.000000000000e+00" and "-0.000000000000e+00" for %.12e */
 static PyObject *ZEROS[2][2];
 
+/* the n digits of d from p on, with a '.' after the first dot of them
+   unless dot >= n; returns the end */
+static char *
+put_digits(char *p, uint64_t d, int n, int dot)
+{
+    for (int i = n - 1; i >= 0; i--, d /= 10) /* from the last digit */
+        p[i + (i >= dot)] = (char)('0' + d % 10);
+    if (dot < n)
+        p[dot] = '.';
+    return p + n + (dot < n);
+}
+
 /* "%.12e" % x if e12, else repr(x): the digits of digits13() or shortest()
    laid out as %.12e always does, d.dddddddddddde+XX, and as float_repr
    does, plain for 1e-4 <= |x| < 1e16 with ".0" on an integral value, else
-   d.ddde+XX */
+   d.ddde+XX, each written once, straight into the str of its length */
 static PyObject *
 format_cell(double x, int e12)
 {
@@ -800,52 +783,39 @@ format_cell(double x, int e12)
         PyMem_Free(text);
         return out;
     }
-    char digits[20], text[32], *p = text;
-    int n = 0;
-    for (; d != 0; d /= 10) /* from the last digit */
-        digits[19 - n++] = (char)('0' + d % 10);
-    const char *first = digits + 20 - n;
-    int point = exp10 + n; /* x = 0.(digits) 10^point */
+    int n = e12 ? 13 : 1; /* 13 digits from digits13(), 1 to 17 from shortest() */
+    for (uint64_t t = d / 10; !e12 && t != 0; t /= 10)
+        n++;
+    int point = exp10 + n, e = point - 1; /* x = 0.(digits) 10^point */
+    int sci = e12 || point <= -4 || point > 16, ae = e < 0 ? -e : e;
+    PyObject *out = PyUnicode_New(neg + (sci ? n + (n > 1) + 4 + (ae >= 100)
+                                         : point <= 0 ? 2 - point + n
+                                         : point < n ? n + 1 : point + 2), 127);
+    if (out == NULL)
+        return NULL;
+    char *p = (char *)PyUnicode_1BYTE_DATA(out);
     if (neg)
         *p++ = '-';
-    if (e12 || point <= -4 || point > 16) {
-        int e = point - 1;
-        *p++ = first[0];
-        if (n > 1) {
-            *p++ = '.';
-            memcpy(p, first + 1, n - 1);
-            p += n - 1;
-        }
-        int ae = e < 0 ? -e : e; /* two digits at least, as %+.2d */
+    if (sci) { /* d.ddde+XX, the exponent of two digits at least, as %+.2d */
+        p = put_digits(p, d, n, 1);
         *p++ = 'e';
         *p++ = e < 0 ? '-' : '+';
         if (ae >= 100)
             *p++ = (char)('0' + ae / 100);
         *p++ = (char)('0' + ae / 10 % 10);
-        *p++ = (char)('0' + ae % 10);
+        *p = (char)('0' + ae % 10);
     }
-    else if (point <= 0) {
+    else if (point <= 0) { /* 0.000ddd */
         memcpy(p, "0.0000", 2 - point);
-        p += 2 - point;
-        memcpy(p, first, n);
-        p += n;
+        put_digits(p + 2 - point, d, n, n);
     }
-    else if (point < n) {
-        memcpy(p, first, point);
-        p[point] = '.';
-        memcpy(p + point + 1, first + point, n - point);
-        p += n + 1;
+    else if (point < n) /* dd.ddd */
+        put_digits(p, d, n, point);
+    else { /* ddd000.0 */
+        p = put_digits(p, d, n, n);
+        memset(p, '0', point - n);
+        memcpy(p + point - n, ".0", 2);
     }
-    else {
-        memcpy(p, first, n);
-        memset(p + n, '0', point - n);
-        p += point;
-        memcpy(p, ".0", 2);
-        p += 2;
-    }
-    PyObject *out = PyUnicode_New(p - text, 127);
-    if (out != NULL)
-        memcpy(PyUnicode_1BYTE_DATA(out), text, p - text);
     return out;
 }
 
@@ -884,8 +854,6 @@ reprs(PyObject *module, PyObject *cells)
 }
 
 static PyMethodDef methods[] = {
-    {"rk4_path", (PyCFunction)(void (*)(void))rk4_path, METH_FASTCALL,
-     "rk4_path(y0, dt, n_steps, /): as _kernel_py.rk4_path."},
     {"march_stop", (PyCFunction)(void (*)(void))march_stop, METH_FASTCALL,
      "march_stop(y, z, s, h, target, tol, /): as _kernel_py.march_stop."},
     {"e12", e12, METH_O, "e12(cells, /): as _kernel_py.e12."},

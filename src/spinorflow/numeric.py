@@ -9,13 +9,16 @@ state; ``uncertified`` lists the states that estimate cannot vouch for.  A
 caller that names ``n_steps_total`` gets a fixed-step march in s instead.
 Both carry the state as a tuple of 15 floats and make one kernel call per
 stop: one ``_kern.march_stop``, which runs every trial step up to the
-stop, or one ``_kern.rk4_path`` per segment through ``_advance``.
+stop, or one ``_kern.rk4_path`` per segment in ``_fixed_march``.
 
 The kernel ``_kern`` is the C extension built from ``_kernel.c`` when this
 module is first imported (``_c_kernel``), and otherwise the pure-Python
 module ``_kernel_py``, which documents the contract of both and gives the
-same bits; ``KERNEL_BACKEND`` reads ``"c"`` or ``"python"``.  Its third
-and fourth entries, ``e12`` and ``reprs``, print the cells of ``cli``'s
+same bits; ``KERNEL_BACKEND`` reads ``"c"`` or ``"python"``.  Its first
+entry, ``rk4_path``, the fixed-step march, which no command runs, is
+``_kernel_py.rk4_path`` on both backends: ``_c_kernel`` binds it onto the
+C module, which holds the other six.  Its second is ``march_stop``; its
+third and fourth, ``e12`` and ``reprs``, print the cells of ``cli``'s
 flow table and of its curvature payload, which read them as
 ``numeric._kern.e12`` and ``numeric._kern.reprs`` when they render; its
 fifth, ``cumulative``, builds the table of B of a tabulated lapse, which
@@ -43,6 +46,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import numbers
 import os
 import sys
 import sysconfig
@@ -98,6 +102,9 @@ def _c_kernel(cache: Path):
         spec = importlib.util.spec_from_file_location(f"{__package__}._kernel", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        # the fixed march is written once, in Python: numeric, the tests and
+        # perfbench's tracer all read it as this one name of the kernel
+        module.rk4_path = _kernel_py.rk4_path
         return module
     except Exception:  # whatever failed, _kernel_py gives the same bits
         return _kernel_py
@@ -285,12 +292,16 @@ def integrate_to(pair: CauchyPair, profile: LapseProfile, times,
     and every stop is reached in the fewest equal steps no longer than the
     total span over ``n_steps_total``; its states carry no error estimate.
 
-    Raises ValueError on a time that is not finite, OutOfDomain on the
-    first one outside a table, in the order of ``times``, and SingularTime
-    when the march blows up or overflows (see ``_singular``) before it
-    reaches a requested time.
+    Raises ValueError on an ``n_steps_total`` that is not an integer of at
+    least 1 (a bool is none) and on a time that is not finite, OutOfDomain
+    on the first time outside a table, in the order of ``times``, and
+    SingularTime when the march blows up or overflows (see ``_singular``)
+    before it reaches a requested time.
     """
     require_valid(pair, tol)
+    if n_steps_total is not None and (isinstance(n_steps_total, bool) or not (
+            isinstance(n_steps_total, numbers.Integral) and n_steps_total >= 1)):
+        raise ValueError(f"n_steps_total must be an integer >= 1, got {n_steps_total!r}")
     requested = [float(t) for t in times]
     if not all(map(math.isfinite, requested)):
         raise ValueError("integration times must be finite")
@@ -357,17 +368,6 @@ def _uncertain(error: float | None) -> bool:
     return error is not None and 2.0 * error > CERTIFY_LIMIT
 
 
-def _advance(y, s, ds, n, target, to_t) -> tuple:
-    """y after ``n`` RK4 steps of size ``ds`` from s = ``s``, as a tuple.
-    Raises SingularTime (``_singular``) when a step trips the kernel's guard
-    on Theta or the state it ends on is not finite (U can overflow while
-    Theta stays bounded)."""
-    y, done, truncated = _kern.rk4_path(y, ds, n)
-    if truncated or not all(map(math.isfinite, y)):
-        raise _singular(truncated, s + done * ds, target, to_t)
-    return y
-
-
 def _singular(tripped, s, target, to_t) -> SingularTime:
     """The error for a march that stopped at s = ``s``, short of
     ``target``: on a guard trip, on a state that is not finite (``tripped``
@@ -381,13 +381,19 @@ def _singular(tripped, s, target, to_t) -> SingularTime:
 def _fixed_march(y0, stops, to_t, step):
     """(s, y, None) at each of ``stops`` (values of s moving away from zero
     in one direction), each reached in the fewest equal steps no longer
-    than ``step`` up to a relative 1e-12, the rounding of their difference."""
+    than ``step`` up to a relative 1e-12, the rounding of their difference.
+    A segment is one ``_kern.rk4_path`` call.  Raises SingularTime
+    (``_singular``) when a step trips the kernel's guard on Theta or the
+    state a segment ends on is not finite (U can overflow while Theta stays
+    bounded)."""
     y = y0
     prev = 0.0
     for target in stops:
         seg = target - prev
         n = max(1, math.ceil(abs(seg) / step * (1.0 - 1e-12)))
-        y = _advance(y, prev, seg / n, n, target, to_t)
+        y, done, truncated = _kern.rk4_path(y, seg / n, n)
+        if truncated or not all(map(math.isfinite, y)):
+            raise _singular(truncated, prev + done * (seg / n), target, to_t)
         prev = target
         yield target, y, None
 
@@ -417,7 +423,7 @@ def _controlled_march(y0, stops, to_t):
     Each stop is one ``_kern.march_stop`` call, which runs every trial up
     to it and returns the extrapolated state and its estimate.  A leg that
     trips the guard or ends on a state that is not finite raises the
-    SingularTime ``_advance`` would raise for it, at the s the kernel
+    SingularTime ``_fixed_march`` would raise for it, at the s the kernel
     reports; a step too small to move s raises one that names the stall.
     """
     y = z = y0

@@ -3,9 +3,12 @@ quantities, residual monitors, bit-for-bit parity of the RK4 kernel with a
 list-form reference, and agreement of the march in B with that list form
 marched in t on smooth tables."""
 
+import array
 import dataclasses
+import importlib.util
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -325,6 +328,29 @@ class TestIntegrateTo:
         with pytest.raises(ValueError, match="times must be finite"):
             integrate_to(ROW_PAIRS["E11"], UNIT, [0.5, t])
 
+    # 0 once divided by zero; the others took one RK4 step per stop, with no
+    # error estimate: Theta_uu(0.9) of {"uu": 1} came back 8.196, not 10
+    @pytest.mark.parametrize("n", [0, -5, 0.5, 1e-300, True, np.bool_(True), np.float64(300.0),
+                                   "300"],
+                             ids=["0", "-5", "0.5", "1e-300", "True", "np.True_", "np.float64",
+                                  "str"])
+    def test_fixed_march_refuses_a_step_count_that_is_no_positive_integer(self, n):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"n_steps_total must be an integer >= 1, got {n!r}") + "$"):
+            integrate_to(CauchyPair.from_components(uu=1.0), UNIT, [0.5, 0.9],
+                         n_steps_total=n)
+
+    def test_fixed_march_takes_any_integer_step_count(self):
+        pair = CauchyPair.from_components(uu=1.0)
+        ref = integrate_to(pair, UNIT, [0.5, 0.9], n_steps_total=300)
+        assert abs(ref[1].theta.uu - 10.0) <= 1e-6
+        for n in (np.int64(300), np.uint16(300)):
+            for a, b in zip(integrate_to(pair, UNIT, [0.5, 0.9], n_steps_total=n), ref):
+                assert _same_bits(a.theta.as_array(), b.theta.as_array())
+                assert _same_bits(a.U, b.U) and a.error is b.error is None
+        one = integrate_to(pair, UNIT, [0.5, 0.9], n_steps_total=1)
+        assert [st.t for st in one] == [0.5, 0.9] and 5.0 < one[1].theta.uu < 10.0
+
 
 def _deviation(pair, state, profile=UNIT):
     """Largest deviation of theta and U from the closed form, relative to
@@ -433,14 +459,23 @@ def _relative_gap(a, b):
     return max(abs(x - z) / max(1.0, abs(x)) for x, z in zip(a, b))
 
 
+def _advance(y, s, ds, n, target, to_t):
+    """y after ``n`` RK4 steps of size ``ds`` from s = ``s``, checked as
+    ``numeric._fixed_march`` checks a segment: SingularTime on a guard trip
+    or on a state that is not finite."""
+    y, done, truncated = numeric._kern.rk4_path(y, ds, n)
+    if truncated or not all(map(math.isfinite, y)):
+        raise numeric._singular(truncated, s + done * ds, target, to_t)
+    return y
+
+
 def _three_call_march(y0, stops, to_t, rejected=None):
     """The controlled march as it ran before its trials moved into the
-    kernel: each trial makes three ``rk4_path`` calls through
-    ``numeric._advance`` (the whole step, the two half steps, the companion
-    step) and its own ``_relative_gap``.  The reference
-    ``_controlled_march`` must match bit for bit; ``rejected`` collects the
-    values of s of rejected trials."""
-    advance, gap = numeric._advance, _relative_gap
+    kernel: each trial makes three ``rk4_path`` calls through ``_advance``
+    (the whole step, the two half steps, the companion step) and its own
+    ``_relative_gap``.  The reference ``_controlled_march`` must match bit
+    for bit; ``rejected`` collects the values of s of rejected trials."""
+    advance, gap = _advance, _relative_gap
     y = z = y0
     s = 0.0
     sign = 1.0 if stops[0] > 0 else -1.0
@@ -591,12 +626,13 @@ def kernel(request):
     return request.param
 
 
-def _random_calls(rng, n):
-    """``n`` kernel calls as (entry, arguments), drawn for
-    ``test_c_kernel_matches_python_kernel_on_random_calls``: one in six an
-    ``rk4_path``, the rest ``march_stop`` stops.  Each state is moderate,
-    with about one entry in eight replaced by a signed zero, a NaN or an
-    infinity, a Theta value near the guard, or a value up to 1e300; h has
+def _random_stops(rng, n):
+    """The arguments of ``n`` ``march_stop`` stops, drawn for
+    ``test_c_kernel_matches_python_kernel_on_random_calls``; ``rk4_path`` is
+    ``_kernel_py``'s on both backends, so no call of it is drawn.  Each
+    state is moderate, with about one entry in eight replaced by a signed
+    zero, a NaN or an infinity, a Theta value near the guard, or a value up
+    to 1e300; h has
     either sign and a size from 1e-6 to 1.  A stop starts at s = 0 (one in
     four) or at an s of either sign and a size from 0.1 to 1e16, and ends
     at ``_stop_target``.  One stop in 40 gets a tol that is negative or
@@ -614,8 +650,6 @@ def _random_calls(rng, n):
         states[big] = rng.choice([1.0, -1.0], np.count_nonzero(big)) * 10.0 ** rng.uniform(
             0.0, 300.0, np.count_nonzero(big))
     h = rng.choice([1.0, -1.0], n) * 10.0 ** rng.uniform(-6.0, 0.0, n)
-    paths = rng.integers(0, 6, n) == 0
-    n_steps = rng.integers(0, 21, n)
     s = np.where(rng.integers(0, 4, n) == 0, 0.0,
                  rng.choice([1.0, -1.0], n) * 10.0 ** rng.uniform(-1.0, 16.0, n))
     ratio = 10.0 ** rng.uniform(-1.0, 1.0, n)
@@ -623,14 +657,9 @@ def _random_calls(rng, n):
     tol = rng.choice([0.0, 1e-15, 1e-12, math.inf], n)
     tol = np.where(rng.integers(0, 40, n) == 0,
                    rng.choice([-1e-12, -1.0, -math.inf, math.nan], n), tol)
-    for y, z, h, path, n, s, ratio, ulps, tol in zip(
-            y.tolist(), z.tolist(), h.tolist(), paths.tolist(), n_steps.tolist(),
-            s.tolist(), ratio.tolist(), ulps.tolist(), tol.tolist()):
-        if path:
-            yield "rk4_path", (tuple(y), h, n)
-        else:
-            yield "march_stop", (tuple(y), tuple(z), s, abs(h),
-                                 _stop_target(s, h, ratio, ulps, tol), tol)
+    for y, z, h, s, ratio, ulps, tol in zip(y.tolist(), z.tolist(), h.tolist(), s.tolist(),
+                                            ratio.tolist(), ulps.tolist(), tol.tolist()):
+        yield tuple(y), tuple(z), s, abs(h), _stop_target(s, h, ratio, ulps, tol), tol
 
 
 def _stop_target(s, h, ratio, ulps, tol):
@@ -646,11 +675,11 @@ def _stop_target(s, h, ratio, ulps, tol):
     return s + math.copysign(span, h)
 
 
-def _call(kernel, entry, args):
-    """The result of ``kernel.entry(*args)``, or (ValueError, its message)
-    when it raises one."""
+def _stop(kernel, args):
+    """The result of ``kernel.march_stop(*args)``, or (ValueError, its
+    message) when it raises one."""
     try:
-        return getattr(kernel, entry)(*args)
+        return kernel.march_stop(*args)
     except ValueError as exc:
         return ValueError, str(exc)
 
@@ -680,17 +709,12 @@ class TestKernelParity:
                         reason="numeric runs _kernel_py itself: no C kernel was built")
     def test_c_kernel_matches_python_kernel_on_random_calls(self):
         outcomes = Counter()
-        for entry, args in _random_calls(np.random.default_rng(40), 60_000):
-            got = _call(numeric._kern, entry, args)
-            want = _call(_kernel_py, entry, args)
+        for args in _random_stops(np.random.default_rng(40), 60_000):
+            got = _stop(numeric._kern, args)
+            want = _stop(_kernel_py, args)
             if want[0] is ValueError:  # both raise alike
                 assert got == want, args
                 outcomes["refused"] += 1
-            elif entry == "rk4_path":
-                assert got[1:] == want[1:] and type(got[1]) is int, args
-                assert _state_bits(got[0]) == _state_bits(want[0]), args
-                assert all(type(v) is float for v in got[0])
-                outcomes["truncated" if want[2] else "path"] += 1
             else:
                 assert _stop_bits(got) == _stop_bits(want), args
                 failed = want[8]
@@ -698,7 +722,7 @@ class TestKernelParity:
                          "landed after a rejection" if want[7] else "landed"] += 1
         # every way a call can end came up
         assert min(outcomes[k] for k in (
-            "path", "truncated", "landed", "landed after a rejection", "whole", "half 1",
+            "landed", "landed after a rejection", "whole", "half 1",
             "half 2", "companion", "stall", "refused")) >= 10, outcomes
 
     def test_march_stop_refuses_a_negative_or_nan_tol(self):
@@ -728,6 +752,22 @@ class TestKernelParity:
                              env=env, timeout=60)
         assert ran.returncode == 0, ran.stderr
         assert ran.stdout == KERNEL_BACKEND + "\n"
+
+    def test_rk4_path_is_the_python_march_on_either_backend(self):
+        # the fixed march is written once, in Python: _c_kernel binds it
+        # onto the C module
+        assert numeric._kern.rk4_path is _kernel_py.rk4_path
+
+    @pytest.mark.skipif(numeric._kern is _kernel_py,
+                        reason="numeric runs _kernel_py itself: no C kernel was built")
+    def test_the_built_library_holds_the_other_six_entries(self):
+        # loaded under a name of its own, without the binding of _c_kernel
+        spec = importlib.util.spec_from_file_location("spinorflow_unbound._kernel",
+                                                      numeric._kern.__file__)
+        library = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(library)
+        assert {name for name in vars(library) if not name.startswith("__")} == {
+            "march_stop", "e12", "reprs", "cumulative", "ricci", "residuals"}
 
     def test_backend_reported(self):
         assert KERNEL_BACKEND == ("python" if numeric._kern is _kernel_py else "c")
@@ -772,6 +812,8 @@ class TestKernelParity:
         assert numeric._c_kernel(tmp_path / "file" / "cache") is _kernel_py
         assert capfd.readouterr() == ("", "")
 
+    # rk4_path is _kernel_py's on both backends: one arm holds it
+    @pytest.mark.parametrize("kernel", [pytest.param(_kernel_py, id="python")])
     def test_truncation_contract_matches(self, kernel):
         y0 = np.concatenate([[1.0, 0, 0, 0, 0, 0], np.eye(3).ravel()])
         n = 10_000
@@ -796,6 +838,7 @@ class TestKernelParity:
         ((0.0, 0.0, 0.0, 1e12, 0.0, 0.0), 0.01, 5),
     ], ids=["backward", "signed-zero-fwd", "signed-zero-bwd", "lapse-1.3",
             "adaptive-step", "on-the-guard"])
+    @pytest.mark.parametrize("kernel", [pytest.param(_kernel_py, id="python")])
     def test_kernel_matches_list_form(self, kernel, theta, dt, n):
         y0 = np.concatenate([theta, np.eye(3).ravel()])
         _assert_same_path(_run_kernel(kernel, y0, dt, n),
@@ -949,7 +992,7 @@ def _tripped(y):
 def _list_form_trial(y, z, h, tol):
     """One trial from the list form: the whole step, the two half steps,
     the local error and, within ``tol``, the companion step, each leg
-    checked as ``rk4_path`` and ``numeric._advance`` check it; as
+    checked as ``rk4_path`` and ``_advance`` check it; as
     ``_kernel_py._march`` returns a trial."""
     lapses = (1.0, 1.0, 1.0)
     whole = _list_form_step(y, lapses, h)
@@ -1123,3 +1166,39 @@ def test_the_c_kernel_refuses_a_bad_residual_stack(args, error):
     # rather than read past an array
     with pytest.raises(error):
         numeric._kern.residuals(*args)
+
+
+def _view(shape, code="d"):
+    """A memoryview of zeros of ``shape``, float64 or of the array type
+    ``code``, whose release() raises BufferError while a buffer of it is
+    held."""
+    return memoryview(array.array(code, [0.0] * math.prod(shape))).cast("B").cast(code, shape)
+
+
+@pytest.mark.skipif(numeric._kern is _kernel_py,
+                    reason="numeric runs _kernel_py: no C kernel was built")
+@pytest.mark.parametrize("entry, args, error", [
+    ("cumulative", lambda: (_view((3,)), _view((3,), "f"), 1.0), TypeError),
+    ("cumulative", lambda: (_view((3,)), _view((2,)), 1.0), ValueError),
+    ("cumulative", lambda: (_view((3,)), _view((3,)), 1.0), None),
+    ("ricci", lambda: (_view((3,)), _view((1, 3, 3, 3), "f"), None), TypeError),
+    ("ricci", lambda: (_view((3,)), _view((1, 3, 3, 3)), _view((1, 3, 3, 3), "f")), TypeError),
+    ("ricci", lambda: (_view((3,)), _view((1, 3, 3, 3)), _view((2, 3, 3, 3))), ValueError),
+    ("ricci", lambda: (_view((3,)), _view((1, 3, 3, 3)), _view((1, 3, 3, 3))), None),
+    ("residuals", lambda: (_view((1, 6)), _view((1, 3, 3)), _view((6,), "f")), TypeError),
+    ("residuals", lambda: (_view((1, 6)), _view((2, 3, 3)), _view((6,))), ValueError),
+    ("residuals", lambda: (_view((1, 6)), _view((1, 3, 3)), _view((6,))), None),
+], ids=["cumulative-type", "cumulative-shape", "cumulative", "ricci-type", "ricci-dc0-type",
+        "ricci-shape", "ricci", "residuals-type", "residuals-shape", "residuals"])
+def test_the_c_kernel_holds_no_buffer_after_a_call(entry, args, error):
+    # a refused array releases the buffers read before it, and every call
+    # releases them all on its way out
+    args = args()
+    if error is None:
+        getattr(numeric._kern, entry)(*args)
+    else:
+        with pytest.raises(error):
+            getattr(numeric._kern, entry)(*args)
+    for arg in args:
+        if isinstance(arg, memoryview):
+            arg.release()
