@@ -9,9 +9,9 @@ module wherever that cannot be built or loaded.  The C kernel holds six of
 the seven entries below; the seventh, ``rk4_path``, the fixed-step march
 that no command runs, is this module's on both backends (``numeric``
 binds it onto the C module).  The C kernel writes the RK4 step of
-``march_stop`` as the list form below, a function call per right-hand side and
-a loop over the 15 floats, and gives the same bits as this module's
-unrolled ``_march``.  This module states the contract of both;
+``march_stop`` as the list form below, a function call per right-hand
+side and a loop over the 15 floats, and gives the same bits as this
+module's unrolled ``_march``.  This module states the contract of both;
 ``tests/test_numeric.py`` holds both to it, ``tests/test_cli.py`` holds
 both ``e12`` to ``"%.12e" % x`` and both ``reprs`` to ``repr(x)``,
 ``tests/test_exact.py`` holds the C ``cumulative`` to this one,
@@ -28,10 +28,10 @@ leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 
 The seven entries take their arguments by position only.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
-for the fixed-step march, on both backends.  It returns ``(y, steps done, truncated)``: y is
-the state the march ends on, as a tuple of 15 floats, which on truncation
-is the state that tripped the guard.  The guard reads Theta only, so the
-caller checks y for an overflowed U.
+for the fixed-step march, on both backends.  It returns ``(y, steps
+done, truncated)``: y is the state the march ends on, as a tuple of 15
+floats, which on truncation is the state that tripped the guard.  The
+guard reads Theta only, so the caller checks y for an overflowed U.
 
 ``march_stop(y, z, s, h, target, tol)`` runs every trial of the
 controlled march from s to one stop, ``target``, in one call: y is the
