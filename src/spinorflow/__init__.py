@@ -9,9 +9,10 @@ curvature and constraint identities the construction satisfies.
 imported from the module that defines it (``_HOMES``) on first access
 (PEP 562), as is each module read as an attribute (``spinorflow.numeric``),
 so a program pays only for the modules it uses.  The CLI
-(``spinorflow.cli``) loads numpy, orjson when it is installed, and the
-parsing of pairs and lapses eagerly, since every command needs them, and
-each command's other modules where the command first needs them.
+(``spinorflow.cli``) loads orjson when it is installed and the parsing of
+pairs and lapses eagerly, since every command needs them, and each
+command's other modules, numpy among them, where the command first needs
+them.
 """
 
 import importlib
@@ -27,18 +28,20 @@ _HOMES = {
     "exact": ("FlowSolution", "Lifespan", "branch", "frame_exact",
               "hamiltonian_exact", "lifespan", "nonqd_coefficients", "solve",
               "theta_exact"),
-    "frames": ("Sym3", "eigen2x2", "frame_ricci", "levi_civita", "ricci3",
+    "frames": ("eigen2x2", "frame_ricci", "levi_civita", "ricci3",
                "structure_constants_from_theta"),
+    "backend": ("KERNEL_BACKEND",),
     "lapse": ("LapseProfile",),
     "lorentz": ("Coframe4", "DiracCurrentFrame", "Ricci4", "closedness_residual",
                 "coframe4_at", "curvature_report", "dirac_current_frame", "ricci4",
                 "verify_ricci_identity"),
-    "numeric": ("KERNEL_BACKEND", "FlowState", "ResidualReport", "flow_residuals",
+    "numeric": ("FlowState", "ResidualReport", "flow_residuals",
                 "hamiltonian_of", "integrate_to", "ode_rhs"),
     "pairs": ("SUITES", "CauchyPair", "ConstraintReport", "GroupTag", "GroupType",
               "ThetaInvariants", "ValidationReport", "classify", "constraints",
               "invariants", "is_constrained_ricci_flat", "require_valid",
               "validate"),
+    "sym3": ("Sym3",),
     "verify": ("CheckResult", "run_suite", "sample_times"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

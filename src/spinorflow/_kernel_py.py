@@ -4,11 +4,11 @@ table of a tabulated lapse, of the Ricci tensor of a stack of frames and
 of the flow residuals of a stack of states, and the fallback of its C
 kernel.
 
-``numeric`` runs the C extension built from ``_kernel.c``, and runs this
-module wherever that cannot be built or loaded.  The C kernel holds six of
-the seven entries below; the seventh, ``rk4_path``, the fixed-step march
-that no command runs, is this module's on both backends (``numeric``
-binds it onto the C module).  The C kernel writes the RK4 step of
+The package runs the C extension built from ``_kernel.c`` (``backend``),
+and runs this module wherever that cannot be built or loaded.  The C kernel
+holds six of the seven entries below; the seventh, ``rk4_path``, the
+fixed-step march that no command runs, is this module's on both backends
+(``numeric`` binds it onto the C module).  The C kernel writes the RK4 step of
 ``march_stop`` as the list form below, a function call per right-hand
 side and a loop over the 15 floats, and gives the same bits as this
 module's unrolled ``_march``.  This module states the contract of both;
@@ -109,7 +109,9 @@ to either end, with the same operations in the same order.
 and the scalar of each frame of a stack, as the bytes of their float64s:
 ``eta`` is the diagonal metric, a float64 array of n <= 4 entries, ``c``
 the structure constants, a C-contiguous float64 array of shape (..., n,
-n, n), and ``dc0`` None or their derivative along X_0, of the same shape.
+n, n), and ``dc0`` None or their derivative along X_0, of the same shape;
+any float64 buffer of those shapes will do, as ``pairs._constraints``'
+``array`` of one frame.
 Every sum starts at 0.0 and adds its terms in index order, the scalar's
 too: the products of Ric and diag(1/eta), zeros included, in flat index
 order.  A Ricci tensor past the largest float is inf or NaN, with no

@@ -25,19 +25,24 @@ row object ``_JSON_ROW``, and the curvature sample ``_SAMPLE`` under its
 lifespan head.  They write the bytes ``csv.writer`` and
 ``json.dumps(..., indent=2)`` would, at a fraction of the cost.  The flow
 table's cells arrive as strings from the kernel's ``e12`` and
-``curvature``'s from its ``reprs`` (``numeric._kern``, read when the
+``curvature``'s from its ``reprs`` (``backend._kern``, read when the
 output renders), which print each float as %.12e and as ``repr`` do, in C
 with integer arithmetic.
 
 Importing this module loads only what every command runs: argparse, json,
-numpy, orjson when it is installed, and the parsing of pairs and lapses
-(``errors``, ``frames``, ``lapse``, ``pairs``).  Each command imports the
-rest where it first needs it: ``lifespan``, ``flow`` and ``curvature`` the
-closed forms of ``exact``, which load the march (``numeric``, ``_kernel_py``
-and the C kernel, which ``numeric`` builds on its first import); ``curvature``
-also ``lorentz``; ``verify`` the suites.  numpy and orjson stay
-module-level imports: every command decodes its input and computes with
-numpy, so deferring them would only move their cost into the command.
+orjson when it is installed, and the parsing of pairs and lapses
+(``errors``, ``sym3``, ``lapse``, ``pairs``), and no numpy.  Each command
+imports the rest where it first needs it.  ``validate`` and ``classify``
+load the kernel (``backend``, which builds the C kernel on its first
+import), for the Ricci scalar of the pair's frame; on the C kernel, with a
+constant lapse or none, they finish without numpy.  ``lifespan``, ``flow``
+and ``curvature`` load the closed forms of ``exact``, which load numpy and
+the march (``numeric``, ``_kernel_py``); ``curvature`` also ``lorentz``;
+``verify`` the suites.  A tabulated lapse loads numpy where its lists are
+read, and the ``_kernel_py`` fallback where it is chosen.  numpy costs
+several times the work of a short command, whose process pays it only
+where the command computes with arrays; orjson stays a module-level import,
+since every command decodes its input.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ import re
 import struct
 import sys
 
-import numpy as np
-
 try:
     import orjson as _orjson
 except ImportError:  # the optional extra "fast"
@@ -61,9 +64,8 @@ except ImportError:  # the optional extra "fast"
 
 from . import lapse
 from .errors import InvalidPair, SingularTime, SpinorFlowError
-from .frames import _SYM_FLAT
 from .lapse import LapseProfile
-from .pairs import SUITES, CauchyPair, DEFAULT_TOL, _constraints, _row_group, \
+from .pairs import SUITES, CauchyPair, DEFAULT_TOL, _abs_max, _constraints, _row_group, \
     classify, invariants, validate
 
 JSON_BACKEND = "json" if _orjson is None else "orjson"
@@ -113,7 +115,7 @@ def _orjson_reads_alike(value, images: dict | None = None) -> bool:
             except struct.error:  # an entry that is no number
                 pass
             else:
-                if not (np.abs(floats) < 2.0 ** 63).all():
+                if not (abs(floats) < 2.0 ** 63).all():
                     return False
                 if images is not None:
                     images[id(items)] = floats
@@ -196,7 +198,10 @@ def _flow_cells(sol, profile, times, method: str) -> tuple:
     """The cells of the flow table of ``sol`` at ``times``, row by row, as
     one flat tuple of Python floats: each state of the closed form or the
     march (``numeric._States``) with its B_t and residuals."""
+    import numpy as np
+
     from .exact import _Samples
+    from .frames import _SYM_FLAT
     from .numeric import _integrate, _residuals
 
     if method == "exact":
@@ -242,10 +247,10 @@ def _render_flow(cells: tuple, fmt: str) -> str:
     """The flow table whose cells, row by row, are ``cells`` (one row at
     least), each printed as %.12e by the kernel's ``e12``: CSV under a
     header line, or a JSON array of one object of strings per row."""
-    from . import numeric
+    from . import backend
 
     n = len(cells) // len(FLOW_COLUMNS)
-    text = numeric._kern.e12(cells)
+    text = backend._kern.e12(cells)
     if fmt == "json":
         return "[\n" + ",\n".join([_JSON_ROW] * n) % text + "\n]\n"
     return ",".join(FLOW_COLUMNS) + "\n" + _CSV_ROW * n % text
@@ -273,13 +278,13 @@ def _render_curvature(span, cells: tuple) -> str:
     whose cells, sample by sample, are ``cells`` (``lorentz._curvature``;
     one sample at least), Python floats, each printed as its shortest repr
     by the kernel's ``reprs``."""
-    from . import numeric
+    from . import backend
     from .lorentz import _CURVATURE_CELLS
 
     head = _CURVATURE_HEAD % (_json_end(span.t_minus), _json_end(span.t_plus),
                               "true" if span.immortal else "false")
     n = len(cells) // _CURVATURE_CELLS
-    text = numeric._kern.reprs(cells)
+    text = backend._kern.reprs(cells)
     return head + "[\n" + ",\n".join([_SAMPLE] * n) % text + "\n  ]\n}\n"
 
 
@@ -291,10 +296,10 @@ def cmd_validate(args, pair, _) -> int:
         return EXIT_INVALID
     inv = invariants(pair)
     group = _row_group(pair, report.row, args.tol)
-    # squares of components past about 1e154 overflow: refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        con = _constraints(pair.theta, args.tol)
-        momentum = float(np.max(np.abs(con.momentum_residual)))
+    # products of components past about 1e154 overflow to inf, with no
+    # warning, and a NaN momentum keeps its NaN: refused below
+    con = _constraints(pair.theta, args.tol)
+    momentum = _abs_max(con.momentum_residual)
     numbers = (inv.lam, inv.T, inv.Delta, con.hamiltonian, momentum)
     if not all(map(math.isfinite, numbers + (group.mu or 0.0,))):
         raise OverflowError("the invariants of the pair are not finite")
@@ -338,6 +343,8 @@ def cmd_lifespan(args, pair, profile) -> int:
 def _sampled(args, pair, profile):
     """The prologue of ``flow`` and ``curvature``: the pair solved, its lifespan,
     and the sample times of the window clipped to the lifespan."""
+    import numpy as np
+
     from .exact import solve
 
     sol = solve(pair, args.tol)
@@ -374,6 +381,8 @@ def cmd_curvature(args, pair, profile) -> int:
 
 
 def cmd_verify(args, pair, profile) -> int:
+    import numpy as np
+
     from .verify import run_suite
 
     # a residual that overflows fails its row: no warning is needed

@@ -21,8 +21,11 @@ same order as a call of its own.
 
 The stacks of the flow and of curvature (``numeric._ricci3``,
 ``lorentz.ricci4``) evaluate ``frame_ricci`` in the kernel's ``ricci``,
-which gives its bits one frame at a time (``numeric._frame_ricci``);
-``frame_ricci`` stays their reference, and what ``pairs`` evaluates.
+which gives its bits one frame at a time (``numeric._frame_ricci``), and
+so do the constraints of one pair (``pairs._constraints``), whose
+momentum residual is a scalar form of ``divergence_sym`` with its bits;
+``frame_ricci`` and ``divergence_sym`` stay their references.  ``Sym3``
+lives in ``sym3``, which loads no numpy, and is re-exported here.
 
 Every sum of products on the way to a printed number is added in index
 order, one term after the other, with no multiply and add fused: the
@@ -44,6 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sym3 import Sym3
+
 # Frame label order used by every 3x3 array in the package.
 U, L, N = 0, 1, 2
 
@@ -54,38 +59,6 @@ _SYM_FLAT = np.array([0, 1, 2, 4, 5, 8])
 
 # einsum labels of the leading (sample) axes of a stack
 _LEAD = "zyxwv"
-
-
-@dataclass(frozen=True)
-class Sym3:
-    """Symmetric two-tensor in the (u, l, n) frame; upper-triangle storage."""
-
-    uu: float = 0.0
-    ul: float = 0.0
-    un: float = 0.0
-    ll: float = 0.0
-    ln: float = 0.0
-    nn: float = 0.0
-
-    def as_matrix(self) -> np.ndarray:
-        return self.as_array()[_SYM_INDEX]
-
-    @classmethod
-    def from_matrix(cls, m) -> "Sym3":
-        """The upper triangle of the 3x3 matrix ``m``."""
-        return cls(*np.asarray(m, dtype=float).ravel()[_SYM_FLAT])
-
-    def as_array(self) -> np.ndarray:
-        """Components in the fixed order (uu, ul, un, ll, ln, nn)."""
-        return np.array([self.uu, self.ul, self.un, self.ll, self.ln, self.nn])
-
-    @classmethod
-    def from_array(cls, a) -> "Sym3":
-        return cls(*(float(x) for x in a))
-
-    def max_abs(self) -> float:
-        return float(max(abs(x) for x in self.as_array()))
-
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ by one ``_float_image`` each: the CLI's decoder makes those images while it
 checks the document, and ``LapseProfile.from_json_dict`` keeps them, with
 no second conversion or copy; a library's ``LapseProfile.tabulated`` keeps
 read-only copies of its arrays.  The table of B at every node is built on
-first use, in one call of the kernel's ``cumulative`` (``numeric._kern``,
-the C kernel or ``_kernel_py``); ``validate`` never builds it, so it never
-loads the kernel.
+first use, in one call of the kernel's ``cumulative`` (``backend._kern``,
+the C kernel or ``_kernel_py``); ``validate`` never builds it.
+
+numpy is imported where an array is first made or read: a constant lapse
+is parsed and held as a Python float, so ``validate`` and ``classify`` of
+a pair with a constant lapse, or none, load no numpy here.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import OutOfDomain
 
@@ -49,6 +50,8 @@ class LapseProfile:
 
     @classmethod
     def tabulated(cls, times, values) -> "LapseProfile":
+        import numpy as np
+
         # read-only copies: a caller's later writes cannot reach the profile
         t, v = (np.array(x, dtype=float) for x in (times, values))
         t.flags.writeable = v.flags.writeable = False
@@ -59,6 +62,8 @@ class LapseProfile:
         """The tabulated profile of the float arrays ``t`` and ``v``, which it
         keeps as they are: the caller hands over read-only arrays that nothing
         else writes.  Every check of ``tabulated`` runs here."""
+        import numpy as np
+
         if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
             raise ValueError("need matching 1D times/values with at least two nodes")
         # finite first: np.diff of two equal infinities warns (inf - inf)
@@ -95,9 +100,11 @@ class LapseProfile:
         except (TypeError, OverflowError, struct.error):
             raise ValueError(f"{kind} lapse {', '.join(fields)} must be finite numbers") from None
         if kind == "constant":
-            if isinstance(args[0], np.ndarray):
+            if isinstance(data["value"], list):
                 raise ValueError("constant lapse value must be a number")
             return cls.constant(args[0])
+        import numpy as np
+
         # fresh read-only arrays: no copy (a number fails the checks)
         return cls._checked(*map(np.asarray, args))
 
@@ -114,10 +121,14 @@ class LapseProfile:
             raise OutOfDomain(f"t = {t} outside tabulated domain [{lo}, {hi}]")
 
     def beta(self, t: float) -> float:
+        import numpy as np
+
         return float(self._betas(np.asarray(t, dtype=float)))
 
     def _betas(self, t: np.ndarray) -> np.ndarray:
         """The lapse at each of the times ``t``; the first off a table raises."""
+        import numpy as np
+
         if self.kind == "constant":
             return np.full(t.shape, self.value)
         self._check(t)
@@ -136,6 +147,8 @@ class LapseProfile:
         trapezoid from that node to t; inside the segment holding t = 0 it
         integrates from 0 itself, so small |t| keeps full relative accuracy.
         Each time of an array gets the operations of a time of its own."""
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             b = self.value * t
@@ -193,8 +206,12 @@ class LapseProfile:
 def _float_image(items: list) -> np.ndarray:
     """The float64 image of the list ``items``, read-only: what
     ``struct.pack("d")`` makes of each entry.  It is the one conversion of a
-    decoded number list, in ``cli._orjson_reads_alike`` or here."""
-    return np.frombuffer(struct.pack(f"{len(items)}d", *items))
+    decoded number list, in ``cli._orjson_reads_alike`` or here.  A list of
+    other entries raises struct.error before numpy is imported."""
+    data = struct.pack(f"{len(items)}d", *items)
+    import numpy as np
+
+    return np.frombuffer(data)
 
 
 def _json_numbers(v, images: dict | None = None):
@@ -203,27 +220,36 @@ def _json_numbers(v, images: dict | None = None):
     takes, a bool excepted: a float or an int within the float range, and
     any other number with ``__float__`` or ``__index__`` (``Decimal``,
     ``Fraction``, ``numpy.float64``).  Anything else raises struct.error,
-    and a bool TypeError.  One ``struct.pack`` converts an array, unless
-    ``images`` holds its image already, and reads a bool as 0.0 or 1.0, so
-    only the entries equal to those are looked at again."""
-    items = v if isinstance(v, list) else [v]
+    and a bool TypeError.  A number is converted alone, with no numpy.  One
+    ``struct.pack`` converts an array, unless ``images`` holds its image
+    already, and reads a bool as 0.0 or 1.0, so only the entries equal to
+    those are looked at again."""
+    if not isinstance(v, list):
+        (x,) = struct.unpack("d", struct.pack("d", v))
+        if type(v) is bool:
+            raise TypeError
+        return x
+    import numpy as np
+
     # an id in images is that of a list the document holds, so of v itself
     a = images.get(id(v)) if images else None
     if a is None:
-        a = _float_image(items)
+        a = _float_image(v)
     for i in np.flatnonzero((a == 0.0) | (a == 1.0)).tolist():
-        if type(items[i]) is bool:
+        if type(v[i]) is bool:
             raise TypeError
-    return a if isinstance(v, list) else a.item()
+    return a
 
 
 def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """C[i] = integral from 0 to times[i] of the piecewise-linear lapse,
-    read-only: the kernel's ``cumulative`` (``numeric._kern``, read at each
+    read-only: the kernel's ``cumulative`` (``backend._kern``, read at each
     call), which accumulates the trapezoid sums of the segments outward from
     t = 0 in both directions, with the segment holding 0 split there at the
     interpolated lapse."""
-    from . import numeric
+    import numpy as np
 
-    return np.frombuffer(numeric._kern.cumulative(times, values,
-                                                  np.interp(0.0, times, values)))
+    from . import backend
+
+    return np.frombuffer(backend._kern.cumulative(times, values,
+                                                 np.interp(0.0, times, values)))

@@ -8,30 +8,31 @@ lands on every requested time and estimates the global error of each
 state; ``uncertified`` lists the states that estimate cannot vouch for.  A
 caller that names ``n_steps_total`` gets a fixed-step march in s instead.
 Both carry the state as a tuple of 15 floats and make one kernel call per
-stop: one ``_kern.march_stop``, which runs every trial step up to the
-stop, or one ``_kern.rk4_path`` per segment in ``_fixed_march``.
+stop: one ``march_stop`` of the kernel, which runs every trial step up to
+the stop, or one ``rk4_path`` per segment in ``_fixed_march``.
 
-The kernel ``_kern`` is the C extension built from ``_kernel.c`` when this
-module is first imported (``_c_kernel``), and otherwise the pure-Python
-module ``_kernel_py``, which documents the contract of both and gives the
-same bits; ``KERNEL_BACKEND`` reads ``"c"`` or ``"python"``.  Its first
-entry, ``rk4_path``, the fixed-step march, which no command runs, is
-``_kernel_py.rk4_path`` on both backends: ``_c_kernel`` binds it onto the
-C module, which holds the other six.  Its second is ``march_stop``; its
-third and fourth, ``e12`` and ``reprs``, print the cells of ``cli``'s
-flow table and of its curvature payload, which read them as
-``numeric._kern.e12`` and ``numeric._kern.reprs`` when they render; its
-fifth, ``cumulative``, builds the table of B of a tabulated lapse, which
-``lapse._cumulative_trapezoid`` reads as ``numeric._kern.cumulative``; its
-sixth, ``ricci``, evaluates ``frames.frame_ricci`` on a stack of frames,
-which ``_frame_ricci`` reads for the 3D curvature of a stack (``_ricci3``,
-whence H_t) and for ``lorentz.ricci4``; its seventh, ``residuals``,
-evaluates the flow residuals r1-r4 of a stack of states for
-``_residuals``, every sum of products in index order and none through the
-BLAS, so the flow table's residual cells do not depend on the CPU.  The
-build runs the interpreter's own compiler once and caches the library in
-the package's ``__pycache__``; any failure falls back to ``_kernel_py``
-and prints nothing.
+The kernel is ``backend._kern``, read at each call: the C extension built
+from ``_kernel.c``, which the standard-library module ``backend`` builds
+and loads on its first import (``backend._c_kernel``), or otherwise the
+pure-Python module ``_kernel_py``, which documents the contract of both
+and gives the same bits; ``backend.KERNEL_BACKEND`` reads ``"c"`` or
+``"python"``.  The library is cached in the package's ``__pycache__``, or
+in the user's cache where that cannot be written; any failure falls back
+to ``_kernel_py`` and prints nothing.  The kernel's first entry,
+``rk4_path``, the fixed-step march, which no command runs, is
+``_kernel_py.rk4_path`` on both backends: this module binds it onto the C
+module, which holds the other six, when it is imported.  Its second is
+``march_stop``; its third and fourth, ``e12`` and ``reprs``, print the
+cells of ``cli``'s flow table and of its curvature payload when they
+render; its fifth, ``cumulative``, builds the table of B of a tabulated
+lapse for ``lapse._cumulative_trapezoid``; its sixth, ``ricci``,
+evaluates ``frames.frame_ricci`` on a stack of frames, which
+``_frame_ricci`` reads for the 3D curvature of a stack (``_ricci3``,
+whence H_t) and for ``lorentz.ricci4``, and ``pairs._constraints`` for
+the scalar of one frame; its seventh, ``residuals``, evaluates the flow
+residuals r1-r4 of a stack of states for ``_residuals``, every sum of
+products in index order and none through the BLAS, so the flow table's
+residual cells do not depend on the CPU.
 
 Inside the package, states travel as one stacked record of arrays,
 ``_States``, which ``_state_from_vector`` checks and builds, with h_t =
@@ -44,19 +45,13 @@ only at the public edge.  A stack of samples takes Ric and H_t from
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
 import numbers
-import os
-import sys
-import sysconfig
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import _kernel_py
+from . import _kernel_py, backend
 from ._kernel_py import _theta_rhs
 from .errors import SingularTime, SpinorFlowError
 from .frames import Sym3, index_matmul, structure_constants_from_theta, sym_matrices
@@ -64,55 +59,12 @@ from .lapse import LapseProfile
 from .pairs import CauchyPair, DEFAULT_TOL, _hamiltonians, require_valid
 
 
-def _compile_flags() -> list[str]:
-    """The command that builds ``_kernel.c``, less its file names: the
-    interpreter's shared-library compiler and include directories, with no
-    multiply and add fused and no fast-math."""
-    cfg = sysconfig.get_config_var
-    includes = dict.fromkeys(sysconfig.get_path(k) for k in ("include", "platinclude"))
-    return [*cfg("LDSHARED").split(), *cfg("CCSHARED").split(), "-O2",
-            "-ffp-contract=off", "-fno-fast-math", *(f"-I{d}" for d in includes)]
-
-
-def _c_kernel(cache: Path):
-    """The kernel built from ``_kernel.c`` into the directory ``cache`` on
-    first use, or ``_kernel_py`` when it cannot be built or loaded.
-
-    The library's name is keyed by a CRC-32 of the C source and of
-    ``_compile_flags()``, so a changed source or compiler builds anew.  The
-    compiler writes a temporary file, which then replaces the library's
-    name in one step, so a process never loads a half-written library.
-    Its output is captured, and a failure prints nothing."""
-    source = Path(__file__).with_name("_kernel.c")
-    try:
-        flags = _compile_flags()
-        key = zlib.crc32("\0".join(flags).encode(), zlib.crc32(source.read_bytes()))
-        path = cache / f"_kernel-{key:08x}{sysconfig.get_config_var('EXT_SUFFIX')}"
-        if not path.exists():
-            import subprocess  # only here: a built kernel loads without it
-
-            cache.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            try:
-                subprocess.run([*flags, str(source), "-o", str(tmp)], check=True,
-                               stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
-        spec = importlib.util.spec_from_file_location(f"{__package__}._kernel", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        # the fixed march is written once, in Python: numeric, the tests and
-        # perfbench's tracer all read it as this one name of the kernel
-        module.rk4_path = _kernel_py.rk4_path
-        return module
-    except Exception:  # whatever failed, _kernel_py gives the same bits
-        return _kernel_py
-
-
-_kern = _c_kernel(Path(__file__).with_name("__pycache__"))
-sys.modules[_kern.__name__] = _kern  # a loaded C kernel shows as imported
-KERNEL_BACKEND = "python" if _kern is _kernel_py else "c"
+# the kernel is read as ``backend._kern`` at each call, the one name a test
+# patches; this alias is the same module object, where perfbench's tracer
+# finds ``rk4_path``.  The fixed march is written once, in Python: the C
+# module takes ``_kernel_py``'s as its entry of that name
+_kern = backend._kern
+_kern.rk4_path = _kernel_py.rk4_path
 
 _ETA3 = np.ones(3)
 
@@ -160,7 +112,8 @@ def hamiltonian_of(theta):
     OverflowError past the largest float."""
     one = isinstance(theta, Sym3)
     comp = np.asarray(theta.as_array() if one else theta, dtype=float)
-    hams = list(_hamiltonians(_ricci3(comp)[1], comp.reshape(-1, 6).tolist()))
+    hams = list(_hamiltonians(np.ravel(_ricci3(comp)[1]).tolist(),
+                             comp.reshape(-1, 6).tolist()))
     return hams[0] if one else np.array(hams)
 
 
@@ -171,7 +124,7 @@ def _frame_ricci(eta: np.ndarray, c, dc0=None):
     c = np.ascontiguousarray(c, dtype=float)
     if dc0 is not None:
         dc0 = np.ascontiguousarray(dc0, dtype=float)
-    ric, scalar = _kern.ricci(eta, c, dc0)
+    ric, scalar = backend._kern.ricci(eta, c, dc0)
     scalar = np.frombuffer(scalar)
     return (np.frombuffer(ric).reshape(c.shape[:-1]),
             scalar.item() if c.ndim == 3 else scalar.reshape(c.shape[:-3]))
@@ -186,7 +139,7 @@ def _curvature3(comp: np.ndarray) -> tuple[np.ndarray, list[float], Exception | 
     """Ric of the 3D frame at each row of the components ``comp``, H_t up to
     the first row whose squares overflow, and that OverflowError or None."""
     ric, scal = _ricci3(comp)
-    return (ric, *_until_raised(_hamiltonians(scal, comp.tolist())))
+    return (ric, *_until_raised(_hamiltonians(scal.tolist(), comp.tolist())))
 
 
 def ode_rhs(theta, U: np.ndarray):
@@ -391,7 +344,7 @@ def _fixed_march(y0, stops, to_t, step):
     for target in stops:
         seg = target - prev
         n = max(1, math.ceil(abs(seg) / step * (1.0 - 1e-12)))
-        y, done, truncated = _kern.rk4_path(y, seg / n, n)
+        y, done, truncated = backend._kern.rk4_path(y, seg / n, n)
         if truncated or not all(map(math.isfinite, y)):
             raise _singular(truncated, prev + done * (seg / n), target, to_t)
         prev = target
@@ -433,7 +386,7 @@ def _controlled_march(y0, stops, to_t):
     rate = max(abs(d) / max(1.0, abs(v)) for v, d in zip(y, slope))
     h = min(abs(stops[-1]), 0.01 / rate) if rate > 0 else abs(stops[-1])
     for target in stops:
-        y, z, s, h, extrapolated, estimate, _, _, failed = _kern.march_stop(
+        y, z, s, h, extrapolated, estimate, _, _, failed = backend._kern.march_stop(
             y, z, s, h, target, LOCAL_TOL)
         if failed:
             raise _singular(failed[1], s, target, to_t)
@@ -461,4 +414,5 @@ def _residuals(comp: np.ndarray, u: np.ndarray, pair: CauchyPair) -> np.ndarray:
     products in index order."""
     comp = np.ascontiguousarray(comp, dtype=float).reshape(-1, 6)
     u = np.ascontiguousarray(u, dtype=float).reshape(-1, 3, 3)
-    return np.frombuffer(_kern.residuals(comp, u, pair.theta.as_array())).reshape(4, -1)
+    return np.frombuffer(
+        backend._kern.residuals(comp, u, pair.theta.as_array())).reshape(4, -1)

@@ -9,13 +9,13 @@ the four simply connected 3D groups R^3, E(1,1), tau_2 + R and tau_{3,mu}.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .errors import InvalidPair
-from .frames import Sym3, divergence_sym, frame_ricci, structure_constants_from_theta
+from .sym3 import Sym3
 
 DEFAULT_TOL = 1e-9
 # the verification suites of ``verify``, named here, where the CLI's parser
@@ -91,7 +91,7 @@ class ValidationReport:
 @dataclass(frozen=True)
 class ConstraintReport:
     hamiltonian: float
-    momentum_residual: np.ndarray
+    momentum_residual: tuple[float, float, float]
     scalar_curvature: float
     is_vacuum_admissible: bool
 
@@ -119,7 +119,7 @@ def _scaled(pair: CauchyPair) -> tuple[CauchyPair, float]:
     if big <= 1.0:
         return pair, 1.0
     k = 1 - math.frexp(big)[1]
-    th = Sym3(*(math.ldexp(v, k) for v in th.as_array().tolist()))
+    th = Sym3(*(math.ldexp(v, k) for v in th.as_tuple()))
     return CauchyPair(th), math.ldexp(big, k)
 
 
@@ -263,24 +263,82 @@ def constraints(pair: CauchyPair, tol: float = DEFAULT_TOL) -> ConstraintReport:
 def _constraints(th: Sym3, tol: float) -> ConstraintReport:
     """``constraints`` of the pair with shape components ``th``, which the
     caller has validated, or evolved from a validated pair; H as
-    ``_hamiltonians`` takes it.  One pair only: stacks read their own H_t."""
-    c = structure_constants_from_theta(th)
-    _, scal = frame_ricci(np.ones(3), c)
-    # d Tr(Theta) vanishes for constant components, so the momentum residual
-    # is the divergence alone.
-    mom = divergence_sym(c, th)
-    ham = next(_hamiltonians(scal, [th.as_array().tolist()]))
+    ``_hamiltonians`` takes it.  One pair only: stacks read their own H_t.
+
+    R is the kernel's ``ricci`` of the frame, and the momentum residual the
+    divergence of Theta (``_momentum``): d Tr(Theta) vanishes for constant
+    components.  Both take the bits of ``frames.frame_ricci`` and
+    ``frames.divergence_sym``, with no numpy where the C kernel runs."""
+    from . import backend
+
+    comps = th.as_tuple()
+    c = _structure_constants(comps)
+    c3 = memoryview(array("d", c)).cast("B").cast("d", (3, 3, 3))
+    scal = struct.unpack("d", backend._kern.ricci(_ETA3, c3, None)[1])[0]
+    mom = _momentum(c, comps)
+    ham = next(_hamiltonians([scal], [comps]))
     scale = max(1.0, th.max_abs()) ** 2
-    ok = abs(ham) <= tol * scale and float(np.max(np.abs(mom))) <= tol * scale
+    ok = abs(ham) <= tol * scale and _abs_max(mom) <= tol * scale
     return ConstraintReport(ham, mom, scal, ok)
+
+
+# the diagonal metric of the 3D frame, as the kernel's ``ricci`` reads it
+_ETA3 = array("d", (1.0, 1.0, 1.0))
+
+
+def _structure_constants(comps) -> list:
+    """``frames.structure_constants_from_theta`` of the components ``comps``
+    (uu, ul, un, ll, ln, nn), flat: c^a_{bd} at 9 a + 3 b + d, with
+    c^a_{ub} = -c^a_{bu} = Theta_ab for b in (l, n), every other entry 0.0."""
+    uu, ul, un, ll, ln, nn = comps
+    return [0.0, ul, un, -ul, 0.0, 0.0, -un, 0.0, 0.0,
+            0.0, ll, ln, -ll, 0.0, 0.0, -ln, 0.0, 0.0,
+            0.0, ln, nn, -ln, 0.0, 0.0, -nn, 0.0, 0.0]
+
+
+# om[a][b][d] = (c^d_{ab} - c^a_{bd} + c^b_{da}) / 2, ``levi_civita``'s
+# Koszul formula: for each flat index 9 a + 3 b + d of om, in its order, the
+# flat indices of the three constants
+_KOSZUL = tuple((9 * d + 3 * a + b, 9 * a + 3 * b + d, 9 * b + 3 * d + a)
+                for a in range(3) for b in range(3) for d in range(3))
+
+
+def _momentum(c, comps) -> tuple[float, float, float]:
+    """``frames.divergence_sym`` of the flat structure constants ``c``
+    (``_structure_constants``) and the components ``comps`` of S, bit for
+    bit: the connection om of ``levi_civita`` (``_KOSZUL``), then
+    (div S)_b = -sum_a sum_e om_aae S_eb - sum_a sum_e om_abe S_ae, each sum
+    over e and then over a started at 0.0 and added in index order, as
+    numpy's einsum adds them."""
+    uu, ul, un, ll, ln, nn = comps
+    s = ((uu, ul, un), (ul, ll, ln), (un, ln, nn))  # S_eb = S_be: s[b] is column b
+    om = [0.5 * ((c[i] - c[j]) + c[k]) for i, j, k in _KOSZUL]
+    out = []
+    for b in range(3):
+        x, y, z = s[b]
+        traced = crossed = 0.0
+        for a in range(3):
+            i, j = 12 * a, 9 * a + 3 * b  # om_aa., om_ab.
+            traced += 0.0 + om[i] * x + om[i + 1] * y + om[i + 2] * z
+            crossed += 0.0 + om[j] * s[a][0] + om[j + 1] * s[a][1] + om[j + 2] * s[a][2]
+        out.append(-traced - crossed)
+    return tuple(out)
+
+
+def _abs_max(values) -> float:
+    """The largest |x| of ``values``, NaN when one is NaN, as
+    ``np.max(np.abs(values))`` gives it."""
+    out = [abs(x) for x in values]
+    return math.nan if any(map(math.isnan, out)) else max(out)
 
 
 def _hamiltonians(scal, rows):
     """H = R - |Theta|^2 + Tr(Theta)^2, the one formula of the package, at
-    each of ``rows`` (components as Python floats) given R there.  Each H
-    squares Python floats as it comes, so a consumer reading them in turn
-    meets an OverflowError where one sample at a time would."""
-    for r, (uu, ul, un, ll, ln, nn) in zip(np.ravel(scal).tolist(), rows):
+    each of ``rows`` (components as Python floats) given R there, the
+    Python floats ``scal``.  Each H squares Python floats as it comes, so a
+    consumer reading them in turn meets an OverflowError where one sample at
+    a time would."""
+    for r, (uu, ul, un, ll, ln, nn) in zip(scal, rows):
         yield (r - (uu**2 + ll**2 + nn**2 + 2.0 * (ul**2 + un**2 + ln**2))
                + (uu + ll + nn) ** 2)
 

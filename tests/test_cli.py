@@ -1,6 +1,7 @@
 """CLI surface: exit codes, deterministic output, clipping, sweeps."""
 
 import csv
+import dataclasses
 import functools
 import importlib.util
 import io
@@ -19,8 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorflow
-from spinorflow import _kernel_py, cli, exact, lapse, lorentz, numeric, pairs, \
-    verify
+from spinorflow import _kernel_py, backend, cli, exact, lapse, lorentz, numeric, \
+    pairs, verify
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
 
@@ -289,6 +290,20 @@ class TestExitCodes:
             warnings.simplefilter("always")
             assert main(["validate", path]) == EXIT_NUMERIC
         assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: the invariants of the pair are not finite\n"
+
+    @pytest.mark.parametrize("momentum", [(0.0, math.nan, 1.0), (1.0, 0.0, math.nan),
+                                          (math.nan, 1.0, 0.0)])
+    def test_a_nan_momentum_is_a_numeric_failure(self, e11_file, monkeypatch, capsys,
+                                                 momentum):
+        # the largest |component| is NaN wherever the NaN sits, as np.max's
+        # is; Python's max would drop it past the first place
+        evaluate = cli._constraints
+        monkeypatch.setattr(cli, "_constraints", lambda *a: dataclasses.replace(
+            evaluate(*a), momentum_residual=momentum))
+        assert main(["validate", e11_file]) == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numeric failure: the invariants of the pair are not finite\n"
@@ -746,13 +761,13 @@ class TestEachPairIsSolvedOnce:
                                               argv, beta):
         # B_t as numpy scalars gives the same bits, several times slower
         steps = []
-        march_stop = numeric._kern.march_stop
+        march_stop = backend._kern.march_stop
 
         def spy(y, z, s, h, target, tol):
             steps.extend(map(type, (s, h, target)))
             return march_stop(y, z, s, h, target, tol)
 
-        monkeypatch.setattr(numeric._kern, "march_stop", spy)
+        monkeypatch.setattr(backend._kern, "march_stop", spy)
         path = write_pair(tmp_path, "general", theta_dict(**self.PAIRS["tau2R-general"]),
                           extra={"beta": beta})
         assert main([argv[0], path] + argv[1:]) == EXIT_OK
@@ -955,7 +970,7 @@ class TestVerifyEvaluatesOnce:
     """``verify`` evaluates the pair's constraints at most once, and only
     for a suite that reads them, and the 3D curvature once per stack of
     samples and once for the RK4 states: a call of the kernel's ``ricci``
-    on 3D frames, or of ``frame_ricci`` by ``pairs``."""
+    on 3D frames, the pair's own one included."""
 
     PAIRS = {
         "table": (dict(uu=-2.0, ul=1.0, un=1.0, ll=1.0, ln=1.0, nn=1.0),
@@ -974,9 +989,10 @@ class TestVerifyEvaluatesOnce:
         evaluate = pairs._constraints
         monkeypatch.setattr(verify, "_constraints",
                             lambda *a: con.append(a) or evaluate(*a))
-        for module, entry in ((pairs, "frame_ricci"), (numeric._kern, "ricci")):
-            monkeypatch.setattr(module, entry, lambda eta, *a, run=getattr(module, entry): (
-                len(eta) == 3 and ricci.append(eta)) or run(eta, *a))
+        # the pair's constraints read R from the kernel too
+        run = backend._kern.ricci
+        monkeypatch.setattr(backend._kern, "ricci", lambda eta, *a: (
+            len(eta) == 3 and ricci.append(eta)) or run(eta, *a))
         theta, beta = self.PAIRS[name]
         path = write_pair(tmp_path, name, theta_dict(**theta), extra={"beta": beta})
         assert main(["verify", path] + argv) == EXIT_OK
@@ -1073,8 +1089,8 @@ SPAN = st.builds(Lifespan, SPAN_END, SPAN_END, st.booleans())
 # each backend, for e12 and reprs; the C one where numeric built it
 KERNELS = [
     pytest.param(_kernel_py, id="python"),
-    pytest.param(numeric._kern, id="c", marks=pytest.mark.skipif(
-        numeric._kern is _kernel_py, reason="numeric runs _kernel_py: no C kernel was built")),
+    pytest.param(backend._kern, id="c", marks=pytest.mark.skipif(
+        backend._kern is _kernel_py, reason="numeric runs _kernel_py: no C kernel was built")),
 ]
 
 
@@ -1188,13 +1204,13 @@ def test_reprs_prints_each_float_as_repr(kernel):
     assert kernel.reprs([]) == () and kernel.reprs([0.5, -1e16]) == ("0.5", "-1e+16")
 
 
-@pytest.mark.skipif(numeric.KERNEL_BACKEND == "python", reason="numeric runs _kernel_py: "
+@pytest.mark.skipif(backend.KERNEL_BACKEND == "python", reason="numeric runs _kernel_py: "
                     "no C compiler built the kernel")
 def test_the_kernel_built_without_int128_prints_as_python(tmp_path):
     # 32-bit targets and MSVC have no __int128: every nonzero cell takes
     # Python's formatter, and the bytes are the same
     path = tmp_path / f"_kernel{sysconfig.get_config_var('EXT_SUFFIX')}"
-    subprocess.run([*numeric._compile_flags(), "-U__SIZEOF_INT128__",
+    subprocess.run([*backend._compile_flags(), "-U__SIZEOF_INT128__",
                     str(Path(numeric.__file__).with_name("_kernel.c")), "-o", str(path)],
                    check=True, capture_output=True)
     spec = importlib.util.spec_from_file_location("spinorflow_no_int128._kernel", path)
@@ -1217,7 +1233,7 @@ class TestRenderers:
         edges = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                  1e308, -1e308, 1234567890123.5, 1234567890122.5, 2.0 ** -20, 0.1]
         cells = tuple(edges * (2 * len(cli.FLOW_COLUMNS) // len(edges)))
-        monkeypatch.setattr(numeric, "_kern", kernel)
+        monkeypatch.setattr(backend, "_kern", kernel)
         if fmt == "json":
             want = "[\n" + ",\n".join([json_row] * 2) % cells + "\n]\n"
         else:
@@ -1248,7 +1264,7 @@ class TestRenderers:
                  math.nextafter(1e-4, 0.0), 0.1, 1e22, sys.float_info.max]
         n = 2 * lorentz._CURVATURE_CELLS
         cells = tuple((edges * n)[:n])
-        monkeypatch.setattr(numeric, "_kern", kernel)
+        monkeypatch.setattr(backend, "_kern", kernel)
         want = (cli._CURVATURE_HEAD % ("null", '"inf"', "false") + "[\n"
                 + ",\n".join([sample] * 2) % cells + "\n  ]\n}\n")
         assert cli._render_curvature(Lifespan(None, math.inf, False), cells) == want
@@ -1294,47 +1310,71 @@ class TestParserReuse:
         assert cli._parser() is cli._parser()
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_and_numpy_out():
     # a fresh interpreter: this one may hold scipy for the test oracles
     src = os.path.dirname(os.path.dirname(spinorflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    # and the library alone leaves out orjson, which only the CLI's decoder uses
+    # and the library alone leaves out orjson, which only the CLI's decoder
+    # uses; the CLI leaves out numpy, on either kernel
     code = ("import sys, spinorflow; assert 'orjson' not in sys.modules; "
-            "import spinorflow.cli; assert 'scipy' not in sys.modules")
+            "import spinorflow.cli; assert 'scipy' not in sys.modules; "
+            "assert 'numpy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-# a fresh interpreter's package modules (without "spinorflow.") after each
-# step: importing the package, then the CLI, then three commands in turn
+# a fresh interpreter's package modules (without "spinorflow."), and
+# "numpy" where numpy is loaded, after each step: importing the package,
+# then the CLI, then three commands in turn
 _LOADED_BY_STEP = """
 import json, sys
 def loaded():
-    return sorted(m[len("spinorflow."):] for m in sys.modules
-                  if m.startswith("spinorflow."))
+    return sorted([m[len("spinorflow."):] for m in sys.modules
+                   if m.startswith("spinorflow.")] + ["numpy"] * ("numpy" in sys.modules))
 import spinorflow
 steps = {"spinorflow": loaded(), "dir": sorted(dir(spinorflow))}
 from spinorflow.cli import main
 steps["spinorflow.cli"] = loaded()
-for command in ("validate", "classify", "lifespan"):
+for command in sys.argv[2:]:
     assert main([command, sys.argv[1]]) == 0
     steps[command] = loaded()
 print(json.dumps(steps))
 """
 
 
-def test_each_command_loads_only_what_it_runs(e11_file):
+def _loaded_by_step(path, *commands):
     src = os.path.dirname(os.path.dirname(spinorflow.__file__))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_STEP, e11_file],
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_STEP, path, *commands],
                           env=dict(os.environ, PYTHONPATH=src), check=True,
                           capture_output=True, text=True)
-    steps = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_each_command_loads_only_what_it_runs(e11_file):
+    steps = _loaded_by_step(e11_file, "validate", "classify", "lifespan")
     assert steps["spinorflow"] == []
     assert set(spinorflow.__all__) <= set(steps["dir"])
-    assert steps["spinorflow.cli"] == ["cli", "errors", "frames", "lapse", "pairs"]
-    # no closed form, march, curvature or suite
+    assert steps["spinorflow.cli"] == ["cli", "errors", "lapse", "pairs", "sym3"]
+    # the kernel, for the Ricci scalar of the pair's frame, and no closed
+    # form, march, curvature or suite; numpy only with the fallback kernel
+    kernel = ["_kernel"] if backend.KERNEL_BACKEND == "c" else ["_kernel_py", "frames", "numpy"]
     for command in ("validate", "classify"):
-        assert steps[command] == steps["spinorflow.cli"], command
+        assert steps[command] == sorted(steps["spinorflow.cli"] + ["backend"] + kernel), command
     assert not {"lorentz", "verify"} & set(steps["lifespan"])
-    # the march's modules: the C kernel too where numeric built it
-    kernels = {"_kernel_py"} | ({"_kernel"} if numeric.KERNEL_BACKEND == "c" else set())
-    assert {"exact", "numeric"} | kernels <= set(steps["lifespan"])
+    # the march's modules: the C kernel too where backend built it
+    kernels = {"_kernel_py"} | ({"_kernel"} if backend.KERNEL_BACKEND == "c" else set())
+    assert {"exact", "numeric", "numpy"} | kernels <= set(steps["lifespan"])
+
+
+@pytest.mark.skipif(backend.KERNEL_BACKEND != "c",
+                    reason="the fallback kernel _kernel_py computes with numpy")
+@pytest.mark.parametrize("beta", [None, {"kind": "constant", "value": 1.3}],
+                         ids=["no-lapse", "constant-lapse"])
+@pytest.mark.parametrize("theta", [theta_dict(uu=5.0 / 3.0, ll=2.0, nn=1.0),
+                                   theta_dict(uu=-2.0, ul=1.0, un=1.0, ll=1.0, ln=1.0, nn=1.0)],
+                         ids=["tau3mu", "tau2R-general"])
+def test_validate_and_classify_load_no_numpy(tmp_path, theta, beta):
+    path = write_pair(tmp_path, "pair", theta, extra=beta and {"beta": beta})
+    steps = _loaded_by_step(path, "validate", "classify")
+    for step in ("spinorflow.cli", "validate", "classify"):
+        assert "numpy" not in steps[step], step
+    assert {"backend", "_kernel"} <= set(steps["validate"])

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from spinorflow import CauchyPair, InvalidPair, LapseProfile, NotApplicable, \
     OutOfDomain, SingularTime, frame_exact, hamiltonian_exact, invariants, lifespan, \
     nonqd_coefficients, solve, theta_exact, validate
-from spinorflow import _kernel_py, numeric
+from spinorflow import _kernel_py, backend
 from spinorflow import lapse as lapse_module
 from spinorflow.exact import NONQD, QD, branch
 from spinorflow.numeric import hamiltonian_of
@@ -257,7 +257,7 @@ class TestCumulativeTable:
         assert prof.values.tolist() == [1.0, 2.0, 1.0]
 
 
-_C_TABLE = pytest.mark.skipif(numeric._kern is _kernel_py,
+_C_TABLE = pytest.mark.skipif(backend._kern is _kernel_py,
                               reason="numeric runs _kernel_py: no C kernel was built")
 
 
@@ -271,7 +271,7 @@ class TestKernelTable:
         times, values = (np.asarray(x, dtype=float) for x in (times, values))
         at_zero = np.interp(0.0, times, values)
         want = _kernel_py.cumulative(times, values, at_zero)
-        assert numeric._kern.cumulative(times, values, at_zero) == want
+        assert backend._kern.cumulative(times, values, at_zero) == want
         assert len(want) == 8 * len(times)
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -295,7 +295,7 @@ class TestKernelTable:
         # parts that underflow to 0.0: +0.0 above t = 0 and -0.0 below it
         times, values = [-2e-300, -1e-300, 1e-300, 3e-300], [1e-30] * 4
         self._same(times, values)
-        table = np.frombuffer(numeric._kern.cumulative(np.array(times), np.array(values),
+        table = np.frombuffer(backend._kern.cumulative(np.array(times), np.array(values),
                                                        1e-30))
         assert [math.copysign(1.0, b) for b in table.tolist()] == [-1.0, -1.0, 1.0, 1.0]
         assert (table == 0.0).all()
@@ -303,7 +303,7 @@ class TestKernelTable:
     def test_the_profile_reads_the_kernel(self, monkeypatch):
         prof = LapseProfile.tabulated([-1.0, 0.3, 2.0], [1.0, 2.0, 0.5])
         got = prof._cumulative
-        monkeypatch.setattr(numeric, "_kern", _kernel_py)
+        monkeypatch.setattr(backend, "_kern", _kernel_py)
         want = lapse_module._cumulative_trapezoid(prof.times, prof.values)
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable and not want.flags.writeable
@@ -320,7 +320,7 @@ class TestKernelTable:
         # the profile never passes these; the C kernel refuses them rather
         # than read past an array
         with pytest.raises(error):
-            numeric._kern.cumulative(times, values, 1.0)
+            backend._kern.cumulative(times, values, 1.0)
 
 
 class TestBranchDispatch:

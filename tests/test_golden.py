@@ -24,7 +24,7 @@ from decimal import Decimal
 import pytest
 
 from golden import regenerate
-from spinorflow import _kernel_py, numeric
+from spinorflow import _kernel_py, backend
 
 # a number not glued to a word before it: "R3" and "tau2R" are text
 NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -75,10 +75,11 @@ def test_commands_reproduce_the_corpus(path):
 @pytest.mark.parametrize("path", FILES, ids=[f.stem for f in FILES])
 def test_the_python_kernel_prints_the_same_bytes(path, monkeypatch):
     record = json.loads(path.read_text())
-    for want in [run for run in record["runs"] if run["argv"][0] in ("flow", "curvature", "verify")]:
+    commands = ("validate", "classify", "flow", "curvature", "verify")
+    for want in [run for run in record["runs"] if run["argv"][0] in commands]:
         got = regenerate.run(record["input"], want["argv"])
         with monkeypatch.context() as patch:
-            patch.setattr(numeric, "_kern", _kernel_py)
+            patch.setattr(backend, "_kern", _kernel_py)
             fallback = regenerate.run(record["input"], want["argv"])
         assert fallback == got, " ".join(want["argv"])
         assert fallback["exit"] == want["exit"]

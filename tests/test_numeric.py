@@ -21,14 +21,19 @@ from hypothesis import strategies as st
 
 from spinorflow import CauchyPair, LapseProfile, SingularTime, Sym3, \
     flow_residuals, frame_exact, integrate_to, lifespan, ode_rhs, theta_exact
-from spinorflow.numeric import CERTIFY_LIMIT, KERNEL_BACKEND, FlowState, \
-    ResidualReport, uncertified
+from spinorflow.backend import KERNEL_BACKEND
+from spinorflow.numeric import CERTIFY_LIMIT, FlowState, ResidualReport, uncertified
 from spinorflow.frames import sym_matrices
 from spinorflow.verify import sample_times
-from spinorflow import _kernel_py, numeric
+from spinorflow import _kernel_py, backend, numeric
 from pathlib import Path
 
 from conftest import ROW_PAIRS, algebraic_residuals
+
+# a compiler that appends a line to the log file its first argument names,
+# then fails
+_LOGGED_COMPILER = [sys.executable, "-c",
+                    "import sys; open(sys.argv[1], 'a').write('compiled\\n'); sys.exit('no')"]
 
 UNIT = LapseProfile.constant(1.0)
 # beta = 1 on [-2, 2]: the unit lapse, through the tabulated code path
@@ -188,8 +193,8 @@ class TestResiduals:
         # the residuals of a whole sequence of states come from one pass
         states = integrate_to(ROW_PAIRS["tau2R-general"], UNIT, [0.1, 0.2, 0.3])
         calls = []
-        kernel = numeric._kern.residuals
-        monkeypatch.setattr(numeric._kern, "residuals",
+        kernel = backend._kern.residuals
+        monkeypatch.setattr(backend._kern, "residuals",
                             lambda *a: calls.append(a) or kernel(*a))
         flow_residuals(states, ROW_PAIRS["tau2R-general"])
         assert len(calls) == 1
@@ -233,8 +238,8 @@ class TestIntegrateTo:
         # backward, and forward 50 to 0.25 (which must not gain a step from
         # the rounding of 0.25 / 0.005), 71 to 0.6012 and 80 to 1.0
         runs = []
-        rk4_path = numeric._kern.rk4_path
-        monkeypatch.setattr(numeric._kern, "rk4_path", lambda y, dt, n: (
+        rk4_path = backend._kern.rk4_path
+        monkeypatch.setattr(backend._kern, "rk4_path", lambda y, dt, n: (
             runs.append((dt, n)) or rk4_path(y, dt, n)))
         integrate_to(ROW_PAIRS["E11"], UNIT, [-0.5, 0.25, 0.6012, 1.0], n_steps_total=300)
         assert [n for _, n in runs] == [50, 71, 80, 100]
@@ -273,8 +278,8 @@ class TestIntegrateTo:
         # Theta = 0 has no slope, so the first trial is the whole window, of
         # 0.5; the kernel runs it from a state that fails that leg
         y, z = _FAILING_AT_HALF[leg]
-        march_stop = numeric._kern.march_stop
-        monkeypatch.setattr(numeric._kern, "march_stop", lambda *args: march_stop(
+        march_stop = backend._kern.march_stop
+        monkeypatch.setattr(backend._kern, "march_stop", lambda *args: march_stop(
             y, z, *args[2:]))
         how = "blew up at" if tripped else "overflowed by"
         with pytest.raises(SingularTime, match=rf"^integration {how} t = {stop} "
@@ -293,7 +298,7 @@ class TestIntegrateTo:
             assert len(calls) < 10_000, "the march never stalled"
             return y, None, math.inf, None
 
-        monkeypatch.setattr(numeric, "_kern", _kernel_py)
+        monkeypatch.setattr(backend, "_kern", _kernel_py)
         monkeypatch.setattr(_kernel_py, "_march", rejected)
         with pytest.raises(SingularTime, match=r"^integration stalled at t = 0 "
                                                r"before reaching t = 0\.5$"):
@@ -393,7 +398,7 @@ class TestControlledMarch:
         # step and two half steps of every trial, and the companion step of
         # each accepted one
         steps = []
-        march_stop = numeric._kern.march_stop
+        march_stop = backend._kern.march_stop
 
         def counting(*args):
             result = march_stop(*args)
@@ -401,8 +406,8 @@ class TestControlledMarch:
             steps.append(3 * (accepted + rejected) + accepted)
             return result
 
-        monkeypatch.setattr(numeric._kern, "march_stop", counting)
-        monkeypatch.setattr(numeric._kern, "rk4_path", None)  # never called
+        monkeypatch.setattr(backend._kern, "march_stop", counting)
+        monkeypatch.setattr(backend._kern, "rk4_path", None)  # never called
         for profile in (UNIT, SMOOTH):
             steps.clear()
             integrate_to(row_pair, profile, sample_times(row_pair, profile, 20))
@@ -463,7 +468,7 @@ def _advance(y, s, ds, n, target, to_t):
     """y after ``n`` RK4 steps of size ``ds`` from s = ``s``, checked as
     ``numeric._fixed_march`` checks a segment: SingularTime on a guard trip
     or on a state that is not finite."""
-    y, done, truncated = numeric._kern.rk4_path(y, ds, n)
+    y, done, truncated = backend._kern.rk4_path(y, ds, n)
     if truncated or not all(map(math.isfinite, y)):
         raise numeric._singular(truncated, s + done * ds, target, to_t)
     return y
@@ -617,7 +622,7 @@ def _drawn_states(draw):
 
 # _kernel_py, and the C kernel when numeric runs it: every kernel test below
 # holds each to the list form
-BACKENDS = (_kernel_py,) if numeric._kern is _kernel_py else (_kernel_py, numeric._kern)
+BACKENDS = (_kernel_py,) if backend._kern is _kernel_py else (_kernel_py, backend._kern)
 KERNELS = [pytest.param(k, id="python" if k is _kernel_py else "c") for k in BACKENDS]
 
 
@@ -705,12 +710,12 @@ def _stop_bits(stop):
 
 
 class TestKernelParity:
-    @pytest.mark.skipif(numeric._kern is _kernel_py,
+    @pytest.mark.skipif(backend._kern is _kernel_py,
                         reason="numeric runs _kernel_py itself: no C kernel was built")
     def test_c_kernel_matches_python_kernel_on_random_calls(self):
         outcomes = Counter()
         for args in _random_stops(np.random.default_rng(40), 60_000):
-            got = _stop(numeric._kern, args)
+            got = _stop(backend._kern, args)
             want = _stop(_kernel_py, args)
             if want[0] is ValueError:  # both raise alike
                 assert got == want, args
@@ -733,8 +738,8 @@ class TestKernelParity:
         still = (0.0,) * 6 + tuple(np.eye(3).ravel().tolist())  # Theta = 0: no slope
         script = f"""if True:
             import math
-            from spinorflow import _kernel_py, numeric
-            for kernel in dict.fromkeys([_kernel_py, numeric._kern]):
+            from spinorflow import _kernel_py, backend
+            for kernel in dict.fromkeys([_kernel_py, backend._kern]):
                 for y in ({y!r}, {still!r}):
                     for tol in (-1e-12, -5e-324, -math.inf, math.nan, -1):
                         try:
@@ -743,7 +748,7 @@ class TestKernelParity:
                             assert str(exc) == f"march_stop needs tol >= 0, got {{tol!r}}", exc
                         else:
                             raise AssertionError((kernel, y, tol))
-            print(numeric.KERNEL_BACKEND)
+            print(backend.KERNEL_BACKEND)
         """
         src = str(Path(numeric.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -754,39 +759,39 @@ class TestKernelParity:
         assert ran.stdout == KERNEL_BACKEND + "\n"
 
     def test_rk4_path_is_the_python_march_on_either_backend(self):
-        # the fixed march is written once, in Python: _c_kernel binds it
+        # the fixed march is written once, in Python: numeric binds it
         # onto the C module
-        assert numeric._kern.rk4_path is _kernel_py.rk4_path
+        assert backend._kern.rk4_path is _kernel_py.rk4_path
 
-    @pytest.mark.skipif(numeric._kern is _kernel_py,
+    @pytest.mark.skipif(backend._kern is _kernel_py,
                         reason="numeric runs _kernel_py itself: no C kernel was built")
     def test_the_built_library_holds_the_other_six_entries(self):
-        # loaded under a name of its own, without the binding of _c_kernel
+        # loaded under a name of its own, without the binding of numeric
         spec = importlib.util.spec_from_file_location("spinorflow_unbound._kernel",
-                                                      numeric._kern.__file__)
+                                                      backend._kern.__file__)
         library = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(library)
         assert {name for name in vars(library) if not name.startswith("__")} == {
             "march_stop", "e12", "reprs", "cumulative", "ricci", "residuals"}
 
     def test_backend_reported(self):
-        assert KERNEL_BACKEND == ("python" if numeric._kern is _kernel_py else "c")
-        assert sys.modules[numeric._kern.__name__] is numeric._kern
+        assert KERNEL_BACKEND == ("python" if backend._kern is _kernel_py else "c")
+        assert sys.modules[backend._kern.__name__] is backend._kern
 
     def test_a_fresh_build_loads(self, tmp_path):
-        built = numeric._c_kernel(tmp_path)
-        assert (built is _kernel_py) == (numeric._kern is _kernel_py)
+        built = backend._c_kernel(tmp_path)
+        assert (built is _kernel_py) == (backend._kern is _kernel_py)
         if built is not _kernel_py:
-            # the name numeric's own cache holds, and no temporary file left
+            # the name the package's own cache holds, and no temporary file left
             library, = tmp_path.iterdir()
-            assert library.name == Path(numeric._kern.__file__).name
+            assert library.name == Path(backend._kern.__file__).name
             y = tuple(np.concatenate([ROW_PAIRS["tau3mu"].theta.as_array(),
                                       np.eye(3).ravel()]).tolist())
             assert built.march_stop(y, y, 0.0, 0.1, 0.3, 1e-8) == _kernel_py.march_stop(
                 y, y, 0.0, 0.1, 0.3, 1e-8)
             # a second load reads the library as it is
             written = library.stat().st_mtime_ns
-            assert numeric._c_kernel(tmp_path).__file__ == str(library)
+            assert backend._c_kernel(tmp_path).__file__ == str(library)
             assert library.stat().st_mtime_ns == written
 
     @pytest.mark.parametrize("compiler", [
@@ -799,18 +804,70 @@ class TestKernelParity:
     ], ids=["fails", "missing", "not-a-library"])
     def test_a_failed_build_falls_back_to_python_silently(self, tmp_path, monkeypatch,
                                                           capfd, compiler):
-        monkeypatch.setattr(numeric, "_compile_flags", lambda: compiler)
-        assert numeric._c_kernel(tmp_path / "cache") is _kernel_py
+        monkeypatch.setattr(backend, "_compile_flags", lambda: compiler)
+        assert backend._c_kernel(tmp_path / "cache") is _kernel_py
         assert capfd.readouterr() == ("", "")
         # nothing but, at most, the library the compiler claimed to write
         left = list((tmp_path / "cache").iterdir())
         assert not [p for p in left if p.name.endswith(".tmp")]
 
-    def test_an_unwritable_cache_falls_back_to_python_silently(self, tmp_path, capfd):
+    def test_an_unwritable_cache_builds_into_the_users_cache(self, tmp_path, monkeypatch,
+                                                            capfd):
         # a directory that cannot be made: root may write to a read-only one
         (tmp_path / "file").write_text("")
-        assert numeric._c_kernel(tmp_path / "file" / "cache") is _kernel_py
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        built = backend._c_kernel(tmp_path / "file" / "cache")
+        assert (built is _kernel_py) == (backend._kern is _kernel_py)
+        if built is not _kernel_py:
+            library, = (tmp_path / "xdg" / "spinorflow").iterdir()
+            assert library.name == Path(backend._kern.__file__).name
+            assert built.__file__ == str(library)
         assert capfd.readouterr() == ("", "")
+
+    def test_no_writable_cache_falls_back_to_python_silently(self, tmp_path, monkeypatch,
+                                                             capfd):
+        # neither cache can be made: the compiler is never run
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "xdg"))
+        log = tmp_path / "compiler.log"
+        monkeypatch.setattr(backend, "_compile_flags", lambda: [*_LOGGED_COMPILER, str(log)])
+        assert backend._c_kernel(tmp_path / "file" / "cache") is _kernel_py
+        assert not log.exists()
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_failed_build_in_the_users_cache_is_tried_once(self, tmp_path):
+        # two fresh processes: the first runs the compiler, which fails, and
+        # records that under the key; the second skips the compiler
+        (tmp_path / "file").write_text("")
+        log = tmp_path / "compiler.log"
+        script = f"""if True:
+            from pathlib import Path
+            from spinorflow import _kernel_py, backend
+            backend._compile_flags = lambda: {[*_LOGGED_COMPILER, str(log)]!r}
+            assert backend._c_kernel(Path({str(tmp_path / "file" / "cache")!r})) is _kernel_py
+        """
+        src = str(Path(numeric.__file__).parents[1])
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "xdg"),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for _ in range(2):
+            ran = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                 env=env, timeout=120)
+            assert (ran.returncode, ran.stdout, ran.stderr) == (0, "", "")
+            assert log.read_text() == "compiled\n"
+        recorded, = (tmp_path / "xdg" / "spinorflow").iterdir()
+        assert recorded.name.endswith(".failed") and recorded.read_bytes() == b""
+
+    def test_a_writable_cache_retries_a_failed_build(self, tmp_path, monkeypatch):
+        # where the package's cache can be written, nothing is recorded and
+        # the user's cache is never made
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        log = tmp_path / "compiler.log"
+        monkeypatch.setattr(backend, "_compile_flags", lambda: [*_LOGGED_COMPILER, str(log)])
+        for _ in range(2):
+            assert backend._c_kernel(tmp_path / "cache") is _kernel_py
+        assert log.read_text() == "compiled\n" * 2
+        assert list((tmp_path / "cache").iterdir()) == []
+        assert not (tmp_path / "xdg").exists()
 
     # rk4_path is _kernel_py's on both backends: one arm holds it
     @pytest.mark.parametrize("kernel", [pytest.param(_kernel_py, id="python")])
@@ -1152,7 +1209,7 @@ class TestResidualsAgainstMatmul:
         assert (want[1:].max(axis=1) > 0.1).all()
 
 
-@pytest.mark.skipif(numeric._kern is _kernel_py,
+@pytest.mark.skipif(backend._kern is _kernel_py,
                     reason="numeric runs _kernel_py: no C kernel was built")
 @pytest.mark.parametrize("args, error", [
     ((np.zeros((2, 6), dtype=np.float32), np.zeros((2, 3, 3)), np.zeros(6)), TypeError),
@@ -1165,7 +1222,7 @@ def test_the_c_kernel_refuses_a_bad_residual_stack(args, error):
     # numeric._residuals never passes these; the C kernel refuses them
     # rather than read past an array
     with pytest.raises(error):
-        numeric._kern.residuals(*args)
+        backend._kern.residuals(*args)
 
 
 def _view(shape, code="d"):
@@ -1175,7 +1232,7 @@ def _view(shape, code="d"):
     return memoryview(array.array(code, [0.0] * math.prod(shape))).cast("B").cast(code, shape)
 
 
-@pytest.mark.skipif(numeric._kern is _kernel_py,
+@pytest.mark.skipif(backend._kern is _kernel_py,
                     reason="numeric runs _kernel_py: no C kernel was built")
 @pytest.mark.parametrize("entry, args, error", [
     ("cumulative", lambda: (_view((3,)), _view((3,), "f"), 1.0), TypeError),
@@ -1195,10 +1252,10 @@ def test_the_c_kernel_holds_no_buffer_after_a_call(entry, args, error):
     # releases them all on its way out
     args = args()
     if error is None:
-        getattr(numeric._kern, entry)(*args)
+        getattr(backend._kern, entry)(*args)
     else:
         with pytest.raises(error):
-            getattr(numeric._kern, entry)(*args)
+            getattr(backend._kern, entry)(*args)
     for arg in args:
         if isinstance(arg, memoryview):
             arg.release()

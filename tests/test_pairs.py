@@ -17,7 +17,8 @@ from spinorflow import CauchyPair, GroupTag, InvalidPair, LapseProfile, Sym3, \
     classify, constraints, invariants, is_constrained_ricci_flat, lifespan, \
     ricci3, structure_constants_from_theta, validate
 from spinorflow.exact import QD, branch
-from spinorflow.pairs import require_valid
+from spinorflow.frames import divergence_sym, frame_ricci
+from spinorflow.pairs import _abs_max, _constraints, require_valid
 
 from conftest import ROW_PAIRS, pair_json
 
@@ -307,6 +308,71 @@ class TestConstraints:
             # trace of (H/4)(h - eta x eta) is H/2
             h_remark = 2.0 * scal
         assert rep.hamiltonian == pytest.approx(h_remark, abs=1e-10)
+
+
+def _numpy_constraint_bits(th: Sym3):
+    """The momentum residual and R of ``th`` as ``divergence_sym`` and
+    ``frame_ricci`` give them, as bytes."""
+    c = structure_constants_from_theta(th)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = divergence_sym(c, th)
+        _, scal = frame_ricci(np.ones(3), c)
+    return mom.tobytes(), np.float64(scal).tobytes()
+
+
+def _scalar_constraint_bits(th: Sym3):
+    """The same two from ``_constraints``: the scalar Koszul divergence and
+    the kernel's ``ricci``."""
+    rep = _constraints(th, 1e-9)
+    assert type(rep.momentum_residual) is tuple and len(rep.momentum_residual) == 3
+    return np.array(rep.momentum_residual).tobytes(), np.float64(rep.scalar_curvature).tobytes()
+
+
+class TestScalarConstraintsKeepTheBits:
+    """``_constraints`` computes without numpy: the momentum residual from a
+    scalar Koszul connection, R from the kernel's ``ricci`` of an ``array``.
+    Both give the bits of the numpy references, signed zeros included."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("k", [-60, -13, -1, 0, 1, 7, 60])
+    def test_rows_signs_and_scales(self, row_pair, sign, k):
+        th = Sym3(*(sign * math.ldexp(x, k) for x in row_pair.theta.as_tuple()))
+        assert _scalar_constraint_bits(th) == _numpy_constraint_bits(th)
+
+    def test_seeded_random_components(self):
+        rng = np.random.default_rng(20261021)
+        for _ in range(3000):
+            comps = rng.standard_normal(6) * 2.0 ** rng.integers(-30, 30, 6)
+            # exact zeros of either sign, where the sums meet signed zeros
+            comps[rng.random(6) < 0.3] = 0.0
+            comps[rng.random(6) < 0.15] *= -1.0
+            th = Sym3.from_array(comps)
+            assert _scalar_constraint_bits(th) == _numpy_constraint_bits(th), comps.tolist()
+
+    def test_past_the_largest_float(self):
+        # sums of products that overflow give the references' inf and NaN;
+        # each square stays a float, so H is evaluated
+        for th in (Sym3(ll=7e153, nn=-7e153), Sym3(uu=1.3e154, ul=1.3e154, ln=-1.3e154),
+                   Sym3(ll=1.3e154, ln=1.3e154, nn=-1.3e154)):
+            got, want = _scalar_constraint_bits(th), _numpy_constraint_bits(th)
+            assert np.array_equal(np.frombuffer(got[0]), np.frombuffer(want[0]),
+                                  equal_nan=True)
+            assert np.array_equal(np.frombuffer(got[1]), np.frombuffer(want[1]),
+                                  equal_nan=True)
+
+
+@pytest.mark.parametrize("values", [
+    (1.0, 2.0, -3.0), (-0.0, 0.0, -0.0), (math.inf, 1.0, -math.inf),
+    (math.nan, 1.0, 2.0), (1.0, math.nan, 2.0), (1.0, 2.0, math.nan),
+    (-math.inf, math.nan, 0.0), (math.nan, math.nan, math.nan),
+])
+def test_abs_max_keeps_the_nan_rule_of_np_max(values):
+    # a NaN anywhere gives NaN, as np.max does; Python's max keeps a NaN
+    # only in the first place
+    want = float(np.max(np.abs(values)))
+    got = _abs_max(values)
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestJsonRoundTrip:

@@ -12,9 +12,9 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorflow import LapseProfile, Sym3, _kernel_py, coframe4_at, eigen2x2, frame_ricci, \
-    levi_civita, numeric, ricci3, ricci4, sample_times, structure_constants_from_theta, \
-    theta_exact
+from spinorflow import LapseProfile, Sym3, _kernel_py, backend, coframe4_at, eigen2x2, \
+    frame_ricci, levi_civita, numeric, ricci3, ricci4, sample_times, \
+    structure_constants_from_theta, theta_exact
 from spinorflow.exact import expm
 from spinorflow.frames import divergence_sym, index_matmul, sym_matrices
 from spinorflow.lorentz import _structure4
@@ -326,7 +326,7 @@ class TestFrameRicci4:
 
 
 # _kernel_py, and the C kernel when numeric runs it
-BACKENDS = (_kernel_py,) if numeric._kern is _kernel_py else (_kernel_py, numeric._kern)
+BACKENDS = (_kernel_py,) if backend._kern is _kernel_py else (_kernel_py, backend._kern)
 
 
 class TestScalarInIndexOrder:
@@ -422,7 +422,7 @@ class TestKernelRicci:
             self._same(kernel, eta, c, dc0)
 
 
-@pytest.mark.skipif(numeric._kern is _kernel_py,
+@pytest.mark.skipif(backend._kern is _kernel_py,
                     reason="numeric runs _kernel_py: no C kernel was built")
 @pytest.mark.parametrize("args, error", [
     ((ETA3, np.zeros((2, 3, 3, 3), dtype=np.float32), None), TypeError),
@@ -436,7 +436,7 @@ def test_the_c_kernel_refuses_a_bad_stack(args, error):
     # the stacks never pass these; the C kernel refuses them rather than
     # read past an array
     with pytest.raises(error):
-        numeric._kern.ricci(*args)
+        backend._kern.ricci(*args)
 
 
 class TestTheStacksReadTheKernel:

@@ -5,7 +5,9 @@ Usage, from anywhere:
 
     python3 tools/cold_start.py --parent PARENT_DIR --change CHANGE_DIR
 
-Each command runs on one pair with a tabulated lapse, written to a temporary
+Each command runs on a pair with a tabulated lapse, and ``validate`` and
+``classify`` also on the same pair with a constant lapse, which they check
+without numpy on the C kernel; the pairs are written to a temporary
 directory.  For each command, each of ``PAIRS`` pairs of runs times one
 process per checkout (``PYTHONPATH`` set to its ``src/``), alternating which
 side goes first from pair to pair, after one untimed run per side that warms the
@@ -15,7 +17,7 @@ time is the wall time of the whole process: interpreter start, imports and
 the command.  The script prints, per command, the median time of each side
 with its quartiles (``bench_record.quartiles``, the rule of the BENCH
 records), the ratio of the medians, and the number of pairs in which the
-change was faster.
+change was faster, and faster by 25% or more.
 
 This is the cost that ``perfbench`` does not see: its warm-up round loads
 every module before any command is timed, and its ``setup_s`` times the
@@ -37,18 +39,24 @@ import time
 from bench_record import SIDES, quartiles
 
 PAIRS = 20
+# a pair of the tau_2 + R family, with a kinked three-node lapse table and
+# with a constant lapse
+THETA = {"uu": -2, "ul": 1, "un": 1, "ll": 1, "ln": 1, "nn": 1}
+LAPSES = {
+    "tabulated": {"kind": "tabulated", "times": [-1.0, 0.2, 1.5], "values": [0.8, 1.3, 1.0]},
+    "constant": {"kind": "constant", "value": 1.3},
+}
+# (label, lapse, options)
 COMMANDS = (
-    ("validate", []),
-    ("lifespan", []),
-    ("flow --method exact", ["--method", "exact"]),
-    ("flow --method rk4", ["--method", "rk4"]),
-    ("curvature", []),
-    ("verify", []),
+    ("validate", "tabulated", []),
+    ("validate, constant lapse", "constant", []),
+    ("classify, constant lapse", "constant", []),
+    ("lifespan", "tabulated", []),
+    ("flow --method exact", "tabulated", ["--method", "exact"]),
+    ("flow --method rk4", "tabulated", ["--method", "rk4"]),
+    ("curvature", "tabulated", []),
+    ("verify", "tabulated", []),
 )
-# a pair of the tau_2 + R family with a kinked three-node lapse table
-PAIR = {"theta": {"uu": -2, "ul": 1, "un": 1, "ll": 1, "ln": 1, "nn": 1},
-        "beta": {"kind": "tabulated", "times": [-1.0, 0.2, 1.5],
-                 "values": [0.8, 1.3, 1.0]}}
 RUN_MAIN = "import sys; from spinorflow.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -77,28 +85,32 @@ def main(argv=None) -> int:
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "pair.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(PAIR, fh)
+        paths = {}
+        for lapse, beta in LAPSES.items():
+            paths[lapse] = os.path.join(tmp, f"{lapse}.json")
+            with open(paths[lapse], "w", encoding="utf-8") as fh:
+                json.dump({"theta": THETA, "beta": beta}, fh)
         print("| command | parent ms (q1–q3) | change ms (q1–q3) | change/parent "
-              "| change faster |")
-        print("|---|---|---|---|---|")
-        for label, options in COMMANDS:
-            command = [label.split()[0], path, *options]
+              "| change faster | by 25% or more |")
+        print("|---|---|---|---|---|---|")
+        for label, lapse, options in COMMANDS:
+            command = [label.split()[0].rstrip(","), paths[lapse], *options]
             for side in SIDES:
                 run_once(checkouts[side], command)
             times = {side: [] for side in SIDES}
-            wins = 0
+            wins = big_wins = 0
             for k in range(PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {side: run_once(checkouts[side], command) for side in order}
                 wins += pair["change"] < pair["parent"]
+                big_wins += pair["change"] <= 0.75 * pair["parent"]
                 for side in SIDES:
                     times[side].append(pair[side] * 1e3)
             q = [quartiles(times[side]) for side in SIDES]
             cells = [f"{s['median']:.1f} ({s['q1']:.1f}–{s['q3']:.1f})" for s in q]
             print(f"| `{label}` | {cells[0]} | {cells[1]} | "
-                  f"{q[1]['median'] / q[0]['median']:.3f} | {wins}/{PAIRS} |",
+                  f"{q[1]['median'] / q[0]['median']:.3f} | {wins}/{PAIRS} "
+                  f"| {big_wins}/{PAIRS} |",
                   flush=True)
     return 0
 
