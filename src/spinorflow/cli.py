@@ -32,10 +32,11 @@ with integer arithmetic.
 Importing this module loads only what every command runs: argparse, json,
 orjson when it is installed, and the parsing of pairs and lapses
 (``errors``, ``sym3``, ``lapse``, ``pairs``), and no numpy.  Each command
-imports the rest where it first needs it.  ``validate`` and ``classify``
-load the kernel (``backend``, which builds the C kernel on its first
-import), for the Ricci scalar of the pair's frame; on the C kernel, with a
-constant lapse or none, they finish without numpy.  ``lifespan``, ``flow``
+imports the rest where it first needs it.  ``validate`` loads the kernel
+(``backend``, which builds the C kernel on its first import), for the
+Ricci scalar of the pair's frame; ``classify`` loads nothing more.  On the
+C kernel, with a constant lapse or none, both finish without numpy.
+``lifespan``, ``flow``
 and ``curvature`` load the closed forms of ``exact``, which load numpy and
 the march (``numeric``, ``_kernel_py``); ``curvature`` also ``lorentz``;
 ``verify`` the suites.  A tabulated lapse loads numpy where its lists are
