@@ -9,10 +9,10 @@ curvature and constraint identities the construction satisfies.
 imported from the module that defines it (``_HOMES``) on first access
 (PEP 562), as is each module read as an attribute (``spinorflow.numeric``),
 so a program pays only for the modules it uses.  The CLI
-(``spinorflow.cli``) loads orjson when it is installed and the parsing of
-pairs and lapses eagerly, since every command needs them, and each
-command's other modules, numpy among them, where the command first needs
-them.
+(``spinorflow.cli``) loads the parsing of pairs and lapses eagerly, since
+every command needs it, and each command's other modules, numpy among them,
+where the command first needs them; it loads orjson, when installed, only
+to decode an input file above about 1 KiB.
 """
 
 import importlib
@@ -20,7 +20,7 @@ import importlib
 __version__ = "0.1.0"
 
 # each module and the public names it defines; JSON_BACKEND, the decoder of
-# input files, comes from the CLI, which alone imports orjson
+# large input files, comes from the CLI, which alone imports orjson
 _HOMES = {
     "cli": ("JSON_BACKEND",),
     "errors": ("InvalidPair", "NotApplicable", "OutOfDomain", "SingularTime",

@@ -11,13 +11,14 @@ sweep).  Identical inputs give byte-identical output:
   may be ``nan`` or ``inf``);
 - ``curvature`` prints the shortest repr of each float, as ``json`` does.
 
-Input files are decoded by orjson when it is installed (``JSON_BACKEND``),
-and by ``json`` otherwise or wherever orjson's value could differ from
-json's, which a walk of that value tells; both give the same values and the
-same errors (``_load_input``).  The walk converts each list of numbers to
-floats in one ``lapse._float_image``, and a tabulated lapse keeps the
-images of its times and values (``_parse_pair``), so each list is converted
-once per command; the images live as long as one ``main`` call.
+Input files above ``_ORJSON_MIN_BYTES`` are decoded by orjson when it is
+installed (``JSON_BACKEND``), and every other file by ``json``, as is a
+document whose orjson value could differ from json's, which a walk of that
+value tells; both give the same values and the same errors
+(``_load_input``).  The walk converts each list of numbers to floats in one
+``lapse._float_image``, and a tabulated lapse keeps the images of its times
+and values (``_parse_pair``), so each list is converted once per command;
+the images live as long as one ``main`` call.
 
 ``flow`` and ``curvature`` render through fixed-shape templates, each
 filled by one ``%`` over a flat tuple: the CSV row ``_CSV_ROW``, the JSON
@@ -29,27 +30,28 @@ table's cells arrive as strings from the kernel's ``e12`` and
 output renders), which print each float as %.12e and as ``repr`` do, in C
 with integer arithmetic.
 
-Importing this module loads only what every command runs: argparse, json,
-orjson when it is installed, and the parsing of pairs and lapses
-(``errors``, ``sym3``, ``lapse``, ``pairs``), and no numpy.  Each command
-imports the rest where it first needs it.  ``validate`` loads the kernel
-(``backend``, which builds the C kernel on its first import), for the
-Ricci scalar of the pair's frame; ``classify`` loads nothing more.  On the
-C kernel, with a constant lapse or none, both finish without numpy.
-``lifespan``, ``flow``
-and ``curvature`` load the closed forms of ``exact``, which load numpy and
-the march (``numeric``, ``_kernel_py``); ``curvature`` also ``lorentz``;
-``verify`` the suites.  A tabulated lapse loads numpy where its lists are
-read, and the ``_kernel_py`` fallback where it is chosen.  numpy costs
-several times the work of a short command, whose process pays it only
-where the command computes with arrays; orjson stays a module-level import,
-since every command decodes its input.
+Importing this module loads only what every command runs: argparse, json
+and the parsing of pairs and lapses (``errors``, ``sym3``, ``lapse``,
+``pairs``), and no numpy, orjson or ``dataclasses``.  Each command imports
+the rest where it first needs it, and ``_load_input`` imports orjson only
+for a file large enough that orjson's faster parse repays its import.
+``validate`` loads the kernel (``backend``, which builds the C kernel on
+its first import), for the Ricci scalar of the pair's frame; ``classify``
+loads nothing more.  On the C kernel, with a constant lapse or none, both
+finish without numpy.  ``lifespan``, ``flow`` and ``curvature`` load the
+closed forms of ``exact``, which load numpy and the march (``numeric``,
+``_kernel_py``); ``curvature`` also ``lorentz``; ``verify`` the suites.  A
+tabulated lapse loads numpy where its lists are read, and the
+``_kernel_py`` fallback where it is chosen.  numpy costs several times the
+work of a short command, whose process pays it only where the command
+computes with arrays.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -58,18 +60,19 @@ import re
 import struct
 import sys
 
-try:
-    import orjson as _orjson
-except ImportError:  # the optional extra "fast"
-    _orjson = None
-
 from . import lapse
 from .errors import InvalidPair, SingularTime, SpinorFlowError
 from .lapse import LapseProfile
 from .pairs import SUITES, CauchyPair, DEFAULT_TOL, _abs_max, _constraints, _row_group, \
     classify, invariants, validate
 
-JSON_BACKEND = "json" if _orjson is None else "orjson"
+# the decoder of input files above _ORJSON_MIN_BYTES: orjson where the
+# optional extra "fast" is installed, found without importing it
+JSON_BACKEND = "json" if importlib.util.find_spec("orjson") is None else "orjson"
+# a pair file is about 200 bytes, and json reads it in microseconds, while
+# importing orjson costs a process milliseconds; perfbench's smallest table,
+# 100 nodes, is about 4 KiB, where orjson's parse repays it
+_ORJSON_MIN_BYTES = 1024
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -131,8 +134,9 @@ def _orjson_reads_alike(value, images: dict | None = None) -> bool:
 
 def _load_input(path: str, images: dict | None = None) -> dict | list:
     """The JSON document in the file at ``path``: the value orjson reads
-    from the file's bytes when it is installed and ``_orjson_reads_alike``
-    that value, else the value ``json`` reads.  orjson refuses every other
+    from the file's bytes when the file holds more than ``_ORJSON_MIN_BYTES``,
+    ``JSON_BACKEND`` is orjson and ``_orjson_reads_alike`` that value, else
+    the value ``json`` reads.  orjson refuses every other
     document that ``json`` would read otherwise (NaN, Infinity, a float
     literal past the largest float, a lone surrogate escape, a BOM, nesting
     deeper than 1024), and those go to ``json`` too, so the value, or the
@@ -149,15 +153,17 @@ def _load_input(path: str, images: dict | None = None) -> dict | list:
     document keeps alive; ``json``'s value gives none."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if _orjson is not None:
+    if len(data) > _ORJSON_MIN_BYTES and JSON_BACKEND == "orjson":
+        import orjson
+
         found = {}
         try:
-            value = _orjson.loads(data)
+            value = orjson.loads(data)
             if _orjson_reads_alike(value, found):
                 if images is not None:
                     images.update(found)
                 return value
-        except _orjson.JSONDecodeError:
+        except orjson.JSONDecodeError:
             pass
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     try:

@@ -18,12 +18,10 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 
 from .errors import OutOfDomain
 
 
-@dataclass(frozen=True, eq=False)
 class LapseProfile:
     """Strictly positive lapse, either constant or tabulated on a time grid.
 
@@ -35,12 +33,25 @@ class LapseProfile:
     ``cumulative``); from it B_t takes one binary search and a partial
     trapezoid, and its inverse one binary search and a closed-form root.
     Times outside the table raise OutOfDomain.
+
+    A profile is immutable: assigning or deleting a field raises
+    AttributeError.  Two profiles are equal only when they are one object.
     """
 
-    kind: str  # "constant" | "tabulated"
-    value: float = 1.0
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
+    def __init__(self, kind: str, value: float = 1.0, times: np.ndarray | None = None,
+                 values: np.ndarray | None = None):
+        # the fields, and later the cached table of B, live in __dict__
+        self.__dict__.update(kind=kind, value=value, times=times, values=values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return (f"LapseProfile(kind={self.kind!r}, value={self.value!r}, "
+                f"times={self.times!r}, values={self.values!r})")
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "LapseProfile":

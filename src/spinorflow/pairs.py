@@ -4,6 +4,10 @@ A pair is stored through the components of its shape tensor in the fixed
 orthonormal coframe (e_u, e_l, e_n).  Admissible components solve a small
 algebraic system and fall into one of the structural families realized on
 the four simply connected 3D groups R^3, E(1,1), tau_2 + R and tau_{3,mu}.
+
+The pair and the reports are named tuples: immutable, compared and hashed
+by their fields, with a ``Name(field=...)`` repr, and with no import of
+``dataclasses``, which costs a short command's process more than its work.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidPair
@@ -23,11 +27,10 @@ DEFAULT_TOL = 1e-9
 SUITES = ("constraints", "ricci4", "ricciflow", "cosymplectic", "oracle")
 
 
-@dataclass(frozen=True)
-class CauchyPair:
+class CauchyPair(namedtuple("CauchyPair", "theta")):
     """Initial datum of the flow: shape components Theta_ab."""
 
-    theta: Sym3
+    __slots__ = ()
 
     @classmethod
     def from_components(cls, uu=0.0, ul=0.0, un=0.0, ll=0.0, ln=0.0, nn=0.0) -> "CauchyPair":
@@ -59,13 +62,8 @@ class CauchyPair:
         return cls(Sym3(**vals))
 
 
-@dataclass(frozen=True)
-class ThetaInvariants:
-    """Scalar invariants driving branch selection and classification."""
-
-    lam: float
-    T: float
-    Delta: float
+# scalar invariants driving branch selection and classification
+ThetaInvariants = namedtuple("ThetaInvariants", "lam T Delta")
 
 
 class GroupTag(Enum):
@@ -75,25 +73,13 @@ class GroupTag(Enum):
     TAU3_MU = "Tau3Mu"
 
 
-@dataclass(frozen=True)
-class GroupType:
-    tag: GroupTag
-    mu: float | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: list = field(default_factory=list)
-    row: str | None = None
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    hamiltonian: float
-    momentum_residual: tuple[float, float, float]
-    scalar_curvature: float
-    is_vacuum_admissible: bool
+# the group's tag, and mu on tau_{3,mu} alone
+GroupType = namedtuple("GroupType", "tag mu", defaults=(None,))
+# the violations, a list of messages, and the matched row of a valid pair
+ValidationReport = namedtuple("ValidationReport", "valid violations row", defaults=(None,))
+# H, the momentum residual (three floats), R, and whether both vanish
+ConstraintReport = namedtuple(
+    "ConstraintReport", "hamiltonian momentum_residual scalar_curvature is_vacuum_admissible")
 
 
 def invariants(pair: CauchyPair) -> ThetaInvariants:

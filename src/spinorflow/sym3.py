@@ -4,23 +4,20 @@
 pair reads its components as Python floats.  Its array forms import
 ``frames``, and numpy with it, where they are first used; ``frames``
 re-exports ``Sym3`` and keeps the index arrays that the stacks read.
+
+``Sym3`` is a named tuple, which gives it immutability, equality, a hash
+and its ``Sym3(uu=...)`` repr with no import of ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Sym3:
+class Sym3(namedtuple("Sym3", "uu ul un ll ln nn", defaults=(0.0,) * 6)):
     """Symmetric two-tensor in the (u, l, n) frame; upper-triangle storage."""
 
-    uu: float = 0.0
-    ul: float = 0.0
-    un: float = 0.0
-    ll: float = 0.0
-    ln: float = 0.0
-    nn: float = 0.0
+    __slots__ = ()
 
     def as_matrix(self):
         from .frames import _SYM_INDEX

@@ -1,8 +1,6 @@
 """Shared fixtures: one representative pair per admissible-family table row,
 and the faults the stack tests inject into a stacked closed form."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -46,7 +44,7 @@ def constrained_pair(request):
 
 def pair_json(pair):
     """The ``{"theta": {"uu": ..., ...}}`` wire format of ``pair``."""
-    return {"theta": dataclasses.asdict(pair.theta)}
+    return {"theta": pair.theta._asdict()}
 
 
 def curvature_cells(report):

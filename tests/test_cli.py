@@ -1,7 +1,6 @@
 """CLI surface: exit codes, deterministic output, clipping, sweeps."""
 
 import csv
-import dataclasses
 import functools
 import importlib.util
 import io
@@ -301,8 +300,8 @@ class TestExitCodes:
         # the largest |component| is NaN wherever the NaN sits, as np.max's
         # is; Python's max would drop it past the first place
         evaluate = cli._constraints
-        monkeypatch.setattr(cli, "_constraints", lambda *a: dataclasses.replace(
-            evaluate(*a), momentum_residual=momentum))
+        monkeypatch.setattr(cli, "_constraints", lambda *a: evaluate(*a)._replace(
+            momentum_residual=momentum))
         assert main(["validate", e11_file]) == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1315,21 +1314,24 @@ def test_cli_import_leaves_scipy_and_numpy_out():
     src = os.path.dirname(os.path.dirname(spinorflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     # and the library alone leaves out orjson, which only the CLI's decoder
-    # uses; the CLI leaves out numpy, on either kernel
+    # uses; the CLI leaves out numpy, on either kernel, orjson, which only a
+    # large input loads, and dataclasses, which only numpy's modules use
     code = ("import sys, spinorflow; assert 'orjson' not in sys.modules; "
             "import spinorflow.cli; assert 'scipy' not in sys.modules; "
-            "assert 'numpy' not in sys.modules")
+            "assert 'numpy' not in sys.modules; assert 'orjson' not in sys.modules; "
+            "assert 'dataclasses' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # a fresh interpreter's package modules (without "spinorflow."), and
-# "numpy" where numpy is loaded, after each step: importing the package,
-# then the CLI, then three commands in turn
+# "dataclasses", "numpy" and "orjson" where each is loaded, after each step:
+# importing the package, then the CLI, then the commands in turn
 _LOADED_BY_STEP = """
 import json, sys
 def loaded():
     return sorted([m[len("spinorflow."):] for m in sys.modules
-                   if m.startswith("spinorflow.")] + ["numpy"] * ("numpy" in sys.modules))
+                   if m.startswith("spinorflow.")]
+                  + [m for m in ("dataclasses", "numpy", "orjson") if m in sys.modules])
 import spinorflow
 steps = {"spinorflow": loaded(), "dir": sorted(dir(spinorflow))}
 from spinorflow.cli import main
@@ -1355,8 +1357,10 @@ def test_each_command_loads_only_what_it_runs(e11_file):
     assert set(spinorflow.__all__) <= set(steps["dir"])
     assert steps["spinorflow.cli"] == ["cli", "errors", "lapse", "pairs", "sym3"]
     # the kernel, for the Ricci scalar of the pair's frame, and no closed
-    # form, march, curvature or suite; numpy only with the fallback kernel
-    kernel = ["_kernel"] if backend.KERNEL_BACKEND == "c" else ["_kernel_py", "frames", "numpy"]
+    # form, march, curvature or suite; numpy, and the dataclasses of frames,
+    # only with the fallback kernel; orjson never, for a file this small
+    kernel = (["_kernel"] if backend.KERNEL_BACKEND == "c"
+              else ["_kernel_py", "dataclasses", "frames", "numpy"])
     for command in ("validate", "classify"):
         assert steps[command] == sorted(steps["spinorflow.cli"] + ["backend"] + kernel), command
     assert not {"lorentz", "verify"} & set(steps["lifespan"])
@@ -1376,5 +1380,17 @@ def test_validate_and_classify_load_no_numpy(tmp_path, theta, beta):
     path = write_pair(tmp_path, "pair", theta, extra=beta and {"beta": beta})
     steps = _loaded_by_step(path, "validate", "classify")
     for step in ("spinorflow.cli", "validate", "classify"):
-        assert "numpy" not in steps[step], step
+        assert not {"dataclasses", "numpy", "orjson"} & set(steps[step]), step
     assert {"backend", "_kernel"} <= set(steps["validate"])
+
+
+def test_validate_of_a_table_above_the_threshold_loads_orjson(tmp_path):
+    # a 100-node table, perfbench's smallest, is about 4 KiB: orjson reads
+    # it where installed, and json where not
+    times = [i / 33.0 - 1.5 for i in range(100)]
+    path = write_pair(tmp_path, "table", theta_dict(ll=1.0, nn=-1.0), extra={
+        "beta": {"kind": "tabulated", "times": times, "values": [1.0] * len(times)}})
+    assert os.path.getsize(path) > cli._ORJSON_MIN_BYTES
+    steps = _loaded_by_step(path, "validate")
+    assert "orjson" not in steps["spinorflow.cli"]
+    assert ("orjson" in steps["validate"]) is (cli.JSON_BACKEND == "orjson")

@@ -19,7 +19,10 @@ bytes.
 import json
 import math
 import re
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +88,19 @@ def test_the_python_kernel_prints_the_same_bytes(path, monkeypatch):
         assert fallback["exit"] == want["exit"]
         for stream in ("stdout", "stderr"):
             assert same_output("\n".join(want[stream]), "\n".join(fallback[stream]))
+
+
+def test_the_numpy_free_runs_replay_byte_for_byte():
+    # tools/replay_corpus.py in a fresh interpreter: validate and classify of
+    # every input without a table, on a copy of src/ that builds its own
+    # kernel; on the C kernel they load no numpy
+    tool = Path(__file__).resolve().parents[1] / "tools" / "replay_corpus.py"
+    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    head, counts = proc.stdout.splitlines()
+    runs = sum(len(json.loads(path.read_text())["runs"]) for path in FILES)
+    assert counts == f"replayed 88, skipped {runs - 88}, mismatched 0"
+    assert head.endswith(", kernel c, numpy loaded: no") or ", kernel python, " in head
 
 
 class TestSameOutput:

@@ -1,8 +1,8 @@
 """Input decoding: with orjson installed or not, ``cli._load_input`` gives
 the values ``json`` gives, bit for bit, or raises the error ``json`` raises,
-with a RecursionError as a ValueError; and ``LapseProfile.from_json_dict``
-turns the decoded lapse into the floats, or the error, of its type-scan
-rule."""
+with a RecursionError as a ValueError, on either side of the size above
+which orjson reads a file; and ``LapseProfile.from_json_dict`` turns the
+decoded lapse into the floats, or the error, of its type-scan rule."""
 
 import contextlib
 import io
@@ -24,21 +24,30 @@ from spinorflow import cli, lapse
 from spinorflow.cli import EXIT_IO, main
 from spinorflow.lapse import LapseProfile
 
-DECODERS = pytest.mark.parametrize("decoder", [
-    pytest.param("orjson", marks=pytest.mark.skipif(cli._orjson is None,
-                                                    reason="orjson is not installed")),
-    "json"])
+try:
+    import orjson
+except ImportError:  # the optional extra "fast": json's tests still run
+    orjson = None
+
+NEEDS_ORJSON = pytest.mark.skipif(orjson is None, reason="orjson is not installed")
+DECODERS = pytest.mark.parametrize("decoder", [pytest.param("orjson", marks=NEEDS_ORJSON),
+                                               "json"])
 
 
 @contextlib.contextmanager
 def decoding_with(decoder):
-    """``cli._orjson`` as it is for "orjson", and None for "json"."""
-    installed = cli._orjson
-    cli._orjson = installed if decoder == "orjson" else None
+    """``cli._load_input`` with orjson offered every file, however small,
+    for "orjson" (``_ORJSON_MIN_BYTES`` at 0), and with json alone for
+    "json" (``JSON_BACKEND`` at "json")."""
+    saved = cli.JSON_BACKEND, cli._ORJSON_MIN_BYTES
+    if decoder == "orjson":
+        cli._ORJSON_MIN_BYTES = 0
+    else:
+        cli.JSON_BACKEND = "json"
     try:
         yield
     finally:
-        cli._orjson = installed
+        cli.JSON_BACKEND, cli._ORJSON_MIN_BYTES = saved
 
 
 def parent_load(path):
@@ -162,7 +171,7 @@ def test_every_document_decodes_as_json_does(tmp_path_factory, doc, sep, mutatio
     path.write_bytes((("\ufeff" if bom else "") + mutate(dump(doc, sep), mutation))
                      .encode("utf-8"))
     want = expected(path)
-    for decoder in ("orjson", "json")[cli._orjson is None:]:
+    for decoder in ("orjson", "json")[orjson is None:]:
         with decoding_with(decoder):
             got = outcome(cli._load_input, path)
         assert want[0] == got[0], decoder
@@ -187,7 +196,7 @@ def test_named_documents_decode_as_json_does(tmp_path, decoder, text):
     assert same(want[1], got[1]) if want[0] == "value" else want[1] == got[1]
 
 
-@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
+@NEEDS_ORJSON
 def test_a_workload_table_is_read_by_orjson(tmp_path, monkeypatch):
     # reprs such as -0.0039001950097505844 hold 19 digits after the point,
     # which a check for any run of 19 digits would take for a long integer
@@ -233,7 +242,7 @@ DEPTH_512 = {"arrays": "[" * 512 + "]" * 512, "objects": '{"a":' * 511 + "{}" + 
         "arrays-512", "arrays-513", "objects-512", "objects-513", "600-siblings"])
 def test_named_value_checks(tmp_path, decoder, text, reads_alike):
     if decoder == "orjson":
-        assert cli._orjson_reads_alike(cli._orjson.loads(text)) is reads_alike
+        assert cli._orjson_reads_alike(orjson.loads(text)) is reads_alike
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     with decoding_with(decoder):
@@ -242,7 +251,7 @@ def test_named_value_checks(tmp_path, decoder, text, reads_alike):
     assert same(want[1], got[1]) if want[0] == "value" else want[1] == got[1]
 
 
-@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
+@NEEDS_ORJSON
 @pytest.mark.parametrize("literal", sorted({s * (b + d) for b in BOUNDARIES
                                             for d in (-1, 0, 1) for s in (1, -1)}))
 def test_orjson_reads_a_boundary_integer_as_json_or_as_a_far_float(literal):
@@ -250,8 +259,8 @@ def test_orjson_reads_a_boundary_integer_as_json_or_as_a_far_float(literal):
     # literal as json does, or as a float of magnitude 2**63 or more
     for text in (str(literal), f"[{literal}]"):
         try:
-            got = cli._orjson.loads(text)
-        except cli._orjson.JSONDecodeError:
+            got = orjson.loads(text)
+        except orjson.JSONDecodeError:
             continue
         want = json.loads(text)
         if not same(got, want):
@@ -330,7 +339,7 @@ def test_a_document_nested_too_deeply_is_an_input_error(tmp_path, capsys, decode
 
 
 def test_the_backend_is_reported():
-    want = "json" if cli._orjson is None else "orjson"
+    want = "json" if orjson is None else "orjson"
     assert cli.JSON_BACKEND == spinorflow.JSON_BACKEND == want
     assert "JSON_BACKEND" in spinorflow.__all__
     with pytest.raises(AttributeError, match="no attribute 'JSON_BACKENDS'"):
@@ -503,7 +512,7 @@ def test_lifespan_converts_each_number_list_of_a_table_once(tmp_path, monkeypatc
     assert '"immortal"' in capsys.readouterr().out
 
 
-@pytest.mark.skipif(cli._orjson is None, reason="orjson is not installed")
+@NEEDS_ORJSON
 def test_a_document_sent_to_json_leaves_no_images(tmp_path):
     # the walk converts the table's lists before it meets 2**64, which sends
     # the document to json: json's lists are new, so no image may be kept
@@ -511,12 +520,47 @@ def test_a_document_sent_to_json_leaves_no_images(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     found = {}
-    assert cli._orjson_reads_alike(cli._orjson.loads(text), found) is False
+    assert cli._orjson_reads_alike(orjson.loads(text), found) is False
     assert len(found) == 2
     images = {}
-    assert same(cli._load_input(str(path), images), json.loads(text))
-    assert images == {}
-    # the table alone is orjson's value, with the images of its two lists
-    path.write_text(json.dumps(TABLE_DOC), encoding="utf-8")
-    assert same(cli._load_input(str(path), images), json.loads(json.dumps(TABLE_DOC)))
+    with decoding_with("orjson"):  # the document is below _ORJSON_MIN_BYTES
+        assert same(cli._load_input(str(path), images), json.loads(text))
+        assert images == {}
+        # the table alone is orjson's value, with the images of its two lists
+        path.write_text(json.dumps(TABLE_DOC), encoding="utf-8")
+        assert same(cli._load_input(str(path), images), json.loads(json.dumps(TABLE_DOC)))
     assert len(images) == 2
+
+
+@NEEDS_ORJSON
+@pytest.mark.parametrize("size, by_orjson", [
+    (cli._ORJSON_MIN_BYTES - 1, False), (cli._ORJSON_MIN_BYTES, False),
+    (cli._ORJSON_MIN_BYTES + 1, True),
+], ids=["below", "at", "above"])
+def test_a_file_reaches_orjson_only_above_the_threshold(tmp_path, monkeypatch, capsys,
+                                                        size, by_orjson):
+    # the table padded with trailing spaces to ``size`` bytes: the value,
+    # the lapse's floats and the command's bytes are the unpadded file's,
+    # and only orjson's value gives the images of the two lists
+    text = json.dumps(TABLE_DOC)
+    padded, plain = tmp_path / "padded.json", tmp_path / "plain.json"
+    padded.write_bytes((text + " " * (size - len(text))).encode("utf-8"))
+    plain.write_text(text, encoding="utf-8")
+    assert padded.stat().st_size == size
+    calls = []
+    loads = orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda data: calls.append(len(data)) or loads(data))
+    images = {}
+    got = cli._load_input(str(padded), images)
+    assert calls == [size] * by_orjson
+    assert same(got, json.loads(text))
+    assert len(images) == 2 * by_orjson
+    _, profile = cli._parse_pair(got, images)
+    for field in ("times", "values"):
+        want = np.array(TABLE_DOC["beta"][field], dtype=float)
+        assert getattr(profile, field).tobytes() == want.tobytes()
+    outputs = []
+    for path in (padded, plain):
+        assert main(["validate", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out.startswith("row: tau2+R (general)\n")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinorflow import CauchyPair, GroupTag, InvalidPair, LapseProfile, Sym3, \
+from spinorflow import CauchyPair, GroupTag, GroupType, InvalidPair, LapseProfile, Sym3, \
     classify, constraints, invariants, is_constrained_ricci_flat, lifespan, \
     ricci3, structure_constants_from_theta, validate
 from spinorflow.exact import QD, branch
@@ -392,3 +392,49 @@ class TestJsonRoundTrip:
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
             CauchyPair.from_json_dict({"theta": [1, 2, 3]})
+
+
+class TestValueTypes:
+    """The pair, its components and the reports are immutable values,
+    compared and hashed by their fields, with a ``Name(field=...)`` repr; a
+    lapse profile is immutable too, and equal only to itself."""
+
+    def test_pairs_and_reports_are_values(self):
+        pair = CauchyPair.from_components(uu=5.0 / 3.0, ll=2.0, nn=1.0)
+        same = CauchyPair(Sym3(5.0 / 3.0, 0.0, 0.0, 2.0, 0.0, 1.0))
+        assert pair == same and hash(pair) == hash(same) and pair is not same
+        assert pair != CauchyPair.from_components(uu=1.0)
+        group = classify(pair)
+        assert group == GroupType(GroupTag.TAU3_MU, mu=0.5)
+        assert repr(Sym3(uu=1.0)) == "Sym3(uu=1.0, ul=0.0, un=0.0, ll=0.0, ln=0.0, nn=0.0)"
+        assert repr(pair).startswith("CauchyPair(theta=Sym3(uu=1.6666666666666667, ")
+        assert repr(group) == "GroupType(tag=<GroupTag.TAU3_MU: 'Tau3Mu'>, mu=0.5)"
+        assert repr(validate(ROW_PAIRS["E11"])) == \
+            "ValidationReport(valid=True, violations=[], row='E11')"
+        for value, field in ((pair, "theta"), (pair.theta, "uu"), (group, "mu"),
+                             (invariants(pair), "lam"), (validate(pair), "row"),
+                             (constraints(pair), "hamiltonian")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0.0)
+            with pytest.raises(AttributeError):
+                value.extra = 0.0  # no instance dict
+
+    @pytest.mark.parametrize("profile", [
+        LapseProfile.constant(1.3),
+        LapseProfile.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0]),
+    ], ids=["constant", "tabulated"])
+    def test_a_lapse_profile_is_immutable_and_equal_only_to_itself(self, profile):
+        for field in ("kind", "value", "times", "values", "other"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+                setattr(profile, field, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(profile, field)
+        twin = (LapseProfile.constant(profile.value) if profile.kind == "constant"
+                else LapseProfile.tabulated(profile.times, profile.values))
+        assert profile == profile and profile != twin
+        assert len({profile, twin, profile}) == 2  # hashed by identity
+        assert repr(profile).startswith(f"LapseProfile(kind={profile.kind!r}, value=")
+        # the cached table of B is built once, and kept
+        if profile.kind == "tabulated":
+            assert profile.b_integral(1.0) == 1.5
+            assert profile._cumulative is profile._cumulative

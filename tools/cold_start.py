@@ -17,7 +17,7 @@ time is the wall time of the whole process: interpreter start, imports and
 the command.  The script prints, per command, the median time of each side
 with its quartiles (``bench_record.quartiles``, the rule of the BENCH
 records), the ratio of the medians, and the number of pairs in which the
-change was faster, and faster by 25% or more.
+change was faster, faster by 10% or more, and faster by 25% or more.
 
 This is the cost that ``perfbench`` does not see: its warm-up round loads
 every module before any command is timed, and its ``setup_s`` times the
@@ -39,6 +39,8 @@ import time
 from bench_record import SIDES, quartiles
 
 PAIRS = 20
+# the gains counted pair by pair: faster, and faster by each of these shares
+MARGINS = (0.10, 0.25)
 # a pair of the tau_2 + R family, with a kinked three-node lapse table and
 # with a constant lapse
 THETA = {"uu": -2, "ul": 1, "un": 1, "ll": 1, "ln": 1, "nn": 1}
@@ -91,27 +93,27 @@ def main(argv=None) -> int:
             with open(paths[lapse], "w", encoding="utf-8") as fh:
                 json.dump({"theta": THETA, "beta": beta}, fh)
         print("| command | parent ms (q1–q3) | change ms (q1–q3) | change/parent "
-              "| change faster | by 25% or more |")
-        print("|---|---|---|---|---|---|")
+              "| change faster |" + "".join(f" by {m:.0%} or more |" for m in MARGINS))
+        print("|---|---|---|---|---|" + "---|" * len(MARGINS))
         for label, lapse, options in COMMANDS:
             command = [label.split()[0].rstrip(","), paths[lapse], *options]
             for side in SIDES:
                 run_once(checkouts[side], command)
             times = {side: [] for side in SIDES}
-            wins = big_wins = 0
+            wins = [0] * (1 + len(MARGINS))
             for k in range(PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {side: run_once(checkouts[side], command) for side in order}
-                wins += pair["change"] < pair["parent"]
-                big_wins += pair["change"] <= 0.75 * pair["parent"]
+                wins[0] += pair["change"] < pair["parent"]
+                for i, m in enumerate(MARGINS, 1):
+                    wins[i] += pair["change"] <= (1.0 - m) * pair["parent"]
                 for side in SIDES:
                     times[side].append(pair[side] * 1e3)
             q = [quartiles(times[side]) for side in SIDES]
             cells = [f"{s['median']:.1f} ({s['q1']:.1f}–{s['q3']:.1f})" for s in q]
             print(f"| `{label}` | {cells[0]} | {cells[1]} | "
-                  f"{q[1]['median'] / q[0]['median']:.3f} | {wins}/{PAIRS} "
-                  f"| {big_wins}/{PAIRS} |",
-                  flush=True)
+                  f"{q[1]['median'] / q[0]['median']:.3f} |"
+                  + "".join(f" {w}/{PAIRS} |" for w in wins), flush=True)
     return 0
 
 
