@@ -134,19 +134,19 @@ def _orjson_reads_alike(value, images: dict | None = None) -> bool:
 
 def _load_input(path: str, images: dict | None = None) -> dict | list:
     """The JSON document in the file at ``path``: the value orjson reads
-    from the file's bytes when the file holds more than ``_ORJSON_MIN_BYTES``,
-    ``JSON_BACKEND`` is orjson and ``_orjson_reads_alike`` that value, else
-    the value ``json`` reads.  orjson refuses every other
-    document that ``json`` would read otherwise (NaN, Infinity, a float
-    literal past the largest float, a lone surrogate escape, a BOM, nesting
-    deeper than 1024), and those go to ``json`` too, so the value, or the
-    error, is always the one ``json`` gives (its RecursionError on a
-    document nested too deeply as a ValueError).  Only ``json`` reads text,
-    decoded as text mode decodes it (UTF-8, with CRLF and CR read as LF),
-    so its error positions and UnicodeDecodeError messages stay those of
-    that text.  The two give the same values: orjson refuses invalid UTF-8
-    and a raw control character inside a string, as json does, so wherever
-    it accepts a CR or LF, that byte is whitespace.
+    from the file's bytes when the file holds more than
+    ``_ORJSON_MIN_BYTES``, ``JSON_BACKEND`` is orjson and
+    ``_orjson_reads_alike`` that value, else the value ``json`` reads.
+    orjson refuses every other document that ``json`` would read otherwise
+    (NaN, Infinity, a float literal past the largest float, a lone surrogate
+    escape, a BOM, nesting deeper than 1024), and those go to ``json`` too,
+    so the value, or the error, is always the one ``json`` gives (its
+    RecursionError on a document nested too deeply as a ValueError).  Only
+    ``json`` reads text, decoded as text mode decodes it (UTF-8, with CRLF
+    and CR read as LF), so its error positions and UnicodeDecodeError
+    messages stay those of that text.  The two give the same values: orjson
+    refuses invalid UTF-8 and a raw control character inside a string, as
+    json does, so wherever it accepts a CR or LF, that byte is whitespace.
 
     The float images of the number lists of orjson's value go into
     ``images``, when given, keyed by the ``id`` of each list, which the

@@ -25,7 +25,6 @@ Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -39,14 +38,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # the commands that load no numpy on the C kernel, given no tabulated lapse
 REPLAYED = ("validate", "classify")
-
-
-def parse_args(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--src", default=str(ROOT / "src"), help="the package's source tree")
-    p.add_argument("--corpus", default=str(ROOT / "tests" / "golden"),
-                   help="the directory of the golden corpus")
-    return p.parse_args(argv)
 
 
 def replayable(data: dict, argv: list[str]) -> bool:
@@ -70,12 +61,11 @@ def run(cli, data: dict, argv: list[str], tmp: str) -> dict:
             "stderr": err.getvalue().split("\n")}
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    files = sorted(Path(args.corpus).glob("*.json"))
+def main() -> int:
+    files = sorted((ROOT / "tests" / "golden").glob("*.json"))
     os.environ.pop("SPINORFLOW_TOL", None)  # as the corpus was written
     with tempfile.TemporaryDirectory() as tmp:
-        src = shutil.copytree(args.src, os.path.join(tmp, "src"),
+        src = shutil.copytree(ROOT / "src", os.path.join(tmp, "src"),
                               ignore=shutil.ignore_patterns("__pycache__"))
         os.environ["XDG_CACHE_HOME"] = os.path.join(tmp, "cache")
         sys.path.insert(0, src)
