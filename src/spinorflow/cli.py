@@ -52,7 +52,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
-import io
 import json
 import math
 import os
@@ -165,7 +164,7 @@ def _load_input(path: str, images: dict | None = None) -> dict | list:
                 return value
         except orjson.JSONDecodeError:
             pass
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except RecursionError as exc:

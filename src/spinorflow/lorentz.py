@@ -15,6 +15,10 @@ read a stack of one sample and so refuse as the command does.  The
 ``ricci4`` suite reads the same cells.  There is no scalar branch.  Ric4
 is ``frames.frame_ricci`` of the coframe, evaluated in one call of the
 kernel's ``ricci`` (``numeric._frame_ricci``).
+
+Every check evaluates its stack: ``closedness_residual`` takes one form or
+a stack of them, as ``_log_scale_differential`` gives them, and the
+``cosymplectic`` suite makes one call per stack.
 """
 
 from __future__ import annotations
@@ -138,12 +142,17 @@ def _log_scale_differential(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -index_matmul(theta[..., :1, :], u)[..., 0, :]
 
 
-def closedness_residual(pair: CauchyPair, alpha: np.ndarray) -> float:
+def closedness_residual(pair: CauchyPair, alpha: np.ndarray) -> float | np.ndarray:
     """Residual of d(alpha) = 0 for a left-invariant one-form with the given
-    reference-coframe components; the reference differentials are
-    d e_a = Theta_ab e_b ^ e_u.  Theta_0 alpha is summed in index order."""
-    v = index_matmul(pair.theta.as_matrix(), np.asarray(alpha, dtype=float)[:, None])[:, 0]
-    return float(max(abs(v[1]), abs(v[2])))
+    reference-coframe components, or of each form of a stack of them: a
+    float for one form, an array for a stack.  The reference differentials
+    are d e_a = Theta_ab e_b ^ e_u.  Theta_0 alpha is summed in index order,
+    and the residual is |v_l| unless |v_n| is larger, as Python's ``max``
+    takes it, so a NaN lands where one form at a time puts it."""
+    v = np.abs(index_matmul(pair.theta.as_matrix(),
+                            np.asarray(alpha, dtype=float)[..., None])[..., 0])
+    res = np.where(v[..., 2] > v[..., 1], v[..., 2], v[..., 1])
+    return float(res) if res.ndim == 0 else res
 
 
 # The cells of one curvature sample, in this order: t, beta, the 16

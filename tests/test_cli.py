@@ -997,6 +997,21 @@ class TestVerifyEvaluatesOnce:
         assert main(["verify", path] + argv) == EXIT_OK
         assert (len(con), len(ricci)) == (constraints, ricci3)
 
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    @pytest.mark.parametrize("argv,samples", [
+        (["--suite", "cosymplectic"], 20), (["--suite", "cosymplectic", "--samples", "7"], 7),
+        ([], 20),
+    ], ids=["cosymplectic", "samples-7", "all"])
+    def test_closedness_once_per_stack(self, tmp_path, monkeypatch, name, argv, samples):
+        calls = []
+        residual = verify.closedness_residual
+        monkeypatch.setattr(verify, "closedness_residual",
+                            lambda pair, alpha: calls.append(alpha) or residual(pair, alpha))
+        theta, beta = self.PAIRS[name]
+        path = write_pair(tmp_path, name, theta_dict(**theta), extra={"beta": beta})
+        assert main(["verify", path] + argv) == EXIT_OK
+        assert [np.shape(alpha) for alpha in calls] == [(samples, 3)]
+
 
 # every command with the options that shape its output; each writes to
 # stdout unless --out names a file

@@ -296,6 +296,23 @@ def test_a_crlf_file_reports_json_positions_in_its_text(tmp_path, capsys, decode
         "", "error: Expecting ',' delimiter: line 3 column 44 (char 112)\n")
 
 
+@pytest.mark.parametrize("data", [
+    b'{"a": [1.5,\n 2]}\n', b'{"a": [1.5,\r\n 2]}\r\n', b'{"a": [1.5,\r 2]}\r',
+    b'{\r\n"a":\r[1.5,\n 2]\r\n\r}', b'\xef\xbb\xbf{"a": 1}', b'{"a": \xff}',
+    b'{"a": "\xe2\x82', b'{"a": "\xe2\x82 b"}', b'{"a": "x\ry"}', b'{"a":\r\n [1.5,\r 2',
+], ids=["lf", "crlf", "cr", "mixed", "bom", "0xff", "utf8-cut-at-end",
+        "utf8-cut-in-string", "raw-cr-in-string", "cut-short"])
+def test_json_decodes_bytes_as_text_mode_does(tmp_path, data):
+    # one bytes.decode with CRLF and CR replaced by LF gives the value, or
+    # the type and message of the error, of a read through io.TextIOWrapper
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with decoding_with("json"):
+        want, got = expected(path), outcome(cli._load_input, path)
+    assert want[0] == got[0]
+    assert same(want[1], got[1]) if want[0] == "value" else want[1] == got[1]
+
+
 THETA = '"theta": {"uu": 1, "ul": 0, "un": 0, "ll": 0, "ln": 0, "nn": 0}'
 
 

@@ -161,6 +161,35 @@ class TestClosedness:
         pair = CauchyPair.from_components(ll=1.0, nn=-1.0)
         assert closedness_residual(pair, [0.0, 1.0, 0.0]) == 1.0
 
+    # v_l = alpha_l + alpha_n and v_n = alpha_l - alpha_n, so alpha (0, inf,
+    # inf) gives |v_l| = inf against a NaN |v_n|, and (0, inf, -inf) a NaN
+    # |v_l| against |v_n| = inf
+    SPLIT = CauchyPair.from_components(ll=1.0, ln=1.0, nn=-1.0)
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25]
+
+    @pytest.mark.parametrize("pair", [CauchyPair.from_components(ll=1.0, nn=-1.0), SPLIT,
+                                      ROW_PAIRS["tau2R-general"]], ids=["E11", "split", "general"])
+    def test_a_stack_gives_the_bits_of_one_form_at_a_time(self, pair):
+        alpha = np.array([[a, b, c] for a in self.SPECIAL for b in self.SPECIAL
+                          for c in self.SPECIAL])
+        with np.errstate(invalid="ignore"):
+            stacked = closedness_residual(pair, alpha)
+            one = [closedness_residual(pair, a) for a in alpha]
+            # the same stack with two leading axes
+            square = closedness_residual(pair, alpha.reshape(7, 49, 3))
+        assert all(type(x) is float for x in one)
+        assert stacked.shape == (343,) and square.shape == (7, 49)
+        assert stacked.tobytes() == np.array(one).tobytes() == square.tobytes()
+
+    def test_a_nan_counts_only_in_the_l_component(self):
+        # Python's max(|v_l|, |v_n|): |v_l| unless |v_n| is larger
+        with np.errstate(invalid="ignore"):
+            assert closedness_residual(self.SPLIT, [0.0, np.inf, np.inf]) == np.inf
+            assert np.isnan(closedness_residual(self.SPLIT, [0.0, np.inf, -np.inf]))
+            stacked = closedness_residual(self.SPLIT, [[0.0, np.inf, np.inf],
+                                                       [0.0, np.inf, -np.inf]])
+        assert stacked[0] == np.inf and np.isnan(stacked[1])
+
 
 class TestMetricAndReport:
     def test_metric_initial_identity(self, row_pair):

@@ -12,8 +12,9 @@ from the copy: the C kernel is built there, and neither the checkout's
 ``__pycache__`` nor the user's cache is written.  It then runs, in this
 process, each run of the corpus whose command loads no numpy on the C
 kernel: ``validate`` and ``classify`` of an input with no tabulated lapse.
-Each input is written as ``tests/golden/regenerate.py`` writes it, and the
-exit code, stdout and stderr are compared with the corpus byte for byte.
+Each run goes through ``tests/golden/regenerate.py``'s ``run``, imported once
+``spinorflow`` has loaded from the copy, and its exit code, stdout and stderr
+are compared with the corpus byte for byte.
 
 It prints the interpreter, the kernel backend, whether numpy was loaded,
 one line per mismatch, and the counts of runs replayed, skipped and
@@ -25,8 +26,6 @@ Standard library only.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import os
 import platform
@@ -48,22 +47,7 @@ def replayable(data: dict, argv: list[str]) -> bool:
                                          and beta.get("kind") == "tabulated")
 
 
-def run(cli, data: dict, argv: list[str], tmp: str) -> dict:
-    """Exit code, stdout and stderr of ``cli.main`` on ``data``, as the
-    corpus records them (``regenerate.run``)."""
-    path = os.path.join(tmp, "pair.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([path if a == "PAIR" else a for a in argv])
-    return {"exit": code, "stdout": out.getvalue().split("\n"),
-            "stderr": err.getvalue().split("\n")}
-
-
 def main() -> int:
-    files = sorted((ROOT / "tests" / "golden").glob("*.json"))
-    os.environ.pop("SPINORFLOW_TOL", None)  # as the corpus was written
     with tempfile.TemporaryDirectory() as tmp:
         src = shutil.copytree(ROOT / "src", os.path.join(tmp, "src"),
                               ignore=shutil.ignore_patterns("__pycache__"))
@@ -73,16 +57,20 @@ def main() -> int:
 
         if not cli.__file__.startswith(src + os.sep):
             raise SystemExit(f"replay_corpus: imported {cli.__file__}, not the copy in {src}")
+        # the corpus's own runner, which runs the copy's cli.main
+        sys.path.insert(0, str(ROOT / "tests"))
+        from golden import regenerate
+
         replayed = skipped = 0
         mismatched = []
-        for path in files:
+        for path in regenerate.corpus_files():
             record = json.loads(path.read_text(encoding="utf-8"))
             for want in record["runs"]:
                 if not replayable(record["input"], want["argv"]):
                     skipped += 1
                     continue
                 replayed += 1
-                got = run(cli, record["input"], want["argv"], tmp)
+                got = regenerate.run(record["input"], want["argv"])
                 wrong = [k for k in ("exit", "stdout", "stderr") if got[k] != want[k]]
                 if wrong:
                     mismatched.append(f"{path.stem}: {' '.join(want['argv'])}: "
