@@ -20,15 +20,24 @@ value tells; both give the same values and the same errors
 and values (``_parse_pair``), so each list is converted once per command;
 the images live as long as one ``main`` call.
 
-``flow`` and ``curvature`` render through fixed-shape templates, each
-filled by one ``%`` over a flat tuple: the CSV row ``_CSV_ROW``, the JSON
-row object ``_JSON_ROW``, and the curvature sample ``_SAMPLE`` under its
-lifespan head.  They write the bytes ``csv.writer`` and
+``lifespan``, ``flow`` and ``curvature`` render through fixed-shape
+templates, each filled by one ``%`` over a flat tuple: the lifespan payload
+``_LIFESPAN`` (only its note escaped by ``json``), the CSV row ``_CSV_ROW``,
+the JSON row object ``_JSON_ROW``, and the curvature sample ``_SAMPLE``
+under its lifespan head.  They write the bytes ``csv.writer`` and
 ``json.dumps(..., indent=2)`` would, at a fraction of the cost.  The flow
 table's cells arrive as strings from the kernel's ``e12`` and
 ``curvature``'s from its ``reprs`` (``backend._kern``, read when the
 output renders), which print each float as %.12e and as ``repr`` do, in C
 with integer arithmetic.
+
+``main`` decides a plain argv from the parser's own tables
+(``_parse_fast``): the command's exact name, its one positional, and exact
+option strings of store and store-true actions with their values, read,
+converted and checked as argparse does, on a copy of the defaults argparse
+gives the command.  argparse decides every other argv, so help,
+abbreviations and usage errors, with their bytes and exit codes, stay its
+own.
 
 Importing this module loads only what every command runs: argparse, json
 and the parsing of pairs and lapses (``errors``, ``sym3``, ``lapse``,
@@ -225,13 +234,13 @@ def _flow_cells(sol, profile, times, method: str) -> tuple:
     return tuple(table.ravel().tolist())
 
 
-def _span_end(x: float | None):
-    """A lifespan end as ``lifespan`` prints it: null when unknown, the string
-    "-inf" or "inf" when unbounded (JSON has no infinite numbers), else
-    %.12e."""
+def _span_end(x: float | None) -> str:
+    """A lifespan end as ``lifespan`` prints it, in JSON: null when unknown,
+    the string "-inf" or "inf" when unbounded (JSON has no infinite
+    numbers), else the string of %.12e."""
     if x is None:
-        return None
-    return str(x) if math.isinf(x) else _fmt(x)
+        return "null"
+    return '"%s"' % (x if math.isinf(x) else _fmt(x))
 
 
 def _warn_uncertified(errors) -> None:
@@ -267,6 +276,7 @@ _SAMPLE = ('    {\n      "t": %s,\n      "beta": %s,\n      "ricci4": [\n'
            + ",\n".join([_RICCI_ROW] * 4)
            + '\n      ],\n      "scalar4": %s,\n      "hamiltonian": %s,\n'
            '      "identity_residual": %s\n    }')
+_LIFESPAN = '{\n  "t_minus": %s,\n  "t_plus": %s,\n  "immortal": %s%s\n}\n'
 _CURVATURE_HEAD = ('{\n  "lifespan": {\n    "t_minus": %s,\n    "t_plus": %s,\n'
                    '    "immortal": %s\n  },\n  "samples": ')
 
@@ -277,6 +287,14 @@ def _json_end(x: float | None) -> str:
     if x is None:
         return "null"
     return '"%s"' % x if math.isinf(x) else repr(float(x))
+
+
+def _render_lifespan(span) -> str:
+    """The lifespan payload of ``span``: its ends, whether it is immortal,
+    and its note, if any, escaped by ``json``."""
+    note = ',\n  "note": ' + json.dumps(span.note) if span.note else ""
+    return _LIFESPAN % (_span_end(span.t_minus), _span_end(span.t_plus),
+                        "true" if span.immortal else "false", note)
 
 
 def _render_curvature(span, cells: tuple) -> str:
@@ -334,15 +352,7 @@ def cmd_classify(args, pair, _) -> int:
 def cmd_lifespan(args, pair, profile) -> int:
     from .exact import solve
 
-    span = solve(pair, args.tol).lifespan(profile)
-    payload = {
-        "t_minus": _span_end(span.t_minus),
-        "t_plus": _span_end(span.t_plus),
-        "immortal": span.immortal,
-    }
-    if span.note:
-        payload["note"] = span.note
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_render_lifespan(solve(pair, args.tol).lifespan(profile)), args.out)
     return EXIT_OK
 
 
@@ -463,6 +473,58 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _command_parser(name: str) -> tuple:
+    """The subparser of command ``name``, the dest of its one positional, and
+    the namespace ``_parser()`` gives ``name`` with every option at its
+    default."""
+    sub = _parser()._subparsers._group_actions[0].choices[name]
+    (positional,) = sub._get_positional_actions()
+    return sub, positional.dest, _parser().parse_args([name, "PAIR"])
+
+
+def _parse_fast(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_parser().parse_args(argv)`` gives, decided from the
+    parser's own tables where ``argv`` is plain: a command's exact name,
+    one positional that does not start with "-", and options each an exact
+    option string of a store or store-true action, a store option's value
+    taken after "=" or from the next token, which starts with "-" only where
+    the parser reads it as a negative number.  None for any other argv, left
+    to argparse: help, an abbreviation, "--", a usage error."""
+    if not argv or argv[0] not in _parser()._subparsers._group_actions[0].choices:
+        return None
+    sub, dest, defaults = _command_parser(argv[0])
+    args = argparse.Namespace(**vars(defaults))
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        option, eq, value = token.partition("=")
+        action = sub._option_string_actions.get(option)
+        if type(action) is argparse._StoreTrueAction and not eq:
+            setattr(args, action.dest, action.const)
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        if not eq:
+            value = next(tokens, "-")
+            if value.startswith("-") and not sub._negative_number_matcher.match(value):
+                return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    if len(positionals) != 1:
+        return None
+    setattr(args, dest, positionals[0])
+    return args
+
+
 def _run_single(args, data, images: dict, sweep: bool) -> int:
     """Run the command on the pair document ``data``, its number lists read
     from ``images`` (``_parse_pair``), and report what refuses or fails it:
@@ -524,7 +586,8 @@ def _joined_times(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_joined_times(sys.argv[1:] if argv is None else argv))
+    argv = _joined_times(sys.argv[1:] if argv is None else argv)
+    args = _parse_fast(argv) or _parser().parse_args(argv)
     try:
         args.tol = _tolerance(args.tol)
         images = {}

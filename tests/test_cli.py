@@ -1,5 +1,6 @@
 """CLI surface: exit codes, deterministic output, clipping, sweeps."""
 
+import contextlib
 import csv
 import functools
 import importlib.util
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import spinorflow
 from spinorflow import _kernel_py, backend, cli, exact, lapse, lorentz, numeric, \
     pairs, verify
+from golden import regenerate
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
 
@@ -1297,6 +1299,25 @@ class TestRenderers:
         cells = tuple(x for s in samples for x in curvature_cells(s))
         assert cli._render_curvature(span, cells) == _reference_curvature(span, samples)
 
+    @settings(max_examples=200, deadline=None)
+    @given(span=st.builds(Lifespan, SPAN_END, SPAN_END, st.booleans(), st.none() | st.text()))
+    @example(span=Lifespan(None, None, False, "no singularity inside the tabulated "
+                           "domain [-1.0, 1.5]"))
+    @example(span=Lifespan(-math.inf, math.inf, True))
+    @example(span=Lifespan(-0.0, 5e-324, False, '"\\\n\x00\u00e9\ud800'))
+    def test_lifespan_payload(self, span):
+        # the payload lifespan printed through json before its template
+        payload = {
+            "t_minus": None if span.t_minus is None else
+            str(span.t_minus) if math.isinf(span.t_minus) else "%.12e" % span.t_minus,
+            "t_plus": None if span.t_plus is None else
+            str(span.t_plus) if math.isinf(span.t_plus) else "%.12e" % span.t_plus,
+            "immortal": span.immortal,
+        }
+        if span.note:
+            payload["note"] = span.note
+        assert cli._render_lifespan(span) == json.dumps(payload, indent=2) + "\n"
+
 
 class TestParserReuse:
     def test_calls_in_a_row_do_not_leak_arguments(self, tmp_path, e11_file, capsys):
@@ -1322,6 +1343,91 @@ class TestParserReuse:
         assert outputs[0] == outputs[2]
         assert all(len(text.splitlines()) == 5 for text in outputs[0][1])
         assert cli._parser() is cli._parser()
+
+
+def _argparse_namespace(argv):
+    """What argparse parses from ``argv``, None where it exits (help, a
+    usage error), with what it prints swallowed."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return cli._parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+# the words of the argvs parsed both ways, besides the commands' own option
+# strings and choices: values, positionals and forms argparse alone decides
+SUBPARSERS = cli._parser()._subparsers._group_actions[0].choices
+OPTION_STRINGS = sorted({o for sub in SUBPARSERS.values() for o in sub._option_string_actions})
+NUMBERS = ["-1", "-2.5", "-.5", "-1e-05", "-1.433864309371e+00", "1e3", "0", "3", "20",
+           "1_000", "inf", "-inf", "nan"]
+ARGV_WORDS = NUMBERS + [
+    "PAIR", "other.json", "", "-", "--", "-h", "--samp", "--meth", "--s", "--t",
+    "--t0=-1e-05", "--t1=2", "--sweep=1", "--out=", "--method=rk4", "--format=xml", " -5",
+    "exact", "all", "nope",
+]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command then options, each followed by a value where it takes one,
+    and one positional among them: plain, the command's own option strings
+    but help with values of their type or choices, or with any word mixed
+    in."""
+    words = (st.sampled_from(ARGV_WORDS + OPTION_STRINGS) if draw(st.booleans())
+             else st.nothing())
+    name = draw(st.sampled_from(sorted(SUBPARSERS)) | words)
+    actions = SUBPARSERS.get(name, SUBPARSERS["flow"])._option_string_actions
+    own = sorted(o for o, action in actions.items() if action.dest != "help")
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        items.append([draw(st.sampled_from(own) | words)])
+        action = actions.get(items[-1][0])
+        if action is not None and action.nargs is None:
+            pool = sorted(action.choices) if action.choices else NUMBERS
+            items[-1].append(draw(st.sampled_from(pool) | words))
+    items.insert(draw(st.integers(0, len(items))), [draw(st.just("PAIR") | words)])
+    return [name] + [t for item in items for t in item]
+
+
+class TestFastParse:
+    @settings(max_examples=1000, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["flow", "PAIR", "--samp", "3"])
+    @example(argv=["flow", "PAIR", "--t", "1"])
+    @example(argv=["flow", "PAIR", "--method", "nope"])
+    @example(argv=["flow", "PAIR", "--t0", "-inf"])
+    @example(argv=["flow", "PAIR", "--out", "-1e-05"])
+    @example(argv=["flow", "PAIR", "--samples", "3", "--samples", "4", "--sweep", "--sweep"])
+    @example(argv=["verify", "PAIR", "other.json"])
+    @example(argv=["curvature", "--t0=-1e-05", "--t1", "-.5", "PAIR", "--out="])
+    def test_a_decided_argv_parses_as_argparse_parses_it(self, argv):
+        want = _argparse_namespace(argv)
+        got = cli._parse_fast(argv)
+        if want is None:
+            assert got is None
+        elif got is not None:
+            # by repr, so that a NaN equals itself
+            assert {k: repr(v) for k, v in vars(got).items()} == \
+                {k: repr(v) for k, v in vars(want).items()}
+
+    @pytest.mark.parametrize("argv", regenerate.COMMANDS + [
+        # perfbench's shapes, with a negative time in exponent notation
+        ["flow", "PAIR", "--t0", "-1.2", "--t1", "1.5", "--samples", "20", "--method", "rk4"],
+        ["curvature", "PAIR", "--t0", "-1.2e-05", "--t1", "1.5", "--samples", "10"],
+        ["verify", "PAIR", "--suite", "oracle"],
+    ], ids=" ".join)
+    def test_plain_argvs_are_decided_without_argparse(self, argv, e11_file, monkeypatch,
+                                                      capsys):
+        argv = [e11_file if a == "PAIR" else a for a in argv]
+        want = main(argv), capsys.readouterr()  # the warm-up
+        calls = []
+        parse_args = cli._Parser.parse_args
+        monkeypatch.setattr(cli._Parser, "parse_args",
+                            lambda self, *a, **kw: calls.append(a) or parse_args(self, *a, **kw))
+        assert (main(argv), capsys.readouterr()) == want
+        assert calls == []
 
 
 def test_cli_import_leaves_scipy_and_numpy_out():
