@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 import spinorflow
 from spinorflow import _kernel_py, backend, cli, exact, lapse, lorentz, numeric, \
     pairs, verify
-from golden import regenerate
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
 
 from conftest import curvature_cells, pair_json
+from golden import regenerate
 
 
 def write_pair(tmp_path, name, theta, extra=None):
@@ -1372,9 +1372,9 @@ ARGV_WORDS = NUMBERS + [
 @st.composite
 def argvs(draw) -> list[str]:
     """A command then options, each followed by a value where it takes one,
-    and one positional among them: plain, the command's own option strings
-    but help with values of their type or choices, or with any word mixed
-    in."""
+    and one positional among them: plain (the command's own option strings,
+    help aside, with values of their type or choices), or with any word
+    mixed in."""
     words = (st.sampled_from(ARGV_WORDS + OPTION_STRINGS) if draw(st.booleans())
              else st.nothing())
     name = draw(st.sampled_from(sorted(SUBPARSERS)) | words)
