@@ -37,7 +37,10 @@ option strings of store and store-true actions with their values, read,
 converted and checked as argparse does, on a copy of the defaults argparse
 gives the command.  argparse decides every other argv, so help,
 abbreviations and usage errors, with their bytes and exit codes, stay its
-own.
+own.  Both read a token as a negative number, and so as a value, by one
+rule, each subparser's ``_negative_number_matcher``: ``_NEGATIVE_NUMBER``,
+argparse's own with exponent notation added, so ``--t0 -1e-05`` and
+``--tol -1e-9`` are numbers as ``--t0 -0.5`` is.
 
 Importing this module loads only what every command runs: argparse, json
 and the parsing of pairs and lapses (``errors``, ``sym3``, ``lapse``,
@@ -430,6 +433,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
+# the tokens each subparser reads as a negative number, and so as a value,
+# not an option: argparse's own rule, ^-\d+$|^-\d*\.\d+$, with exponent
+# notation added, as -1e-05 or a time of the flow table, -1.433864309371e+00
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-(\d+\.?\d*|\.\d+)[eE][+-]?\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spinorflow",
@@ -439,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, window=False, method=False, suite=False):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("input", help="JSON file with the pair (and optional lapse)")
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance for validation and branch selection "
@@ -488,9 +498,9 @@ def _parse_fast(argv: list[str]) -> argparse.Namespace | None:
     parser's own tables where ``argv`` is plain: a command's exact name,
     one positional that does not start with "-", and options each an exact
     option string of a store or store-true action, a store option's value
-    taken after "=" or from the next token, which starts with "-" only where
-    the parser reads it as a negative number.  None for any other argv, left
-    to argparse: help, an abbreviation, "--", a usage error."""
+    the next token, which starts with "-" only where the subparser reads it
+    as a negative number.  None for any other argv, left to argparse: help,
+    an abbreviation, "--opt=value", "--", a usage error."""
     if not argv or argv[0] not in _parser()._subparsers._group_actions[0].choices:
         return None
     sub, dest, defaults = _command_parser(argv[0])
@@ -501,17 +511,15 @@ def _parse_fast(argv: list[str]) -> argparse.Namespace | None:
         if not token.startswith("-"):
             positionals.append(token)
             continue
-        option, eq, value = token.partition("=")
-        action = sub._option_string_actions.get(option)
-        if type(action) is argparse._StoreTrueAction and not eq:
+        action = sub._option_string_actions.get(token)
+        if type(action) is argparse._StoreTrueAction:
             setattr(args, action.dest, action.const)
             continue
         if type(action) is not argparse._StoreAction or action.nargs is not None:
             return None
-        if not eq:
-            value = next(tokens, "-")
-            if value.startswith("-") and not sub._negative_number_matcher.match(value):
-                return None
+        value = next(tokens, "-")
+        if value.startswith("-") and not sub._negative_number_matcher.match(value):
+            return None
         try:
             value = value if action.type is None else action.type(value)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
@@ -569,24 +577,8 @@ def _tolerance(tol: float | None) -> float:
     return tol
 
 
-# a negative number in exponent notation, such as -1e-05
-_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][+-]?\d+")
-
-
-def _joined_times(argv) -> list[str]:
-    """``argv`` with ``--t0 X`` and ``--t1 X`` written ``--t0=X`` where X is
-    a negative number in exponent notation, as ``-1e-05`` or a time of the
-    flow table, ``-1.433864309371e+00``: argparse before Python 3.13 reads
-    such an X as an option, and stops on "expected one argument"."""
-    argv = list(argv)
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--t0", "--t1") and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    return argv
-
-
 def main(argv=None) -> int:
-    argv = _joined_times(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     args = _parse_fast(argv) or _parser().parse_args(argv)
     try:
         args.tol = _tolerance(args.tol)

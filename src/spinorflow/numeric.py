@@ -11,28 +11,9 @@ Both carry the state as a tuple of 15 floats and make one kernel call per
 stop: one ``march_stop`` of the kernel, which runs every trial step up to
 the stop, or one ``rk4_path`` per segment in ``_fixed_march``.
 
-The kernel is ``backend._kern``, read at each call: the C extension built
-from ``_kernel.c``, which the standard-library module ``backend`` builds
-and loads on its first import (``backend._c_kernel``), or otherwise the
-pure-Python module ``_kernel_py``, which documents the contract of both
-and gives the same bits; ``backend.KERNEL_BACKEND`` reads ``"c"`` or
-``"python"``.  The library is cached in the package's ``__pycache__``, or
-in the user's cache where that cannot be written; any failure falls back
-to ``_kernel_py`` and prints nothing.  The kernel's first entry,
-``rk4_path``, the fixed-step march, which no command runs, is
-``_kernel_py.rk4_path`` on both backends: this module binds it onto the C
-module, which holds the other six, when it is imported.  Its second is
-``march_stop``; its third and fourth, ``e12`` and ``reprs``, print the
-cells of ``cli``'s flow table and of its curvature payload when they
-render; its fifth, ``cumulative``, builds the table of B of a tabulated
-lapse for ``lapse._cumulative_trapezoid``; its sixth, ``ricci``,
-evaluates ``frames.frame_ricci`` on a stack of frames, which
-``_frame_ricci`` reads for the 3D curvature of a stack (``_ricci3``,
-whence H_t) and for ``lorentz.ricci4``, and ``pairs._constraints`` for
-the scalar of one frame; its seventh, ``residuals``, evaluates the flow
-residuals r1-r4 of a stack of states for ``_residuals``, every sum of
-products in index order and none through the BLAS, so the flow table's
-residual cells do not depend on the CPU.
+The kernel is ``backend._kern``, read at each call: ``backend`` documents
+which module that is and how it is built, and ``_kernel_py`` its seven
+entries and the contract both backends keep.
 
 Inside the package, states travel as one stacked record of arrays,
 ``_States``, which ``_state_from_vector`` checks and builds, with h_t =

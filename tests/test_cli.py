@@ -350,7 +350,7 @@ class TestExitCodes:
                    for row in rows)
 
     @pytest.mark.parametrize("argv, code", [
-        (["validate", "PAIR", "--tol", "-1e-9"], EXIT_IO),
+        (["validate", "PAIR", "--tol", "-x"], EXIT_IO),
         (["nosuch", "PAIR"], EXIT_IO),
         (["verify", "PAIR", "--samples", "x"], EXIT_IO),
         (["curvature", "PAIR", "--format", "json"], EXIT_IO),
@@ -370,25 +370,46 @@ class TestExitCodes:
     @pytest.mark.parametrize("t", ["-1e-05", "-1.433864309371e+00"],
                              ids=["exponent", "flow-table-time"])
     def test_a_negative_time_in_exponent_notation(self, e11_file, capsys, command, t):
-        # argparse before Python 3.13 reads such a value as an option; each
-        # reads as it does joined to its option by "="
+        # each subparser reads such a value as a number (cli._NEGATIVE_NUMBER):
+        # on the fast path, and in argparse after an abbreviation, each reads
+        # as it does joined to its option by "="
         for window in (["--t0", t, "--t1", "1"], ["--t0", "-2.5", "--t1", t]):
             joined = [f"{a}={b}" for a, b in zip(window[::2], window[1::2])]
             assert main([command, e11_file, "--samples", "3"] + joined) == EXIT_OK
             want = capsys.readouterr()
-            assert main([command, e11_file, "--samples", "3"] + window) == EXIT_OK
-            assert capsys.readouterr() == want
+            for samples in (["--samples", "3"], ["--samp", "3"]):
+                argv = [command, e11_file] + samples + window
+                assert (cli._parse_fast(argv) is None) == (samples[0] == "--samp")
+                assert main(argv) == EXIT_OK
+                assert capsys.readouterr() == want
         if command == "flow":
             assert want.out.splitlines()[-1].startswith(f"{float(t):.12e},")
 
-    @pytest.mark.parametrize("argv", [["--t0", "-inf"], ["--t0", "-x"], ["--tol", "-1e-9"]],
-                             ids=["t0-inf", "t0-word", "tol-exponent"])
+    @pytest.mark.parametrize("argv", [["--t0", "-inf"], ["--t0", "-x"]],
+                             ids=["t0-inf", "t0-word"])
     def test_other_option_values_are_still_usage_errors(self, e11_file, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["flow", e11_file] + argv)
         assert exc.value.code == EXIT_IO
         assert capsys.readouterr().err.endswith(
             f"spinorflow flow: error: argument {argv[0]}: expected one argument\n")
+
+    def test_any_value_in_exponent_notation_is_read_as_a_number(
+            self, e11_file, tmp_path, monkeypatch, capsys):
+        # and refused as that number, as -0.5 is: by _tolerance, by int
+        assert main(["flow", e11_file, "--tol", "-1e-9"]) == EXIT_IO
+        assert capsys.readouterr() == (
+            "", "error: the tolerance must be finite and positive, not -1e-09\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", e11_file, "--samples", "-1e5"])
+        assert exc.value.code == EXIT_IO
+        assert capsys.readouterr().err.endswith(
+            "spinorflow flow: error: argument --samples: invalid int value: '-1e5'\n")
+        # an input or --out path so spelled is a value too, as -5 is
+        monkeypatch.chdir(tmp_path)
+        Path("-1e5").write_text(Path(e11_file).read_text())
+        assert main(["classify", "-1e5", "--out", "-2e5"]) == EXIT_OK
+        assert Path("-2e5").read_text() == "E11\n"
 
     def test_failed_suite_exit_code(self, uu_file, monkeypatch, capsys):
         monkeypatch.setenv("SPINORFLOW_TOL", "1e-9")
@@ -1402,6 +1423,8 @@ class TestFastParse:
     @example(argv=["flow", "PAIR", "--samples", "3", "--samples", "4", "--sweep", "--sweep"])
     @example(argv=["verify", "PAIR", "other.json"])
     @example(argv=["curvature", "--t0=-1e-05", "--t1", "-.5", "PAIR", "--out="])
+    @example(argv=["flow", "PAIR", "--tol", "-1e-9", "--t1", "-1.433864309371e+00"])
+    @example(argv=["flow", "-1e5", "--samples", "-1e5"])
     def test_a_decided_argv_parses_as_argparse_parses_it(self, argv):
         want = _argparse_namespace(argv)
         got = cli._parse_fast(argv)
@@ -1411,6 +1434,17 @@ class TestFastParse:
             # by repr, so that a NaN equals itself
             assert {k: repr(v) for k, v in vars(got).items()} == \
                 {k: repr(v) for k, v in vars(want).items()}
+
+    def test_every_subparser_reads_a_negative_number_by_one_rule(self):
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        assert sorted(subparsers) == sorted(cli._COMMANDS)
+        for sub in subparsers.values():
+            assert sub._negative_number_matcher is cli._NEGATIVE_NUMBER
+        # argparse's own rule, ^-\d+$|^-\d*\.\d+$, and exponent notation
+        numbers = ["-1", "-2.5", "-.5", "-1e-05", "-1.433864309371e+00", "-1.e5", "-.5E3"]
+        others = ["-5.", "-inf", "-nan", "-x", "-1e", "-e5", "--1", "-1_000", "-1e5x", "1e5"]
+        assert [bool(cli._NEGATIVE_NUMBER.match(t)) for t in numbers + others] == \
+            [True] * len(numbers) + [False] * len(others)
 
     @pytest.mark.parametrize("argv", regenerate.COMMANDS + [
         # perfbench's shapes, with a negative time in exponent notation

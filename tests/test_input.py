@@ -5,7 +5,6 @@ which orjson reads a file; and ``LapseProfile.from_json_dict`` turns the
 decoded lapse into the floats, or the error, of its type-scan rule."""
 
 import contextlib
-import io
 import json
 import math
 import struct
@@ -217,7 +216,6 @@ def test_a_workload_table_is_read_by_orjson(tmp_path, monkeypatch):
         raise AssertionError("a document orjson reads alike was decoded to text")
 
     monkeypatch.setattr(cli, "open", spy_open, raising=False)
-    monkeypatch.setattr(io, "TextIOWrapper", refuse)
     monkeypatch.setattr(cli.json, "loads", refuse)
     got = cli._load_input(str(path))
     monkeypatch.undo()
