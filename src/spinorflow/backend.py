@@ -16,9 +16,9 @@ The build runs the interpreter's own compiler once per key and caches the
 library in the package's ``__pycache__``.  Where that directory cannot be
 written, as in an install the user may not write to, the library is built
 into the user's cache, ``$XDG_CACHE_HOME/spinorflow`` or else
-``~/.cache/spinorflow``, and a build that fails there is recorded under its
-key, so later processes skip the compiler and fall back at once.  Any
-failure falls back to ``_kernel_py`` and prints nothing.
+``~/.cache/spinorflow``.  A build that fails is recorded under its key in
+the cache it was tried in, so later processes skip the compiler and fall
+back at once.  Any failure falls back to ``_kernel_py`` and prints nothing.
 """
 
 from __future__ import annotations
@@ -67,21 +67,18 @@ def _c_kernel(cache: Path):
     compiler writes a temporary file, which then replaces the library's
     name in one step, so a process never loads a half-written library.
     Its output is captured, and a failure prints nothing.  A build that
-    fails in the user's cache leaves an empty file named for the library
-    with ``.failed`` added, and no later process runs the compiler for that
-    key; a directory that cannot be written is never compiled into."""
+    fails, in either cache, leaves an empty file named for the library with
+    ``.failed`` added, and no later process runs the compiler for that key;
+    a directory that cannot be written is never compiled into."""
     source = Path(__file__).with_name("_kernel.c")
     try:
         flags = _compile_flags()
         key = zlib.crc32("\0".join(flags).encode(), zlib.crc32(source.read_bytes()))
         path = cache / f"_kernel-{key:08x}{sysconfig.get_config_var('EXT_SUFFIX')}"
+        if not path.exists() and not _writable(cache):
+            path = _user_cache() / path.name
         if not path.exists():
-            if _writable(cache):
-                _build(flags, source, path)
-            else:
-                path = _user_cache() / path.name
-                if not path.exists():
-                    _build_once(flags, source, path)
+            _build_once(flags, source, path)
         spec = importlib.util.spec_from_file_location(f"{__package__}._kernel", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)

@@ -2,9 +2,11 @@
 lifespans and curvature, and execute the verification suites.
 
 Exit codes: 0 success, 1 invalid pair, 2 numeric or assertion failure,
-3 I/O, schema or usage failure.  Every command renders its text once and
-writes it to stdout, or to ``--out`` (per pair ``.000``, ``.001``, ... in a
-sweep).  Identical inputs give byte-identical output:
+3 I/O, schema or usage failure.  An input that is a JSON array is a sweep,
+each element a pair, and any other input one pair.  ``main`` checks the
+option values before it reads the input.  Every command renders its text
+once and writes it to stdout, or to ``--out`` (per pair ``.000``, ``.001``,
+... in a sweep).  Identical inputs give byte-identical output:
 
 - ``validate``, ``classify``, ``lifespan``, ``flow`` and ``verify`` print
   floats as %.12e (``flow --format json`` as strings, since a table cell
@@ -33,14 +35,14 @@ with integer arithmetic.
 
 ``main`` decides a plain argv from the parser's own tables
 (``_parse_fast``): the command's exact name, its one positional, and exact
-option strings of store and store-true actions with their values, read,
-converted and checked as argparse does, on a copy of the defaults argparse
-gives the command.  argparse decides every other argv, so help,
-abbreviations and usage errors, with their bytes and exit codes, stay its
-own.  Both read a token as a negative number, and so as a value, by one
-rule, each subparser's ``_negative_number_matcher``: ``_NEGATIVE_NUMBER``,
-argparse's own with exponent notation added, so ``--t0 -1e-05`` and
-``--tol -1e-9`` are numbers as ``--t0 -0.5`` is.
+option strings of store actions with their values, read, converted and
+checked as argparse does, on a copy of the defaults argparse gives the
+command.  argparse decides every other argv, so help, abbreviations and
+usage errors, with their bytes and exit codes, stay its own.  Both read a
+token as a negative number, and so as a value, by one rule, each
+subparser's ``_negative_number_matcher``: ``_NEGATIVE_NUMBER``, argparse's
+own with exponent notation added, so ``--t0 -1e-05`` and ``--tol -1e-9``
+are numbers as ``--t0 -0.5`` is.
 
 Importing this module loads only what every command runs: argparse, json
 and the parsing of pairs and lapses (``errors``, ``sym3``, ``lapse``,
@@ -71,9 +73,8 @@ import re
 import struct
 import sys
 
-from . import lapse
 from .errors import InvalidPair, SingularTime, SpinorFlowError
-from .lapse import LapseProfile
+from .lapse import LapseProfile, _float_image
 from .pairs import SUITES, CauchyPair, DEFAULT_TOL, _abs_max, _constraints, _row_group, \
     classify, invariants, validate
 
@@ -118,7 +119,7 @@ def _orjson_reads_alike(value, images: dict | None = None) -> bool:
     literal outside [-2**63, 2**64) as such a float, and json as an int.
     The walk keeps its own stack, since a document nests 1024 deep.  A list
     of numbers is checked in one pass over its float image
-    (``lapse._float_image``), in which an int in [2**63, 2**64) reads as
+    (``_float_image``), in which an int in [2**63, 2**64) reads as
     such a float too; that only sends the document to json.  Each image
     goes into ``images``, when given, under the ``id`` of its list."""
     pending = [(0, [value])]  # (depth, container): the document at depth 1
@@ -126,7 +127,7 @@ def _orjson_reads_alike(value, images: dict | None = None) -> bool:
         depth, items = pending.pop()
         if type(items) is list:
             try:
-                floats = lapse._float_image(items)
+                floats = _float_image(items)
             except struct.error:  # an entry that is no number
                 pass
             else:
@@ -450,12 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("input", help="JSON file with the pair (and optional lapse)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="tolerance for validation and branch selection "
-                            f"(default: $SPINORFLOW_TOL, else {DEFAULT_TOL:g})")
+                            f"(default: {DEFAULT_TOL:g})")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--sweep", action="store_true",
-                       help="treat the input as a JSON array of pairs")
         if window:
             p.add_argument("--t0", type=float, default=0.0)
             p.add_argument("--t1", type=float, default=1.0)
@@ -497,10 +496,10 @@ def _parse_fast(argv: list[str]) -> argparse.Namespace | None:
     """The namespace ``_parser().parse_args(argv)`` gives, decided from the
     parser's own tables where ``argv`` is plain: a command's exact name,
     one positional that does not start with "-", and options each an exact
-    option string of a store or store-true action, a store option's value
-    the next token, which starts with "-" only where the subparser reads it
-    as a negative number.  None for any other argv, left to argparse: help,
-    an abbreviation, "--opt=value", "--", a usage error."""
+    option string of a store action, its value the next token, which starts
+    with "-" only where the subparser reads it as a negative number.  None
+    for any other argv, left to argparse: help, an abbreviation,
+    "--opt=value", "--", a usage error."""
     if not argv or argv[0] not in _parser()._subparsers._group_actions[0].choices:
         return None
     sub, dest, defaults = _command_parser(argv[0])
@@ -512,9 +511,6 @@ def _parse_fast(argv: list[str]) -> argparse.Namespace | None:
             positionals.append(token)
             continue
         action = sub._option_string_actions.get(token)
-        if type(action) is argparse._StoreTrueAction:
-            setattr(args, action.dest, action.const)
-            continue
         if type(action) is not argparse._StoreAction or action.nargs is not None:
             return None
         value = next(tokens, "-")
@@ -539,12 +535,6 @@ def _run_single(args, data, images: dict, sweep: bool) -> int:
     an invalid pair on stderr, one violation per line, or in a sweep as one
     line of the command's output."""
     try:
-        samples = getattr(args, "samples", None)  # None: a suite's own default
-        if samples is not None and samples < 2:
-            raise ValueError("--samples must be at least 2")
-        window = args.command in ("flow", "curvature")
-        if window and not -math.inf < args.t0 < args.t1 < math.inf:
-            raise ValueError("--t0 and --t1 must be finite, with --t0 below --t1")
         return _COMMANDS[args.command](args, *_parse_pair(data, images))
     except InvalidPair as exc:
         if sweep:
@@ -562,32 +552,21 @@ def _run_single(args, data, images: dict, sweep: bool) -> int:
         return EXIT_IO
 
 
-def _tolerance(tol: float | None) -> float:
-    """``--tol``, else $SPINORFLOW_TOL, else DEFAULT_TOL; finite and positive."""
-    if tol is None:
-        raw = os.environ.get("SPINORFLOW_TOL")
-        if raw is None:
-            return DEFAULT_TOL
-        try:
-            tol = float(raw)
-        except ValueError:
-            raise ValueError(f"SPINORFLOW_TOL must be a number, not {raw!r}") from None
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"the tolerance must be finite and positive, not {tol}")
-    return tol
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_fast(argv) or _parser().parse_args(argv)
     try:
-        args.tol = _tolerance(args.tol)
+        if not 0.0 < args.tol < math.inf:
+            raise ValueError(f"the tolerance must be finite and positive, not {args.tol}")
+        samples = getattr(args, "samples", None)  # None: a suite's own default
+        if samples is not None and samples < 2:
+            raise ValueError("--samples must be at least 2")
+        if hasattr(args, "t0") and not -math.inf < args.t0 < args.t1 < math.inf:
+            raise ValueError("--t0 and --t1 must be finite, with --t0 below --t1")
         images = {}
         data = _load_input(args.input, images)
-        if not args.sweep:
+        if type(data) is not list:
             return _run_single(args, data, images, False)
-        if not isinstance(data, list):
-            raise ValueError("--sweep expects a JSON array of pairs")
         worst = EXIT_OK
         base_out = args.out
         for i, element in enumerate(data):

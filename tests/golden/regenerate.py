@@ -111,19 +111,14 @@ def cases() -> dict[str, tuple[dict, list[list[str]]]]:
 
 def run(data: dict, argv: list[str]) -> dict:
     """Exit code, stdout and stderr of ``spinorflow <argv>`` on ``data``,
-    run in this process with $SPINORFLOW_TOL unset."""
-    saved = os.environ.pop("SPINORFLOW_TOL", None)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "pair.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(data, fh)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([path if a == "PAIR" else a for a in argv])
-    finally:
-        if saved is not None:
-            os.environ["SPINORFLOW_TOL"] = saved
+    run in this process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pair.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([path if a == "PAIR" else a for a in argv])
     return {"argv": argv, "exit": code,
             "stdout": out.getvalue().split("\n"), "stderr": err.getvalue().split("\n")}
 

@@ -158,26 +158,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: theta component 'uu' must be a finite number\n"
 
-    @pytest.mark.parametrize("env, argv", [
-        ("abc", []), ("nan", []), ("-1e-9", []),
-        (None, ["--tol", "nan"]), (None, ["--tol", "inf"]),
-        (None, ["--tol", "0"]), (None, ["--tol=-1e-9"]),
-    ], ids=["env-abc", "env-nan", "env-negative", "nan", "inf", "zero", "negative"])
-    def test_bad_tolerance(self, e11_file, monkeypatch, capsys, env, argv):
-        if env is not None:
-            monkeypatch.setenv("SPINORFLOW_TOL", env)
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol=-1e-9"],
+    ], ids=["nan", "inf", "zero", "negative"])
+    def test_bad_tolerance(self, e11_file, capsys, argv):
         assert main(["validate", e11_file] + argv) == EXIT_IO
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-    def test_tolerance_from_the_environment(self, e11_file, monkeypatch, capsys):
-        # a tolerance above |Theta| puts E(1,1) on the zero pair's row
-        monkeypatch.setenv("SPINORFLOW_TOL", "10")
-        assert main(["validate", e11_file]) == EXIT_OK
-        assert "row: E11" not in capsys.readouterr().out
-        assert main(["validate", e11_file, "--tol", "1e-9"]) == EXIT_OK
-        assert "row: E11" in capsys.readouterr().out
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_verify_needs_two_samples(self, e11_file, capsys, samples):
@@ -354,10 +342,11 @@ class TestExitCodes:
         (["nosuch", "PAIR"], EXIT_IO),
         (["verify", "PAIR", "--samples", "x"], EXIT_IO),
         (["curvature", "PAIR", "--format", "json"], EXIT_IO),
+        (["lifespan", "PAIR", "--sweep"], EXIT_IO),
         ([], EXIT_IO),
         (["validate", "--help"], EXIT_OK),
     ], ids=["tol-read-as-option", "unknown-command", "samples-not-an-int",
-            "curvature-takes-no-format", "no-command", "help"])
+            "curvature-takes-no-format", "no-sweep-option", "no-command", "help"])
     def test_usage_error_exit_code(self, e11_file, capsys, argv, code):
         # argparse's own usage-error code 2 would read as a numeric failure
         with pytest.raises(SystemExit) as exc:
@@ -396,7 +385,7 @@ class TestExitCodes:
 
     def test_any_value_in_exponent_notation_is_read_as_a_number(
             self, e11_file, tmp_path, monkeypatch, capsys):
-        # and refused as that number, as -0.5 is: by _tolerance, by int
+        # and refused as that number, as -0.5 is: by main's check, by int
         assert main(["flow", e11_file, "--tol", "-1e-9"]) == EXIT_IO
         assert capsys.readouterr() == (
             "", "error: the tolerance must be finite and positive, not -1e-09\n")
@@ -411,9 +400,8 @@ class TestExitCodes:
         assert main(["classify", "-1e5", "--out", "-2e5"]) == EXIT_OK
         assert Path("-2e5").read_text() == "E11\n"
 
-    def test_failed_suite_exit_code(self, uu_file, monkeypatch, capsys):
-        monkeypatch.setenv("SPINORFLOW_TOL", "1e-9")
-        assert main(["verify", uu_file, "--suite", "constraints"]) == EXIT_OK
+    def test_failed_suite_exit_code(self, uu_file, capsys):
+        assert main(["verify", uu_file, "--suite", "constraints", "--tol", "1e-9"]) == EXIT_OK
 
 
 class TestClassifyAndLifespan:
@@ -814,7 +802,7 @@ class TestSweep:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(pairs))
         out = str(tmp_path / "run.csv")
-        code = main(["flow", str(path), "--sweep", "--t0", "-0.5",
+        code = main(["flow", str(path), "--t0", "-0.5",
                      "--t1", "0.5", "--samples", "3", "--out", out])
         assert code == EXIT_OK
         assert (tmp_path / "run.000.csv").exists()
@@ -827,7 +815,7 @@ class TestSweep:
         ]
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(pairs))
-        assert main(["validate", str(path), "--sweep"]) == EXIT_INVALID
+        assert main(["validate", str(path)]) == EXIT_INVALID
         out = capsys.readouterr().out
         assert "# pair 0" in out and "# pair 1" in out
 
@@ -838,7 +826,7 @@ class TestSweep:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(pairs))
         window = [] if command == "lifespan" else ["--samples", "3"]
-        assert main([command, str(path), "--sweep"] + window) == EXIT_INVALID
+        assert main([command, str(path)] + window) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err == ""
         first, second, third = captured.out.split("# pair ")[1:]
@@ -851,7 +839,7 @@ class TestSweep:
                  {"theta": theta_dict(ll=2.0, nn=1.0, uu=3.0)}]
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(pairs))
-        assert main(["classify", str(path), "--sweep"]) == EXIT_INVALID
+        assert main(["classify", str(path)]) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == (
@@ -865,7 +853,7 @@ class TestSweep:
         pairs = [{"theta": theta_dict(uu=1.0)}, {"theta": theta_dict(uu=-1.0)}]
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(pairs))
-        code = main(["flow", str(path), "--sweep", "--t0", "1.5", "--t1", "2",
+        code = main(["flow", str(path), "--t0", "1.5", "--t1", "2",
                      "--samples", "3"])
         assert code == EXIT_NUMERIC
         captured = capsys.readouterr()
@@ -878,25 +866,40 @@ class TestSweep:
         pairs = [good, {"theta": theta_dict(uu=1.0), "beta": 5}, good]
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(pairs))
-        assert main(["lifespan", str(path), "--sweep"]) == EXIT_IO
+        assert main(["lifespan", str(path)]) == EXIT_IO
         captured = capsys.readouterr()
         assert captured.err == "error: lapse JSON must be an object\n"
         first, second, third = captured.out.split("# pair ")[1:]
         assert second == "1\n"
         assert third.startswith("2\n") and third[2:] == first[2:]
-        # a single pair, not an array of them, is refused before any pair
-        path.write_text(json.dumps(good))
-        assert main(["lifespan", str(path), "--sweep"]) == EXIT_IO
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --sweep expects a JSON array of pairs\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["flow", "--samples", "1"], "--samples must be at least 2"),
+        (["verify", "--samples", "0"], "--samples must be at least 2"),
+        (["curvature", "--t0", "1", "--t1", "0.5"],
+         "--t0 and --t1 must be finite, with --t0 below --t1"),
+        (["lifespan", "--tol", "0"], "the tolerance must be finite and positive, not 0.0"),
+    ], ids=["flow-samples", "verify-samples", "inverted-window", "tolerance"])
+    def test_an_option_error_is_reported_once_before_any_pair(self, tmp_path, capsys,
+                                                              argv, error):
+        good = {"theta": theta_dict(uu=-1.0)}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps([good, good, good]))
+        assert main([argv[0], str(path)] + argv[1:]) == EXIT_IO
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        # and before the input is read: an unreadable one is not reported
+        path.write_text("{not json")
+        assert main([argv[0], str(path)] + argv[1:]) == EXIT_IO
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert main([argv[0], str(tmp_path / "nope.json")] + argv[1:]) == EXIT_IO
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize("theta, argv", UNDERFLOWS, ids=UNDERFLOW_IDS)
     def test_sweep_continues_past_a_division_by_zero(self, tmp_path, capsys, theta, argv):
         good = {"theta": theta_dict(uu=-1.0)}
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps([good, {"theta": theta_dict(**theta)}, good]))
-        assert main([argv[0], str(path), "--sweep", "--tol", "1e-300"]
+        assert main([argv[0], str(path), "--tol", "1e-300"]
                     + argv[1:]) == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert captured.err == UNDERFLOW_REPORT
@@ -924,7 +927,7 @@ class TestSweepOutOfAnInvalidPair:
         path.write_text(json.dumps([{"theta": theta_dict(uu=1.0)},
                                     {"theta": theta_dict(ul=1.0, ll=1.0)},
                                     {"theta": theta_dict(uu=-1.0)}]))
-        sweep = [argv[0], str(path), "--sweep"] + argv[1:]
+        sweep = [argv[0], str(path)] + argv[1:]
         code = main(sweep)
         printed = capsys.readouterr()
         assert main(sweep + ["--out", str(tmp_path / "run.txt")]) == code == EXIT_INVALID
@@ -1069,7 +1072,7 @@ class TestOut:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps([{"theta": theta_dict(uu=-1.0)},
                                     {"theta": theta_dict(ll=1.0, nn=-1.0)}]))
-        sweep = [argv[0], str(path), "--sweep"] + argv[1:]
+        sweep = [argv[0], str(path)] + argv[1:]
         code = main(sweep)
         printed = capsys.readouterr()
         assert main(sweep + ["--out", str(tmp_path / "run.txt")]) == code
@@ -1348,8 +1351,8 @@ class TestParserReuse:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps([{"theta": theta_dict(uu=1.0)},
                                     {"theta": theta_dict(ll=1.0, nn=-1.0)}]))
-        sweep = ["flow", str(path), "--sweep", "--t0", "-0.5", "--t1", "0.5",
-                 "--samples", "4", "--method", "rk4", "--out", str(tmp_path / "run.csv")]
+        sweep = ["flow", str(path), "--t0", "-0.5", "--t1", "0.5", "--samples", "4",
+                 "--method", "rk4", "--format", "json", "--out", str(tmp_path / "run.csv")]
         outputs = []
         for argv in (sweep, single, sweep, single):
             assert main(argv) == EXIT_OK
@@ -1362,7 +1365,7 @@ class TestParserReuse:
         # the single flow keeps its defaults and stdout after a sweep with --out
         assert outputs[1] == outputs[3] == alone
         assert outputs[0] == outputs[2]
-        assert all(len(text.splitlines()) == 5 for text in outputs[0][1])
+        assert all(len(json.loads(text)) == 4 for text in outputs[0][1])
         assert cli._parser() is cli._parser()
 
 
@@ -1385,7 +1388,7 @@ NUMBERS = ["-1", "-2.5", "-.5", "-1e-05", "-1.433864309371e+00", "1e3", "0", "3"
            "1_000", "inf", "-inf", "nan"]
 ARGV_WORDS = NUMBERS + [
     "PAIR", "other.json", "", "-", "--", "-h", "--samp", "--meth", "--s", "--t",
-    "--t0=-1e-05", "--t1=2", "--sweep=1", "--out=", "--method=rk4", "--format=xml", " -5",
+    "--t0=-1e-05", "--t1=2", "--nope=1", "--out=", "--method=rk4", "--format=xml", " -5",
     "exact", "all", "nope",
 ]
 
@@ -1420,7 +1423,8 @@ class TestFastParse:
     @example(argv=["flow", "PAIR", "--method", "nope"])
     @example(argv=["flow", "PAIR", "--t0", "-inf"])
     @example(argv=["flow", "PAIR", "--out", "-1e-05"])
-    @example(argv=["flow", "PAIR", "--samples", "3", "--samples", "4", "--sweep", "--sweep"])
+    @example(argv=["flow", "PAIR", "--samples", "3", "--samples", "4", "--method", "rk4",
+                   "--method", "exact"])
     @example(argv=["verify", "PAIR", "other.json"])
     @example(argv=["curvature", "--t0=-1e-05", "--t1", "-.5", "PAIR", "--out="])
     @example(argv=["flow", "PAIR", "--tol", "-1e-9", "--t1", "-1.433864309371e+00"])

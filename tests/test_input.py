@@ -513,6 +513,7 @@ def test_lifespan_converts_each_number_list_of_a_table_once(tmp_path, monkeypatc
         return pair, profile
 
     monkeypatch.setattr(lapse, "_float_image", spy_convert)
+    monkeypatch.setattr(cli, "_float_image", spy_convert)
     monkeypatch.setattr(cli, "_parse_pair", spy_parse)
     with decoding_with(decoder):
         assert main(["lifespan", str(path)]) == 0

@@ -807,7 +807,8 @@ class TestKernelParity:
         monkeypatch.setattr(backend, "_compile_flags", lambda: compiler)
         assert backend._c_kernel(tmp_path / "cache") is _kernel_py
         assert capfd.readouterr() == ("", "")
-        # nothing but, at most, the library the compiler claimed to write
+        # nothing but the record of the failure or the library the compiler
+        # claimed to write
         left = list((tmp_path / "cache").iterdir())
         assert not [p for p in left if p.name.endswith(".tmp")]
 
@@ -857,17 +858,22 @@ class TestKernelParity:
         recorded, = (tmp_path / "xdg" / "spinorflow").iterdir()
         assert recorded.name.endswith(".failed") and recorded.read_bytes() == b""
 
-    def test_a_writable_cache_retries_a_failed_build(self, tmp_path, monkeypatch):
-        # where the package's cache can be written, nothing is recorded and
-        # the user's cache is never made
+    def test_a_failed_build_in_a_writable_cache_is_tried_once(self, tmp_path, monkeypatch):
+        # the package's cache records a failed build as the user's cache
+        # does, and the user's cache is never made
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         log = tmp_path / "compiler.log"
         monkeypatch.setattr(backend, "_compile_flags", lambda: [*_LOGGED_COMPILER, str(log)])
         for _ in range(2):
             assert backend._c_kernel(tmp_path / "cache") is _kernel_py
-        assert log.read_text() == "compiled\n" * 2
-        assert list((tmp_path / "cache").iterdir()) == []
+        assert log.read_text() == "compiled\n"
+        recorded, = (tmp_path / "cache").iterdir()
+        assert recorded.name.endswith(".failed") and recorded.read_bytes() == b""
         assert not (tmp_path / "xdg").exists()
+        # deleting the record runs the compiler again
+        recorded.unlink()
+        assert backend._c_kernel(tmp_path / "cache") is _kernel_py
+        assert log.read_text() == "compiled\n" * 2
 
     # rk4_path is _kernel_py's on both backends: one arm holds it
     @pytest.mark.parametrize("kernel", [pytest.param(_kernel_py, id="python")])
