@@ -68,8 +68,9 @@ def _c_kernel(cache: Path):
     name in one step, so a process never loads a half-written library.
     Its output is captured, and a failure prints nothing.  A build that
     fails, in either cache, leaves an empty file named for the library with
-    ``.failed`` added, and no later process runs the compiler for that key;
-    a directory that cannot be written is never compiled into."""
+    ``.failed`` added, and no later process runs the compiler for that key
+    (see ``_build_once``); a directory that cannot be written is never
+    compiled into."""
     source = Path(__file__).with_name("_kernel.c")
     try:
         flags = _compile_flags()
@@ -91,14 +92,19 @@ def _c_kernel(cache: Path):
 
 def _build_once(flags: list[str], source: Path, path: Path) -> None:
     """``_build``, unless a build of ``path`` failed before or its directory
-    cannot be written, each of which raises; a failed build is recorded."""
+    cannot be written, each of which raises.  A failure the compiler
+    reports, or a missing compiler, is recorded; a timeout or a compiler
+    killed by a signal is not, so the next process tries again."""
+    import subprocess  # only here: a built kernel loads without it
+
     failed = path.with_name(f"{path.name}.failed")
     if failed.exists() or not _writable(path.parent):
         raise FileNotFoundError(path)
     try:
         _build(flags, source, path)
-    except Exception:
-        failed.touch()
+    except (subprocess.CalledProcessError, FileNotFoundError) as exc:
+        if getattr(exc, "returncode", 1) > 0:
+            failed.touch()
         raise
 
 

@@ -808,6 +808,16 @@ class TestSweep:
         assert (tmp_path / "run.000.csv").exists()
         assert (tmp_path / "run.001.csv").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "classify", "lifespan", "flow",
+                                         "curvature", "verify"])
+    def test_an_empty_array_is_a_sweep_of_no_pairs(self, tmp_path, capsys, command):
+        path = tmp_path / "sweep.json"
+        path.write_text("[]")
+        out = tmp_path / "run.txt"
+        assert main([command, str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_sweep_reports_worst_exit(self, tmp_path, capsys):
         pairs = [
             {"theta": theta_dict(uu=1.0)},

@@ -875,6 +875,27 @@ class TestKernelParity:
         assert backend._c_kernel(tmp_path / "cache") is _kernel_py
         assert log.read_text() == "compiled\n" * 2
 
+    def test_a_timed_out_or_killed_build_is_tried_again(self, tmp_path, monkeypatch):
+        # neither failure is the compiler's own, so neither is recorded
+        log = tmp_path / "compiler.log"
+        killed = [sys.executable, "-c", "import os, signal, sys; open(sys.argv[1], 'a')"
+                  ".write('compiled\\n'); os.kill(os.getpid(), signal.SIGKILL)", str(log)]
+        monkeypatch.setattr(backend, "_compile_flags", lambda: killed)
+        for _ in range(2):
+            assert backend._c_kernel(tmp_path / "cache") is _kernel_py
+        assert log.read_text() == "compiled\n" * 2
+        assert not list((tmp_path / "cache").iterdir())
+
+        def timed_out(flags, source, path):
+            log.write_text(log.read_text() + "timed out\n")
+            raise subprocess.TimeoutExpired(flags, 120)
+
+        monkeypatch.setattr(backend, "_build", timed_out)
+        for _ in range(2):
+            assert backend._c_kernel(tmp_path / "cache") is _kernel_py
+        assert log.read_text() == "compiled\n" * 2 + "timed out\n" * 2
+        assert not list((tmp_path / "cache").iterdir())
+
     # rk4_path is _kernel_py's on both backends: one arm holds it
     @pytest.mark.parametrize("kernel", [pytest.param(_kernel_py, id="python")])
     def test_truncation_contract_matches(self, kernel):
