@@ -1,5 +1,5 @@
-/* The kernel in C: six of the seven entries of _kernel_py, with its
-   contract and its bits.  The seventh, rk4_path, the fixed-step march that
+/* The kernel in C: seven of the eight entries of _kernel_py, with its
+   contract and its bits.  The eighth, rk4_path, the fixed-step march that
    no command runs, is _kernel_py's on both backends: numeric binds it onto
    this module.
 
@@ -60,10 +60,14 @@
    the bits depend on no BLAS and no CPU.  Each maximum keeps a NaN, as
    np.max does (max_nan()).
 
-   These three read their arrays through one read_doubles(), which checks
-   each array's type and number of axes and releases the buffers it has
-   read when a later one fails; each entry releases them all with one
-   release() on its way out. */
+   floats() images a decoded list of JSON numbers in one pass: the bytes
+   of struct.pack("d") of each entry, as PyFloat_AsDouble reads it, with
+   whether one is a bool and whether every |x| < 2^63.
+
+   cumulative(), ricci() and residuals() read their arrays through one
+   read_doubles(), which checks each array's type and number of axes and
+   releases the buffers it has read when a later one fails; each entry
+   releases them all with one release() on its way out. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -384,6 +388,52 @@ cumulative(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         fill_table(times, v->buf, n, z, at_zero, (double *)PyBytes_AS_STRING(out));
     release(b, 2);
     return out;
+}
+
+/* floats(): the bytes struct.pack("d") makes of each entry of a list, with
+   whether one is a bool and whether every |x| < 2^63, which a NaN is not;
+   None where PyFloat_AsDouble, which struct calls, refuses an entry.  An
+   exact int, a bool or a float runs no Python code.  From the first other
+   entry on, the rest of the list is read from a copy, which holds each
+   entry while its __float__ runs and keeps the list as struct.pack(*items)
+   sees it, whatever that code does to it */
+static PyObject *
+floats(PyObject *module, PyObject *items)
+{
+    if (!PyList_Check(items)) {
+        PyErr_SetString(PyExc_TypeError, "floats() takes a list");
+        return NULL;
+    }
+    Py_ssize_t n = PyList_GET_SIZE(items), from = 0;
+    PyObject *data = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double));
+    PyObject *rest = NULL;
+    if (data == NULL)
+        return NULL;
+    double *out = (double *)PyBytes_AS_STRING(data);
+    int has_bool = 0, within = 1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *x = rest == NULL ? PyList_GET_ITEM(items, i) : PyList_GET_ITEM(rest, i - from);
+        if (PyFloat_Check(x)) {
+            out[i] = PyFloat_AS_DOUBLE(x);
+        } else {
+            if (rest == NULL && !PyLong_CheckExact(x) && !PyBool_Check(x)
+                    && (rest = PyList_GetSlice(items, from = i, n)) == NULL) {
+                Py_DECREF(data);
+                return NULL;
+            }
+            has_bool |= PyBool_Check(x);
+            if ((out[i] = PyFloat_AsDouble(x)) == -1.0 && PyErr_Occurred()) {
+                PyErr_Clear(); /* struct.error: "required argument is not a float" */
+                Py_XDECREF(rest);
+                Py_DECREF(data);
+                Py_RETURN_NONE;
+            }
+        }
+        within &= fabs(out[i]) < 9223372036854775808.0;
+    }
+    Py_XDECREF(rest);
+    return Py_BuildValue("(NOO)", data, has_bool ? Py_True : Py_False,
+                         within ? Py_True : Py_False);
 }
 
 /* ricci(): frames.frame_ricci of each frame of a stack, its operations in
@@ -860,6 +910,7 @@ static PyMethodDef methods[] = {
     {"reprs", reprs, METH_O, "reprs(cells, /): as _kernel_py.reprs."},
     {"cumulative", (PyCFunction)(void (*)(void))cumulative, METH_FASTCALL,
      "cumulative(times, values, at_zero, /): as _kernel_py.cumulative."},
+    {"floats", floats, METH_O, "floats(items, /): as _kernel_py.floats."},
     {"ricci", (PyCFunction)(void (*)(void))ricci, METH_FASTCALL,
      "ricci(eta, c, dc0, /): as _kernel_py.ricci."},
     {"residuals", (PyCFunction)(void (*)(void))residuals, METH_FASTCALL,

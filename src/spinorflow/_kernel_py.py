@@ -1,12 +1,12 @@
 """The kernel in Python: the reference of the package's RK4 step, of the
-number formats of the flow table and of curvature, of the cumulative
-table of a tabulated lapse, of the Ricci tensor of a stack of frames and
-of the flow residuals of a stack of states, and the fallback of its C
-kernel.
+number formats of the flow table and of curvature, of the float image of
+a decoded number list, of the cumulative table of a tabulated lapse, of
+the Ricci tensor of a stack of frames and of the flow residuals of a
+stack of states, and the fallback of its C kernel.
 
 The package runs the C extension built from ``_kernel.c`` (``backend``),
 and runs this module wherever that cannot be built or loaded.  The C kernel
-holds six of the seven entries below; the seventh, ``rk4_path``, the
+holds seven of the eight entries below; the eighth, ``rk4_path``, the
 fixed-step march that no command runs, is this module's on both backends
 (``numeric`` binds it onto the C module).  The C kernel writes the RK4 step of
 ``march_stop`` as the list form below, a function call per right-hand
@@ -14,7 +14,8 @@ side and a loop over the 15 floats, and gives the same bits as this
 module's unrolled ``_march``.  This module states the contract of both;
 ``tests/test_numeric.py`` holds both to it, ``tests/test_cli.py`` holds
 both ``e12`` to ``"%.12e" % x`` and both ``reprs`` to ``repr(x)``,
-``tests/test_exact.py`` holds the C ``cumulative`` to this one,
+``tests/test_input.py`` holds the C ``floats`` to this one,
+``tests/test_exact.py`` the C ``cumulative``,
 ``tests/test_tensor_algebra.py`` the C ``ricci`` and
 ``tests/test_numeric.py`` the C ``residuals``.
 
@@ -26,7 +27,7 @@ lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
-The seven entries take their arguments by position only.
+The eight entries take their arguments by position only.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march, on both backends.  It returns ``(y, steps
 done, truncated)``: y is the state the march ends on, as a tuple of 15
@@ -92,6 +93,15 @@ templates.  Here it maps ``repr`` over the cells, which costs less than
 ``e12``'s one ``%`` and split; the C kernel finds each cell's shortest
 digits exactly in integers.
 
+``floats(items)`` images a list of numbers as a JSON decoder gives them
+in one pass: None if ``struct.pack("d")`` refuses an entry (one that is
+no number, an int past the float range, ``Decimal("sNaN")``), else
+``(data, has_bool, within)``, with ``data`` the bytes ``struct.pack``
+makes of the list, ``has_bool`` whether an entry is a bool and
+``within`` whether every |x| < 2**63, which a NaN is not.  Here that is
+``struct.pack`` itself, with a numpy pass for each fact; the C kernel
+reads each entry as ``struct`` does, with ``PyFloat_AsDouble``.
+
 ``cumulative(times, values, at_zero)`` returns the table of a tabulated
 lapse, B at every node, as the bytes of n float64s: ``times`` and
 ``values`` are float64 arrays of n >= 2 nodes, times strictly increasing
@@ -147,6 +157,7 @@ payload of a NaN.
 
 from __future__ import annotations
 
+import struct
 from itertools import repeat
 
 import numpy as np
@@ -218,6 +229,20 @@ def reprs(cells, /):
     """``repr(x)`` for each float x of ``cells``, as a tuple of strings;
     see the module docstring."""
     return tuple(map(repr, cells))
+
+
+def floats(items, /):
+    """The bytes ``struct.pack`` makes of the list ``items``, whether one
+    entry is a bool and whether every |x| < 2**63, or None; see the module
+    docstring."""
+    try:
+        data = struct.pack(f"{len(items)}d", *items)
+    except struct.error:
+        return None
+    a = np.frombuffer(data)
+    # a bool reads as 0.0 or 1.0, so only the entries equal to those are looked at
+    ones = np.flatnonzero((a == 0.0) | (a == 1.0)).tolist()
+    return data, any(type(items[i]) is bool for i in ones), bool((np.abs(a) < 2.0 ** 63).all())
 
 
 def cumulative(times, values, at_zero, /):

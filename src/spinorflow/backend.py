@@ -6,7 +6,8 @@ of both and gives the same bits.
 (``_c_kernel``), and ``KERNEL_BACKEND`` reads ``"c"`` or ``"python"``.
 Every caller reads the kernel as ``backend._kern`` at each call: ``numeric``
 its march and its Ricci and residual stacks, ``cli`` the cells of its
-tables, ``lapse`` the table of B, and ``pairs`` the Ricci scalar of one
+tables, ``lapse`` the float image of a decoded number list and the table
+of B, and ``pairs`` the Ricci scalar of one
 frame, which ``validate`` reads through a buffer of the ``array`` module.
 This module imports the standard library only, so that a short command on
 the C kernel loads no numpy; ``_kernel_py`` imports numpy, and so does the

@@ -18,9 +18,11 @@ installed (``JSON_BACKEND``), and every other file by ``json``, as is a
 document whose orjson value could differ from json's, which a walk of that
 value tells; both give the same values and the same errors
 (``_load_input``).  The walk converts each list of numbers to floats in one
-``lapse._float_image``, and a tabulated lapse keeps the images of its times
-and values (``_parse_pair``), so each list is converted once per command;
-the images live as long as one ``main`` call.
+kernel pass (``lapse._float_image``), which also tells whether the list
+holds a bool or a float of magnitude 2**63 or more, and a tabulated lapse
+keeps the images of its times and values (``_parse_pair``), so each list
+is converted once per command; the images live as long as one ``main``
+call.
 
 ``lifespan``, ``flow`` and ``curvature`` render through fixed-shape
 templates, each filled by one ``%`` over a flat tuple: the lifespan payload
@@ -51,12 +53,13 @@ the rest where it first needs it, and ``_load_input`` imports orjson only
 for a file large enough that orjson's faster parse repays its import.
 ``validate`` loads the kernel (``backend``, which builds the C kernel on
 its first import), for the Ricci scalar of the pair's frame; ``classify``
-loads nothing more.  On the C kernel, with a constant lapse or none, both
-finish without numpy.  ``lifespan``, ``flow`` and ``curvature`` load the
-closed forms of ``exact``, which load numpy and the march (``numeric``,
-``_kernel_py``); ``curvature`` also ``lorentz``; ``verify`` the suites.  A
-tabulated lapse loads numpy where its lists are read, and the
-``_kernel_py`` fallback where it is chosen.  numpy costs several times the
+loads it only for an input that orjson decodes, above
+``_ORJSON_MIN_BYTES``, whose number lists it images.  On the C kernel,
+with a constant lapse or none, both finish without numpy.  ``lifespan``,
+``flow`` and ``curvature`` load the closed forms of ``exact``, which load
+numpy and the march (``numeric``, ``_kernel_py``); ``curvature`` also
+``lorentz``; ``verify`` the suites.  A tabulated lapse loads numpy where
+its lists are read, and the ``_kernel_py`` fallback where it is chosen.  numpy costs several times the
 work of a short command, whose process pays it only where the command
 computes with arrays.
 """
@@ -70,7 +73,6 @@ import json
 import math
 import os
 import re
-import struct
 import sys
 
 from .errors import InvalidPair, SingularTime, SpinorFlowError
@@ -118,22 +120,21 @@ def _orjson_reads_alike(value, images: dict | None = None) -> bool:
     holds a float of magnitude 2**63 or more: orjson reads each integer
     literal outside [-2**63, 2**64) as such a float, and json as an int.
     The walk keeps its own stack, since a document nests 1024 deep.  A list
-    of numbers is checked in one pass over its float image
+    of numbers is checked by the one kernel pass that makes its float image
     (``_float_image``), in which an int in [2**63, 2**64) reads as
-    such a float too; that only sends the document to json.  Each image
-    goes into ``images``, when given, under the ``id`` of its list."""
+    such a float too; that only sends the document to json.  Each image of
+    a list with no bool goes into ``images``, when given, under the ``id``
+    of its list."""
     pending = [(0, [value])]  # (depth, container): the document at depth 1
     while pending and pending[-1][0] <= _MAX_DEPTH:
         depth, items = pending.pop()
         if type(items) is list:
-            try:
-                floats = _float_image(items)
-            except struct.error:  # an entry that is no number
-                pass
-            else:
-                if not (abs(floats) < 2.0 ** 63).all():
+            found = _float_image(items)  # None: an entry that is no number
+            if found is not None:
+                floats, has_bool, within = found
+                if not within:
                     return False
-                if images is not None:
+                if images is not None and not has_bool:
                     images[id(items)] = floats
                 continue
         for x in items.values() if type(items) is dict else items:

@@ -1,12 +1,13 @@
 """Time gauge of the flow: the lapse family beta_t and its integral B_t.
 
 A tabulated lapse is read once.  Its times and values become float arrays
-by one ``_float_image`` each: the CLI's decoder makes those images while it
-checks the document, and ``LapseProfile.from_json_dict`` keeps them, with
-no second conversion or copy; a library's ``LapseProfile.tabulated`` keeps
-read-only copies of its arrays.  The table of B at every node is built on
-first use, in one call of the kernel's ``cumulative`` (``backend._kern``,
-the C kernel or ``_kernel_py``); ``validate`` never builds it.
+by one ``_float_image`` each, a pass of the kernel's ``floats``: the CLI's
+decoder makes those images while it checks the document, and
+``LapseProfile.from_json_dict`` keeps them, with no second conversion or
+copy; a library's ``LapseProfile.tabulated`` keeps read-only copies of its
+arrays.  The table of B at every node is built on first use, in one call
+of the kernel's ``cumulative`` (``backend._kern``, the C kernel or
+``_kernel_py``); ``validate`` never builds it.
 
 numpy is imported where an array is first made or read: a constant lapse
 is parsed and held as a Python float, so ``validate`` and ``classify`` of
@@ -91,10 +92,11 @@ class LapseProfile:
         """Parse the `{"kind": ...}` wire format, given as is or as the
         ``"beta"`` field of a pair.  Every malformed input raises ValueError.
 
-        ``images`` maps the ``id`` of a number list of the document to the
-        read-only float array ``_float_image`` made of it (``cli._load_input``
-        fills it while it checks the document): such a list is not converted
-        again, and a table keeps its images as they are."""
+        ``images`` maps the ``id`` of a number list of the document that
+        holds no bool to the read-only float array ``_float_image`` made of
+        it (``cli._load_input`` fills it while it checks the document): such
+        a list is not converted again, and a table keeps its images as they
+        are."""
         if isinstance(data, dict) and "beta" in data:
             data = data["beta"]
         if not isinstance(data, dict):
@@ -214,15 +216,20 @@ class LapseProfile:
         return min(max(start + 2.0 * rest / (beta + root), ta), tb)
 
 
-def _float_image(items: list) -> np.ndarray:
-    """The float64 image of the list ``items``, read-only: what
-    ``struct.pack("d")`` makes of each entry.  It is the one conversion of a
-    decoded number list, in ``cli._orjson_reads_alike`` or here.  A list of
-    other entries raises struct.error before numpy is imported."""
-    data = struct.pack(f"{len(items)}d", *items)
+def _float_image(items: list):
+    """The kernel's ``floats`` of the list ``items`` (``backend._kern``,
+    read at each call), with its bytes as a read-only float64 array:
+    ``(image, has_bool, within)``, or None where ``struct.pack("d")`` would
+    refuse an entry.  It is the one conversion of a decoded number list, in
+    ``cli._orjson_reads_alike`` or here."""
+    from . import backend
+
+    found = backend._kern.floats(items)
+    if found is None:
+        return None
     import numpy as np
 
-    return np.frombuffer(data)
+    return np.frombuffer(found[0]), found[1], found[2]
 
 
 def _json_numbers(v, images: dict | None = None):
@@ -230,25 +237,22 @@ def _json_numbers(v, images: dict | None = None):
     JSON decoder gives them.  Either shape takes what ``struct.pack("d")``
     takes, a bool excepted: a float or an int within the float range, and
     any other number with ``__float__`` or ``__index__`` (``Decimal``,
-    ``Fraction``, ``numpy.float64``).  Anything else raises struct.error,
-    and a bool TypeError.  A number is converted alone, with no numpy.  One
-    ``struct.pack`` converts an array, unless ``images`` holds its image
-    already, and reads a bool as 0.0 or 1.0, so only the entries equal to
-    those are looked at again."""
+    ``Fraction``, ``numpy.float64``).  A number is converted alone, with no
+    numpy: a bool raises TypeError, and anything else struct.error.  An
+    array is read from ``images`` where that holds it, else converted in one
+    ``_float_image``: a bool in it, or anything else, raises TypeError."""
     if not isinstance(v, list):
         (x,) = struct.unpack("d", struct.pack("d", v))
         if type(v) is bool:
             raise TypeError
         return x
-    import numpy as np
-
     # an id in images is that of a list the document holds, so of v itself
     a = images.get(id(v)) if images else None
     if a is None:
-        a = _float_image(v)
-    for i in np.flatnonzero((a == 0.0) | (a == 1.0)).tolist():
-        if type(v[i]) is bool:
+        found = _float_image(v)
+        if found is None or found[1]:  # an entry that is no number, or a bool
             raise TypeError
+        a = found[0]
     return a
 
 

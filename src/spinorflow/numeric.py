@@ -12,7 +12,7 @@ stop: one ``march_stop`` of the kernel, which runs every trial step up to
 the stop, or one ``rk4_path`` per segment in ``_fixed_march``.
 
 The kernel is ``backend._kern``, read at each call: ``backend`` documents
-which module that is and how it is built, and ``_kernel_py`` its seven
+which module that is and how it is built, and ``_kernel_py`` its eight
 entries and the contract both backends keep.
 
 Inside the package, states travel as one stacked record of arrays,

@@ -37,10 +37,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from spinorflow import LapseProfile, lifespan, solve
+from spinorflow.exact import QD, _Samples
+from spinorflow.verify import sample_times
 
 from conftest import CONSTRAINED_PAIRS, ROW_PAIRS, besse_ricci, ricci_x
 
 UNCONSTRAINED = sorted(set(ROW_PAIRS) - set(CONSTRAINED_PAIRS))
+NONQD = sorted(name for name, pair in ROW_PAIRS.items() if solve(pair).branch != QD)
 FRACTIONS = (0.3, 0.6, 0.9)
 # where a lifespan end is infinite or unknown, the times reach this far on that side
 FAR = 2.0
@@ -218,3 +221,27 @@ def test_the_sourced_einstein_flow_is_the_spinor_flow(name, lapse):
 def test_the_flows_part_on_unconstrained_pairs(name, lapse):
     # the check has teeth: off the constraint surface h_t is no vacuum metric
     assert _gaps(ROW_PAIRS[name], lapse, source=False)[-1] >= 0.1
+
+
+@pytest.mark.parametrize("lapse", list(LAPSES))
+@pytest.mark.parametrize("name", NONQD)
+def test_the_metric_is_eta_einstein_on_the_off_diagonal_rows(name, lapse):
+    # the abstract's eta-Einstein claim, against a Ricci tensor that is not
+    # the code under test: Ric_t from Besse's formula on the brackets of
+    # Theta_t in the evolved orthonormal frame, where h = I, and H_t =
+    # R_t + (tr Theta_t)^2 - |Theta_t|^2 from it; Ric_t = (H_t/4)(h - eta x
+    # eta) and R_t = H_t/2 at 27 times of the middle of the lifespan, each
+    # relative to |Theta_t|^2, of which Ric is a quadratic form
+    pair, profile = ROW_PAIRS[name], LAPSES[lapse][0]
+    sol = solve(pair)
+    assert len(NONQD) == 4 and sol.eta is not None
+    stack = _Samples(sol, profile, sample_times(pair, profile, 27))
+    for uu, ul, un, ll, ln, nn in stack.comp.tolist():
+        th = np.array([[uu, ul, un], [ul, ll, ln], [un, ln, nn]])
+        ric = besse_ricci(_brackets(th))
+        scalar = np.trace(ric)
+        ham = scalar + np.trace(th) ** 2 - np.sum(th * th)
+        scale = np.max(np.abs(th)) ** 2
+        target = 0.25 * ham * (np.eye(3) - np.outer(sol.eta, sol.eta))
+        assert np.max(np.abs(ric - target)) <= 1e-12 * scale
+        assert abs(scalar - 0.5 * ham) <= 1e-12 * scale

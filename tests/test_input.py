@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorflow
-from spinorflow import cli, lapse
+from spinorflow import _kernel_py, backend, cli
 from spinorflow.cli import EXIT_IO, main
 from spinorflow.lapse import LapseProfile
 
@@ -491,29 +491,98 @@ def test_what_struct_refuses_is_refused_as_a_value_and_in_a_table(entry):
                                      "values": [1.0, entry, 1.0]})
 
 
+class _Clearing:
+    """A number whose ``__float__`` empties the list that holds it."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __float__(self):
+        self.items.clear()
+        return 2.5
+
+
+FLOAT_LISTS = {
+    "mixed": [1.5, -2, True, 0.0, 3, False, 1.0, 1],
+    "near-2**63": [2 ** 63 - 1024.0, -(2 ** 63 - 1024.0)],
+    "2**63": [1.0, 2 ** 63],
+    "-2**63": [-2.0 ** 63],
+    "2**64-int": [2 ** 64],
+    "10**400": [1.0, 10 ** 400],
+    "signaling-nan": [1.0, Decimal("sNaN")],
+    "decimal-fraction": [Decimal("0.1"), Fraction(1, 3)],
+    "numpy-float64": [np.float64(0.1), np.float64(-7.0)],
+    "signed-zero-nan": [-0.0, math.nan, 0.0],
+    "infinity": [math.inf],
+    "empty": [],
+    "dict": [1.0, {"kind": "constant"}],
+    "list": [[1.0, 2.0]],
+    "string": [1.0, "2.0"],
+    "none": [None],
+}
+
+
+def _struct_floats(items):
+    """``floats``' contract, read off ``struct.pack``: None where it refuses
+    an entry, else its bytes, whether an entry is a bool and whether every
+    |x| < 2**63 (a NaN is not)."""
+    try:
+        data = struct.pack(f"{len(items)}d", *items)
+    except struct.error:
+        return None
+    xs = struct.unpack(f"{len(items)}d", data)
+    return data, any(type(x) is bool for x in items), all(abs(x) < 2.0 ** 63 for x in xs)
+
+
+# the C kernel, where one was built, and _kernel_py
+KERNELS = pytest.mark.parametrize(
+    "kernel", sorted({backend._kern, _kernel_py}, key=lambda k: k.__name__),
+    ids=lambda k: k.__name__.rpartition(".")[2])
+
+
+@KERNELS
+@pytest.mark.parametrize("name", list(FLOAT_LISTS))
+def test_both_kernels_image_a_number_list_as_struct_does(kernel, name):
+    items = FLOAT_LISTS[name]
+    assert kernel.floats(items) == _struct_floats(items)
+    assert items == FLOAT_LISTS[name]
+
+
+@KERNELS
+def test_a_float_method_that_empties_the_list_leaves_the_image_whole(kernel):
+    # struct.pack(*items) reads the entries it was given; the C kernel
+    # holds each entry from the first that may run code on, so it reads
+    # them too, and nothing freed
+    items = [1.5, -4, None]
+    items[2] = _Clearing(items)
+    items.append(3.5)
+    assert kernel.floats(items) == (struct.pack("4d", 1.5, -4.0, 2.5, 3.5), False, True)
+    assert items == []
+
+
 @DECODERS
 def test_lifespan_converts_each_number_list_of_a_table_once(tmp_path, monkeypatch, capsys,
                                                             decoder):
-    # orjson's value is checked over the float image of each list of numbers,
-    # and the lapse reads its times and values from those images; json's
-    # value is converted by the lapse alone
+    # orjson's value is checked by the kernel pass that images each list of
+    # numbers, and the lapse reads its times and values from those images;
+    # json's value is converted by the lapse alone
     path = tmp_path / "table.json"
     path.write_text(json.dumps(TABLE_DOC), encoding="utf-8")
-    convert, parse = lapse._float_image, cli._parse_pair
+    convert, parse = backend._kern.floats, cli._parse_pair
     images, profiles = [], []
 
     def spy_convert(items):
-        image = convert(items)  # struct.error on a list of other entries
-        images.append((list(items), image))
-        return image
+        found = convert(items)  # None on a list of other entries
+        if found is not None:
+            images.append((list(items), found[0]))
+        return found
 
     def spy_parse(*args):
         pair, profile = parse(*args)
         profiles.append(profile)
         return pair, profile
 
-    monkeypatch.setattr(lapse, "_float_image", spy_convert)
-    monkeypatch.setattr(cli, "_float_image", spy_convert)
+    monkeypatch.setattr(backend._kern, "floats", spy_convert)
     monkeypatch.setattr(cli, "_parse_pair", spy_parse)
     with decoding_with(decoder):
         assert main(["lifespan", str(path)]) == 0
@@ -521,8 +590,8 @@ def test_lifespan_converts_each_number_list_of_a_table_once(tmp_path, monkeypatc
     times, values = TABLE_DOC["beta"]["times"], TABLE_DOC["beta"]["values"]
     assert sorted(items for items, _ in images) == sorted([times, values])
     (profile,) = profiles
-    # the profile keeps the images, with no copy
-    assert {id(profile.times), id(profile.values)} == {id(image) for _, image in images}
+    # the profile keeps the images, with no copy of the kernel's bytes
+    assert {id(profile.times.base), id(profile.values.base)} == {id(data) for _, data in images}
     assert profile.times.tolist() == times and profile.values.tolist() == values
     assert not profile.times.flags.writeable and not profile.values.flags.writeable
     assert '"immortal"' in capsys.readouterr().out

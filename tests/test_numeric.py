@@ -765,14 +765,14 @@ class TestKernelParity:
 
     @pytest.mark.skipif(backend._kern is _kernel_py,
                         reason="numeric runs _kernel_py itself: no C kernel was built")
-    def test_the_built_library_holds_the_other_six_entries(self):
+    def test_the_built_library_holds_the_other_seven_entries(self):
         # loaded under a name of its own, without the binding of numeric
         spec = importlib.util.spec_from_file_location("spinorflow_unbound._kernel",
                                                       backend._kern.__file__)
         library = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(library)
         assert {name for name in vars(library) if not name.startswith("__")} == {
-            "march_stop", "e12", "reprs", "cumulative", "ricci", "residuals"}
+            "march_stop", "e12", "reprs", "floats", "cumulative", "ricci", "residuals"}
 
     def test_backend_reported(self):
         assert KERNEL_BACKEND == ("python" if backend._kern is _kernel_py else "c")

@@ -5,10 +5,14 @@ Usage, from anywhere:
 
     python3 tools/cold_start.py --parent PARENT_DIR --change CHANGE_DIR
 
-Each command runs on a pair with a tabulated lapse, and ``validate`` and
-``classify`` also on the same pair with a constant lapse, which they check
-without numpy on the C kernel; the pairs are written to a temporary
-directory.  For each command, each of ``PAIRS`` pairs of runs times one
+Each command runs on a pair with a tabulated lapse of three nodes, and
+``validate`` and ``classify`` also on the same pair with a constant lapse,
+which they check without numpy on the C kernel, and with a table of 20,000
+nodes, built as CI's ``table-20000.json``: a file above
+``cli._ORJSON_MIN_BYTES``, which orjson decodes where it is installed, and
+whose number lists the kernel's ``floats`` images (the three-node pair is
+small enough for json, and never gets there).  The pairs are written to a
+temporary directory.  For each command, each of ``PAIRS`` pairs of runs times one
 process per checkout (``PYTHONPATH`` set to its ``src/``), alternating which
 side goes first from pair to pair, after one untimed run per side that warms the
 file cache (and writes the bytecode caches, unless PYTHONDONTWRITEBYTECODE
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,18 +46,23 @@ from bench_record import SIDES, quartiles
 PAIRS = 20
 # the gains counted pair by pair: faster, and faster by each of these shares
 MARGINS = (0.10, 0.25)
-# a pair of the tau_2 + R family, with a kinked three-node lapse table and
-# with a constant lapse
+# a pair of the tau_2 + R family, with a kinked three-node lapse table, with
+# a constant lapse and with 20,000 nodes on [-2, 2] of 1 + sin(3 t) / 4
 THETA = {"uu": -2, "ul": 1, "un": 1, "ll": 1, "ln": 1, "nn": 1}
+NODES = [-2.0 + i * (4.0 / 19_999) for i in range(19_999)] + [2.0]
 LAPSES = {
     "tabulated": {"kind": "tabulated", "times": [-1.0, 0.2, 1.5], "values": [0.8, 1.3, 1.0]},
     "constant": {"kind": "constant", "value": 1.3},
+    "table-20000": {"kind": "tabulated", "times": NODES,
+                    "values": [1.0 + 0.25 * math.sin(3.0 * t) for t in NODES]},
 }
 # (label, lapse, options)
 COMMANDS = (
     ("validate", "tabulated", []),
     ("validate, constant lapse", "constant", []),
     ("classify, constant lapse", "constant", []),
+    ("validate, 20,000-node table", "table-20000", []),
+    ("classify, 20,000-node table", "table-20000", []),
     ("lifespan", "tabulated", []),
     ("flow --method exact", "tabulated", ["--method", "exact"]),
     ("flow --method rk4", "tabulated", ["--method", "rk4"]),
