@@ -125,10 +125,12 @@ def _orjson_reads_alike(value, images: dict | None = None) -> bool:
     such a float too; that only sends the document to json.  Each image of
     a list with no bool goes into ``images``, when given, under the ``id``
     of its list."""
-    pending = [(0, [value])]  # (depth, container): the document at depth 1
+    # (depth, container): the document at depth 1, in a list of its own that
+    # is walked, not imaged
+    pending = [(0, [value])]
     while pending and pending[-1][0] <= _MAX_DEPTH:
         depth, items = pending.pop()
-        if type(items) is list:
+        if depth and type(items) is list:
             found = _float_image(items)  # None: an entry that is no number
             if found is not None:
                 floats, has_bool, within = found

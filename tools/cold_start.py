@@ -12,16 +12,17 @@ nodes, built as CI's ``table-20000.json``: a file above
 ``cli._ORJSON_MIN_BYTES``, which orjson decodes where it is installed, and
 whose number lists the kernel's ``floats`` images (the three-node pair is
 small enough for json, and never gets there).  The pairs are written to a
-temporary directory.  For each command, each of ``PAIRS`` pairs of runs times one
-process per checkout (``PYTHONPATH`` set to its ``src/``), alternating which
-side goes first from pair to pair, after one untimed run per side that warms the
-file cache (and writes the bytecode caches, unless PYTHONDONTWRITEBYTECODE
-is set, in which case each process compiles the modules it imports).  A
-time is the wall time of the whole process: interpreter start, imports and
-the command.  The script prints, per command, the median time of each side
-with its quartiles (``bench_record.quartiles``, the rule of the BENCH
-records), the ratio of the medians, and the number of pairs in which the
-change was faster, faster by 10% or more, and faster by 25% or more.
+temporary directory.  For each command, each of ``PAIRS`` pairs of runs
+times one process per checkout (``PYTHONPATH`` set to its ``src/``),
+alternating which side goes first from pair to pair, after one untimed run
+per side that warms the file cache (and writes the bytecode caches, unless
+PYTHONDONTWRITEBYTECODE is set, in which case each process compiles the
+modules it imports).  A time is the wall time of the whole process:
+interpreter start, imports and the command.  The script prints, per command,
+the median time of each side with its quartiles
+(``bench_record.quartiles``, the rule of the BENCH records), the ratio of
+the medians, and the number of pairs in which the change was faster, faster
+by 10% or more, and faster by 25% or more.
 
 This is the cost that ``perfbench`` does not see: its warm-up round loads
 every module before any command is timed, and its ``setup_s`` times the
