@@ -23,11 +23,11 @@ __version__ = "0.1.0"
 # large input files, comes from the CLI, which alone imports orjson
 _HOMES = {
     "cli": ("JSON_BACKEND",),
+    "decision": ("Lifespan", "branch", "lifespan"),
     "errors": ("InvalidPair", "NotApplicable", "OutOfDomain", "SingularTime",
                "SpinorFlowError"),
-    "exact": ("FlowSolution", "Lifespan", "branch", "frame_exact",
-              "hamiltonian_exact", "lifespan", "nonqd_coefficients", "solve",
-              "theta_exact"),
+    "exact": ("FlowSolution", "frame_exact", "hamiltonian_exact", "nonqd_coefficients",
+              "solve", "theta_exact"),
     "frames": ("eigen2x2", "frame_ricci", "levi_civita", "ricci3",
                "structure_constants_from_theta"),
     "backend": ("KERNEL_BACKEND",),

@@ -135,6 +135,28 @@ all_finite(const double *y)
     return 1;
 }
 
+/* entry i of the n entries of the list or tuple fast, held for
+   PyFloat_AsDouble to read.  An exact int, a bool or a float runs no
+   Python code there.  From the first other entry on, every entry is read
+   from *rest, a copy of fast from that entry (*from) on, which holds each
+   entry while its __float__ runs and keeps the sequence as it stood at the
+   call, whatever that code does to it.  NULL with an exception set where
+   the copy fails; the caller releases *rest */
+static inline PyObject *
+held_item(PyObject *fast, Py_ssize_t i, Py_ssize_t n, PyObject **rest, Py_ssize_t *from)
+{
+    if (*rest != NULL)
+        return PySequence_Fast_ITEMS(*rest)[i - *from];
+    PyObject *x = PySequence_Fast_ITEMS(fast)[i];
+    if (PyFloat_Check(x) || PyLong_CheckExact(x) || PyBool_Check(x))
+        return x;
+    *rest = PyList_Check(fast) ? PyList_GetSlice(fast, *from = i, n)
+                               : PyTuple_GetSlice(fast, *from = i, n);
+    if (*rest == NULL)
+        return NULL;
+    return PySequence_Fast_ITEMS(*rest)[0];
+}
+
 /* the 15 floats of the sequence seq, each read as the arithmetic of
    _kernel_py reads a float; 0 on success, -1 with an exception set */
 static int
@@ -143,15 +165,17 @@ read_state(PyObject *seq, double *out)
     PyObject *fast = PySequence_Fast(seq, "the state must be a sequence of 15 floats");
     if (fast == NULL)
         return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast), from = 0;
+    PyObject *rest = NULL, *x;
     for (Py_ssize_t i = 0; i < n && i < 15; i++) {
-        out[i] = PyFloat_AsDouble(items[i]);
-        if (out[i] == -1.0 && PyErr_Occurred()) {
+        if ((x = held_item(fast, i, n, &rest, &from)) == NULL
+                || ((out[i] = PyFloat_AsDouble(x)) == -1.0 && PyErr_Occurred())) {
+            Py_XDECREF(rest);
             Py_DECREF(fast);
             return -1;
         }
     }
+    Py_XDECREF(rest);
     Py_DECREF(fast);
     if (n < 15)
         PyErr_Format(PyExc_ValueError,
@@ -392,11 +416,9 @@ cumulative(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* floats(): the bytes struct.pack("d") makes of each entry of a list, with
    whether one is a bool and whether every |x| < 2^63, which a NaN is not;
-   None where PyFloat_AsDouble, which struct calls, refuses an entry.  An
-   exact int, a bool or a float runs no Python code.  From the first other
-   entry on, the rest of the list is read from a copy, which holds each
-   entry while its __float__ runs and keeps the list as struct.pack(*items)
-   sees it, whatever that code does to it */
+   None where PyFloat_AsDouble, which struct calls, refuses an entry.  The
+   entries are held as held_item() holds them, so the list is read as
+   struct.pack(*items) sees it */
 static PyObject *
 floats(PyObject *module, PyObject *items)
 {
@@ -412,15 +434,14 @@ floats(PyObject *module, PyObject *items)
     double *out = (double *)PyBytes_AS_STRING(data);
     int has_bool = 0, within = 1;
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *x = rest == NULL ? PyList_GET_ITEM(items, i) : PyList_GET_ITEM(rest, i - from);
+        PyObject *x = held_item(items, i, n, &rest, &from);
+        if (x == NULL) {
+            Py_DECREF(data);
+            return NULL;
+        }
         if (PyFloat_Check(x)) {
             out[i] = PyFloat_AS_DOUBLE(x);
         } else {
-            if (rest == NULL && !PyLong_CheckExact(x) && !PyBool_Check(x)
-                    && (rest = PyList_GetSlice(items, from = i, n)) == NULL) {
-                Py_DECREF(data);
-                return NULL;
-            }
             has_bool |= PyBool_Check(x);
             if ((out[i] = PyFloat_AsDouble(x)) == -1.0 && PyErr_Occurred()) {
                 PyErr_Clear(); /* struct.error: "required argument is not a float" */
@@ -869,24 +890,27 @@ format_cell(double x, int e12)
     return out;
 }
 
-/* the tuple of format_cell(x, e12) for each float x of the sequence cells */
+/* the tuple of format_cell(x, e12) for each float x of the sequence cells,
+   its entries held as held_item() holds them */
 static PyObject *
 format_each(PyObject *cells, int e12, const char *message)
 {
     PyObject *fast = PySequence_Fast(cells, message);
     if (fast == NULL)
         return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    PyObject *out = PyTuple_New(n);
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast), from = 0;
+    PyObject *out = PyTuple_New(n), *rest = NULL;
     for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
-        double x = PyFloat_AsDouble(items[i]);
-        PyObject *text = x == -1.0 && PyErr_Occurred() ? NULL : format_cell(x, e12);
+        PyObject *cell = held_item(fast, i, n, &rest, &from), *text = NULL;
+        double x = cell == NULL ? -1.0 : PyFloat_AsDouble(cell);
+        if (cell != NULL && !(x == -1.0 && PyErr_Occurred()))
+            text = format_cell(x, e12);
         if (text == NULL)
             Py_CLEAR(out);
         else
             PyTuple_SET_ITEM(out, i, text);
     }
+    Py_XDECREF(rest);
     Py_DECREF(fast);
     return out;
 }

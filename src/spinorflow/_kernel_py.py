@@ -27,7 +27,10 @@ lapse in B_t, the integral of the lapse, where it is 1.  A step that
 leaves one of |Theta_uu|, |Theta_ll|, |Theta_ln|, |Theta_nn| above
 ``_GUARD`` ends the march.
 
-The eight entries take their arguments by position only.
+The eight entries take their arguments by position only.  ``march_stop``,
+``e12``, ``reprs`` and ``floats`` read each number of a sequence as a
+float, from the sequence as it stood at the call: a ``__float__`` that
+changes the sequence changes nothing they read.
 ``rk4_path(y0, dt, n_steps)`` takes ``n_steps`` steps of size ``dt``,
 for the fixed-step march, on both backends.  It returns ``(y, steps
 done, truncated)``: y is the state the march ends on, as a tuple of 15
@@ -194,6 +197,7 @@ def march_stop(y, z, s, h, target, tol, /):
     module docstring."""
     if not tol >= 0:
         raise ValueError(f"march_stop needs tol >= 0, got {tol!r}")
+    y, z = tuple(map(float, tuple(y))), tuple(map(float, tuple(z)))
     accepted = rejected = 0
     while s != target:
         land = h >= abs(target - s)
@@ -228,7 +232,7 @@ def e12(cells, /):
 def reprs(cells, /):
     """``repr(x)`` for each float x of ``cells``, as a tuple of strings;
     see the module docstring."""
-    return tuple(map(repr, cells))
+    return tuple(map(repr, map(float, tuple(cells))))
 
 
 def floats(items, /):

@@ -55,13 +55,15 @@ for a file large enough that orjson's faster parse repays its import.
 its first import), for the Ricci scalar of the pair's frame; ``classify``
 loads it only for an input that orjson decodes, above
 ``_ORJSON_MIN_BYTES``, whose number lists it images.  On the C kernel,
-with a constant lapse or none, both finish without numpy.  ``lifespan``,
-``flow`` and ``curvature`` load the closed forms of ``exact``, which load
-numpy and the march (``numeric``, ``_kernel_py``); ``curvature`` also
-``lorentz``; ``verify`` the suites.  A tabulated lapse loads numpy where
-its lists are read, and the ``_kernel_py`` fallback where it is chosen.  numpy costs several times the
-work of a short command, whose process pays it only where the command
-computes with arrays.
+with a constant lapse or none, both finish without numpy.  ``lifespan``
+loads ``decision`` alone, which decides the pair in Python floats: with a
+constant lapse or none it finishes without numpy or the kernel.  ``flow``
+and ``curvature`` load the closed forms of ``exact``, which load numpy and
+the march (``numeric``, ``_kernel_py``); ``curvature`` also ``lorentz``;
+``verify`` the suites.  A tabulated lapse loads numpy where its lists are
+read, and the ``_kernel_py`` fallback where it is chosen.  numpy costs
+several times the work of a short command, whose process pays it only
+where the command computes with arrays.
 """
 
 from __future__ import annotations
@@ -357,9 +359,9 @@ def cmd_classify(args, pair, _) -> int:
 
 
 def cmd_lifespan(args, pair, profile) -> int:
-    from .exact import solve
+    from .decision import lifespan
 
-    _emit(_render_lifespan(solve(pair, args.tol).lifespan(profile)), args.out)
+    _emit(_render_lifespan(lifespan(pair, profile, args.tol)), args.out)
     return EXIT_OK
 
 

@@ -5,66 +5,33 @@ Branch structure follows the invariant lambda = sqrt(Theta_ul^2 + Theta_un^2):
 the quasi-diagonal branch (lambda = 0) evolves by the scalar factor
 s_t = 1 - Theta_uu * B_t, while lambda != 0 evolves through
 y_t = lambda * B_t + arctan(Theta_uu / lambda) with trigonometric profiles.
-Whether lambda = 0 is read off the row of the admissible-family table that
-the pair matches (``pairs._QD_ROWS``), so the closed forms are only ever
-taken of an admissible pair.  ``solve`` decides the pair once: it validates
-it, raising InvalidPair when it is not admissible, and builds a
-``FlowSolution`` that holds every constant the pair fixes and evaluates a
-whole grid of B_t in one pass (``_Samples``), the stacks every command
-reads.  The lifespan guard is taken once per grid, and each closed form
-then reads the guarded prefix as plain arrays.  The one-time functions,
-which no command calls, read one ``solve`` each: at one t, a checked stack
-of one sample (``_sample``).
+``decision`` decides the pair in Python floats, with no numpy: its branch,
+read off the row of the admissible-family table the pair matches, every
+scalar constant the pair fixes, and its lifespan; this module re-exports
+``Lifespan``, ``branch`` and ``lifespan``.  ``solve`` builds a
+``FlowSolution`` on that decision, which evaluates a whole grid of B_t in
+one pass (``_Samples``), the stacks every command reads.  The lifespan
+guard is taken once per grid, and each closed form then reads the guarded
+prefix as plain arrays.  The one-time functions, which no command calls,
+read one ``solve`` each: at one t, a checked stack of one sample
+(``_sample``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .decision import NONQD, QD, Decision, Lifespan, branch, lifespan
 from .errors import NotApplicable, SingularTime
 from .frames import L, N, U, EigenData2, Sym3, eigen2x2, index_matmul
 from .lapse import LapseProfile
 from .numeric import _States, _curvature3, _state_from_vector
-from .pairs import _QD_ROWS, CauchyPair, DEFAULT_TOL, invariants, require_valid
+from .pairs import CauchyPair, DEFAULT_TOL
 
 _SINGULAR_GUARD = 1e-12
-
-# Branch names used for dispatch.
-QD = "quasi-diagonal"         # lambda = 0
-NONQD = "non-quasi-diagonal"  # lambda != 0
-
-
-@dataclass(frozen=True)
-class Lifespan:
-    """Maximal interval (t_minus, t_plus).
-
-    An end is -inf or +inf only for a constant lapse that never reaches a
-    singularity on that side.  With a tabulated lapse, an end the table does
-    not reach is None (unknown boundary: the lapse is exhausted first), on
-    every branch."""
-
-    t_minus: float | None
-    t_plus: float | None
-    immortal: bool
-    note: str | None = None
-
-    def inside(self, profile: LapseProfile, far: float) -> tuple[float, float]:
-        """The lifespan cut to the domain of ``profile``, an unbounded or
-        unknown (None) end first taken at -far or +far."""
-        lo = -far if self.t_minus is None or math.isinf(self.t_minus) else self.t_minus
-        hi = far if self.t_plus is None or math.isinf(self.t_plus) else self.t_plus
-        dlo, dhi = profile.domain()
-        return max(lo, dlo), min(hi, dhi)
-
-
-def branch(pair: CauchyPair, tol: float = DEFAULT_TOL) -> str:
-    """QD on the lambda = 0 rows of the admissible-family table, NONQD on
-    the others; InvalidPair where ``pair`` is not admissible within tol."""
-    return QD if require_valid(pair, tol).row in _QD_ROWS else NONQD
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -79,34 +46,37 @@ def expm(a: np.ndarray) -> np.ndarray:
     return np.array([[x0 * y0 + x1 * y1 for y0, y1 in q] for x0, x1 in qd])
 
 
-@dataclass(frozen=True)
-class FlowSolution:
-    """The closed-form flow of one pair, with every constant the pair fixes;
-    ``solve`` builds it.  ``_guarded`` is the one test of where the closed
-    form stops: it takes an array of B_t to the prefix of samples before the
-    lifespan boundary, as s_t or y_t, and the SingularTime of the sample
-    there.  ``_theta_stack``, ``_frame_stack`` and ``_hamiltonian_stack``
-    take that guarded prefix and give Theta_t, U_t and H_t as arrays, one
-    entry per sample.  Each sample gets the operations of a sample of its
-    own, in its order: only + - * / run on arrays, and math.cos, math.tan
-    and ** stay scalar calls.  There is no per-sample method: one time is a
-    stack of one sample (``theta_exact``).
+class FlowSolution(Decision):
+    """The closed-form flow of one pair, built on its ``Decision`` (branch,
+    constants, ``lifespan``); ``solve`` builds it.  ``_guarded`` is the one
+    test of where the closed form stops: it takes an array of B_t to the
+    prefix of samples before the lifespan boundary, as s_t or y_t, and the
+    SingularTime of the sample there.  ``_theta_stack``, ``_frame_stack``
+    and ``_hamiltonian_stack`` take that guarded prefix and give Theta_t,
+    U_t and H_t as arrays, one entry per sample.  Each sample gets the
+    operations of a sample of its own, in its order: only + - * / run on
+    arrays, and math.cos, math.tan and ** stay scalar calls.  There is no
+    per-sample method: one time is a stack of one sample (``theta_exact``).
 
-    QD: ``eig`` is the eigen data of the lower 2x2 block over Theta_uu, or
-    None where Theta_uu is zero within tol.  NONQD: ``lam``, ``y0``, ``c_ll``,
-    ``c_nn`` and ``c_ln`` are the integration constants of the shape solution,
-    and ``eta`` holds the evolved-frame components of the parallel one-form,
-    which are constant in t."""
+    ``eig`` (QD) is the eigen data of the lower 2x2 block over Theta_uu, or
+    None where Theta_uu is zero within tol and off the QD branch; ``eta``
+    (NONQD) holds the evolved-frame components of the parallel one-form,
+    which are constant in t, or None on the QD branch.  Both come on first
+    use."""
 
-    pair: CauchyPair
-    branch: str
-    eig: EigenData2 | None = None
-    lam: float | None = None
-    y0: float | None = None
-    c_ll: float | None = None
-    c_nn: float | None = None
-    c_ln: float | None = None
-    eta: np.ndarray | None = None
+    @functools.cached_property
+    def eig(self) -> EigenData2 | None:
+        if self.branch == NONQD or self.flat:
+            return None
+        th = self.pair.theta
+        return eigen2x2(np.array([[th.ll, th.ln], [th.ln, th.nn]]) / th.uu)
+
+    @functools.cached_property
+    def eta(self) -> np.ndarray | None:
+        if self.branch == QD:
+            return None
+        th = self.pair.theta
+        return np.array([0.0, th.un, -th.ul]) / self.lam
 
     def _guarded(self, bts: np.ndarray) -> tuple[np.ndarray, SingularTime | None]:
         """s_t = 1 - Theta_uu B_t (QD) or y_t (NONQD) at each of ``bts``, up
@@ -155,7 +125,7 @@ class FlowSolution:
         consumer refuses it."""
         th = self.pair.theta
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.branch == QD and self.eig is None:
+            if self.branch == QD and self.flat:
                 # formal limit Theta_uu -> 0: lower block is a matrix exponential
                 theta2 = np.array([[th.ll, th.ln], [th.ln, th.nn]])
                 u = np.tile(np.eye(3), (len(bts), 1, 1))
@@ -200,47 +170,11 @@ class FlowSolution:
         with np.errstate(over="ignore", invalid="ignore"):
             return k / np.array([math.cos(y) ** 2 for y in v.tolist()])
 
-    def lifespan(self, profile: LapseProfile) -> Lifespan:
-        if self.branch == NONQD:
-            t_plus = profile.solve_b((math.pi / 2 - self.y0) / self.lam)
-            t_minus = profile.solve_b((-math.pi / 2 - self.y0) / self.lam)
-            # y_t reaches +-pi/2 in finite B, so only a table can leave an end None
-            return Lifespan(t_minus, t_plus, immortal=False)
-        if self.eig is None:
-            if profile.kind == "constant":
-                return Lifespan(-math.inf, math.inf, immortal=True)
-            lo, hi = profile.domain()
-            return Lifespan(None, None, immortal=False,
-                            note=f"no singularity inside the tabulated domain [{lo}, {hi}]")
-        uu = self.pair.theta.uu
-        t0 = profile.solve_b(1.0 / uu)
-        note = ("boundary taken on the side matching sign(Theta_uu); the backward "
-                "lapse integral is the relevant one for Theta_uu < 0")
-        # the other side never becomes singular: it is unbounded for a
-        # constant lapse and unknown past the end of a table
-        lo, hi = (-math.inf, math.inf) if profile.kind == "constant" else (None, None)
-        if uu > 0:
-            return Lifespan(lo, t0, immortal=False, note=note)
-        return Lifespan(t0, hi, immortal=False, note=note)
-
 
 def solve(pair: CauchyPair, tol: float = DEFAULT_TOL) -> FlowSolution:
     """The closed-form flow of ``pair``: its branch and constants.  Raises
     InvalidPair where ``pair`` is not admissible within tol (``branch``)."""
-    th = pair.theta
-    if branch(pair, tol) == QD:
-        if abs(th.uu) <= tol * max(1.0, th.max_abs()):
-            return FlowSolution(pair, QD)
-        lower = np.array([[th.ll, th.ln], [th.ln, th.nn]])
-        return FlowSolution(pair, QD, eig=eigen2x2(lower / th.uu))
-    lam = invariants(pair).lam
-    denom = lam * math.hypot(lam, th.uu)
-    return FlowSolution(
-        pair, NONQD, lam=lam, y0=math.atan2(th.uu, lam),
-        c_ll=(th.ll * lam**2 + th.ul**2 * th.uu) / denom,
-        c_nn=(th.nn * lam**2 + th.un**2 * th.uu) / denom,
-        c_ln=(th.ln * lam**2 + th.ul * th.un * th.uu) / denom,
-        eta=np.array([0.0, th.un, -th.ul]) / lam)
+    return FlowSolution.of(pair, tol)
 
 
 class _Samples:
@@ -315,8 +249,3 @@ def hamiltonian_exact(pair: CauchyPair, h0: float, profile: LapseProfile, t: flo
     """Evolved Hamiltonian residual from its initial value h0."""
     stack = _sample(pair, profile, t, tol)
     return stack.sol._hamiltonian_stack(h0, stack.v)[0]
-
-
-def lifespan(pair: CauchyPair, profile: LapseProfile, tol: float = DEFAULT_TOL) -> Lifespan:
-    """Maximal interval of definition around t = 0."""
-    return solve(pair, tol).lifespan(profile)

@@ -20,8 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinorflow
-from spinorflow import _kernel_py, backend, cli, exact, lapse, lorentz, numeric, \
-    pairs, verify
+from spinorflow import _kernel_py, backend, cli, decision, exact, lapse, lorentz, \
+    numeric, pairs, verify
 from spinorflow.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from spinorflow.exact import Lifespan
 
@@ -718,8 +718,8 @@ class TestEachPairIsSolvedOnce:
     ], ids=["exact-flow", "lifespan", "curvature", "verify"])
     def test_branch_calls(self, tmp_path, monkeypatch, capsys, name, argv, most):
         calls = []
-        branch = exact.branch
-        monkeypatch.setattr(exact, "branch", lambda *a: calls.append(a) or branch(*a))
+        branch = decision.branch
+        monkeypatch.setattr(decision, "branch", lambda *a: calls.append(a) or branch(*a))
         path = write_pair(tmp_path, name, theta_dict(**self.PAIRS[name]))
         assert main([argv[0], path] + argv[1:]) == EXIT_OK
         assert 1 <= len(calls) <= most
@@ -1532,10 +1532,9 @@ def test_each_command_loads_only_what_it_runs(e11_file):
               else ["_kernel_py", "dataclasses", "frames", "numpy"])
     for command in ("validate", "classify"):
         assert steps[command] == sorted(steps["spinorflow.cli"] + ["backend"] + kernel), command
-    assert not {"lorentz", "verify"} & set(steps["lifespan"])
-    # the march's modules: the C kernel too where backend built it
-    kernels = {"_kernel_py"} | ({"_kernel"} if backend.KERNEL_BACKEND == "c" else set())
-    assert {"exact", "numeric", "numpy"} | kernels <= set(steps["lifespan"])
+    # the decision of the pair, in Python floats, and no closed-form stack,
+    # march or kernel of its own
+    assert steps["lifespan"] == sorted(steps["classify"] + ["decision"])
 
 
 @pytest.mark.skipif(backend.KERNEL_BACKEND != "c",
@@ -1551,6 +1550,9 @@ def test_validate_and_classify_load_no_numpy(tmp_path, theta, beta):
     for step in ("spinorflow.cli", "validate", "classify"):
         assert not {"dataclasses", "numpy", "orjson"} & set(steps[step]), step
     assert {"backend", "_kernel"} <= set(steps["validate"])
+    # lifespan alone decides the pair in Python floats: no kernel either
+    steps = _loaded_by_step(path, "lifespan")
+    assert steps["lifespan"] == sorted(steps["spinorflow.cli"] + ["decision"])
 
 
 def test_validate_of_a_table_above_the_threshold_loads_orjson(tmp_path):

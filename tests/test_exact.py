@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from spinorflow import CauchyPair, InvalidPair, LapseProfile, NotApplicable, \
     OutOfDomain, SingularTime, frame_exact, hamiltonian_exact, invariants, lifespan, \
     nonqd_coefficients, solve, theta_exact, validate
-from spinorflow import _kernel_py, backend
+from spinorflow import _kernel_py, backend, decision
 from spinorflow import lapse as lapse_module
 from spinorflow.exact import NONQD, QD, branch
 from spinorflow.numeric import hamiltonian_of
@@ -580,6 +580,23 @@ class TestLifespan:
             else:
                 assert got == pytest.approx(want, abs=1e-10)
         assert not span.immortal
+
+    @pytest.mark.parametrize("profile", [
+        None, LapseProfile.constant(1.3),
+        LapseProfile.tabulated([-3.0, -1.0, 0.2, 1.5, 4.0], [0.9, 0.8, 1.3, 1.0, 1.2]),
+    ], ids=["no-lapse", "constant-1.3", "table-5"])
+    def test_the_solution_builds_on_the_decision(self, row_pair, profile):
+        # the lifespan command decides the pair alone, with no numpy; the
+        # stacks build on that decision, with its constants and its lifespan
+        profile = profile or UNIT
+        sol, decided = solve(row_pair), decision.Decision.of(row_pair)
+        assert tuple(sol) == tuple(decided)
+        want, got = sol.lifespan(profile), decision.lifespan(row_pair, profile)
+        assert type(got) is type(want) is decision.Lifespan
+        for field in decision.Lifespan._fields:
+            assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+        assert (sol.eig is None) is (sol.branch == NONQD or decided.flat)
+        assert (sol.eta is None) is (sol.branch == QD)
 
 
 def _eta_oneform(pair, t):

@@ -559,6 +559,30 @@ def test_a_float_method_that_empties_the_list_leaves_the_image_whole(kernel):
     assert items == []
 
 
+@KERNELS
+@pytest.mark.parametrize("entry", ["e12", "reprs"])
+def test_a_float_method_that_empties_the_cells_leaves_the_text_whole(kernel, entry):
+    # both kernels read the cells as they stood at the call, each from the
+    # first that may run code on held, so nothing freed is read
+    cells = [1.5, -4, None, 3.5]
+    cells[2] = _Clearing(cells)
+    assert getattr(kernel, entry)(cells) == getattr(_kernel_py, entry)([1.5, -4.0, 2.5, 3.5])
+    assert cells == []
+
+
+@KERNELS
+def test_a_float_method_that_empties_the_state_leaves_the_march_whole(kernel):
+    # a tau_{3,mu} state with U = Id, whose Theta_ll, 2.5, is read from a
+    # cell that empties the state holding it, in y and in its companion z
+    plain = [5.0 / 3.0, 0.0, 0.0, 2.5, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    y, z = list(plain), list(plain)
+    y[3], z[3] = _Clearing(y), _Clearing(z)
+    args = (0.0, 0.05, 0.2, 1e-8)
+    want = _kernel_py.march_stop(plain, plain, *args)
+    assert repr(kernel.march_stop(y, z, *args)) == repr(want)
+    assert y == z == []
+
+
 @DECODERS
 def test_lifespan_converts_each_number_list_of_a_table_once(tmp_path, monkeypatch, capsys,
                                                             decoder):

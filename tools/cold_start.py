@@ -5,10 +5,11 @@ Usage, from anywhere:
 
     python3 tools/cold_start.py --parent PARENT_DIR --change CHANGE_DIR
 
-Each command runs on a pair with a tabulated lapse of three nodes, and
-``validate`` and ``classify`` also on the same pair with a constant lapse,
-which they check without numpy on the C kernel, and with a table of 20,000
-nodes, built as CI's ``table-20000.json``: a file above
+Each command runs on a pair with a tabulated lapse of three nodes;
+``validate``, ``classify`` and ``lifespan`` also on the same pair with a
+constant lapse, which they run without numpy on the C kernel (``lifespan``
+without the kernel too); and ``validate`` and ``classify`` with a table of
+20,000 nodes, built as CI's ``table-20000.json``: a file above
 ``cli._ORJSON_MIN_BYTES``, which orjson decodes where it is installed, and
 whose number lists the kernel's ``floats`` images (the three-node pair is
 small enough for json, and never gets there).  The pairs are written to a
@@ -65,6 +66,7 @@ COMMANDS = (
     ("validate, 20,000-node table", "table-20000", []),
     ("classify, 20,000-node table", "table-20000", []),
     ("lifespan", "tabulated", []),
+    ("lifespan, constant lapse", "constant", []),
     ("flow --method exact", "tabulated", ["--method", "exact"]),
     ("flow --method rk4", "tabulated", ["--method", "rk4"]),
     ("curvature", "tabulated", []),

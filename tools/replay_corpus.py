@@ -11,7 +11,8 @@ The script copies ``src/`` to a temporary directory, points
 from the copy: the C kernel is built there, and neither the checkout's
 ``__pycache__`` nor the user's cache is written.  It then runs, in this
 process, each run of the corpus whose command loads no numpy on the C
-kernel: ``validate`` and ``classify`` of an input with no tabulated lapse.
+kernel: ``validate``, ``classify`` and ``lifespan`` of an input with no
+tabulated lapse.
 Each run goes through ``tests/golden/regenerate.py``'s ``run``, imported once
 ``spinorflow`` has loaded from the copy, and its exit code, stdout and stderr
 are compared with the corpus byte for byte.
@@ -36,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # the commands that load no numpy on the C kernel, given no tabulated lapse
-REPLAYED = ("validate", "classify")
+REPLAYED = ("validate", "classify", "lifespan")
 
 
 def replayable(data: dict, argv: list[str]) -> bool:
